@@ -19,6 +19,14 @@ Protocol summary (see :mod:`repro.mpi` docstring):
   handshake is the synchronization through which a noisy receiver delays a
   blocking sender (Section 2.1.1).
 
+Every eager payload, RTS and rendezvous data message is one :class:`_Send`
+record put on the wire by one launch function, ``_transmit``; the receiver
+checks each arrival's integrity in one place. The reliable transport
+(``RuntimeConfig.reliable``) is that same path plus a per-sender sequence
+number and an ack timer: a sequenced arrival is acked (or NACKed when its
+checksum fails) and delivered at most once, and an unacked send is
+retransmitted, parked or abandoned (DESIGN.md S17).
+
 GPU ranks (Section 4) declare a default memory space; transfers route over
 the PCIe/QPI/NIC paths of :class:`~repro.network.fabric.Fabric`, and GPU
 reduction work runs on simulated CUDA streams instead of the host CPU.
@@ -68,16 +76,20 @@ def _flip_bit(data: Any, bit: int) -> Any:
     return out
 
 
-class _ReliableSend:
-    """Transport-level state of one reliable message (eager/RTS/rndv-data)."""
+class _Send:
+    """One message of the wire protocol (eager, RTS, or rendezvous data).
+
+    ``seq`` stays ``None`` on the raw transport; the reliable transport
+    numbers the message and tracks its attempts, retry timer and parking.
+    """
 
     __slots__ = (
         "seq", "req", "kind", "payload", "src_space", "dst_space",
         "recv_req", "attempt", "timer", "parked",
     )
 
-    def __init__(self, seq, req, kind, payload, src_space, dst_space, recv_req=None):
-        self.seq = seq
+    def __init__(self, req, kind, payload, src_space, dst_space, recv_req=None):
+        self.seq: Optional[int] = None
         self.req = req
         self.kind = kind  # "eager" | "rts" | "data"
         self.payload = payload
@@ -108,14 +120,14 @@ class RankRuntime:
             gpu = world.spec.node.gpu
             assert gpu is not None
             self._gpu_streams = [0.0] * gpu.streams
-        # Reliable transport (config.reliable): per-message ack/retransmit.
+        # Reliable transport: per-message sequence numbers, ack/retransmit.
         self._send_seq = 0
-        self._reliable_pending: dict[int, _ReliableSend] = {}
+        self._reliable_pending: dict[int, _Send] = {}
         # Sends whose retry budget ran dry against a merely *suspected* peer
         # park here (keyed by peer) and probe at a slow capped-backoff
         # cadence until the peer is confirmed dead (abandon) or evidence of
         # life arrives (resume) — a partitioned peer is not a dead peer.
-        self._parked: dict[int, list[_ReliableSend]] = {}
+        self._parked: dict[int, list[_Send]] = {}
         self._peer_watch = False
         # Statistics.
         self.sends_posted = 0
@@ -146,23 +158,21 @@ class RankRuntime:
             self.world.sanitizer.on_trace(self.engine.now, self.rank)
         self.world.trace.record(self.engine.now, self.rank, kind, detail)
 
-    def _roll_corrupt(self, dst: int, nbytes: int, tag: int) -> Optional[int]:
-        """Consult the installed fault filter for an in-flight bit flip.
+    def fail_stop(self) -> None:
+        """Crash this rank: its CPU halts and its transport state dies.
 
-        Rolled at wire launch on the sender's CPU, so the rng consumption
-        order — the determinism contract — depends only on the sender-side
-        schedule. Returns the bit index to flip, or ``None``.
+        The crashed process's in-flight sends will never be acked by anyone
+        on its behalf, so their retry timers and requests are torn down.
         """
-        faults = self.world.fabric.faults
-        if faults is None:
-            return None
-        roll = getattr(faults, "corrupt_roll", None)
-        if roll is None:
-            return None
-        return roll(self.rank, dst, nbytes, tag)
-
-    def _integrity_armed(self) -> bool:
-        return self.world.fabric.faults is not None
+        self._trace("killed", "fail-stop")
+        self.alive = False
+        self.cpu.halt()
+        for send in self._reliable_pending.values():
+            if send.timer is not None:
+                send.timer.cancel()
+            send.req.cancel()
+        self._reliable_pending.clear()
+        self._parked.clear()
 
     # -- non-blocking point-to-point -------------------------------------------
 
@@ -192,17 +202,10 @@ class RankRuntime:
         self._trace("isend", f"-> {dst} tag={tag} {nbytes}B {'eager' if eager else 'rndv'}")
         # Posting costs CPU time; the wire action happens when the CPU gets
         # to it (noise on this rank delays its own sends).
-        if eager:
-            start = (
-                self._reliable_eager_start
-                if self.world.config.reliable
-                else self._eager_send_start
-            )
-            self.cpu.execute(self._o, start, req, payload, src_space, to_space)
-        else:
-            self.cpu.execute(
-                self._o, self._rndv_send_rts, req, payload, src_space, to_space
-            )
+        self.cpu.execute(
+            self._o, self._start, req, "eager" if eager else "rts",
+            payload, src_space, to_space,
+        )
         return req
 
     def irecv(self, src: int, tag: int, nbytes: int) -> Request:
@@ -219,146 +222,9 @@ class RankRuntime:
         self.cpu.execute(self._o, self._post_recv, req)
         return req
 
-    # -- eager protocol ----------------------------------------------------------
+    # -- wire launch (eager, RTS, rendezvous data) ------------------------------
 
-    def _eager_send_start(
-        self, req: Request, payload: Any, src_space: MemSpace, dst_space: MemSpace
-    ) -> None:
-        now = self.engine.now
-        dst_rt = self.world.ranks[req.peer]
-        crc = _payload_crc(payload) if self._integrity_armed() else None
-        bit = self._roll_corrupt(req.peer, req.nbytes, req.tag)
-        wire_payload = payload if bit is None else _flip_bit(payload, bit)
-
-        def on_wire_complete(flow) -> None:
-            msg = InboundMessage(
-                src=req.rank,
-                tag=req.tag,
-                nbytes=req.nbytes,
-                eager=True,
-                data=wire_payload,
-                arrival_time=self.engine.now,
-                crc=crc,
-                corrupt=bit is not None,
-            )
-            dst_rt._handle_arrival(msg)
-
-        self.world.fabric.start_transfer(
-            req.rank, req.peer, req.nbytes, on_wire_complete, src_space, dst_space,
-            taginfo=("eager", req.rank, req.peer, req.tag),
-        )
-        # Buffered send: locally complete once the message is on the wire.
-        req._complete(now)
-
-    # -- rendezvous protocol -------------------------------------------------------
-
-    def _rndv_send_rts(
-        self, req: Request, payload: Any, src_space: MemSpace, dst_space: MemSpace
-    ) -> None:
-        if self.world.config.reliable:
-            state = self._new_reliable(req, "rts", payload, src_space, dst_space)
-            self._transmit(state)
-            return
-        dst_rt = self.world.ranks[req.peer]
-        token = (req, payload, src_space, dst_space)
-
-        def on_rts_arrival() -> None:
-            msg = InboundMessage(
-                src=req.rank,
-                tag=req.tag,
-                nbytes=req.nbytes,
-                eager=False,
-                arrival_time=self.engine.now,
-                rendezvous_token=token,
-            )
-            dst_rt._handle_arrival(msg)
-
-        # Control messages are latency-only (see Fabric.start_control).
-        self.world.fabric.start_control(
-            req.rank, req.peer, self.world.config.control_bytes, on_rts_arrival
-        )
-
-    def _rndv_send_cts(self, msg: InboundMessage, recv_req: Request) -> None:
-        """Receiver side: matching recv exists; tell the sender to fire."""
-        send_req, payload, src_space, dst_space = msg.rendezvous_token
-        sender_rt = self.world.ranks[msg.src]
-
-        def on_cts_arrival() -> None:
-            # Sender CPU processes the CTS, then the data flow starts.
-            sender_rt.cpu.execute(
-                sender_rt._o,
-                sender_rt._rndv_send_data,
-                send_req,
-                payload,
-                src_space,
-                dst_space,
-                recv_req,
-            )
-
-        self.world.fabric.start_control(
-            self.rank, msg.src, self.world.config.control_bytes, on_cts_arrival
-        )
-
-    def _rndv_send_data(
-        self,
-        send_req: Request,
-        payload: Any,
-        src_space: MemSpace,
-        dst_space: MemSpace,
-        recv_req: Request,
-    ) -> None:
-        if self.world.config.reliable:
-            state = self._new_reliable(
-                send_req, "data", payload, src_space, dst_space, recv_req
-            )
-            self._transmit(state)
-            return
-        dst_rt = self.world.ranks[send_req.peer]
-        crc = _payload_crc(payload) if self._integrity_armed() else None
-        bit = self._roll_corrupt(send_req.peer, send_req.nbytes, send_req.tag)
-        wire_payload = payload if bit is None else _flip_bit(payload, bit)
-        corrupt = bit is not None
-
-        def on_data_complete(flow) -> None:
-            # Sender may reuse its buffer: complete the send request. The
-            # notification itself is CPU work on the sender.
-            self.cpu.execute(0.0, self._complete_send, send_req)
-            # Receiver CPU processes delivery into the posted buffer.
-            dst_rt.cpu.execute(
-                dst_rt._o, dst_rt._deliver_checked, recv_req, wire_payload,
-                corrupt, crc,
-            )
-
-        self.world.fabric.start_transfer(
-            send_req.rank, send_req.peer, send_req.nbytes, on_data_complete,
-            src_space, dst_space,
-            taginfo=("data", send_req.rank, send_req.peer, send_req.tag),
-        )
-
-    def _complete_send(self, req: Request) -> None:
-        self._trace("send-done", f"-> {req.peer} tag={req.tag} {req.nbytes}B")
-        req._complete(self.engine.now)
-
-    # -- reliable transport (config.reliable) ------------------------------------
-    #
-    # At-least-once delivery over a lossy data plane: every eager payload,
-    # RTS, and rendezvous data message carries a per-sender sequence number;
-    # the receiver acks each arrival (including duplicates) over the reliable
-    # control channel and the matcher suppresses redeliveries, so the MPI
-    # layer sees exactly-once semantics. A sender whose retry budget runs dry
-    # presumes the peer dead: it reports the peer to the failure detector and
-    # cancels the request.
-
-    def _reliable_eager_start(
-        self, req: Request, payload: Any, src_space: MemSpace, dst_space: MemSpace
-    ) -> None:
-        state = self._new_reliable(req, "eager", payload, src_space, dst_space)
-        self._transmit(state)
-        # Still a buffered send: local completion, delivery guaranteed by
-        # the transport underneath (or the peer declared failed).
-        req._complete(self.engine.now)
-
-    def _new_reliable(
+    def _start(
         self,
         req: Request,
         kind: str,
@@ -366,92 +232,132 @@ class RankRuntime:
         src_space: MemSpace,
         dst_space: MemSpace,
         recv_req: Optional[Request] = None,
-    ) -> _ReliableSend:
-        self._send_seq += 1
-        state = _ReliableSend(
-            self._send_seq, req, kind, payload, src_space, dst_space, recv_req
-        )
-        self._reliable_pending[state.seq] = state
-        return state
+    ) -> None:
+        """Launch one message on the sender's CPU (after its overhead)."""
+        send = _Send(req, kind, payload, src_space, dst_space, recv_req)
+        if self.world.config.reliable:
+            self._send_seq += 1
+            send.seq = self._send_seq
+            self._reliable_pending[send.seq] = send
+        self._transmit(send)
+        if kind == "eager":
+            # Buffered send: locally complete once the message is on the
+            # wire (delivery is the reliable transport's job, if any).
+            req._complete(self.engine.now)
 
-    def _transmit(self, state: _ReliableSend) -> None:
-        state.attempt += 1
-        self.transmissions += 1
-        if state.attempt > 1:
-            self.retransmits += 1
-            self._trace(
-                "retransmit",
-                f"-> {state.req.peer} tag={state.req.tag} seq={state.seq} "
-                f"attempt={state.attempt} ({state.kind})",
-            )
-        req = state.req
+    def _transmit(self, send: _Send) -> None:
+        """Put one attempt of ``send`` on the wire.
+
+        Sequenced (reliable) sends also count the attempt and arm the retry
+        timer; retransmits, NACKs and resumed parked sends re-enter here.
+        """
+        req, kind, seq = send.req, send.kind, send.seq
+        if seq is not None:
+            send.attempt += 1
+            self.transmissions += 1
+            if send.attempt > 1:
+                self.retransmits += 1
+                self._trace(
+                    "retransmit",
+                    f"-> {req.peer} tag={req.tag} seq={seq} "
+                    f"attempt={send.attempt} ({kind})",
+                )
+        fabric = self.world.fabric
         dst_rt = self.world.ranks[req.peer]
-        if state.kind == "rts":
-            token = (req, state.payload, state.src_space, state.dst_space)
+        taginfo = (kind, req.rank, req.peer, req.tag)
+        if kind == "rts":
 
             def on_rts_arrival() -> None:
                 msg = InboundMessage(
                     src=req.rank, tag=req.tag, nbytes=req.nbytes, eager=False,
-                    arrival_time=self.engine.now, rendezvous_token=token,
-                    seq=state.seq,
+                    arrival_time=self.engine.now, rendezvous_token=send,
+                    seq=seq,
                 )
                 dst_rt._handle_arrival(msg)
 
-            # RTS rides the reliable control channel; the ack/retry loop here
-            # detects a dead receiver, not message loss. The taginfo marks it
-            # as a counted transmission for severed-message accounting.
-            self.world.fabric.start_control(
-                req.rank, req.peer, self.world.config.control_bytes,
-                on_rts_arrival, taginfo=("rts", req.rank, req.peer, req.tag),
-            )
+            # Control messages are latency-only (see Fabric.start_control)
+            # and never dropped: a reliable RTS's ack/retry loop detects a
+            # dead receiver, not loss. The taginfo books a severed RTS as a
+            # data-plane launch, like eager payloads and rendezvous data.
             wire_bytes = self.world.config.control_bytes
-        elif state.kind == "eager":
-            crc = _payload_crc(state.payload) if self._integrity_armed() else None
-            bit = self._roll_corrupt(req.peer, req.nbytes, req.tag)
-            wire_payload = (
-                state.payload if bit is None else _flip_bit(state.payload, bit)
+            fabric.start_control(
+                req.rank, req.peer, wire_bytes, on_rts_arrival, taginfo=taginfo
             )
+        else:
+            payload = send.payload
+            crc = bit = None
+            faults = fabric.faults
+            if faults is not None:
+                # Integrity armed: checksum the payload, then roll in-flight
+                # corruption. Rolled here on the sender's CPU, so the rng
+                # consumption order — the determinism contract — depends
+                # only on the sender-side schedule.
+                crc = _payload_crc(payload)
+                bit = faults.corrupt_roll(req.rank, req.peer, req.nbytes, req.tag)
             corrupt = bit is not None
+            if bit is not None:
+                payload = _flip_bit(payload, bit)
+            if kind == "eager":
 
-            def on_eager_wire(flow) -> None:
-                msg = InboundMessage(
-                    src=req.rank, tag=req.tag, nbytes=req.nbytes, eager=True,
-                    data=wire_payload, arrival_time=self.engine.now,
-                    seq=state.seq, crc=crc, corrupt=corrupt,
-                )
-                dst_rt._handle_arrival(msg)
+                def on_wire(flow) -> None:
+                    msg = InboundMessage(
+                        src=req.rank, tag=req.tag, nbytes=req.nbytes, eager=True,
+                        data=payload, arrival_time=self.engine.now,
+                        seq=seq, crc=crc, corrupt=corrupt,
+                    )
+                    dst_rt._handle_arrival(msg)
 
-            self.world.fabric.start_transfer(
-                req.rank, req.peer, req.nbytes, on_eager_wire,
-                state.src_space, state.dst_space,
-                taginfo=("eager", req.rank, req.peer, req.tag),
-            )
+            else:
+
+                def on_wire(flow) -> None:
+                    if seq is None:
+                        # Raw transport: the drained flow frees the sender's
+                        # buffer (the reliable transport waits for the ack).
+                        # The notification itself is CPU work on the sender.
+                        self.cpu.execute(0.0, self._complete_send, req)
+                    dst_rt._handle_data(send, payload, corrupt, crc)
+
             wire_bytes = req.nbytes
-        else:  # "data"
-            crc = _payload_crc(state.payload) if self._integrity_armed() else None
-            bit = self._roll_corrupt(req.peer, req.nbytes, req.tag)
-            wire_payload = (
-                state.payload if bit is None else _flip_bit(state.payload, bit)
+            fabric.start_transfer(
+                req.rank, req.peer, wire_bytes, on_wire,
+                send.src_space, send.dst_space, taginfo=taginfo,
             )
-            corrupt = bit is not None
-
-            def on_data_wire(flow) -> None:
-                dst_rt._rndv_data_wire(
-                    req.rank, state.seq, state.recv_req, wire_payload,
-                    corrupt, crc,
-                )
-
-            self.world.fabric.start_transfer(
-                req.rank, req.peer, req.nbytes, on_data_wire,
-                state.src_space, state.dst_space,
-                taginfo=("data", req.rank, req.peer, req.tag),
+        if seq is not None:
+            send.timer = self.engine.call_after(
+                self._retry_delay(send, wire_bytes), self._on_ack_timeout, send
             )
-            wire_bytes = req.nbytes
-        state.timer = self.engine.call_after(
-            self._retry_delay(state, wire_bytes), self._on_ack_timeout, state
+
+    def _rndv_send_cts(self, msg: InboundMessage, recv_req: Request) -> None:
+        """Receiver side: matching recv exists; tell the sender to fire."""
+        rts: _Send = msg.rendezvous_token
+        sender_rt = self.world.ranks[msg.src]
+
+        def on_cts_arrival() -> None:
+            # Sender CPU processes the CTS, then the data flow starts.
+            sender_rt.cpu.execute(
+                sender_rt._o, sender_rt._start, rts.req, "data",
+                rts.payload, rts.src_space, rts.dst_space, recv_req,
+            )
+
+        self.world.fabric.start_control(
+            self.rank, msg.src, self.world.config.control_bytes, on_cts_arrival
         )
 
-    def _retry_delay(self, state: _ReliableSend, wire_bytes: int) -> float:
+    def _complete_send(self, req: Request) -> None:
+        self._trace("send-done", f"-> {req.peer} tag={req.tag} {req.nbytes}B")
+        req._complete(self.engine.now)
+
+    # -- reliable transport: acks, retries, parking ------------------------------
+    #
+    # At-least-once delivery over a lossy data plane: every sequenced message
+    # is acked by the receiver over the reliable control channel (duplicates
+    # included) and the matcher suppresses redeliveries, so the MPI layer
+    # sees exactly-once semantics. A sender whose retry budget runs dry
+    # parks while the peer is merely suspected and abandons the send —
+    # cancelling its request — once the peer is confirmed (or, with no
+    # detector, presumed) dead.
+
+    def _retry_delay(self, state: _Send, wire_bytes: int) -> float:
         """Retransmission timeout: RTO plus headroom for the transfer itself.
 
         The 4x uncontended-transfer-time term keeps large segments on a
@@ -469,7 +375,7 @@ class RankRuntime:
         exponent = min(state.attempt, cfg.retry_limit) - 1
         return base * (cfg.retry_backoff ** exponent)
 
-    def _on_ack_timeout(self, state: _ReliableSend) -> None:
+    def _on_ack_timeout(self, state: _Send) -> None:
         if state.seq not in self._reliable_pending:
             return  # acked while the timer was in flight
         if state.attempt >= self.world.config.retry_limit:
@@ -503,7 +409,7 @@ class RankRuntime:
             return
         self._transmit(state)
 
-    def _abandon(self, state: _ReliableSend) -> None:
+    def _abandon(self, state: _Send) -> None:
         """Give up on a reliable send: the peer is confirmed (or presumed,
         absent any detector) dead."""
         if state.seq not in self._reliable_pending:
@@ -607,48 +513,6 @@ class RankRuntime:
             # receiver confirmed delivery.
             self._complete_send(state.req)
 
-    def _rndv_data_wire(
-        self,
-        src: int,
-        seq: int,
-        recv_req: Request,
-        payload: Any,
-        corrupt: bool = False,
-        crc: Optional[int] = None,
-    ) -> None:
-        """Reliable rendezvous data reached this rank (wire event)."""
-        if not self.alive:
-            self.msgs_lost_dead += 1
-            return
-        self.cpu.execute(
-            self._o, self._rndv_data_arrived, src, seq, recv_req, payload,
-            corrupt, crc,
-        )
-
-    def _rndv_data_arrived(
-        self,
-        src: int,
-        seq: int,
-        recv_req: Request,
-        payload: Any,
-        corrupt: bool = False,
-        crc: Optional[int] = None,
-    ) -> None:
-        if self._checksum_failed(payload, corrupt, crc, src, recv_req.tag):
-            # No ack, no register_seq: the sequence number stays undelivered
-            # so the intact retransmit (NACK-triggered) is still fresh.
-            self._send_nack(src, seq)
-            return
-        detector = self.world.failure_detector
-        if detector is not None:
-            detector.observe_alive(src)
-        fresh = self.matcher.register_seq(src, seq)
-        self._send_ack(src, seq)
-        if not fresh:
-            self._trace("dup-suppressed", f"<- {src} data seq={seq}")
-            return
-        self._deliver(recv_req, payload)
-
     # -- receiver-side handlers -------------------------------------------------------
 
     def _post_recv(self, req: Request) -> None:
@@ -674,30 +538,12 @@ class RankRuntime:
         self.cpu.execute(self._o, self._match_arrival, msg)
 
     def _match_arrival(self, msg: InboundMessage) -> None:
-        if msg.eager and self._checksum_failed(
-            msg.data, msg.corrupt, msg.crc, msg.src, msg.tag
+        # Verified before matching so a corrupt payload never enters the
+        # unexpected queue (an RTS carries no payload and always passes).
+        if not self._accept(
+            msg.src, msg.seq, msg.tag, msg.data, msg.corrupt, msg.crc
         ):
-            # Verified before matching so a corrupt payload never enters the
-            # unexpected queue. Reliable: NACK for an immediate retransmit
-            # (the seq was never registered, so the clean copy is fresh).
-            # Raw transport: integrity failure degenerates to a drop.
-            if msg.seq is not None:
-                self._send_nack(msg.src, msg.seq)
             return
-        if msg.seq is not None:
-            # Reliable transport: ack every arrival (the sender's copy of a
-            # duplicated or retransmitted message still needs silencing),
-            # deliver each sequence number at most once.
-            detector = self.world.failure_detector
-            if detector is not None:
-                detector.observe_alive(msg.src)
-            fresh = self.matcher.register_seq(msg.src, msg.seq)
-            self._send_ack(msg.src, msg.seq)
-            if not fresh:
-                self._trace(
-                    "dup-suppressed", f"<- {msg.src} tag={msg.tag} seq={msg.seq}"
-                )
-                return
         req = self.matcher.arrive(msg)
         if req is None:
             if msg.eager:
@@ -708,28 +554,58 @@ class RankRuntime:
         else:
             self._rndv_send_cts(msg, req)
 
-    def _checksum_failed(
-        self, payload: Any, corrupt: bool, crc: Optional[int],
-        src: int, tag: int,
+    def _handle_data(
+        self, send: _Send, payload: Any, corrupt: bool, crc: Optional[int]
+    ) -> None:
+        """Rendezvous data reached this rank (wire event)."""
+        if not self.alive:
+            if send.seq is not None:
+                self.msgs_lost_dead += 1
+            return
+        self.cpu.execute(self._o, self._data_arrived, send, payload, corrupt, crc)
+
+    def _data_arrived(
+        self, send: _Send, payload: Any, corrupt: bool, crc: Optional[int]
+    ) -> None:
+        if self._accept(send.req.rank, send.seq, send.req.tag, payload, corrupt, crc):
+            self._deliver(send.recv_req, payload)
+
+    def _accept(
+        self,
+        src: int,
+        seq: Optional[int],
+        tag: int,
+        payload: Any,
+        corrupt: bool,
+        crc: Optional[int],
     ) -> bool:
-        """Verify one arrival's end-to-end integrity; count+trace a failure."""
-        bad = corrupt or (
-            crc is not None
-            and payload is not None
-            and _payload_crc(payload) != crc
-        )
-        if bad:
+        """Admit one arrival: True when it should be delivered.
+
+        Every arrival's end-to-end integrity is verified; on the raw
+        transport a failed checksum degenerates to a drop. A sequenced
+        (reliable) arrival is also NACKed on failure — no ack and no
+        ``register_seq``, so the clean retransmit is still fresh — and
+        otherwise acked (a duplicate's sender still needs silencing) and
+        delivered at most once.
+        """
+        if corrupt or (
+            crc is not None and payload is not None and _payload_crc(payload) != crc
+        ):
             self.checksum_rejects += 1
             self._trace("crc-reject", f"<- {src} tag={tag}")
-        return bad
-
-    def _deliver_checked(
-        self, req: Request, payload: Any, corrupt: bool, crc: Optional[int]
-    ) -> None:
-        """Raw-transport rendezvous delivery with integrity verification."""
-        if self._checksum_failed(payload, corrupt, crc, req.peer, req.tag):
-            return  # unreliable path: a failed checksum is a drop
-        self._deliver(req, payload)
+            if seq is not None:
+                self._send_nack(src, seq)
+            return False
+        if seq is None:
+            return True
+        detector = self.world.failure_detector
+        if detector is not None:
+            detector.observe_alive(src)
+        fresh = self.matcher.register_seq(src, seq)
+        self._send_ack(src, seq)
+        if not fresh:
+            self._trace("dup-suppressed", f"<- {src} tag={tag} seq={seq}")
+        return fresh
 
     def _deliver(self, req: Request, payload: Any) -> None:
         if req.completed:
@@ -908,18 +784,8 @@ class MpiWorld:
         rt = self.ranks[rank]
         if not rt.alive:
             return
-        rt._trace("killed", "fail-stop")
-        rt.alive = False
-        rt.cpu.halt()
+        rt.fail_stop()
         self.failed_ranks.add(rank)
-        # The crashed process's in-flight sends will never be acked by
-        # anyone on its behalf; its own pending transport state dies with it.
-        for state in rt._reliable_pending.values():
-            if state.timer is not None:
-                state.timer.cancel()
-            state.req.cancel()
-        rt._reliable_pending.clear()
-        rt._parked.clear()
 
     def transport_stats(self) -> dict[str, int]:
         """Aggregate reliable-transport counters across ranks."""

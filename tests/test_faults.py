@@ -758,6 +758,72 @@ class TestPartitionSeverance:
 
         assert run_once() == run_once()
 
+    def test_raw_rts_severed_is_data_plane(self):
+        # The RTS is a counted launch of the wire protocol in both transport
+        # modes: a raw RTS cut by a partition books as data-plane `severed`,
+        # like a raw eager payload or rendezvous data flow would.
+        world = make_world(nranks=4, reliable=False, sanitize=False)
+        world.ranks[0].isend(2, 7, NBYTES, data=bcast_payload(NBYTES))
+        plan = FaultPlan(
+            partitions=[PartitionSpec(groups=((0, 1), (2, 3)), start=0.0,
+                                      heal=1e-3)]
+        )
+        injector = run_with_faults(world, plan, horizon=2e-3)
+        assert injector.severed == 1
+
+
+# -- send parking: retry budget spent, peer only suspected --------------------
+
+
+class TestSendParking:
+    """A reliable send that exhausts its retries against a peer the detector
+    has not confirmed parks and keeps probing; a retraction resumes it, a
+    confirmation abandons it."""
+
+    def _parked_send(self):
+        # Every data message to rank 1 is dropped, so the rendezvous data
+        # flow never acks. Three attempts spend the budget (~14 ms); the
+        # detector confirms only 50 ms after the suspicion it then raises.
+        world = make_world(
+            nranks=2, config=RuntimeConfig(reliable=True, retry_limit=3)
+        )
+        detector = FailureDetector(world, detect_delay=0.05)
+        injector = FaultInjector(
+            world, FaultPlan(losses=[LossSpec(drop=1.0, dst=1)])
+        )
+        data = bcast_payload(NBYTES)
+        send = world.ranks[0].isend(1, 7, NBYTES, data=data)
+        recv = world.ranks[1].irecv(0, 7, NBYTES)
+        world.run(until=0.03)
+        sender = world.ranks[0]
+        assert sender.sends_parked == 1
+        assert list(sender._parked) == [1]
+        assert detector.suspected == {1} and detector.failed == set()
+        assert not send.completed
+        return world, detector, injector, sender, send, recv, data
+
+    def test_retraction_resumes_parked_send(self):
+        world, detector, injector, sender, send, recv, data = self._parked_send()
+        injector.plan = FaultPlan()  # the lossy link heals...
+        detector.observe_alive(1)    # ...and rank 1 shows signs of life
+        world.run()
+        assert send.completed and not send.cancelled
+        # Resumed at once, not at the next capped-backoff probe (8 ms away).
+        assert send.completion_time - 0.03 < 1e-3
+        np.testing.assert_array_equal(recv.data, data)
+        assert sender._parked == {} and sender._reliable_pending == {}
+        assert sender.sends_abandoned == 0
+        assert detector.failed == set() and detector.retractions
+
+    def test_confirmation_abandons_parked_send(self):
+        world, detector, _, sender, send, recv, _ = self._parked_send()
+        world.run()
+        assert detector.failed == {1}
+        assert send.cancelled
+        assert sender.sends_abandoned == 1
+        assert sender._parked == {} and sender._reliable_pending == {}
+        assert not recv.completed
+
 
 class TestQuorumFunctions:
     def test_majority_commits_minority_parks(self):
