@@ -19,6 +19,9 @@ simulation and raises :class:`SanitizerError` at the first violation:
   over-cap window means the refill accounting broke);
 * max-min fair-share allocations conserve link capacity: the flows crossing
   a link never sum above its rate, no flow runs negative or above its cap;
+* a flow finish taken from the network's finish queue fires exactly at the
+  flow's ``due`` time and only under its current stamp, and at world drain
+  no flow between live ranks is still active or queued;
 * per-rank trace timestamps are monotonically non-decreasing (the event
   engine must never run a rank backwards in time).
 
@@ -131,12 +134,39 @@ class Sanitizer:
                 )
         if getattr(self.world.config, "reliable", False):
             self._check_transport_conservation(failed)
+        self._check_flows_drained(failed)
         frontier = getattr(self.world, "staleness_frontier", None)
         if frontier is not None:
             # Drain time is the end of the line for parked stragglers:
             # resolve each into an accounted discard before balancing.
             frontier.flush_pending()
             self._check_contribution_conservation(frontier, failed)
+
+    def _check_flows_drained(self, failed: set[int]) -> None:
+        """No flow between live ranks may outlive the run.
+
+        A flow still active, or still holding a live entry in the finish
+        queue, at quiescence lost its finish event. Flows to or from a
+        failed rank are excused like that rank's requests; staging copies
+        (no ``taginfo``) never are.
+        """
+        self.checks_run += 1
+        fabric = getattr(self.world, "fabric", None)
+        if fabric is None:
+            return
+        network = fabric.network
+        queued = {f for _, stamp, f in network.queue if f.stamp == stamp}
+        stuck: list[Any] = []
+        for flow in sorted(queued | network.active, key=lambda f: f.fid):
+            ti = flow.taginfo
+            if ti is not None and (ti[1] in failed or ti[2] in failed):
+                continue
+            stuck.append(flow)
+        if stuck:
+            raise SanitizerError(
+                f"{len(stuck)} flow(s) still active or queued at world "
+                f"drain, e.g. {[repr(f) for f in stuck[:5]]}"
+            )
 
     def _check_transport_conservation(self, failed: set[int]) -> None:
         """Reliable transport: wire attempts must all be accounted for."""
@@ -254,6 +284,19 @@ class Sanitizer:
                     f"capacity {link.capacity:.6g} B/s "
                     f"across {len(link.flows)} flow(s)"
                 )
+
+    def check_flow_fire(self, flow: Any, stamp: int, now: float) -> None:
+        """A finish spliced from the queue fires at its due time, current."""
+        self.checks_run += 1
+        if flow.stamp != stamp:
+            raise SanitizerError(
+                f"flow {flow.fid} finish fired under stale stamp {stamp} "
+                f"(current {flow.stamp})"
+            )
+        if now != flow.due:
+            raise SanitizerError(
+                f"flow {flow.fid} finish fired at t={now!r}, due t={flow.due!r}"
+            )
 
     # -- trace monotonicity ---------------------------------------------------------
 

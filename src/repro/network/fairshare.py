@@ -29,6 +29,13 @@ from repro.sim.engine import Engine
 # Residual bytes below this count as "transfer finished" (guards float drift).
 _EPSILON_BYTES = 1e-6
 
+# The finish queue is rebuilt once stale entries pass this count and
+# outnumber the live ones (amortised: each rebuild follows as many
+# reschedules as it scans).
+_QUEUE_COMPACT_MIN = 512
+
+_NEVER = float("inf")
+
 # Hot-path sort keys (attrgetter beats an equivalent lambda per element).
 _BY_FID = attrgetter("fid")
 _BY_NAME = attrgetter("name")
@@ -745,13 +752,26 @@ class ComponentIndex:
 
 
 class FairShareNetwork:
-    """Owns active flows and keeps their rates max-min fair as they come and go."""
+    """Owns active flows and keeps their rates max-min fair as they come and go.
+
+    Flow completions are data (DESIGN.md §23): a rate change moves a flow's
+    ``due`` and pushes a ``(due, stamp, flow)`` entry on one lazily
+    invalidated finish queue, together with an engine position token. The
+    engine wakes the network when the queue's head epoch starts, and the
+    flows due then are spliced into that epoch where ``call_at`` at their
+    last reschedule would have put them.
+    """
 
     def __init__(self, engine: Engine):
         self.engine = engine
         self._next_fid = 0
         self.active: set[Flow] = set()
         self.flows_completed = 0
+        self.queue: list[tuple[float, int, Flow]] = []  # finish heap
+        self._stamps = 0  # last stamp issued; orders same-instant finishes
+        self._stale = 0  # queue entries whose flow moved, finished or parked
+        self._armed = _NEVER  # the engine wake this network holds
+        self._hook = self._due_now
         # Array mirror (None without numpy) + union-find component index.
         self.arrays: Optional[FlowArrayState] = (
             FlowArrayState() if _np is not None else None
@@ -792,7 +812,7 @@ class FairShareNetwork:
         flow = Flow(self._next_fid, path, nbytes, rate_cap, on_complete, taginfo)
         flow.start_time = self.engine.now
         if latency > 0.0:
-            self.engine.call_after(latency, self._activate, flow)
+            self.engine.post_after(latency, self._activate, flow)
         else:
             self._activate(flow)
         return flow
@@ -823,7 +843,7 @@ class FairShareNetwork:
             # memcpy work, not as a network flow).
             if flow.nbytes > 0 and not flow.path:
                 # Uncontended loopback: drain at the rate cap.
-                self.engine.call_after(
+                self.engine.post_after(
                     flow.nbytes / flow.rate_cap, self._finish, flow
                 )
                 flow.rate = flow.rate_cap
@@ -847,15 +867,103 @@ class FairShareNetwork:
         comp.add_flow(flow)
         self._rebalance(flow)
 
+    # -- the finish queue -----------------------------------------------------
+
+    def _withdraw(self, flow: Flow) -> None:
+        """Drop ``flow``'s scheduled finish, queued or already spliced."""
+        if flow.token is not None:
+            flow.token = None
+            self._stale += 1
+        elif flow.entry is not None:
+            self.engine.discard(flow.entry)
+            flow.entry = None
+        flow.stamp = 0
+
+    def _schedule(self, flows: Sequence[Flow]) -> None:
+        """Set each flow, in order, to finish when it drains at its rate.
+
+        ``due = now + remaining / rate`` is the float op ``call_after``
+        performed, and the token records where ``call_after`` would have
+        appended, so each finish fires exactly where the eager event would
+        have.
+        """
+        engine = self.engine
+        now = engine.now
+        mark = engine.mark
+        queue = self.queue
+        push = heapq.heappush
+        armed = self._armed
+        stamp = self._stamps
+        stale = self._stale
+        for f in flows:
+            # Withdraw the previous schedule (``_withdraw``, inlined).
+            if f.token is not None:
+                stale += 1
+            elif f.entry is not None:
+                engine.discard(f.entry)
+                f.entry = None
+            due = now + f.remaining / f.rate
+            stamp += 1
+            f.token = mark(due)
+            f.due = due
+            f.stamp = stamp
+            push(queue, (due, stamp, f))
+            if due < armed:
+                armed = due
+        self._stamps = stamp
+        if armed < self._armed:
+            self._armed = armed
+            engine.wake_at(armed, self._hook)
+        if stale > _QUEUE_COMPACT_MIN and 2 * stale > len(queue):
+            queue[:] = [e for e in queue if e[2].stamp == e[1]]
+            heapq.heapify(queue)
+            stale = 0
+        self._stale = stale
+
+    def _due_now(self, t: float) -> list[tuple[tuple, list]]:
+        """Engine wake hook: hand over the flows that finish at ``t``.
+
+        Each leaves the queue as a cancellable engine entry, paired with
+        its position token, in stamp order; the engine splices them into
+        ``t``'s epoch. The network then re-arms at the new head.
+        """
+        queue = self.queue
+        heappop = heapq.heappop
+        out = []
+        while queue:
+            due, stamp, flow = queue[0]
+            if flow.stamp != stamp:
+                heappop(queue)
+                self._stale -= 1
+                continue
+            if due > t:
+                break
+            heappop(queue)
+            entry = [self._fire, (flow, stamp)]
+            out.append((flow.token, entry))
+            flow.token = None  # drops the bucket reference too
+            flow.entry = entry
+        if queue:
+            self._armed = queue[0][0]
+            self.engine.wake_at(self._armed, self._hook)
+        else:
+            self._armed = _NEVER
+        return out
+
+    def _fire(self, flow: Flow, stamp: int) -> None:
+        flow.entry = None
+        if self.sanitizer is not None:
+            self.sanitizer.check_flow_fire(flow, stamp, self.engine.now)
+        self._finish(flow)
+
     def _finish(self, flow: Flow) -> None:
         if flow.done:
             return
         flow.drain(self.engine.now)
         flow.remaining = 0.0
         flow.finish_time = self.engine.now
-        if flow.completion is not None:
-            flow.completion.cancel()
-            flow.completion = None
+        if flow.stamp:
+            self._withdraw(flow)
         self.active.discard(flow)
         had_links = bool(flow.path)
         if had_links:
@@ -977,13 +1085,9 @@ class FairShareNetwork:
                 (link.capacity for link in seed.path), default=seed.rate_cap
             )
             rate = min(rate, seed.rate_cap)
-            if abs(rate - seed.rate) > 1e-9 * max(rate, seed.rate) or seed.completion is None:
-                if seed.completion is not None:
-                    seed.completion.cancel()
+            if abs(rate - seed.rate) > 1e-9 * max(rate, seed.rate) or not seed.stamp:
                 seed.rate = rate
-                seed.completion = self.engine.call_after(
-                    seed.remaining / rate, self._finish, seed
-                )
+                self._schedule((seed,))
             if self.sanitizer is not None:
                 self.sanitizer.check_rates((seed,), seed.path)
             return
@@ -1000,7 +1104,7 @@ class FairShareNetwork:
                 f.drain(now)
         rates = self._maxmin_cached(comp_flows, comp_links)
         finished: list[Flow] = []
-        call_after = self.engine.call_after
+        moved: list[Flow] = []
         for f, new_rate in zip(comp_flows, rates):
             # Drain lazily: most members keep their rate (bystanders dragged
             # in by a shared link), and for them byte accounting can wait for
@@ -1018,25 +1122,25 @@ class FairShareNetwork:
             if rem <= _EPSILON_BYTES:
                 finished.append(f)  # _finish performs the real drain
                 continue
-            if f.completion is not None:
-                # Skip the cancel/reschedule churn when the rate is unchanged
-                # — the common case for flows dragged into a component by a
-                # link they share with an unaffected neighbour.
+            if f.stamp:
+                # Keep the scheduled finish when the rate is unchanged — the
+                # common case for flows dragged into a component by a link
+                # they share with an unaffected neighbour.
                 old = f.rate
                 d = new_rate - old
                 if d < 0.0:
                     d = -d
                 if d <= 1e-9 * (new_rate if new_rate > old else old):
                     continue
-                f.completion.cancel()
-                f.completion = None
             f.drain(now)
             f.rate = new_rate
             if new_rate > 0.0:
-                f.completion = call_after(
-                    f.remaining / new_rate, self._finish, f
-                )
-            # rate == 0 flows stay parked until a rebalance frees capacity.
+                moved.append(f)
+            elif f.stamp:
+                # rate == 0 flows stay parked until a rebalance frees capacity.
+                self._withdraw(f)
+        if moved:
+            self._schedule(moved)
         if self.sanitizer is not None:
             self.sanitizer.check_rates(comp_flows, comp_links)
         root = self.components.root_of(seed)

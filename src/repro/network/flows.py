@@ -5,16 +5,16 @@ from __future__ import annotations
 from typing import Any, Callable, Optional, Sequence
 
 from repro.network.links import Link
-from repro.sim.engine import EventHandle
 
 
 class Flow:
     """One transfer in flight.
 
     Life cycle: created -> (after path latency) active on its links ->
-    completion event fires when ``remaining`` drains at the allocated rate.
-    The allocator may cancel/reschedule the completion event many times as
-    competing flows come and go.
+    finishes when ``remaining`` drains at the allocated rate. The allocator
+    moves ``due``, the absolute finish time, each time the flow's rate
+    changes as competing flows come and go; the flow holds no engine event
+    until the epoch at ``due`` starts (DESIGN.md §23).
     """
 
     __slots__ = (
@@ -25,7 +25,10 @@ class Flow:
         "rate_cap",
         "rate",
         "last_update",
-        "completion",
+        "due",
+        "stamp",
+        "token",
+        "entry",
         "on_complete",
         "start_time",
         "finish_time",
@@ -55,7 +58,14 @@ class Flow:
         self.rate_cap = rate_cap
         self.rate = 0.0
         self.last_update = 0.0
-        self.completion: Optional[EventHandle] = None
+        # Finish-queue bookkeeping (FairShareNetwork): the scheduled finish
+        # time, the stamp of the live schedule (0 = none), its engine
+        # position token while queued, and its spliced engine entry while
+        # its epoch runs.
+        self.due = 0.0
+        self.stamp = 0
+        self.token: Optional[tuple] = None
+        self.entry: Optional[list] = None
         self.on_complete = on_complete
         self.start_time = 0.0
         self.finish_time: Optional[float] = None

@@ -22,19 +22,31 @@ Three entry kinds share a bucket, distinguished by ``type``:
   :meth:`Engine.post_batch` extends a bucket with thousands of them in one
   C-level call).
 
-Cancellation is lazy; a compaction pass rewrites the buckets in place when
-cancelled entries outnumber live ones (heavy flow rescheduling used to grow
-the old heap without bound).
+Cancellation is lazy; a compaction pass drops buckets whose entries are all
+cancelled once cancelled entries outnumber live ones.
+
+Deferred entries (DESIGN.md §23, "Flow completions as data"): a client that
+reschedules an event many times before it fires keeps its due time as data
+instead. Each reschedule takes a position token (:meth:`Engine.mark`) — the
+bucket at the due time and its length at that moment — and a wake hook
+(:meth:`Engine.wake_at`) hands the entries back when the epoch starts. The
+engine splices them into the bucket at their recorded positions before its
+first entry fires, so they fire exactly where an eager ``call_at`` at the
+last reschedule would have put them. For the recorded positions to stay
+valid, buckets only ever grow: compaction drops fully dead buckets but never
+shrinks a partly live one.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 #: Compaction trigger: at least this many cancelled entries *and* more
 #: cancelled than live. Small schedules never pay the rebuild.
 _COMPACT_MIN = 512
+
+_NEVER = float("inf")
 
 
 class SimulationError(RuntimeError):
@@ -70,18 +82,7 @@ class EventHandle:
     def cancel(self) -> None:
         """Cancel the event. Idempotent; safe after the event has fired."""
         self.cancelled = True
-        entry = self._entry
-        if entry[0] is not None:
-            entry[0] = None
-            entry[1] = ()
-            engine = self._engine
-            engine._live -= 1
-            engine._cancelled += 1
-            if (
-                engine._cancelled > _COMPACT_MIN
-                and engine._cancelled > engine._live
-            ):
-                engine._compact()
+        self._engine.discard(self._entry)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else (
@@ -102,7 +103,9 @@ class Engine:
     ``call_at``/``call_after`` return a cancellable :class:`EventHandle`;
     ``post_at``/``post_after``/``post_batch`` are the handle-free fast path
     for events that are never cancelled (completion dispatch, protocol
-    steps), skipping the handle allocation entirely.
+    steps), skipping the handle allocation entirely. ``mark``/``wake_at``
+    defer an entry's materialisation to its epoch (see the module
+    docstring).
     """
 
     __slots__ = (
@@ -114,6 +117,8 @@ class Engine:
         "_events_processed",
         "_live",
         "_cancelled",
+        "_hook",
+        "_hook_t",
     )
 
     def __init__(self) -> None:
@@ -127,6 +132,8 @@ class Engine:
         self._events_processed = 0
         self._live = 0        # scheduled, not yet fired or cancelled
         self._cancelled = 0   # cancelled entries still parked in buckets
+        self._hook: Optional[Callable] = None  # the deferred-entry client
+        self._hook_t = _NEVER  # its pending wake; tested once per epoch
 
     @property
     def now(self) -> float:
@@ -209,10 +216,91 @@ class Engine:
             bucket.extend(fns)
             self._live += len(bucket) - before
 
+    # -- deferred entries ---------------------------------------------------
+
+    def mark(self, time: float) -> tuple:
+        """Position token for an entry deferred to ``time``.
+
+        The token ``(bucket, index)`` records where ``call_at(time, ...)``
+        would append right now: the bucket at ``time`` (None if there is
+        none yet) and its current length. Hand it back from the
+        :meth:`wake_at` hook to have the entry spliced there.
+        """
+        if time < self._now:
+            raise SimulationError(
+                f"cannot schedule event at t={time} before now={self._now}"
+            )
+        bucket = self._buckets.get(time)
+        return (bucket, 0 if bucket is None else len(bucket))
+
+    def wake_at(
+        self,
+        time: float,
+        hook: Callable[[float], Sequence[tuple[tuple, list]]],
+    ) -> None:
+        """Call ``hook(time)`` when ``time``'s epoch starts.
+
+        The hook runs before the epoch's first entry fires and returns the
+        deferred entries due then, as ``(token, entry)`` pairs in the order
+        their tokens were taken, each ``entry`` a cancellable ``[fn, args]``
+        list (withdraw it with :meth:`discard`). They are spliced at their
+        tokens' positions and fire with the epoch. An engine serves one
+        hook with one pending wake: a later call replaces the wake. A wake
+        whose hook returns nothing fires no event and leaves ``now`` where
+        it was.
+        """
+        if time < self._now:
+            raise SimulationError(
+                f"cannot wake at t={time} before now={self._now}"
+            )
+        if self._hook is None:
+            self._hook = hook
+        elif hook != self._hook:
+            raise SimulationError("engine already serves another wake hook")
+        self._hook_t = time
+        heapq.heappush(self._times, time)
+
+    def discard(self, entry: list) -> None:
+        """Withdraw a cancellable ``[fn, args]`` entry (a handle's or a
+        spliced one) before it fires. Idempotent."""
+        if entry[0] is not None:
+            entry[0] = None
+            entry[1] = ()
+            self._live -= 1
+            self._cancelled += 1
+            if self._cancelled > _COMPACT_MIN and self._cancelled > self._live:
+                self._compact()
+
+    def _wake(self, t: float, bucket: Optional[list]) -> Optional[list]:
+        """Run the hook woken at ``t``; return ``bucket`` with its entries
+        spliced in (a fresh list if ``bucket`` is None)."""
+        self._hook_t = _NEVER
+        items = self._hook(t) if self._hook is not None else ()
+        if not items:
+            return bucket
+        # A token taken on this very bucket points at its index; a token
+        # taken while no bucket (or a since-dropped dead one) stood at ``t``
+        # precedes everything in it. In token order these positions never
+        # decrease, so one forward merge places every entry.
+        merged: list = []
+        i = 0
+        for (at, index), entry in items:
+            if at is bucket and index > i:
+                merged.extend(bucket[i:index])
+                i = index
+            merged.append(entry)
+        if bucket is not None:
+            merged.extend(bucket[i:])
+        self._live += len(items)
+        return merged
+
     # -- introspection ------------------------------------------------------
 
     def pending(self) -> int:
-        """Number of live (non-cancelled) events still queued. O(1)."""
+        """Number of live (non-cancelled) events still queued. O(1).
+
+        Deferred entries (:meth:`mark`) count once spliced into their epoch.
+        """
         return self._live
 
     def stats(self) -> dict[str, float]:
@@ -227,29 +315,28 @@ class Engine:
     # -- maintenance --------------------------------------------------------
 
     def _compact(self) -> None:
-        """Drop cancelled entries and empty buckets; rebuild the time heap.
+        """Drop buckets holding only cancelled entries; rebuild the heap.
 
-        Mutates the existing containers in place (``run`` holds local
-        references to them). The bucket currently being drained was already
-        popped from the map, so the drain loop's iterator never shifts.
+        A partly live bucket is left as it is: its length is what a
+        :meth:`mark` token recorded, so shrinking it would move deferred
+        entries. Mutates the existing containers in place (``run`` holds
+        local references to them).
         """
         buckets = self._buckets
         for t in list(buckets):
-            bucket = buckets[t]
-            live = [
-                e for e in bucket
-                if type(e) is not list or e[0] is not None
-            ]
-            if live:
-                if len(live) != len(bucket):
-                    bucket[:] = live
+            for e in buckets[t]:
+                if type(e) is not list or e[0] is not None:
+                    break
             else:
                 del buckets[t]
-        self._times[:] = buckets.keys()
-        heapq.heapify(self._times)
-        # Cancelled entries parked in a bucket being drained right now (if
-        # any) were not collected; the drain loop's clamped decrement makes
-        # the counter self-correct as they vanish with their epoch.
+        times = self._times
+        times[:] = buckets.keys()
+        if self._hook_t != _NEVER:
+            times.append(self._hook_t)
+        heapq.heapify(times)
+        # Cancelled entries left in live buckets (or the bucket being
+        # drained) are not counted again; the drain loop's clamped
+        # decrement makes the counter self-correct as they vanish.
         self._cancelled = 0
 
     # -- execution ----------------------------------------------------------
@@ -287,8 +374,10 @@ class Engine:
                     return
                 heappop(times)
                 bucket = pop_bucket(t, None)
+                if t == self._hook_t:
+                    bucket = self._wake(t, bucket)
                 if bucket is None:
-                    continue  # stale heap entry left behind by _compact
+                    continue  # stale heap entry (_compact, replaced wake)
                 self._now = t
                 # Epoch drain: everything at this instant in one loop. An
                 # event scheduled *at* now mid-drain lands in a fresh bucket
@@ -336,6 +425,8 @@ class Engine:
                     return
                 heappop(times)
                 bucket = buckets.pop(t, None)
+                if t == self._hook_t:
+                    bucket = self._wake(t, bucket)
                 if bucket is None:
                     continue
                 self._now = t
@@ -364,15 +455,17 @@ class Engine:
                 if i < len(bucket):
                     # Stopped mid-epoch: requeue the unfired suffix ahead of
                     # anything scheduled at this instant mid-drain, so the
-                    # next run resumes in the original order.
+                    # next run resumes in the original order. Entries
+                    # deferred to this instant mid-drain hold tokens on the
+                    # mid-drain bucket, so they are spliced into it first.
                     del bucket[:i]
-                    later = buckets.get(t)
-                    if later is None:
-                        buckets[t] = bucket
-                        heapq.heappush(times, t)
-                    else:
+                    later = buckets.pop(t, None)
+                    if t == self._hook_t:
+                        later = self._wake(t, later)
+                    if later is not None:
                         bucket.extend(later)
-                        buckets[t] = bucket
+                    buckets[t] = bucket
+                    heapq.heappush(times, t)
             if (
                 until is not None
                 and until > self._now

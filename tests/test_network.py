@@ -126,6 +126,36 @@ class TestFairShareNetwork:
         assert done["x"] == pytest.approx(1e-6)
         assert done["y"] == pytest.approx(1e-6)
 
+    def test_finish_tied_with_a_later_post_fires_first(self):
+        # A flow whose last reschedule precedes a post to its exact due
+        # instant finishes before that post, as an eager call_at at the
+        # reschedule would. The flow is not the queue head when the post
+        # lands (b finishes first, on its own link), so a single timer
+        # re-armed at the head would be scheduled after the post instead.
+        eng = Engine()
+        net = FairShareNetwork(eng)
+        order = []
+        a = net.submit([Link("la", 1e9)], 1000, 1e12, 0.0,
+                       lambda f: order.append("a"))
+        net.submit([Link("lb", 1e9)], 500, 1e12, 0.0,
+                   lambda f: order.append("b"))
+        assert a.due == 1e-6
+        eng.post_at(1e-6, order.append, "post")
+        eng.run()
+        assert order == ["b", "a", "post"]
+
+    def test_rescheduled_flows_hold_no_engine_events(self):
+        eng = Engine()
+        net = FairShareNetwork(eng)
+        link = Link("l", 1e9)
+        for _ in range(20):
+            net.submit([link], 10_000, 1e12, 0.0, lambda f: None)
+        assert eng.pending() == 0
+        assert len(net.queue) >= 20
+        eng.run()
+        assert net.flows_completed == 20
+        assert not net.active and eng.pending() == 0
+
     def test_many_flows_complete(self):
         eng = Engine()
         net = FairShareNetwork(eng)

@@ -144,6 +144,34 @@ class TestSanitizedWorld:
         world.ranks[0].irecv(1, tag=9, nbytes=1024)
         world.run(until=1.0)  # bounded run: world may legitimately be mid-flight
 
+    def test_queued_flow_left_at_drain_fails(self):
+        world = make_world(nranks=2)
+        net = world.fabric.network
+        # A lost wake: the network believes the engine will wake it, so the
+        # flow's finish stays in the queue and never fires.
+        net._armed = 0.0
+        world.fabric.start_transfer(0, 1, 4096, lambda f: None,
+                                    taginfo=("data", 0, 1, 9))
+        with pytest.raises(SanitizerError, match="still active or queued"):
+            world.run()
+
+    def test_flow_left_at_drain_to_a_failed_rank_is_excused(self):
+        world = make_world(nranks=2)
+        world.fabric.network._armed = 0.0
+        world.fabric.start_transfer(0, 1, 4096, lambda f: None,
+                                    taginfo=("data", 0, 1, 9))
+        world.failed_ranks.add(1)
+        world.run()
+
+    def test_flow_finish_off_its_due_time_raises(self):
+        s = fake_sanitizer()
+        flow = SimpleNamespace(fid=3, stamp=7, due=2.0)
+        s.check_flow_fire(flow, 7, 2.0)
+        with pytest.raises(SanitizerError, match="due"):
+            s.check_flow_fire(flow, 7, 1.5)
+        with pytest.raises(SanitizerError, match="stale stamp"):
+            s.check_flow_fire(flow, 6, 2.0)
+
     def test_default_world_has_no_sanitizer(self):
         world = MpiWorld(small_test_machine(), 8)
         assert world.sanitizer is None
