@@ -25,6 +25,8 @@ as ``BENCH_core.json`` (the CI perf-smoke artifact).
 
 from __future__ import annotations
 
+import gc
+import heapq
 import json
 import os
 import platform
@@ -70,6 +72,46 @@ def _best_of(fn: Callable[[], Any], repeats: int) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+# -- host-speed reference ----------------------------------------------------
+
+
+def _reference_seconds() -> float:
+    """Host seconds of a fixed discrete-event loop: a heap of timestamped
+    events whose callbacks update a dict, like the engine's work but built
+    from the standard library alone, so a simulator change never moves it.
+    The collector is off while it runs, so it is charged for no one's heap."""
+    rng = random.Random(1)
+    state: dict[int, int] = {}
+
+    def callback(arg: int) -> None:
+        state[arg % 4096] = state.get(arg % 4096, 0) + 1
+
+    queue = [(rng.random(), i, i) for i in range(2_000)]
+    heapq.heapify(queue)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        t0 = time.perf_counter()
+        for k in range(25_000):
+            t, _, arg = heapq.heappop(queue)
+            callback(arg)
+            heapq.heappush(queue, (t + rng.random(), 2_000 + k, arg * 31 + k))
+        return time.perf_counter() - t0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _best_of_with_reference(fn: Callable[[], Any], repeats: int) -> tuple[float, float]:
+    """Best wall time of ``fn`` and of the reference loop, run alternately
+    so that drift in the host's speed moves both alike."""
+    best = ref = float("inf")
+    for _ in range(repeats):
+        ref = min(ref, _reference_seconds())
+        best = min(best, _best_of(fn, 1))
+    return best, ref
 
 
 # -- engine ----------------------------------------------------------------
@@ -134,38 +176,36 @@ def bench_engine(scale: str) -> dict:
     collective simulations present. The chain regime (scattered distinct
     timestamps, heap traffic per event) is reported alongside so the cost
     of epoch bookkeeping on unfavourable workloads stays visible.
+
+    Each leg also records ``events_per_ref``, the events dispatched in the
+    time the reference loop takes on the same host; the regression gate
+    compares that, since it does not move with host speed or core count.
     """
     sizes = _SIZES[scale]
     n_events = sizes["events"]
     repeats = sizes["repeats"]
 
-    counts: list[int] = []
-    epoch_s = _best_of(
-        lambda: counts.append(_epoch_workload(n_events).events_processed),
-        repeats,
-    )
-    epoch_events = counts[0]  # deterministic workload: every pass is identical
-
-    counts.clear()
-    chain_s = _best_of(
-        lambda: counts.append(_chain_workload(n_events).events_processed),
-        repeats,
-    )
-    chain_events = counts[0]
+    def leg(workload: Callable[[int], Engine]) -> dict:
+        counts: list[int] = []
+        wall, ref = _best_of_with_reference(
+            lambda: counts.append(workload(n_events).events_processed), repeats
+        )
+        events = counts[0]  # deterministic workload: every pass is identical
+        return {
+            "events": events,
+            "seconds": round(wall, 6),
+            "events_per_sec": round(events / wall),
+            "reference_seconds": round(ref, 6),
+            "events_per_ref": round(events * ref / wall),
+        }
 
     return {
         "workload": (
             f"epoch: {_EPOCH_WAVE}-event same-timestamp waves; "
             "chain: 64 interleaved chains, 1-in-8 cancelled decoys"
         ),
-        "events": epoch_events,
-        "seconds": round(epoch_s, 6),
-        "events_per_sec": round(epoch_events / epoch_s),
-        "chain": {
-            "events": chain_events,
-            "seconds": round(chain_s, 6),
-            "events_per_sec": round(chain_events / chain_s),
-        },
+        **leg(_epoch_workload),
+        "chain": leg(_chain_workload),
     }
 
 
@@ -226,8 +266,9 @@ def bench_scale(
     For each rank count: run ADAPT bcast/allreduce through the full harness
     (``for_ranks`` grows the preset's node count at its native ranks-per-node
     density) and report engine events/sec over the wall clock, plus max-min
-    allocation rounds/sec on a component sized to that world (the regime the
-    vectorized variant targets once past ``_VEC_THRESHOLD`` flows).
+    allocation rounds/sec on a component sized to that world (the heap
+    tier's regime: every such component has at least ``_HEAP_THRESHOLD``
+    flows).
 
     Single-shot walls, not best-of-N: a 16K-rank bcast is tens of seconds,
     so repeating it would dominate the whole suite for ±10% noise that the
@@ -358,14 +399,15 @@ def render(result: dict) -> str:
     if eng:
         lines.append(
             f"engine      {eng['events_per_sec']:>12,} events/sec   "
-            f"({eng['events']:,} events in {eng['seconds']:.3f}s, epoch waves)"
+            f"({eng['events']:,} events in {eng['seconds']:.3f}s, epoch waves; "
+            f"{eng['events_per_ref']:,} per reference loop)"
         )
         chain = eng.get("chain")
         if chain:
             lines.append(
                 f"            {chain['events_per_sec']:>12,} events/sec   "
                 f"({chain['events']:,} events in {chain['seconds']:.3f}s, "
-                f"mixed chains)"
+                f"mixed chains; {chain['events_per_ref']:,} per reference loop)"
             )
     alloc = result.get("allocator")
     if alloc:

@@ -23,6 +23,7 @@ from repro.harness.experiments import (
     figq_staleness,
     figx_faults,
     figx_recovery,
+    figxp_partition,
     table1_asp,
 )
 
@@ -37,5 +38,6 @@ __all__ = [
     "figq_staleness",
     "figx_faults",
     "figx_recovery",
+    "figxp_partition",
     "table1_asp",
 ]

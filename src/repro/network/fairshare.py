@@ -17,11 +17,6 @@ import heapq
 from operator import attrgetter
 from typing import Callable, Optional, Sequence
 
-try:  # numpy backs the vectorized allocator and the array mirror (§23);
-    import numpy as _np  # the pure-Python variants remain the fallback.
-except ImportError:  # pragma: no cover - baked into the toolchain image
-    _np = None
-
 from repro.network.flows import Flow
 from repro.network.links import Link
 from repro.sim.engine import Engine
@@ -47,20 +42,12 @@ _BY_CAP_FID = attrgetter("rate_cap", "fid")
 # per-round O(links + flows) rescan it replaces is large enough.
 _HEAP_THRESHOLD = 96
 
-# Components at or above this flow count use the numpy water-filling variant:
-# the per-round bottleneck search collapses to one C-level masked divide +
-# argmin over the link columns. Measured crossover vs the heap variant is
-# flat (~1.0x at 8K flows, slightly behind below), so the threshold sits
-# where the vec variant is never a regression while its 4-5x advantage over
-# the reference keeps growing with component size.
-_VEC_THRESHOLD = 4096
+# perfbench/tracer.py reads these; they go when it drops net.solves.vec.
+_np = None
+_VEC_THRESHOLD = _NEVER
 
 
-def maxmin_rates(
-    flows: Sequence[Flow],
-    links: Sequence[Link],
-    state: "Optional[FlowArrayState]" = None,
-) -> dict[Flow, float]:
+def maxmin_rates(flows: Sequence[Flow], links: Sequence[Link]) -> dict[Flow, float]:
     """Compute the max-min fair rate of every flow in one component.
 
     Pure function (does not mutate flows/links); exposed separately so the
@@ -74,21 +61,34 @@ def maxmin_rates(
     unfixed cap comes from a list pre-sorted by (rate_cap, fid) walked by a
     monotone pointer, so ``cap_flow`` costs amortised O(1) instead of an
     O(flows) ``min()`` scan per round (and is never computed eagerly when
-    the bottleneck branch wins). Small components (the common case on
-    topology-aware trees) dispatch to a flat-scan variant that keeps the
-    lazy-cap optimization but skips the heap; very large components
-    dispatch to :func:`maxmin_rates_vec`, which vectorizes the bottleneck
-    search over numpy arrays. Fix order and float arithmetic match
-    :func:`maxmin_rates_reference` exactly: ties between equal shares
-    resolve to the earliest link in ``links`` order, and flows fix in fid
-    order within a round, so all variants return bit-identical rates.
+    the bottleneck branch wins). Components below ``_HEAP_THRESHOLD`` flows
+    (the common case on topology-aware trees) dispatch to a flat-scan
+    variant that keeps the lazy-cap optimization but skips the heap. Fix
+    order and float arithmetic match :func:`maxmin_rates_reference`
+    exactly: ties between equal shares resolve to the earliest link in
+    ``links`` order, and flows fix in fid order within a round, so both
+    tiers return bit-identical rates (DESIGN.md §23).
     """
-    n = len(flows)
-    if n < _HEAP_THRESHOLD:
+    if len(flows) < _HEAP_THRESHOLD:
         return _maxmin_scan(flows, links)
-    if _np is not None and n >= _VEC_THRESHOLD:
-        return maxmin_rates_vec(flows, links, state)
     return _maxmin_heap(flows, links)
+
+
+def _capped(
+    by_cap: list[Flow], j: int, rates: dict[Flow, float], threshold: float
+) -> list[Flow]:
+    """The unfixed flows of ``by_cap[j:]`` capped at or below ``threshold``,
+    in fid order (``by_cap`` is sorted by cap, so the walk stops early)."""
+    batch = []
+    while j < len(by_cap):
+        f = by_cap[j]
+        if f not in rates:
+            if f.rate_cap > threshold:
+                break
+            batch.append(f)
+        j += 1
+    batch.sort(key=_BY_FID)
+    return batch
 
 
 def _maxmin_scan(flows: Sequence[Flow], links: Sequence[Link]) -> dict[Flow, float]:
@@ -139,18 +139,7 @@ def _maxmin_scan(flows: Sequence[Flow], links: Sequence[Link]) -> dict[Flow, flo
                     _fix(f, f.rate_cap)
         elif by_cap[cap_ptr].rate_cap <= bottleneck_share:
             # Cap-limited flows fix first (standard capped progressive fill).
-            threshold = bottleneck_share
-            batch = []
-            j = cap_ptr
-            while j < len(by_cap):
-                f = by_cap[j]
-                if f not in rates:
-                    if f.rate_cap > threshold:
-                        break
-                    batch.append(f)
-                j += 1
-            batch.sort(key=_BY_FID)
-            for f in batch:
+            for f in _capped(by_cap, cap_ptr, rates, bottleneck_share):
                 _fix(f, f.rate_cap)
         else:
             assert bottleneck_link is not None
@@ -231,18 +220,7 @@ def _maxmin_heap(flows: Sequence[Flow], links: Sequence[Link]) -> dict[Flow, flo
                     _fix(f, f.rate_cap)
         elif by_cap[cap_ptr].rate_cap <= bottleneck_share:
             # Cap-limited flows fix first (standard capped progressive fill).
-            threshold = bottleneck_share
-            batch = []
-            j = cap_ptr
-            while j < len(by_cap):
-                f = by_cap[j]
-                if f not in rates:
-                    if f.rate_cap > threshold:
-                        break
-                    batch.append(f)
-                j += 1
-            batch.sort(key=_BY_FID)
-            for f in batch:
+            for f in _capped(by_cap, cap_ptr, rates, bottleneck_share):
                 _fix(f, f.rate_cap)
         else:
             batch = sorted(
@@ -317,287 +295,6 @@ def maxmin_rates_reference(
             for f in sorted(fixed, key=lambda f: f.fid):
                 _fix(f, bottleneck_share)
     return rates
-
-
-def maxmin_rates_vec(
-    flows: Sequence[Flow],
-    links: Sequence[Link],
-    state: "Optional[FlowArrayState]" = None,
-) -> dict[Flow, float]:
-    """Vectorized water-filling over the flow<->link incidence matrix.
-
-    The component's incidence is assembled once as CSR-style rows (flows in
-    (rate_cap, fid) order, entries = component-local link positions, one
-    entry per path *occurrence*) plus the transpose (flow ids grouped by
-    link, used to enumerate a bottleneck link's flows). Each fill round
-    then costs one C-level masked divide + argmin over the link columns
-    instead of a Python rescan or heap churn, while the per-fix residual
-    updates stay plain Python-float list operations — numpy scalar
-    indexing per entry would cost more than it saves at these sizes.
-
-    Bit-compatible with :func:`maxmin_rates_reference` (see DESIGN.md §23
-    for the float-tolerance contract): per-occurrence subtraction and
-    clamping use the identical scalar IEEE-754 operations in the identical
-    order, ``argmin`` resolves equal shares to the earliest link in
-    ``links`` order exactly like the reference's strict ``<`` scan, and
-    flows fix in fid order within a round — so the returned rates are
-    bit-identical, not merely close.
-
-    When ``state`` is given (the owning network's :class:`FlowArrayState`),
-    row assembly translates each flow's cached global link-index row
-    through a scratch lookup table instead of per-link dict probes.
-    """
-    if _np is None:  # pragma: no cover - numpy is part of the image
-        return _maxmin_heap(flows, links)
-    np = _np
-    by_cap = sorted(set(flows), key=_BY_CAP_FID)
-    nflows = len(by_cap)
-    rates: dict[Flow, float] = {}
-    if nflows == 0:
-        return rates
-    nlinks = len(links)
-
-    # --- incidence rows: flows in by_cap order, local link ids per entry ---
-    rows: Optional[list[list[int]]] = None
-    if state is not None:
-        built = state.local_rows(by_cap, links)
-        if built is not None:
-            indices, indptr = built
-            idx = indices.tolist()
-            ptr = indptr.tolist()
-            rows = [idx[ptr[k]:ptr[k + 1]] for k in range(nflows)]
-    if rows is None:
-        link_index: dict[Link, int] = {}
-        for i, link in enumerate(links):
-            if link not in link_index:
-                link_index[link] = i
-        rows = []
-        for f in by_cap:
-            row = []
-            for l in f.path:
-                i = link_index.get(l)
-                if i is not None:
-                    row.append(i)
-            rows.append(row)
-
-    # Link columns: occupancy count, residual capacity (Python floats — the
-    # per-fix updates are scalar), and the transpose (flow ids per link).
-    counts = [0] * nlinks
-    link_flows: list[list[int]] = [[] for _ in range(nlinks)]
-    for k, row in enumerate(rows):
-        for i in row:
-            counts[i] += 1
-            link_flows[i].append(k)
-    remaining: list[float] = [link.capacity for link in links]
-    shares = np.empty(nlinks, dtype=np.float64)
-    fixed = bytearray(nflows)
-    inf = float("inf")
-    n_unfixed = nflows
-    cap_ptr = 0
-    asarray = np.asarray
-    float64 = np.float64
-
-    def _fix(k: int, rate: float) -> None:
-        nonlocal n_unfixed
-        rates[by_cap[k]] = rate
-        fixed[k] = 1
-        n_unfixed -= 1
-        # Scalar per-occurrence update: identical arithmetic (and clamp
-        # placement) to the reference's dict-based loop, so duplicated
-        # path links subtract once per occurrence, bit-for-bit.
-        for i in rows[k]:
-            r = remaining[i] - rate
-            remaining[i] = r if r > 0.0 else 0.0
-            counts[i] -= 1
-
-    while n_unfixed > 0:
-        cnt = asarray(counts, dtype=float64)
-        active = cnt > 0.0
-        if active.any():
-            shares.fill(inf)
-            np.divide(
-                asarray(remaining, dtype=float64), cnt,
-                out=shares, where=active,
-            )
-            b = int(np.argmin(shares))
-            bottleneck_share: Optional[float] = float(shares[b])
-        else:
-            b = -1
-            bottleneck_share = None
-        # Lazy cap_flow: advance the monotone pointer past fixed flows.
-        while cap_ptr < nflows and fixed[cap_ptr]:
-            cap_ptr += 1
-
-        if bottleneck_share is None:
-            # No shared constrained link (e.g. synthetic test flows): caps rule.
-            for k in range(cap_ptr, nflows):
-                if not fixed[k]:
-                    _fix(k, by_cap[k].rate_cap)
-        elif by_cap[cap_ptr].rate_cap <= bottleneck_share:
-            # Cap-limited flows fix first (standard capped progressive fill).
-            threshold = bottleneck_share
-            batch = []
-            j = cap_ptr
-            while j < nflows:
-                if not fixed[j]:
-                    if by_cap[j].rate_cap > threshold:
-                        break
-                    batch.append(j)
-                j += 1
-            batch.sort(key=lambda k: by_cap[k].fid)
-            for k in batch:
-                _fix(k, by_cap[k].rate_cap)
-        else:
-            batch = sorted(
-                {k for k in link_flows[b] if not fixed[k]},
-                key=lambda k: by_cap[k].fid,
-            )
-            for k in batch:
-                _fix(k, bottleneck_share)
-    return rates
-
-
-class FlowArrayState:
-    """Preallocated numpy mirror of per-flow / per-link scalars (§23).
-
-    Flow columns are indexed by ``Flow.slot`` (free-listed; arrays double,
-    never shrink), link columns by ``Link.index`` (append-only, assigned on
-    first sight). The ``Flow``/``Link`` objects stay authoritative — the
-    columns are snapshotted at registration and refreshed *in batch, on
-    demand* (:meth:`refresh_remaining`) rather than on every drain: measured
-    on the collective workloads, per-event numpy scalar stores cost more
-    than every vectorized consumer saves. What the allocator actually
-    gathers per call is the cached link-index row of each flow, translated
-    through a scratch lookup table into component-local CSR incidence
-    instead of per-entry Python dict probes.
-    """
-
-    __slots__ = (
-        "remaining", "rate", "rate_cap", "link_capacity",
-        "_free", "_lookup", "nlinks",
-    )
-
-    def __init__(self, capacity: int = 256, link_capacity_hint: int = 256):
-        np = _np
-        self.remaining = np.zeros(capacity, dtype=np.float64)
-        self.rate = np.zeros(capacity, dtype=np.float64)
-        self.rate_cap = np.zeros(capacity, dtype=np.float64)
-        self._free = list(range(capacity - 1, -1, -1))
-        self.link_capacity = np.zeros(link_capacity_hint, dtype=np.float64)
-        # Scratch for component-local CSR assembly: global link index ->
-        # local position, kept all -1 between calls.
-        self._lookup = np.full(link_capacity_hint, -1, dtype=np.intp)
-        self.nlinks = 0
-
-    # -- registration --------------------------------------------------------
-
-    def register_link(self, link: Link) -> int:
-        idx = link.index
-        if idx is None:
-            idx = self.nlinks
-            link.index = idx
-        if idx >= self.nlinks:
-            # A link first indexed elsewhere (another network's mirror)
-            # keeps its id; this mirror just grows to cover it.
-            self.nlinks = idx + 1
-        if idx >= len(self.link_capacity):
-            np = _np
-            size = len(self.link_capacity)
-            while size <= idx:
-                size *= 2
-            grown = np.zeros(size, dtype=np.float64)
-            grown[: len(self.link_capacity)] = self.link_capacity
-            self.link_capacity = grown
-            scratch = np.full(size, -1, dtype=np.intp)
-            scratch[: len(self._lookup)] = self._lookup
-            self._lookup = scratch
-        self.link_capacity[idx] = link.capacity
-        return idx
-
-    def register(self, flow: Flow) -> int:
-        if not self._free:
-            np = _np
-            old = len(self.remaining)
-            for name in ("remaining", "rate", "rate_cap"):
-                grown = np.zeros(2 * old, dtype=np.float64)
-                grown[:old] = getattr(self, name)
-                setattr(self, name, grown)
-            self._free = list(range(2 * old - 1, old - 1, -1))
-        slot = self._free.pop()
-        flow.slot = slot
-        flow.state = self
-        self.remaining[slot] = flow.remaining
-        self.rate[slot] = flow.rate
-        self.rate_cap[slot] = flow.rate_cap
-        if flow.link_idx is None:
-            # Plain list at registration time (one activation per flow —
-            # an ndarray here costs more to build than it ever saves);
-            # local_rows promotes it to intp on first vectorized use.
-            reg = self.register_link
-            flow.link_idx = [reg(l) for l in flow.path]
-        return slot
-
-    def unregister(self, flow: Flow) -> None:
-        if flow.state is self and flow.slot >= 0:
-            self._free.append(flow.slot)
-            flow.slot = -1
-            flow.state = None
-
-    def refresh_remaining(self, flows) -> None:
-        """Batch-sync the residual-bytes column from the ``Flow`` objects.
-
-        The column is refreshed lazily: per-drain scalar stores cost more
-        than any vectorized consumer saves (DESIGN.md §23), so consumers
-        call this once per batch right before gathering the column.
-        """
-        col = self.remaining
-        for f in flows:
-            if f.state is self and f.slot >= 0:
-                col[f.slot] = f.remaining
-
-    # -- vectorized CSR assembly --------------------------------------------
-
-    def local_rows(self, by_cap, links):
-        """CSR (indices, indptr) of ``by_cap``'s paths in ``links``-local ids.
-
-        Returns None when some link or flow is unregistered (standalone
-        test fixtures); the caller falls back to dict-probe assembly.
-        Entry order within a row is path order; path links outside
-        ``links`` are dropped, duplicates kept per occurrence — matching
-        the pure-Python build exactly.
-        """
-        np = _np
-        nlinks = len(links)
-        glob = np.empty(nlinks, dtype=np.intp)
-        for i, link in enumerate(links):
-            if link.index is None:
-                return None
-            glob[i] = link.index
-        lookup = self._lookup
-        lookup[glob] = np.arange(nlinks, dtype=np.intp)
-        try:
-            parts = []
-            indptr = np.zeros(len(by_cap) + 1, dtype=np.intp)
-            total = 0
-            for k, f in enumerate(by_cap):
-                row = f.link_idx
-                if row is None:
-                    return None
-                if type(row) is list:
-                    # Promote the registration-time list on first use.
-                    row = f.link_idx = np.asarray(row, dtype=np.intp)
-                loc = lookup[row]
-                loc = loc[loc >= 0]
-                parts.append(loc)
-                total += loc.size
-                indptr[k + 1] = total
-            indices = (
-                np.concatenate(parts) if total
-                else np.empty(0, dtype=np.intp)
-            )
-            return indices, indptr
-        finally:
-            lookup[glob] = -1
 
 
 class ComponentIndex:
@@ -772,12 +469,8 @@ class FairShareNetwork:
         self._stale = 0  # queue entries whose flow moved, finished or parked
         self._armed = _NEVER  # the engine wake this network holds
         self._hook = self._due_now
-        # Array mirror (None without numpy) + union-find component index.
-        self.arrays: Optional[FlowArrayState] = (
-            FlowArrayState() if _np is not None else None
-        )
         self.components = ComponentIndex()
-        self._next_link_idx = 0  # id source when the numpy mirror is absent
+        self._next_link_idx = 0  # assigns Link.index on a link's first flow
         # Max-min solution cache keyed by canonical component *shape*
         # (DESIGN.md §23): the allocation depends only on flow caps, the
         # local link-incidence pattern, and link capacities — never on
@@ -852,17 +545,12 @@ class FairShareNetwork:
             self._finish(flow)
             return
         self.active.add(flow)
-        for link in flow.path:
-            link.flows.add(flow)
-        if self.arrays is not None:
-            self.arrays.register(flow)
-        else:
-            for link in flow.path:
-                if link.index is None:
-                    link.index = self._next_link_idx
-                    self._next_link_idx += 1
         comp = self.components
         for link in flow.path:
+            link.flows.add(flow)
+            if link.index is None:
+                link.index = self._next_link_idx
+                self._next_link_idx += 1
             comp.ensure(link.index)
         comp.add_flow(flow)
         self._rebalance(flow)
@@ -970,8 +658,6 @@ class FairShareNetwork:
             for link in flow.path:
                 link.flows.discard(flow)
             self.components.remove_flow(flow)
-            if self.arrays is not None:
-                self.arrays.unregister(flow)
         self.flows_completed += 1
         if self.obs is not None and had_links:
             # Span per link over the flow's wire lifetime (submit -> drain;
@@ -1041,8 +727,8 @@ class FairShareNetwork:
         nflows = len(comp_flows)
         if nflows >= _HEAP_THRESHOLD:
             # Large components: key-build cost and entry memory stop paying
-            # for themselves; go straight to the heap/vec variants.
-            rates = maxmin_rates(comp_flows, comp_links, self.arrays)
+            # for themselves; go straight to the heap variant.
+            rates = maxmin_rates(comp_flows, comp_links)
             return [rates[f] for f in comp_flows]
         shape: list = []
         for f in comp_flows:
@@ -1056,7 +742,7 @@ class FairShareNetwork:
         cache = self._maxmin_cache
         cached = cache.get(key)
         if cached is None:
-            rates = maxmin_rates(comp_flows, comp_links, self.arrays)
+            rates = maxmin_rates(comp_flows, comp_links)
             if len(cache) >= 65536:
                 # Unbounded shape churn (randomized fuzz workloads): start
                 # over rather than grow without limit.

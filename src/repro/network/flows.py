@@ -33,9 +33,6 @@ class Flow:
         "start_time",
         "finish_time",
         "taginfo",
-        "slot",
-        "link_idx",
-        "state",
     )
 
     def __init__(
@@ -70,25 +67,13 @@ class Flow:
         self.start_time = 0.0
         self.finish_time: Optional[float] = None
         self.taginfo = taginfo
-        # Array-mirror bookkeeping (DESIGN.md §23): the owning network's
-        # FlowArrayState slot, the cached link-index array of ``path``, and
-        # the mirror itself (None for standalone flows built by tests).
-        self.slot = -1
-        self.link_idx = None
-        self.state = None
 
     @property
     def done(self) -> bool:
         return self.finish_time is not None
 
     def drain(self, now: float) -> None:
-        """Account bytes moved since ``last_update`` at the current rate.
-
-        Deliberately does *not* write the array mirror's residual column:
-        a numpy scalar store per drain costs more than every vectorized
-        consumer saves (DESIGN.md §23); consumers that need current
-        residuals call ``FlowArrayState.refresh_remaining`` once per batch.
-        """
+        """Account bytes moved since ``last_update`` at the current rate."""
         dt = now - self.last_update
         if dt > 0.0 and self.rate > 0.0:
             moved = self.rate * dt

@@ -26,8 +26,9 @@ class Link:
         self.capacity = capacity
         self.flows: set["Flow"] = set()
         self.bytes_carried = 0.0  # lifetime accounting, for utilization reports
-        # Dense id in the owning network's array mirror / component index
-        # (DESIGN.md §23); assigned on first sight, None for standalone links.
+        # Dense id in the owning network's union-find component index
+        # (DESIGN.md §23); assigned when the link carries its first flow,
+        # None for standalone links.
         self.index: int | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

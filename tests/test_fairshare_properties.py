@@ -12,12 +12,11 @@ from repro.network.fairshare import (
     _maxmin_scan,
     maxmin_rates,
     maxmin_rates_reference,
-    maxmin_rates_vec,
 )
 
 #: Every production allocator implementation; each must be bit-for-bit the
-#: reference allocation regardless of where the dispatch thresholds sit.
-_VARIANTS = [_maxmin_scan, _maxmin_heap, maxmin_rates_vec]
+#: reference allocation regardless of where the dispatch threshold sits.
+_VARIANTS = [_maxmin_scan, _maxmin_heap]
 from repro.sim import Engine
 
 
@@ -183,13 +182,32 @@ def test_all_variants_match_reference(variant, nflows, nlinks):
         assert variant(flows, links) == maxmin_rates_reference(flows, links)
 
 
-@pytest.mark.parametrize("variant", _VARIANTS)
+def _alltoall_component(nflows, nlinks):
+    """A component shaped like the 128-rank alltoall's 4K+ flow ones:
+    thousands of flows over a handful of shared links, each flow crossing
+    three of them, with a few distinct rate caps (one class capped below
+    its fair share, so both the cap and the bottleneck branch fix flows)."""
+    rng = random.Random(4200)
+    links = [Link(f"l{i}", 1e10 * (1 + i % 3)) for i in range(nlinks)]
+    flows = []
+    for fid in range(nflows):
+        path = rng.sample(links, 3)
+        f = Flow(fid, path, 1 << 16, rng.choice([4e6, 4e9, 8e9, 1.2e10]), lambda fl: None)
+        flows.append(f)
+        for link in path:
+            link.flows.add(f)
+    return flows, links
+
+
+@pytest.mark.parametrize("variant", _VARIANTS + [maxmin_rates])
 def test_variants_match_reference_large_component(variant):
-    """512+ flow components — past the vectorized dispatch threshold's
-    intended regime, where CSR assembly and round batching actually engage."""
+    """512+ flow components, and one at the 4K+ size of a 128-rank
+    alltoall's components — where the heap tier's lazy invalidation and
+    round batching actually engage, through the default dispatch too."""
     rng = random.Random(99)
-    for trial in range(3):
-        flows, links = _fuzz_component(rng, 520 + 8 * trial, 24)
+    components = [_fuzz_component(rng, 520 + 8 * trial, 24) for trial in range(3)]
+    components.append(_alltoall_component(4200, 7))
+    for flows, links in components:
         assert variant(flows, links) == maxmin_rates_reference(flows, links)
 
 

@@ -1,16 +1,16 @@
 """4K-rank scale smoke tests (slow).
 
 Three properties of a world two orders of magnitude past the unit-test
-sizes, where the perf-PR machinery (epoch draining, shape cache, lazy
-drain, vectorized allocation) actually engages:
+sizes, where the perf machinery (epoch draining, shape cache, lazy
+drain, tiered allocation) actually engages:
 
 * a 4096-rank ADAPT bcast **completes** and fully drains the engine;
 * the simulation is **deterministic**: two identical runs serialize to
   byte-identical result dicts (the golden-trace property at scale);
-* the numpy allocator is a **bit-exact oracle**: forcing every component
-  through :func:`maxmin_rates_vec` (thresholds patched to 1, which also
-  bypasses the shape cache) reproduces the default dispatch's result dict
-  exactly — same floats, same event counts.
+* the heap allocator tier is a **bit-exact oracle**: forcing every
+  component through ``_maxmin_heap`` (``_HEAP_THRESHOLD`` patched to 1,
+  which also bypasses the shape cache) reproduces the default dispatch's
+  result dict exactly — same floats, same event counts.
 """
 
 from __future__ import annotations
@@ -41,15 +41,14 @@ def test_4k_bcast_completes():
     assert stats["pending"] == 0  # nothing live left behind
 
 
-def test_4k_bcast_deterministic_and_vec_bit_identical(monkeypatch):
+def test_4k_bcast_deterministic_and_heap_bit_identical(monkeypatch):
     base = _run(1 << 16).to_dict()
 
     again = _run(1 << 16).to_dict()
     assert again == base
 
-    # Route every component — even single-flow ones — through the numpy
-    # water-filling variant, with the shape cache bypassed as a side effect.
+    # Route every component — even single-flow ones — through the heap
+    # variant, with the shape cache bypassed as a side effect.
     monkeypatch.setattr(fairshare, "_HEAP_THRESHOLD", 1)
-    monkeypatch.setattr(fairshare, "_VEC_THRESHOLD", 1)
-    vec = _run(1 << 16).to_dict()
-    assert vec == base
+    heap = _run(1 << 16).to_dict()
+    assert heap == base
