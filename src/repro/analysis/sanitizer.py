@@ -22,8 +22,9 @@ simulation and raises :class:`SanitizerError` at the first violation:
 * a flow finish taken from the network's finish queue fires exactly at the
   flow's ``due`` time and only under its current stamp, and at world drain
   no flow between live ranks is still active or queued;
-* per-rank trace timestamps are monotonically non-decreasing (the event
-  engine must never run a rank backwards in time).
+* per-rank request-event times (post, completion, cancellation) are
+  monotonically non-decreasing (the event engine must never run a rank
+  backwards in time).
 
 The checks are deliberately cheap (O(1) per event, O(flows) per rebalance)
 so sanitized runs stay usable for the full correctness suite.
@@ -51,24 +52,37 @@ class Sanitizer:
     def __init__(self, world: Any) -> None:
         self.world = world
         self._pending: dict[Any, float] = {}  # request -> post time
-        self._last_trace: dict[int, float] = {}
+        self._last_time: dict[int, float] = {}  # rank -> last request event
         self.checks_run = 0
         self.cancellations = 0
 
     # -- request lifecycle -------------------------------------------------------
 
+    def _tick(self, req: Any) -> float:
+        """The engine clock, checked never to run ``req``'s rank backwards."""
+        now = self.world.engine.now
+        rank = getattr(req, "rank", None)
+        last = self._last_time.get(rank)
+        if last is not None and now < last:
+            raise SanitizerError(
+                f"rank {rank} time went backwards: {now} after {last}"
+            )
+        self._last_time[rank] = now
+        return now
+
     def on_post(self, req: Any) -> None:
         self.checks_run += 1
+        now = self._tick(req)
         if req in self._pending:
             raise SanitizerError(f"request posted twice: {req!r}")
-        self._pending[req] = self.world.engine.now
+        self._pending[req] = now
 
     def on_complete(self, req: Any) -> None:
         self.checks_run += 1
+        now = self._tick(req)
         posted = self._pending.pop(req, None)
         if posted is None:
             raise SanitizerError(f"completion of a request never posted: {req!r}")
-        now = self.world.engine.now
         if now < posted:
             raise SanitizerError(
                 f"request completed at t={now} before its post at t={posted}: {req!r}"
@@ -77,6 +91,7 @@ class Sanitizer:
     def on_cancel(self, req: Any) -> None:
         """The fault layer abandoned a request; it is accounted for."""
         self.checks_run += 1
+        self._tick(req)
         self.cancellations += 1
         self._pending.pop(req, None)
 
@@ -297,14 +312,3 @@ class Sanitizer:
             raise SanitizerError(
                 f"flow {flow.fid} finish fired at t={now!r}, due t={flow.due!r}"
             )
-
-    # -- trace monotonicity ---------------------------------------------------------
-
-    def on_trace(self, time: float, rank: int) -> None:
-        self.checks_run += 1
-        last = self._last_trace.get(rank)
-        if last is not None and time < last:
-            raise SanitizerError(
-                f"rank {rank} trace time went backwards: {time} after {last}"
-            )
-        self._last_trace[rank] = time

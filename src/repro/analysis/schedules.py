@@ -71,11 +71,10 @@ DEMO_SCHEDULES = (
 def recording_world(
     nranks: int,
     config: Optional[RuntimeConfig] = None,
-    trace: bool = False,
 ) -> MpiWorld:
     nodes = max(1, -(-nranks // 8))  # 8 cores/node on the test machine
     spec = small_test_machine(nodes=nodes)
-    return MpiWorld(spec, nranks, config=config or RuntimeConfig(), trace=trace)
+    return MpiWorld(spec, nranks, config=config or RuntimeConfig())
 
 
 def analyze_schedule(

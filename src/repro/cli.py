@@ -1316,7 +1316,16 @@ def _cmd_topo(args) -> str:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if (args.command == "profile"
+            and args.experiment in ("fig7", "fig8", "fig9")
+            and args.machine not in ("cori", "stampede2")):
+        # The same --machine choices the fig7/fig8/fig9 subcommands accept.
+        parser.error(
+            f"profile --experiment {args.experiment}: --machine must be "
+            f"cori or stampede2, not {args.machine!r}"
+        )
     if args.command in ("fig7", "fig8", "fig9", "fig10", "fig11a", "fig11b",
                         "table1", "figx", "figxr", "figxp", "figq"):
         print(_cmd_experiment(args))

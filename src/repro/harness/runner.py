@@ -60,8 +60,8 @@ class RunResult:
     degraded: bool = False
     completed: bool = True
     # Observability (repro.obs): per-run metrics (observe="metrics"/"trace"),
-    # the full span dump (observe="trace" only), and whether either the
-    # event trace or the span buffer hit its cap and dropped the tail.
+    # the full span dump (observe="trace" only), and whether the span
+    # buffer hit its cap and dropped the tail.
     metrics: Optional[dict] = None
     obs: Optional[dict] = None
     trace_truncated: bool = False
@@ -361,17 +361,13 @@ def run_collective(
             result.metrics = compute_metrics(world).to_dict()
             if observe == "trace":
                 result.obs = world.obs.to_dict()
-        truncated = world.trace.truncated or (
-            world.obs is not None and world.obs.truncated
-        )
-        if truncated:
+        if world.obs is not None and world.obs.truncated:
             result.trace_truncated = True
             import warnings
 
             warnings.warn(
-                f"{library.name} {operation}: event/span buffer cap hit, "
-                "tail events dropped (raise max_events/max_spans for a full "
-                "record)",
+                f"{library.name} {operation}: span buffer cap hit, tail "
+                "spans dropped (raise max_spans for a full record)",
                 RuntimeWarning,
                 stacklevel=3,
             )

@@ -115,9 +115,7 @@ class Request:
                 # The recorder tracks requests by identity; without this
                 # notification a cancelled request's node stays forever
                 # "incomplete" and the linter misreads it as leaked.
-                cancelled = getattr(observer, "op_cancelled", None)
-                if cancelled is not None:
-                    cancelled(self)
+                observer.op_cancelled(self)
             if world.sanitizer is not None:
                 world.sanitizer.on_cancel(self)
 

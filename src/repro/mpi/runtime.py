@@ -47,7 +47,6 @@ from repro.mpi.request import Request
 from repro.network.fabric import Fabric, MemSpace
 from repro.sim.cpu import Cpu
 from repro.sim.engine import Engine
-from repro.sim.trace import TraceRecorder
 
 
 def _copy_payload(data: Any) -> Any:
@@ -153,10 +152,18 @@ class RankRuntime:
     def _o(self) -> float:
         return self.world.spec.cpu_overhead
 
-    def _trace(self, kind: str, detail: str = "") -> None:
-        if self.world.sanitizer is not None:
-            self.world.sanitizer.on_trace(self.engine.now, self.rank)
-        self.world.trace.record(self.engine.now, self.rank, kind, detail)
+    def _fault(self, name: str, args: Optional[dict] = None) -> None:
+        """Record a fault-path event as a zero-length span on this rank.
+
+        Callers test ``world.obs is not None`` first, so the ``args`` dict
+        is only built when someone records it.
+        """
+        from repro.obs.spans import CAT_FAULT  # deferred: avoids cycle
+
+        obs = self.world.obs
+        assert obs is not None
+        now = self.engine.now
+        obs.add(CAT_FAULT, name, ("rank", self.rank), now, now, args)
 
     def fail_stop(self) -> None:
         """Crash this rank: its CPU halts and its transport state dies.
@@ -164,7 +171,8 @@ class RankRuntime:
         The crashed process's in-flight sends will never be acked by anyone
         on its behalf, so their retry timers and requests are torn down.
         """
-        self._trace("killed", "fail-stop")
+        if self.world.obs is not None:
+            self._fault("killed")
         self.alive = False
         self.cpu.halt()
         for send in self._reliable_pending.values():
@@ -199,7 +207,6 @@ class RankRuntime:
         src_space = space if space is not None else self.space
         to_space = dst_space if dst_space is not None else self.world.ranks[dst].space
         eager = nbytes <= self.world.config.eager_threshold
-        self._trace("isend", f"-> {dst} tag={tag} {nbytes}B {'eager' if eager else 'rndv'}")
         # Posting costs CPU time; the wire action happens when the CPU gets
         # to it (noise on this rank delays its own sends).
         self.cpu.execute(
@@ -218,7 +225,6 @@ class RankRuntime:
         if self.world.sanitizer is not None:
             self.world.sanitizer.on_post(req)
         self.recvs_posted += 1
-        self._trace("irecv", f"<- {src} tag={tag} {nbytes}B")
         self.cpu.execute(self._o, self._post_recv, req)
         return req
 
@@ -257,11 +263,11 @@ class RankRuntime:
             self.transmissions += 1
             if send.attempt > 1:
                 self.retransmits += 1
-                self._trace(
-                    "retransmit",
-                    f"-> {req.peer} tag={req.tag} seq={seq} "
-                    f"attempt={send.attempt} ({kind})",
-                )
+                if self.world.obs is not None:
+                    self._fault("retransmit", {
+                        "peer": req.peer, "tag": req.tag, "seq": seq,
+                        "attempt": send.attempt,
+                    })
         fabric = self.world.fabric
         dst_rt = self.world.ranks[req.peer]
         taginfo = (kind, req.rank, req.peer, req.tag)
@@ -344,7 +350,6 @@ class RankRuntime:
         )
 
     def _complete_send(self, req: Request) -> None:
-        self._trace("send-done", f"-> {req.peer} tag={req.tag} {req.nbytes}B")
         req._complete(self.engine.now)
 
     # -- reliable transport: acks, retries, parking ------------------------------
@@ -393,11 +398,11 @@ class RankRuntime:
                     state.parked = True
                     self.sends_parked += 1
                     self._parked.setdefault(peer, []).append(state)
-                    self._trace(
-                        "send-park",
-                        f"-> {peer} tag={state.req.tag} seq={state.seq} "
-                        f"after {state.attempt} attempts",
-                    )
+                    if self.world.obs is not None:
+                        self._fault("send-park", {
+                            "peer": peer, "tag": state.req.tag,
+                            "seq": state.seq, "attempt": state.attempt,
+                        })
                     self._watch_peers()
                 detector.suspect(
                     peer,
@@ -419,11 +424,11 @@ class RankRuntime:
             state.timer.cancel()
             state.timer = None
         self.sends_abandoned += 1
-        self._trace(
-            "send-abandon",
-            f"-> {state.req.peer} tag={state.req.tag} seq={state.seq} "
-            f"after {state.attempt} attempts",
-        )
+        if self.world.obs is not None:
+            self._fault("send-abandon", {
+                "peer": state.req.peer, "tag": state.req.tag,
+                "seq": state.seq, "attempt": state.attempt,
+            })
         state.req.cancel()
 
     def _watch_peers(self) -> None:
@@ -524,7 +529,6 @@ class RankRuntime:
         if msg.eager:
             # Unexpected eager message: pay the extra buffered copy.
             copy_time = msg.nbytes / self.world.spec.memcpy_bandwidth
-            self._trace("unexpected", f"copy {msg.nbytes}B from {msg.src} tag={msg.tag}")
             self.cpu.execute(copy_time, self._deliver, req, msg.data)
         else:
             self._rndv_send_cts(msg, req)
@@ -546,8 +550,6 @@ class RankRuntime:
             return
         req = self.matcher.arrive(msg)
         if req is None:
-            if msg.eager:
-                self._trace("buffered", f"eager {msg.nbytes}B from {msg.src} tag={msg.tag}")
             return
         if msg.eager:
             self._deliver(req, msg.data)
@@ -592,7 +594,8 @@ class RankRuntime:
             crc is not None and payload is not None and _payload_crc(payload) != crc
         ):
             self.checksum_rejects += 1
-            self._trace("crc-reject", f"<- {src} tag={tag}")
+            if self.world.obs is not None:
+                self._fault("crc-reject", {"peer": src, "tag": tag, "seq": seq})
             if seq is not None:
                 self._send_nack(src, seq)
             return False
@@ -603,16 +606,16 @@ class RankRuntime:
             detector.observe_alive(src)
         fresh = self.matcher.register_seq(src, seq)
         self._send_ack(src, seq)
-        if not fresh:
-            self._trace("dup-suppressed", f"<- {src} tag={tag} seq={seq}")
+        if not fresh and self.world.obs is not None:
+            self._fault("dup-suppressed", {"peer": src, "tag": tag, "seq": seq})
         return fresh
 
     def _deliver(self, req: Request, payload: Any) -> None:
         if req.completed:
             # A late redelivery of a cancelled (or raced) receive: drop it.
-            self._trace("stale-deliver", f"<- {req.peer} tag={req.tag}")
+            if self.world.obs is not None:
+                self._fault("stale-deliver", {"peer": req.peer, "tag": req.tag})
             return
-        self._trace("recv-done", f"<- {req.peer} tag={req.tag} {req.nbytes}B")
         req._complete(self.engine.now, data=payload)
 
     def cancel_recv(self, req: Request) -> bool:
@@ -683,7 +686,6 @@ class MpiWorld:
         config: RuntimeConfig = DEFAULT_RUNTIME,
         gpu_bound: bool = False,
         carry_data: bool = False,
-        trace: bool = False,
         gpudirect: bool = True,
         sanitize: bool = False,
         observe: bool = False,
@@ -709,7 +711,6 @@ class MpiWorld:
             )
         else:
             self.fabric = Fabric(self.engine, spec, self.topology, gpudirect=gpudirect)
-        self.trace = TraceRecorder(enabled=trace)
         # Analysis hooks: a dependency-graph recorder may attach as observer
         # (repro.analysis.depgraph); sanitize=True arms runtime invariant
         # checks (repro.analysis.sanitizer). Both default off and cost one

@@ -1,10 +1,14 @@
 """Observability: structured spans, per-collective metrics, trace export.
 
-The recorder (:class:`~repro.obs.spans.ObsRecorder`) attaches to a world as
-``world.obs`` the same way the dependency recorder attaches as
-``world.observer``: the attribute defaults to ``None`` and every hot-path
-hook guards with a single ``is not None`` test, so a world built without
-observation pays one pointer comparison per hook site and allocates nothing.
+The recorder (:class:`~repro.obs.spans.ObsRecorder`) is the world's one
+record stream: request lifetimes, CPU work, noise, flows, recovery and
+quorum epochs, and zero-length ``fault`` marks (kills, retransmits, parked
+and abandoned sends, checksum rejects, suppressed duplicates) that only
+fault paths emit. It attaches to a world as ``world.obs`` the same way the
+dependency recorder attaches as ``world.observer``: the attribute defaults
+to ``None`` and every hot-path hook guards with a single ``is not None``
+test, so a world built without observation pays one pointer comparison per
+hook site and allocates nothing.
 
 On top of the recorder:
 
@@ -33,6 +37,7 @@ from repro.obs.metrics import MetricsReport, compute_metrics
 from repro.obs.spans import (
     CAT_COLLECTIVE,
     CAT_CPU,
+    CAT_FAULT,
     CAT_FLOW,
     CAT_NOISE,
     CAT_RECV,
@@ -47,6 +52,7 @@ __all__ = [
     "BASELINE_PATH",
     "CAT_COLLECTIVE",
     "CAT_CPU",
+    "CAT_FAULT",
     "CAT_FLOW",
     "CAT_NOISE",
     "CAT_RECV",

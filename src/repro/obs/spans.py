@@ -28,6 +28,7 @@ CAT_COLLECTIVE = "collective"  # one rank's participation in one collective
 CAT_FLOW = "flow"            # one transfer occupying one link
 CAT_RECOVERY = "recovery"    # one membership repair: first suspicion -> commit
 CAT_STALENESS = "staleness"  # one quorum epoch: open -> seal (DESIGN.md S25)
+CAT_FAULT = "fault"          # zero-length fault-path event, named by its kind
 
 #: Wait kinds that count as synchronization (MPI_Wait*) — a sleeping proclet
 #: is idle by choice, not blocked on a peer.
@@ -82,16 +83,14 @@ class Span:
 class ObsRecorder:
     """Collects spans and monotonic counters for one world.
 
-    Mirrors :class:`~repro.sim.trace.TraceRecorder`'s bounded-buffer
-    contract: recording beyond ``max_spans`` drops the tail and sets
-    :attr:`truncated`, so a runaway sweep degrades to partial observability
-    instead of unbounded memory growth.
+    The world's one record stream. Bounded: recording beyond ``max_spans``
+    drops the tail and sets :attr:`truncated`, so a runaway sweep degrades
+    to partial observability instead of unbounded memory growth.
     """
 
-    __slots__ = ("enabled", "max_spans", "spans", "dropped", "counters")
+    __slots__ = ("max_spans", "spans", "dropped", "counters")
 
-    def __init__(self, enabled: bool = True, max_spans: int = 2_000_000):
-        self.enabled = enabled
+    def __init__(self, max_spans: int = 2_000_000):
         self.max_spans = max_spans
         self.spans: list[Span] = []
         self.dropped = 0
@@ -107,8 +106,6 @@ class ObsRecorder:
         args: Optional[dict] = None,
     ) -> None:
         """Record one completed span."""
-        if not self.enabled:
-            return
         if len(self.spans) >= self.max_spans:
             self.dropped += 1
             return
@@ -116,8 +113,6 @@ class ObsRecorder:
 
     def count(self, name: str, n: int = 1) -> None:
         """Bump a monotonic counter."""
-        if not self.enabled:
-            return
         self.counters[name] = self.counters.get(name, 0) + n
 
     @property
@@ -161,7 +156,7 @@ class ObsRecorder:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ObsRecorder":
-        rec = cls(enabled=True, max_spans=d.get("max_spans", 2_000_000))
+        rec = cls(max_spans=d.get("max_spans", 2_000_000))
         rec.spans = [Span.from_list(row) for row in d.get("spans", [])]
         rec.counters = dict(d.get("counters", {}))
         rec.dropped = int(d.get("dropped", 0))

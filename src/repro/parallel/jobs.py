@@ -32,7 +32,10 @@ from repro.faults.plan import FaultPlan
 #: 5: relaxed quorum collectives — SimJob gained the quorum policy knobs
 #: and the ``sgd`` kind; results the ``contributed_ranks``/
 #: ``staleness_epoch``/``late_merges`` provenance fields.
-CACHE_SCHEMA = 5
+#: 6: the string trace folded into the span stream — observed faulted
+#: results now carry zero-length ``fault`` spans (kills, retransmits,
+#: parked and abandoned sends, checksum rejects, suppressed duplicates).
+CACHE_SCHEMA = 6
 
 #: Algorithm-variant families resolvable by name in the worker
 #: (fig08 sweeps Intel's per-algorithm topology-aware variants).

@@ -8,13 +8,10 @@ runtime (:mod:`repro.mpi`) all schedule and cancel events here.
 
 from repro.sim.engine import Engine, EventHandle, SimulationError
 from repro.sim.cpu import Cpu
-from repro.sim.trace import TraceRecorder, TraceEvent
 
 __all__ = [
     "Engine",
     "EventHandle",
     "SimulationError",
     "Cpu",
-    "TraceRecorder",
-    "TraceEvent",
 ]

@@ -113,3 +113,16 @@ class TestCli:
                      "--top", "3"]) == 0
         out = capsys.readouterr().out
         assert "repro.sim" in out and "top 3 functions" in out
+
+    def test_profile_experiment_smoke(self, capsys):
+        assert main(["profile", "--experiment", "table1", "--top", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "profile: table1 --scale small" in out
+        assert "top 3 functions" in out
+
+    @pytest.mark.parametrize("experiment", ["fig7", "fig8", "fig9"])
+    def test_profile_experiment_rejects_other_machines(self, experiment, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "--experiment", experiment, "--machine", "fattree"])
+        assert exc.value.code == 2
+        assert "cori or stampede2" in capsys.readouterr().err

@@ -43,6 +43,7 @@ from repro.faults import (
 from repro.machine import small_test_machine
 from repro.mpi import SUM, Communicator, MpiWorld
 from repro.noise import NoiseInjector
+from repro.obs.spans import CAT_FAULT
 from repro.trees import topology_aware_tree
 
 SMALL_CONFIG = CollectiveConfig(segment_size=4 * 1024, inflight_sends=2, posted_recvs=3)
@@ -434,7 +435,7 @@ class TestFailStop:
     def test_no_leaked_requests_after_crash(self):
         # sanitize=True would raise at drain if the crash leaked any live
         # request or unaccounted message; reaching this assert is the test.
-        world = make_world(reliable=True)
+        world = make_world(reliable=True, observe=True)
         handle, _, tree = launch_bcast(world)
         victim = _interior_victim(tree)
         plan = FaultPlan(
@@ -447,6 +448,12 @@ class TestFailStop:
         assert handle.done
         assert injector.kills_done == 1
         assert world.sanitizer.checks_run > 0
+        # The crash is one zero-length span on the victim's track.
+        killed = [
+            (s.track, s.begin, s.end)
+            for s in world.obs.by_category(CAT_FAULT) if s.name == "killed"
+        ]
+        assert killed == [(("rank", victim), 1e-4, 1e-4)]
 
 
 # -- flaps and stalls ---------------------------------------------------------

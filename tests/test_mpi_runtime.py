@@ -9,10 +9,10 @@ from repro.machine import small_test_machine
 from repro.mpi import Compute, MpiWorld, ProcletDriver, Sleep, WaitAll, WaitAny
 
 
-def make_world(nranks=8, carry_data=True, trace=False, **cfg):
+def make_world(nranks=8, carry_data=True, observe=False, **cfg):
     spec = small_test_machine()
     config = RuntimeConfig(**cfg) if cfg else RuntimeConfig()
-    return MpiWorld(spec, nranks, config=config, carry_data=carry_data, trace=trace)
+    return MpiWorld(spec, nranks, config=config, carry_data=carry_data, observe=observe)
 
 
 EAGER = 1024          # below default 16 KiB threshold
@@ -255,12 +255,17 @@ class TestRuntimeValidation:
         assert rreq.completed and rreq.data is None
 
     def test_trace_records_events(self):
-        w = make_world(trace=True)
-        w.ranks[1].irecv(src=0, tag=0, nbytes=EAGER)
-        w.ranks[0].isend(dst=1, tag=0, nbytes=EAGER)
+        # Each request is one span from post to completion on its rank.
+        w = make_world(observe=True)
+        rreq = w.ranks[1].irecv(src=0, tag=0, nbytes=EAGER)
+        sreq = w.ranks[0].isend(dst=1, tag=0, nbytes=EAGER)
         w.run()
-        kinds = {e.kind for e in w.trace}
-        assert {"isend", "irecv", "recv-done"} <= kinds
+        spans = {s.cat: s for s in w.obs.spans if s.cat in ("send", "recv")}
+        assert sorted(spans) == ["recv", "send"]
+        for req, s in ((sreq, spans["send"]), (rreq, spans["recv"])):
+            assert s.track == ("rank", req.rank)
+            assert (s.begin, s.end) == (0.0, req.completion_time)
+            assert s.args == {"tag": 0, "nbytes": EAGER, "peer": req.peer}
 
     def test_gpu_reduce_offload_frees_cpu(self):
         from repro.machine import psg_gpu

@@ -14,6 +14,7 @@ import pytest
 
 from repro.analysis.depgraph import DepEdge, DepGraph, OpNode
 from repro.analysis.schedules import analyze_schedule
+from repro.faults import FaultPlan, KillSpec, LossSpec
 from repro.machine import small_test_machine
 from repro.obs import (
     ObsRecorder,
@@ -27,6 +28,7 @@ from repro.obs import (
     validate_chrome_trace,
 )
 from repro.obs.metrics import merged_busy_time
+from repro.obs.spans import CAT_FAULT
 from repro.parallel import SimJob, execute_job
 from repro.harness.runner import run_collective
 
@@ -91,14 +93,23 @@ class TestObsRecorder:
 class TestTimelineNeutrality:
     """Observation must never perturb the simulated timeline."""
 
-    @pytest.mark.parametrize("library", [
-        "OMPI-adapt", "OMPI-default-topo", "Cray MPI",
+    @pytest.mark.parametrize("library, plan", [
+        pytest.param("OMPI-adapt", None, id="OMPI-adapt"),
+        pytest.param("OMPI-default-topo", None, id="OMPI-default-topo"),
+        pytest.param("Cray MPI", None, id="Cray MPI"),
+        # Fault paths record spans too (retransmits, the kill).
+        pytest.param("OMPI-adapt", FaultPlan(
+            losses=[LossSpec(drop=0.05)], kills=[KillSpec(rank=5, time=1e-4)],
+            seed=7, detect_delay=1e-4,
+        ), id="OMPI-adapt-lossy-kill"),
     ])
-    def test_observed_times_identical(self, library):
-        plain = observed_run(library, observe=None)
-        traced = observed_run(library, observe="trace")
+    def test_observed_times_identical(self, library, plan):
+        plain = observed_run(library, observe=None, fault_plan=plan)
+        traced = observed_run(library, observe="trace", fault_plan=plan)
         assert traced.times == plain.times
         assert traced.metrics is not None and traced.obs is not None
+        faulted = any(row[0] == CAT_FAULT for row in traced.obs["spans"])
+        assert faulted == (plan is not None)
 
     def test_observed_times_identical_under_noise(self):
         kw = dict(noise_percent=5.0, noise_ranks=[7], seed=3, iterations=4)

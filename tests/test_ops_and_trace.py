@@ -1,4 +1,4 @@
-"""Small-unit coverage: reduce ops, datatypes, trace recorder, GPU streams."""
+"""Small-unit coverage: reduce ops, datatypes, GPU streams."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.machine import psg_gpu, small_test_machine
 from repro.mpi import BYTE, FLOAT32, FLOAT64, INT32, INT64, MAX, MIN, PROD, SUM, MpiWorld
 from repro.mpi.ops import ALL_OPS
-from repro.sim import TraceRecorder
 
 
 class TestOps:
@@ -54,51 +53,6 @@ class TestDataTypes:
 
     def test_np_dtype_mapping(self):
         assert np.zeros(1, FLOAT32.np_dtype).dtype == np.float32
-
-
-class TestTraceRecorder:
-    def test_disabled_records_nothing(self):
-        t = TraceRecorder(enabled=False)
-        t.record(0.0, 1, "x")
-        assert len(t) == 0
-
-    def test_filters(self):
-        t = TraceRecorder()
-        t.record(1.0, 0, "send", "a")
-        t.record(2.0, 1, "recv", "b")
-        t.record(3.0, 0, "send", "c")
-        assert len(t.for_rank(0)) == 2
-        assert len(t.of_kind("recv")) == 1
-        assert t.first("send").detail == "a"
-        assert t.first("send", rank=0).time == 1.0
-        assert t.first("nope") is None
-
-    def test_str_format(self):
-        t = TraceRecorder()
-        t.record(1e-6, 3, "isend", "-> 4")
-        assert "rank    3" in str(t.events[0])
-
-    def test_kind_index_matches_scan(self):
-        t = TraceRecorder()
-        for i in range(100):
-            t.record(float(i), i % 3, "send" if i % 2 else "recv", str(i))
-        assert t.of_kind("send") == [e for e in t.events if e.kind == "send"]
-        assert t.first("recv", rank=2) == next(
-            e for e in t.events if e.kind == "recv" and e.rank == 2
-        )
-
-    def test_max_events_cap_counts_drops(self):
-        t = TraceRecorder(max_events=3)
-        for i in range(5):
-            t.record(float(i), 0, "send")
-        assert len(t) == 3
-        assert t.dropped == 2
-        assert t.truncated
-        assert len(t.of_kind("send")) == 3
-
-    def test_max_events_must_be_positive(self):
-        with pytest.raises(ValueError):
-            TraceRecorder(max_events=0)
 
 
 class TestGpuStreams:

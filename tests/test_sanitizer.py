@@ -88,18 +88,37 @@ class TestRateChecks:
 
 
 class TestTraceMonotonicity:
+    """Request events (post, completion, cancellation) never run a rank's
+    clock backwards; the check is keyed by the request's rank."""
+
+    class Req:
+        """A hashable stand-in for a request owned by ``rank``."""
+
+        def __init__(self, rank):
+            self.rank = rank
+
+    @staticmethod
+    def at(s, now, hook, req):
+        s.world.engine.now = now
+        hook(req)
+
     def test_forward_time_passes(self):
         s = fake_sanitizer()
-        s.on_trace(1.0, 0)
-        s.on_trace(1.0, 0)
-        s.on_trace(2.0, 0)
-        s.on_trace(0.5, 1)  # other ranks are independent clocks
+        a, b, c = self.Req(0), self.Req(0), self.Req(1)
+        self.at(s, 1.0, s.on_post, a)
+        self.at(s, 1.0, s.on_post, b)
+        self.at(s, 2.0, s.on_complete, a)
+        self.at(s, 0.5, s.on_post, c)  # other ranks are independent clocks
+        self.at(s, 2.0, s.on_cancel, b)
 
     def test_backwards_time_raises(self):
-        s = fake_sanitizer()
-        s.on_trace(2.0, 0)
-        with pytest.raises(SanitizerError, match="backwards"):
-            s.on_trace(1.0, 0)
+        for last in ("on_post", "on_complete", "on_cancel"):
+            s = fake_sanitizer()
+            a, b = self.Req(0), self.Req(0)
+            self.at(s, 1.0, s.on_post, a)
+            self.at(s, 2.0, s.on_post, b)
+            with pytest.raises(SanitizerError, match="backwards"):
+                self.at(s, 1.5, getattr(s, last), a)
 
 
 class TestRequestLifecycle:
@@ -123,14 +142,14 @@ class TestRequestLifecycle:
 
 class TestSanitizedWorld:
     def test_clean_collective_passes_all_checks(self):
-        world = make_world(trace=True)
+        world = make_world()
         comm = Communicator(world)
         cfg = CollectiveConfig(segment_size=8 * 1024)
         ctx = CollectiveContext(comm, 0, 64 * 1024, cfg, tree=binary_tree(8))
         handle = bcast_adapt(ctx)
         world.run()
         assert handle.done
-        # Posting, completion, window, rate, trace and drain checks all ran.
+        # Posting, completion, window, rate and drain checks all ran.
         assert world.sanitizer.checks_run > 100
 
     def test_stranded_recv_fails_drain(self):

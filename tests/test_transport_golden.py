@@ -9,6 +9,10 @@ on a clean fabric, reliable with 5% drops, reliable with 10% corruption,
 and raw with 10% corruption (a checksum failure there is a silent drop, so
 the broadcast strands and the unfinished ranks record ``None``).
 
+Every cell runs observed, so the same comparison also proves the span
+recorder never perturbs the wire protocol, and each cell's ``fault`` spans
+must tally with its transport counters (none at all on a clean fabric).
+
 The fixture was recorded from the transport before its eager/RTS/data
 launch paths were merged; a refactor of ``repro.mpi.runtime`` must keep
 every value byte-identical. A deliberate timing change regenerates the
@@ -16,6 +20,7 @@ fixture as ``{cell: run_cell(cell) for cell in CELLS}`` and says why.
 """
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +33,7 @@ from repro.faults import FaultInjector, FaultPlan, LossSpec
 from repro.faults.plan import CorruptSpec
 from repro.machine import small_test_machine
 from repro.mpi import Communicator, MpiWorld
+from repro.obs.spans import CAT_FAULT
 from repro.trees import topology_aware_tree
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "transport_timeline.json"
@@ -57,6 +63,7 @@ def run_cell(cell: str) -> dict:
         small_test_machine(), NRANKS,
         config=RuntimeConfig(reliable=reliable), carry_data=True,
         sanitize=mode != "raw-corrupt",  # a stranded broadcast never drains
+        observe=True,
     )
     comm = Communicator(world)
     data = np.random.default_rng(0).integers(0, 256, size=nbytes, dtype=np.uint8)
@@ -70,12 +77,19 @@ def run_cell(cell: str) -> dict:
     world.run()
     for rank, out in handle.output.items():
         assert np.array_equal(out, data), f"{cell}: rank {rank} got a wrong payload"
+    stats = world.transport_stats()
+    faults = Counter(s.name for s in world.obs.by_category(CAT_FAULT))
+    assert faults["retransmit"] == stats["retransmits"], cell
+    assert faults["crc-reject"] == stats["checksum_rejects"], cell
+    assert faults["dup-suppressed"] == stats["duplicates_suppressed"], cell
+    if plan is None:
+        assert not faults, f"{cell}: fault spans on a fault-free run"
     return {
         "times": [
             repr(handle.done_time[r]) if r in handle.done_time else None
             for r in range(NRANKS)
         ],
-        "transport": world.transport_stats(),
+        "transport": stats,
     }
 
 
