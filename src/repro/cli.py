@@ -30,24 +30,20 @@ from repro.harness.experiments import (
     table1_asp,
 )
 from repro.harness.runner import run_collective
-from repro.machine import Topology, cori, psg_gpu, small_test_machine, stampede2
-
-_MACHINES = {"cori": cori, "stampede2": stampede2, "psg": psg_gpu}
-
-#: Compiled topology families (repro.topo) accepted wherever presets are.
-_FAMILY_NAMES = ("fattree", "dragonfly", "railpod")
+from repro.machine import Topology, small_test_machine
+from repro.machine.presets import PRESETS, TOPO_FAMILY_NAMES
 
 #: --machine choices for commands that accept either kind of model.
-_MACHINE_CHOICES = sorted(_MACHINES) + sorted(_FAMILY_NAMES)
+_MACHINE_CHOICES = sorted(PRESETS) + sorted(TOPO_FAMILY_NAMES)
 
 
 def _machine(name: str, nodes: Optional[int]):
-    if name in _FAMILY_NAMES:
+    if name in TOPO_FAMILY_NAMES:
         from repro.topo import build_family
 
         return build_family(name, nodes=nodes)
     try:
-        factory = _MACHINES[name]
+        factory = PRESETS[name]
     except KeyError:
         raise SystemExit(
             f"unknown machine {name!r}; choose from {_MACHINE_CHOICES}"
@@ -202,8 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=["engine", "allocator", "fig09", "scale"],
                         help="run only these sections (repeatable)")
     pbench.add_argument("--machine", default="cori",
-                        choices=sorted(["cori", "stampede2", "psg"])
-                        + sorted(_FAMILY_NAMES),
+                        choices=_MACHINE_CHOICES,
                         help="machine for the --scale leg: a flat preset or "
                         "a compiled topology family")
 
@@ -411,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=["bcast", "reduce"])
     ptrace.add_argument("--nbytes", type=int, default=1 << 20)
     ptrace.add_argument("--machine", default="testbox",
-                        choices=sorted(_MACHINES) + ["testbox"])
+                        choices=sorted(PRESETS) + ["testbox"])
     ptrace.add_argument("--nodes", type=int, default=None)
     ptrace.add_argument("--nranks", type=int, default=None)
     ptrace.add_argument("--iterations", type=int, default=3)
@@ -459,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(the digest printed per family is the receipt).",
     )
     ptopo.add_argument("--build", default="all", metavar="FAMILY",
-                       choices=sorted(_FAMILY_NAMES) + ["all"],
+                       choices=sorted(TOPO_FAMILY_NAMES) + ["all"],
                        help="family to compile (default: all three)")
     ptopo.add_argument("--ranks", type=int, default=None,
                        help="resize the family to the smallest shape "
@@ -1262,7 +1257,7 @@ def _cmd_tree(args) -> str:
 
 def _cmd_machines() -> str:
     lines = []
-    for name, factory in _MACHINES.items():
+    for name, factory in PRESETS.items():
         spec = factory()
         gpus = f", {spec.total_gpus} GPUs" if spec.total_gpus else ""
         lines.append(

@@ -22,7 +22,9 @@ Reductions may be offloaded to simulated CUDA streams
 (``ctx.reduce_on_gpu``), freeing the host CPU (Section 4.2).
 
 Degraded mode (DESIGN.md S17): when a failure detector is attached to the
-world, every rank state machine subscribes to it. The event-driven structure
+world, every rank state machine hears of failures through the shared launch
+helper (:func:`~repro.collectives.base.launch_ranks`), which does the common
+bookkeeping and calls the state's ``repair(dead)``. The event-driven structure
 is what makes recovery local: completion state is per-segment and per-child,
 so routing around a dead rank means editing a child list and replaying a
 ``have``-set — no global restart.
@@ -46,13 +48,19 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Optional
 
-from repro.collectives.base import CollectiveContext, CollectiveHandle, new_handle
+from repro.collectives.base import (
+    CollectiveContext,
+    CollectiveHandle,
+    launch_ranks,
+    new_handle,
+)
 from repro.collectives.segmentation import (
     assemble_payload,
     segment_sizes,
     slice_payload,
 )
 from repro.network.fabric import MemSpace
+from repro.trees.regraft import live_descendants, nearest_live_ancestor
 
 
 class _AdaptBcastRank:
@@ -93,7 +101,6 @@ class _AdaptBcastRank:
         self.flushes_done = 0
         self.flushes_started = 0
 
-        self._handled_failures: set[int] = set()
         self.finished = False
         self._obs = ctx.world.obs  # cached: the hot callbacks test one local
 
@@ -225,61 +232,20 @@ class _AdaptBcastRank:
 
     # -- failure handling ---------------------------------------------------------
 
-    def on_failure(self, dead: int) -> None:
-        """A comm-member rank was declared failed (runs on this rank's CPU)."""
-        if dead == self.local or dead in self._handled_failures:
-            return
-        self._handled_failures.add(dead)
-        report = self.handle.report
-        report.degraded = True
-        report.failed_ranks.add(dead)
-        self.handle.excuse(dead)
+    def repair(self, dead: int) -> None:
+        """Route around a dead child or parent (runs on this rank's CPU)."""
         if dead in self.children:
             self._adopt_orphans_of(dead)
         if self.parent is not None and dead == self.parent:
             self._reparent()
-
-    def on_alive(self, back: int) -> None:
-        """A failed-then-retracted rank: the detector withdrew its verdict.
-
-        Tolerated, not re-integrated: the repair (excusal/adoption) already
-        re-routed around ``back`` and stays in force; only the retraction is
-        recorded. A heal that beats the detection deadline never reaches
-        on_failure at all, so the original tree resumes untouched.
-        Idempotent — alive-after-failed and alive-without-failed both land
-        here safely.
-        """
-        if back == self.local or back not in self._handled_failures:
-            return
-        self.handle.report.retractions.add(back)
-
-    def _failed_locals(self) -> set[int]:
-        detector = self.ctx.world.failure_detector
-        if detector is None:
-            return set()
-        comm = self.ctx.comm
-        return {comm.local_rank(w) for w in detector.failed if w in comm}
-
-    def _live_descendants(self, dead: int) -> list[int]:
-        """Live orphans below ``dead``, walking through dead intermediates."""
-        tree = self.ctx.tree
-        failed = self._failed_locals()
-        out: list[int] = []
-        stack = list(tree.children[dead])
-        while stack:
-            r = stack.pop()
-            if r in failed:
-                stack.extend(tree.children[r])
-            else:
-                out.append(r)
-        return sorted(out)
 
     def _adopt_orphans_of(self, dead: int) -> None:
         self.children.remove(dead)
         self.ready.pop(dead, None)
         self.inflight.pop(dead, None)
         self.sent_done.pop(dead, None)
-        for orphan in self._live_descendants(dead):
+        failed = self.ctx.failed_locals()
+        for orphan in live_descendants(self.ctx.tree, dead, failed):
             if orphan in self.children:
                 continue
             self.children.append(orphan)
@@ -302,11 +268,9 @@ class _AdaptBcastRank:
             rt.cancel_recv(req)
             self.recvs_out -= 1
             del self._recv_pending[seg]
-        tree = self.ctx.tree
-        failed = self._failed_locals()
-        ancestor = tree.parent[self.local]
-        while ancestor is not None and ancestor in failed:
-            ancestor = tree.parent[ancestor]
+        ancestor = nearest_live_ancestor(
+            self.ctx.tree, self.local, self.ctx.failed_locals()
+        )
         if ancestor is None:
             # The root chain is dead: the data source is gone. Nothing can
             # complete this rank's receive set; excuse it and say so.
@@ -356,14 +320,7 @@ def bcast_adapt(
     tree = ctx.tree
     assert tree is not None and tree.root == ctx.root
     handle = handle or new_handle(ctx, "bcast-adapt")
-    for local in ranks if ranks is not None else range(ctx.comm.size):
-        rank_state = _AdaptBcastRank(ctx, handle, local)
-        # Kick-off happens on the rank's CPU, like entering MPI_Bcast.
-        ctx.rt(local).cpu.when_available(rank_state._start)
-        # Degraded mode: learn of crashes after the kick-off is queued.
-        ctx.subscribe_failures(local, rank_state.on_failure,
-                               alive_fn=rank_state.on_alive)
-    return handle
+    return launch_ranks(ctx, handle, ranks, _AdaptBcastRank)
 
 
 class _AdaptReduceRank:
@@ -398,7 +355,6 @@ class _AdaptReduceRank:
         self.ready_up: list[int] = []
         self.segments_reduced = 0
         self.parent_lost = False
-        self._handled_failures: set[int] = set()
         self.finished = False
         self._obs = ctx.world.obs
 
@@ -482,26 +438,12 @@ class _AdaptReduceRank:
 
     # -- failure handling ---------------------------------------------------------
 
-    def on_failure(self, dead: int) -> None:
-        """A comm-member rank was declared failed (runs on this rank's CPU)."""
-        if dead == self.local or dead in self._handled_failures:
-            return
-        self._handled_failures.add(dead)
-        report = self.handle.report
-        report.degraded = True
-        report.failed_ranks.add(dead)
-        self.handle.excuse(dead)
+    def repair(self, dead: int) -> None:
+        """Drop a dead child or abandon a dead parent (this rank's CPU)."""
         if dead in self.children:
             self._drop_child(dead)
         if self.parent is not None and dead == self.parent:
             self._abandon_upward(dead)
-
-    def on_alive(self, back: int) -> None:
-        """Alive-after-failed retraction: tolerated, not re-integrated (the
-        dropped child / abandoned parent repair stays in force). Idempotent."""
-        if back == self.local or back not in self._handled_failures:
-            return
-        self.handle.report.retractions.add(back)
 
     def _drop_child(self, dead: int) -> None:
         """Skip the dead subtree: contributions it already delivered stay
@@ -560,9 +502,4 @@ def reduce_adapt(
     tree = ctx.tree
     assert tree is not None and tree.root == ctx.root
     handle = handle or new_handle(ctx, "reduce-adapt")
-    for local in ranks if ranks is not None else range(ctx.comm.size):
-        rank_state = _AdaptReduceRank(ctx, handle, local)
-        ctx.rt(local).cpu.when_available(rank_state._start)
-        ctx.subscribe_failures(local, rank_state.on_failure,
-                               alive_fn=rank_state.on_alive)
-    return handle
+    return launch_ranks(ctx, handle, ranks, _AdaptReduceRank)

@@ -9,7 +9,7 @@ per-rank completion times and, in data mode, per-rank output payloads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 import numpy as np
 
@@ -261,16 +261,24 @@ class CollectiveContext:
             if world_rank in comm:
                 fn(comm.local_rank(world_rank))
 
-        on_alive: Optional[Callable[[int], None]] = None
+        on_back: Optional[Callable[[int], None]] = None
         if alive_fn is not None:
 
-            def on_alive(world_rank: int) -> None:
+            def on_back(world_rank: int) -> None:
                 if world_rank in comm:
                     alive_fn(comm.local_rank(world_rank))
 
         self.world.subscribe_failures(
-            on_fail, cpu=self.rt(local).cpu, alive_fn=on_alive
+            on_fail, cpu=self.rt(local).cpu, alive_fn=on_back
         )
+
+    def failed_locals(self) -> set[int]:
+        """Local ranks the world's failure detector currently declares failed."""
+        detector = self.world.failure_detector
+        if detector is None:
+            return set()
+        comm = self.comm
+        return {comm.local_rank(w) for w in detector.failed if w in comm}
 
     # -- reduction helpers ----------------------------------------------------------
 
@@ -316,3 +324,66 @@ def new_handle(ctx: CollectiveContext, name: str) -> CollectiveHandle:
 
         handle.on_rank_done.append(record_span)
     return handle
+
+
+def launch_ranks(
+    ctx: CollectiveContext,
+    handle: CollectiveHandle,
+    ranks: Optional[Iterable[int]],
+    state_cls: Callable[..., Any],
+    *args: Any,
+) -> CollectiveHandle:
+    """Launch one ``state_cls(ctx, handle, local, *args)`` per rank.
+
+    Each state's ``_start`` is queued on its rank's CPU, like entering the
+    MPI call, and only then is the rank subscribed to failure events; the
+    detector notifies subscribers in subscription order, so this order is
+    part of the timeline. The subscription holds the degraded-mode
+    bookkeeping every rank state shares (DESIGN.md S17): a failure notice
+    for another rank, first time only, marks the report degraded, records
+    and excuses the dead rank, then calls the state's ``repair(dead)``. A
+    retraction of a handled rank is tolerated, not re-integrated: the
+    repair stays in force and the report records the retraction. (A heal
+    that beats the detection deadline never reaches ``repair`` at all.)
+    """
+    handled: set[tuple[int, int]] = set()
+    for local in ranks if ranks is not None else range(ctx.comm.size):
+        state = state_cls(ctx, handle, local, *args)
+        ctx.rt(local).cpu.when_available(state._start)
+        sub = _RankFailures(handle, local, state, handled)
+        ctx.subscribe_failures(local, sub.on_failure,
+                               alive_fn=sub.on_retraction)
+    return handle
+
+
+class _RankFailures:
+    """One rank's failure subscription (see :func:`launch_ranks`).
+
+    ``handled`` holds the ``(rank, dead)`` notices already acted on and is
+    shared by every rank of one launch.
+    """
+
+    __slots__ = ("handle", "local", "state", "handled")
+
+    def __init__(self, handle: CollectiveHandle, local: int, state: Any,
+                 handled: set[tuple[int, int]]):
+        self.handle = handle
+        self.local = local
+        self.state = state
+        self.handled = handled
+
+    def on_failure(self, dead: int) -> None:
+        key = (self.local, dead)
+        if dead == self.local or key in self.handled:
+            return
+        self.handled.add(key)
+        handle = self.handle
+        report = handle.report
+        report.degraded = True
+        report.failed_ranks.add(dead)
+        handle.excuse(dead)
+        self.state.repair(dead)
+
+    def on_retraction(self, back: int) -> None:
+        if (self.local, back) in self.handled:
+            self.handle.report.retractions.add(back)

@@ -23,21 +23,9 @@ import numpy as np
 
 from repro.collectives.base import CollectiveContext, CollectiveHandle, new_handle
 from repro.collectives.nonblocking import reduce_nonblocking
+from repro.collectives.segmentation import block_ranges
 from repro.mpi.proclet import Compute, ProcletDriver, WaitAll
 from repro.trees.builders import binomial_tree
-
-
-def _blocks(nbytes: int, nparts: int) -> list[tuple[int, int]]:
-    """Split ``nbytes`` into ``nparts`` (offset, length) block ranges."""
-    base = nbytes // nparts
-    rem = nbytes % nparts
-    out = []
-    off = 0
-    for i in range(nparts):
-        ln = base + (1 if i < rem else 0)
-        out.append((off, ln))
-        off += ln
-    return out
 
 
 def bcast_scatter_allgather(
@@ -57,7 +45,7 @@ def bcast_scatter_allgather(
     if P == 1:
         handle.mark_done(0, ctx.world.engine.now, ctx.data if ctx.carry() else None)
         return handle
-    blocks = _blocks(ctx.nbytes, P)
+    blocks = block_ranges(ctx.nbytes, P)
     if first_call:
         ctx.scratch = ctx.world.allocate_tags(P + P * P)
     base_tag = ctx.scratch

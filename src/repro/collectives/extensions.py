@@ -26,18 +26,14 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.collectives.adapt import bcast_adapt, reduce_adapt
-from repro.collectives.base import CollectiveContext, CollectiveHandle, new_handle
-from repro.collectives.segmentation import segment_sizes
-
-
-def _block_ranges(nbytes: int, nparts: int) -> list[tuple[int, int]]:
-    base, rem = divmod(nbytes, nparts)
-    out, off = [], 0
-    for i in range(nparts):
-        ln = base + (1 if i < rem else 0)
-        out.append((off, ln))
-        off += ln
-    return out
+from repro.collectives.base import (
+    CollectiveContext,
+    CollectiveHandle,
+    launch_ranks,
+    new_handle,
+)
+from repro.collectives.segmentation import block_ranges, segment_sizes
+from repro.trees.regraft import live_descendants, nearest_live_ancestor
 
 
 def _subtree(tree, rank: int) -> list[int]:
@@ -72,7 +68,6 @@ class _AdaptScatterRank:
         self.sent_to: set[int] = set()
         self.sends_open: set[int] = set()
         self._recv_req: Any = None
-        self._handled_failures: set[int] = set()
         self.finished = False
 
     # -- range helpers --------------------------------------------------------
@@ -102,13 +97,6 @@ class _AdaptScatterRank:
                 chunks.append(self.buf[off : off + ln])
             off += ln
         return np.concatenate(chunks) if chunks else None
-
-    def _failed_locals(self) -> set[int]:
-        detector = self.ctx.world.failure_detector
-        if detector is None:
-            return set()
-        comm = self.ctx.comm
-        return {comm.local_rank(w) for w in detector.failed if w in comm}
 
     # -- data flow ------------------------------------------------------------
 
@@ -171,20 +159,14 @@ class _AdaptScatterRank:
 
     # -- failure handling -----------------------------------------------------
 
-    def on_failure(self, dead: int) -> None:
-        """A comm-member rank was declared failed (runs on this rank's CPU)."""
-        if dead == self.local or dead in self._handled_failures:
-            return
-        self._handled_failures.add(dead)
+    def repair(self, dead: int) -> None:
+        """Adopt a dead child's orphans, or re-parent (this rank's CPU)."""
         report = self.handle.report
-        report.degraded = True
-        report.failed_ranks.add(dead)
-        self.handle.excuse(dead)
-        failed = self._failed_locals()
+        failed = self.ctx.failed_locals()
         if dead in self.children:
             self.children.remove(dead)
             self.sends_open.discard(dead)
-            for orphan in self._live_descendants(dead, failed):
+            for orphan in live_descendants(self.tree, dead, failed):
                 if orphan in self.children or orphan in self.sent_to:
                     continue
                 self.children.append(orphan)
@@ -199,31 +181,11 @@ class _AdaptScatterRank:
             self.handle.excuse(self.local)
         self._maybe_finish()
 
-    def on_alive(self, back: int) -> None:
-        """Alive-after-failed retraction: tolerated, not re-integrated (the
-        adoption/re-parenting repair stays in force). Idempotent."""
-        if back == self.local or back not in self._handled_failures:
-            return
-        self.handle.report.retractions.add(back)
-
-    def _live_descendants(self, dead: int, failed: set[int]) -> list[int]:
-        out: list[int] = []
-        stack = list(self.tree.children[dead])
-        while stack:
-            r = stack.pop()
-            if r in failed:
-                stack.extend(self.tree.children[r])
-            else:
-                out.append(r)
-        return sorted(out)
-
     def _reparent(self, failed: set[int]) -> None:
         if self._recv_req is not None and not self._recv_req.completed:
             self.ctx.rt(self.local).cancel_recv(self._recv_req)
             self._recv_req = None
-        ancestor = self.tree.parent[self.local]
-        while ancestor is not None and ancestor in failed:
-            ancestor = self.tree.parent[ancestor]
+        ancestor = nearest_live_ancestor(self.tree, self.local, failed)
         if ancestor is None:
             self.parent = None
             self.handle.report.note(
@@ -262,17 +224,11 @@ def scatter_adapt(
     P = comm.size
     first_call = handle is None
     handle = handle or new_handle(ctx, "scatter-adapt")
-    blocks = _block_ranges(ctx.nbytes, P)
+    blocks = block_ranges(ctx.nbytes, P)
     if first_call:
         ctx.scratch = ctx.world.allocate_tags(P)
-    base_tag = ctx.scratch
-
-    for local in ranks if ranks is not None else range(P):
-        rank_state = _AdaptScatterRank(ctx, handle, local, base_tag, blocks)
-        ctx.rt(local).cpu.when_available(rank_state._start)
-        ctx.subscribe_failures(local, rank_state.on_failure,
-                               alive_fn=rank_state.on_alive)
-    return handle
+    return launch_ranks(ctx, handle, ranks, _AdaptScatterRank, ctx.scratch,
+                        blocks)
 
 
 def gather_adapt(
@@ -288,7 +244,7 @@ def gather_adapt(
     P = comm.size
     first_call = handle is None
     handle = handle or new_handle(ctx, "gather-adapt")
-    blocks = _block_ranges(ctx.nbytes, P)
+    blocks = block_ranges(ctx.nbytes, P)
     if first_call:
         ctx.scratch = ctx.world.allocate_tags(P)
     base_tag = ctx.scratch
@@ -413,7 +369,6 @@ class _AdaptBarrierRank:
         self.released = False
         self._up_reqs: dict[int, Any] = {}
         self._release_req: Any = None
-        self._handled_failures: set[int] = set()
 
     def _start(self) -> None:
         if self.parent is not None:
@@ -461,30 +416,18 @@ class _AdaptBarrierRank:
 
     # -- failure handling -----------------------------------------------------
 
-    def _failed_locals(self) -> set[int]:
-        detector = self.ctx.world.failure_detector
-        if detector is None:
-            return set()
-        comm = self.ctx.comm
-        return {comm.local_rank(w) for w in detector.failed if w in comm}
-
-    def on_failure(self, dead: int) -> None:
-        """A comm-member rank was declared failed (runs on this rank's CPU)."""
-        if dead == self.local or dead in self._handled_failures:
-            return
-        self._handled_failures.add(dead)
+    def repair(self, dead: int) -> None:
+        """Drop a dead child and adopt its orphans, or re-parent (this
+        rank's CPU)."""
         report = self.handle.report
-        report.degraded = True
-        report.failed_ranks.add(dead)
-        self.handle.excuse(dead)
-        failed = self._failed_locals()
+        failed = self.ctx.failed_locals()
         if dead in self.children:
             self.children.remove(dead)
             self.up_pending.discard(dead)
             req = self._up_reqs.pop(dead, None)
             if req is not None and not req.completed:
                 self.ctx.rt(self.local).cancel_recv(req)
-            for orphan in self._live_descendants(dead, failed):
+            for orphan in live_descendants(self.tree, dead, failed):
                 if orphan in self.children:
                     continue
                 self.children.append(orphan)
@@ -506,31 +449,11 @@ class _AdaptBarrierRank:
         if self.parent is not None and dead == self.parent:
             self._reparent(failed)
 
-    def on_alive(self, back: int) -> None:
-        """Alive-after-failed retraction: tolerated, not re-integrated (the
-        weakened-barrier repair stays in force). Idempotent."""
-        if back == self.local or back not in self._handled_failures:
-            return
-        self.handle.report.retractions.add(back)
-
-    def _live_descendants(self, dead: int, failed: set[int]) -> list[int]:
-        out: list[int] = []
-        stack = list(self.tree.children[dead])
-        while stack:
-            r = stack.pop()
-            if r in failed:
-                stack.extend(self.tree.children[r])
-            else:
-                out.append(r)
-        return sorted(out)
-
     def _reparent(self, failed: set[int]) -> None:
         if self._release_req is not None and not self._release_req.completed:
             self.ctx.rt(self.local).cancel_recv(self._release_req)
             self._release_req = None
-        ancestor = self.tree.parent[self.local]
-        while ancestor is not None and ancestor in failed:
-            ancestor = self.tree.parent[ancestor]
+        ancestor = nearest_live_ancestor(self.tree, self.local, failed)
         self.parent = ancestor
         if ancestor is None:
             # Whole ancestor chain is dead: act as this subtree's root.
@@ -566,11 +489,4 @@ def barrier_adapt(
     handle = handle or new_handle(ctx, "barrier-adapt")
     if first_call:
         ctx.scratch = ctx.world.allocate_tags(2 * P)
-    base_tag = ctx.scratch
-
-    for local in ranks if ranks is not None else range(P):
-        rank_state = _AdaptBarrierRank(ctx, handle, local, base_tag)
-        ctx.rt(local).cpu.when_available(rank_state._start)
-        ctx.subscribe_failures(local, rank_state.on_failure,
-                               alive_fn=rank_state.on_alive)
-    return handle
+    return launch_ranks(ctx, handle, ranks, _AdaptBarrierRank, ctx.scratch)

@@ -15,16 +15,7 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.collectives.base import CollectiveContext, CollectiveHandle, new_handle
-
-
-def _block_ranges(nbytes: int, nparts: int) -> list[tuple[int, int]]:
-    base, rem = divmod(nbytes, nparts)
-    out, off = [], 0
-    for i in range(nparts):
-        ln = base + (1 if i < rem else 0)
-        out.append((off, ln))
-        off += ln
-    return out
+from repro.collectives.segmentation import block_ranges
 
 
 def allgather_adapt(
@@ -45,7 +36,7 @@ def allgather_adapt(
     P = comm.size
     first_call = handle is None
     handle = handle or new_handle(ctx, "allgather-adapt")
-    blocks = _block_ranges(ctx.nbytes, P)
+    blocks = block_ranges(ctx.nbytes, P)
     if first_call:
         ctx.scratch = ctx.world.allocate_tags(P * P)
     base_tag = ctx.scratch
@@ -134,7 +125,7 @@ def reduce_scatter_adapt(
     P = comm.size
     first_call = handle is None
     handle = handle or new_handle(ctx, "reduce-scatter-adapt")
-    blocks = _block_ranges(ctx.nbytes, P)
+    blocks = block_ranges(ctx.nbytes, P)
     if first_call:
         ctx.scratch = ctx.world.allocate_tags(P * P)
     base_tag = ctx.scratch

@@ -23,17 +23,13 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.collectives.base import CollectiveContext, CollectiveHandle, new_handle
-
-
-def _block_ranges(nbytes: int, nparts: int) -> list[tuple[int, int]]:
-    base, rem = divmod(nbytes, nparts)
-    out, off = [], 0
-    for i in range(nparts):
-        ln = base + (1 if i < rem else 0)
-        out.append((off, ln))
-        off += ln
-    return out
+from repro.collectives.base import (
+    CollectiveContext,
+    CollectiveHandle,
+    launch_ranks,
+    new_handle,
+)
+from repro.collectives.segmentation import block_ranges
 
 
 class _AdaptAlltoallRank:
@@ -47,7 +43,7 @@ class _AdaptAlltoallRank:
         self.base_tag = base_tag
         P = ctx.comm.size
         self.P = P
-        self.blocks = _block_ranges(ctx.nbytes, P)
+        self.blocks = block_ranges(ctx.nbytes, P)
         own = ctx.data.get(local) if (ctx.carry() and ctx.data) else None
         self.vec = (
             np.asarray(own).reshape(-1).view(np.uint8) if own is not None else None
@@ -58,7 +54,6 @@ class _AdaptAlltoallRank:
         self.want: set[int] = {s for s in range(P) if s != local}
         self.sends_open: set[int] = {d for d in range(P) if d != local}
         self._recv_reqs: dict[int, Any] = {}
-        self._handled_failures: set[int] = set()
         self.finished = False
 
     def _own_block(self) -> Any:
@@ -105,34 +100,20 @@ class _AdaptAlltoallRank:
 
     # -- failure handling -----------------------------------------------------
 
-    def on_failure(self, dead: int) -> None:
+    def repair(self, dead: int) -> None:
         """A peer died: excuse both directions of its edge (this rank's CPU)."""
-        if dead == self.local or dead in self._handled_failures:
-            return
-        self._handled_failures.add(dead)
-        report = self.handle.report
-        report.degraded = True
-        report.failed_ranks.add(dead)
-        self.handle.excuse(dead)
         if dead in self.want:
             self.want.discard(dead)
             req = self._recv_reqs.pop(dead, None)
             if req is not None and not req.completed:
                 self.ctx.rt(self.local).cancel_recv(req)
-            report.note(
+            self.handle.report.note(
                 f"rank {self.local}: block from dead peer {dead} zero-filled"
             )
         # The send toward the dead peer is written off whether or not its
         # request ever completes (a rendezvous into a corpse never will).
         self.sends_open.discard(dead)
         self._maybe_finish()
-
-    def on_alive(self, back: int) -> None:
-        """Alive-after-failed retraction: tolerated, not re-integrated (the
-        zero-filled block and written-off send stay excused). Idempotent."""
-        if back == self.local or back not in self._handled_failures:
-            return
-        self.handle.report.retractions.add(back)
 
     # -- completion -----------------------------------------------------------
 
@@ -165,7 +146,6 @@ def alltoall_adapt(
     handle = handle or new_handle(ctx, "alltoall-adapt")
     if first_call:
         ctx.scratch = ctx.world.allocate_tags(P)
-    base_tag = ctx.scratch
 
     if P == 1:
         own = ctx.data.get(0) if (ctx.carry() and ctx.data) else None
@@ -174,9 +154,4 @@ def alltoall_adapt(
             handle.mark_done(0, ctx.world.engine.now, out)
         return handle
 
-    for local in ranks if ranks is not None else range(P):
-        rank_state = _AdaptAlltoallRank(ctx, handle, local, base_tag)
-        ctx.rt(local).cpu.when_available(rank_state._start)
-        ctx.subscribe_failures(local, rank_state.on_failure,
-                               alive_fn=rank_state.on_alive)
-    return handle
+    return launch_ranks(ctx, handle, ranks, _AdaptAlltoallRank, ctx.scratch)

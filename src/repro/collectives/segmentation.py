@@ -19,6 +19,18 @@ def segment_sizes(nbytes: int, config: CollectiveConfig) -> list[int]:
     return config.segments_for(nbytes)
 
 
+def block_ranges(nbytes: int, nparts: int) -> list[tuple[int, int]]:
+    """Split ``nbytes`` into ``nparts`` (offset, length) block ranges; the
+    first ``nbytes % nparts`` blocks are one byte longer."""
+    base, rem = divmod(nbytes, nparts)
+    out, off = [], 0
+    for i in range(nparts):
+        ln = base + (1 if i < rem else 0)
+        out.append((off, ln))
+        off += ln
+    return out
+
+
 def segment_offsets(sizes: Sequence[int]) -> list[int]:
     """Byte offset of each segment."""
     offs = [0]

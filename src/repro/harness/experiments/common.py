@@ -31,10 +31,9 @@ def machine_nodes(machine: str, scale: str) -> int:
 
 def machine_spec(machine: str, scale: str):
     """The :class:`MachineSpec` an experiment's jobs run on."""
-    from repro.machine import cori, psg_gpu, stampede2
+    from repro.machine.presets import PRESETS
 
-    factory = {"cori": cori, "stampede2": stampede2, "psg": psg_gpu}[machine]
-    return factory(machine_nodes(machine, scale))
+    return PRESETS[machine](machine_nodes(machine, scale))
 
 
 def sweep(jobs: Sequence, *, n_jobs: Optional[int] = None, cache=None) -> list:

@@ -15,8 +15,7 @@ from repro.parallel.jobs import SimJob
 
 
 def _machine_spec(job: SimJob):
-    from repro.machine import cori, psg_gpu, small_test_machine, stampede2
-    from repro.machine.presets import TOPO_FAMILY_NAMES
+    from repro.machine.presets import PRESETS, TOPO_FAMILY_NAMES, small_test_machine
 
     if job.machine in TOPO_FAMILY_NAMES:
         # Compiled families rebuild deterministically in every worker
@@ -25,12 +24,7 @@ def _machine_spec(job: SimJob):
         from repro.topo import build_family
 
         return build_family(job.machine, nodes=job.nodes)
-    factories: dict[str, Callable] = {
-        "cori": cori,
-        "stampede2": stampede2,
-        "psg": psg_gpu,
-        "testbox": small_test_machine,
-    }
+    factories: dict[str, Callable] = {**PRESETS, "testbox": small_test_machine}
     try:
         factory = factories[job.machine]
     except KeyError:

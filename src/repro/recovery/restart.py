@@ -41,18 +41,9 @@ from repro.collectives.base import (
     CollectiveHandle,
     new_handle,
 )
+from repro.collectives.segmentation import block_ranges
 from repro.recovery.membership import SurvivorView, ensure_membership
 from repro.trees.regraft import regraft_tree
-
-
-def _block_ranges(nbytes: int, nparts: int) -> list[tuple[int, int]]:
-    base, rem = divmod(nbytes, nparts)
-    out, off = [], 0
-    for i in range(nparts):
-        ln = base + (1 if i < rem else 0)
-        out.append((off, ln))
-        off += ln
-    return out
 
 
 class EpochRestart:
@@ -186,7 +177,7 @@ def allgather_ring_members(
     P = comm.size
     K = len(members)
     handle = new_handle(ctx, "allgather-ring-members")
-    blocks = _block_ranges(ctx.nbytes, P)
+    blocks = block_ranges(ctx.nbytes, P)
     base_tag = ctx.world.allocate_tags(P)
     member_set = set(members)
 
@@ -282,7 +273,7 @@ def reduce_scatter_ring_members(
     P = comm.size
     K = len(members)
     handle = new_handle(ctx, "reduce-scatter-ring-members")
-    blocks = _block_ranges(ctx.nbytes, P)
+    blocks = block_ranges(ctx.nbytes, P)
     base_tag = ctx.world.allocate_tags(P * P)
 
     if K == 1:

@@ -465,9 +465,18 @@ def test_stall_fuzz_zero_false_kills(fuzz_seed, idx):
 #: family, gather) re-launch and the stale epoch's states never see it.
 _RETRACTION_RECORDERS = {"bcast", "scatter", "barrier", "alltoall"}
 
+#: The per-rank ADAPT state machines that repair in place without the
+#: recovery stack (degraded mode): launched directly, every one of them
+#: must record the retraction -- reduce included, whose recovery mode
+#: restarts and so never reaches its states' retraction hook above.
+_DEGRADED_REPAIRERS = ("bcast", "reduce", "scatter", "barrier", "alltoall")
 
-@pytest.mark.parametrize("name", ORDER)
-def test_retraction_after_failed_tolerated(name):
+
+@pytest.mark.parametrize("name,recover", [
+    *(pytest.param(n, True, id=n) for n in ORDER),
+    *(pytest.param(n, False, id=f"{n}-degraded") for n in _DEGRADED_REPAIRERS),
+])
+def test_retraction_after_failed_tolerated(name, recover):
     from repro.config import RuntimeConfig
     from repro.faults import FailureDetector
     from repro.recovery import launch_recover
@@ -481,7 +490,11 @@ def test_retraction_after_failed_tolerated(name):
     world = MpiWorld(small_test_machine(), 8, carry_data=True,
                      config=RuntimeConfig(reliable=False), sanitize=True)
     data = _payload(case)
-    handle = launch_recover(name, _context(case, world, data))
+    ctx = _context(case, world, data)
+    if recover:
+        handle = launch_recover(name, ctx)
+    else:
+        handle = COLLECTIVES[name][0](ctx)
     det = FailureDetector(world, detect_delay=1e-4)
     # Suspect mid-flight; the confirm fires 1e-4 later (no contrary
     # evidence); the retraction lands well after the membership round.
@@ -492,11 +505,21 @@ def test_retraction_after_failed_tolerated(name):
     assert victim in det.ever_confirmed, f"{name}: the confirm never fired"
     assert victim not in det.failed, f"{name}: the retraction never fired"
     assert det.false_kills == 1
+    report = handle.report
+    if not recover:
+        # Degraded mode: the repair stands, and the retraction is recorded.
+        assert report.degraded
+        assert report.failed_ranks == {victim}
+        assert victim in handle.excused
+        assert report.retractions == {victim}, (
+            f"{name}: the collective never acknowledged the rank_alive"
+        )
+        return
     # The committed epoch stands: retraction does not re-admit.
     assert world.membership.view.epoch >= 1
     assert victim in world.membership.view.failed
     if name in _RETRACTION_RECORDERS:
-        assert victim in handle.report.retractions, (
+        assert victim in report.retractions, (
             f"{name}: the collective never acknowledged the rank_alive"
         )
 
