@@ -15,7 +15,6 @@ Besides the usual table under ``benchmarks/results/``, the run is saved as
 JSON (``figure_x_faults.json``) — the artifact the CI chaos job uploads.
 """
 
-import json
 import math
 import pathlib
 
@@ -71,20 +70,7 @@ def _assert_shapes(res) -> None:
 
 def _save_json(res) -> None:
     RESULTS_DIR.mkdir(exist_ok=True)
-    payload = {
-        "experiment": res.experiment,
-        "title": res.title,
-        "headers": res.headers,
-        "rows": [
-            [None if isinstance(c, float) and not math.isfinite(c) else c
-             for c in row]
-            for row in res.rows
-        ],
-        "notes": res.notes,
-    }
-    (RESULTS_DIR / "figure_x_faults.json").write_text(
-        json.dumps(payload, indent=2) + "\n"
-    )
+    (RESULTS_DIR / "figure_x_faults.json").write_text(res.to_json())
 
 
 def test_figx_faults(benchmark, scale, record_result):

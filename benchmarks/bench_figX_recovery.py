@@ -19,7 +19,6 @@ JSON (``figure_x_recovery.json``) — the artifact the CI chaos job uploads
 and byte-compares across worker counts for determinism.
 """
 
-import json
 import math
 import pathlib
 
@@ -72,20 +71,7 @@ def _assert_shapes(res) -> None:
 
 def _save_json(res) -> None:
     RESULTS_DIR.mkdir(exist_ok=True)
-    payload = {
-        "experiment": res.experiment,
-        "title": res.title,
-        "headers": res.headers,
-        "rows": [
-            [None if isinstance(c, float) and not math.isfinite(c) else c
-             for c in row]
-            for row in res.rows
-        ],
-        "notes": res.notes,
-    }
-    (RESULTS_DIR / "figure_x_recovery.json").write_text(
-        json.dumps(payload, indent=2) + "\n"
-    )
+    (RESULTS_DIR / "figure_x_recovery.json").write_text(res.to_json())
 
 
 def test_figx_recovery(benchmark, scale, record_result):

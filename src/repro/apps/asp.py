@@ -21,7 +21,7 @@ Two entry points:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -46,14 +46,7 @@ class AspResult:
 
     def to_dict(self) -> dict:
         """JSON-able form (the parallel executor's wire/cache format)."""
-        return {
-            "library": self.library,
-            "nranks": self.nranks,
-            "iterations": self.iterations,
-            "row_bytes": self.row_bytes,
-            "total_runtime": self.total_runtime,
-            "compute_time": self.compute_time,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "AspResult":

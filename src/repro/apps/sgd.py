@@ -25,7 +25,7 @@ Two entry points, mirroring :mod:`repro.apps.asp`:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Union
 
 import numpy as np
@@ -70,24 +70,7 @@ class SgdResult:
 
     def to_dict(self) -> dict:
         """JSON-able form (the parallel executor's wire/cache format)."""
-        return {
-            "nranks": self.nranks,
-            "epochs": self.epochs,
-            "grad_bytes": self.grad_bytes,
-            "quorum": self.quorum,
-            "min_quorum": self.min_quorum,
-            "staleness_window": self.staleness_window,
-            "noise_percent": self.noise_percent,
-            "seed": self.seed,
-            "total_runtime": self.total_runtime,
-            "epoch_times": list(self.epoch_times),
-            "excess_loss": self.excess_loss,
-            "on_time_fraction": self.on_time_fraction,
-            "late_merged": self.late_merged,
-            "discarded": self.discarded,
-            "degraded": self.degraded,
-            "completed": self.completed,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SgdResult":

@@ -1,5 +1,9 @@
 """Command-line interface: regenerate any experiment or run ad-hoc measurements.
 
+The experiment subcommands (``fig7`` ... ``figq``) are built from the
+``EXPERIMENTS`` registry in :mod:`repro.harness.experiments`; the other
+subcommands are defined here.
+
 Usage (after installation)::
 
     python -m repro fig9 --machine cori --operation bcast --jobs 4
@@ -20,35 +24,24 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from repro.harness.experiments import (
-    fig07_noise,
-    fig08_topo,
-    fig09_msgsize,
-    fig10_scaling,
-    fig11_gpu,
-    figx_faults,
-    table1_asp,
-)
+from repro.harness.experiments import DRIVER_KNOBS, EXPERIMENTS
 from repro.harness.runner import run_collective
 from repro.machine import Topology, small_test_machine
-from repro.machine.presets import PRESETS, TOPO_FAMILY_NAMES
+from repro.machine.presets import PRESETS, TOPO_FAMILY_NAMES, resolve
 
 #: --machine choices for commands that accept either kind of model.
 _MACHINE_CHOICES = sorted(PRESETS) + sorted(TOPO_FAMILY_NAMES)
 
-
-def _machine(name: str, nodes: Optional[int]):
-    if name in TOPO_FAMILY_NAMES:
-        from repro.topo import build_family
-
-        return build_family(name, nodes=nodes)
-    try:
-        factory = PRESETS[name]
-    except KeyError:
-        raise SystemExit(
-            f"unknown machine {name!r}; choose from {_MACHINE_CHOICES}"
-        )
-    return factory(nodes) if nodes else factory()
+#: The flag each experiment knob adds to its subcommand.
+_KNOB_ARGS: dict[str, dict] = {
+    "machine": dict(default="cori", choices=["cori", "stampede2"]),
+    "operation": dict(default="bcast", choices=["bcast", "reduce"]),
+    "chart": dict(action="store_true",
+                  help="render an ASCII line chart under the table"),
+    "json": dict(default=None, metavar="PATH",
+                 help="also write the rows as deterministic JSON "
+                 "(byte-identical at any --jobs count)"),
+}
 
 
 def _add_scale(p: argparse.ArgumentParser) -> None:
@@ -85,77 +78,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p7 = sub.add_parser("fig7", help="Figure 7: noise impact")
-    p7.add_argument("--machine", default="cori", choices=["cori", "stampede2"])
-    _add_scale(p7)
-    _add_parallel(p7)
-
-    p8 = sub.add_parser("fig8", help="Figure 8: topology-aware algorithms")
-    p8.add_argument("--machine", default="cori", choices=["cori", "stampede2"])
-    p8.add_argument("--operation", default="bcast", choices=["bcast", "reduce"])
-    _add_scale(p8)
-    _add_parallel(p8)
-
-    p9 = sub.add_parser("fig9", help="Figure 9: end-to-end vs message size")
-    p9.add_argument("--machine", default="cori", choices=["cori", "stampede2"])
-    p9.add_argument("--operation", default="bcast", choices=["bcast", "reduce"])
-    p9.add_argument("--chart", action="store_true",
-                    help="render an ASCII line chart under the table")
-    _add_scale(p9)
-    _add_parallel(p9)
-
-    p10 = sub.add_parser("fig10", help="Figure 10: strong scaling")
-    _add_scale(p10)
-    _add_parallel(p10)
-
-    p11a = sub.add_parser("fig11a", help="Figure 11a: GPU vs message size")
-    _add_scale(p11a)
-    _add_parallel(p11a)
-    p11b = sub.add_parser("fig11b", help="Figure 11b: GPU strong scaling")
-    _add_scale(p11b)
-    _add_parallel(p11b)
-
-    pt1 = sub.add_parser("table1", help="Table 1: ASP application")
-    _add_scale(pt1)
-    _add_parallel(pt1)
-
-    pfx = sub.add_parser(
-        "figx", help="Figure X (ours): collectives on a faulty fabric"
-    )
-    _add_scale(pfx)
-    _add_parallel(pfx)
-
-    pfxr = sub.add_parser(
-        "figxr",
-        help="Figure X-R (ours): live recovery across every ADAPT collective",
-    )
-    pfxr.add_argument("--json", default=None, metavar="PATH",
-                      help="also write the rows as deterministic JSON "
-                      "(byte-identical at any --jobs count)")
-    _add_scale(pfxr)
-    _add_parallel(pfxr)
-
-    pfxp = sub.add_parser(
-        "figxp",
-        help="Figure X-P (ours): partition tolerance, heal time vs "
-        "completion and false kills",
-    )
-    pfxp.add_argument("--json", default=None, metavar="PATH",
-                      help="also write the rows as deterministic JSON "
-                      "(byte-identical at any --jobs count)")
-    _add_scale(pfxp)
-    _add_parallel(pfxp)
-
-    pfq = sub.add_parser(
-        "figq",
-        help="Figure Q (ours): SGD staleness frontier — accuracy vs "
-        "latency for the relaxed quorum collectives",
-    )
-    pfq.add_argument("--json", default=None, metavar="PATH",
-                     help="also write the rows as deterministic JSON "
-                     "(byte-identical at any --jobs count)")
-    _add_scale(pfq)
-    _add_parallel(pfq)
+    for name, entry in EXPERIMENTS.items():
+        pexp = sub.add_parser(name, help=entry.help)
+        for knob in entry.knobs:
+            pexp.add_argument(f"--{knob}", **_KNOB_ARGS[knob])
+        _add_scale(pexp)
+        _add_parallel(pexp)
 
     prun = sub.add_parser("run", help="one ad-hoc collective measurement")
     prun.add_argument("--library", default="OMPI-adapt")
@@ -210,8 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
         "aggregated by repro subsystem (sim, network, collectives, ...).",
     )
     pprof.add_argument("--experiment", default=None,
-                       choices=["fig7", "fig8", "fig9", "fig10", "fig11a",
-                                "fig11b", "table1", "figx"],
+                       choices=list(EXPERIMENTS),
                        help="profile a whole experiment driver instead of "
                        "one collective")
     _add_scale(pprof)
@@ -470,68 +397,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _driver_knobs(entry, args) -> dict:
+    return {k: getattr(args, k) for k in entry.knobs if k in DRIVER_KNOBS}
+
+
 def _cmd_experiment(args) -> str:
-    kw = _parallel_kwargs(args)
-    if args.command == "fig7":
-        return fig07_noise.run(args.machine, args.scale, **kw).table()
-    if args.command == "fig8":
-        return fig08_topo.run(
-            args.machine, args.scale, args.operation, **kw
-        ).table()
-    if args.command == "fig9":
-        res = fig09_msgsize.run(args.machine, args.scale, args.operation, **kw)
-        out = res.table()
-        if getattr(args, "chart", False):
-            from repro.harness.charts import experiment_line_chart
+    entry = EXPERIMENTS[args.command]
+    res = entry.run(scale=args.scale, **_parallel_kwargs(args),
+                    **_driver_knobs(entry, args))
+    out = res.table()
+    if getattr(args, "chart", False):
+        from repro.harness.charts import experiment_line_chart
 
-            out += "\n\n" + experiment_line_chart(res)
-        return out
-    if args.command == "fig10":
-        return fig10_scaling.run(args.scale, **kw).table()
-    if args.command == "fig11a":
-        return fig11_gpu.run_msgsize(args.scale, **kw).table()
-    if args.command == "fig11b":
-        return fig11_gpu.run_scaling(args.scale, **kw).table()
-    if args.command == "table1":
-        return table1_asp.run(args.scale, **kw).table()
-    if args.command == "figx":
-        return figx_faults.run(args.scale, **kw).table()
-    if args.command in ("figxr", "figxp", "figq"):
-        if args.command == "figxr":
-            from repro.harness.experiments import figx_recovery as driver
-        elif args.command == "figxp":
-            from repro.harness.experiments import figxp_partition as driver
-        else:
-            from repro.harness.experiments import figq_staleness as driver
-
-        res = driver.run(args.scale, **kw)
-        out = res.table()
-        if args.json:
-            import json
-            import math
-
-            payload = {
-                "experiment": res.experiment,
-                "title": res.title,
-                "headers": res.headers,
-                "rows": [
-                    [None if isinstance(c, float) and not math.isfinite(c)
-                     else c for c in row]
-                    for row in res.rows
-                ],
-                "notes": res.notes,
-            }
-            with open(args.json, "w") as fh:
-                fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-            out += f"\nwrote {args.json}"
-        return out
-    raise AssertionError  # pragma: no cover
+        out += "\n\n" + experiment_line_chart(res)
+    if getattr(args, "json", None):
+        with open(args.json, "w") as fh:
+            fh.write(res.to_json())
+        out += f"\nwrote {args.json}"
+    return out
 
 
 def _cmd_run(args) -> str:
     from repro.parallel import SimJob, run_jobs
 
-    spec = _machine(args.machine, args.nodes)
+    spec = resolve(args.machine, args.nodes)
     compiled = getattr(spec, "compiled", None)
     gpu = args.gpu or (compiled is not None and compiled.gpu_bound)
     if compiled is not None:
@@ -593,17 +482,15 @@ def _cmd_profile(args) -> str:
     if args.experiment:
         # Profile the whole driver in-process (sequential, uncached — a
         # process pool would hide the work from the profiler).
+        entry = EXPERIMENTS[args.experiment]
+
         def target():
-            exp_args = argparse.Namespace(
-                command=args.experiment, machine=args.machine,
-                operation=args.operation, scale=args.scale, chart=False,
-                jobs=1, no_cache=True,
-            )
-            return _cmd_experiment(exp_args)
+            return entry.run(scale=args.scale, n_jobs=1, cache=None,
+                             **_driver_knobs(entry, args)).table()
 
         title = f"profile: {args.experiment} --scale {args.scale}"
     else:
-        spec = _machine(args.machine, args.nodes)
+        spec = resolve(args.machine, args.nodes)
         compiled = getattr(spec, "compiled", None)
         nranks = compiled.ranks if compiled is not None else spec.total_cores
 
@@ -668,7 +555,7 @@ def _cmd_chaos(args) -> str:
     from repro.faults.plan import CorruptSpec, StallSpec
     from repro.relaxed import RELAXED_OPERATIONS
 
-    spec = _machine(args.machine, args.nodes)
+    spec = resolve(args.machine, args.nodes)
     compiled = getattr(spec, "compiled", None)
     native = compiled.ranks if compiled is not None else spec.total_cores
     nranks = args.nranks or native
@@ -851,9 +738,8 @@ def _cmd_chaos(args) -> str:
 def _cmd_trace(args) -> str:
     from repro.obs import export_chrome_trace
     from repro.parallel import SimJob, run_jobs
-    from repro.parallel.worker import _machine_spec
 
-    spec = _machine_spec(SimJob(machine=args.machine, nodes=args.nodes))
+    spec = resolve(args.machine, args.nodes)
     nranks = args.nranks or spec.total_cores
     noisy = (nranks // 3,) if args.noise > 0 else "per-node"
     job = SimJob(
@@ -893,7 +779,7 @@ def _cmd_metrics(args) -> int:
 
     machine, nodes = "cori", 2
     msg, iters, probe_iters, noise = 1 << 20, 24, 6, 5.0
-    nranks = _machine(machine, nodes).total_cores
+    nranks = resolve(machine, nodes).total_cores
     noisy_rank = nranks // 3
     kw = _parallel_kwargs(args)
 
@@ -1313,16 +1199,16 @@ def _cmd_topo(args) -> str:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if (args.command == "profile"
-            and args.experiment in ("fig7", "fig8", "fig9")
-            and args.machine not in ("cori", "stampede2")):
-        # The same --machine choices the fig7/fig8/fig9 subcommands accept.
+    machines = _KNOB_ARGS["machine"]["choices"]
+    if (args.command == "profile" and args.experiment
+            and "machine" in EXPERIMENTS[args.experiment].knobs
+            and args.machine not in machines):
+        # The same --machine choices the experiment's subcommand accepts.
         parser.error(
             f"profile --experiment {args.experiment}: --machine must be "
-            f"cori or stampede2, not {args.machine!r}"
+            f"{' or '.join(machines)}, not {args.machine!r}"
         )
-    if args.command in ("fig7", "fig8", "fig9", "fig10", "fig11a", "fig11b",
-                        "table1", "figx", "figxr", "figxp", "figq"):
+    if args.command in EXPERIMENTS:
         print(_cmd_experiment(args))
     elif args.command == "run":
         print(_cmd_run(args))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
@@ -31,9 +33,9 @@ def machine_nodes(machine: str, scale: str) -> int:
 
 def machine_spec(machine: str, scale: str):
     """The :class:`MachineSpec` an experiment's jobs run on."""
-    from repro.machine.presets import PRESETS
+    from repro.machine.presets import resolve
 
-    return PRESETS[machine](machine_nodes(machine, scale))
+    return resolve(machine, machine_nodes(machine, scale))
 
 
 def sweep(jobs: Sequence, *, n_jobs: Optional[int] = None, cache=None) -> list:
@@ -66,6 +68,22 @@ class ExperimentResult:
         if self.notes:
             out += "\n" + "\n".join(f"note: {n}" for n in self.notes)
         return out
+
+    def to_json(self) -> str:
+        """The rows as deterministic JSON: sorted keys, indent 2,
+        non-finite cells (a hung run's ``inf``) as ``null``."""
+        payload = {
+            "experiment": self.experiment,
+            "title": self.title,
+            "headers": self.headers,
+            "rows": [
+                [None if isinstance(c, float) and not math.isfinite(c) else c
+                 for c in row]
+                for row in self.rows
+            ],
+            "notes": self.notes,
+        }
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def column(self, header: str) -> list[Any]:
         idx = self.headers.index(header)

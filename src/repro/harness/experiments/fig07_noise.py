@@ -25,15 +25,13 @@ large factor over ADAPT.
 
 from __future__ import annotations
 
-
 from repro.harness.experiments.common import (
-    SCALES,
     ExperimentResult,
     machine_nodes,
+    machine_spec,
     sweep,
 )
 from repro.harness.report import slowdown_percent
-from repro.machine import cori, stampede2
 from repro.parallel import SimJob
 
 MSG = 4 << 20
@@ -46,15 +44,6 @@ DURATION_FACTOR = 4.0   # noise event max duration = 4x collective time
 # for stable slowdown ordering at fixed seeds.
 MAX_ITERS = 80
 PROBE_ITERS = 12        # short calibration run to size the noise events
-
-
-def _machine(name: str, scale: str):
-    cfg = SCALES[scale]
-    if name == "cori":
-        return cori(nodes=cfg["cori_nodes"])
-    if name == "stampede2":
-        return stampede2(nodes=cfg["stampede2_nodes"])
-    raise ValueError(f"unknown machine {name!r}")
 
 
 def libraries(machine: str) -> list[str]:
@@ -94,7 +83,7 @@ def run(
     all independent (stage 1); the noisy measurements depend on each probe's
     time — their event duration and frequency derive from it — so they form
     a second fan-out (stage 2)."""
-    spec = _machine(machine, scale)
+    spec = machine_spec(machine, scale)
     nodes = machine_nodes(machine, scale)
     nranks = spec.total_cores
     noisy_rank = nranks // 3  # an intermediate rank in every topology

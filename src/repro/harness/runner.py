@@ -19,7 +19,7 @@ Two iteration modes, matching how real benchmarks behave:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -88,30 +88,7 @@ class RunResult:
 
     def to_dict(self) -> dict:
         """JSON-able form (the parallel executor's wire/cache format)."""
-        return {
-            "library": self.library,
-            "operation": self.operation,
-            "machine": self.machine,
-            "nranks": self.nranks,
-            "nbytes": self.nbytes,
-            "noise_percent": self.noise_percent,
-            "times": list(self.times),
-            "seed": self.seed,
-            "transport": dict(self.transport),
-            "degraded": self.degraded,
-            "completed": self.completed,
-            "metrics": self.metrics,
-            "obs": self.obs,
-            "trace_truncated": self.trace_truncated,
-            "failed_ranks": list(self.failed_ranks),
-            "time_to_repair": self.time_to_repair,
-            "false_kills": self.false_kills,
-            "quorum_parks": self.quorum_parks,
-            "engine_stats": dict(self.engine_stats),
-            "contributed_ranks": list(self.contributed_ranks),
-            "staleness_epoch": self.staleness_epoch,
-            "late_merges": [list(m) for m in self.late_merges],
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunResult":

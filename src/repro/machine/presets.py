@@ -8,6 +8,8 @@ to ±2x parameter changes.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.machine.spec import GpuSpec, LinkParams, MachineSpec, NodeSpec
 
 
@@ -124,3 +126,21 @@ def small_test_machine(
         nodes=nodes,
         node=NodeSpec(sockets=sockets, cores_per_socket=cores_per_socket, gpu=gpu),
     )
+
+
+def resolve(name: str, nodes: int | None = None) -> MachineSpec:
+    """The machine called ``name`` at ``nodes`` nodes (the model's default
+    size when None): a preset, ``testbox`` or a compiled topology family.
+
+    Compiled families rebuild deterministically in every worker process —
+    same spec, byte-identical link list."""
+    if name in TOPO_FAMILY_NAMES:
+        from repro.topo import build_family  # deferred: avoids cycle
+
+        return build_family(name, nodes=nodes)
+    factories: dict[str, Callable] = {**PRESETS, "testbox": small_test_machine}
+    try:
+        factory = factories[name]
+    except KeyError:
+        raise ValueError(f"unknown machine preset {name!r}") from None
+    return factory(nodes) if nodes is not None else factory()

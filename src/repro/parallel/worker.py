@@ -9,27 +9,8 @@ dict (the wire/cache format); ``result_from_dict`` turns one back into the
 
 from __future__ import annotations
 
-from typing import Callable
-
+from repro.machine.presets import resolve
 from repro.parallel.jobs import SimJob
-
-
-def _machine_spec(job: SimJob):
-    from repro.machine.presets import PRESETS, TOPO_FAMILY_NAMES, small_test_machine
-
-    if job.machine in TOPO_FAMILY_NAMES:
-        # Compiled families rebuild deterministically in every worker
-        # process — same spec, byte-identical link list (the cross-process
-        # leg of the golden tests).
-        from repro.topo import build_family
-
-        return build_family(job.machine, nodes=job.nodes)
-    factories: dict[str, Callable] = {**PRESETS, "testbox": small_test_machine}
-    try:
-        factory = factories[job.machine]
-    except KeyError:
-        raise ValueError(f"unknown machine preset {job.machine!r}") from None
-    return factory(job.nodes) if job.nodes is not None else factory()
 
 
 def _custom_algorithm(job: SimJob):
@@ -66,7 +47,7 @@ def _reduce_op(name: str):
 
 def execute_job(job: SimJob) -> dict:
     """Run one job to completion and return its serialized result."""
-    spec = _machine_spec(job)
+    spec = resolve(job.machine, job.nodes)
     if job.kind == "asp":
         from repro.apps.asp import run_asp
 

@@ -1,8 +1,16 @@
 """Tests for the command-line interface."""
 
+import dataclasses
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.harness.experiments import EXPERIMENTS, ExperimentResult
+
+#: Registered experiments that take a knob, by knob.
+_WITH_MACHINE = [n for n, e in EXPERIMENTS.items() if "machine" in e.knobs]
+_WITH_JSON = [n for n, e in EXPERIMENTS.items() if "json" in e.knobs]
 
 
 class TestCli:
@@ -50,9 +58,12 @@ class TestCli:
 
     def test_parser_has_all_experiments(self):
         parser = build_parser()
-        for cmd in ["fig7", "fig8", "fig9", "fig10", "fig11a", "fig11b", "table1"]:
-            args = parser.parse_args([cmd] if cmd != "fig8" else [cmd, "--operation", "reduce"])
+        for cmd, entry in EXPERIMENTS.items():
+            args = parser.parse_args([cmd])
             assert args.command == cmd
+            if "operation" in entry.knobs:
+                args = parser.parse_args([cmd, "--operation", "reduce"])
+                assert args.operation == "reduce"
 
     def test_table1_runs(self, capsys):
         # The cheapest full experiment: exercise the experiment dispatch path.
@@ -62,8 +73,7 @@ class TestCli:
 
     def test_parallel_flags_parse_everywhere(self):
         parser = build_parser()
-        for cmd in ["fig7", "fig8", "fig9", "fig10", "fig11a", "fig11b",
-                    "table1", "figx", "run"]:
+        for cmd in [*EXPERIMENTS, "run"]:
             args = parser.parse_args([cmd, "--jobs", "3", "--no-cache"])
             assert args.jobs == 3 and args.no_cache
 
@@ -120,9 +130,28 @@ class TestCli:
         assert "profile: table1 --scale small" in out
         assert "top 3 functions" in out
 
-    @pytest.mark.parametrize("experiment", ["fig7", "fig8", "fig9"])
+    @pytest.mark.parametrize("experiment", _WITH_MACHINE)
     def test_profile_experiment_rejects_other_machines(self, experiment, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["profile", "--experiment", experiment, "--machine", "fattree"])
         assert exc.value.code == 2
         assert "cori or stampede2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment", _WITH_JSON)
+    def test_json_writes_null_for_inf(self, experiment, tmp_path,
+                                      monkeypatch, capsys):
+        def canned(**kw):
+            res = ExperimentResult("Figure T", "canned", ["case", "mean_ms"])
+            res.add("hung", float("inf"))
+            res.add("ok", 1.5)
+            return res
+
+        entry = dataclasses.replace(EXPERIMENTS[experiment], run=canned)
+        monkeypatch.setitem(EXPERIMENTS, experiment, entry)
+        path = tmp_path / "out.json"
+        assert main([experiment, "--no-cache", "--json", str(path)]) == 0
+        assert f"wrote {path}" in capsys.readouterr().out
+        text = path.read_text()
+        assert json.loads(text)["rows"] == [["hung", None], ["ok", 1.5]]
+        assert text == json.dumps(json.loads(text), indent=2,
+                                  sort_keys=True) + "\n"

@@ -9,6 +9,7 @@ import math
 import pytest
 
 from repro.faults import FaultPlan, LossSpec
+from repro.harness.experiments import EXPERIMENTS
 from repro.parallel import (
     ResultCache,
     SimJob,
@@ -170,37 +171,41 @@ class TestResultWireFormat:
         assert res.total_runtime == pytest.approx(d["total_runtime"])
 
 
+#: A reduced grid per registered experiment, keeping the suite fast; figq
+#: has no knob that shrinks its grid, so it runs in full.
+_REDUCED_GRIDS = {
+    "fig7": dict(msg=256 << 10, max_iters=12, probe_iters=4),
+    "fig8": dict(sizes=[256 << 10]),
+    "fig9": dict(sizes=[256 << 10, 1 << 20]),
+    "fig10": dict(nodes=[1]),
+    "fig11a": dict(sizes=[1 << 20]),
+    "fig11b": dict(nodes=[1, 2]),
+    "table1": dict(iterations=4),
+    "figx": dict(operations=("bcast",), drops=(0.0, 0.01)),
+    "figxr": dict(operations=("bcast",)),
+    "figxp": dict(operations=("bcast",)),
+    "figq": {},
+}
+
+
 class TestExperimentsByteIdentical:
-    """The acceptance property: experiment tables are byte-identical at any
-    worker count (reduced parameter grids keep the suite fast)."""
+    """The acceptance property: every registered experiment's output is
+    byte-identical at any worker count."""
 
-    def test_fig09(self):
-        from repro.harness.experiments import fig09_msgsize
+    def test_every_experiment_has_a_grid(self):
+        assert set(_REDUCED_GRIDS) == set(EXPERIMENTS)
 
-        sizes = [256 << 10, 1 << 20]
-        seq = fig09_msgsize.run("cori", "small", "bcast", sizes, n_jobs=1)
-        par = fig09_msgsize.run("cori", "small", "bcast", sizes, n_jobs=2)
+    @pytest.mark.parametrize("name", list(EXPERIMENTS))
+    def test_json_identical_across_workers(self, name):
+        entry, grid = EXPERIMENTS[name], _REDUCED_GRIDS[name]
+        seq = entry.run(scale="small", n_jobs=1, **grid)
+        par = entry.run(scale="small", n_jobs=2, **grid)
+        assert seq.to_json() == par.to_json()
         assert seq.table() == par.table()
-        assert seq.rows == par.rows
-
-    def test_fig07_two_stage(self):
-        from repro.harness.experiments import fig07_noise
-
-        kw = dict(msg=256 << 10, max_iters=12, probe_iters=4)
-        seq = fig07_noise.run("cori", "small", n_jobs=1, **kw)
-        par = fig07_noise.run("cori", "small", n_jobs=2, **kw)
-        assert seq.table() == par.table()
-
-    def test_figx_two_stage_with_inf_rows(self):
-        from repro.harness.experiments import figx_faults
-
-        kw = dict(operations=("bcast",), drops=(0.0, 0.01))
-        seq = figx_faults.run("small", n_jobs=1, **kw)
-        par = figx_faults.run("small", n_jobs=2, **kw)
-        assert seq.table() == par.table()
-        # The hung comparator's inf survived both paths identically.
-        assert any(math.isinf(c) for row in par.rows for c in row
-                   if isinstance(c, float))
+        if name == "figx":
+            # The hung comparator's inf survived both paths identically.
+            assert any(math.isinf(c) for row in par.rows for c in row
+                       if isinstance(c, float))
 
     def test_fig09_cached_rerun_identical(self, tmp_path):
         from repro.harness.experiments import fig09_msgsize

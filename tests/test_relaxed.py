@@ -458,17 +458,6 @@ class TestFigQ:
         assert res.value(
             "on_time", scenario="fault-free", variant="exact") == 1.0
 
-    def test_cli_json_deterministic_across_jobs(self, tmp_path, capsys):
-        from repro.cli import main
-
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["figq", "--jobs", "1", "--no-cache",
-                     "--json", str(a)]) == 0
-        assert main(["figq", "--jobs", "2", "--no-cache",
-                     "--json", str(b)]) == 0
-        capsys.readouterr()
-        assert a.read_bytes() == b.read_bytes()
-
 
 class TestChaosQuorumCli:
     def test_accounting_lines_printed(self, capsys):
