@@ -25,9 +25,8 @@ import sys
 from typing import Optional, Sequence
 
 from repro.harness.experiments import DRIVER_KNOBS, EXPERIMENTS
-from repro.harness.runner import run_collective
 from repro.machine import Topology, small_test_machine
-from repro.machine.presets import PRESETS, TOPO_FAMILY_NAMES, resolve
+from repro.machine.presets import PRESETS, TOPO_FAMILY_NAMES, default_nranks, resolve
 
 #: --machine choices for commands that accept either kind of model.
 _MACHINE_CHOICES = sorted(PRESETS) + sorted(TOPO_FAMILY_NAMES)
@@ -420,22 +419,16 @@ def _cmd_experiment(args) -> str:
 def _cmd_run(args) -> str:
     from repro.parallel import SimJob, run_jobs
 
-    spec = resolve(args.machine, args.nodes)
-    compiled = getattr(spec, "compiled", None)
-    gpu = args.gpu or (compiled is not None and compiled.gpu_bound)
-    if compiled is not None:
-        nranks = args.nranks or compiled.ranks
-    else:
-        nranks = args.nranks or (spec.total_gpus if gpu else spec.total_cores)
+    nranks = default_nranks(resolve(args.machine, args.nodes),
+                            args.nranks, args.gpu)
     noisy = (nranks // 3,) if args.noise > 0 else "per-node"
     job = SimJob(
         machine=args.machine, nodes=args.nodes, nranks=nranks,
         library=args.library, operation=args.operation, nbytes=args.nbytes,
         iterations=args.iterations, noise_percent=args.noise,
-        noise_ranks=noisy, gpu=gpu, seed=args.seed,
+        noise_ranks=noisy, gpu=args.gpu, seed=args.seed,
     )
-    kw = _parallel_kwargs(args)
-    result = run_jobs([job], **kw)[0]
+    result = run_jobs([job], **_parallel_kwargs(args))[0]
     return str(result)
 
 
@@ -478,6 +471,7 @@ def _cmd_bench(args) -> str:
 
 def _cmd_profile(args) -> str:
     from repro.harness import profiling
+    from repro.parallel import SimJob, run_jobs
 
     if args.experiment:
         # Profile the whole driver in-process (sequential, uncached — a
@@ -490,15 +484,15 @@ def _cmd_profile(args) -> str:
 
         title = f"profile: {args.experiment} --scale {args.scale}"
     else:
-        spec = resolve(args.machine, args.nodes)
-        compiled = getattr(spec, "compiled", None)
-        nranks = compiled.ranks if compiled is not None else spec.total_cores
+        nranks = default_nranks(resolve(args.machine, args.nodes))
+        job = SimJob(
+            machine=args.machine, nodes=args.nodes, nranks=nranks,
+            library=args.library, operation=args.operation,
+            nbytes=args.nbytes, iterations=args.iterations,
+        )
 
         def target():
-            return run_collective(
-                spec, nranks, args.library, args.operation, args.nbytes,
-                iterations=args.iterations,
-            )
+            return run_jobs([job], n_jobs=1, cache=None)[0]
 
         title = (
             f"profile: {args.operation} {args.library} {args.nbytes} B, "
@@ -553,12 +547,10 @@ def _parse_partition(text: str, nranks: int) -> tuple[tuple[int, ...], ...]:
 def _cmd_chaos(args) -> str:
     from repro.faults import FaultPlan, KillSpec, LossSpec, PartitionSpec
     from repro.faults.plan import CorruptSpec, StallSpec
+    from repro.parallel import SimJob, run_jobs
     from repro.relaxed import RELAXED_OPERATIONS
 
-    spec = resolve(args.machine, args.nodes)
-    compiled = getattr(spec, "compiled", None)
-    native = compiled.ranks if compiled is not None else spec.total_cores
-    nranks = args.nranks or native
+    nranks = default_nranks(resolve(args.machine, args.nodes), args.nranks)
     relaxed = args.operation in RELAXED_OPERATIONS
     if args.quorum is not None and not relaxed:
         raise SystemExit("chaos: --quorum needs a *_quorum operation")
@@ -591,16 +583,12 @@ def _cmd_chaos(args) -> str:
     if args.partition is None and (args.partition_at is not None
                                    or args.heal is not None):
         raise SystemExit("chaos: --partition-at/--heal need --partition")
-    lines = []
-
-    def fault_free(lib: str):
-        return run_collective(
-            spec, nranks, lib, args.operation, args.nbytes,
-            iterations=args.iterations, seed=args.seed, **quorum_kw,
-        )
-
-    base = fault_free(args.library)
-    lines.append(f"fault-free  {base}")
+    kw = _parallel_kwargs(args)
+    world = dict(machine=args.machine, nodes=args.nodes, nranks=nranks,
+                 nbytes=args.nbytes, iterations=args.iterations, seed=args.seed)
+    [base] = run_jobs([SimJob(library=args.library, operation=args.operation,
+                              **world, **quorum_kw)], **kw)
+    lines = [f"fault-free  {base}"]
     kill_at = None
     if args.kill_rank is not None:
         kill_at = args.kill_at if args.kill_at is not None else (
@@ -663,27 +651,18 @@ def _cmd_chaos(args) -> str:
         desc.append("recovery armed")
     lines.append(f"fault plan: {'; '.join(desc)} (seed={args.seed})")
 
-    libraries = [args.library]
+    # A hung schedule legitimately leaves wreckage.
+    faulty = dict(world, fault_plan=plan, sanitize=not kills and not partitions)
+    jobs = [SimJob(library=args.library, operation=args.operation,
+                   recover=args.recover, **faulty, **quorum_kw)]
     if args.compare and args.compare != args.library:
-        libraries.append(args.compare)
-    for lib in libraries:
         # The comparator shows what the same plan does *without* recovery
         # (and, for the relaxed family, without the quorum: the exact op).
-        recover = args.recover and lib == args.library
-        primary = lib == args.library
-        op = args.operation
-        kw = dict(quorum_kw)
-        if relaxed and not primary:
-            op = args.operation.replace("_quorum", "")
-            kw = {}
-        r = run_collective(
-            spec, nranks, lib, op, args.nbytes,
-            iterations=args.iterations, seed=args.seed, fault_plan=plan,
-            recover=recover,
-            # A hung schedule legitimately leaves wreckage.
-            sanitize=not kills and not partitions,
-            **kw,
-        )
+        jobs.append(SimJob(library=args.compare,
+                           operation=args.operation.replace("_quorum", ""),
+                           **faulty))
+    for primary, r in zip((True, False), run_jobs(jobs, **kw)):
+        recover = args.recover and primary
         lines.append(f"faulty      {r}")
         if relaxed and primary and r.staleness_epoch:
             excluded = sorted(set(range(nranks)) - set(r.contributed_ranks))
@@ -739,8 +718,7 @@ def _cmd_trace(args) -> str:
     from repro.obs import export_chrome_trace
     from repro.parallel import SimJob, run_jobs
 
-    spec = resolve(args.machine, args.nodes)
-    nranks = args.nranks or spec.total_cores
+    nranks = default_nranks(resolve(args.machine, args.nodes), args.nranks)
     noisy = (nranks // 3,) if args.noise > 0 else "per-node"
     job = SimJob(
         machine=args.machine, nodes=args.nodes, nranks=nranks,
@@ -779,7 +757,7 @@ def _cmd_metrics(args) -> int:
 
     machine, nodes = "cori", 2
     msg, iters, probe_iters, noise = 1 << 20, 24, 6, 5.0
-    nranks = resolve(machine, nodes).total_cores
+    nranks = default_nranks(resolve(machine, nodes))
     noisy_rank = nranks // 3
     kw = _parallel_kwargs(args)
 
@@ -947,7 +925,6 @@ def _cmd_verify(args) -> int:
     import time as _time
 
     from repro.collectives.models import ADAPT_VERIFY, VERIFY_MODELS
-    from repro.parallel import ResultCache
     from repro.verify import (
         VerifyKey,
         build_model,
@@ -969,10 +946,7 @@ def _cmd_verify(args) -> int:
         schedules = sorted(VERIFY_MODELS)
     else:
         schedules = list(ADAPT_VERIFY)
-    no_cache = args.no_cache or (
-        os.environ.get("REPRO_NO_CACHE", "") not in ("", "0")
-    )
-    cache = None if no_cache else ResultCache()
+    cache = _parallel_kwargs(args)["cache"]
     mode = "naive" if args.naive else "auto"
     report: dict = {"config": {
         "ranks": args.ranks, "tree": args.tree, "nbytes": args.nbytes,
@@ -1125,10 +1099,11 @@ def _cmd_tree(args) -> str:
     spec = small_test_machine(
         nodes=args.nodes, sockets=args.sockets, cores_per_socket=args.cores
     )
-    topo = Topology(spec, spec.total_cores)
+    nranks = default_nranks(spec)
+    topo = Topology(spec, nranks)
     from repro.trees import topology_aware_tree
 
-    tree = topology_aware_tree(topo, list(range(spec.total_cores)), args.root)
+    tree = topology_aware_tree(topo, list(range(nranks)), args.root)
     lines = [f"topology-aware tree, root {tree.root}, height {tree.height()}"]
 
     def walk(rank: int, depth: int) -> None:

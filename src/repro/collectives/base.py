@@ -82,22 +82,6 @@ class CompletionReport:
         parts.extend(self.notes)
         return "; ".join(parts)
 
-    def quorum_summary(self) -> str:
-        """One line of quorum accounting (empty for exact operations)."""
-        if not self.staleness_epoch:
-            return ""
-        merged = [m for m in self.late_merges if m[2] >= 0]
-        discarded = [m for m in self.late_merges if m[2] < 0]
-        parts = [
-            f"epoch={self.staleness_epoch}",
-            f"contributed={sorted(self.contributed_ranks)}",
-        ]
-        if merged:
-            parts.append(f"late_merged={merged}")
-        if discarded:
-            parts.append(f"discarded={[m[0] for m in discarded]}")
-        return "; ".join(parts)
-
 
 @dataclass
 class CollectiveHandle:

@@ -128,6 +128,20 @@ def small_test_machine(
     )
 
 
+def default_nranks(
+    spec: MachineSpec, nranks: int | None = None, gpu: bool = False
+) -> int:
+    """The world size of a run on ``spec``: ``nranks`` when given, else a
+    compiled topology family's native ``ranks``, else one rank per GPU
+    when ``gpu`` and one per core otherwise. (GPU binding itself is
+    :class:`~repro.mpi.runtime.MpiWorld`'s: it forces it on rail pods.)"""
+    if nranks:
+        return nranks
+    if spec.compiled is not None:
+        return spec.compiled.ranks
+    return spec.total_gpus if gpu else spec.total_cores
+
+
 def resolve(name: str, nodes: int | None = None) -> MachineSpec:
     """The machine called ``name`` at ``nodes`` nodes (the model's default
     size when None): a preset, ``testbox`` or a compiled topology family.

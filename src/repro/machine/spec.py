@@ -27,19 +27,6 @@ class CommLevel(enum.IntEnum):
     INTER_NODE = 3    # NIC + switch fabric
 
 
-class GpuLinkKind(enum.Enum):
-    """Data-movement lanes specific to GPU clusters (Section 4).
-
-    The fabric instantiates one ingress and one egress lane per GPU; all
-    outgoing copies from a GPU (D2H staging, CUDA-IPC peer sends, GPUDirect
-    sends) share its egress lane — the congestion of the paper's Figure 6a.
-    """
-
-    PCIE_OUT = "pcie_out"    # device egress (D2H / peer send / GPUDirect)
-    PCIE_IN = "pcie_in"      # device ingress (H2D / peer receive)
-    NIC_PCIE = "nic_pcie"    # NIC's own PCIe lanes (GPUDirect path)
-
-
 @dataclass(frozen=True)
 class LinkParams:
     """Hockney parameters of one link class.

@@ -148,23 +148,6 @@ class Matcher:
             self.unexpected_eager_count += 1
         return None
 
-    def pending_candidates(self, own_rank: int) -> dict[MatchKey, tuple[int, int]]:
-        """Outstanding state by wire key: ``{key: (n_inbound, n_posted)}``.
-
-        A key with both counts nonzero can never persist (arrival or post
-        would have matched); a key with ``n_inbound > 1`` means multiple
-        in-flight messages are racing for whichever recv posts next.
-        """
-        out: dict[MatchKey, tuple[int, int]] = {}
-        for (src, tag), q in self.inbound.items():
-            key = (src, own_rank, tag)
-            out[key] = (len(q), 0)
-        for (src, tag), q in self.posted.items():
-            key = (src, own_rank, tag)
-            inb = out.get(key, (0, 0))[0]
-            out[key] = (inb, len(q))
-        return out
-
     def pending_posted(self) -> int:
         return sum(len(q) for q in self.posted.values())
 

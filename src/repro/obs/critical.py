@@ -83,12 +83,3 @@ def critical_path(
         cur = pred[cur]
     path.reverse()
     return best[end], path
-
-
-def describe_path(graph: DepGraph, path: list[int]) -> list[str]:
-    """Human-readable rendering of a critical path's nodes."""
-    out = []
-    for nid in path:
-        node = graph.nodes[nid]
-        out.append(f"#{nid} {node.describe()} [{_node_weight(graph, nid) * 1e6:.1f} us]")
-    return out

@@ -92,11 +92,6 @@ class MetricsReport:
                 return lm
         raise KeyError(name)
 
-    def busiest_link(self) -> Optional[LinkMetrics]:
-        if not self.links:
-            return None
-        return max(self.links, key=lambda lm: (lm.busy_fraction, lm.name))
-
     def to_dict(self) -> dict:
         return {
             "elapsed": self.elapsed,

@@ -5,16 +5,16 @@ node-count x message-size grids of *independent* simulations. This package
 decomposes them into pure-config :class:`SimJob` cells, fans the cells out
 over a process pool, merges results deterministically (tables are
 byte-identical to the sequential path), and memoizes every cell in a
-content-addressed on-disk cache keyed by config + repro version.
+content-addressed on-disk cache keyed by config + a hash of the package
+source, so a cached result never outlives the code that produced it.
 """
 
 from repro.parallel.cache import ResultCache
 from repro.parallel.executor import run_jobs
-from repro.parallel.jobs import CACHE_SCHEMA, SimJob
+from repro.parallel.jobs import SimJob
 from repro.parallel.worker import execute_job, result_from_dict
 
 __all__ = [
-    "CACHE_SCHEMA",
     "ResultCache",
     "SimJob",
     "execute_job",

@@ -1,8 +1,9 @@
 """Content-addressed on-disk result cache.
 
-Key = sha256 of the job's canonical config + the repro version + the cache
-schema (see :meth:`SimJob.cache_key`), so a sweep re-run after an unrelated
-code change is near-free while any config or version change misses cleanly.
+Key = sha256 of the job's canonical config (:meth:`SimJob.cache_key`, or
+any object with a ``cache_key()``) + a hash of the ``repro`` package's
+source, so a re-run of unchanged code is near-free while any config change
+or any edit to a ``.py`` file misses cleanly — nothing is bumped by hand.
 Values are the worker's JSON result dicts, stored one file per key under
 ``<root>/<key[:2]>/<key>.json`` (two-level fanout keeps directories small).
 
@@ -13,35 +14,53 @@ or unreadable entry is treated as a miss and overwritten.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Union
 
 from repro.parallel.jobs import SimJob
 
 
+@lru_cache(maxsize=None)
+def source_digest() -> str:
+    """sha256 over the sorted relative paths and bytes of every ``*.py``
+    file in the imported ``repro`` package.
+
+    Computed on the first cache lookup and memoised — never at import, so
+    uncached runs (``cache=None``) do not pay for it."""
+    import repro
+
+    root = Path(repro.__file__).parent
+    files = sorted((p.relative_to(root).as_posix().encode(), p) for p in root.rglob("*.py"))
+    h = hashlib.sha256()
+    for rel, path in files:
+        data = path.read_bytes()
+        # Length-prefixed, so no two file sets hash the same byte stream.
+        for part in (rel, data):
+            h.update(b"%d:" % len(part))
+            h.update(part)
+    return h.hexdigest()
+
+
 class ResultCache:
     """On-disk job-result store with hit/miss accounting."""
 
-    def __init__(
-        self,
-        root: Union[str, Path, None] = None,
-        *,
-        salt: str = "",
-    ) -> None:
+    def __init__(self, root: Union[str, Path, None] = None) -> None:
         if root is None:
             root = os.environ.get("REPRO_CACHE_DIR", ".repro-cache")
         self.root = Path(root)
-        self.salt = salt
         self.hits = 0
         self.misses = 0
 
     # -- lookup / store ----------------------------------------------------
 
     def path_for(self, job: SimJob) -> Path:
-        key = job.cache_key(self.salt)
+        blob = f"{job.cache_key()}|src={source_digest()}"
+        key = hashlib.sha256(blob.encode()).hexdigest()
         return self.root / key[:2] / f"{key}.json"
 
     def get(self, job: SimJob) -> Optional[dict]:

@@ -7,7 +7,7 @@ A :class:`SimJob` is everything needed to run one measurement — a
 No live objects cross the process boundary; the worker rebuilds the
 simulated world from the job alone, which is also what makes the job
 content-addressable (the cache key is a hash of this config plus the
-repro version).
+package's source, see :mod:`repro.parallel.cache`).
 """
 
 from __future__ import annotations
@@ -15,27 +15,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass
-from typing import Any, Optional, Union
+from typing import Optional, Union
 
-from repro import __version__
 from repro.faults.plan import FaultPlan
-
-#: Bump when the result wire format or job semantics change in a way that
-#: must invalidate previously cached results.
-#: 2: observability fields (metrics/obs/trace_truncated) joined the result
-#: wire format and SimJob gained the ``observe`` knob.
-#: 3: live recovery — fault plans gained the ``corrupts`` kind, results the
-#: ``failed_ranks``/``time_to_repair`` fields, SimJob the ``recover`` knob.
-#: 4: partition tolerance — fault plans gained ``partitions`` and the
-#: adaptive-detector scalars, results the ``false_kills``/``quorum_parks``
-#: fields and severed transport counters.
-#: 5: relaxed quorum collectives — SimJob gained the quorum policy knobs
-#: and the ``sgd`` kind; results the ``contributed_ranks``/
-#: ``staleness_epoch``/``late_merges`` provenance fields.
-#: 6: the string trace folded into the span stream — observed faulted
-#: results now carry zero-length ``fault`` spans (kills, retransmits,
-#: parked and abandoned sends, checksum rejects, suppressed duplicates).
-CACHE_SCHEMA = 6
 
 #: Algorithm-variant families resolvable by name in the worker
 #: (fig08 sweeps Intel's per-algorithm topology-aware variants).
@@ -49,7 +31,7 @@ class SimJob:
     kind: str = "collective"  # "collective" | "asp" | "sgd"
     machine: str = "cori"  # preset name: cori | stampede2 | psg | testbox
     nodes: Optional[int] = None  # None = the preset's default node count
-    nranks: Optional[int] = None  # None = all cores (or all GPUs when gpu)
+    nranks: Optional[int] = None  # None = presets.default_nranks
     library: str = "OMPI-adapt"
     operation: str = "bcast"
     nbytes: int = 4 << 20
@@ -60,11 +42,8 @@ class SimJob:
     noise_frequency: float = 10.0
     seed: int = 0
     gpu: bool = False
-    root: int = 0
-    op: str = "sum"  # reduce operator name (repro.mpi.ops)
     algo_family: Optional[str] = None  # one of ALGO_FAMILIES
     algo_variant: Optional[str] = None  # variant name within the family
-    collective_config: Optional[tuple[tuple[str, Any], ...]] = None
     fault_plan: Optional[FaultPlan] = None
     sanitize: bool = False
     time_limit: Optional[float] = None
@@ -97,12 +76,6 @@ class SimJob:
         # Tuples keep the config canonical (lists would hash differently).
         if isinstance(self.noise_ranks, list):
             object.__setattr__(self, "noise_ranks", tuple(self.noise_ranks))
-        if isinstance(self.collective_config, dict):
-            object.__setattr__(
-                self,
-                "collective_config",
-                tuple(sorted(self.collective_config.items())),
-            )
 
     def payload(self) -> dict:
         """Canonical JSON-able description — the content that is addressed."""
@@ -111,13 +84,9 @@ class SimJob:
             d["fault_plan"] = asdict(self.fault_plan)
         return d
 
-    def cache_key(self, salt: str = "") -> str:
-        """Content hash of this job, the repro version, and the schema.
-
-        Equal configs collide (that is the point: a re-run after an
-        unrelated code change is a cache hit); any config field, the
-        package version, or the schema changing yields a fresh key.
-        """
+    def cache_key(self) -> str:
+        """Content hash of this job's config: equal configs collide, any
+        field changing yields a fresh key. :class:`ResultCache` mixes in
+        the source hash, so a stored result never outlives its code."""
         blob = json.dumps(self.payload(), sort_keys=True)
-        tag = f"|repro={__version__}|schema={CACHE_SCHEMA}|{salt}"
-        return hashlib.sha256((blob + tag).encode()).hexdigest()
+        return hashlib.sha256(blob.encode()).hexdigest()

@@ -9,7 +9,7 @@ dict (the wire/cache format); ``result_from_dict`` turns one back into the
 
 from __future__ import annotations
 
-from repro.machine.presets import resolve
+from repro.machine.presets import default_nranks, resolve
 from repro.parallel.jobs import SimJob
 
 
@@ -33,25 +33,13 @@ def _custom_algorithm(job: SimJob):
         ) from None
 
 
-def _reduce_op(name: str):
-    from repro.mpi import ops
-
-    try:
-        op = getattr(ops, name.upper())
-    except AttributeError:
-        raise ValueError(f"unknown reduce op {name!r}") from None
-    if not isinstance(op, ops.ReduceOp):
-        raise ValueError(f"{name!r} is not a reduce op")
-    return op
-
-
 def execute_job(job: SimJob) -> dict:
     """Run one job to completion and return its serialized result."""
     spec = resolve(job.machine, job.nodes)
+    nranks = default_nranks(spec, job.nranks, job.gpu)
     if job.kind == "asp":
         from repro.apps.asp import run_asp
 
-        nranks = job.nranks if job.nranks is not None else spec.total_cores
         res = run_asp(
             spec,
             nranks,
@@ -64,15 +52,8 @@ def execute_job(job: SimJob) -> dict:
         out["kind"] = "asp"
         return out
 
-    from repro.config import DEFAULT_COLLECTIVE, CollectiveConfig
     from repro.harness.runner import run_collective
 
-    nranks = job.nranks
-    if nranks is None:
-        nranks = spec.total_gpus if job.gpu else spec.total_cores
-    config = DEFAULT_COLLECTIVE
-    if job.collective_config:
-        config = CollectiveConfig(**dict(job.collective_config))
     noise_ranks = (
         list(job.noise_ranks)
         if isinstance(job.noise_ranks, tuple)
@@ -97,7 +78,6 @@ def execute_job(job: SimJob) -> dict:
             fault_plan=job.fault_plan,
             sanitize=job.sanitize,
             time_limit=job.time_limit,
-            config=config,
         )
         out = res.to_dict()
         out["kind"] = "sgd"
@@ -115,9 +95,6 @@ def execute_job(job: SimJob) -> dict:
         noise_frequency=job.noise_frequency,
         seed=job.seed,
         gpu=job.gpu,
-        root=job.root,
-        op=_reduce_op(job.op),
-        config=config,
         custom_algorithm=_custom_algorithm(job),
         fault_plan=job.fault_plan,
         sanitize=job.sanitize,

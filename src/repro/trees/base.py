@@ -25,9 +25,6 @@ class Tree:
     def size(self) -> int:
         return len(self.parent)
 
-    def is_leaf(self, rank: int) -> bool:
-        return not self.children[rank]
-
     def is_root(self, rank: int) -> bool:
         return rank == self.root
 

@@ -149,27 +149,3 @@ def live_ring(members: Sequence[int], failed: Iterable[int]) -> list[int]:
     """
     dead = set(failed)
     return [m for m in members if m not in dead]
-
-
-def compact_subtree_tree(tree: Tree, failed: Iterable[int]) -> tuple[Tree, dict[int, int]]:
-    """A proper spanning tree over the survivors, relabelled ``0..k-1``.
-
-    Used by epoch-restart collectives that re-run a tree algorithm on the
-    shrunk membership: returns the relabelled tree plus the mapping from
-    new (dense) rank to original rank.  Raises if the root is dead — a
-    dead root means the collective is excused, not restarted.
-    """
-    dead = set(failed)
-    if tree.root in dead:
-        raise ValueError("cannot rebuild a survivor tree around a dead root")
-    rg = regraft_tree(tree, dead)
-    survivors = sorted(r for r in range(tree.size) if r not in dead)
-    to_new = {old: i for i, old in enumerate(survivors)}
-    parent: list[Optional[int]] = [None] * len(survivors)
-    for old in survivors:
-        p = rg.survivor.parent[old]
-        if p is not None:
-            parent[to_new[old]] = to_new[p]
-    new_tree = Tree.from_parents(parent, to_new[tree.root],
-                                 name=f"{tree.name}-survivors")
-    return new_tree, {i: old for old, i in to_new.items()}

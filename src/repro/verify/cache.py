@@ -1,12 +1,13 @@
 """Explored-state caching: skip re-exploration of unchanged models.
 
-The PR-3 result cache is duck-typed — it only ever calls
-``job.cache_key(salt)`` — so a tiny shim keyed by the *model fingerprint*
-(content hash of every op, guard, and the eager threshold) plugs
-verification results into the same content-addressed store the sweep
-executor uses. A re-verify after an unrelated code change is a warm hit;
-any change to the schedule's transition structure, the exploration mode,
-or the budget misses cleanly and re-explores.
+The sweep result cache (:class:`repro.parallel.ResultCache`) is
+duck-typed — it only ever calls ``job.cache_key()`` — so a tiny shim keyed
+by the *model fingerprint* (content hash of every op, guard, and the eager
+threshold) plugs verification results into the same content-addressed
+store the sweep executor uses. The store mixes in a hash of the package
+source, so a re-verify of unchanged code is a warm hit, while any source
+edit, or any change to the exploration mode or budget, misses cleanly
+and re-explores.
 
 Cached is the exploration *summary* (state counts, verdict, violation
 digests), never the per-state sets — enough to certify on a warm run and
@@ -24,9 +25,6 @@ from typing import Any, Optional
 from repro.verify.checker import Exploration, MatchEvent, Violation
 from repro.verify.model import ScheduleModel
 
-#: Bump when the cached verification summary's layout changes.
-VERIFY_SCHEMA = 1
-
 
 @dataclass(frozen=True)
 class VerifyKey:
@@ -36,7 +34,7 @@ class VerifyKey:
     mode: str
     max_states: int
 
-    def cache_key(self, salt: str = "") -> str:
+    def cache_key(self) -> str:
         blob = json.dumps(
             {
                 "fingerprint": self.fingerprint,
@@ -45,13 +43,11 @@ class VerifyKey:
             },
             sort_keys=True,
         )
-        tag = f"|verify-schema={VERIFY_SCHEMA}|{salt}"
-        return hashlib.sha256((blob + tag).encode()).hexdigest()
+        return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def exploration_to_summary(e: Exploration) -> dict[str, Any]:
     return {
-        "schema": VERIFY_SCHEMA,
         "fingerprint": e.model.fingerprint(),
         "mode": e.mode,
         "states_explored": e.states_explored,
@@ -75,12 +71,10 @@ def summary_to_exploration(
 ) -> Optional[Exploration]:
     """Rehydrate a cached summary against a freshly built model.
 
-    Returns None (a miss) when the summary predates the current schema or
-    was computed for a different transition system — the fingerprint check
-    makes a stale cache impossible to certify from.
+    Returns None (a miss) when the summary was computed for a different
+    transition system — the fingerprint check makes a stale cache
+    impossible to certify from.
     """
-    if summary.get("schema") != VERIFY_SCHEMA:
-        return None
     if summary.get("fingerprint") != model.fingerprint():
         return None
     e = Exploration(

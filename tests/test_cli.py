@@ -105,6 +105,22 @@ class TestCli:
         assert capsys.readouterr().out == first
         assert any((tmp_path / "cache").glob("*/*.json"))
 
+    def test_chaos_same_bytes_across_workers_and_cache(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # The fault-free run is one job and the primary + comparator runs
+        # one two-job batch, so REPRO_JOBS=2 really crosses a process.
+        argv = ["chaos", "bcast", "--kill-rank", "5", "--nodes", "2"]
+        outs = []
+        for jobs, cache in (("1", "c1"), ("2", "c2"), ("2", "c2")):
+            monkeypatch.setenv("REPRO_JOBS", jobs)
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / cache))
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert "DEGRADED" in outs[0] and "HUNG" in outs[0]
+        assert outs[0] == outs[1] == outs[2]  # the last run is all hits
+        assert len(list((tmp_path / "c2").glob("*/*.json"))) == 3
+
     def test_bench_allocator_json(self, tmp_path, capsys):
         out_path = tmp_path / "BENCH_core.json"
         assert main(["bench", "--section", "allocator",

@@ -5,9 +5,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.faults import FaultPlan, LossSpec
 from repro.harness.experiments import EXPERIMENTS
 from repro.parallel import (
@@ -38,10 +44,6 @@ class TestSimJob:
         ]
         keys = {base.cache_key()} | {v.cache_key() for v in variants}
         assert len(keys) == len(variants) + 1
-
-    def test_cache_key_salt(self):
-        job = SimJob()
-        assert job.cache_key() != job.cache_key(salt="other")
 
     def test_list_noise_ranks_canonicalized(self):
         assert (
@@ -79,11 +81,6 @@ class TestResultCache:
         back = cache.get(job)
         assert math.isinf(back["times"][0]) and back["times"][1] == 1.25
 
-    def test_salt_invalidates(self, tmp_path):
-        job = SimJob(machine="testbox")
-        ResultCache(tmp_path).put(job, {"kind": "collective", "x": 1})
-        assert ResultCache(tmp_path, salt="v2").get(job) is None
-
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         job = SimJob(machine="testbox")
@@ -102,6 +99,57 @@ class TestResultCache:
     def test_cache_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envcache"))
         assert ResultCache().root == tmp_path / "envcache"
+
+
+#: Prints the cache paths of a fixed SimJob and a fixed VerifyKey, after
+#: checking that importing the package did not hash its source.
+_KEY_SCRIPT = """
+import repro
+from repro.parallel import ResultCache, SimJob
+from repro.parallel.cache import source_digest
+from repro.verify import VerifyKey
+
+assert source_digest.cache_info().currsize == 0, "source hashed at import"
+cache = ResultCache("store")
+print(repro.__file__)
+print(cache.path_for(SimJob(machine="testbox", nbytes=4096)))
+print(cache.path_for(VerifyKey("f" * 64, "auto", 1000)))
+"""
+
+
+class TestSourceDerivedKey:
+    """The cache key follows the code: any source edit misses."""
+
+    def _paths(self, pkg_root):
+        env = {**os.environ, "PYTHONPATH": str(pkg_root)}
+        out = subprocess.run(
+            [sys.executable, "-c", _KEY_SCRIPT], env=env, cwd=pkg_root,
+            capture_output=True, text=True, check=True,
+        ).stdout.split()
+        assert out[0].startswith(str(pkg_root))  # the copy, not the tree
+        return out[1:]
+
+    def test_source_edit_changes_every_key(self, tmp_path):
+        pkg = tmp_path / "pkg"
+        shutil.copytree(Path(repro.__file__).parent, pkg / "repro",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        before = self._paths(pkg)
+        assert self._paths(pkg) == before  # untouched sources: same keys
+        with open(pkg / "repro" / "sim" / "engine.py", "ab") as fh:
+            fh.write(b"#")  # a one-byte comment
+        after = self._paths(pkg)
+        assert len(after) == 2
+        assert all(a != b for a, b in zip(after, before))
+
+    def test_uncached_runs_never_hash_the_source(self, monkeypatch):
+        from repro.parallel import cache as cache_mod
+
+        def boom():
+            raise AssertionError("source hashed without a cache")
+
+        monkeypatch.setattr(cache_mod, "source_digest", boom)
+        run_jobs([SimJob(machine="testbox", nbytes=1024, iterations=1)],
+                 n_jobs=1, cache=None)
 
 
 def _tiny_jobs(n=3):

@@ -33,11 +33,14 @@ def render(result) -> str:
 
 class TestGoldenAcrossWorkers:
     def test_bytes_identical_jobs_1_vs_2(self):
-        job = trace_job()
-        [seq] = run_jobs([job], n_jobs=1)
-        [par] = run_jobs([job], n_jobs=2)
-        assert render(seq) == render(par)
-        assert seq.obs == par.obs
+        # Two jobs, so n_jobs=2 really spawns a pool (run_jobs runs a lone
+        # pending job in-process whatever the worker count).
+        jobs = [trace_job(seed=7), trace_job(seed=8)]
+        par = run_jobs(jobs, n_jobs=2)
+        for job, res in zip(jobs, par):
+            [seq] = run_jobs([job], n_jobs=1)
+            assert render(res) == render(seq)
+            assert res.obs == seq.obs
 
     def test_bytes_identical_through_cli(self, tmp_path, capsys):
         out1 = tmp_path / "j1.json"
