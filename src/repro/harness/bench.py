@@ -49,7 +49,8 @@ _SIZES = {
 }
 
 #: The allocator scenario: enough flows with distinct caps that every call
-#: runs hundreds of fill rounds — the regime the heap variant targets.
+#: runs dozens of fill rounds. Every flow is its own ``(path, rate_cap)``
+#: class, the class solver's worst case.
 ALLOC_FLOWS = 512
 ALLOC_LINKS = 32
 
@@ -216,7 +217,8 @@ def allocator_scenario(
     nflows: int = ALLOC_FLOWS, nlinks: int = ALLOC_LINKS, seed: int = 7
 ) -> tuple[list[Flow], list[Link]]:
     """A dense, cap-diverse component: distinct per-flow caps force the
-    progressive filling to run many rounds per call."""
+    progressive filling to run many rounds per call, and make every flow a
+    class of one, so :func:`maxmin_rates` gains nothing from grouping."""
     rng = random.Random(seed)
     links = [Link(f"l{i}", 1e9 * (1 + i % 7)) for i in range(nlinks)]
     flows = []
@@ -266,9 +268,10 @@ def bench_scale(
     For each rank count: run ADAPT bcast/allreduce through the full harness
     (``for_ranks`` grows the preset's node count at its native ranks-per-node
     density) and report engine events/sec over the wall clock, plus max-min
-    allocation rounds/sec on a component sized to that world (the heap
-    tier's regime: every such component has at least ``_HEAP_THRESHOLD``
-    flows).
+    allocation rounds/sec on a component sized to that world. That component
+    is built like :func:`allocator_scenario`, one flow per class, so it
+    times the class solver at its worst case; real components of that size
+    fall into a few classes.
 
     Single-shot walls, not best-of-N: a 16K-rank bcast is tens of seconds,
     so repeating it would dominate the whole suite for ±10% noise that the

@@ -34,12 +34,14 @@ _NEVER = float("inf")
 # Hot-path sort keys (attrgetter beats an equivalent lambda per element).
 _BY_FID = attrgetter("fid")
 _BY_NAME = attrgetter("name")
-_BY_CAP_FID = attrgetter("rate_cap", "fid")
+_BY_CAP = attrgetter("rate_cap")
 
 
-# Components below this flow count use the flat-scan variant: the heap's
-# setup cost (heapify, stamps, touched-set upkeep) only pays off once the
-# per-round O(links + flows) rescan it replaces is large enough.
+# Components of at least this many flows skip the shape cache in
+# ``_maxmin_cached``, which bounds the cache's memory.
+# The name predates the class solver (it once picked a heap tier) and
+# stays because perfbench/tracer.py reads it, like the two inert names
+# below, to label ``net.solves.scan/.heap/.vec``.
 _HEAP_THRESHOLD = 96
 
 # perfbench/tracer.py reads these; they go when it drops net.solves.vec.
@@ -52,189 +54,134 @@ def maxmin_rates(flows: Sequence[Flow], links: Sequence[Link]) -> dict[Flow, flo
 
     Pure function (does not mutate flows/links); exposed separately so the
     property-based tests can check the allocation invariants directly.
+    ``flows`` lists each flow once.
 
-    Incremental progressive filling: instead of rescanning every link and
-    every unfixed flow on each fill round (the reference implementation
-    below, O(rounds x (links + flows))), the bottleneck link comes from a
-    lazily-invalidated heap of per-link shares — only links whose remaining
-    capacity or unfixed count changed get a fresh entry — and the smallest
-    unfixed cap comes from a list pre-sorted by (rate_cap, fid) walked by a
-    monotone pointer, so ``cap_flow`` costs amortised O(1) instead of an
-    O(flows) ``min()`` scan per round (and is never computed eagerly when
-    the bottleneck branch wins). Components below ``_HEAP_THRESHOLD`` flows
-    (the common case on topology-aware trees) dispatch to a flat-scan
-    variant that keeps the lazy-cap optimization but skips the heap. Fix
-    order and float arithmetic match :func:`maxmin_rates_reference`
-    exactly: ties between equal shares resolve to the earliest link in
-    ``links`` order, and flows fix in fid order within a round, so both
-    tiers return bit-identical rates (DESIGN.md §23).
+    Progressive filling over flow *classes*: flows with the same path and
+    the same rate cap always fix together at the same rate, so the solver
+    groups them and counts each link's unfixed flows as sums of class
+    sizes. The bottleneck link comes from a lazily invalidated heap of
+    link shares (an entry is live while its link's unfixed count is the
+    one it was pushed with); the smallest unfixed cap comes from the
+    classes in cap order, walked by a monotone pointer.
+    Fix order and float arithmetic match :func:`maxmin_rates_reference`
+    exactly (DESIGN.md §23): ties between equal shares go to the earliest
+    link in ``links`` order; a class of k flows fixed at one rate repeats
+    the reference's k clamped subtractions on each link it crosses; a cap
+    round that fixes different caps subtracts flow by flow in fid order;
+    and a link that a one-rate round leaves with no unfixed flow skips its
+    subtractions, because its residual is never read again.
     """
-    if len(flows) < _HEAP_THRESHOLD:
-        return _maxmin_scan(flows, links)
-    return _maxmin_heap(flows, links)
-
-
-def _capped(
-    by_cap: list[Flow], j: int, rates: dict[Flow, float], threshold: float
-) -> list[Flow]:
-    """The unfixed flows of ``by_cap[j:]`` capped at or below ``threshold``,
-    in fid order (``by_cap`` is sorted by cap, so the walk stops early)."""
-    batch = []
-    while j < len(by_cap):
-        f = by_cap[j]
-        if f not in rates:
-            if f.rate_cap > threshold:
-                break
-            batch.append(f)
-        j += 1
-    batch.sort(key=_BY_FID)
-    return batch
-
-
-def _maxmin_scan(flows: Sequence[Flow], links: Sequence[Link]) -> dict[Flow, float]:
-    """Progressive filling with per-round link rescans but lazy cap lookup."""
-    remaining_cap = {link: link.capacity for link in links}
-    unfixed_per_link: dict[Link, int] = {link: 0 for link in links}
-    for f in flows:
-        for link in f.path:
-            if link in unfixed_per_link:
-                unfixed_per_link[link] += 1
-    rates: dict[Flow, float] = {}
-    by_cap = sorted(set(flows), key=_BY_CAP_FID)
-    n_unfixed = len(by_cap)
-    cap_ptr = 0
-
-    nflows = len(by_cap)
-
-    def _fix(flow: Flow, rate: float) -> None:
-        nonlocal n_unfixed
-        rates[flow] = rate
-        n_unfixed -= 1
-        for link in flow.path:
-            if link in remaining_cap:
-                r = remaining_cap[link] - rate
-                remaining_cap[link] = r if r > 0.0 else 0.0
-                unfixed_per_link[link] -= 1
-
-    while n_unfixed > 0:
-        # Bottleneck share over links that still carry unfixed flows.
-        bottleneck_share: Optional[float] = None
-        bottleneck_link: Optional[Link] = None
-        for link in links:
-            n = unfixed_per_link[link]
-            if n <= 0:
-                continue
-            share = remaining_cap[link] / n
-            if bottleneck_share is None or share < bottleneck_share:
-                bottleneck_share = share
-                bottleneck_link = link
-        # Lazy cap_flow: the monotone pointer replaces an O(flows) min().
-        while cap_ptr < nflows and by_cap[cap_ptr] in rates:
-            cap_ptr += 1
-
-        if bottleneck_share is None:
-            # No shared constrained link (e.g. synthetic test flows): caps rule.
-            for f in by_cap[cap_ptr:]:
-                if f not in rates:
-                    _fix(f, f.rate_cap)
-        elif by_cap[cap_ptr].rate_cap <= bottleneck_share:
-            # Cap-limited flows fix first (standard capped progressive fill).
-            for f in _capped(by_cap, cap_ptr, rates, bottleneck_share):
-                _fix(f, f.rate_cap)
-        else:
-            assert bottleneck_link is not None
-            batch = sorted(
-                {f for f in flows if bottleneck_link in f.path and f not in rates},
-                key=_BY_FID,
-            )
-            for f in batch:
-                _fix(f, bottleneck_share)
-    return rates
-
-
-def _maxmin_heap(flows: Sequence[Flow], links: Sequence[Link]) -> dict[Flow, float]:
-    """Progressive filling with a lazily-invalidated heap of link shares."""
     nlinks = len(links)
-    link_index: dict[Link, int] = {}
-    for i, link in enumerate(links):
-        link_index[link] = i
+    # Reverse walk so a link listed twice keeps its first position.
+    index = {links[i]: i for i in range(nlinks - 1, -1, -1)}.get
     remaining = [link.capacity for link in links]
     count = [0] * nlinks
-    flows_on: list[list[Flow]] = [[] for _ in range(nlinks)]
-    for f in flows:
-        for link in f.path:
-            i = link_index.get(link)
-            if i is not None:
-                count[i] += 1
-                flows_on[i].append(f)
+    on: list[list[int]] = [[] for _ in range(nlinks)]  # classes per link
 
-    rates: dict[Flow, float] = {}
-    by_cap = sorted(set(flows), key=_BY_CAP_FID)
-    n_unfixed = len(by_cap)
-    nflows = n_unfixed
-    cap_ptr = 0
+    # Classes in cap order: sort the flows by cap and open a class on each
+    # new (cap, path) pair; consecutive flows of one class skip the lookup.
+    # The cap walk reads only the smallest unfixed cap and the classes at
+    # or below the share, so classes of equal cap may come in any order.
+    by_cap = sorted(flows, key=_BY_CAP)
+    cls_of: list[int] = []  # the class of each flow of by_cap
+    members: list[list[Flow]] = []
+    caps: list[float] = []
+    last_cap = last_path = None
+    run: Optional[dict] = None  # path -> class, within one cap
+    c = 0
+    for f in by_cap:
+        cap = f.rate_cap
+        path = f.path
+        if cap != last_cap:
+            last_cap, last_path, run = cap, path, None
+            c = len(caps)
+        elif path != last_path:
+            if run is None:
+                run = {last_path: c}
+            last_path = path
+            c = run.setdefault(path, len(caps))
+        if c < len(caps):
+            members[c].append(f)
+        else:
+            members.append([f])
+            caps.append(cap)
+        cls_of.append(c)
+    ncls = len(caps)
+    cls_links: list[list[int]] = []  # link positions, with multiplicity
+    for c in range(ncls):
+        idx = list(map(index, members[c][0].path))
+        if None in idx:  # a path link outside ``links``
+            idx = [i for i in idx if i is not None]
+        cls_links.append(idx)
+        k = len(members[c])
+        for i in idx:
+            count[i] += k
+            on[i].append(c)
 
-    # (share, link index, stamp) entries; an entry is stale when its stamp
-    # no longer matches the link's. Index breaks share ties exactly like the
-    # reference's first-smallest-wins scan over ``links``.
-    stamp = [0] * nlinks
-    heap = [
-        (remaining[i] / count[i], i, 0) for i in range(nlinks) if count[i] > 0
-    ]
+    heap = [(remaining[i] / n, i, n) for i, n in enumerate(count) if n]
     heapq.heapify(heap)
     heappush, heappop = heapq.heappush, heapq.heappop
-    touched: set[int] = set()
+    rate: list[Optional[float]] = [None] * ncls
+    n_unfixed = ncls
+    ptr = 0
 
-    def _fix(flow: Flow, rate: float) -> None:
-        nonlocal n_unfixed
-        rates[flow] = rate
-        n_unfixed -= 1
-        for link in flow.path:
-            i = link_index.get(link)
-            if i is not None:
-                r = remaining[i] - rate
-                remaining[i] = r if r > 0.0 else 0.0
-                count[i] -= 1
-                touched.add(i)
+    while n_unfixed:
+        # Bottleneck share: pop entries whose link has changed since.
+        while heap and heap[0][2] != count[heap[0][1]]:
+            heappop(heap)
+        while rate[ptr] is not None:
+            ptr += 1
 
-    while n_unfixed > 0:
-        # Current bottleneck share: pop stale entries until a live one tops.
-        bottleneck_share: Optional[float] = None
-        bottleneck_idx = -1
-        while heap:
-            share, i, s = heap[0]
-            if s != stamp[i] or count[i] <= 0:
-                heappop(heap)
-                continue
-            bottleneck_share = share
-            bottleneck_idx = i
-            break
-        # Lazy cap_flow: advance the monotone pointer past fixed flows.
-        while cap_ptr < nflows and by_cap[cap_ptr] in rates:
-            cap_ptr += 1
-
-        if bottleneck_share is None:
+        if not heap:
             # No shared constrained link (e.g. synthetic test flows): caps rule.
-            for f in by_cap[cap_ptr:]:
-                if f not in rates:
-                    _fix(f, f.rate_cap)
-        elif by_cap[cap_ptr].rate_cap <= bottleneck_share:
-            # Cap-limited flows fix first (standard capped progressive fill).
-            for f in _capped(by_cap, cap_ptr, rates, bottleneck_share):
-                _fix(f, f.rate_cap)
+            for c in range(ptr, ncls):
+                if rate[c] is None:
+                    rate[c] = caps[c]
+            break
+        share, b, _ = heap[0]
+        batch = []
+        if caps[ptr] <= share:
+            # Cap-limited classes fix first (standard capped progressive fill).
+            for c in range(ptr, ncls):
+                if caps[c] > share:
+                    break
+                if rate[c] is None:
+                    rate[c] = caps[c]
+                    batch.append(c)
+            # One rate for the round unless the batch spans several caps.
+            value = caps[batch[0]] if caps[batch[0]] == caps[batch[-1]] else None
         else:
-            batch = sorted(
-                {f for f in flows_on[bottleneck_idx] if f not in rates},
-                key=_BY_FID,
-            )
-            for f in batch:
-                _fix(f, bottleneck_share)
-        for i in touched:
-            stamp[i] += 1
-            if count[i] > 0:
-                heappush(heap, (remaining[i] / count[i], i, stamp[i]))
-        touched.clear()
-    return rates
+            for c in on[b]:
+                if rate[c] is None:
+                    rate[c] = share
+                    batch.append(c)
+            value = share
+        n_unfixed -= len(batch)
+
+        hits: dict[int, int] = {}
+        for c in batch:
+            k = len(members[c])
+            for i in cls_links[c]:
+                hits[i] = hits.get(i, 0) + k
+        if value is None:
+            # Several caps: on a shared link the reference's fid order matters.
+            for _, c in sorted((f.fid, c) for c in batch for f in members[c]):
+                v = caps[c]
+                for i in cls_links[c]:
+                    r = remaining[i] - v
+                    remaining[i] = r if r > 0.0 else 0.0
+        for i, m in hits.items():
+            n = count[i] - m
+            count[i] = n
+            if n:
+                r = remaining[i]
+                if value is not None:
+                    for _ in range(m):
+                        r = r - value
+                        r = r if r > 0.0 else 0.0
+                    remaining[i] = r
+                heappush(heap, (r / n, i, n))
+    return dict(zip(by_cap, map(rate.__getitem__, cls_of)))
 
 
 def maxmin_rates_reference(
@@ -714,7 +661,8 @@ class FairShareNetwork:
     def _maxmin_cached(
         self, comp_flows: list[Flow], comp_links: list[Link]
     ) -> list[float]:
-        """Shape-cached :func:`maxmin_rates` for small components.
+        """Shape-cached :func:`maxmin_rates` for components under
+        ``_HEAP_THRESHOLD`` flows.
 
         Returns rates aligned with ``comp_flows`` (fid order). The key is
         exactly the allocator's input: per flow its rate cap and its path
@@ -723,13 +671,14 @@ class FairShareNetwork:
         keys replay identical progressive filling, so cached rates are
         bit-identical to a fresh run. Pipelined collectives cycle through a
         few dozen recurring shapes per node, so the hit rate is ~100%.
+        Larger components are solved directly, uncached, which bounds the
+        cache's memory; they fall into a few classes, which the solver
+        fixes in a few rounds.
         """
         nflows = len(comp_flows)
         if nflows >= _HEAP_THRESHOLD:
-            # Large components: key-build cost and entry memory stop paying
-            # for themselves; go straight to the heap variant.
             rates = maxmin_rates(comp_flows, comp_links)
-            return [rates[f] for f in comp_flows]
+            return list(map(rates.__getitem__, comp_flows))
         shape: list = []
         for f in comp_flows:
             shape.append(f.rate_cap)

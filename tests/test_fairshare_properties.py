@@ -6,18 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network import FairShareNetwork, Flow, Link
-from repro.network.fairshare import (
-    _maxmin_heap,
-    _maxmin_scan,
-    maxmin_rates,
-    maxmin_rates_reference,
-)
-
-#: Every production allocator implementation; each must be bit-for-bit the
-#: reference allocation regardless of where the dispatch threshold sits.
-_VARIANTS = [_maxmin_scan, _maxmin_heap]
+from repro.harness.runner import run_collective
+from repro.machine import for_ranks
+from repro.network import FairShareNetwork, Flow, Link, fairshare
+from repro.network.fairshare import maxmin_rates, maxmin_rates_reference
 from repro.sim import Engine
+
+#: The production allocator; it must be bit-for-bit the reference
+#: allocation on every input.
+_VARIANTS = [maxmin_rates]
 
 
 def build_scenario(link_caps, flow_specs):
@@ -174,8 +171,8 @@ def _fuzz_component(rng, nflows, nlinks):
 @pytest.mark.parametrize("variant", _VARIANTS)
 @pytest.mark.parametrize("nflows,nlinks", [(3, 2), (40, 8), (150, 16)])
 def test_all_variants_match_reference(variant, nflows, nlinks):
-    """Every implementation is exercised directly at every size — the
-    dispatch thresholds must never hide a divergence in any path."""
+    """Random components at several sizes, one flow per class almost
+    always (every flow draws its own cap)."""
     rng = random.Random(nflows * 1000 + nlinks)
     for _ in range(25):
         flows, links = _fuzz_component(rng, nflows, nlinks)
@@ -199,11 +196,11 @@ def _alltoall_component(nflows, nlinks):
     return flows, links
 
 
-@pytest.mark.parametrize("variant", _VARIANTS + [maxmin_rates])
+@pytest.mark.parametrize("variant", _VARIANTS)
 def test_variants_match_reference_large_component(variant):
     """512+ flow components, and one at the 4K+ size of a 128-rank
-    alltoall's components — where the heap tier's lazy invalidation and
-    round batching actually engage, through the default dispatch too."""
+    alltoall's components, where thousands of flows fall into a few
+    classes and the heap's lazy invalidation and round batching engage."""
     rng = random.Random(99)
     components = [_fuzz_component(rng, 520 + 8 * trial, 24) for trial in range(3)]
     components.append(_alltoall_component(4200, 7))
@@ -226,7 +223,7 @@ def test_variants_single_flow_component(variant):
 def test_variants_zero_capacity_link(variant):
     """The Link constructor rejects non-positive capacities, but fault
     handling can zero one in place (a dead link mid-heal); flows crossing it
-    must get rate 0 in every implementation, others keep their fair share."""
+    must get rate 0, others keep their fair share."""
     links, flows = build_scenario(
         [1e9, 1e9],
         [([0], 1e8), ([0, 1], 1e9), ([1], 5e8), ([1], 2e8)],
@@ -236,6 +233,95 @@ def test_variants_zero_capacity_link(variant):
     assert variant(flows, links) == ref
     assert ref[flows[0]] == 0.0 and ref[flows[1]] == 0.0
     assert ref[flows[2]] > 0.0 and ref[flows[3]] > 0.0
+
+
+def _class_component(rng, nflows):
+    """A component whose flows fall into a few ``(path, rate_cap)`` classes.
+
+    Flows draw from 1-5 paths and 1-4 caps. Some paths repeat a link, and
+    some components hold a zero-capacity link. Half the cap pools sit below
+    the links' fair share, so one cap round can fix classes of different
+    caps that share a link.
+    """
+    nlinks = rng.randint(1, 6)
+    # Round capacities tie link shares; random ones make fid order matter.
+    links = [
+        Link(f"l{i}", rng.choice([1e9, 2e9, rng.uniform(1e9, 1e10)]))
+        for i in range(nlinks)
+    ]
+    if rng.random() < 0.2:
+        links[rng.randrange(nlinks)].capacity = 0.0
+    paths = []
+    for _ in range(rng.randint(1, 5)):
+        path = [rng.choice(links) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.3:
+            path.append(path[0])  # a link crossed twice
+        paths.append(path)
+    if rng.random() < 0.5:
+        low = 1e9 / max(nflows, 1)  # below the fair share on a busy link
+        pool = [low * rng.uniform(0.2, 1.0) for _ in range(rng.randint(2, 4))]
+    else:
+        pool = [rng.choice([1e8, 5e8, 1e9, 1e15]) for _ in range(rng.randint(1, 4))]
+    fids = rng.sample(range(10 * nflows), nflows)  # classes interleave by fid
+    flows = []
+    for fid in fids:
+        f = Flow(fid, rng.choice(paths), 1000, rng.choice(pool), lambda fl: None)
+        flows.append(f)
+        for link in f.path:
+            link.flows.add(f)
+    return flows, links
+
+
+def _mixed_cap_round(flows, links):
+    """True if the reference's first round fixes two different caps that
+    share a link (the case the solver subtracts flow by flow, in fid order)."""
+    count = {link: sum(f.path.count(link) for f in flows) for link in links}
+    shares = [link.capacity / n for link, n in count.items() if n]
+    if not shares:
+        return False
+    fixed = [f for f in flows if f.rate_cap <= min(shares)]
+    return any(
+        len({f.rate_cap for f in fixed if link in f.path}) > 1 for link in links
+    )
+
+
+def test_class_heavy_components_match_reference():
+    """Seeded differential fuzz on components of few classes and up to 300
+    flows; the Hypothesis strategies above almost never repeat a class."""
+    rng = random.Random(2018)
+    seen = {"mixed_cap_round": 0, "duplicate_link": 0, "zero_capacity": 0}
+    for _ in range(400):
+        flows, links = _class_component(rng, rng.randint(1, 300))
+        assert maxmin_rates(flows, links) == maxmin_rates_reference(flows, links)
+        seen["mixed_cap_round"] += _mixed_cap_round(flows, links)
+        seen["duplicate_link"] += any(len(set(f.path)) < len(f.path) for f in flows)
+        seen["zero_capacity"] += any(link.capacity == 0.0 for link in links)
+    # The fuzz really reaches the three edge cases it exists for.
+    assert min(seen.values()) >= 20, seen
+
+
+def test_live_alltoall_components_match_reference(monkeypatch):
+    """Every component a 16-rank 64 KiB ADAPT alltoall rebalances, also
+    solved by the reference: the real class mix, not a synthetic one. The
+    shape cache is bypassed (its gate patched to 1 flow) so repeated shapes
+    are solved, and checked, each time."""
+    solved = []
+
+    def checked(flows, links):
+        rates = maxmin_rates(flows, links)
+        assert rates == maxmin_rates_reference(flows, links)
+        solved.append(len(flows))
+        return rates
+
+    monkeypatch.setattr(fairshare, "maxmin_rates", checked)
+    monkeypatch.setattr(fairshare, "_HEAP_THRESHOLD", 1)
+    res = run_collective(
+        for_ranks("cori", 16), 16, "OMPI-adapt", "alltoall", nbytes=64 << 10,
+        iterations=1,
+    )
+    assert res.mean_time > 0.0
+    # Hundreds of solves, the largest of 16 flows.
+    assert len(solved) > 100 and max(solved) >= 16
 
 
 def test_flow_rate_zero_parks_until_capacity_frees():

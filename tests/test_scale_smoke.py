@@ -2,15 +2,16 @@
 
 Three properties of a world two orders of magnitude past the unit-test
 sizes, where the perf machinery (epoch draining, shape cache, lazy
-drain, tiered allocation) actually engages:
+drain, the class solver) actually engages:
 
 * a 4096-rank ADAPT bcast **completes** and fully drains the engine;
 * the simulation is **deterministic**: two identical runs serialize to
   byte-identical result dicts (the golden-trace property at scale);
-* the heap allocator tier is a **bit-exact oracle**: forcing every
-  component through ``_maxmin_heap`` (``_HEAP_THRESHOLD`` patched to 1,
-  which also bypasses the shape cache) reproduces the default dispatch's
-  result dict exactly — same floats, same event counts.
+* the shape cache is **transparent**: solving every component afresh
+  (``_HEAP_THRESHOLD``, the cache's size gate, patched to 1 flow, so no
+  component is cached) reproduces the default run's result dict exactly —
+  same floats, same event counts. The gate's name is older than the class
+  solver; there is one solver, so the patch selects no other tier.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ def test_4k_bcast_deterministic_and_heap_bit_identical(monkeypatch):
     again = _run(1 << 16).to_dict()
     assert again == base
 
-    # Route every component — even single-flow ones — through the heap
-    # variant, with the shape cache bypassed as a side effect.
+    # Solve every component, even single-flow ones, without the shape
+    # cache.
     monkeypatch.setattr(fairshare, "_HEAP_THRESHOLD", 1)
     heap = _run(1 << 16).to_dict()
     assert heap == base
