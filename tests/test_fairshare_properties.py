@@ -1,6 +1,7 @@
 """Property-based tests on the max-min fair allocator and flow dynamics."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,9 +13,33 @@ from repro.network import FairShareNetwork, Flow, Link, fairshare
 from repro.network.fairshare import maxmin_rates, maxmin_rates_reference
 from repro.sim import Engine
 
-#: The production allocator; it must be bit-for-bit the reference
-#: allocation on every input.
-_VARIANTS = [maxmin_rates]
+
+def _dispatch(flows, links, gate):
+    """Rates from ``FairShareNetwork._maxmin_cached`` with its shape-cache
+    gate at ``gate`` flows, as a flow -> rate dict. Solved twice, so a
+    cached component also replays its cache hit."""
+    net = FairShareNetwork(Engine())
+    with mock.patch.object(fairshare, "_HEAP_THRESHOLD", gate):
+        first = net._maxmin_cached(flows, links)
+        again = net._maxmin_cached(flows, links)
+    assert again == first
+    return dict(zip(flows, first))
+
+
+def _maxmin_scan(flows, links):
+    """The cached leg (the solves perfbench counts as ``net.solves.scan``),
+    at every component size."""
+    return _dispatch(flows, links, float("inf"))
+
+
+def _maxmin_heap(flows, links):
+    """The uncached leg (``net.solves.heap``), at every component size."""
+    return _dispatch(flows, links, 1)
+
+
+#: Both legs of the production dispatch; each must be bit-for-bit the
+#: reference allocation regardless of where the cache gate sits.
+_VARIANTS = [_maxmin_scan, _maxmin_heap]
 
 
 def build_scenario(link_caps, flow_specs):
@@ -196,7 +221,7 @@ def _alltoall_component(nflows, nlinks):
     return flows, links
 
 
-@pytest.mark.parametrize("variant", _VARIANTS)
+@pytest.mark.parametrize("variant", _VARIANTS + [maxmin_rates])
 def test_variants_match_reference_large_component(variant):
     """512+ flow components, and one at the 4K+ size of a 128-rank
     alltoall's components, where thousands of flows fall into a few
