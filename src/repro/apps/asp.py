@@ -9,8 +9,8 @@ broadcast implementation dominates the runtime (Table 1).
 Two entry points:
 
 * :func:`run_asp` — the performance experiment: iterations run through the
-  simulator with per-rank chaining (a rank starts iteration k+1's broadcast
-  as soon as it finished its iteration-k compute), reproducing Table 1's
+  harness's per-rank chain (a rank starts iteration k+1's broadcast as
+  soon as it finished its iteration-k compute), reproducing Table 1's
   communication/total split. The problem is scaled down from the paper's
   256K (DESIGN.md documents the scaling); the per-iteration compute time is
   the workload constant the paper's Table 1 implies (total - communication
@@ -27,10 +27,9 @@ from typing import Union
 import numpy as np
 
 from repro.config import DEFAULT_COLLECTIVE, CollectiveConfig
+from repro.harness.runner import _build_world, _chain
 from repro.libraries.presets import LibraryModel, library_by_name
 from repro.machine.spec import MachineSpec
-from repro.mpi.communicator import Communicator
-from repro.mpi.runtime import MpiWorld
 
 
 @dataclass
@@ -79,56 +78,17 @@ def run_asp(
     """
     if isinstance(library, str):
         library = library_by_name(library)
-    world = MpiWorld(spec, nranks, carry_data=False)
-    comm = Communicator(world)
+    world, comm, injectors, deadline = _build_world(spec, nranks)
     rows_per_rank = max(1, iterations // nranks)
 
-    # Per-rank iteration chaining: enter bcast k, on completion compute, then
-    # enter bcast k+1.
-    preps = [None] * iterations
-    handles = [None] * iterations
-
-    def owner(k: int) -> int:
-        return (k // rows_per_rank) % nranks
-
-    def get_prep(k: int):
-        if preps[k] is None:
-            preps[k] = library.bcast(comm, owner(k), row_bytes, config)
-        return preps[k]
-
-    def chain(handle, k: int) -> None:
-        def rank_done(local: int, _time: float) -> None:
-            rt = world.ranks[comm.world_rank(local)]
-            if k + 1 < iterations:
-                def enter_next() -> None:
-                    nxt = get_prep(k + 1)
-                    if nxt.chain_ranks is None or local in nxt.chain_ranks:
-                        h = nxt.launch(ranks=[local])
-                        if handles[k + 1] is None:
-                            handles[k + 1] = h
-                            chain(h, k + 1)
-                    elif handles[k + 1] is None:
-                        # Ensure the next iteration's handle exists even when
-                        # this rank is not self-starting.
-                        handles[k + 1] = nxt.launch(ranks=[])
-                        chain(handles[k + 1], k + 1)
-                rt.cpu.execute(compute_per_iteration, enter_next)
-            else:
-                # Final iteration: the relaxation still takes time; schedule
-                # a no-op completion so the clock covers it.
-                rt.cpu.execute(compute_per_iteration, lambda: None)
-
-        handle.on_rank_done.append(rank_done)
-        for local, t in list(handle.done_time.items()):
-            rank_done(local, t)
+    def bcast_row(k: int):
+        # Rotating root: the owner of row k broadcasts it.
+        return library.bcast(comm, (k // rows_per_rank) % nranks, row_bytes, config)
 
     start = world.engine.now
-    h0 = get_prep(0).launch()
-    handles[0] = h0
-    chain(h0, 0)
-    world.run()
-    h_last = handles[-1]
-    if h_last is None or not h_last.done:  # pragma: no cover - defensive
+    handles, _ = _chain(world, comm, bcast_row, iterations, injectors, deadline,
+                        gap=compute_per_iteration)
+    if handles[-1] is None or not handles[-1].done:  # pragma: no cover
         raise RuntimeError(f"ASP with {library.name} did not complete")
     total = world.engine.now - start
     return AspResult(

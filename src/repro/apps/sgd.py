@@ -12,8 +12,8 @@ it to an accounted discard.
 
 Two entry points, mirroring :mod:`repro.apps.asp`:
 
-* :func:`run_sgd` — the timed experiment: epochs run through the simulator
-  with per-rank chaining; the run's *provenance* (which rank contributed to
+* :func:`run_sgd` — the timed experiment: epochs run through the harness's
+  per-rank chain; the run's *provenance* (which rank contributed to
   which epoch, which gradients merged late and where) then drives a real
   numpy replay of the optimization, so the reported ``excess_loss`` is the
   genuine numerical cost of the staleness the schedule produced. The model
@@ -30,14 +30,11 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.config import DEFAULT_COLLECTIVE, CollectiveConfig, RuntimeConfig
-from repro.faults.injector import FaultInjector
+from repro.config import DEFAULT_COLLECTIVE, CollectiveConfig
 from repro.faults.plan import FaultPlan
+from repro.harness.runner import _build_world, _chain
 from repro.libraries.presets import library_by_name, prepare_operation
 from repro.machine.spec import MachineSpec
-from repro.mpi.communicator import Communicator
-from repro.mpi.runtime import MpiWorld
-from repro.noise.injector import NoiseInjector
 
 #: Model-problem dimensionality: small enough that the replay is free, large
 #: enough that seeded targets are in general position.
@@ -139,41 +136,11 @@ def run_sgd(
     comparator); anything else relaxes the gradient averaging with
     :func:`~repro.relaxed.allreduce_quorum` under the given policy.
     """
-    from repro.harness.runner import _drive
-
-    reliable = bool(
-        fault_plan is not None
-        and (fault_plan.losses or fault_plan.corrupts or fault_plan.partitions)
+    world, comm, injectors, deadline = _build_world(
+        spec, nranks, fault_plan=fault_plan, time_limit=time_limit,
+        noise_percent=noise_percent, noise_ranks=noise_ranks,
+        noise_frequency=noise_frequency, seed=seed, sanitize=sanitize,
     )
-    if (
-        fault_plan is not None
-        and (fault_plan.kills or fault_plan.partitions)
-        and time_limit is None
-    ):
-        time_limit = 10.0
-    world = MpiWorld(
-        spec, nranks, config=RuntimeConfig(reliable=reliable),
-        carry_data=False, sanitize=sanitize,
-    )
-    comm = Communicator(world)
-    injectors: list = []
-    if fault_plan is not None:
-        injectors.append(FaultInjector(world, fault_plan))
-    if noise_percent > 0:
-        if noise_ranks == "per-node":
-            targets = sorted(
-                {min(world.topology.ranks_on_node(n))
-                 for n in range(spec.nodes)
-                 if world.topology.ranks_on_node(n)}
-            )
-        elif noise_ranks == "all":
-            targets = list(range(nranks))
-        else:
-            targets = list(noise_ranks)
-        injectors.append(NoiseInjector(
-            world, noise_percent, frequency_hz=noise_frequency, seed=seed,
-            ranks=targets,
-        ))
     library = library_by_name("OMPI-adapt")
     if quorum is None:
         prepare = prepare_operation(library, "allreduce")
@@ -186,69 +153,27 @@ def run_sgd(
                                 staleness_window=staleness_window),
         )
 
-    preps = [None] * epochs
-    handles = [None] * epochs
-
-    def get_prep(k: int):
-        if preps[k] is None:
-            preps[k] = prepare(comm, 0, grad_bytes, config)
-        return preps[k]
-
-    def enter(local: int, k: int) -> None:
-        h = get_prep(k).launch(ranks=[local])
-        if handles[k] is None:
-            handles[k] = h
-            chain(h, k)
-
-    def chain(handle, k: int) -> None:
-        def rank_done(local: int, _time: float) -> None:
-            rt = world.ranks[comm.world_rank(local)]
-            if k + 1 < epochs:
-                rt.cpu.execute(
-                    compute_per_epoch, lambda: enter(local, k + 1)
-                )
-
-        handle.on_rank_done.append(rank_done)
-        for local, t in list(handle.done_time.items()):
-            rank_done(local, t)
-
     # Every rank computes its first gradient, then enters epoch 0.
     start = world.engine.now
-    for local in range(nranks):
-        world.ranks[comm.world_rank(local)].cpu.execute(
-            compute_per_epoch, lambda local=local: enter(local, 0)
-        )
-    deadline = (start + time_limit) if time_limit is not None else None
-    last = epochs - 1
-
-    def all_done() -> bool:
-        h = handles[last]
-        return h is not None and h.done
-
-    _drive(world, injectors, all_done, deadline)
-    world.run()
-
+    handles, epoch_times = _chain(
+        world, comm, lambda _k: prepare(comm, 0, grad_bytes, config), epochs,
+        injectors, deadline, gap=compute_per_epoch, lead=True,
+    )
     result = SgdResult(
         nranks=nranks, epochs=epochs, grad_bytes=grad_bytes,
         quorum=quorum, min_quorum=min_quorum,
         staleness_window=staleness_window,
-        noise_percent=noise_percent, seed=seed,
+        noise_percent=noise_percent, seed=seed, epoch_times=epoch_times,
     )
-    result.completed = all_done()
+    result.completed = handles[-1] is not None and handles[-1].done
     # Completion is measured from the handles, not ``engine.now`` — the
     # drive loop runs in coarse horizons and the world keeps draining
     # detector timers long after the last epoch seals.
-    prev = start
-    for h in handles:
-        if h is not None and h.done and h.done_time:
-            e = max(h.done_time.values())
-            result.epoch_times.append(max(e - prev, 0.0))
-            prev = max(prev, e)
-        else:
-            result.epoch_times.append(float("inf"))
+    ends = [max(h.done_time.values()) for h in handles
+            if h is not None and h.done and h.done_time]
     result.total_runtime = (
-        prev - start if result.completed else world.engine.now - start
-    )
+        max(ends) if result.completed else world.engine.now
+    ) - start
     live = [h for h in handles if h is not None]
     result.degraded = any(h.report.degraded for h in live)
 

@@ -416,17 +416,22 @@ def _cmd_experiment(args) -> str:
     return out
 
 
+def _noise_ranks(nranks: int, noise: float):
+    """The noisy ranks of a CLI run: the one rank a third of the way in,
+    or the per-node default when there is no noise."""
+    return (nranks // 3,) if noise > 0 else "per-node"
+
+
 def _cmd_run(args) -> str:
     from repro.parallel import SimJob, run_jobs
 
     nranks = default_nranks(resolve(args.machine, args.nodes),
                             args.nranks, args.gpu)
-    noisy = (nranks // 3,) if args.noise > 0 else "per-node"
     job = SimJob(
         machine=args.machine, nodes=args.nodes, nranks=nranks,
         library=args.library, operation=args.operation, nbytes=args.nbytes,
         iterations=args.iterations, noise_percent=args.noise,
-        noise_ranks=noisy, gpu=args.gpu, seed=args.seed,
+        noise_ranks=_noise_ranks(nranks, args.noise), gpu=args.gpu, seed=args.seed,
     )
     result = run_jobs([job], **_parallel_kwargs(args))[0]
     return str(result)
@@ -719,12 +724,11 @@ def _cmd_trace(args) -> str:
     from repro.parallel import SimJob, run_jobs
 
     nranks = default_nranks(resolve(args.machine, args.nodes), args.nranks)
-    noisy = (nranks // 3,) if args.noise > 0 else "per-node"
     job = SimJob(
         machine=args.machine, nodes=args.nodes, nranks=nranks,
         library=args.library, operation=args.operation, nbytes=args.nbytes,
         iterations=args.iterations, noise_percent=args.noise,
-        noise_ranks=noisy, seed=args.seed, observe="trace",
+        noise_ranks=_noise_ranks(nranks, args.noise), seed=args.seed, observe="trace",
     )
     result = run_jobs([job], **_parallel_kwargs(args))[0]
     n_events = export_chrome_trace(result.obs, args.chrome)
@@ -758,7 +762,7 @@ def _cmd_metrics(args) -> int:
     machine, nodes = "cori", 2
     msg, iters, probe_iters, noise = 1 << 20, 24, 6, 5.0
     nranks = default_nranks(resolve(machine, nodes))
-    noisy_rank = nranks // 3
+    noise_ranks = _noise_ranks(nranks, noise)
     kw = _parallel_kwargs(args)
 
     # Stage 1: noise-free probes size the noise events (fig7 methodology).
@@ -776,7 +780,7 @@ def _cmd_metrics(args) -> int:
         noisy_jobs.append(SimJob(
             machine=machine, nodes=nodes, library=lib, operation="bcast",
             nbytes=msg, iterations=iters, noise_percent=noise,
-            noise_ranks=(noisy_rank,), noise_frequency=freq, seed=6,
+            noise_ranks=noise_ranks, noise_frequency=freq, seed=6,
             observe="metrics",
         ))
     runs = run_jobs(noisy_jobs, **kw)
@@ -813,7 +817,7 @@ def _cmd_metrics(args) -> int:
         "scenario": {
             "machine": machine, "nodes": nodes, "nranks": nranks,
             "operation": "bcast", "nbytes": msg, "iterations": iters,
-            "noise_percent": noise, "noisy_rank": noisy_rank, "seed": 6,
+            "noise_percent": noise, "noisy_rank": noise_ranks[0], "seed": 6,
         },
         "libraries": libs_snap,
         "critical_path": crit,
@@ -821,7 +825,7 @@ def _cmd_metrics(args) -> int:
 
     print(format_table(
         f"repro metrics: bcast {msg >> 20} MB, {machine} x{nodes} nodes "
-        f"({nranks} ranks), {noise:g}% noise on rank {noisy_rank}",
+        f"({nranks} ranks), {noise:g}% noise on rank {noise_ranks[0]}",
         ["library", "mean_ms", "sync_wait%", "noise_absorb", "peak_link_util%"],
         rows,
     ))

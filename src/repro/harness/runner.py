@@ -15,6 +15,10 @@ Two iteration modes, matching how real benchmarks behave:
 * ``mode="sequential"``: a global barrier between iterations (every iteration
   starts only after the previous fully completed). Pessimistic for noise;
   useful for isolating single-shot latency.
+
+The world builder (``_build_world``) and the IMB loop (``_chain``) also run
+the applications in :mod:`repro.apps`: ASP and SGD add a per-rank compute
+gap between iterations and own no loop of their own.
 """
 
 from __future__ import annotations
@@ -147,6 +151,163 @@ def _drive(world: MpiWorld, injectors: list, done, deadline: Optional[float] = N
         horizon = min(horizon * 2, 5.0)
 
 
+def _build_world(
+    spec: MachineSpec,
+    nranks: int,
+    *,
+    runtime_config: Optional[RuntimeConfig] = None,
+    fault_plan: Optional[FaultPlan] = None,
+    time_limit: Optional[float] = None,
+    noise_percent: float = 0.0,
+    noise_ranks: Union[str, list[int]] = "per-node",
+    noise_frequency: float = 10.0,
+    seed: int = 0,
+    gpu: bool = False,
+    sanitize: bool = False,
+    observe: bool = False,
+) -> tuple[MpiWorld, Communicator, list, Optional[float]]:
+    """One fresh measurement world: ``(world, comm, injectors, deadline)``.
+
+    The injectors are the fault injector, then the noise injector (the
+    order ``_drive`` arms them in). A plan that loses, corrupts or severs
+    messages implies the reliable transport unless ``runtime_config`` says
+    otherwise; a plan with kills or partitions bounds the run at
+    ``time_limit`` (default 10 simulated seconds), returned as an absolute
+    ``deadline``.
+    """
+    if runtime_config is None:
+        # Corruption needs the reliable transport too: a checksum-rejected
+        # rendezvous on the raw transport is just a lost message.
+        # Partitions need it likewise: severed traffic must be retried
+        # (heal-before-deadline) or abandoned (confirmed failure), and the
+        # raw transport can do neither.
+        reliable = bool(
+            fault_plan is not None
+            and (fault_plan.losses or fault_plan.corrupts or fault_plan.partitions)
+        )
+        runtime_config = RuntimeConfig(reliable=reliable)
+    if (
+        fault_plan is not None
+        and (fault_plan.kills or fault_plan.partitions)
+        and time_limit is None
+    ):
+        time_limit = 10.0
+    world = MpiWorld(
+        spec,
+        nranks,
+        config=runtime_config,
+        gpu_bound=gpu,
+        carry_data=False,
+        sanitize=sanitize,
+        observe=observe,
+    )
+    comm = Communicator(world)
+    injectors: list = []
+    if fault_plan is not None:
+        injectors.append(FaultInjector(world, fault_plan))
+    if noise_percent > 0:
+        if noise_ranks == "per-node":
+            # Kernel-level noise daemons steal one core per node (the
+            # Beckman et al. [2] methodology the paper follows): the rank
+            # sharing that core sees the noise, its node-mates do not.
+            targets = sorted(
+                {min(world.topology.ranks_on_node(n)) for n in range(spec.nodes)
+                 if world.topology.ranks_on_node(n)}
+            )
+        elif noise_ranks == "all":
+            targets = list(range(nranks))
+        else:
+            targets = list(noise_ranks)  # type: ignore[arg-type]
+        injectors.append(NoiseInjector(
+            world, noise_percent, frequency_hz=noise_frequency, seed=seed,
+            ranks=targets,
+        ))
+    deadline = (world.engine.now + time_limit) if time_limit is not None else None
+    return world, comm, injectors, deadline
+
+
+def _chain(
+    world: MpiWorld,
+    comm: Communicator,
+    prepare: Callable[[int], PreparedCollective],
+    iterations: int,
+    injectors: list,
+    deadline: Optional[float],
+    *,
+    gap: Optional[float] = None,
+    lead: bool = False,
+) -> tuple[list, list[float]]:
+    """Run ``iterations`` per-rank chained launches: the IMB timing loop.
+
+    ``prepare(i)`` builds iteration i. Iteration 0 starts on every rank at
+    once; after that each rank enters i+1 the moment its own part of i
+    returns. With a compute ``gap`` the rank first spends that long on its
+    CPU — after every iteration, the last one too, so ``engine.now``
+    covers the final compute — and ``lead`` puts one gap before iteration
+    0 as well. The world is driven until the last iteration finishes or
+    ``deadline`` passes, then drained.
+
+    Returns the handles and the per-iteration completion intervals (the
+    first includes pipeline fill; ``inf`` for an iteration that did not
+    finish by the deadline).
+    """
+    preps: list[Optional[PreparedCollective]] = [None] * iterations
+    handles: list = [None] * iterations
+
+    def enter(local: int, i: int) -> None:
+        if i == iterations:
+            return  # the compute gap after the last iteration
+        prep = preps[i]
+        if prep is None:
+            prep = preps[i] = prepare(i)
+        # Ranks outside ``chain_ranks`` (hierarchical non-leaders) are
+        # started from inside the operation; they only join its handle.
+        if prep.chain_ranks is None or local in prep.chain_ranks:
+            h = prep.launch(ranks=[local])
+        else:
+            h = prep.launch(ranks=[])
+        if handles[i] is None:
+            handles[i] = h
+            hook(h, i)
+
+    def hook(handle, i: int) -> None:
+        def rank_done(local: int, _time: float) -> None:
+            if gap is None:
+                enter(local, i + 1)
+            else:
+                world.ranks[comm.world_rank(local)].cpu.execute(
+                    gap, enter, local, i + 1
+                )
+
+        handle.on_rank_done.append(rank_done)
+        for local, t in list(handle.done_time.items()):
+            rank_done(local, t)
+
+    start = world.engine.now
+    if lead:
+        assert gap is not None, "a lead compute needs a gap"
+        for local in range(comm.size):
+            world.ranks[comm.world_rank(local)].cpu.execute(gap, enter, local, 0)
+    else:
+        preps[0] = prepare(0)
+        handles[0] = preps[0].launch()
+        hook(handles[0], 0)
+
+    _drive(world, injectors, lambda: handles[-1] is not None and handles[-1].done,
+           deadline)
+    times: list[float] = []
+    prev = start
+    for h in handles:
+        if h is not None and h.done and h.done_time:
+            e = max(h.done_time.values())
+            times.append(max(e - prev, 0.0))
+            prev = max(prev, e)
+        else:
+            times.append(float("inf"))
+    world.run()
+    return handles, times
+
+
 def run_collective(
     spec: MachineSpec,
     nranks: int,
@@ -223,55 +384,12 @@ def run_collective(
         # owns relaunch), so per-rank iteration chaining has nothing to
         # chain — run iterations back-to-back instead.
         mode = "sequential"
-    if runtime_config is None:
-        # Corruption needs the reliable transport too: a checksum-rejected
-        # rendezvous on the raw transport is just a lost message.
-        # Partitions need it likewise: severed traffic must be retried
-        # (heal-before-deadline) or abandoned (confirmed failure), and the
-        # raw transport can do neither.
-        reliable = bool(
-            fault_plan is not None
-            and (fault_plan.losses or fault_plan.corrupts or fault_plan.partitions)
-        )
-        runtime_config = RuntimeConfig(reliable=reliable)
-    if (
-        fault_plan is not None
-        and (fault_plan.kills or fault_plan.partitions)
-        and time_limit is None
-    ):
-        time_limit = 10.0
-    world = MpiWorld(
-        spec,
-        nranks,
-        config=runtime_config,
-        gpu_bound=gpu,
-        carry_data=False,
-        sanitize=sanitize,
-        observe=observe is not None,
+    world, comm, injectors, deadline = _build_world(
+        spec, nranks, runtime_config=runtime_config, fault_plan=fault_plan,
+        time_limit=time_limit, noise_percent=noise_percent,
+        noise_ranks=noise_ranks, noise_frequency=noise_frequency, seed=seed,
+        gpu=gpu, sanitize=sanitize, observe=observe is not None,
     )
-    comm = Communicator(world)
-    injectors: list = []
-    if fault_plan is not None:
-        injectors.append(FaultInjector(world, fault_plan))
-    injector = None
-    if noise_percent > 0:
-        if noise_ranks == "per-node":
-            # Kernel-level noise daemons steal one core per node (the
-            # Beckman et al. [2] methodology the paper follows): the rank
-            # sharing that core sees the noise, its node-mates do not.
-            targets = sorted(
-                {min(world.topology.ranks_on_node(n)) for n in range(spec.nodes)
-                 if world.topology.ranks_on_node(n)}
-            )
-        elif noise_ranks == "all":
-            targets = list(range(nranks))
-        else:
-            targets = list(noise_ranks)  # type: ignore[arg-type]
-        injector = NoiseInjector(
-            world, noise_percent, frequency_hz=noise_frequency, seed=seed,
-            ranks=targets,
-        )
-        injectors.append(injector)
     prepare = custom_algorithm or prepare_operation(
         library, operation, recover=recover, policy=policy
     )
@@ -284,73 +402,9 @@ def run_collective(
         noise_percent=noise_percent,
         seed=seed,
     )
-    deadline = (world.engine.now + time_limit) if time_limit is not None else None
-
-    def _finalize(handles) -> None:
-        result.engine_stats = world.engine.stats()
-        if fault_plan is not None:
-            result.transport = world.transport_stats()
-            faults = world.fabric.faults
-            if faults is not None:
-                result.transport["dropped"] = faults._injector.dropped
-                result.transport["duplicated"] = faults._injector.duplicated
-                result.transport["severed"] = faults._injector.severed
-                result.transport["severed_control"] = (
-                    faults._injector.severed_control
-                )
-        live = [h for h in handles if h is not None]
-        result.degraded = any(h.report.degraded for h in live)
-        result.completed = bool(live) and all(h.done for h in live) and (
-            len(live) == len(handles)
-        )
-        detector = world.failure_detector
-        if detector is not None:
-            result.false_kills = detector.false_kills
-        membership = getattr(world, "membership", None)
-        if membership is not None:
-            result.failed_ranks = sorted(membership.view.failed)
-            result.time_to_repair = membership.time_to_repair()
-            result.quorum_parks = membership.quorum_parks
-        elif live:
-            agreed: set = set()
-            for h in live:
-                agreed |= h.report.failed_ranks
-            result.failed_ranks = sorted(agreed)
-        frontier = getattr(world, "staleness_frontier", None)
-        if frontier is not None:
-            # The run is over: parked stragglers resolve (into accounted
-            # discards) so the reports below carry their final fate.
-            frontier.flush_pending()
-        contributed: set = set()
-        for h in live:
-            rep = h.report
-            if rep.staleness_epoch:
-                contributed |= rep.contributed_ranks
-                result.staleness_epoch = max(
-                    result.staleness_epoch, rep.staleness_epoch
-                )
-                result.late_merges.extend(list(m) for m in rep.late_merges)
-        if contributed:
-            result.contributed_ranks = sorted(contributed)
-        if observe is not None:
-            from repro.obs.metrics import compute_metrics
-
-            result.metrics = compute_metrics(world).to_dict()
-            if observe == "trace":
-                result.obs = world.obs.to_dict()
-        if world.obs is not None and world.obs.truncated:
-            result.trace_truncated = True
-            import warnings
-
-            warnings.warn(
-                f"{library.name} {operation}: span buffer cap hit, tail "
-                "spans dropped (raise max_spans for a full record)",
-                RuntimeWarning,
-                stacklevel=3,
-            )
 
     if mode == "sequential":
-        handles = []
+        handles: list = []
         for _ in range(iterations):
             start = world.engine.now
             prep: PreparedCollective = prepare(comm, root, nbytes, config, op=op)
@@ -364,63 +418,76 @@ def run_collective(
             if not handle.done:
                 break  # a hung iteration will not unhang
         world.run()
-        _finalize(handles)
-        return result
-
-    # -- IMB mode: per-rank chained iterations ------------------------------------
-    preps: list[Optional[PreparedCollective]] = [None] * iterations
-    handles = [None] * iterations
-
-    def get_prep(i: int) -> PreparedCollective:
-        p = preps[i]
-        if p is None:
-            p = prepare(comm, root, nbytes, config, op=op)
-            preps[i] = p
-        return p
-
-    def hook(handle, i: int) -> None:
-        if i + 1 >= iterations:
-            return
-
-        def rank_done(local: int, _time: float) -> None:
-            nxt = get_prep(i + 1)
-            if nxt.chain_ranks is None or local in nxt.chain_ranks:
-                h = nxt.launch(ranks=[local])
-                if handles[i + 1] is None:
-                    handles[i + 1] = h
-                    hook(h, i + 1)
-
-        handle.on_rank_done.append(rank_done)
-        for local, t in list(handle.done_time.items()):
-            rank_done(local, t)
-
-    start = world.engine.now
-    first = get_prep(0)
-    h0 = first.launch()
-    handles[0] = h0
-    hook(h0, 0)
-    last = iterations - 1
-
-    def all_done() -> bool:
-        h = handles[last]
-        return h is not None and h.done
-
-    _drive(world, injectors, all_done, deadline)
-    if not all_done():
-        if fault_plan is None:  # pragma: no cover - defensive
+    else:
+        handles, result.times = _chain(
+            world, comm, lambda _i: prepare(comm, root, nbytes, config, op=op),
+            iterations, injectors, deadline,
+        )
+        # Under faults an incomplete run is a *result*: a hung schedule.
+        last = handles[-1]
+        if fault_plan is None and (last is None or not last.done):  # pragma: no cover
             raise RuntimeError(
                 f"{library.name} {operation}: iterations did not complete"
             )
-        # Under faults an incomplete run is a *result*: a hung schedule.
-    # Per-iteration completion intervals (first includes pipeline fill).
-    prev = start
-    for h in handles:
-        if h is not None and h.done and h.done_time:
-            e = max(h.done_time.values())
-            result.times.append(max(e - prev, 0.0))
-            prev = max(prev, e)
-        else:
-            result.times.append(float("inf"))
-    world.run()
-    _finalize(handles)
+    result.engine_stats = world.engine.stats()
+    if fault_plan is not None:
+        result.transport = world.transport_stats()
+        faults = world.fabric.faults
+        if faults is not None:
+            result.transport["dropped"] = faults._injector.dropped
+            result.transport["duplicated"] = faults._injector.duplicated
+            result.transport["severed"] = faults._injector.severed
+            result.transport["severed_control"] = (
+                faults._injector.severed_control
+            )
+    live = [h for h in handles if h is not None]
+    result.degraded = any(h.report.degraded for h in live)
+    result.completed = bool(live) and all(h.done for h in live) and (
+        len(live) == len(handles)
+    )
+    detector = world.failure_detector
+    if detector is not None:
+        result.false_kills = detector.false_kills
+    membership = getattr(world, "membership", None)
+    if membership is not None:
+        result.failed_ranks = sorted(membership.view.failed)
+        result.time_to_repair = membership.time_to_repair()
+        result.quorum_parks = membership.quorum_parks
+    elif live:
+        agreed: set = set()
+        for h in live:
+            agreed |= h.report.failed_ranks
+        result.failed_ranks = sorted(agreed)
+    frontier = getattr(world, "staleness_frontier", None)
+    if frontier is not None:
+        # The run is over: parked stragglers resolve (into accounted
+        # discards) so the reports below carry their final fate.
+        frontier.flush_pending()
+    contributed: set = set()
+    for h in live:
+        rep = h.report
+        if rep.staleness_epoch:
+            contributed |= rep.contributed_ranks
+            result.staleness_epoch = max(
+                result.staleness_epoch, rep.staleness_epoch
+            )
+            result.late_merges.extend(list(m) for m in rep.late_merges)
+    if contributed:
+        result.contributed_ranks = sorted(contributed)
+    if observe is not None:
+        from repro.obs.metrics import compute_metrics
+
+        result.metrics = compute_metrics(world).to_dict()
+        if observe == "trace":
+            result.obs = world.obs.to_dict()
+    if world.obs is not None and world.obs.truncated:
+        result.trace_truncated = True
+        import warnings
+
+        warnings.warn(
+            f"{library.name} {operation}: span buffer cap hit, tail "
+            "spans dropped (raise max_spans for a full record)",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return result

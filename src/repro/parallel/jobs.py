@@ -1,12 +1,13 @@
 """Sweep decomposition: one simulation cell as pure, picklable config.
 
 A :class:`SimJob` is everything needed to run one measurement — a
-``run_collective`` call (``kind="collective"``) or a ``run_asp`` call
-(``kind="asp"``) — expressed as plain data: machine *names*, library
-*names*, algorithm-variant *names*, and a frozen :class:`FaultPlan`.
-No live objects cross the process boundary; the worker rebuilds the
-simulated world from the job alone, which is also what makes the job
-content-addressable (the cache key is a hash of this config plus the
+``run_collective`` call (``kind="collective"``), a ``run_asp`` call
+(``kind="asp"``) or a ``run_sgd`` call (``kind="sgd"``) — expressed as
+plain data: machine *names*, library *names*, algorithm-variant *names*,
+and a frozen :class:`FaultPlan`. A field its kind never reads must keep
+its default. No live objects cross the process boundary; the worker
+rebuilds the simulated world from the job alone, which is also what makes
+the job content-addressable (the cache key is a hash of this config plus the
 package's source, see :mod:`repro.parallel.cache`).
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional, Union
 
 from repro.faults.plan import FaultPlan
@@ -22,6 +23,17 @@ from repro.faults.plan import FaultPlan
 #: Algorithm-variant families resolvable by name in the worker
 #: (fig08 sweeps Intel's per-algorithm topology-aware variants).
 ALGO_FAMILIES = ("intel-topo-bcast", "intel-topo-reduce")
+
+#: Per kind, the fields ``execute_job`` never passes on (the sgd kind always
+#: runs OMPI-adapt).
+_APP_UNREAD = ("observe", "recover", "gpu", "mode", "algo_family", "algo_variant")
+_UNREAD = {
+    "sgd": _APP_UNREAD + ("library",),
+    "asp": _APP_UNREAD + (
+        "noise_percent", "noise_ranks", "noise_frequency", "fault_plan",
+        "sanitize", "time_limit", "quorum", "min_quorum", "staleness_window",
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -73,6 +85,15 @@ class SimJob:
             raise ValueError(f"unknown observe mode {self.observe!r}")
         if (self.algo_family is None) != (self.algo_variant is None):
             raise ValueError("algo_family and algo_variant must be set together")
+        # A field the kind's runner never reads must stay at its default:
+        # silently dropping it would run (and cache) a different experiment.
+        unread = _UNREAD.get(self.kind, ())
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in unread and value != f.default:
+                raise ValueError(
+                    f"{self.kind} jobs do not read {f.name!r} (got {value!r})"
+                )
         # Tuples keep the config canonical (lists would hash differently).
         if isinstance(self.noise_ranks, list):
             object.__setattr__(self, "noise_ranks", tuple(self.noise_ranks))

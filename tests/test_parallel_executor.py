@@ -59,6 +59,32 @@ class TestSimJob:
         with pytest.raises(ValueError):
             SimJob(algo_family="no-such-family", algo_variant="x")
 
+    @pytest.mark.parametrize("field, value", [
+        ("observe", "metrics"), ("recover", True), ("gpu", True),
+        ("mode", "sequential"), ("library", "Intel MPI"),
+    ])
+    def test_sgd_rejects_unread_fields(self, field, value):
+        with pytest.raises(ValueError, match=f"sgd jobs do not read '{field}'"):
+            SimJob(kind="sgd", **{field: value})
+        # The fields the sgd kind does read still construct.
+        SimJob(kind="sgd", library="OMPI-adapt", operation="allreduce_quorum",
+               noise_percent=5, quorum=0.75, sanitize=True, time_limit=0.5,
+               fault_plan=FaultPlan(losses=[LossSpec(drop=0.01)]))
+
+    @pytest.mark.parametrize("field, value", [
+        ("noise_percent", 5.0), ("noise_ranks", (1,)), ("sanitize", True),
+        ("fault_plan", FaultPlan(losses=[LossSpec(drop=0.01)])),
+        ("time_limit", 1.0), ("quorum", 0.75), ("observe", "trace"),
+        ("algo_family", "intel-topo-bcast"),
+    ])
+    def test_asp_rejects_unread_fields(self, field, value):
+        kw = {field: value}
+        if field == "algo_family":
+            kw["algo_variant"] = "Intel-topo-binomial"
+        with pytest.raises(ValueError, match=f"asp jobs do not read '{field}'"):
+            SimJob(kind="asp", **kw)
+        SimJob(kind="asp", library="Intel MPI", iterations=24, row_bytes=1024)
+
 
 class TestResultCache:
     def test_roundtrip(self, tmp_path):
