@@ -22,6 +22,7 @@ and byte-compares across worker counts for determinism.
 import math
 import pathlib
 
+from repro.collectives.models import ADAPT_COLLECTIVES
 from repro.harness.experiments import figx_recovery
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -31,9 +32,8 @@ def _assert_shapes(res) -> None:
     kill = next(s for s in res.column("scenario") if s.startswith("kill"))
     corrupt = next(s for s in res.column("scenario") if s.startswith("corrupt"))
     victim = kill.split()[-1]
-    from repro.libraries.presets import ADAPT_OPERATIONS
 
-    for operation in ADAPT_OPERATIONS:
+    for operation in ADAPT_COLLECTIVES:
         row = {
             col: res.value(col, operation=operation, scenario=kill,
                            library="OMPI-adapt")
@@ -59,7 +59,7 @@ def _assert_shapes(res) -> None:
     # The seeded corruption sweep must actually corrupt *something*.
     nacks = [
         res.value("nacks", operation=op, scenario=corrupt, library="OMPI-adapt")
-        for op in ADAPT_OPERATIONS
+        for op in ADAPT_COLLECTIVES
     ]
     assert sum(nacks) > 0, "corruption sweep flipped no bits"
 

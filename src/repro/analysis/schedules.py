@@ -16,21 +16,13 @@ from typing import Any, Callable, Iterator, Optional
 
 from repro.analysis.depgraph import DepGraph, record
 from repro.collectives import (
-    allgather_adapt,
-    allreduce_adapt,
-    alltoall_adapt,
-    barrier_adapt,
-    bcast_adapt,
     bcast_blocking,
     bcast_nonblocking,
-    gather_adapt,
-    reduce_adapt,
     reduce_blocking,
     reduce_nonblocking,
-    reduce_scatter_adapt,
-    scatter_adapt,
 )
 from repro.collectives.base import CollectiveContext
+from repro.collectives.models import ADAPT_COLLECTIVES
 from repro.config import CollectiveConfig, RuntimeConfig
 from repro.machine import small_test_machine
 from repro.mpi.communicator import Communicator
@@ -42,17 +34,9 @@ from repro.trees.base import Tree
 SCHEDULES: dict[str, Callable[..., Any]] = {
     "bcast-blocking": bcast_blocking,
     "bcast-nonblocking": bcast_nonblocking,
-    "bcast-adapt": bcast_adapt,
     "reduce-blocking": reduce_blocking,
     "reduce-nonblocking": reduce_nonblocking,
-    "reduce-adapt": reduce_adapt,
-    "scatter-adapt": scatter_adapt,
-    "gather-adapt": gather_adapt,
-    "allreduce-adapt": allreduce_adapt,
-    "barrier-adapt": barrier_adapt,
-    "allgather-adapt": allgather_adapt,
-    "reduce-scatter-adapt": reduce_scatter_adapt,
-    "alltoall-adapt": alltoall_adapt,
+    **{c.schedule: c.launch for c in ADAPT_COLLECTIVES.values()},
 }
 
 TREES: dict[str, Callable[[int], Tree]] = {
@@ -77,6 +61,30 @@ def recording_world(
     return MpiWorld(spec, nranks, config=config or RuntimeConfig())
 
 
+def recording_context(
+    nranks: int,
+    tree: str,
+    root: int,
+    nbytes: int,
+    config: CollectiveConfig,
+    runtime_config: Optional[RuntimeConfig] = None,
+    tag_floor: int = 0,
+) -> CollectiveContext:
+    """A collective context on a fresh recording world: every rank in one
+    communicator, the named tree shape rerooted at ``root``. A nonzero
+    ``tag_floor`` reserves that many tags first, so the context's tags
+    start above them."""
+    try:
+        tree_builder = TREES[tree]
+    except KeyError:
+        raise ValueError(f"unknown tree {tree!r}; choose from {sorted(TREES)}") from None
+    world = recording_world(nranks, config=runtime_config)
+    if tag_floor:
+        world.allocate_tags(tag_floor)
+    shape = tree_builder(nranks).reroot_relabelled(root)
+    return CollectiveContext(Communicator(world), root, nbytes, config, tree=shape)
+
+
 def analyze_schedule(
     name: str,
     nranks: int = 8,
@@ -96,18 +104,11 @@ def analyze_schedule(
             f"unknown schedule {name!r}; choose from "
             f"{sorted(SCHEDULES) + list(DEMO_SCHEDULES)}"
         ) from None
-    try:
-        tree_builder = TREES[tree]
-    except KeyError:
-        raise ValueError(f"unknown tree {tree!r}; choose from {sorted(TREES)}") from None
     config = config or CollectiveConfig(segment_size=64 * 1024)
     runtime_config = runtime_config or RuntimeConfig()
-    world = recording_world(nranks, config=runtime_config)
-    comm = Communicator(world)
-    shape = tree_builder(nranks).reroot_relabelled(root)
-    ctx = CollectiveContext(comm, root, nbytes, config, tree=shape)
+    ctx = recording_context(nranks, tree, root, nbytes, config, runtime_config)
     graph = record(
-        world,
+        ctx.world,
         lambda: algo(ctx),
         meta={
             "schedule": name,

@@ -165,12 +165,12 @@ def build_parser() -> argparse.ArgumentParser:
         "ADAPT collective among the survivors, and --corrupt exercises "
         "the end-to-end checksum/NACK repair path.",
     )
-    from repro.libraries.presets import ADAPT_OPERATIONS
+    from repro.collectives.models import ADAPT_COLLECTIVES
     from repro.relaxed import RELAXED_OPERATIONS
 
     pchaos.add_argument(
         "operation",
-        choices=list(ADAPT_OPERATIONS) + list(RELAXED_OPERATIONS),
+        choices=list(ADAPT_COLLECTIVES) + list(RELAXED_OPERATIONS),
     )
     pchaos.add_argument("--library", default="OMPI-adapt")
     pchaos.add_argument("--compare", default="OMPI-default-topo",
@@ -928,7 +928,7 @@ def _cmd_verify(args) -> int:
     import json as _json
     import time as _time
 
-    from repro.collectives.models import ADAPT_VERIFY, VERIFY_MODELS
+    from repro.collectives.models import ADAPT_COLLECTIVES, VERIFY_MODELS
     from repro.verify import (
         VerifyKey,
         build_model,
@@ -949,7 +949,7 @@ def _cmd_verify(args) -> int:
     elif args.all:
         schedules = sorted(VERIFY_MODELS)
     else:
-        schedules = list(ADAPT_VERIFY)
+        schedules = [c.schedule for c in ADAPT_COLLECTIVES.values()]
     cache = _parallel_kwargs(args)["cache"]
     mode = "naive" if args.naive else "auto"
     report: dict = {"config": {
@@ -1040,7 +1040,7 @@ def _cmd_verify(args) -> int:
                 )
                 rendered_chrome = True
                 print(f"  violation rendered as Chrome trace: {args.chrome}")
-        if args.kill_sweep and spec.family == "adapt" and spec.recovery:
+        if args.kill_sweep and spec.adapt is not None:
             sweep = kill_sweep(
                 schedule, nranks=args.ranks, tree=args.tree,
                 nbytes=args.nbytes, segment_size=args.segment_size,
@@ -1063,7 +1063,7 @@ def _cmd_verify(args) -> int:
             if not sweep.ok:
                 ok = False
                 entry["ok"] = False
-        if args.partition_sweep and spec.family == "adapt" and spec.recovery:
+        if args.partition_sweep and spec.adapt is not None:
             from repro.verify import partition_sweep
 
             psweep = partition_sweep(

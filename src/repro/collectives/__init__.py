@@ -41,10 +41,16 @@ from repro.collectives.extensions_allgather import (
     reduce_scatter_adapt,
 )
 from repro.collectives.extensions_alltoall import alltoall_adapt
-from repro.collectives.models import ADAPT_VERIFY, VERIFY_MODELS, VerifySpec
+from repro.collectives.models import (
+    ADAPT_COLLECTIVES,
+    VERIFY_MODELS,
+    AdaptCollective,
+    VerifySpec,
+)
 
 __all__ = [
-    "ADAPT_VERIFY",
+    "ADAPT_COLLECTIVES",
+    "AdaptCollective",
     "VERIFY_MODELS",
     "VerifySpec",
     "CollectiveHandle",

@@ -22,6 +22,7 @@ def allgather_adapt(
     ctx: CollectiveContext,
     handle: Optional[CollectiveHandle] = None,
     ranks=None,
+    members: Optional[list[int]] = None,
 ) -> CollectiveHandle:
     """Event-driven ring allgather.
 
@@ -30,10 +31,16 @@ def allgather_adapt(
     communicator order. Each of the P-1 ring steps is posted from the
     previous step's receive callback; sends never wait for the local step
     counter of the receiver.
+
+    ``members`` (sorted local ranks, default all) rings over a survivor
+    subset — the epoch-restart relaunch (DESIGN.md S20). Blocks keep the
+    P-way layout: every member ends with the full buffer, non-member blocks
+    zero-filled.
     """
-    tree = None  # ring algorithm: tree-free by design
     comm = ctx.comm
     P = comm.size
+    ring = list(range(P)) if members is None else list(members)
+    K = len(ring)
     first_call = handle is None
     handle = handle or new_handle(ctx, "allgather-adapt")
     blocks = block_ranges(ctx.nbytes, P)
@@ -41,32 +48,37 @@ def allgather_adapt(
         ctx.scratch = ctx.world.allocate_tags(P * P)
     base_tag = ctx.scratch
 
-    if P == 1:
-        own = ctx.data.get(0) if (ctx.carry() and ctx.data) else None
-        out = (
-            np.asarray(own).reshape(-1).view(np.uint8) if own is not None else None
-        )
-        if not handle.done_time:
-            handle.mark_done(0, ctx.world.engine.now, out)
+    def own_block(local: int) -> Any:
+        own = ctx.data.get(local) if (ctx.carry() and ctx.data) else None
+        return np.asarray(own).reshape(-1).view(np.uint8) if own is not None else None
+
+    def assemble(have: dict[int, Any]) -> Any:
+        if not ctx.carry() or any(have.get(m) is None for m in ring):
+            return None
+        return np.concatenate([
+            have[b] if b in have else np.zeros(blocks[b][1], dtype=np.uint8)
+            for b in range(P)
+        ])
+
+    if K == 1:
+        local = ring[0]
+        if local not in handle.done_time:
+            handle.mark_done(local, ctx.world.engine.now,
+                             assemble({local: own_block(local)}))
         return handle
 
+    position = {r: i for i, r in enumerate(ring)}
+
     def start_rank(local: int) -> None:
-        right = (local + 1) % P
-        left = (local - 1) % P
-        own = ctx.data.get(local) if (ctx.carry() and ctx.data) else None
-        have: dict[int, Any] = {
-            local: np.asarray(own).reshape(-1).view(np.uint8)
-            if own is not None
-            else None
-        }
+        pos = position[local]
+        right = ring[(pos + 1) % K]
+        left = ring[(pos - 1) % K]
+        have: dict[int, Any] = {local: own_block(local)}
         state = {"collected": 1, "sends_done": 0}
 
         def maybe_done() -> None:
-            if state["collected"] == P and state["sends_done"] == P - 1:
-                out = None
-                if ctx.carry() and all(have.get(b) is not None for b in range(P)):
-                    out = np.concatenate([have[b] for b in range(P)])
-                handle.mark_done(local, ctx.world.engine.now, out)
+            if state["collected"] == K and state["sends_done"] == K - 1:
+                handle.mark_done(local, ctx.world.engine.now, assemble(have))
 
         def send_block(b: int) -> None:
             req = ctx.isend(local, right, base_tag + P * local + b, blocks[b][1],
@@ -95,15 +107,14 @@ def allgather_adapt(
 
             req.add_callback(on_recv)
 
-        # Pre-post recvs for every block that will arrive from the left
-        # (all blocks except my own and my left neighbour originates the
-        # rest in sequence — post them all, event-driven).
-        for step in range(P - 1):
-            b = (left - step) % P
-            post_recv(b)
+        # Pre-post recvs for every block that will arrive from the left, in
+        # ring order: the left neighbour's own block first, then the blocks
+        # it forwards (all posted up front, event-driven).
+        for step in range(K - 1):
+            post_recv(ring[(pos - 1 - step) % K])
         send_block(local)
 
-    for local in ranks if ranks is not None else range(P):
+    for local in ranks if ranks is not None else ring:
         ctx.rt(local).cpu.when_available(start_rank, local)
     return handle
 
@@ -112,6 +123,7 @@ def reduce_scatter_adapt(
     ctx: CollectiveContext,
     handle: Optional[CollectiveHandle] = None,
     ranks=None,
+    members: Optional[list[int]] = None,
 ) -> CollectiveHandle:
     """Event-driven ring reduce-scatter.
 
@@ -120,9 +132,16 @@ def reduce_scatter_adapt(
     at step s, rank r sends the partial for block (r-s) and folds the
     incoming partial for block (r-s-1); each step is triggered by the
     previous receive's completion callback plus the local reduction.
+
+    ``members`` (sorted local ranks, default all) rings over a survivor
+    subset — the epoch-restart relaunch (DESIGN.md S20). Block indices keep
+    the P-way layout and member m ends with block m of the fold over the
+    members' contributions only.
     """
     comm = ctx.comm
     P = comm.size
+    ring = list(range(P)) if members is None else list(members)
+    K = len(ring)
     first_call = handle is None
     handle = handle or new_handle(ctx, "reduce-scatter-adapt")
     blocks = block_ranges(ctx.nbytes, P)
@@ -130,22 +149,30 @@ def reduce_scatter_adapt(
         ctx.scratch = ctx.world.allocate_tags(P * P)
     base_tag = ctx.scratch
 
-    if P == 1:
-        own = ctx.data.get(0) if (ctx.carry() and ctx.data) else None
-        out = np.asarray(own).reshape(-1).view(np.uint8) if own is not None else None
-        if not handle.done_time:
-            handle.mark_done(0, ctx.world.engine.now, out)
-        return handle
-
-    def start_rank(local: int) -> None:
-        right = (local + 1) % P
-        left = (local - 1) % P
+    def own_vec(local: int) -> Any:
         own = ctx.data.get(local) if (ctx.carry() and ctx.data) else None
-        vec = (
+        return (
             np.asarray(own).reshape(-1).view(np.uint8).copy()
             if own is not None
             else None
         )
+
+    if K == 1:
+        local = ring[0]
+        if local not in handle.done_time:
+            vec = own_vec(local)
+            off, ln = blocks[local]
+            handle.mark_done(local, ctx.world.engine.now,
+                             vec[off : off + ln] if vec is not None else None)
+        return handle
+
+    position = {r: i for i, r in enumerate(ring)}
+
+    def start_rank(local: int) -> None:
+        pos = position[local]
+        right = ring[(pos + 1) % K]
+        left = ring[(pos - 1) % K]
+        vec = own_vec(local)
         state = {"step": 0, "sends_done": 0, "finished": False}
 
         def block_view(b: int):
@@ -161,7 +188,7 @@ def reduce_scatter_adapt(
             # terminal and mark the rank done a second time.
             if state["finished"]:
                 return
-            if state["step"] == P - 1 and state["sends_done"] == P - 1:
+            if state["step"] == K - 1 and state["sends_done"] == K - 1:
                 state["finished"] = True
                 out = block_view(local)
                 handle.mark_done(
@@ -171,13 +198,14 @@ def reduce_scatter_adapt(
 
         def do_step() -> None:
             s = state["step"]
-            if s >= P - 1:
+            if s >= K - 1:
                 maybe_done()
                 return
             # Schedule shifted so the final received block is `local`: at
-            # step s, send the partial of (local-s-1), fold (local-s-2).
-            send_b = (local - s - 1) % P
-            recv_b = (local - s - 2) % P
+            # step s, send the partial of the block s+1 ring positions back,
+            # fold the one s+2 back.
+            send_b = ring[(pos - s - 1) % K]
+            recv_b = ring[(pos - s - 2) % K]
             sreq = ctx.isend(
                 local, right, base_tag + P * s + send_b, blocks[send_b][1],
                 block_view(send_b),
@@ -204,6 +232,6 @@ def reduce_scatter_adapt(
 
         do_step()
 
-    for local in ranks if ranks is not None else range(P):
+    for local in ranks if ranks is not None else ring:
         ctx.rt(local).cpu.when_available(start_rank, local)
     return handle

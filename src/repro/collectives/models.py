@@ -1,20 +1,96 @@
-"""Verification hooks: how each schedule presents to the model checker.
+"""The ADAPT collective table and the model checker's schedule contracts.
+
+:data:`ADAPT_COLLECTIVES` registers each of the nine ADAPT collectives
+once: its launcher, whether it runs on the topology-aware tree, whether it
+folds payloads with ``ctx.op``, and how it recovers from a fail-stop
+(DESIGN.md S20). The library presets, the live-recovery front door, the
+analyzer, the model checker, the CLI and the recovery figures all read it;
+nothing else lists the nine operations.
 
 ``repro.verify`` treats a collective as a transition system extracted from
 a recorded run. That extraction is only sound for schedules whose *posting
 structure* is data-oblivious — which operations get posted, and what gates
 them, must not depend on payload bytes (ADAPT's state machines branch on
 segment arrival, never on segment content; the baselines are straight-line
-proclets). Each schedule the checker accepts declares that contract here,
-along with its family and — for the nine ADAPT collectives — the recovery
-path the kill-sweep must certify (mirrors ``repro.recovery.RECOVERY_MODES``;
-a test asserts the two tables never drift).
+proclets). :data:`VERIFY_MODELS` names every schedule the checker accepts
+and its family; the ADAPT rows come from the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
+
+from repro.collectives.adapt import bcast_adapt, reduce_adapt
+from repro.collectives.base import CollectiveContext, CollectiveHandle
+from repro.collectives.extensions import (
+    allreduce_adapt,
+    barrier_adapt,
+    gather_adapt,
+    scatter_adapt,
+)
+from repro.collectives.extensions_allgather import (
+    allgather_adapt,
+    reduce_scatter_adapt,
+)
+from repro.collectives.extensions_alltoall import alltoall_adapt
+
+
+@dataclass(frozen=True)
+class AdaptCollective:
+    """One ADAPT collective, as every consumer sees it."""
+
+    #: Operation name (``"reduce_scatter"``): the CLI/harness key.
+    name: str
+    launch: Callable[..., CollectiveHandle]
+    #: Runs on the topology-aware tree (else tree-free: ring or pairwise).
+    #: Tree collectives funnel through ``ctx.root``, so a restart cannot
+    #: survive the root's death.
+    tree: bool
+    #: Folds payloads with ``ctx.op``.
+    folds: bool
+    #: "in-place" (repaired inside the running state machine) | "restart"
+    #: (relaunched among the survivors at each membership epoch).
+    recovery: str
+
+    @property
+    def schedule(self) -> str:
+        """The analyzer/checker name: ``reduce-scatter-adapt``."""
+        return f"{self.name.replace('_', '-')}-adapt"
+
+    @property
+    def recover_name(self) -> str:
+        """The handle name of a recovering launch."""
+        return f"{self.schedule}-recover"
+
+    def relaunch(
+        self, ctx: CollectiveContext, members: list[int]
+    ) -> CollectiveHandle:
+        """An epoch-restart attempt among the survivor ``members``: a tree
+        collective launches them on the re-grafted tree in ``ctx``; a ring
+        collective rings over them."""
+        if self.tree:
+            return self.launch(ctx, ranks=members)
+        return self.launch(ctx, members=members)
+
+
+#: The nine ADAPT collectives, in figure-row order.
+ADAPT_COLLECTIVES: dict[str, AdaptCollective] = {
+    c.name: c
+    for c in (
+        #               name, launch, tree, folds, recovery
+        AdaptCollective("bcast", bcast_adapt, True, False, "in-place"),
+        AdaptCollective("reduce", reduce_adapt, True, True, "restart"),
+        AdaptCollective("scatter", scatter_adapt, True, False, "in-place"),
+        AdaptCollective("gather", gather_adapt, True, False, "restart"),
+        AdaptCollective("allreduce", allreduce_adapt, True, True, "restart"),
+        AdaptCollective("allgather", allgather_adapt, False, False, "restart"),
+        AdaptCollective("reduce_scatter", reduce_scatter_adapt, False, True,
+                        "restart"),
+        AdaptCollective("alltoall", alltoall_adapt, False, False, "in-place"),
+        AdaptCollective("barrier", barrier_adapt, True, False, "in-place"),
+    )
+}
 
 
 @dataclass(frozen=True)
@@ -24,50 +100,25 @@ class VerifySpec:
     schedule: str
     #: "adapt" | "blocking" | "nonblocking" | "demo"
     family: str
-    #: The ``RECOVERY_MODES`` key for ADAPT collectives, else ``None``.
-    collective: Optional[str] = None
-    #: "in-place" | "restart" | None — how the kill-sweep certifies it.
-    recovery: Optional[str] = None
-    #: Posting structure independent of payload bytes (extraction soundness).
-    data_oblivious: bool = True
     #: The violation kind the checker is *expected* to report (demos only).
     expect: Optional[str] = None
+    #: The table entry of an ADAPT collective (its kill-sweep recovery path).
+    adapt: Optional[AdaptCollective] = None
 
-
-#: The nine ADAPT collectives the acceptance run must certify at 0 violations.
-ADAPT_VERIFY: tuple[str, ...] = (
-    "bcast-adapt",
-    "reduce-adapt",
-    "scatter-adapt",
-    "gather-adapt",
-    "allreduce-adapt",
-    "barrier-adapt",
-    "allgather-adapt",
-    "reduce-scatter-adapt",
-    "alltoall-adapt",
-)
 
 VERIFY_MODELS: dict[str, VerifySpec] = {
     spec.schedule: spec
     for spec in (
         # ADAPT event-based schedules: deadlock-free and race-free in every
         # ordering; each carries its DESIGN.md S20 recovery path.
-        VerifySpec("bcast-adapt", "adapt", "bcast", "in-place"),
-        VerifySpec("reduce-adapt", "adapt", "reduce", "restart"),
-        VerifySpec("scatter-adapt", "adapt", "scatter", "in-place"),
-        VerifySpec("gather-adapt", "adapt", "gather", "restart"),
-        VerifySpec("allreduce-adapt", "adapt", "allreduce", "restart"),
-        VerifySpec("barrier-adapt", "adapt", "barrier", "in-place"),
-        VerifySpec("allgather-adapt", "adapt", "allgather", "restart"),
-        VerifySpec("reduce-scatter-adapt", "adapt", "reduce_scatter",
-                   "restart"),
-        VerifySpec("alltoall-adapt", "adapt", "alltoall", "in-place"),
+        *(VerifySpec(c.schedule, "adapt", adapt=c)
+          for c in ADAPT_COLLECTIVES.values()),
         # Baselines: models extract fine; the checker documents the orderings
         # they survive (the paper's Figure 2 argument, machine-checked).
-        VerifySpec("bcast-blocking", "blocking", "bcast"),
-        VerifySpec("reduce-blocking", "blocking", "reduce"),
-        VerifySpec("bcast-nonblocking", "nonblocking", "bcast"),
-        VerifySpec("reduce-nonblocking", "nonblocking", "reduce"),
+        VerifySpec("bcast-blocking", "blocking"),
+        VerifySpec("reduce-blocking", "blocking"),
+        VerifySpec("bcast-nonblocking", "nonblocking"),
+        VerifySpec("reduce-nonblocking", "nonblocking"),
         # Intentionally broken demos: the checker must produce the violation.
         VerifySpec("deadlock-demo", "demo", expect="deadlock"),
         VerifySpec("tag-mismatch-demo", "demo", expect="deadlock"),

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 
+from repro.collectives.models import ADAPT_COLLECTIVES
 from repro.faults import FaultPlan, KillSpec
 from repro.faults.plan import CorruptSpec
 from repro.harness.experiments.common import (
@@ -37,7 +38,6 @@ from repro.harness.experiments.common import (
     fmt_bytes,
     sweep,
 )
-from repro.libraries.presets import ADAPT_OPERATIONS
 from repro.machine import cori
 from repro.parallel import SimJob
 
@@ -63,7 +63,7 @@ def run(
     *,
     n_jobs: int | None = None,
     cache=None,
-    operations: tuple[str, ...] = ADAPT_OPERATIONS,
+    operations: tuple[str, ...] = tuple(ADAPT_COLLECTIVES),
 ) -> ExperimentResult:
     """Two-stage sweep: fault-free probes calibrate each kill time (stage 1);
     the kill/corrupt/comparator cells fan out from them (stage 2)."""

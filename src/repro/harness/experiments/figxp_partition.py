@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 
+from repro.collectives.models import ADAPT_COLLECTIVES
 from repro.faults import FaultPlan, PartitionSpec
 from repro.harness.experiments.common import (
     SCALES,
@@ -41,7 +42,6 @@ from repro.harness.experiments.common import (
     fmt_bytes,
     sweep,
 )
-from repro.libraries.presets import ADAPT_OPERATIONS
 from repro.machine import cori
 from repro.parallel import SimJob
 
@@ -83,7 +83,7 @@ def run(
     *,
     n_jobs: int | None = None,
     cache=None,
-    operations: tuple[str, ...] = ADAPT_OPERATIONS,
+    operations: tuple[str, ...] = tuple(ADAPT_COLLECTIVES),
 ) -> ExperimentResult:
     """Two-stage sweep: fault-free probes calibrate each cut time (stage 1);
     the heal-time grid and comparator cells fan out from them (stage 2)."""

@@ -28,11 +28,11 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from repro.collectives.models import ADAPT_COLLECTIVES
 from repro.config import DEFAULT_COLLECTIVE, CollectiveConfig, RuntimeConfig
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.libraries.presets import (
-    ADAPT_OPERATIONS,
     LibraryModel,
     PreparedCollective,
     library_by_name,
@@ -358,10 +358,10 @@ def run_collective(
 
     if isinstance(library, str):
         library = library_by_name(library)
-    if operation not in ADAPT_OPERATIONS + RELAXED_OPERATIONS:
+    if operation not in ADAPT_COLLECTIVES and operation not in RELAXED_OPERATIONS:
         raise ValueError(
             f"unknown operation {operation!r}; known: "
-            f"{list(ADAPT_OPERATIONS) + list(RELAXED_OPERATIONS)}"
+            f"{list(ADAPT_COLLECTIVES) + list(RELAXED_OPERATIONS)}"
         )
     policy = None
     if operation in RELAXED_OPERATIONS:

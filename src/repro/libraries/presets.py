@@ -29,27 +29,21 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.collectives import (
-    allgather_adapt,
-    allreduce_adapt,
-    alltoall_adapt,
-    barrier_adapt,
     bcast_adapt,
     bcast_blocking,
     bcast_nonblocking,
     bcast_scatter_allgather,
     bcast_tuned,
-    gather_adapt,
     reduce_adapt,
     reduce_blocking,
     reduce_nonblocking,
     reduce_rabenseifner,
-    reduce_scatter_adapt,
     reduce_shumilin,
     reduce_tuned,
-    scatter_adapt,
 )
-from repro.collectives.hierarchical import HierarchicalBcast, HierarchicalReduce
 from repro.collectives.base import CollectiveContext, CollectiveHandle
+from repro.collectives.hierarchical import HierarchicalBcast, HierarchicalReduce
+from repro.collectives.models import ADAPT_COLLECTIVES
 from repro.machine.spec import CommLevel
 from repro.mpi.communicator import Communicator
 from repro.mpi.ops import SUM, ReduceOp
@@ -113,10 +107,6 @@ def _staging_ranks(comm: Communicator, tree: Tree, root: int) -> set[int]:
     return staged
 
 
-def _ctx(comm, root, nbytes, config, **kw) -> CollectiveContext:
-    return CollectiveContext(comm, root, nbytes, config, **kw)
-
-
 # -- OMPI-adapt -----------------------------------------------------------------
 
 
@@ -125,13 +115,14 @@ def _adapt_bcast(comm, root, nbytes, config, data=None, **kw):
     staging: set[int] = set()
     if comm.world.gpu_bound:
         staging = _staging_ranks(comm, tree, root)
-    ctx = _ctx(comm, root, nbytes, config, tree=tree, data=data, host_staging=staging)
+    ctx = CollectiveContext(comm, root, nbytes, config, tree=tree, data=data,
+                            host_staging=staging)
     return _prepared(bcast_adapt, ctx)
 
 
 def _adapt_reduce(comm, root, nbytes, config, data=None, op: ReduceOp = SUM, **kw):
     tree = _topo_tree(comm, root)
-    ctx = _ctx(
+    ctx = CollectiveContext(
         comm, root, nbytes, config, tree=tree, data=data, op=op,
         reduce_on_gpu=comm.world.gpu_bound,
     )
@@ -146,11 +137,13 @@ def ompi_adapt() -> LibraryModel:
 
 
 def _tuned_bcast(comm, root, nbytes, config, data=None, **kw):
-    return _prepared(bcast_tuned, _ctx(comm, root, nbytes, config, data=data))
+    return _prepared(bcast_tuned,
+                     CollectiveContext(comm, root, nbytes, config, data=data))
 
 
 def _tuned_reduce(comm, root, nbytes, config, data=None, op: ReduceOp = SUM, **kw):
-    return _prepared(reduce_tuned, _ctx(comm, root, nbytes, config, data=data, op=op))
+    return _prepared(reduce_tuned,
+                     CollectiveContext(comm, root, nbytes, config, data=data, op=op))
 
 
 def ompi_default() -> LibraryModel:
@@ -161,12 +154,13 @@ def ompi_default() -> LibraryModel:
 
 
 def _default_topo_bcast(comm, root, nbytes, config, data=None, **kw):
-    ctx = _ctx(comm, root, nbytes, config, tree=_topo_tree(comm, root), data=data)
+    ctx = CollectiveContext(comm, root, nbytes, config,
+                            tree=_topo_tree(comm, root), data=data)
     return _prepared(bcast_nonblocking, ctx)
 
 
 def _default_topo_reduce(comm, root, nbytes, config, data=None, op: ReduceOp = SUM, **kw):
-    ctx = _ctx(
+    ctx = CollectiveContext(
         comm, root, nbytes, config, tree=_topo_tree(comm, root), data=data, op=op
     )
     return _prepared(reduce_nonblocking, ctx)
@@ -180,7 +174,7 @@ def ompi_default_topo() -> LibraryModel:
 
 
 def _intel_bcast(comm, root, nbytes, config, data=None, **kw):
-    ctx = _ctx(comm, root, nbytes, config, data=data)
+    ctx = CollectiveContext(comm, root, nbytes, config, data=data)
     hb = HierarchicalBcast(ctx, outer="binomial", inner="knomial4",
                            name="Intel-SHM-knomial")
     return PreparedCollective(lambda handle, ranks: hb.launch(ranks),
@@ -188,7 +182,7 @@ def _intel_bcast(comm, root, nbytes, config, data=None, **kw):
 
 
 def _intel_reduce(comm, root, nbytes, config, data=None, op: ReduceOp = SUM, **kw):
-    ctx = _ctx(comm, root, nbytes, config, data=data, op=op)
+    ctx = CollectiveContext(comm, root, nbytes, config, data=data, op=op)
     # Intel MPI picks per-fabric defaults: on Omni-Path machines it uses the
     # Shumilin algorithm (whose vectorized arithmetic + OPA-tuned P2P beat
     # ADAPT's reduce on Stampede2, Section 5.1.2); elsewhere the SHM-based
@@ -210,13 +204,13 @@ def intel_mpi() -> LibraryModel:
 
 def _cray_bcast(comm, root, nbytes, config, data=None, **kw):
     tree = binomial_tree(comm.size).reroot_relabelled(root)
-    ctx = _ctx(comm, root, nbytes, config, tree=tree, data=data)
+    ctx = CollectiveContext(comm, root, nbytes, config, tree=tree, data=data)
     return _prepared(bcast_blocking, ctx)
 
 
 def _cray_reduce(comm, root, nbytes, config, data=None, op: ReduceOp = SUM, **kw):
     tree = binomial_tree(comm.size).reroot_relabelled(root)
-    ctx = _ctx(comm, root, nbytes, config, tree=tree, data=data, op=op)
+    ctx = CollectiveContext(comm, root, nbytes, config, tree=tree, data=data, op=op)
     return _prepared(reduce_blocking, ctx)
 
 
@@ -229,16 +223,16 @@ def cray_mpi() -> LibraryModel:
 
 def _mvapich_bcast(comm, root, nbytes, config, data=None, **kw):
     if nbytes > 64 * 1024 and comm.size > 2:
-        ctx = _ctx(comm, root, nbytes, config, data=data)
+        ctx = CollectiveContext(comm, root, nbytes, config, data=data)
         return _prepared(bcast_scatter_allgather, ctx)
     tree = binomial_tree(comm.size).reroot_relabelled(root)
-    ctx = _ctx(comm, root, nbytes, config, tree=tree, data=data)
+    ctx = CollectiveContext(comm, root, nbytes, config, tree=tree, data=data)
     return _prepared(bcast_blocking, ctx)
 
 
 def _mvapich_reduce(comm, root, nbytes, config, data=None, op: ReduceOp = SUM, **kw):
     tree = binomial_tree(comm.size).reroot_relabelled(root)
-    ctx = _ctx(comm, root, nbytes, config, tree=tree, data=data, op=op)
+    ctx = CollectiveContext(comm, root, nbytes, config, tree=tree, data=data, op=op)
     return _prepared(reduce_blocking, ctx)
 
 
@@ -254,7 +248,7 @@ def intel_topo_bcast_variants() -> dict[str, Callable[..., CollectiveHandle]]:
 
     def hier(outer: str, inner: str, label: str):
         def run(comm, root, nbytes, config, data=None, **kw):
-            ctx = _ctx(comm, root, nbytes, config, data=data)
+            ctx = CollectiveContext(comm, root, nbytes, config, data=data)
             hb = HierarchicalBcast(ctx, outer=outer, inner=inner, name=label)
             return PreparedCollective(lambda handle, ranks: hb.launch(ranks),
                                       chain_ranks=hb.chain_ranks)
@@ -265,7 +259,7 @@ def intel_topo_bcast_variants() -> dict[str, Callable[..., CollectiveHandle]]:
         # Non-pipelined binomial: whole message per hop.
         tree = binomial_tree(comm.size).reroot_relabelled(root)
         cfg = config.with_(segment_size=max(nbytes, 1))
-        ctx = _ctx(comm, root, nbytes, cfg, tree=tree, data=data)
+        ctx = CollectiveContext(comm, root, nbytes, cfg, tree=tree, data=data)
         return _prepared(bcast_nonblocking, ctx)
 
     return {
@@ -283,7 +277,7 @@ def intel_topo_reduce_variants() -> dict[str, Callable[..., CollectiveHandle]]:
 
     def hier(outer: str, inner: str, label: str):
         def run(comm, root, nbytes, config, data=None, op: ReduceOp = SUM, **kw):
-            ctx = _ctx(comm, root, nbytes, config, data=data, op=op)
+            ctx = CollectiveContext(comm, root, nbytes, config, data=data, op=op)
             hr = HierarchicalReduce(ctx, outer=outer, inner=inner, name=label)
             return PreparedCollective(lambda handle, ranks: hr.launch(ranks),
                                       chain_ranks=hr.chain_ranks)
@@ -291,10 +285,12 @@ def intel_topo_reduce_variants() -> dict[str, Callable[..., CollectiveHandle]]:
         return run
 
     def shumilin(comm, root, nbytes, config, data=None, op: ReduceOp = SUM, **kw):
-        return _prepared(reduce_shumilin, _ctx(comm, root, nbytes, config, data=data, op=op))
+        ctx = CollectiveContext(comm, root, nbytes, config, data=data, op=op)
+        return _prepared(reduce_shumilin, ctx)
 
     def rabenseifner(comm, root, nbytes, config, data=None, op: ReduceOp = SUM, **kw):
-        return _prepared(reduce_rabenseifner, _ctx(comm, root, nbytes, config, data=data, op=op))
+        ctx = CollectiveContext(comm, root, nbytes, config, data=data, op=op)
+        return _prepared(reduce_rabenseifner, ctx)
 
     return {
         "Intel-topo-Shumilin": shumilin,
@@ -308,35 +304,6 @@ def intel_topo_reduce_variants() -> dict[str, Callable[..., CollectiveHandle]]:
 
 
 # -- full ADAPT operation coverage (DESIGN.md S20) ------------------------------------
-
-#: Every collective the ADAPT framework implements. bcast/reduce go through
-#: the library models; the rest are ADAPT-only (the comparison libraries
-#: model bcast/reduce, the operations the paper measures).
-ADAPT_OPERATIONS = (
-    "bcast",
-    "reduce",
-    "scatter",
-    "gather",
-    "allreduce",
-    "allgather",
-    "reduce_scatter",
-    "alltoall",
-    "barrier",
-)
-
-_TREE_OPS = {
-    "bcast": bcast_adapt,
-    "reduce": reduce_adapt,
-    "scatter": scatter_adapt,
-    "gather": gather_adapt,
-    "allreduce": allreduce_adapt,
-    "barrier": barrier_adapt,
-}
-_RING_OPS = {
-    "allgather": allgather_adapt,
-    "reduce_scatter": reduce_scatter_adapt,
-    "alltoall": alltoall_adapt,
-}
 
 
 def prepare_operation(
@@ -363,10 +330,11 @@ def prepare_operation(
 
     if operation in RELAXED_OPERATIONS:
         return _prepare_relaxed(operation, recover=recover, policy=policy)
-    if operation not in ADAPT_OPERATIONS:
+    adapt = ADAPT_COLLECTIVES.get(operation)
+    if adapt is None:
         raise ValueError(
             f"unknown operation {operation!r}; known: "
-            f"{list(ADAPT_OPERATIONS) + list(RELAXED_OPERATIONS)}"
+            f"{list(ADAPT_COLLECTIVES) + list(RELAXED_OPERATIONS)}"
         )
     if not recover:
         if operation == "bcast":
@@ -374,17 +342,14 @@ def prepare_operation(
         if operation == "reduce":
             return library.reduce
 
-    needs_op = operation in ("reduce", "allreduce", "reduce_scatter")
-
     def prepare(comm, root, nbytes, config, data=None, op: ReduceOp = SUM, **kw):
-        tree = _topo_tree(comm, root) if operation in _TREE_OPS else None
-        ctx = _ctx(
+        tree = _topo_tree(comm, root) if adapt.tree else None
+        ctx = CollectiveContext(
             comm, root, nbytes, config, tree=tree, data=data,
-            op=op if needs_op else None,
+            op=op if adapt.folds else None,
         )
         if not recover:
-            fn = _TREE_OPS.get(operation) or _RING_OPS[operation]
-            return _prepared(fn, ctx)
+            return _prepared(adapt.launch, ctx)
 
         from repro.recovery import launch_recover
 
@@ -423,7 +388,7 @@ def _prepare_relaxed(operation: str, *, recover: bool, policy):
     needs_op = operation in ("reduce_quorum", "allreduce_quorum")
 
     def prepare(comm, root, nbytes, config, data=None, op: ReduceOp = SUM, **kw):
-        ctx = _ctx(
+        ctx = CollectiveContext(
             comm, root, nbytes, config,
             tree=_topo_tree(comm, root) if needs_tree else None,
             data=data, op=op if needs_op else None,

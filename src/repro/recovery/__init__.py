@@ -7,9 +7,10 @@ Three pillars, layered on the PR-2 fault stack:
    itself declared failed), and committed as numbered
    :class:`~repro.recovery.membership.SurvivorView` epochs.
 2. **repair** — every ADAPT collective completes under mid-flight
-   fail-stop: bcast/scatter/barrier/alltoall repair *in place* (tree
-   re-grafting / peer excusal inside the running state machines);
-   reduce/gather/allreduce/allgather/reduce-scatter restart among the
+   fail-stop, by the recovery mode its
+   :data:`~repro.collectives.models.ADAPT_COLLECTIVES` entry declares:
+   ``in-place`` collectives repair inside the running state machine (tree
+   re-grafting / peer excusal); ``restart`` collectives rerun among the
    survivors at each committed epoch
    (:class:`~repro.recovery.restart.EpochRestart`).
 3. **integrity** — per-segment checksums with NACK-triggered retransmit
@@ -22,18 +23,8 @@ and launches the named collective in its recovering configuration.
 
 from __future__ import annotations
 
-from repro.collectives import (
-    allgather_adapt,
-    allreduce_adapt,
-    alltoall_adapt,
-    barrier_adapt,
-    bcast_adapt,
-    gather_adapt,
-    reduce_adapt,
-    reduce_scatter_adapt,
-    scatter_adapt,
-)
 from repro.collectives.base import CollectiveContext, CollectiveHandle
+from repro.collectives.models import ADAPT_COLLECTIVES
 from repro.recovery.membership import (
     MembershipService,
     SurvivorView,
@@ -42,11 +33,7 @@ from repro.recovery.membership import (
     merge_suspicions,
     ring_walk,
 )
-from repro.recovery.restart import (
-    EpochRestart,
-    allgather_ring_members,
-    reduce_scatter_ring_members,
-)
+from repro.recovery.restart import EpochRestart
 
 __all__ = [
     "MembershipService",
@@ -57,29 +44,7 @@ __all__ = [
     "ensure_membership",
     "EpochRestart",
     "launch_recover",
-    "RECOVERY_MODES",
 ]
-
-#: How each collective recovers: repaired in place by its own state
-#: machine, or shrunk-and-restarted at each membership epoch.
-RECOVERY_MODES = {
-    "bcast": "in-place",
-    "scatter": "in-place",
-    "barrier": "in-place",
-    "alltoall": "in-place",
-    "reduce": "restart",
-    "gather": "restart",
-    "allreduce": "restart",
-    "allgather": "restart",
-    "reduce_scatter": "restart",
-}
-
-_INPLACE_ALGOS = {
-    "bcast": bcast_adapt,
-    "scatter": scatter_adapt,
-    "barrier": barrier_adapt,
-    "alltoall": alltoall_adapt,
-}
 
 
 def launch_recover(name: str, ctx: CollectiveContext) -> CollectiveHandle:
@@ -92,19 +57,17 @@ def launch_recover(name: str, ctx: CollectiveContext) -> CollectiveHandle:
     ``report.agreed_failed``/``epoch``; restart collectives relaunch among
     the survivors at each committed epoch.
     """
-    mode = RECOVERY_MODES.get(name)
-    if mode is None:
+    op = ADAPT_COLLECTIVES.get(name)
+    if op is None:
         raise ValueError(
-            f"unknown collective {name!r}; known: {sorted(RECOVERY_MODES)}"
+            f"unknown collective {name!r}; known: {sorted(ADAPT_COLLECTIVES)}"
         )
-    if mode == "in-place":
-        return _launch_inplace(name, ctx)
-    return _launch_restart(name, ctx)
-
-
-def _launch_inplace(name: str, ctx: CollectiveContext) -> CollectiveHandle:
+    if op.recovery == "restart":
+        return EpochRestart(
+            ctx, op.recover_name, op.launch, op.relaunch, root_required=op.tree
+        ).handle
     ms = ensure_membership(ctx.world)
-    handle = _INPLACE_ALGOS[name](ctx)
+    handle = op.launch(ctx)
     comm = ctx.comm
 
     def on_view(view: SurvivorView) -> None:
@@ -123,41 +86,3 @@ def _launch_inplace(name: str, ctx: CollectiveContext) -> CollectiveHandle:
     ms.subscribe(on_view)
     return handle
 
-
-def _launch_restart(name: str, ctx: CollectiveContext) -> CollectiveHandle:
-    if name == "reduce":
-        driver = EpochRestart(
-            ctx, "reduce-adapt-recover",
-            lambda c: reduce_adapt(c),
-            lambda c, members: reduce_adapt(c, ranks=members),
-            root_required=True,
-        )
-    elif name == "gather":
-        driver = EpochRestart(
-            ctx, "gather-adapt-recover",
-            lambda c: gather_adapt(c),
-            lambda c, members: gather_adapt(c, ranks=members),
-            root_required=True,
-        )
-    elif name == "allreduce":
-        driver = EpochRestart(
-            ctx, "allreduce-adapt-recover",
-            lambda c: allreduce_adapt(c),
-            lambda c, members: allreduce_adapt(c, ranks=members),
-            root_required=True,
-        )
-    elif name == "allgather":
-        driver = EpochRestart(
-            ctx, "allgather-adapt-recover",
-            lambda c: allgather_adapt(c),
-            lambda c, members: allgather_ring_members(c, members),
-            root_required=False,
-        )
-    else:  # reduce_scatter
-        driver = EpochRestart(
-            ctx, "reduce-scatter-adapt-recover",
-            lambda c: reduce_scatter_adapt(c),
-            lambda c, members: reduce_scatter_ring_members(c, members),
-            root_required=False,
-        )
-    return driver.handle

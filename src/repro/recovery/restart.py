@@ -25,23 +25,20 @@ over the survivors, and run the collective again at a bumped epoch.
   highest committed epoch.
 
 Ring collectives (allgather, reduce-scatter) have no tree to re-graft;
-their restart attempts run the survivor-ring variants defined here, which
-ring over the member subset while keeping the original P-way block layout
-(dead-origin blocks zero-filled / dropped from the fold).
+a restart reruns the same ring over the survivor members, keeping the
+original P-way block layout (dead-origin blocks zero-filled / dropped from
+the fold).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
-
-import numpy as np
+from typing import Callable
 
 from repro.collectives.base import (
     CollectiveContext,
     CollectiveHandle,
     new_handle,
 )
-from repro.collectives.segmentation import block_ranges
 from repro.recovery.membership import SurvivorView, ensure_membership
 from repro.trees.regraft import regraft_tree
 
@@ -53,8 +50,8 @@ class EpochRestart:
     ``relaunch(ctx_e, members)`` runs an epoch-``e`` attempt among the
     survivor ``members`` (sorted local ranks) on a fresh context whose tree,
     if any, is the original re-grafted around the agreed-dead ranks.
-    ``root_required`` collectives (reduce, gather, allreduce — results
-    funnel through ``ctx.root``) are unrecoverable if the root itself dies:
+    ``root_required`` collectives (the tree ones — results funnel through
+    ``ctx.root``) are unrecoverable if the root itself dies:
     the driver notes it and excuses the incomplete survivors instead of
     restarting.
     """
@@ -158,202 +155,3 @@ class EpochRestart:
             host_staging=set(ctx.host_staging),
         )
 
-
-# -- survivor-ring restart variants -----------------------------------------
-
-
-def allgather_ring_members(
-    ctx: CollectiveContext, members: list
-) -> CollectiveHandle:
-    """Ring allgather over a survivor subset.
-
-    Keeps the original P-way block layout: member m contributes
-    ``ctx.data[m]`` (block m); every member ends with the full ``nbytes``
-    buffer, dead-origin blocks zero-filled. Blocks travel the survivor ring
-    tagged by origin rank — each origin crosses each edge at most once, so
-    ``base + origin`` is collision-free per (src, dst) pair.
-    """
-    comm = ctx.comm
-    P = comm.size
-    K = len(members)
-    handle = new_handle(ctx, "allgather-ring-members")
-    blocks = block_ranges(ctx.nbytes, P)
-    base_tag = ctx.world.allocate_tags(P)
-    member_set = set(members)
-
-    if K == 1:
-        local = members[0]
-        out = _zero_filled(ctx, blocks, {local: _own_block(ctx, local)}, P)
-        handle.mark_done(local, ctx.world.engine.now, out)
-        return handle
-
-    def start_rank(pos: int) -> None:
-        local = members[pos]
-        right = members[(pos + 1) % K]
-        left = members[(pos - 1) % K]
-        have: dict[int, Any] = {local: _own_block(ctx, local)}
-        state = {"collected": 1, "sends_done": 0}
-
-        def maybe_done() -> None:
-            if state["collected"] == K and state["sends_done"] == K - 1:
-                out = _zero_filled(ctx, blocks, have, P)
-                handle.mark_done(local, ctx.world.engine.now, out)
-
-        def send_block(origin: int) -> None:
-            req = ctx.isend(
-                local, right, base_tag + origin, blocks[origin][1],
-                have.get(origin),
-            )
-            req.add_callback(lambda r: (_sent(), None)[1])
-
-        def _sent() -> None:
-            state["sends_done"] += 1
-            maybe_done()
-
-        def post_recv(origin: int) -> None:
-            req = ctx.irecv(local, left, base_tag + origin, blocks[origin][1])
-
-            def on_recv(r, origin=origin) -> None:
-                have[origin] = (
-                    np.asarray(r.data).reshape(-1).view(np.uint8)
-                    if (ctx.carry() and r.data is not None)
-                    else None
-                )
-                state["collected"] += 1
-                if origin != right:
-                    send_block(origin)
-                maybe_done()
-
-            req.add_callback(on_recv)
-
-        for origin in members:
-            if origin != local:
-                post_recv(origin)
-        send_block(local)
-        maybe_done()
-
-    for pos in range(K):
-        ctx.rt(members[pos]).cpu.when_available(start_rank, pos)
-    return handle
-
-
-def _own_block(ctx: CollectiveContext, local: int) -> Any:
-    own = ctx.data.get(local) if (ctx.carry() and ctx.data) else None
-    return (
-        np.asarray(own).reshape(-1).view(np.uint8) if own is not None else None
-    )
-
-
-def _zero_filled(
-    ctx: CollectiveContext, blocks: list, have: dict, P: int
-) -> Any:
-    if not ctx.carry():
-        return None
-    parts = []
-    for b in range(P):
-        blk = have.get(b)
-        parts.append(
-            blk if blk is not None else np.zeros(blocks[b][1], dtype=np.uint8)
-        )
-    return np.concatenate(parts) if parts else None
-
-
-def reduce_scatter_ring_members(
-    ctx: CollectiveContext, members: list
-) -> CollectiveHandle:
-    """Ring reduce-scatter over a survivor subset.
-
-    Every member contributes its full ``nbytes`` vector; member m ends with
-    the original block m of the elementwise reduction *over the survivor
-    contributions only* (dead contributions are simply absent from the
-    fold). The ring is indexed by member position; block indices stay in the
-    original P-way layout.
-    """
-    comm = ctx.comm
-    P = comm.size
-    K = len(members)
-    handle = new_handle(ctx, "reduce-scatter-ring-members")
-    blocks = block_ranges(ctx.nbytes, P)
-    base_tag = ctx.world.allocate_tags(P * P)
-
-    if K == 1:
-        local = members[0]
-        vec = _own_vec(ctx, local)
-        out = None
-        if vec is not None:
-            off, ln = blocks[local]
-            out = vec[off : off + ln].copy()
-        handle.mark_done(local, ctx.world.engine.now, out)
-        return handle
-
-    def start_rank(pos: int) -> None:
-        local = members[pos]
-        right = members[(pos + 1) % K]
-        left = members[(pos - 1) % K]
-        vec = _own_vec(ctx, local)
-        state = {"step": 0, "sends_done": 0, "finished": False}
-
-        def block_view(b: int):
-            if vec is None:
-                return None
-            off, ln = blocks[b]
-            return vec[off : off + ln]
-
-        def maybe_done() -> None:
-            if state["finished"]:
-                return
-            if state["step"] == K - 1 and state["sends_done"] == K - 1:
-                state["finished"] = True
-                out = block_view(local)
-                handle.mark_done(
-                    local, ctx.world.engine.now,
-                    out.copy() if out is not None else None,
-                )
-
-        def do_step() -> None:
-            s = state["step"]
-            if s >= K - 1:
-                maybe_done()
-                return
-            # Position arithmetic mirrors the full ring: the final folded
-            # block at position i is members[i] — each member's own block.
-            send_b = members[(pos - s - 1) % K]
-            recv_b = members[(pos - s - 2) % K]
-            sreq = ctx.isend(
-                local, right, base_tag + P * s + send_b, blocks[send_b][1],
-                block_view(send_b),
-            )
-            sreq.add_callback(lambda r: (_sent(), None)[1])
-            rreq = ctx.irecv(
-                local, left, base_tag + P * s + recv_b, blocks[recv_b][1]
-            )
-
-            def on_recv(r, recv_b=recv_b) -> None:
-                if ctx.carry() and vec is not None and r.data is not None:
-                    off, ln = blocks[recv_b]
-                    vec[off : off + ln] = np.asarray(
-                        ctx.op(vec[off : off + ln], np.asarray(r.data))
-                    )
-                state["step"] += 1
-                ctx.charge_reduce(local, blocks[recv_b][1], do_step)
-
-            rreq.add_callback(on_recv)
-
-        def _sent() -> None:
-            state["sends_done"] += 1
-            maybe_done()
-
-        do_step()
-
-    for pos in range(K):
-        ctx.rt(members[pos]).cpu.when_available(start_rank, pos)
-    return handle
-
-
-def _own_vec(ctx: CollectiveContext, local: int) -> Any:
-    own = ctx.data.get(local) if (ctx.carry() and ctx.data) else None
-    return (
-        np.asarray(own).reshape(-1).view(np.uint8).copy()
-        if own is not None
-        else None
-    )

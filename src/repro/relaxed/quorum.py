@@ -56,7 +56,7 @@ from repro.relaxed.frontier import (
 from repro.relaxed.policy import QuorumPolicy
 from repro.trees import Tree
 
-#: The relaxed operation family, beside ``ADAPT_OPERATIONS``.
+#: The relaxed operation family, beside ``ADAPT_COLLECTIVES``.
 RELAXED_OPERATIONS = ("bcast_quorum", "reduce_quorum", "allreduce_quorum")
 
 

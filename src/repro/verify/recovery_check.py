@@ -40,7 +40,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.collectives.models import VERIFY_MODELS
+from repro.analysis.depgraph import DepGraph, record
+from repro.collectives.models import VERIFY_MODELS, AdaptCollective
 from repro.recovery.membership import (
     SurvivorView,
     agreed_view,
@@ -228,7 +229,7 @@ def _check_stale_inplace(
 
 def _record_restart_witness(
     schedule: str,
-    collective: str,
+    adapt: AdaptCollective,
     victim: int,
     nranks: int,
     tree: str,
@@ -236,53 +237,30 @@ def _record_restart_witness(
     segment_size: int,
     root: int,
     tag_floor: int,
-):
+) -> tuple[DepGraph, list[int]]:
     """Record the survivors' relaunch exactly as ``EpochRestart`` builds it:
     same communicator, original tree re-grafted around the victim, fresh
     tag block strictly above the base epoch's."""
-    from repro.analysis.depgraph import record
-    from repro.analysis.schedules import TREES, recording_world
-    from repro.collectives import (
-        allreduce_adapt,
-        gather_adapt,
-        reduce_adapt,
-    )
+    from repro.analysis.schedules import recording_context
     from repro.config import CollectiveConfig
-    from repro.mpi.communicator import Communicator
-    from repro.recovery.restart import (
-        allgather_ring_members,
-        reduce_scatter_ring_members,
-    )
 
-    world = recording_world(nranks)
-    world.allocate_tags(tag_floor)  # push the floor: relaunch tags disjoint
-    comm = Communicator(world)
-    shape = TREES[tree](nranks).reroot_relabelled(root)
-    rg = regraft_tree(shape, {victim})
-    from repro.collectives.base import CollectiveContext
-
-    ctx = CollectiveContext(
-        comm, root, nbytes, CollectiveConfig(segment_size=segment_size),
-        tree=rg.survivor,
+    # Push the floor first: the relaunch's tags are disjoint from the base's.
+    ctx = recording_context(
+        nranks, tree, root, nbytes, CollectiveConfig(segment_size=segment_size),
+        tag_floor=tag_floor,
     )
+    assert ctx.tree is not None
+    ctx.tree = regraft_tree(ctx.tree, {victim}).survivor
     members = sorted(set(range(nranks)) - {victim})
-    relaunchers = {
-        "reduce": lambda: reduce_adapt(ctx, ranks=members),
-        "gather": lambda: gather_adapt(ctx, ranks=members),
-        "allreduce": lambda: allreduce_adapt(ctx, ranks=members),
-        "allgather": lambda: allgather_ring_members(ctx, members),
-        "reduce_scatter": lambda: reduce_scatter_ring_members(ctx, members),
-    }
-    launch = relaunchers[collective]
     graph = record(
-        world,
-        launch,
+        ctx.world,
+        lambda: adapt.relaunch(ctx, members),
         meta={
             "schedule": f"{schedule}-relaunch",
             "nranks": nranks,
             "nbytes": nbytes,
             "victim": victim,
-            "eager_threshold": world.config.eager_threshold,
+            "eager_threshold": ctx.world.config.eager_threshold,
         },
     )
     return graph, members
@@ -291,7 +269,7 @@ def _record_restart_witness(
 def _witness_restart(
     rep: VictimReport,
     schedule: str,
-    collective: str,
+    adapt: AdaptCollective,
     nranks: int,
     tree: str,
     nbytes: int,
@@ -302,7 +280,7 @@ def _witness_restart(
 ) -> None:
     rep.witness = "restart-model"
     graph, members = _record_restart_witness(
-        schedule, collective, rep.victim, nranks, tree, nbytes,
+        schedule, adapt, rep.victim, nranks, tree, nbytes,
         segment_size, root, tag_floor,
     )
     wmodel = model_from_graph(graph)
@@ -345,24 +323,18 @@ def _witness_inplace(
     root: int,
 ) -> None:
     """Record a live faulted run and require a clean lint + full completion."""
-    from repro.analysis.depgraph import record
     from repro.analysis.lint import lint
-    from repro.analysis.schedules import TREES, recording_world
-    from repro.collectives.base import CollectiveContext
+    from repro.analysis.schedules import recording_context
     from repro.config import CollectiveConfig
     from repro.faults import FaultInjector
     from repro.faults.plan import FaultPlan
-    from repro.mpi.communicator import Communicator
     from repro.recovery import launch_recover
 
     rep.witness = "in-place-live"
-    world = recording_world(nranks)
-    comm = Communicator(world)
-    shape = TREES[tree](nranks).reroot_relabelled(root)
-    ctx = CollectiveContext(
-        comm, root, nbytes, CollectiveConfig(segment_size=segment_size),
-        tree=shape,
+    ctx = recording_context(
+        nranks, tree, root, nbytes, CollectiveConfig(segment_size=segment_size)
     )
+    world = ctx.world
     plan = FaultPlan.single_kill(rep.victim, 2e-4, detect_delay=2e-4)
     handles: list[Any] = []
 
@@ -634,22 +606,17 @@ def _witness_partition(
     split the obligations invert: *no* epoch may commit (the round parks
     awaiting quorum), and after the heal everyone completes clean.
     """
-    from repro.analysis.schedules import TREES, recording_world
-    from repro.collectives.base import CollectiveContext
+    from repro.analysis.schedules import recording_context
     from repro.config import CollectiveConfig
     from repro.faults import FaultInjector
     from repro.faults.plan import FaultPlan, PartitionSpec
-    from repro.mpi.communicator import Communicator
     from repro.recovery import launch_recover
 
     rep.witness = "partition-live"
-    world = recording_world(nranks)
-    comm = Communicator(world)
-    shape = TREES[tree](nranks).reroot_relabelled(root)
-    ctx = CollectiveContext(
-        comm, root, nbytes, CollectiveConfig(segment_size=segment_size),
-        tree=shape,
+    ctx = recording_context(
+        nranks, tree, root, nbytes, CollectiveConfig(segment_size=segment_size)
     )
+    world = ctx.world
     # Heal far beyond the detection deadline (phi crossing + confirm is
     # ~20 periods); the post-deadline path must behave as a kill.
     plan = FaultPlan(partitions=(
@@ -749,12 +716,12 @@ def partition_sweep(
     """
     t0 = time.monotonic()
     spec = VERIFY_MODELS.get(schedule)
-    if spec is None or spec.family != "adapt" or spec.recovery is None:
+    adapt = spec.adapt if spec is not None else None
+    if adapt is None:
         raise ValueError(
             f"partition-sweep needs an ADAPT collective with a declared "
             f"recovery mode; {schedule!r} is not one"
         )
-    assert spec.collective is not None
     model = build_model(
         schedule, nranks=nranks, tree=tree, nbytes=nbytes,
         segment_size=segment_size, root=root,
@@ -765,8 +732,8 @@ def partition_sweep(
     )
     result = PartitionSweepResult(
         schedule=schedule,
-        collective=spec.collective,
-        mode=spec.recovery,
+        collective=adapt.name,
+        mode=adapt.recovery,
         nranks=nranks,
         tree=tree,
         root=root,
@@ -800,7 +767,7 @@ def partition_sweep(
             lost = side_a
         if lost:
             rep.states_checked, rep.stale_ok, stale_issues = _check_stale_cut(
-                model, base, lost, spec.recovery, tag_floor
+                model, base, lost, adapt.recovery, tag_floor
             )
             rep.issues.extend(stale_issues)
         else:
@@ -810,7 +777,7 @@ def partition_sweep(
             rep.stale_ok = True
         if side_b in witness_cuts and root in side_a:
             _witness_partition(
-                rep, spec.collective, nranks, tree, nbytes,
+                rep, adapt.name, nranks, tree, nbytes,
                 segment_size, root,
             )
         result.cuts.append(rep)
@@ -838,12 +805,12 @@ def kill_sweep(
     """
     t0 = time.monotonic()
     spec = VERIFY_MODELS.get(schedule)
-    if spec is None or spec.family != "adapt" or spec.recovery is None:
+    adapt = spec.adapt if spec is not None else None
+    if adapt is None:
         raise ValueError(
             f"kill-sweep needs an ADAPT collective with a declared recovery "
             f"mode; {schedule!r} is not one"
         )
-    assert spec.collective is not None
     model = build_model(
         schedule, nranks=nranks, tree=tree, nbytes=nbytes,
         segment_size=segment_size, root=root,
@@ -854,8 +821,8 @@ def kill_sweep(
     )
     result = KillSweepResult(
         schedule=schedule,
-        collective=spec.collective,
-        mode=spec.recovery,
+        collective=adapt.name,
+        mode=adapt.recovery,
         nranks=nranks,
         tree=tree,
         root=root,
@@ -891,7 +858,7 @@ def kill_sweep(
             rep.regraft_ok = False
             rep.issues.append(f"re-graft check failed: {exc}")
 
-        if spec.recovery == "restart":
+        if adapt.recovery == "restart":
             rep.states_checked, rep.stale_ok, stale_issues = (
                 _check_stale_restart(model, base, tag_floor)
             )
@@ -902,14 +869,14 @@ def kill_sweep(
         rep.issues.extend(stale_issues)
 
         if witness:
-            if spec.recovery == "restart":
+            if adapt.recovery == "restart":
                 _witness_restart(
-                    rep, schedule, spec.collective, nranks, tree, nbytes,
+                    rep, schedule, adapt, nranks, tree, nbytes,
                     segment_size, root, tag_floor, max_states,
                 )
             else:
                 _witness_inplace(
-                    rep, schedule, spec.collective, nranks, tree, nbytes,
+                    rep, schedule, adapt.name, nranks, tree, nbytes,
                     segment_size, root,
                 )
         else:

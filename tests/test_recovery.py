@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.collectives.base import CollectiveContext
+from repro.collectives.models import ADAPT_COLLECTIVES
 from repro.config import CollectiveConfig, RuntimeConfig
 from repro.faults import FaultInjector, FaultPlan, FailureDetector, KillSpec
 from repro.faults.plan import CorruptSpec, plan_from_dict
@@ -46,13 +47,10 @@ def make_world(nranks=24, reliable=False, **kw):
     return MpiWorld(spec, nranks, carry_data=True, **kw)
 
 
-_TREE_OPS = {"bcast", "scatter", "barrier", "reduce", "gather", "allreduce"}
-
-
 def recover_ctx(world, name, root=0, nbytes=NBYTES, data=None):
     comm = Communicator(world)
     kw = {}
-    if name in _TREE_OPS:
+    if ADAPT_COLLECTIVES[name].tree:
         kw["tree"] = topology_aware_tree(world.topology, list(comm.ranks), root)
     return CollectiveContext(comm, root, nbytes, SMALL_CONFIG, data=data,
                              op=SUM, **kw)

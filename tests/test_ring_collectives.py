@@ -29,6 +29,18 @@ def make_world(nranks=24):
     return w, Communicator(w)
 
 
+# ``members=`` rings over a survivor subset (the epoch-restart relaunch):
+# every rank, a subset without interior rank 2 and end rank 5, one survivor.
+MEMBER_SETS = [list(range(6)), [0, 1, 3, 4], [3]]
+
+
+def _fold(vectors, op):
+    full = None
+    for v in vectors:
+        full = v.copy() if full is None else op(full, v)
+    return full
+
+
 class TestAllgather:
     @pytest.mark.parametrize("nranks", [2, 3, 8, 24])
     def test_every_rank_assembles_all_blocks(self, nranks):
@@ -70,6 +82,33 @@ class TestAllgather:
         assert handle.done
         assert handle.elapsed() > 0
 
+    @pytest.mark.parametrize("members", MEMBER_SETS)
+    def test_members_assemble_survivor_blocks(self, members):
+        # Survivor oracle: member-origin blocks exact, dead-origin blocks
+        # zero-filled, non-members never run.
+        nranks = 6
+        w, comm = make_world(nranks)
+        nbytes = nranks * 300 + 7
+        ranges = block_ranges(nbytes, nranks)
+        rng = np.random.default_rng(31)
+        data = {
+            r: rng.integers(1, 256, ranges[r][1], dtype=np.uint8)
+            for r in range(nranks)
+        }
+        ctx = CollectiveContext(comm, 0, nbytes, CFG, data=data)
+        handle = allgather_adapt(ctx, members=members)
+        w.run()
+        assert sorted(handle.done_time) == members
+        expected = np.concatenate([
+            data[s] if s in members else np.zeros(ranges[s][1], dtype=np.uint8)
+            for s in range(nranks)
+        ])
+        for r in members:
+            np.testing.assert_array_equal(
+                np.asarray(handle.output[r]).view(np.uint8), expected,
+                err_msg=f"member {r}",
+            )
+
 
 class TestReduceScatter:
     @pytest.mark.parametrize("op", [SUM, MAX])
@@ -101,6 +140,31 @@ class TestReduceScatter:
         handle = reduce_scatter_adapt(ctx)
         w.run()
         assert handle.done
+
+    @pytest.mark.parametrize("op", [SUM, MAX])
+    @pytest.mark.parametrize("members", MEMBER_SETS)
+    def test_members_fold_survivors_only(self, members, op):
+        # Survivor oracle: member m ends with block m of the fold over the
+        # members' contributions; non-members never run.
+        nranks = 6
+        w, comm = make_world(nranks)
+        nbytes = nranks * 200 + 3
+        rng = np.random.default_rng(37)
+        data = {
+            r: rng.integers(0, 40, nbytes, dtype=np.uint8) for r in range(nranks)
+        }
+        ctx = CollectiveContext(comm, 0, nbytes, CFG, data=data, op=op)
+        handle = reduce_scatter_adapt(ctx, members=members)
+        w.run()
+        assert sorted(handle.done_time) == members
+        full = _fold([data[r] for r in members], op)
+        ranges = block_ranges(nbytes, nranks)
+        for r in members:
+            off, ln = ranges[r]
+            np.testing.assert_array_equal(
+                np.asarray(handle.output[r]).view(np.uint8), full[off : off + ln],
+                err_msg=f"member {r}",
+            )
 
     @pytest.mark.parametrize("nranks", [2, 3])
     def test_rendezvous_blocks_complete_once(self, nranks):

@@ -22,10 +22,9 @@ import pytest
 
 from repro.analysis.depgraph import record
 from repro.analysis.schedules import SCHEDULES, recording_world
-from repro.collectives.models import ADAPT_VERIFY, VERIFY_MODELS
+from repro.collectives.models import ADAPT_COLLECTIVES, VERIFY_MODELS
 from repro.mpi.proclet import ProcletDriver
 from repro.parallel import ResultCache
-from repro.recovery import RECOVERY_MODES
 from repro.verify import (
     DEADLOCK,
     RACE,
@@ -47,6 +46,7 @@ from repro.verify import (
 NRANKS = 6
 NBYTES = 64 * 1024
 SEG = 16 * 1024
+ADAPT_SCHEDULES = [c.schedule for c in ADAPT_COLLECTIVES.values()]
 
 
 def _model(schedule, nranks=NRANKS):
@@ -84,7 +84,7 @@ class TestModelExtraction:
 
 
 class TestAdaptVerified:
-    @pytest.mark.parametrize("schedule", ADAPT_VERIFY)
+    @pytest.mark.parametrize("schedule", ADAPT_SCHEDULES)
     def test_zero_violations_all_orderings(self, schedule):
         e = explore(_model(schedule))
         assert e.complete
@@ -92,7 +92,7 @@ class TestAdaptVerified:
         assert not e.violations, e.verdict()
         assert e.maximal_states == 1  # confluence: one unique final state
 
-    @pytest.mark.parametrize("schedule", ADAPT_VERIFY)
+    @pytest.mark.parametrize("schedule", ADAPT_SCHEDULES)
     def test_dpor_strictly_smaller_than_naive(self, schedule):
         m = _model(schedule)
         dpor = explore(m, mode="dpor", keep_states=False)
@@ -204,12 +204,6 @@ class TestCounterexamples:
 
 
 class TestKillSweep:
-    def test_registry_mirrors_recovery_modes(self):
-        for schedule in ADAPT_VERIFY:
-            spec = VERIFY_MODELS[schedule]
-            assert spec.collective in RECOVERY_MODES
-            assert spec.recovery == RECOVERY_MODES[spec.collective]
-
     def test_inplace_sweep_certifies(self):
         r = kill_sweep("bcast-adapt", nranks=4, nbytes=NBYTES,
                        segment_size=SEG)
