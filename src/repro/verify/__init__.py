@@ -6,9 +6,9 @@ package proves them for *every* execution a reordering network could
 produce: the recorded schedule becomes a transition system
 (:mod:`repro.verify.model`), the explorer walks all inequivalent match
 orders with dynamic partial-order reduction
-(:mod:`repro.verify.checker`), the kill-sweep certifies the recovery
-path at every explored state (:mod:`repro.verify.recovery_check`), and
-every violation ships as a replayable, Chrome-traceable counterexample
+(:mod:`repro.verify.checker`), the fault sweep certifies the kill and
+partition repair paths at every explored state
+(:mod:`repro.verify.recovery_check`), and every violation ships as a replayable, Chrome-traceable counterexample
 (:mod:`repro.verify.counterexample`). ``repro verify`` is the CLI front
 door; :mod:`repro.verify.cache` keys warm re-runs by model fingerprint.
 """
@@ -44,38 +44,32 @@ from repro.verify.model import (
     model_from_graph,
 )
 from repro.verify.recovery_check import (
-    CutReport,
-    KillSweepResult,
-    PartitionSweepResult,
-    VictimReport,
-    kill_sweep,
-    partition_sweep,
+    PointReport,
+    SweepResult,
+    fault_sweep,
 )
 
 __all__ = [
     "DEADLOCK",
     "RACE",
     "UNMATCHED_SEND",
-    "CutReport",
     "Exploration",
-    "KillSweepResult",
-    "PartitionSweepResult",
     "MatchEvent",
     "ModelOp",
+    "PointReport",
     "ReplayResult",
     "ScheduleModel",
+    "SweepResult",
     "VerifyKey",
-    "VictimReport",
     "Violation",
     "build_model",
     "chrome_counterexample_trace",
     "counterexample_dict",
     "explore",
+    "fault_sweep",
     "exploration_to_summary",
     "first_violation",
-    "kill_sweep",
     "load_counterexample",
-    "partition_sweep",
     "model_from_graph",
     "model_from_trace",
     "replay",
