@@ -260,8 +260,9 @@ class MembershipService:
         the *latest* committed epoch it missed (epoch precedence; earlier
         parked epochs are superseded and their in-flight completions die on
         the epoch guards). If suspicions are still pending (e.g. a round
-        parked awaiting quorum), a fresh round is scheduled: post-heal
-        evidence retracts the false ones and the rest re-propose.
+        parked awaiting quorum), a fresh round is scheduled one heartbeat
+        period past the grace window: post-heal beats retract the false
+        suspicions first, and only the rest re-propose.
 
         Ranks a committed epoch declared failed that turn out to be
         ground-truth alive are *evicted* (the heal-after-deadline fall
@@ -303,8 +304,15 @@ class MembershipService:
                 self._dispatch_one(fn, rank, view)
         if self._pending and self._round_timer is None \
                 and not self._round_active:
+            # Every healed rank's first beat lands within one heartbeat
+            # period (beats are phased by rank); proposing sooner writes
+            # off live ranks whose retraction is still on its way.
+            detector = self.world.failure_detector
+            wait = self.grace
+            if detector is not None:
+                wait += detector.heartbeat_period
             self._round_timer = self.world.engine.call_after(
-                self.grace, self._start_round
+                wait, self._start_round
             )
 
     # -- agreement round ------------------------------------------------------
