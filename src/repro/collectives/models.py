@@ -102,7 +102,7 @@ class VerifySpec:
     family: str
     #: The violation kind the checker is *expected* to report (demos only).
     expect: Optional[str] = None
-    #: The table entry of an ADAPT collective (its kill-sweep recovery path).
+    #: The table entry of an ADAPT collective (its fault-sweep repair path).
     adapt: Optional[AdaptCollective] = None
 
 

@@ -12,7 +12,7 @@ and re-explores.
 Cached is the exploration *summary* (state counts, verdict, violation
 digests), never the per-state sets — enough to certify on a warm run and
 to re-print the report, while a caller who needs the states themselves
-(the kill-sweep) always explores live.
+(the fault sweep) always explores live.
 """
 
 from __future__ import annotations

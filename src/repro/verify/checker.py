@@ -87,7 +87,7 @@ class Exploration:
     #: False when the state or time budget stopped the search early.
     complete: bool = True
     elapsed: float = 0.0
-    #: Every distinct matched-set reached (the kill-sweep iterates these).
+    #: Every distinct matched-set reached (the fault sweep iterates these).
     states: list[frozenset[int]] = field(default_factory=list)
 
     @property
