@@ -5,7 +5,7 @@ participation; synchronous data-parallel SGD with gradient averaging is the
 canonical one (SSP-style bounded staleness). Each epoch every rank computes
 a gradient for ``compute_per_epoch`` seconds, then the gradients are
 averaged with an allreduce — exact ADAPT (``quorum=None``) or
-:func:`~repro.relaxed.allreduce_quorum` under a
+:func:`~repro.collectives.quorum.allreduce_quorum` under a
 :class:`~repro.relaxed.QuorumPolicy`. A straggler whose gradient misses the
 quorum merges it into a later epoch (within the staleness window) or loses
 it to an accounted discard.
@@ -35,6 +35,7 @@ from repro.faults.plan import FaultPlan
 from repro.harness.runner import _build_world, _chain
 from repro.libraries.presets import library_by_name, prepare_operation
 from repro.machine.spec import MachineSpec
+from repro.relaxed.policy import QuorumPolicy
 
 #: Model-problem dimensionality: small enough that the replay is free, large
 #: enough that seeded targets are in general position.
@@ -117,9 +118,7 @@ def run_sgd(
     epochs: int = 8,
     grad_bytes: int = 1 << 20,
     compute_per_epoch: float = 1e-3,
-    quorum: Optional[Union[int, float]] = None,
-    min_quorum: int = 1,
-    staleness_window: int = 1,
+    quorum: Optional[QuorumPolicy] = None,
     noise_percent: float = 0.0,
     noise_ranks: Union[str, list] = "per-node",
     noise_frequency: float = 10.0,
@@ -133,25 +132,18 @@ def run_sgd(
     """Run data-parallel SGD through the simulator and replay its numerics.
 
     ``quorum=None`` runs the exact ADAPT allreduce (the synchronous
-    comparator); anything else relaxes the gradient averaging with
-    :func:`~repro.relaxed.allreduce_quorum` under the given policy.
+    comparator); a policy relaxes the gradient averaging with
+    :func:`~repro.collectives.quorum.allreduce_quorum` under it.
     """
     world, comm, injectors, deadline = _build_world(
         spec, nranks, fault_plan=fault_plan, time_limit=time_limit,
         noise_percent=noise_percent, noise_ranks=noise_ranks,
         noise_frequency=noise_frequency, seed=seed, sanitize=sanitize,
     )
-    library = library_by_name("OMPI-adapt")
-    if quorum is None:
-        prepare = prepare_operation(library, "allreduce")
-    else:
-        from repro.relaxed import QuorumPolicy
-
-        prepare = prepare_operation(
-            library, "allreduce_quorum",
-            policy=QuorumPolicy(quorum=quorum, min_quorum=min_quorum,
-                                staleness_window=staleness_window),
-        )
+    prepare = prepare_operation(
+        library_by_name("OMPI-adapt"),
+        "allreduce" if quorum is None else "allreduce_quorum", policy=quorum,
+    )
 
     # Every rank computes its first gradient, then enters epoch 0.
     start = world.engine.now
@@ -159,10 +151,12 @@ def run_sgd(
         world, comm, lambda _k: prepare(comm, 0, grad_bytes, config), epochs,
         injectors, deadline, gap=compute_per_epoch, lead=True,
     )
+    policy = quorum or QuorumPolicy()
     result = SgdResult(
         nranks=nranks, epochs=epochs, grad_bytes=grad_bytes,
-        quorum=quorum, min_quorum=min_quorum,
-        staleness_window=staleness_window,
+        quorum=None if quorum is None else policy.quorum,
+        min_quorum=policy.min_quorum,
+        staleness_window=policy.staleness_window,
         noise_percent=noise_percent, seed=seed, epoch_times=epoch_times,
     )
     result.completed = handles[-1] is not None and handles[-1].done

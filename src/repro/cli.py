@@ -165,13 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
         "ADAPT collective among the survivors, and --corrupt exercises "
         "the end-to-end checksum/NACK repair path.",
     )
-    from repro.collectives.models import ADAPT_COLLECTIVES
-    from repro.relaxed import RELAXED_OPERATIONS
+    from repro.collectives.models import COLLECTIVES
 
-    pchaos.add_argument(
-        "operation",
-        choices=list(ADAPT_COLLECTIVES) + list(RELAXED_OPERATIONS),
-    )
+    pchaos.add_argument("operation", choices=list(COLLECTIVES))
     pchaos.add_argument("--library", default="OMPI-adapt")
     pchaos.add_argument("--compare", default="OMPI-default-topo",
                         help="second library run under the same plan "
@@ -552,15 +548,18 @@ def _parse_partition(text: str, nranks: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _cmd_chaos(args) -> str:
+    from repro.collectives.models import COLLECTIVES
     from repro.faults import FaultPlan, KillSpec, LossSpec, PartitionSpec
     from repro.faults.plan import CorruptSpec, StallSpec
     from repro.parallel import SimJob, run_jobs
-    from repro.relaxed import RELAXED_OPERATIONS
+    from repro.relaxed import QuorumPolicy
 
     nranks = default_nranks(resolve(args.machine, args.nodes), args.nranks)
-    relaxed = args.operation in RELAXED_OPERATIONS
-    if args.quorum is not None and not relaxed:
-        raise SystemExit("chaos: --quorum needs a *_quorum operation")
+    relaxed = COLLECTIVES[args.operation].relaxed
+    if not relaxed and (args.quorum is not None or args.min_quorum != 1
+                        or args.staleness_window != 1):
+        raise SystemExit("chaos: --quorum, --min-quorum and "
+                         "--staleness-window need a *_quorum operation")
     if relaxed and args.recover:
         raise SystemExit("chaos: --recover and *_quorum operations are "
                          "mutually exclusive (quorum completion already "
@@ -575,13 +574,16 @@ def _cmd_chaos(args) -> str:
             raise SystemExit(
                 f"chaos: bad --stall {spec_str!r}; expected RANK:TIME:DURATION"
             ) from None
-    quorum_kw = {}
+    policy = None
     if relaxed:
         q = args.quorum if args.quorum is not None else 1.0
         # A count if it is an integral value above 1, else a fraction.
         q = int(q) if q > 1 and float(q).is_integer() else q
-        quorum_kw = {"quorum": q, "min_quorum": args.min_quorum,
-                     "staleness_window": args.staleness_window}
+        try:
+            policy = QuorumPolicy(quorum=q, min_quorum=args.min_quorum,
+                                  staleness_window=args.staleness_window)
+        except ValueError as exc:
+            raise SystemExit(f"chaos: {exc}") from None
     lossy = args.drop > 0 or args.duplicate > 0
     if (not lossy and args.corrupt <= 0 and args.kill_rank is None
             and args.partition is None and not stalls):
@@ -594,7 +596,7 @@ def _cmd_chaos(args) -> str:
     world = dict(machine=args.machine, nodes=args.nodes, nranks=nranks,
                  nbytes=args.nbytes, iterations=args.iterations, seed=args.seed)
     [base] = run_jobs([SimJob(library=args.library, operation=args.operation,
-                              **world, **quorum_kw)], **kw)
+                              quorum=policy, **world)], **kw)
     lines = [f"fault-free  {base}"]
     kill_at = None
     if args.kill_rank is not None:
@@ -632,11 +634,10 @@ def _cmd_chaos(args) -> str:
             f"stall rank {s.rank} at t={s.time * 1e3:.3f} ms for "
             f"{s.duration * 1e3:.3f} ms" for s in stalls
         ))
-    if quorum_kw:
+    if policy is not None:
         desc.append(
-            f"quorum={quorum_kw['quorum']:g} "
-            f"min={quorum_kw['min_quorum']} "
-            f"window={quorum_kw['staleness_window']}"
+            f"quorum={policy.quorum:g} min={policy.min_quorum} "
+            f"window={policy.staleness_window}"
         )
     if lossy:
         desc.append(f"drop={args.drop:g} duplicate={args.duplicate:g} per message")
@@ -661,7 +662,7 @@ def _cmd_chaos(args) -> str:
     # A hung schedule legitimately leaves wreckage.
     faulty = dict(world, fault_plan=plan, sanitize=not kills and not partitions)
     jobs = [SimJob(library=args.library, operation=args.operation,
-                   recover=args.recover, **faulty, **quorum_kw)]
+                   recover=args.recover, quorum=policy, **faulty)]
     if args.compare and args.compare != args.library:
         # The comparator shows what the same plan does *without* recovery
         # (and, for the relaxed family, without the quorum: the exact op).

@@ -15,8 +15,10 @@ the paper's Algorithms 1-3:
 
 Plus the classic algorithms the comparison libraries use
 (:mod:`repro.collectives.classic`), the Section 3.1 multi-communicator
-hierarchical composition (:mod:`repro.collectives.hierarchical`), and an
-Open MPI ``tuned``-style decision function (:mod:`repro.collectives.tuned`).
+hierarchical composition (:mod:`repro.collectives.hierarchical`), an
+Open MPI ``tuned``-style decision function (:mod:`repro.collectives.tuned`),
+and the bounded-staleness quorum collectives
+(:mod:`repro.collectives.quorum`).
 """
 
 from repro.collectives.base import CollectiveHandle, CollectiveContext
@@ -43,6 +45,7 @@ from repro.collectives.extensions_allgather import (
 from repro.collectives.extensions_alltoall import alltoall_adapt
 from repro.collectives.models import (
     ADAPT_COLLECTIVES,
+    COLLECTIVES,
     VERIFY_MODELS,
     AdaptCollective,
     VerifySpec,
@@ -50,6 +53,7 @@ from repro.collectives.models import (
 
 __all__ = [
     "ADAPT_COLLECTIVES",
+    "COLLECTIVES",
     "AdaptCollective",
     "VERIFY_MODELS",
     "VerifySpec",

@@ -1,11 +1,12 @@
-"""The ADAPT collective table and the model checker's schedule contracts.
+"""The collective table and the model checker's schedule contracts.
 
-:data:`ADAPT_COLLECTIVES` registers each of the nine ADAPT collectives
-once: its launcher, whether it runs on the topology-aware tree, whether it
-folds payloads with ``ctx.op``, and how it recovers from a fail-stop
-(DESIGN.md S20). The library presets, the live-recovery front door, the
-analyzer, the model checker, the CLI and the recovery figures all read it;
-nothing else lists the nine operations.
+:data:`COLLECTIVES` registers each of the twelve collectives once: its
+launcher, whether it runs on the topology-aware tree, whether it folds
+payloads with ``ctx.op``, and how it survives a fail-stop (DESIGN.md S20,
+S25). The library presets, the live-recovery front door, the analyzer, the
+model checker, the CLI and the recovery figures all read it; nothing else
+lists the operations. :data:`ADAPT_COLLECTIVES` is its nine exact rows;
+the three ``*_quorum`` rows complete around missing ranks instead.
 
 ``repro.verify`` treats a collective as a transition system extracted from
 a recorded run. That extraction is only sound for schedules whose *posting
@@ -34,24 +35,37 @@ from repro.collectives.extensions_allgather import (
     reduce_scatter_adapt,
 )
 from repro.collectives.extensions_alltoall import alltoall_adapt
+from repro.collectives.quorum import (
+    allreduce_quorum,
+    bcast_quorum,
+    reduce_quorum,
+)
 
 
 @dataclass(frozen=True)
 class AdaptCollective:
-    """One ADAPT collective, as every consumer sees it."""
+    """One row of the collective table, as every consumer sees it."""
 
     #: Operation name (``"reduce_scatter"``): the CLI/harness key.
     name: str
     launch: Callable[..., CollectiveHandle]
-    #: Runs on the topology-aware tree (else tree-free: ring or pairwise).
+    #: Runs on the topology-aware tree (else tree-free: ring, pairwise or
+    #: star).
     #: Tree collectives funnel through ``ctx.root``, so a restart cannot
     #: survive the root's death.
     tree: bool
     #: Folds payloads with ``ctx.op``.
     folds: bool
     #: "in-place" (repaired inside the running state machine) | "restart"
-    #: (relaunched among the survivors at each membership epoch).
+    #: (relaunched among the survivors at each membership epoch) | "quorum"
+    #: (completes around missing ranks under a ``QuorumPolicy``; never
+    #: combines with live recovery).
     recovery: str
+
+    @property
+    def relaxed(self) -> bool:
+        """A quorum operation: its launcher takes a ``QuorumPolicy``."""
+        return self.recovery == "quorum"
 
     @property
     def schedule(self) -> str:
@@ -74,8 +88,10 @@ class AdaptCollective:
         return self.launch(ctx, members=members)
 
 
-#: The nine ADAPT collectives, in figure-row order.
-ADAPT_COLLECTIVES: dict[str, AdaptCollective] = {
+#: Every collective, in figure-row order: the nine exact ADAPT collectives,
+#: then the three quorum collectives. ``allreduce_quorum`` is flat: its
+#: ingest is a star, and its down phase builds its own star.
+COLLECTIVES: dict[str, AdaptCollective] = {
     c.name: c
     for c in (
         #               name, launch, tree, folds, recovery
@@ -89,7 +105,17 @@ ADAPT_COLLECTIVES: dict[str, AdaptCollective] = {
                         "restart"),
         AdaptCollective("alltoall", alltoall_adapt, False, False, "in-place"),
         AdaptCollective("barrier", barrier_adapt, True, False, "in-place"),
+        AdaptCollective("bcast_quorum", bcast_quorum, True, False, "quorum"),
+        AdaptCollective("reduce_quorum", reduce_quorum, False, True, "quorum"),
+        AdaptCollective("allreduce_quorum", allreduce_quorum, False, True,
+                        "quorum"),
     )
+}
+
+#: The nine exact ADAPT collectives: what recovery, the analyzer and the
+#: checker read.
+ADAPT_COLLECTIVES: dict[str, AdaptCollective] = {
+    name: c for name, c in COLLECTIVES.items() if not c.relaxed
 }
 
 

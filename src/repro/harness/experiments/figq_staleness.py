@@ -33,6 +33,7 @@ import math
 from repro.faults import FaultPlan
 from repro.harness.experiments.common import ExperimentResult, fmt_bytes, sweep
 from repro.parallel import SimJob
+from repro.relaxed import QuorumPolicy
 
 #: The sgd cells: epochs x gradient size x per-epoch compute. Sized so one
 #: straggler epoch dominates an epoch's critical path (the frontier's
@@ -109,11 +110,10 @@ def run(
     def sgd_job(plan, noise, quorum, window) -> SimJob:
         return SimJob(
             kind="sgd", machine="testbox", nodes=nodes, nranks=nranks,
-            library="OMPI-adapt",
-            operation="allreduce" if quorum is None else "allreduce_quorum",
-            nbytes=GRAD_BYTES, iterations=EPOCHS,
+            library="OMPI-adapt", nbytes=GRAD_BYTES, iterations=EPOCHS,
             compute_per_iteration=COMPUTE,
-            quorum=quorum, staleness_window=window,
+            quorum=None if quorum is None else QuorumPolicy(
+                quorum=quorum, staleness_window=window),
             noise_percent=noise, noise_frequency=2000.0, seed=4,
             fault_plan=plan,
             sanitize=plan is None or not plan.kills,

@@ -28,7 +28,6 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from repro.collectives.models import ADAPT_COLLECTIVES
 from repro.config import DEFAULT_COLLECTIVE, CollectiveConfig, RuntimeConfig
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
@@ -43,6 +42,7 @@ from repro.mpi.communicator import Communicator
 from repro.mpi.ops import SUM, ReduceOp
 from repro.mpi.runtime import MpiWorld
 from repro.noise.injector import NoiseInjector
+from repro.relaxed.policy import QuorumPolicy
 
 
 @dataclass
@@ -332,14 +332,17 @@ def run_collective(
     time_limit: Optional[float] = None,
     observe: Optional[str] = None,
     recover: bool = False,
-    quorum: Optional[Union[int, float]] = None,
-    min_quorum: int = 1,
-    staleness_window: int = 1,
+    quorum: Optional[QuorumPolicy] = None,
 ) -> RunResult:
     """Measure one (library, operation, size, noise) point.
 
     ``custom_algorithm`` overrides the library's function — used by the
     Figure 8 sweeps, which iterate over Intel's per-algorithm variants.
+
+    ``quorum`` is the :class:`~repro.relaxed.QuorumPolicy` a ``*_quorum``
+    operation completes under (``None``: full participation);
+    :func:`~repro.libraries.presets.prepare_operation` rejects it for an
+    exact operation, and rejects ``recover`` for a quorum one.
 
     ``fault_plan`` arms a :class:`~repro.faults.FaultInjector` over the run;
     a plan with losses implies the reliable transport unless
@@ -354,27 +357,14 @@ def run_collective(
     simulated timeline — an observed run reports the exact times an
     unobserved one does.
     """
-    from repro.relaxed import RELAXED_OPERATIONS, QuorumPolicy
-
     if isinstance(library, str):
         library = library_by_name(library)
-    if operation not in ADAPT_COLLECTIVES and operation not in RELAXED_OPERATIONS:
-        raise ValueError(
-            f"unknown operation {operation!r}; known: "
-            f"{list(ADAPT_COLLECTIVES) + list(RELAXED_OPERATIONS)}"
-        )
-    policy = None
-    if operation in RELAXED_OPERATIONS:
-        policy = QuorumPolicy(
-            quorum=1.0 if quorum is None else quorum,
-            min_quorum=min_quorum,
-            staleness_window=staleness_window,
-        )
-    elif quorum is not None:
-        raise ValueError(
-            f"quorum applies only to {list(RELAXED_OPERATIONS)}, "
-            f"not {operation!r}"
-        )
+    # Every operation/recover/quorum error comes before a world is built.
+    prepare = prepare_operation(
+        library, operation, recover=recover, policy=quorum
+    )
+    if custom_algorithm is not None:
+        prepare = custom_algorithm
     if mode not in ("imb", "sequential"):
         raise ValueError(f"unknown mode {mode!r}")
     if observe not in (None, "metrics", "trace"):
@@ -389,9 +379,6 @@ def run_collective(
         time_limit=time_limit, noise_percent=noise_percent,
         noise_ranks=noise_ranks, noise_frequency=noise_frequency, seed=seed,
         gpu=gpu, sanitize=sanitize, observe=observe is not None,
-    )
-    prepare = custom_algorithm or prepare_operation(
-        library, operation, recover=recover, policy=policy
     )
     result = RunResult(
         library=library.name,

@@ -43,10 +43,11 @@ from repro.collectives import (
 )
 from repro.collectives.base import CollectiveContext, CollectiveHandle
 from repro.collectives.hierarchical import HierarchicalBcast, HierarchicalReduce
-from repro.collectives.models import ADAPT_COLLECTIVES
+from repro.collectives.models import COLLECTIVES
 from repro.machine.spec import CommLevel
 from repro.mpi.communicator import Communicator
 from repro.mpi.ops import SUM, ReduceOp
+from repro.relaxed.policy import QuorumPolicy
 from repro.trees.base import Tree
 from repro.trees.builders import binomial_tree
 from repro.trees.topo_tree import topology_aware_tree
@@ -308,48 +309,59 @@ def intel_topo_reduce_variants() -> dict[str, Callable[..., CollectiveHandle]]:
 
 def prepare_operation(
     library: LibraryModel, operation: str, *, recover: bool = False,
-    policy=None,
+    policy: Optional[QuorumPolicy] = None,
 ):
     """Resolve (library, operation) to a prepare callable.
 
+    Every operation is a row of :data:`~repro.collectives.models.COLLECTIVES`;
+    this is the one place a name, ``recover`` and ``policy`` are checked
+    against it, and it raises ``ValueError`` on an unknown operation.
+
     bcast/reduce without recovery go through the library model (the paper's
     comparison surface); every other operation — and any operation with
-    ``recover=True`` — runs the ADAPT implementation on the topology-aware
-    tree (ring collectives are tree-free). With ``recover``, the launch goes
-    through :func:`repro.recovery.launch_recover`, which arms ULFM-style
-    membership agreement and epoch-restart/in-place repair; recovery
-    launches every rank up front, so per-rank iteration chaining degrades to
-    a single launch.
+    ``recover=True`` — runs its table launcher, on the topology-aware tree
+    when the row says so. With ``recover``, the launch goes through
+    :func:`repro.recovery.launch_recover`, which arms ULFM-style membership
+    agreement and epoch-restart/in-place repair; recovery launches every
+    rank up front, so per-rank iteration chaining degrades to a single
+    launch.
 
-    The relaxed quorum family (``*_quorum``, DESIGN.md S25) is ADAPT-only
-    and takes a :class:`~repro.relaxed.QuorumPolicy`; quorum completion
-    already *is* a degraded-completion strategy, so combining it with
-    ``recover`` is rejected.
+    A quorum row (``*_quorum``, DESIGN.md S25) launches under ``policy``
+    (default: full participation). Quorum completion already *is* a
+    degraded-completion strategy, so ``recover=True`` is rejected for it,
+    and a ``policy`` is rejected for an exact operation.
     """
-    from repro.relaxed import RELAXED_OPERATIONS
-
-    if operation in RELAXED_OPERATIONS:
-        return _prepare_relaxed(operation, recover=recover, policy=policy)
-    adapt = ADAPT_COLLECTIVES.get(operation)
-    if adapt is None:
+    entry = COLLECTIVES.get(operation)
+    if entry is None:
         raise ValueError(
-            f"unknown operation {operation!r}; known: "
-            f"{list(ADAPT_COLLECTIVES) + list(RELAXED_OPERATIONS)}"
+            f"unknown operation {operation!r}; known: {list(COLLECTIVES)}"
+        )
+    if entry.relaxed and recover:
+        raise ValueError(
+            f"{operation!r} cannot combine with recover=True: quorum "
+            "completion is itself the degraded-completion strategy "
+            "(min_quorum is the floor that hands back to recovery semantics)"
+        )
+    if policy is not None and not entry.relaxed:
+        raise ValueError(
+            "a QuorumPolicy applies only to the *_quorum operations, "
+            f"not {operation!r}"
         )
     if not recover:
         if operation == "bcast":
             return library.bcast
         if operation == "reduce":
             return library.reduce
+    launch_kw = {"policy": policy or QuorumPolicy()} if entry.relaxed else {}
 
     def prepare(comm, root, nbytes, config, data=None, op: ReduceOp = SUM, **kw):
-        tree = _topo_tree(comm, root) if adapt.tree else None
+        tree = _topo_tree(comm, root) if entry.tree else None
         ctx = CollectiveContext(
             comm, root, nbytes, config, tree=tree, data=data,
-            op=op if adapt.folds else None,
+            op=op if entry.folds else None,
         )
         if not recover:
-            return _prepared(adapt.launch, ctx)
+            return _prepared(entry.launch, ctx, **launch_kw)
 
         from repro.recovery import launch_recover
 
@@ -359,41 +371,6 @@ def prepare_operation(
             return launch_recover(operation, ctx)
 
         return PreparedCollective(launch)
-
-    return prepare
-
-
-def _prepare_relaxed(operation: str, *, recover: bool, policy):
-    """Prepare a quorum collective (`bcast_quorum` etc., DESIGN.md S25)."""
-    from repro.relaxed import (
-        QuorumPolicy,
-        allreduce_quorum,
-        bcast_quorum,
-        reduce_quorum,
-    )
-
-    if recover:
-        raise ValueError(
-            f"{operation!r} cannot combine with recover=True: quorum "
-            "completion is itself the degraded-completion strategy "
-            "(min_quorum is the floor that hands back to recovery semantics)"
-        )
-    fns = {
-        "bcast_quorum": bcast_quorum,
-        "reduce_quorum": reduce_quorum,
-        "allreduce_quorum": allreduce_quorum,
-    }
-    fn = fns[operation]
-    needs_tree = operation in ("bcast_quorum", "allreduce_quorum")
-    needs_op = operation in ("reduce_quorum", "allreduce_quorum")
-
-    def prepare(comm, root, nbytes, config, data=None, op: ReduceOp = SUM, **kw):
-        ctx = CollectiveContext(
-            comm, root, nbytes, config,
-            tree=_topo_tree(comm, root) if needs_tree else None,
-            data=data, op=op if needs_op else None,
-        )
-        return _prepared(fn, ctx, policy=policy or QuorumPolicy())
 
     return prepare
 

@@ -19,19 +19,20 @@ from dataclasses import asdict, dataclass, fields
 from typing import Optional, Union
 
 from repro.faults.plan import FaultPlan
+from repro.relaxed.policy import QuorumPolicy
 
 #: Algorithm-variant families resolvable by name in the worker
 #: (fig08 sweeps Intel's per-algorithm topology-aware variants).
 ALGO_FAMILIES = ("intel-topo-bcast", "intel-topo-reduce")
 
 #: Per kind, the fields ``execute_job`` never passes on (the sgd kind always
-#: runs OMPI-adapt).
+#: runs an OMPI-adapt allreduce, exact or quorum by ``quorum``).
 _APP_UNREAD = ("observe", "recover", "gpu", "mode", "algo_family", "algo_variant")
 _UNREAD = {
-    "sgd": _APP_UNREAD + ("library",),
+    "sgd": _APP_UNREAD + ("library", "operation"),
     "asp": _APP_UNREAD + (
         "noise_percent", "noise_ranks", "noise_frequency", "fault_plan",
-        "sanitize", "time_limit", "quorum", "min_quorum", "staleness_window",
+        "sanitize", "time_limit", "quorum",
     ),
 }
 
@@ -67,14 +68,12 @@ class SimJob:
     # asp-only knobs (ignored for kind="collective"):
     row_bytes: int = 1 << 20
     compute_per_iteration: float = 1.57e-3
-    # Relaxed quorum collectives (DESIGN.md S25): quorum None runs the
-    # exact operation; a count (int) or fraction (float) relaxes the
-    # ``*_quorum`` operations and the sgd kind's gradient allreduce. The
-    # sgd kind reuses ``iterations`` as epochs, ``nbytes`` as the gradient
-    # size, and ``compute_per_iteration`` as per-epoch compute.
-    quorum: Optional[Union[int, float]] = None
-    min_quorum: int = 1
-    staleness_window: int = 1
+    # Relaxed quorum collectives (DESIGN.md S25): the policy a ``*_quorum``
+    # operation completes under (None: full participation); for the sgd
+    # kind, None runs the exact gradient allreduce and a policy relaxes it.
+    # The sgd kind reuses ``iterations`` as epochs, ``nbytes`` as the
+    # gradient size, and ``compute_per_iteration`` as per-epoch compute.
+    quorum: Optional[QuorumPolicy] = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("collective", "asp", "sgd"):
@@ -99,11 +98,9 @@ class SimJob:
             object.__setattr__(self, "noise_ranks", tuple(self.noise_ranks))
 
     def payload(self) -> dict:
-        """Canonical JSON-able description — the content that is addressed."""
-        d = asdict(self)
-        if self.fault_plan is not None:
-            d["fault_plan"] = asdict(self.fault_plan)
-        return d
+        """Canonical JSON-able description — the content that is addressed
+        (``asdict`` recurses into the fault plan and the quorum policy)."""
+        return asdict(self)
 
     def cache_key(self) -> str:
         """Content hash of this job's config: equal configs collide, any

@@ -69,8 +69,6 @@ def execute_job(job: SimJob) -> dict:
             grad_bytes=job.nbytes,
             compute_per_epoch=job.compute_per_iteration,
             quorum=job.quorum,
-            min_quorum=job.min_quorum,
-            staleness_window=job.staleness_window,
             noise_percent=job.noise_percent,
             noise_ranks=noise_ranks,
             noise_frequency=job.noise_frequency,
@@ -102,8 +100,6 @@ def execute_job(job: SimJob) -> dict:
         observe=job.observe,
         recover=job.recover,
         quorum=job.quorum,
-        min_quorum=job.min_quorum,
-        staleness_window=job.staleness_window,
     )
     out = res.to_dict()
     out["kind"] = "collective"

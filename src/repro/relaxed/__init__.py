@@ -1,9 +1,11 @@
-"""Bounded-staleness quorum collectives (DESIGN.md S25).
+"""Bounded-staleness quorum policy and accounting (DESIGN.md S25).
 
-The relaxed operation family beside the nine exact ADAPT collectives:
-complete-at-quorum allreduce/bcast/reduce with straggler late-merge against
-a per-world staleness frontier, and double-entry contribution accounting
-enforced by the sanitizer's conservation rule.
+What the relaxed collectives share with their consumers: the
+:class:`QuorumPolicy` a quorum operation completes under, and the
+per-world staleness frontier with its double-entry contribution ledger,
+enforced by the sanitizer's conservation rule. The three launchers live
+beside the other collectives, in :mod:`repro.collectives.quorum`; nothing
+here imports :mod:`repro.collectives`.
 """
 
 from repro.relaxed.frontier import (
@@ -16,12 +18,6 @@ from repro.relaxed.frontier import (
     ensure_frontier,
 )
 from repro.relaxed.policy import QuorumPolicy
-from repro.relaxed.quorum import (
-    RELAXED_OPERATIONS,
-    allreduce_quorum,
-    bcast_quorum,
-    reduce_quorum,
-)
 
 __all__ = [
     "DISCARDED",
@@ -30,10 +26,6 @@ __all__ = [
     "OPEN",
     "ContributionLedger",
     "QuorumPolicy",
-    "RELAXED_OPERATIONS",
     "StalenessFrontier",
-    "allreduce_quorum",
-    "bcast_quorum",
     "ensure_frontier",
-    "reduce_quorum",
 ]

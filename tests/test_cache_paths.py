@@ -8,6 +8,7 @@ import json
 
 from repro.cli import _parallel_kwargs, build_parser, main
 from repro.parallel import ResultCache, SimJob, execute_job, run_jobs
+from repro.relaxed import QuorumPolicy
 
 
 def tiny_job(**kw):
@@ -73,26 +74,26 @@ class TestStalenessFieldsRoundTrip:
     ``staleness_epoch``/``late_merges``) must survive the wire and the
     cache byte-identically — they feed figq's accounting columns."""
 
-    def quorum_job(self, **kw):
+    def quorum_job(self, **policy):
+        """The allreduce_quorum job; ``policy`` overrides QuorumPolicy
+        fields (quorum 0.75 by default)."""
         from repro.faults.plan import FaultPlan
 
-        kw.setdefault("operation", "allreduce_quorum")
-        kw.setdefault("quorum", 0.75)
-        kw.setdefault("nranks", 16)
-        kw.setdefault("nodes", 2)
-        kw.setdefault("nbytes", 16 << 10)
-        kw.setdefault("iterations", 3)
-        kw.setdefault("sanitize", True)
-        kw.setdefault("fault_plan", FaultPlan.stall_sweep(
-            16, victims=2, duration=6e-3, start=1e-4, seed=9))
-        return tiny_job(**kw)
+        policy.setdefault("quorum", 0.75)
+        return tiny_job(
+            operation="allreduce_quorum", quorum=QuorumPolicy(**policy),
+            nranks=16, nodes=2, nbytes=16 << 10, iterations=3, sanitize=True,
+            fault_plan=FaultPlan.stall_sweep(
+                16, victims=2, duration=6e-3, start=1e-4, seed=9),
+        )
 
     def sgd_job(self):
         from repro.faults.plan import FaultPlan
 
         return tiny_job(
             kind="sgd", nranks=16, nodes=2, nbytes=16 << 10, iterations=4,
-            compute_per_iteration=5e-4, quorum=0.75, staleness_window=2,
+            compute_per_iteration=5e-4,
+            quorum=QuorumPolicy(quorum=0.75, staleness_window=2),
             sanitize=True,
             fault_plan=FaultPlan.stall_sweep(
                 16, victims=1, duration=1.1e-3, start=5e-4, seed=7),
@@ -131,6 +132,9 @@ class TestStalenessFieldsRoundTrip:
 
     def test_quorum_knobs_are_cache_key_material(self):
         base = self.quorum_job()
+        assert base.payload()["quorum"] == {
+            "quorum": 0.75, "min_quorum": 1, "staleness_window": 1,
+        }
         assert base.cache_key() != self.quorum_job(quorum=0.9).cache_key()
         assert base.cache_key() != self.quorum_job(
             staleness_window=2).cache_key()

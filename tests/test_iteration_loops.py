@@ -19,6 +19,7 @@ from repro.harness.experiments import table1_asp
 from repro.harness.runner import run_collective
 from repro.machine import small_test_machine
 from repro.parallel import execute_job
+from repro.relaxed import QuorumPolicy
 
 #: Table 1 at ``--scale small``: cori, 24 iterations of 1 MiB rows.
 TABLE1_SMALL = {
@@ -74,7 +75,8 @@ class TestSgd:
         }
 
     def test_stall_quorum(self):
-        res = run_sgd(small_test_machine(), 8, quorum=0.75, **_STALL_KW)
+        res = run_sgd(small_test_machine(), 8, quorum=QuorumPolicy(quorum=0.75),
+                      **_STALL_KW)
         assert res.to_dict() == {
             **_SGD_COMMON,
             "quorum": 0.75,

@@ -23,6 +23,7 @@ from repro.parallel import (
     result_from_dict,
     run_jobs,
 )
+from repro.relaxed import QuorumPolicy
 
 
 class TestSimJob:
@@ -62,20 +63,25 @@ class TestSimJob:
     @pytest.mark.parametrize("field, value", [
         ("observe", "metrics"), ("recover", True), ("gpu", True),
         ("mode", "sequential"), ("library", "Intel MPI"),
+        # The sgd kind always runs an allreduce; ``quorum`` picks which.
+        # ("bcast" is the field's default, so it is not a rejection case.)
+        ("operation", "allreduce"),
     ])
     def test_sgd_rejects_unread_fields(self, field, value):
         with pytest.raises(ValueError, match=f"sgd jobs do not read '{field}'"):
             SimJob(kind="sgd", **{field: value})
         # The fields the sgd kind does read still construct.
-        SimJob(kind="sgd", library="OMPI-adapt", operation="allreduce_quorum",
-               noise_percent=5, quorum=0.75, sanitize=True, time_limit=0.5,
+        SimJob(kind="sgd", library="OMPI-adapt", noise_percent=5,
+               quorum=QuorumPolicy(quorum=0.75), sanitize=True,
+               time_limit=0.5,
                fault_plan=FaultPlan(losses=[LossSpec(drop=0.01)]))
 
     @pytest.mark.parametrize("field, value", [
         ("noise_percent", 5.0), ("noise_ranks", (1,)), ("sanitize", True),
         ("fault_plan", FaultPlan(losses=[LossSpec(drop=0.01)])),
-        ("time_limit", 1.0), ("quorum", 0.75), ("observe", "trace"),
-        ("algo_family", "intel-topo-bcast"),
+        ("time_limit", 1.0),
+        pytest.param("quorum", QuorumPolicy(quorum=0.75), id="quorum-0.75"),
+        ("observe", "trace"), ("algo_family", "intel-topo-bcast"),
     ])
     def test_asp_rejects_unread_fields(self, field, value):
         kw = {field: value}

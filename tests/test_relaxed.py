@@ -15,21 +15,21 @@ import numpy as np
 import pytest
 
 from repro.collectives.base import CollectiveHandle
+from repro.collectives.models import COLLECTIVES
 from repro.config import DEFAULT_COLLECTIVE, RuntimeConfig
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, StallSpec
+from repro.harness import runner
 from repro.harness.runner import _drive, run_collective
 from repro.libraries.presets import library_by_name, prepare_operation
 from repro.machine import small_test_machine
 from repro.mpi.communicator import Communicator
 from repro.mpi.runtime import MpiWorld
-from repro.relaxed import (
-    ContributionLedger,
-    QuorumPolicy,
-    RELAXED_OPERATIONS,
-)
+from repro.relaxed import ContributionLedger, QuorumPolicy
 
 ADAPT = library_by_name("OMPI-adapt")
+#: The quorum rows of the collective table.
+QUORUM_OPS = [name for name, c in COLLECTIVES.items() if c.relaxed]
 
 
 def payload(nranks: int, nbytes: int, seed: int) -> dict:
@@ -55,6 +55,10 @@ def quorum_world(nranks: int, plan: FaultPlan | None = None, *,
     )
     injectors = [FaultInjector(world, plan)] if plan is not None else []
     return world, Communicator(world), injectors
+
+
+def _no_world(*args, **kw):
+    raise AssertionError("the error must come before any world is built")
 
 
 def launch_quorum(comm, op: str, nbytes: int, policy: QuorumPolicy, data):
@@ -142,7 +146,7 @@ class TestFullQuorumConformance:
 
     NRANKS, NBYTES = 6, 4096
 
-    @pytest.mark.parametrize("op", RELAXED_OPERATIONS)
+    @pytest.mark.parametrize("op", QUORUM_OPS)
     def test_matches_oracle(self, op):
         world, comm, _ = quorum_world(self.NRANKS)
         data = payload(self.NRANKS, self.NBYTES, 11)
@@ -220,7 +224,7 @@ class TestPartialQuorum:
         )
         relaxed = run_collective(
             small_test_machine(), 16, "OMPI-adapt", "allreduce_quorum",
-            16 << 10, quorum=0.75, **kw,
+            16 << 10, quorum=QuorumPolicy(quorum=0.75), **kw,
         )
         assert exact.completed and relaxed.completed
         assert relaxed.mean_time < exact.mean_time
@@ -231,11 +235,12 @@ class TestPartialQuorum:
         assert len(relaxed.contributed_ranks) < 16
         assert relaxed.late_merges  # stragglers were accounted, not lost
 
-    def test_quorum_kwargs_rejected_for_exact_operations(self):
-        with pytest.raises(ValueError):
+    def test_quorum_kwargs_rejected_for_exact_operations(self, monkeypatch):
+        monkeypatch.setattr(runner, "_build_world", _no_world)
+        with pytest.raises(ValueError, match=r"applies only to the \*_quorum"):
             run_collective(
                 small_test_machine(), 6, "OMPI-adapt", "allreduce",
-                4096, quorum=0.5,
+                4096, quorum=QuorumPolicy(quorum=0.5),
             )
 
 
@@ -316,7 +321,7 @@ class TestFailStopShrink:
     def test_dead_rank_shrinks_quorum_instead_of_hanging(self):
         r = run_collective(
             small_test_machine(), 8, "OMPI-adapt", "allreduce_quorum",
-            4096, iterations=1, quorum=1.0, seed=2,
+            4096, iterations=1, quorum=QuorumPolicy(quorum=1.0), seed=2,
             fault_plan=FaultPlan.single_kill(5, 2e-4),
             time_limit=2.0,
         )
@@ -358,7 +363,8 @@ class TestFailStopShrink:
                                 KillSpec(rank=3, time=1e-6)])
         r = run_collective(
             small_test_machine(), 4, "OMPI-adapt", "allreduce_quorum",
-            4096, iterations=1, quorum=1.0, min_quorum=3, seed=2,
+            4096, iterations=1, quorum=QuorumPolicy(quorum=1.0, min_quorum=3),
+            seed=2,
             fault_plan=plan, time_limit=2.0,
         )
         assert r.completed
@@ -416,7 +422,8 @@ class TestSgdFrontier:
         kw = dict(epochs=6, grad_bytes=16 << 10, compute_per_epoch=5e-4,
                   fault_plan=plan, sanitize=True, seed=4)
         exact = run_sgd(small_test_machine(), 8, quorum=None, **kw)
-        relaxed = run_sgd(small_test_machine(), 8, quorum=0.75, **kw)
+        relaxed = run_sgd(small_test_machine(), 8,
+                          quorum=QuorumPolicy(quorum=0.75), **kw)
         assert exact.completed and relaxed.completed
         assert relaxed.total_runtime < exact.total_runtime
         assert exact.on_time_fraction == 1.0
@@ -428,7 +435,8 @@ class TestSgdFrontier:
         from repro.apps.sgd import SgdResult, run_sgd
 
         r = run_sgd(small_test_machine(), 4, epochs=2, grad_bytes=2048,
-                    compute_per_epoch=1e-4, quorum=0.75, seed=1)
+                    compute_per_epoch=1e-4, quorum=QuorumPolicy(quorum=0.75),
+                    seed=1)
         again = SgdResult.from_dict(r.to_dict())
         assert again.to_dict() == r.to_dict()
 
@@ -478,15 +486,33 @@ class TestChaosQuorumCli:
     def test_quorum_flag_needs_relaxed_operation(self):
         from repro.cli import main
 
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit,
+                           match=r"^chaos: --quorum.* need a \*_quorum op"):
             main(["chaos", "allreduce", "--quorum", "0.5",
+                  "--stall", "1:0.0001:0.001"])
+
+    @pytest.mark.parametrize("flag", ["--min-quorum", "--staleness-window"])
+    def test_policy_flags_need_relaxed_operation(self, flag):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit,
+                           match=r"^chaos: --quorum.* need a \*_quorum op"):
+            main(["chaos", "allreduce", flag, "2",
                   "--stall", "1:0.0001:0.001"])
 
     def test_recover_rejected_with_quorum_ops(self):
         from repro.cli import main
 
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit, match=r"^chaos: --recover and \*_quorum "
+                           "operations are mutually exclusive"):
             main(["chaos", "allreduce_quorum", "--recover",
+                  "--stall", "1:0.0001:0.001"])
+
+    def test_bad_policy_is_a_chaos_error(self):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit, match=r"^chaos: quorum fraction"):
+            main(["chaos", "allreduce_quorum", "--quorum", "1.5",
                   "--stall", "1:0.0001:0.001"])
 
     def test_bad_stall_spec_rejected(self):
@@ -494,3 +520,58 @@ class TestChaosQuorumCli:
 
         with pytest.raises(SystemExit):
             main(["chaos", "allreduce_quorum", "--stall", "nope"])
+
+
+class TestTableRejections:
+    """Every operation/recover/policy error is raised by the table lookup in
+    ``prepare_operation``, before ``run_collective`` builds a world."""
+
+    def run(self, monkeypatch, operation: str, **kw):
+        monkeypatch.setattr(runner, "_build_world", _no_world)
+        run_collective(small_test_machine(), 6, "OMPI-adapt", operation,
+                       4096, **kw)
+
+    @pytest.mark.parametrize("op", QUORUM_OPS)
+    def test_recover_rejected_for_quorum_ops(self, monkeypatch, op):
+        with pytest.raises(ValueError, match="cannot combine with recover"):
+            self.run(monkeypatch, op, recover=True)
+
+    def test_unknown_operation_rejected(self, monkeypatch):
+        with pytest.raises(ValueError, match="unknown operation 'scan'"):
+            self.run(monkeypatch, "scan")
+
+    def test_policy_rejected_even_with_custom_algorithm(self, monkeypatch):
+        with pytest.raises(ValueError, match=r"applies only to the \*_quorum"):
+            self.run(monkeypatch, "bcast", quorum=QuorumPolicy(),
+                     custom_algorithm=ADAPT.bcast)
+
+    def test_launch_recover_rejects_quorum_ops(self):
+        from repro.collectives.base import CollectiveContext
+        from repro.recovery import launch_recover
+
+        _, comm, _ = quorum_world(4)
+        ctx = CollectiveContext(comm, 0, 1024, DEFAULT_COLLECTIVE)
+        with pytest.raises(ValueError, match="unknown collective 'bcast_quorum'"):
+            launch_recover("bcast_quorum", ctx)
+
+
+@pytest.mark.parametrize("module", [
+    "repro.relaxed", "repro.collectives", "repro.collectives.quorum",
+    "repro.libraries.presets", "repro.harness.runner",
+])
+def test_module_imports_first_in_fresh_interpreter(module):
+    """``repro.relaxed`` imports nothing from ``repro.collectives``, so
+    every layer imports cleanly on its own. The cycle this pins was
+    quorum launchers in ``repro.relaxed`` -> ``collectives/__init__`` ->
+    ``models`` -> the partly initialised launcher module."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", f"import {module}"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
