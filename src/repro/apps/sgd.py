@@ -26,7 +26,7 @@ Two entry points, mirroring :mod:`repro.apps.asp`:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -120,7 +120,7 @@ def run_sgd(
     compute_per_epoch: float = 1e-3,
     quorum: Optional[QuorumPolicy] = None,
     noise_percent: float = 0.0,
-    noise_ranks: Union[str, list] = "per-node",
+    noise_ranks: Union[str, Sequence[int]] = "per-node",
     noise_frequency: float = 10.0,
     seed: int = 0,
     fault_plan: Optional[FaultPlan] = None,

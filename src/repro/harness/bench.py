@@ -55,15 +55,6 @@ ALLOC_FLOWS = 512
 ALLOC_LINKS = 32
 
 
-def default_scale() -> str:
-    scale = os.environ.get("REPRO_BENCH_SCALE", "small")
-    if scale not in _SIZES:
-        raise ValueError(
-            f"unknown bench scale {scale!r}; choose from {sorted(_SIZES)}"
-        )
-    return scale
-
-
 def _best_of(fn: Callable[[], Any], repeats: int) -> float:
     """Best (minimum) wall time of ``repeats`` runs — the standard defence
     against scheduler noise on a shared machine."""
@@ -368,8 +359,11 @@ def run_core_bench(
     ``scale_preset`` — a flat preset or a compiled topology family
     (``fattree``/``dragonfly``/``railpod``; CLI: ``--machine``).
     """
-    scale = scale or default_scale()
-    if scale not in _SIZES:
+    if scale is None:
+        from repro.harness.experiments.common import default_scale
+
+        scale = default_scale()
+    elif scale not in _SIZES:
         raise ValueError(
             f"unknown bench scale {scale!r}; choose from {sorted(_SIZES)}"
         )

@@ -19,8 +19,12 @@ SCALES = {
 
 
 def default_scale() -> str:
-    """Bench scale, overridable via ``REPRO_BENCH_SCALE``."""
-    return os.environ.get("REPRO_BENCH_SCALE", "small")
+    """Bench scale, overridable via ``REPRO_BENCH_SCALE`` (a :data:`SCALES`
+    key)."""
+    scale = os.environ.get("REPRO_BENCH_SCALE", "small")
+    if scale not in SCALES:
+        raise ValueError(f"unknown bench scale {scale!r}; choose from {sorted(SCALES)}")
+    return scale
 
 
 def machine_nodes(machine: str, scale: str) -> int:

@@ -24,7 +24,7 @@ gap between iterations and own no loop of their own.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -159,7 +159,7 @@ def _build_world(
     fault_plan: Optional[FaultPlan] = None,
     time_limit: Optional[float] = None,
     noise_percent: float = 0.0,
-    noise_ranks: Union[str, list[int]] = "per-node",
+    noise_ranks: Union[str, Sequence[int]] = "per-node",
     noise_frequency: float = 10.0,
     seed: int = 0,
     gpu: bool = False,
@@ -318,7 +318,7 @@ def run_collective(
     iterations: int = 3,
     mode: str = "imb",
     noise_percent: float = 0.0,
-    noise_ranks: Union[str, list[int]] = "per-node",
+    noise_ranks: Union[str, Sequence[int]] = "per-node",
     noise_frequency: float = 10.0,
     seed: int = 0,
     gpu: bool = False,

@@ -135,7 +135,9 @@ def default_nranks(
     compiled topology family's native ``ranks``, else one rank per GPU
     when ``gpu`` and one per core otherwise. (GPU binding itself is
     :class:`~repro.mpi.runtime.MpiWorld`'s: it forces it on rail pods.)"""
-    if nranks:
+    if nranks is not None:
+        if nranks < 1:
+            raise ValueError(f"nranks must be at least 1 (got {nranks})")
         return nranks
     if spec.compiled is not None:
         return spec.compiled.ranks

@@ -4,11 +4,14 @@ A :class:`SimJob` is everything needed to run one measurement — a
 ``run_collective`` call (``kind="collective"``), a ``run_asp`` call
 (``kind="asp"``) or a ``run_sgd`` call (``kind="sgd"``) — expressed as
 plain data: machine *names*, library *names*, algorithm-variant *names*,
-and a frozen :class:`FaultPlan`. A field its kind never reads must keep
-its default. No live objects cross the process boundary; the worker
-rebuilds the simulated world from the job alone, which is also what makes
-the job content-addressable (the cache key is a hash of this config plus the
-package's source, see :mod:`repro.parallel.cache`).
+and a frozen :class:`FaultPlan`. :data:`READS` is the one statement of
+which fields each kind passes to its runner, and under which keyword;
+``execute_job`` builds its call from it, and a field outside it (and
+outside :data:`WORLD_FIELDS`) must keep its default. No live objects
+cross the process boundary; the worker rebuilds the simulated world from
+the job alone, which is also what makes the job content-addressable (the
+cache key is a hash of this config plus the package's source, see
+:mod:`repro.parallel.cache`).
 """
 
 from __future__ import annotations
@@ -25,15 +28,38 @@ from repro.relaxed.policy import QuorumPolicy
 #: (fig08 sweeps Intel's per-algorithm topology-aware variants).
 ALGO_FAMILIES = ("intel-topo-bcast", "intel-topo-reduce")
 
-#: Per kind, the fields ``execute_job`` never passes on (the sgd kind always
-#: runs an OMPI-adapt allreduce, exact or quorum by ``quorum``).
-_APP_UNREAD = ("observe", "recover", "gpu", "mode", "algo_family", "algo_variant")
-_UNREAD = {
-    "sgd": _APP_UNREAD + ("library", "operation"),
-    "asp": _APP_UNREAD + (
-        "noise_percent", "noise_ranks", "noise_frequency", "fault_plan",
-        "sanitize", "time_limit", "quorum",
-    ),
+#: The fields every kind reads: they pick the machine and the world size.
+WORLD_FIELDS = ("kind", "machine", "nodes", "nranks")
+
+#: Noise, faults, sanitizer, deadline and quorum policy: the collective and
+#: sgd kinds both pass these on under the same names.
+_SHARED = (
+    "noise_percent", "noise_ranks", "noise_frequency", "seed", "fault_plan",
+    "sanitize", "time_limit", "quorum",
+)
+
+#: Per kind, each field its runner reads -> the runner keyword it becomes.
+#: The sgd kind always runs an OMPI-adapt allreduce (exact, or quorum under
+#: ``quorum``); ``algo_family``/``algo_variant`` resolve to one
+#: ``custom_algorithm`` in the worker.
+READS: dict[str, dict[str, str]] = {
+    "collective": {
+        **{f: f for f in (
+            "library", "operation", "nbytes", "iterations", "mode", "gpu",
+            "observe", "recover", *_SHARED,
+        )},
+        "algo_family": "custom_algorithm",
+        "algo_variant": "custom_algorithm",
+    },
+    "asp": {f: f for f in (
+        "library", "iterations", "row_bytes", "compute_per_iteration",
+    )},
+    "sgd": {
+        **{f: f for f in _SHARED},
+        "iterations": "epochs",
+        "nbytes": "grad_bytes",
+        "compute_per_iteration": "compute_per_epoch",
+    },
 }
 
 
@@ -65,19 +91,22 @@ class SimJob:
     # Observability: None (off), "metrics" (result.metrics only), or
     # "trace" (metrics + the full span dump for the Chrome exporter).
     observe: Optional[str] = None
-    # asp-only knobs (ignored for kind="collective"):
+    # ASP knobs; the sgd kind reads ``compute_per_iteration`` as per-epoch
+    # compute (see READS for every kind's fields).
     row_bytes: int = 1 << 20
     compute_per_iteration: float = 1.57e-3
     # Relaxed quorum collectives (DESIGN.md S25): the policy a ``*_quorum``
     # operation completes under (None: full participation); for the sgd
     # kind, None runs the exact gradient allreduce and a policy relaxes it.
-    # The sgd kind reuses ``iterations`` as epochs, ``nbytes`` as the
-    # gradient size, and ``compute_per_iteration`` as per-epoch compute.
     quorum: Optional[QuorumPolicy] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("collective", "asp", "sgd"):
+        if self.kind not in READS:
             raise ValueError(f"unknown job kind {self.kind!r}")
+        if self.nranks is not None and self.nranks < 1:
+            raise ValueError(f"nranks must be at least 1 (got {self.nranks})")
+        if self.iterations < 1:
+            raise ValueError(f"iterations must be at least 1 (got {self.iterations})")
         if self.algo_family is not None and self.algo_family not in ALGO_FAMILIES:
             raise ValueError(f"unknown algo family {self.algo_family!r}")
         if self.observe not in (None, "metrics", "trace"):
@@ -86,10 +115,12 @@ class SimJob:
             raise ValueError("algo_family and algo_variant must be set together")
         # A field the kind's runner never reads must stay at its default:
         # silently dropping it would run (and cache) a different experiment.
-        unread = _UNREAD.get(self.kind, ())
+        reads = READS[self.kind]
         for f in fields(self):
+            if f.name in WORLD_FIELDS or f.name in reads:
+                continue
             value = getattr(self, f.name)
-            if f.name in unread and value != f.default:
+            if value != f.default:
                 raise ValueError(
                     f"{self.kind} jobs do not read {f.name!r} (got {value!r})"
                 )

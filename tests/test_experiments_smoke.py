@@ -14,7 +14,7 @@ from repro.harness.experiments import (
     fig11_gpu,
     table1_asp,
 )
-from repro.harness.experiments.common import ExperimentResult
+from repro.harness.experiments.common import ExperimentResult, default_scale
 
 TINY_SIZES = [256 << 10, 1 << 20]
 
@@ -84,3 +84,14 @@ class TestExperimentResult:
         res = ExperimentResult("X", "t", ["a", "b"], [[1, 2], [1, 4]])
         with pytest.raises(KeyError):
             res.value("b", a=1)
+
+
+class TestDefaultScale:
+    def test_bad_value_names_the_scales(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "medium")
+        assert default_scale() == "medium"
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "huge")
+        with pytest.raises(
+            ValueError, match=r"'huge'; choose from \['medium', 'paper', 'small'\]"
+        ):
+            default_scale()

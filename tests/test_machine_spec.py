@@ -13,6 +13,7 @@ from repro.machine import (
     small_test_machine,
     stampede2,
 )
+from repro.machine.presets import default_nranks
 
 
 class TestLinkParams:
@@ -26,6 +27,16 @@ class TestLinkParams:
 
 
 class TestSpecs:
+    def test_default_nranks(self):
+        spec = cori(nodes=1)
+        assert default_nranks(spec) == 32
+        assert default_nranks(spec, 5) == 5
+        # nranks=0 used to fall through to the default world size.
+        with pytest.raises(ValueError, match="nranks must be at least 1"):
+            default_nranks(spec, 0)
+        with pytest.raises(ValueError, match="nranks must be at least 1"):
+            default_nranks(spec, -2)
+
     def test_cori_shape(self):
         spec = cori(nodes=4)
         assert spec.total_cores == 4 * 32

@@ -3,12 +3,14 @@ determinism guarantee: ``--jobs N`` produces byte-identical tables."""
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,7 @@ from repro.parallel import (
     result_from_dict,
     run_jobs,
 )
+from repro.parallel.jobs import READS, WORLD_FIELDS
 from repro.relaxed import QuorumPolicy
 
 
@@ -60,12 +63,52 @@ class TestSimJob:
         with pytest.raises(ValueError):
             SimJob(algo_family="no-such-family", algo_variant="x")
 
+    @pytest.mark.parametrize("kind", sorted(READS))
+    def test_world_size_and_iterations_must_be_positive(self, kind):
+        # nranks=0 used to run the default world (cached under nranks=0),
+        # and iterations=0 died with an IndexError inside the runner.
+        with pytest.raises(ValueError, match="nranks must be at least 1"):
+            SimJob(kind=kind, nranks=0)
+        with pytest.raises(ValueError, match="iterations must be at least 1"):
+            SimJob(kind=kind, iterations=0)
+        SimJob(kind=kind, nranks=1, iterations=1)
+
+    def test_reads_table_names_runner_keywords(self):
+        from repro.apps.asp import run_asp
+        from repro.apps.sgd import run_sgd
+        from repro.harness.runner import run_collective
+
+        runners = {"collective": run_collective, "asp": run_asp, "sgd": run_sgd}
+        assert set(READS) == set(runners)
+        for kind, reads in READS.items():
+            params = inspect.signature(runners[kind]).parameters
+            for field, kw in reads.items():
+                assert kw in params, f"{kind}: {field} -> {kw}"
+            # One field per keyword, but for the algorithm pair that the
+            # worker resolves to one ``custom_algorithm``.
+            kws = [kw for kw in reads.values() if kw != "custom_algorithm"]
+            assert len(kws) == len(set(kws)), kind
+        assert READS["collective"]["algo_family"] == "custom_algorithm"
+        assert READS["collective"]["algo_variant"] == "custom_algorithm"
+        # Every field is a world field or read by some kind: none is dead.
+        read = set(WORLD_FIELDS).union(*READS.values())
+        assert {f.name for f in fields(SimJob)} <= read
+
+    @pytest.mark.parametrize("field, value", [
+        ("row_bytes", 5), ("compute_per_iteration", 1.0),
+    ])
+    def test_collective_rejects_unread_fields(self, field, value):
+        with pytest.raises(
+            ValueError, match=f"collective jobs do not read '{field}'"
+        ):
+            SimJob(**{field: value})
+
     @pytest.mark.parametrize("field, value", [
         ("observe", "metrics"), ("recover", True), ("gpu", True),
         ("mode", "sequential"), ("library", "Intel MPI"),
         # The sgd kind always runs an allreduce; ``quorum`` picks which.
         # ("bcast" is the field's default, so it is not a rejection case.)
-        ("operation", "allreduce"),
+        ("operation", "allreduce"), ("row_bytes", 5),
     ])
     def test_sgd_rejects_unread_fields(self, field, value):
         with pytest.raises(ValueError, match=f"sgd jobs do not read '{field}'"):
@@ -82,6 +125,7 @@ class TestSimJob:
         ("time_limit", 1.0),
         pytest.param("quorum", QuorumPolicy(quorum=0.75), id="quorum-0.75"),
         ("observe", "trace"), ("algo_family", "intel-topo-bcast"),
+        ("seed", 3), ("nbytes", 1), ("operation", "reduce"),
     ])
     def test_asp_rejects_unread_fields(self, field, value):
         kw = {field: value}
