@@ -27,7 +27,7 @@ from typing import Union
 import numpy as np
 
 from repro.config import DEFAULT_COLLECTIVE, CollectiveConfig
-from repro.harness.runner import _build_world, _chain
+from repro.harness.runner import _build_world, _chain, _collector_paused
 from repro.libraries.presets import LibraryModel, library_by_name
 from repro.machine.spec import MachineSpec
 
@@ -60,6 +60,7 @@ class AspResult:
         return self.communication_time / self.total_runtime
 
 
+@_collector_paused
 def run_asp(
     spec: MachineSpec,
     nranks: int,

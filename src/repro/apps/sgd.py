@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.config import DEFAULT_COLLECTIVE, CollectiveConfig
 from repro.faults.plan import FaultPlan
-from repro.harness.runner import _build_world, _chain
+from repro.harness.runner import _build_world, _chain, _collector_paused
 from repro.libraries.presets import library_by_name, prepare_operation
 from repro.machine.spec import MachineSpec
 from repro.relaxed.policy import QuorumPolicy
@@ -111,6 +111,7 @@ def sgd_reference(
     return xs[-1], f(xs[-1]) - f(x_star)
 
 
+@_collector_paused
 def run_sgd(
     spec: MachineSpec,
     nranks: int,

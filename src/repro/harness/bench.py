@@ -20,7 +20,8 @@ wall clock plus allocator rounds/sec on a world-sized component — so the
 scaling story is recorded per rank count, not just on microbenchmarks.
 
 ``run_core_bench`` returns a plain dict; ``repro bench --json`` writes it
-as ``BENCH_core.json`` (the CI perf-smoke artifact).
+as ``BENCH_core.json`` (the CI perf-smoke artifact), keeping the sections
+of an existing file that the run did not measure.
 """
 
 from __future__ import annotations
@@ -242,13 +243,19 @@ def bench_allocator(scale: str) -> dict:
 
 # -- rank-count scaling ----------------------------------------------------
 
-#: Default rank counts for the ``--scale`` leg (ISSUE: 1K/4K/16K).
+#: Default rank counts for the ``--scale`` leg: the 1K/4K/16K end-to-end
+#: anchors of ROADMAP aim 1.
 SCALE_RANKS = (1024, 4096, 16384)
 
 #: (operation, payload bytes) measured at each rank count. Bcast at 4 MiB is
 #: the paper's headline large-message case; allreduce at 1 MiB keeps the
 #: reduction pipeline in the measurement without doubling the wall time.
 SCALE_OPS = (("bcast", 4 << 20), ("allreduce", 1 << 20))
+
+
+def _collections() -> list[int]:
+    """Collections so far, per generation of the cyclic collector."""
+    return [gen["collections"] for gen in gc.get_stats()]
 
 
 def bench_scale(
@@ -267,6 +274,11 @@ def bench_scale(
     Single-shot walls, not best-of-N: a 16K-rank bcast is tens of seconds,
     so repeating it would dominate the whole suite for ±10% noise that the
     events/sec figure already averages over millions of events.
+
+    ``gc_collections`` counts the cyclic collector's collections per
+    generation during each run: the runner pauses the collector and frees
+    its world with one young collection, so it reads ``[1, 0, 0]``. Each
+    run starts after a full collection, so no earlier garbage counts.
     """
     from repro.harness.runner import run_collective
     from repro.machine import for_ranks
@@ -280,11 +292,14 @@ def bench_scale(
             "collectives": {},
         }
         for op, nbytes in SCALE_OPS:
+            gc.collect()
+            before = _collections()
             t0 = time.perf_counter()
             res = run_collective(
                 spec, nranks, "OMPI-adapt", op, nbytes=nbytes, iterations=1
             )
             wall = time.perf_counter() - t0
+            collections = [a - b for a, b in zip(_collections(), before)]
             events = int(res.engine_stats.get("events_processed", 0))
             entry["collectives"][op] = {
                 "nbytes": nbytes,
@@ -292,6 +307,7 @@ def bench_scale(
                 "sim_time_ms": round(res.mean_time * 1e3, 6),
                 "events": events,
                 "events_per_sec": round(events / wall) if wall > 0 else 0,
+                "gc_collections": collections,
             }
         nlinks = max(ALLOC_LINKS, nranks // 16)
         flows, links = allocator_scenario(nflows=nranks, nlinks=nlinks, seed=7)
@@ -421,7 +437,8 @@ def render(result: dict) -> str:
                     f"scale {entry['ranks']:>6,} ranks  {op:<9} "
                     f"{cell['events_per_sec']:>10,} events/sec   "
                     f"({cell['events']:,} events in {cell['wall_seconds']:.1f}s"
-                    f", sim {cell['sim_time_ms']:.3f}ms)"
+                    f", sim {cell['sim_time_ms']:.3f}ms, gc "
+                    f"{'/'.join(map(str, cell['gc_collections']))})"
                 )
             alloc = entry["allocator"]
             lines.append(
@@ -447,9 +464,17 @@ def render(result: dict) -> str:
 
 
 def write_json(result: dict, path: str) -> None:
+    """Write ``result`` to ``path``, keeping every section of an existing
+    file that ``result`` lacks: a ``--section scale`` run keeps the engine
+    legs the regression gate reads. The header fields are the new run's."""
     dirname = os.path.dirname(path)
     if dirname:
         os.makedirs(dirname, exist_ok=True)
+    merged: dict[str, Any] = {}
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            merged = json.load(fh)
+    merged.update(result)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2)
+        json.dump(merged, fh, indent=2)
         fh.write("\n")

@@ -133,6 +133,23 @@ class TestCli:
         assert data["allocator"]["rounds_per_sec"] > 0
         assert data["allocator"]["reference_rounds_per_sec"] > 0
 
+    def test_bench_json_keeps_unmeasured_sections(self, tmp_path, capsys):
+        import json
+
+        out_path = tmp_path / "BENCH_core.json"
+        engine = {"events": 1, "events_per_ref": 2, "chain": {}}
+        out_path.write_text(json.dumps({"engine": engine, "scale": "paper"}))
+        assert main(["bench", "--scale", "32", "--section", "scale",
+                     "--json", str(out_path)]) == 0
+        assert "gc 1/0/0" in capsys.readouterr().out
+        data = json.loads(out_path.read_text())
+        assert data["engine"] == engine  # the gate's baseline survives
+        assert data["scale"] == "small"  # the header is the new run's
+        (entry,) = data["scale_ranks"]["entries"]
+        for cell in entry["collectives"].values():
+            # One young collection frees each run's world, and nothing else.
+            assert cell["gc_collections"] == [1, 0, 0]
+
     def test_profile_smoke(self, capsys):
         assert main(["profile", "--machine", "cori", "--nodes", "2",
                      "--nbytes", "65536", "--iterations", "1",
