@@ -453,6 +453,8 @@ def _cmd_bench(args) -> str:
             try:
                 scale_ranks = tuple(int(tok) for tok in args.scale.split(","))
             except ValueError:
+                scale_ranks = ()
+            if min(scale_ranks, default=0) < 1:
                 raise SystemExit(
                     "--scale expects small/medium/paper, a comma-separated "
                     f"rank list, or no value; got {args.scale!r}"

@@ -9,9 +9,7 @@ with ``M > N`` to avoid unexpected messages (Section 2.2.1).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
-from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -77,40 +75,5 @@ class CollectiveConfig:
         return sizes
 
 
-@dataclass(frozen=True)
-class ParallelConfig:
-    """Sweep-execution configuration (repro.parallel).
-
-    ``jobs`` is the worker-process count for parameter sweeps (1 = run
-    in-process, sequentially). ``cache_dir`` holds the content-addressed
-    result cache; ``use_cache`` turns it off wholesale (the CLI's
-    ``--no-cache``). Environment overrides: ``REPRO_JOBS``,
-    ``REPRO_CACHE_DIR``, ``REPRO_NO_CACHE``.
-    """
-
-    jobs: int = 1
-    cache_dir: str = ".repro-cache"
-    use_cache: bool = True
-
-    def __post_init__(self) -> None:
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-
-    def with_(self, **kw) -> "ParallelConfig":
-        return replace(self, **kw)
-
-    @classmethod
-    def from_env(cls, jobs: Optional[int] = None) -> "ParallelConfig":
-        """Defaults from the environment; an explicit ``jobs`` wins."""
-        if jobs is None:
-            jobs = int(os.environ.get("REPRO_JOBS", "1"))
-        return cls(
-            jobs=jobs,
-            cache_dir=os.environ.get("REPRO_CACHE_DIR", ".repro-cache"),
-            use_cache=not os.environ.get("REPRO_NO_CACHE"),
-        )
-
-
 DEFAULT_RUNTIME = RuntimeConfig()
 DEFAULT_COLLECTIVE = CollectiveConfig()
-DEFAULT_PARALLEL = ParallelConfig()

@@ -75,7 +75,6 @@ class InboundMessage:
     nbytes: int
     eager: bool
     data: Any = None
-    arrival_time: float = 0.0
     # Rendezvous only: opaque handle the runtime uses to send the CTS back.
     rendezvous_token: Any = None
     # Reliable transport only: per-sender delivery sequence number.

@@ -106,7 +106,7 @@ class RankRuntime:
     def __init__(self, world: "MpiWorld", rank: int):
         self.world = world
         self.rank = rank
-        self.cpu = Cpu(world.engine, name=f"cpu:{rank}")
+        self.cpu = Cpu(world.engine)
         if world.obs is not None:
             self.cpu.obs = world.obs
             self.cpu.obs_rank = rank
@@ -132,7 +132,6 @@ class RankRuntime:
         self.sends_posted = 0
         self.recvs_posted = 0
         self.bytes_sent = 0
-        self.reduce_seconds = 0.0
         self.transmissions = 0       # wire attempts of reliable messages
         self.retransmits = 0
         self.acks_sent = 0
@@ -276,8 +275,7 @@ class RankRuntime:
             def on_rts_arrival() -> None:
                 msg = InboundMessage(
                     src=req.rank, tag=req.tag, nbytes=req.nbytes, eager=False,
-                    arrival_time=self.engine.now, rendezvous_token=send,
-                    seq=seq,
+                    rendezvous_token=send, seq=seq,
                 )
                 dst_rt._handle_arrival(msg)
 
@@ -308,8 +306,7 @@ class RankRuntime:
                 def on_wire(flow) -> None:
                     msg = InboundMessage(
                         src=req.rank, tag=req.tag, nbytes=req.nbytes, eager=True,
-                        data=payload, arrival_time=self.engine.now,
-                        seq=seq, crc=crc, corrupt=corrupt,
+                        data=payload, seq=seq, crc=crc, corrupt=corrupt,
                     )
                     dst_rt._handle_arrival(msg)
 
@@ -667,13 +664,10 @@ class RankRuntime:
             begin = max(start, self._gpu_streams[idx])
             end = begin + nbytes / gpu.reduce_bandwidth
             self._gpu_streams[idx] = end
-            self.reduce_seconds += end - begin
             if fn is not None:
                 self.engine.call_at(end, fn, *args)
         else:
-            duration = nbytes / self.world.spec.cpu_reduce_bandwidth
-            self.reduce_seconds += duration
-            self.cpu.execute(duration, fn, *args)
+            self.cpu.execute(nbytes / self.world.spec.cpu_reduce_bandwidth, fn, *args)
 
 
 class MpiWorld:

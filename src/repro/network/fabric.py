@@ -3,7 +3,7 @@
 Link inventory built from a :class:`~repro.machine.spec.MachineSpec`:
 
 * per socket: one aggregate memory link (intra-socket flows contend here;
-  capacity = ``shm.bandwidth * shm_concurrency``),
+  capacity = ``shm.bandwidth * max(4, cores_per_socket)``),
 * per node and direction: one QPI link,
 * per node and direction: one NIC link (all inter-node flows of a node share
   it — one NIC per node unless ``nics_per_node`` says otherwise),
@@ -64,24 +64,14 @@ class Fabric:
         engine: Engine,
         spec: MachineSpec,
         topology: Topology,
-        shm_concurrency: Optional[int] = None,
         gpudirect: bool = True,
-        nic_shares_gpu_pcie: bool = False,
     ):
-        # Socket memory aggregate defaults to one pair-bandwidth share per
-        # core: a fully pipelined intra-socket chain is then uncontended,
-        # keeping the inter-node fabric the slowest level — the paper's
-        # stated regime (Section 3.2.2).
-        if shm_concurrency is None:
-            shm_concurrency = max(4, spec.node.cores_per_socket)
         self.engine = engine
         self.spec = spec
         self.topology = topology
         self.network = FairShareNetwork(engine)
         self.gpudirect = gpudirect
-        self.nic_shares_gpu_pcie = nic_shares_gpu_pcie
         self._links: dict[str, Link] = {}
-        self._shm_concurrency = shm_concurrency
         self._route_cache: dict[tuple, Route] = {}
         # In-order data channels: one data transfer at a time per
         # (src, dst, spaces) connection, like an MPI BTL queue pair. Control
@@ -104,7 +94,11 @@ class Fabric:
         return link
 
     def socket_mem_link(self, node: int, socket: int) -> Link:
-        cap = self.spec.shm.bandwidth * self._shm_concurrency
+        # One pair-bandwidth share per core (at least four): a fully
+        # pipelined intra-socket chain is uncontended, keeping the
+        # inter-node fabric the slowest level — the paper's stated regime
+        # (Section 3.2.2).
+        cap = self.spec.shm.bandwidth * max(4, self.spec.node.cores_per_socket)
         return self._link(f"shm:n{node}.s{socket}", cap)
 
     def qpi_link(self, node: int, src_socket: int, dst_socket: int) -> Link:
@@ -303,15 +297,12 @@ class Fabric:
         on_complete: Callable[[Flow], None],
         src_space: MemSpace = MemSpace.HOST,
         dst_space: MemSpace = MemSpace.HOST,
-        extra_latency: float = 0.0,
         taginfo=None,
-        ordered: bool = True,
     ) -> Optional[Flow]:
         """Launch the wire transfer of one message/segment.
 
-        ``ordered=True`` (data plane) serializes the transfer behind earlier
-        transfers on the same (src, dst, spaces) channel; ``ordered=False``
-        (control plane) goes immediately. Returns the flow, or None if the
+        The transfer is serialized behind earlier transfers on the same
+        (src, dst, spaces) channel. Returns the flow, or None if the
         transfer was queued behind channel predecessors.
 
         An installed fault filter sees every transfer that carries
@@ -333,19 +324,16 @@ class Fabric:
             )
             if dup_cb is not None:
                 flow = self._start_one(
-                    src, dst, nbytes, on_complete, src_space, dst_space,
-                    extra_latency, taginfo, ordered,
+                    src, dst, nbytes, on_complete, src_space, dst_space, taginfo
                 )
                 # The duplicate rides the same channel right behind the
                 # original; the receiver's sequence check suppresses it.
                 self._start_one(
-                    src, dst, nbytes, dup_cb, src_space, dst_space,
-                    extra_latency, taginfo, ordered,
+                    src, dst, nbytes, dup_cb, src_space, dst_space, taginfo
                 )
                 return flow
         return self._start_one(
-            src, dst, nbytes, on_complete, src_space, dst_space,
-            extra_latency, taginfo, ordered,
+            src, dst, nbytes, on_complete, src_space, dst_space, taginfo
         )
 
     def _start_one(
@@ -356,23 +344,17 @@ class Fabric:
         on_complete: Callable[[Flow], None],
         src_space: MemSpace,
         dst_space: MemSpace,
-        extra_latency: float,
         taginfo,
-        ordered: bool,
     ) -> Optional[Flow]:
-        if not ordered:
-            return self._launch(src, dst, nbytes, on_complete, src_space, dst_space,
-                                extra_latency, taginfo)
         key = (src, dst, src_space, dst_space)
         if self._channel_busy.get(key):
             self._channel_queue.setdefault(key, []).append(
-                (src, dst, nbytes, on_complete, src_space, dst_space,
-                 extra_latency, taginfo)
+                (src, dst, nbytes, on_complete, src_space, dst_space, taginfo)
             )
             return None
         self._channel_busy[key] = True
         return self._launch(src, dst, nbytes, self._chain(key, on_complete),
-                            src_space, dst_space, extra_latency, taginfo)
+                            src_space, dst_space, taginfo)
 
     def start_control(
         self,
@@ -405,9 +387,9 @@ class Fabric:
             queue = self._channel_queue.get(key)
             if queue:
                 nxt = queue.pop(0)
-                (src, dst, nbytes, cb, src_space, dst_space, extra, taginfo) = nxt
+                (src, dst, nbytes, cb, src_space, dst_space, taginfo) = nxt
                 self._launch(src, dst, nbytes, self._chain(key, cb),
-                             src_space, dst_space, extra, taginfo)
+                             src_space, dst_space, taginfo)
             else:
                 self._channel_busy[key] = False
             on_complete(flow)
@@ -422,7 +404,6 @@ class Fabric:
         on_complete: Callable[[Flow], None],
         src_space: MemSpace,
         dst_space: MemSpace,
-        extra_latency: float,
         taginfo,
     ) -> Flow:
         route = self.route(src, dst, src_space, dst_space)
@@ -430,7 +411,7 @@ class Fabric:
             route.links,
             nbytes,
             route.rate_cap,
-            route.latency + extra_latency,
+            route.latency,
             on_complete,
             taginfo=taginfo,
         )

@@ -261,7 +261,6 @@ class ComponentIndex:
 
     __slots__ = (
         "_parent", "_size", "_flows", "_links", "removals", "nflows",
-        "gen", "_stamp",
     )
 
     #: Rebuild once retirements exceed max(this, live flow count).
@@ -274,16 +273,6 @@ class ComponentIndex:
         self._links: dict[int, set[Link]] = {}
         self.removals = 0
         self.nflows = 0
-        # Rebalance generation stamps: ``_stamp[root]`` is the global ``gen``
-        # at which that root's component last had a full max-min pass. Lets
-        # ``_finish`` skip its trailing rebalance when the completion
-        # callback already triggered one over the same component (the
-        # pipelined steady state: every segment completion immediately
-        # activates its successor on the same links). Stamps die on any
-        # structural merge (``_union``) or ``rebuild`` so a stamp never
-        # vouches for a component whose membership changed after the pass.
-        self.gen = 0
-        self._stamp: dict[int, int] = {}
 
     def ensure(self, idx: int) -> None:
         parent = self._parent
@@ -306,8 +295,6 @@ class ComponentIndex:
             ra, rb = rb, ra
         self._parent[rb] = ra
         self._size[ra] += self._size[rb]
-        self._stamp.pop(ra, None)
-        self._stamp.pop(rb, None)
         moved = self._flows.pop(rb, None)
         if moved:
             self._flows.setdefault(ra, set()).update(moved)
@@ -348,28 +335,6 @@ class ComponentIndex:
     def stale(self) -> bool:
         return self.removals > max(self._REBUILD_MIN, self.nflows)
 
-    def root_of(self, flow: Flow) -> int:
-        """Current component root of ``flow``'s links, or -1 if unindexed."""
-        path = flow.path
-        if not path:
-            return -1
-        idx = path[0].index
-        if idx is None or idx >= len(self._parent):
-            return -1
-        return self._find(idx)
-
-    def stamp_root(self, root: int) -> None:
-        """Record a completed full max-min pass over ``root``'s component."""
-        self.gen += 1
-        self._stamp[root] = self.gen
-
-    def stamped_after(self, flow: Flow, gen: int) -> bool:
-        """True if ``flow``'s component had a full pass after generation
-        ``gen`` with no membership merge since (the trailing-rebalance skip
-        test; conservative — False whenever in doubt)."""
-        root = self.root_of(flow)
-        return root >= 0 and self._stamp.get(root, 0) > gen
-
     def component(self, seed: Flow):
         """The (possibly superset) component containing ``seed``'s links."""
         if not seed.path:
@@ -388,7 +353,6 @@ class ComponentIndex:
         self._size = [1] * len(self._parent)
         self._flows = {}
         self._links = {}
-        self._stamp.clear()
         self.removals = 0
         self.nflows = 0
         for f in live_flows:
@@ -624,20 +588,8 @@ class FairShareNetwork:
                     flow.start_time, flow.finish_time, args,
                 )
             self.obs.count("net.flows_completed")
-        cb = flow.on_complete
-        if not had_links:
-            cb(flow)
-            return
-        # The trailing rebalance after the callback is a pure duplicate in
-        # the pipelined steady state: the callback activates the successor
-        # segment on the same links, and that activation already ran a full
-        # max-min pass over the post-removal component. The generation stamp
-        # proves exactly that (and is invalidated by any merge), so skipping
-        # here is observationally identical — the covering pass saw the same
-        # flow set at the same instant and made the same decisions.
-        gen = self.components.gen
-        cb(flow)
-        if not self.components.stamped_after(flow, gen):
+        flow.on_complete(flow)
+        if had_links:
             self._rebalance(flow)
 
     def _component(self, seed: Flow) -> tuple[list[Flow], list[Link]]:
@@ -778,8 +730,5 @@ class FairShareNetwork:
             self._schedule(moved)
         if self.sanitizer is not None:
             self.sanitizer.check_rates(comp_flows, comp_links)
-        root = self.components.root_of(seed)
-        if root >= 0:
-            self.components.stamp_root(root)
         for f in finished:
             self._finish(f)

@@ -14,8 +14,6 @@ contention points.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.machine.spec import MachineSpec
 from repro.machine.topology import Topology
 from repro.network.fabric import Fabric, MemSpace, Route
@@ -32,16 +30,9 @@ class TopoFabric(Fabric):
         spec: MachineSpec,
         topology: Topology,
         compiled,
-        shm_concurrency: Optional[int] = None,
         gpudirect: bool = True,
-        nic_shares_gpu_pcie: bool = False,
     ):
-        super().__init__(
-            engine, spec, topology,
-            shm_concurrency=shm_concurrency,
-            gpudirect=gpudirect,
-            nic_shares_gpu_pcie=nic_shares_gpu_pcie,
-        )
+        super().__init__(engine, spec, topology, gpudirect=gpudirect)
         self.compiled = compiled
 
     # -- slot resolution -----------------------------------------------------

@@ -20,10 +20,10 @@ the cache for the next run.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Callable, Optional, Sequence
 
-from repro.config import ParallelConfig
 from repro.parallel.cache import ResultCache
 from repro.parallel.jobs import SimJob
 from repro.parallel.worker import execute_job, result_from_dict
@@ -48,7 +48,7 @@ def run_jobs(
     after every completed job (cache hits included).
     """
     if n_jobs is None:
-        n_jobs = ParallelConfig.from_env().jobs
+        n_jobs = int(os.environ.get("REPRO_JOBS", "1"))
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
 

@@ -26,11 +26,9 @@ class Cpu:
 
     __slots__ = (
         "engine",
-        "name",
         "_busy_until",
         "busy_time",
         "noise_time",
-        "work_items",
         "halted",
         "obs",
         "obs_rank",
@@ -38,13 +36,11 @@ class Cpu:
         "noise_absorbed_seconds",
     )
 
-    def __init__(self, engine: Engine, name: str = "cpu"):
+    def __init__(self, engine: Engine):
         self.engine = engine
-        self.name = name
         self._busy_until = 0.0
         self.busy_time = 0.0  # total seconds of real work executed
         self.noise_time = 0.0  # total seconds of injected noise
-        self.work_items = 0
         self.halted = False  # fail-stopped: queued and future work is dropped
         # Observability hook (repro.obs): an ObsRecorder, or None (the
         # default, costing one pointer test per execute/inject_noise). When
@@ -104,7 +100,6 @@ class Cpu:
                 self.obs.add("cpu", "work", ("rank", self.obs_rank), start, end)
         self._busy_until = end
         self.busy_time += duration
-        self.work_items += 1
         if fn is not None:
             # Dispatch through the halt gate: work queued before a fail-stop
             # whose completion lands after it must not run. Handle-free post:

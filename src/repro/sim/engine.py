@@ -61,12 +61,10 @@ class EventHandle:
     bucket. ``fn`` is dropped on cancel so captured state can be collected.
     """
 
-    __slots__ = ("time", "seq", "cancelled", "_entry", "_engine")
+    __slots__ = ("cancelled", "_entry", "_engine")
 
-    def __init__(self, engine: "Engine", time: float, seq: int, entry: list):
+    def __init__(self, engine: "Engine", entry: list):
         self._engine = engine
-        self.time = time
-        self.seq = seq
         self._entry = entry
         self.cancelled = False
 
@@ -74,10 +72,6 @@ class EventHandle:
     def fn(self) -> Optional[Callable[..., Any]]:
         """The pending callback, or None once fired or cancelled."""
         return self._entry[0]
-
-    @property
-    def args(self) -> tuple:
-        return self._entry[1]
 
     def cancel(self) -> None:
         """Cancel the event. Idempotent; safe after the event has fired."""
@@ -88,7 +82,7 @@ class EventHandle:
         state = "cancelled" if self.cancelled else (
             "pending" if self._entry[0] is not None else "fired"
         )
-        return f"<EventHandle t={self.time:.9f} seq={self.seq} {state}>"
+        return f"<EventHandle {state}>"
 
 
 class Engine:
@@ -111,7 +105,6 @@ class Engine:
     __slots__ = (
         "_times",
         "_buckets",
-        "_seq",
         "_now",
         "_running",
         "_events_processed",
@@ -126,7 +119,6 @@ class Engine:
         # comparison runs in C) + dict time -> bucket list of entries.
         self._times: list[float] = []
         self._buckets: dict[float, list] = {}
-        self._seq = 0
         self._now = 0.0
         self._running = False
         self._events_processed = 0
@@ -153,7 +145,6 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule event at t={time} before now={self._now}"
             )
-        self._seq += 1
         entry = [fn, args]
         bucket = self._buckets.get(time)
         if bucket is None:
@@ -162,7 +153,7 @@ class Engine:
         else:
             bucket.append(entry)
         self._live += 1
-        return EventHandle(self, time, self._seq, entry)
+        return EventHandle(self, entry)
 
     def call_after(self, delay: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` after ``delay`` seconds."""
@@ -341,26 +332,15 @@ class Engine:
 
     # -- execution ----------------------------------------------------------
 
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
-        """Run until the event queue drains, ``until`` is reached, or
-        ``max_events`` have fired. Returns the final simulated time."""
+    def run(self, until: Optional[float] = None) -> float:
+        """Run until the event queue drains or ``until`` is reached.
+        Returns the final simulated time."""
         if self._running:
             raise SimulationError("engine already running (reentrant run())")
         self._running = True
-        try:
-            if max_events is None:
-                self._run_fast(until)
-            else:
-                self._run_counted(until, max_events)
-        finally:
-            self._running = False
-        return self._now
-
-    def _run_fast(self, until: Optional[float]) -> None:
         # Hot loop: locals avoid repeated attribute/global lookups; the
         # container objects are stable (compaction mutates them in place).
         times = self._times
-        buckets = self._buckets
         heappop = heapq.heappop
         pop_bucket = self._buckets.pop
         tup = tuple
@@ -371,7 +351,7 @@ class Engine:
                 t = times[0]
                 if until is not None and t > until:
                     self._now = until
-                    return
+                    return until
                 heappop(times)
                 bucket = pop_bucket(t, None)
                 if t == self._hook_t:
@@ -408,76 +388,5 @@ class Engine:
         finally:
             self._events_processed += processed
             self._live -= processed
-
-    def _run_counted(self, until: Optional[float], max_events: int) -> None:
-        """The bounded variant: may stop mid-epoch and resume later."""
-        times = self._times
-        buckets = self._buckets
-        heappop = heapq.heappop
-        tup = tuple
-        lst = list
-        fired = 0
-        try:
-            while times and fired < max_events:
-                t = times[0]
-                if until is not None and t > until:
-                    self._now = until
-                    return
-                heappop(times)
-                bucket = buckets.pop(t, None)
-                if t == self._hook_t:
-                    bucket = self._wake(t, bucket)
-                if bucket is None:
-                    continue
-                self._now = t
-                i = 0
-                while i < len(bucket) and fired < max_events:
-                    e = bucket[i]
-                    i += 1
-                    kind = type(e)
-                    if kind is tup:
-                        e[0](*e[1])
-                        fired += 1
-                    elif kind is lst:
-                        fn = e[0]
-                        if fn is None:
-                            if self._cancelled > 0:
-                                self._cancelled -= 1
-                            continue
-                        e[0] = None
-                        args = e[1]
-                        e[1] = ()
-                        fn(*args)
-                        fired += 1
-                    else:
-                        e()
-                        fired += 1
-                if i < len(bucket):
-                    # Stopped mid-epoch: requeue the unfired suffix ahead of
-                    # anything scheduled at this instant mid-drain, so the
-                    # next run resumes in the original order. Entries
-                    # deferred to this instant mid-drain hold tokens on the
-                    # mid-drain bucket, so they are spliced into it first.
-                    del bucket[:i]
-                    later = buckets.pop(t, None)
-                    if t == self._hook_t:
-                        later = self._wake(t, later)
-                    if later is not None:
-                        bucket.extend(later)
-                    buckets[t] = bucket
-                    heapq.heappush(times, t)
-            if (
-                until is not None
-                and until > self._now
-                and not times
-            ):
-                self._now = until
-        finally:
-            self._events_processed += fired
-            self._live -= fired
-
-    def step(self) -> bool:
-        """Fire the single next event. Returns False if the queue is empty."""
-        before = self._events_processed
-        self.run(max_events=1)
-        return self._events_processed > before
+            self._running = False
+        return self._now

@@ -150,6 +150,13 @@ class TestCli:
             # One young collection frees each run's world, and nothing else.
             assert cell["gc_collections"] == [1, 0, 0]
 
+    @pytest.mark.parametrize("scale", ["0", "0,16", "-4", "x,16"])
+    def test_bench_rejects_bad_rank_list(self, scale):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--section", "scale", f"--scale={scale}"])
+        assert "comma-separated rank list" in str(exc.value.code)
+        assert repr(scale) in str(exc.value.code)
+
     def test_profile_smoke(self, capsys):
         assert main(["profile", "--machine", "cori", "--nodes", "2",
                      "--nbytes", "65536", "--iterations", "1",

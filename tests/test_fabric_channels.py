@@ -43,16 +43,6 @@ class TestOrderedChannels:
         assert second is None  # queued behind the channel head
         eng.run()
 
-    def test_unordered_bypasses_queue(self):
-        eng, fab = make_fabric()
-        done = []
-        fab.start_transfer(0, 8, 4_000_000, lambda f: done.append("data"))
-        fab.start_transfer(
-            0, 8, 64, lambda f: done.append("bypass"), ordered=False
-        )
-        eng.run()
-        assert done[0] == "bypass"
-
     def test_channel_reusable_after_drain(self):
         eng, fab = make_fabric()
         done = []

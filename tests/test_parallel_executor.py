@@ -280,6 +280,11 @@ class TestRunJobs:
         with pytest.raises(ValueError):
             run_jobs(_tiny_jobs(1), n_jobs=0)
 
+    def test_invalid_repro_jobs_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "0")
+        with pytest.raises(ValueError, match="n_jobs must be >= 1"):
+            run_jobs(_tiny_jobs(1))
+
 
 class TestResultWireFormat:
     def test_collective_roundtrip(self):

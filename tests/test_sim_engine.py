@@ -91,16 +91,6 @@ class TestEngine:
         h1.cancel()
         assert eng.pending() == 1
 
-    def test_step(self):
-        eng = Engine()
-        seen = []
-        eng.call_at(1e-6, seen.append, 1)
-        eng.call_at(2e-6, seen.append, 2)
-        assert eng.step()
-        assert seen == [1]
-        assert eng.step()
-        assert not eng.step()
-
 
 class TestCpu:
     def test_serial_execution(self):
