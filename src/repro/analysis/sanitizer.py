@@ -160,8 +160,9 @@ class Sanitizer:
     def _check_flows_drained(self, failed: set[int]) -> None:
         """No flow between live ranks may outlive the run.
 
-        A flow still active, or still holding a live entry in the finish
-        queue, at quiescence lost its finish event. Flows to or from a
+        A flow still active, or still scheduled to finish (a member of a
+        cohort whose head is in the finish queue), at quiescence lost its
+        finish event. Flows to or from a
         failed rank are excused like that rank's requests; staging copies
         (no ``taginfo``) never are.
         """
@@ -170,7 +171,7 @@ class Sanitizer:
         if fabric is None:
             return
         network = fabric.network
-        queued = {f for _, stamp, f in network.queue if f.stamp == stamp}
+        queued = network.pending_flows()
         stuck: list[Any] = []
         for flow in sorted(queued | network.active, key=lambda f: f.fid):
             ti = flow.taginfo

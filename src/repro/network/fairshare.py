@@ -14,8 +14,10 @@ so recomputation is local and large simulations stay fast.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect
+from itertools import chain, compress
 from operator import attrgetter
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.network.flows import Flow
 from repro.network.links import Link
@@ -35,6 +37,9 @@ _NEVER = float("inf")
 _BY_FID = attrgetter("fid")
 _BY_NAME = attrgetter("name")
 _BY_CAP = attrgetter("rate_cap")
+_COHORT = attrgetter("cohort")
+_CLASS = attrgetter("rate_cap", "path")
+_PATH = attrgetter("path")
 
 
 # Components of at least this many flows skip the shape cache in
@@ -78,34 +83,23 @@ def maxmin_rates(flows: Sequence[Flow], links: Sequence[Link]) -> dict[Flow, flo
     count = [0] * nlinks
     on: list[list[int]] = [[] for _ in range(nlinks)]  # classes per link
 
-    # Classes in cap order: sort the flows by cap and open a class on each
-    # new (cap, path) pair; consecutive flows of one class skip the lookup.
-    # The cap walk reads only the smallest unfixed cap and the classes at
-    # or below the share, so classes of equal cap may come in any order.
+    # Classes in cap order: sort the flows by cap and number each new
+    # (cap, path) pair in order of first appearance. The cap walk reads
+    # only the smallest unfixed cap and the classes at or below the share,
+    # so classes of equal cap may come in any order.
     by_cap = sorted(flows, key=_BY_CAP)
-    cls_of: list[int] = []  # the class of each flow of by_cap
-    members: list[list[Flow]] = []
-    caps: list[float] = []
-    last_cap = last_path = None
-    run: Optional[dict] = None  # path -> class, within one cap
-    c = 0
-    for f in by_cap:
-        cap = f.rate_cap
-        path = f.path
-        if cap != last_cap:
-            last_cap, last_path, run = cap, path, None
-            c = len(caps)
-        elif path != last_path:
-            if run is None:
-                run = {last_path: c}
-            last_path = path
-            c = run.setdefault(path, len(caps))
-        if c < len(caps):
+    keys = list(map(_CLASS, by_cap))
+    if keys and keys.count(keys[0]) == len(keys):
+        # One class, the common shape of a large component.
+        caps = [keys[0][0]]
+        members: list[list[Flow]] = [by_cap]
+    else:
+        number: dict = {}
+        cls_of = [number.setdefault(k, len(number)) for k in keys]
+        caps = [k[0] for k in number]
+        members = [[] for _ in caps]
+        for f, c in zip(by_cap, cls_of):
             members[c].append(f)
-        else:
-            members.append([f])
-            caps.append(cap)
-        cls_of.append(c)
     ncls = len(caps)
     cls_links: list[list[int]] = []  # link positions, with multiplicity
     for c in range(ncls):
@@ -181,6 +175,8 @@ def maxmin_rates(flows: Sequence[Flow], links: Sequence[Link]) -> dict[Flow, flo
                         r = r if r > 0.0 else 0.0
                     remaining[i] = r
                 heappush(heap, (r / n, i, n))
+    if ncls == 1:
+        return dict.fromkeys(by_cap, rate[0])
     return dict(zip(by_cap, map(rate.__getitem__, cls_of)))
 
 
@@ -359,15 +355,80 @@ class ComponentIndex:
             self.add_flow(f)
 
 
+def _first_fid(pair: tuple) -> int:
+    return pair[0].fid
+
+
+class _Cohort:
+    """Flows of one class that share a schedule (DESIGN.md §23).
+
+    A class is the flows with one path and one rate cap: the solver always
+    gives them one rate. A cohort is the class's flows that were last
+    drained at one instant (``last_update``) and rate. ``flows`` lists them
+    in fid order, with ``rems`` their residuals at ``last_update``, and
+    ``dues``, ``stamps`` and ``tokens`` the finish each was given at the
+    cohort's last reschedule. ``order`` lists the members in (due, stamp)
+    order; only ``order[pos]``, the head, has a finish-queue entry. A
+    member that leaves (spliced into its epoch, or finished early) is
+    blanked to None in ``flows``; ``n`` counts the members left, and
+    ``low`` is at most the smallest residual among them.
+    """
+
+    __slots__ = (
+        "key", "flows", "rems", "rate", "last_update",
+        "dues", "stamps", "tokens", "order", "pos", "n", "low",
+    )
+
+    def __init__(self, key: tuple) -> None:
+        self.key = key  # (path, rate_cap)
+
+
+def _carry(drains: list) -> None:
+    """Add drained bytes to ``link.bytes_carried`` as per-flow drains would.
+
+    Each drain is ``(flows, moved, path)``: flows in fid order that each
+    moved ``moved`` bytes. On each link the adds run in fid order across
+    drains, one add per flow per crossing, the float sequence that draining
+    the flows one by one in fid order performs. k flows that moved the same
+    amount add it k times, never ``k * moved`` once.
+    """
+    if len(drains) == 1:
+        flows, moved, path = drains[0]
+        for link in path:
+            b = link.bytes_carried
+            for _ in flows:
+                b += moved
+            link.bytes_carried = b
+        return
+    on: dict = {}
+    for d in drains:
+        for link in d[2]:
+            on.setdefault(link, []).append(d)
+    for link, ds in on.items():
+        b = link.bytes_carried
+        moved = ds[0][1]
+        if all(d[1] == moved for d in ds):
+            for _ in range(sum(len(d[0]) for d in ds)):
+                b += moved
+        else:
+            # Different amounts: the order of the adds matters.
+            for _, x in heapq.merge(*[[(f.fid, d[1]) for f in d[0]] for d in ds]):
+                b += x
+        link.bytes_carried = b
+
+
 class FairShareNetwork:
     """Owns active flows and keeps their rates max-min fair as they come and go.
 
-    Flow completions are data (DESIGN.md §23): a rate change moves a flow's
-    ``due`` and pushes a ``(due, stamp, flow)`` entry on one lazily
-    invalidated finish queue, together with an engine position token. The
-    engine wakes the network when the queue's head epoch starts, and the
-    flows due then are spliced into that epoch where ``call_at`` at their
-    last reschedule would have put them.
+    Flow completions are data (DESIGN.md §23): a rate change gives each
+    flow a due time and an engine position token. Rescheduling works per
+    class: the flows of one class drained at one instant form a
+    :class:`_Cohort`, which a rate change drains and reschedules in bulk,
+    and only each cohort's earliest finisher has a ``(due, stamp, flow)``
+    entry on the lazily invalidated finish queue. The engine wakes the
+    network when the queue's head epoch starts, and the flows due then are
+    spliced into that epoch where ``call_at`` at their last reschedule would
+    have put them.
     """
 
     def __init__(self, engine: Engine):
@@ -377,7 +438,7 @@ class FairShareNetwork:
         self.flows_completed = 0
         self.queue: list[tuple[float, int, Flow]] = []  # finish heap
         self._stamps = 0  # last stamp issued; orders same-instant finishes
-        self._stale = 0  # queue entries whose flow moved, finished or parked
+        self._stale = 0  # queue entries whose flow or cohort moved or left
         self._armed = _NEVER  # the engine wake this network holds
         self._hook = self._due_now
         self.components = ComponentIndex()
@@ -468,8 +529,20 @@ class FairShareNetwork:
 
     # -- the finish queue -----------------------------------------------------
 
+    def pending_flows(self) -> set[Flow]:
+        """Flows whose finish is still scheduled: each flow queued on its
+        own, and every member left in a cohort whose head is queued."""
+        out: set[Flow] = set()
+        for _, stamp, flow in self.queue:
+            if flow.stamp == stamp:
+                if flow.cohort is None:
+                    out.add(flow)
+                else:
+                    out.update(f for f in flow.cohort.flows if f is not None)
+        return out
+
     def _withdraw(self, flow: Flow) -> None:
-        """Drop ``flow``'s scheduled finish, queued or already spliced."""
+        """Drop a flow's own schedule, queued or already spliced."""
         if flow.token is not None:
             flow.token = None
             self._stale += 1
@@ -478,53 +551,136 @@ class FairShareNetwork:
             flow.entry = None
         flow.stamp = 0
 
-    def _schedule(self, flows: Sequence[Flow]) -> None:
-        """Set each flow, in order, to finish when it drains at its rate.
+    def _push_head(self, c: _Cohort) -> None:
+        """Queue the cohort's first member at or after ``pos``, if any.
 
-        ``due = now + remaining / rate`` is the float op ``call_after``
-        performed, and the token records where ``call_after`` would have
-        appended, so each finish fires exactly where the eager event would
-        have.
+        It finishes no earlier than the member it follows, so the engine
+        wake held for the queue still comes in time.
+        """
+        order = c.order
+        flows = c.flows
+        pos = c.pos
+        end = len(order)
+        while pos < end and flows[order[pos]] is None:
+            pos += 1
+        c.pos = pos
+        if pos < end:
+            i = order[pos]
+            f = flows[i]
+            f.due = due = c.dues[i]
+            f.stamp = stamp = c.stamps[i]
+            heapq.heappush(self.queue, (due, stamp, f))
+
+    def _settle(self, c: _Cohort, i: int) -> Flow:
+        """Take member ``i`` out of its cohort, with its rate, residual and
+        ``last_update`` written back to the flow."""
+        f = c.flows[i]
+        c.flows[i] = None
+        c.tokens[i] = None  # drops the bucket reference too
+        c.n -= 1
+        f.cohort = None
+        f.rate = c.rate
+        f.remaining = c.rems[i]
+        f.last_update = c.last_update
+        return f
+
+    def _detach(self, c: _Cohort, i: int) -> Flow:
+        """:meth:`_settle`, and drop the member's schedule: if it heads the
+        queue, its entry goes stale and the next member takes its place."""
+        f = self._settle(c, i)
+        if f.stamp:
+            f.stamp = 0
+            self._stale += 1
+            c.pos += 1
+            self._push_head(c)
+        return f
+
+    def _schedule(
+        self, singles: Sequence[Flow], batches: Sequence[_Cohort] = ()
+    ) -> None:
+        """Give each flow a fresh finish at its rate: each single flow on
+        its own, and each cohort in bulk.
+
+        A cohort comes with ``flows`` (one class's flows, in fid order),
+        ``rems`` (drained to now) and ``rate`` set. Each flow's ``due = now
+        + rem / rate`` is the float op ``call_after`` performed; stamps
+        follow fid order (the singles come in fid order); each token
+        records where ``call_after`` would have appended. So each finish
+        fires exactly where the eager event would have.
         """
         engine = self.engine
         now = engine.now
+        stamp = self._stamps
+        issued = len(singles)
+        for c in batches:
+            issued += len(c.flows)
+        self._stamps = stamp + issued
+        rank = None
+        if batches and (singles or len(batches) > 1):
+            # Several runs: number their flows in fid order across them.
+            fids = sorted(chain(
+                map(_BY_FID, singles), *[map(_BY_FID, c.flows) for c in batches]
+            ))
+            rank = dict(zip(fids, range(stamp + 1, stamp + 1 + len(fids))))
         mark = engine.mark
         queue = self.queue
         push = heapq.heappush
         armed = self._armed
-        stamp = self._stamps
-        stale = self._stale
-        for f in flows:
-            # Withdraw the previous schedule (``_withdraw``, inlined).
-            if f.token is not None:
-                stale += 1
-            elif f.entry is not None:
-                engine.discard(f.entry)
-                f.entry = None
+        for f in singles:
             due = now + f.remaining / f.rate
-            stamp += 1
+            if rank is None:
+                stamp += 1
+                s = stamp
+            else:
+                s = rank[f.fid]
             f.token = mark(due)
             f.due = due
-            f.stamp = stamp
-            push(queue, (due, stamp, f))
+            f.stamp = s
+            push(queue, (due, s, f))
             if due < armed:
                 armed = due
-        self._stamps = stamp
+        for c in batches:
+            flows = c.flows
+            rems = c.rems
+            rate = c.rate
+            dues = [now + x / rate for x in rems]
+            c.last_update = now
+            c.dues = dues
+            if rank is None:  # the one run
+                c.stamps = range(stamp + 1, stamp + 1 + len(flows))
+            else:
+                c.stamps = list(map(rank.__getitem__, map(_BY_FID, flows)))
+            c.tokens = engine.marks(dues)
+            # A stable sort: equal dues keep fid order, which is stamp order.
+            c.order = order = sorted(range(len(dues)), key=dues.__getitem__)
+            c.pos = 0
+            c.n = len(flows)
+            c.low = min(rems)
+            # Queue the head (``_push_head``, inlined: no member has left).
+            i = order[0]
+            f = flows[i]
+            f.due = due = dues[i]
+            f.stamp = s = c.stamps[i]
+            push(queue, (due, s, f))
+            if due < armed:
+                armed = due
         if armed < self._armed:
             self._armed = armed
             engine.wake_at(armed, self._hook)
+        stale = self._stale
         if stale > _QUEUE_COMPACT_MIN and 2 * stale > len(queue):
             queue[:] = [e for e in queue if e[2].stamp == e[1]]
             heapq.heapify(queue)
-            stale = 0
-        self._stale = stale
+            self._stale = 0
 
     def _due_now(self, t: float) -> list[tuple[tuple, list]]:
         """Engine wake hook: hand over the flows that finish at ``t``.
 
         Each leaves the queue as a cancellable engine entry, paired with
-        its position token, in stamp order; the engine splices them into
-        ``t``'s epoch. The network then re-arms at the new head.
+        its position token, in stamp order; a cohort member leaves its
+        cohort, and the next member takes its place in the queue. The
+        engine splices the entries into ``t``'s epoch. The network then
+        re-arms at the new head.
         """
         queue = self.queue
         heappop = heapq.heappop
@@ -538,9 +694,18 @@ class FairShareNetwork:
             if due > t:
                 break
             heappop(queue)
+            c = flow.cohort
+            if c is None:
+                token = flow.token
+                flow.token = None  # drops the bucket reference too
+            else:
+                i = c.order[c.pos]
+                token = c.tokens[i]
+                self._settle(c, i)
+                c.pos += 1
+                self._push_head(c)
             entry = [self._fire, (flow, stamp)]
-            out.append((flow.token, entry))
-            flow.token = None  # drops the bucket reference too
+            out.append((token, entry))
             flow.entry = entry
         if queue:
             self._armed = queue[0][0]
@@ -556,6 +721,7 @@ class FairShareNetwork:
         self._finish(flow)
 
     def _finish(self, flow: Flow) -> None:
+        # The flow holds no cohort place here: callers settle it first.
         if flow.done:
             return
         flow.drain(self.engine.now)
@@ -664,6 +830,14 @@ class FairShareNetwork:
                     alone = False
                     break
         if alone:
+            c = seed.cohort
+            if c is not None:
+                # The last member of its cohort (only ``refresh`` rebalances
+                # a lone flow that has a schedule): it goes on its own and
+                # keeps its queue entry, with its token.
+                i = c.order[c.pos]
+                seed.token = c.tokens[i]
+                self._settle(c, i)
             seed.drain(now)
             if seed.remaining <= _EPSILON_BYTES:
                 self._finish(seed)
@@ -673,6 +847,8 @@ class FairShareNetwork:
             )
             rate = min(rate, seed.rate_cap)
             if abs(rate - seed.rate) > 1e-9 * max(rate, seed.rate) or not seed.stamp:
+                if seed.stamp:
+                    self._withdraw(seed)
                 seed.rate = rate
                 self._schedule((seed,))
             if self.sanitizer is not None:
@@ -681,23 +857,93 @@ class FairShareNetwork:
         comp_flows, comp_links = self._component(seed)
         if not comp_flows:
             return
-        # Deterministic ordering for reproducible float arithmetic.
-        comp_flows.sort(key=_BY_FID)
+        # Links in name order: the solver breaks ties between equal shares
+        # by link position. Its rates do not depend on the order of the
+        # flows, but the shape cache's key does, so cached components come
+        # in fid order.
         comp_links.sort(key=_BY_NAME)
+        if len(comp_flows) < _HEAP_THRESHOLD:
+            comp_flows.sort(key=_BY_FID)
         if self.sanitizer is not None:
             # The sanitizer audits residuals too; give it a fully drained
-            # view (the lazy-drain fast path below is invisible to it).
-            for f in comp_flows:
-                f.drain(now)
+            # view (the lazy drain below is invisible to it).
+            self._drain_all(comp_flows, now)
         rates = self._maxmin_cached(comp_flows, comp_links)
+        # Every member of a class gets one rate, so one per cohort is enough.
+        # The other flows are loose: new arrivals, parked flows, and flows
+        # scheduled on their own. They go in fid order.
+        rate_of: dict = {}
+        loose: Iterable = zip(comp_flows, rates)
+        if any(map(_COHORT, comp_flows)):
+            rate_of = dict(zip(map(_COHORT, comp_flows), rates))
+            if None in rate_of:
+                del rate_of[None]
+                loose = [(f, r) for f, r in loose if f.cohort is None]
+            else:
+                loose = ()
+        if len(comp_flows) >= _HEAP_THRESHOLD:
+            loose = sorted(loose, key=_first_fid)
         finished: list[Flow] = []
-        moved: list[Flow] = []
-        for f, new_rate in zip(comp_flows, rates):
-            # Drain lazily: most members keep their rate (bystanders dragged
-            # in by a shared link), and for them byte accounting can wait for
-            # their next reschedule or finish. The epsilon test runs on the
-            # *predicted* post-drain residual — the same IEEE-754 ops drain
-            # would perform — so the finish decision is unchanged.
+        drains: list = []  # (flows, moved, path), for _carry
+        groups: dict = {}  # class key -> [rate, cohort or flow, ...] to reschedule
+        for c, new_rate in rate_of.items():
+            # Drain lazily: a cohort that keeps its rate (bystanders dragged
+            # in by a shared link) keeps its residuals and schedule until
+            # its rate changes or a member finishes. The epsilon test runs
+            # on the *predicted* post-drain residual — the same IEEE-754 ops
+            # a drain performs — so the finish decision is unchanged. Only
+            # the smallest residual can pass it first; ``low`` bounds it
+            # from below and is refreshed when it passes.
+            rate = c.rate
+            dt = now - c.last_update
+            moved = rate * dt if dt > 0.0 else 0.0
+            flows = c.flows
+            rems = c.rems
+            low = c.low
+            if (low - moved if low > moved else 0.0) <= _EPSILON_BYTES:
+                c.low = low = min(compress(rems, flows))
+                if (low - moved if low > moved else 0.0) <= _EPSILON_BYTES:
+                    for i, x in enumerate(rems):
+                        if flows[i] is not None and (
+                            x - moved if x > moved else 0.0
+                        ) <= _EPSILON_BYTES:
+                            finished.append(self._detach(c, i))  # _finish drains it
+            if not c.n:
+                continue
+            # Keep the schedule when the rate is unchanged — the common
+            # case for cohorts dragged into a component by a link they
+            # share with an unaffected neighbour.
+            d = new_rate - rate
+            if d < 0.0:
+                d = -d
+            if d <= 1e-9 * (new_rate if new_rate > rate else rate):
+                continue
+            # The rate moved: drain the cohort and dissolve its schedule.
+            flows[c.order[c.pos]].stamp = 0  # its head's queue entry
+            self._stale += 1
+            if c.n < len(flows):
+                rems = list(compress(rems, flows))
+                flows = list(compress(flows, flows))
+            if moved:
+                rems = [x - moved if x > moved else 0.0 for x in rems]
+                drains.append((flows, moved, c.key[0]))
+            if new_rate > 0.0:
+                c.flows = flows  # the live members, drained to now
+                c.rems = rems
+                g = groups.get(c.key)
+                if g is None:
+                    groups[c.key] = [new_rate, c]
+                else:
+                    g.append(c)
+            else:
+                # rate == 0 flows stay parked until a rebalance frees capacity.
+                for f, x in zip(flows, rems):
+                    f.cohort = None
+                    f.rate = 0.0
+                    f.remaining = x
+                    f.last_update = now
+        singles: list[Flow] = []
+        for f, new_rate in loose:  # in fid order
             rem = f.remaining
             rate = f.rate
             if rate > 0.0:
@@ -707,28 +953,164 @@ class FairShareNetwork:
                     if rem < 0.0:
                         rem = 0.0
             if rem <= _EPSILON_BYTES:
-                finished.append(f)  # _finish performs the real drain
+                finished.append(f)  # _finish drains it
                 continue
             if f.stamp:
-                # Keep the scheduled finish when the rate is unchanged — the
-                # common case for flows dragged into a component by a link
-                # they share with an unaffected neighbour.
-                old = f.rate
-                d = new_rate - old
+                # Keep the scheduled finish when the rate is unchanged.
+                d = new_rate - rate
                 if d < 0.0:
                     d = -d
-                if d <= 1e-9 * (new_rate if new_rate > old else old):
+                if d <= 1e-9 * (new_rate if new_rate > rate else rate):
                     continue
-            f.drain(now)
+                # Withdraw it (``_withdraw``, inlined).
+                if f.token is not None:
+                    f.token = None
+                    self._stale += 1
+                elif f.entry is not None:
+                    self.engine.discard(f.entry)
+                    f.entry = None
+                f.stamp = 0
+            if drains:
+                # Cohorts moved bytes too: _carry merges the adds by fid.
+                if rate > 0.0 and now - f.last_update > 0.0:
+                    drains.append(([f], rate * (now - f.last_update), f.path))
+                f.remaining = rem
+                f.last_update = now
+            else:
+                f.drain(now)
             f.rate = new_rate
             if new_rate > 0.0:
-                moved.append(f)
-            elif f.stamp:
-                # rate == 0 flows stay parked until a rebalance frees capacity.
-                self._withdraw(f)
-        if moved:
-            self._schedule(moved)
+                singles.append(f)
+        if drains:
+            _carry(drains)
+        if groups or (
+            len(singles) > 1 and len(set(map(_PATH, singles))) < len(singles)
+        ):
+            # Flows of one class rescheduled together share a cohort; a flow
+            # with no other flow of its class rescheduled keeps its own.
+            # (Flows on distinct paths are of distinct classes.)
+            for f in singles:
+                key = (f.path, f.rate_cap)
+                g = groups.get(key)
+                if g is None:
+                    groups[key] = [f.rate, f]
+                else:
+                    g.append(f)
+            singles = []
+            batches = []
+            for key, g in groups.items():
+                if len(g) == 2:
+                    src = g[1]
+                    if type(src) is Flow:
+                        singles.append(src)
+                        continue
+                    if len(src.flows) > 1:
+                        src.rate = g[0]
+                        batches.append(src)
+                        continue
+                c = self._merge(key, g[1:], now)
+                if c is None:
+                    f = g[1].flows[0]
+                    f.rate = g[0]
+                    singles.append(f)
+                else:
+                    c.rate = g[0]
+                    batches.append(c)
+            if len(singles) > 1:
+                singles.sort(key=_BY_FID)
+            self._schedule(singles, batches)
+        elif singles:
+            self._schedule(singles)
         if self.sanitizer is not None:
+            self._expose(comp_flows)
             self.sanitizer.check_rates(comp_flows, comp_links)
+        if len(finished) > 1:
+            finished.sort(key=_BY_FID)
         for f in finished:
             self._finish(f)
+
+    @staticmethod
+    def _merge(key: tuple, sources: list, now: float) -> Optional[_Cohort]:
+        """One class's rescheduled flows as one cohort, for :meth:`_schedule`.
+
+        ``sources`` holds dissolved cohorts (``flows`` and ``rems`` set to
+        their live members, drained to now) and single flows. They merge by
+        fid into the largest cohort, or a new one, so only the flows from
+        the other sources are re-pointed. A cohort left with one flow is
+        dissolved instead: the flow goes on its own (None is returned).
+        """
+        c = max(
+            (src for src in sources if type(src) is _Cohort),
+            key=lambda src: len(src.flows), default=None,
+        )
+        if c is None:
+            c = _Cohort(key)
+            c.flows = []
+            c.rems = []
+        flows = c.flows
+        rems = c.rems
+        if len(sources) == 1 and len(flows) == 1:
+            (f,) = flows
+            f.cohort = None
+            f.remaining = rems[0]
+            f.last_update = now
+            return None
+        others = [src for src in sources if src is not c]
+        if all(type(src) is Flow for src in others) and len(others) <= 1:
+            # At most one flow joins a run (an arrival): insert it by fid.
+            for f in others:
+                j = bisect(list(map(_BY_FID, flows)), f.fid)
+                flows.insert(j, f)
+                rems.insert(j, f.remaining)
+                f.cohort = c
+            return c
+        runs = [(flows, rems)]
+        for src in others:
+            if type(src) is Flow:
+                runs.append(([src], [src.remaining]))
+            else:
+                runs.append((src.flows, src.rems))
+            for f in runs[-1][0]:
+                f.cohort = c
+        rows = sorted(chain.from_iterable(
+            zip(map(_BY_FID, fl), rm, fl) for fl, rm in runs
+        ))
+        _, c.rems, c.flows = map(list, zip(*rows))
+        return c
+
+    def _drain_all(self, comp_flows: list[Flow], now: float) -> None:
+        """Drain every flow of a component to ``now``, schedules kept."""
+        drains = []
+        for c in dict.fromkeys(map(_COHORT, comp_flows)):
+            if c is None:
+                continue
+            dt = now - c.last_update
+            if dt > 0.0:
+                moved = c.rate * dt
+                c.rems = [x - moved if x > moved else 0.0 for x in c.rems]
+                low = c.low
+                c.low = low - moved if low > moved else 0.0
+                drains.append((list(compress(c.flows, c.flows)), moved, c.key[0]))
+            c.last_update = now
+        for f in comp_flows:
+            if f.cohort is None:
+                dt = now - f.last_update
+                if dt > 0.0 and f.rate > 0.0:
+                    moved = f.rate * dt
+                    rem = f.remaining - moved
+                    f.remaining = rem if rem > 0.0 else 0.0
+                    drains.append(([f], moved, f.path))
+                f.last_update = now
+        if drains:
+            _carry(drains)
+
+    def _expose(self, comp_flows: list[Flow]) -> None:
+        """Write each cohort member's rate and residual back to the flow,
+        for the sanitizer's audit."""
+        for c in dict.fromkeys(map(_COHORT, comp_flows)):
+            if c is not None:
+                for f, x in zip(c.flows, c.rems):
+                    if f is not None:
+                        f.rate = c.rate
+                        f.remaining = x
+                        f.last_update = c.last_update

@@ -12,9 +12,9 @@ class Flow:
 
     Life cycle: created -> (after path latency) active on its links ->
     finishes when ``remaining`` drains at the allocated rate. The allocator
-    moves ``due``, the absolute finish time, each time the flow's rate
+    reschedules the flow, with the rest of its cohort, each time its rate
     changes as competing flows come and go; the flow holds no engine event
-    until the epoch at ``due`` starts (DESIGN.md §23).
+    until the epoch of its finish starts (DESIGN.md §23).
     """
 
     __slots__ = (
@@ -28,6 +28,7 @@ class Flow:
         "due",
         "stamp",
         "token",
+        "cohort",
         "entry",
         "on_complete",
         "start_time",
@@ -56,12 +57,15 @@ class Flow:
         self.rate = 0.0
         self.last_update = 0.0
         # Finish-queue bookkeeping (FairShareNetwork): the scheduled finish
-        # time, the stamp of the live schedule (0 = none), its engine
-        # position token while queued, and its spliced engine entry while
-        # its epoch runs.
+        # time and the stamp of its queue entry (0 = none) once the flow is
+        # in the queue; its engine position token while it is queued on its
+        # own; the cohort holding its schedule otherwise; and its spliced
+        # engine entry while its epoch runs. While ``cohort`` is set, the
+        # cohort holds the flow's rate, residual and ``last_update``.
         self.due = 0.0
         self.stamp = 0
         self.token: Optional[tuple] = None
+        self.cohort: Any = None
         self.entry: Optional[list] = None
         self.on_complete = on_complete
         self.start_time = 0.0

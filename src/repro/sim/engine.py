@@ -27,8 +27,9 @@ cancelled once cancelled entries outnumber live ones.
 
 Deferred entries (DESIGN.md §23, "Flow completions as data"): a client that
 reschedules an event many times before it fires keeps its due time as data
-instead. Each reschedule takes a position token (:meth:`Engine.mark`) — the
-bucket at the due time and its length at that moment — and a wake hook
+instead. Each reschedule takes a position token (:meth:`Engine.mark`, or
+:meth:`Engine.marks` for many) — the bucket at the due time and its length
+at that moment — and a wake hook
 (:meth:`Engine.wake_at`) hands the entries back when the epoch starts. The
 engine splices them into the bucket at their recorded positions before its
 first entry fires, so they fire exactly where an eager ``call_at`` at the
@@ -47,6 +48,9 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 _COMPACT_MIN = 512
 
 _NEVER = float("inf")
+
+#: The token :meth:`Engine.mark` gives a time with no bucket yet.
+_UNMARKED = (None, 0)
 
 
 class SimulationError(RuntimeError):
@@ -223,6 +227,24 @@ class Engine:
             )
         bucket = self._buckets.get(time)
         return (bucket, 0 if bucket is None else len(bucket))
+
+    def marks(self, times: Sequence[float]) -> list[tuple]:
+        """:meth:`mark` for each of ``times``, in one call.
+
+        A time with no bucket gets the ``(None, 0)`` that :meth:`mark`
+        returns for it; only times that hit a bucket build a token.
+        """
+        if times and min(times) < self._now:
+            raise SimulationError(
+                f"cannot schedule event at t={min(times)} before now={self._now}"
+            )
+        buckets = self._buckets
+        if buckets.keys().isdisjoint(times):
+            return [_UNMARKED] * len(times)
+        get = buckets.get
+        return [
+            _UNMARKED if (b := get(t)) is None else (b, len(b)) for t in times
+        ]
 
     def wake_at(
         self,

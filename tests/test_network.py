@@ -1,10 +1,16 @@
 """Unit tests for the fair-share network and fabric routing."""
 
+import heapq
+import math
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.machine import CommLevel, Topology, small_test_machine, psg_gpu
 from repro.network import Fabric, FairShareNetwork, Flow, Link, MemSpace
-from repro.network.fairshare import maxmin_rates
+from repro.network.fairshare import _EPSILON_BYTES, ComponentIndex, maxmin_rates
 from repro.sim import Engine
 
 
@@ -305,3 +311,294 @@ class TestTopology:
         spec = small_test_machine()
         topo = Topology(spec, 24)
         assert topo.ranks_on_socket(1, 0) == [8, 9, 10, 11]
+
+
+# -- per-class rescheduling against a per-flow oracle -------------------------
+
+class PerFlowNetwork:
+    """The allocator's per-flow rules, with eager finish events.
+
+    Every flow whose rate moves is drained and gets a fresh ``call_at``
+    for its finish, one flow at a time in fid order; a flow that keeps its
+    rate keeps its event and drains later. ``FairShareNetwork`` must match
+    it float for float: the same finish instants, the same callback order
+    within each epoch, and the same per-link byte counts.
+    """
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.components = ComponentIndex()
+        self.active = set()
+        self.handles = {}
+        self._next_fid = 0
+        self._next_link_idx = 0
+
+    def submit(self, path, nbytes, rate_cap, latency, on_complete):
+        self._next_fid += 1
+        flow = Flow(self._next_fid, path, nbytes, rate_cap, on_complete)
+        flow.start_time = self.engine.now
+        if latency > 0.0:
+            self.engine.post_after(latency, self._activate, flow)
+        else:
+            self._activate(flow)
+        return flow
+
+    def refresh(self, links):
+        seen = set()
+        for link in links:
+            for flow in list(link.flows):
+                if flow in seen or flow.done:
+                    continue
+                seen.update(self._component(flow)[0])
+                self._rebalance(flow)
+
+    def _activate(self, flow):
+        flow.last_update = self.engine.now
+        self.active.add(flow)
+        for link in flow.path:
+            link.flows.add(flow)
+            if link.index is None:
+                link.index = self._next_link_idx
+                self._next_link_idx += 1
+            self.components.ensure(link.index)
+        self.components.add_flow(flow)
+        self._rebalance(flow)
+
+    def _schedule(self, flow):
+        self._withdraw(flow)
+        due = self.engine.now + flow.remaining / flow.rate
+        self.handles[flow] = self.engine.call_at(due, self._finish, flow)
+
+    def _withdraw(self, flow):
+        handle = self.handles.pop(flow, None)
+        if handle is not None:
+            handle.cancel()
+
+    def _finish(self, flow):
+        if flow.done:
+            return
+        now = self.engine.now
+        flow.drain(now)
+        flow.remaining = 0.0
+        flow.finish_time = now
+        self._withdraw(flow)
+        self.active.discard(flow)
+        for link in flow.path:
+            link.flows.discard(flow)
+        self.components.remove_flow(flow)
+        flow.on_complete(flow)
+        self._rebalance(flow)
+
+    def _component(self, seed):
+        if self.components.stale():
+            self.components.rebuild(f for f in self.active if f.path)
+        flows, links = self.components.component(seed)
+        return sorted(flows, key=lambda f: f.fid), sorted(links, key=lambda l: l.name)
+
+    def _rebalance(self, seed):
+        now = self.engine.now
+        if not seed.done and seed in self.active and all(
+            len(link.flows) == 1 for link in seed.path
+        ):
+            seed.drain(now)
+            if seed.remaining <= _EPSILON_BYTES:
+                self._finish(seed)
+                return
+            rate = min(min(link.capacity for link in seed.path), seed.rate_cap)
+            if (abs(rate - seed.rate) > 1e-9 * max(rate, seed.rate)
+                    or seed not in self.handles):
+                seed.rate = rate
+                self._schedule(seed)
+            return
+        flows, links = self._component(seed)
+        if not flows:
+            return
+        rates = maxmin_rates(flows, links)
+        finished = []
+        for f in flows:
+            new_rate = rates[f]
+            rem = f.remaining
+            if f.rate > 0.0 and now - f.last_update > 0.0:
+                rem = max(rem - f.rate * (now - f.last_update), 0.0)
+            if rem <= _EPSILON_BYTES:
+                finished.append(f)
+                continue
+            if f in self.handles and (
+                abs(new_rate - f.rate) <= 1e-9 * max(new_rate, f.rate)
+            ):
+                continue
+            f.drain(now)
+            f.rate = new_rate
+            if new_rate > 0.0:
+                self._schedule(f)
+            else:
+                self._withdraw(f)
+        for f in finished:
+            self._finish(f)
+
+
+# Link i of a run is named f"l{i}"; paths share links, and one crosses
+# a link twice.
+_CAPACITIES = (1e9, 2.5e9, 1e9 / 3, 7e8)
+_PATHS = ((0,), (0, 1), (1, 2), (2,), (0, 2), (1, 1, 3), (3,))
+_RATE_CAPS = (2e9, 7e8, 3e8)
+
+
+def _drive(network_cls, flows, ncaps, markers, refresh, times):
+    """Run ``flows`` through a fresh network; return the callback log and
+    each link's bytes carried."""
+    eng = Engine()
+    net = network_cls(eng)
+    links = [Link(f"l{i}", cap) for i, cap in enumerate(_CAPACITIES)]
+    log = []
+    for arrival, p, nbytes, c in flows:
+        net.submit(
+            [links[i] for i in _PATHS[p]], nbytes, _RATE_CAPS[c % ncaps],
+            arrival, lambda f: log.append((eng.now, "finish", f.fid)),
+        )
+
+    def post(k, target):
+        if target >= eng.now:
+            eng.post_at(target, lambda: log.append((eng.now, "marker", k)))
+
+    for k, (src, dst) in enumerate(markers):
+        # A marker posted at ``times[src]`` (or up front) for
+        # ``times[dst]``: a finish instant of the plain run.
+        target = times[dst % len(times)]
+        if src is None:
+            post(k, target)
+        else:
+            eng.post_at(times[src % len(times)], post, k, target)
+    if refresh is not None:
+        at, i, factor = refresh
+
+        def flap():
+            log.append((eng.now, "refresh", i))
+            links[i].capacity *= factor
+            net.refresh([links[i]])
+
+        eng.post_at(times[at % len(times)], flap)
+    eng.run()
+    return log, [link.bytes_carried for link in links]
+
+
+_flow_specs = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.0, 1e-6, 2e-6, 3.3e-6, 5e-6]),  # latency
+        st.integers(0, len(_PATHS) - 1),
+        st.sampled_from([1000, 1500, 4096, 65536, 100_000]),
+        st.integers(0, 2),
+    ),
+    min_size=1, max_size=24,
+)
+_marker_specs = st.lists(
+    st.tuples(st.none() | st.integers(0, 63), st.integers(0, 63)), max_size=8,
+)
+_refresh_specs = st.none() | st.tuples(
+    st.integers(0, 63), st.integers(0, len(_CAPACITIES) - 1),
+    st.sampled_from([0.5, 2.0, 0.3, 1.7]),
+)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(_flow_specs, st.integers(1, 3), _marker_specs, _refresh_specs)
+def test_property_cohorts_match_per_flow_rescheduling(flows, ncaps, markers, refresh):
+    plain, _ = _drive(PerFlowNetwork, flows, ncaps, (), None, [0.0])
+    times = sorted({t for t, _, _ in plain})
+    want = _drive(PerFlowNetwork, flows, ncaps, markers, refresh, times)
+    got = _drive(FairShareNetwork, flows, ncaps, markers, refresh, times)
+    assert got == want
+    assert sum(1 for _, kind, _ in got[0] if kind == "finish") == len(flows)
+
+
+def _script_lone_flow_refresh(network_cls, flap_at):
+    """A lone 1000 B flow due at 1 us; a capacity flap at ``flap_at``,
+    posted before the flow is scheduled, refreshes its link."""
+    eng = Engine()
+    net = network_cls(eng)
+    link = Link("l", 1e9)
+    log = []
+
+    def flap():
+        log.append(("flap", eng.now))
+        link.capacity *= 2.0
+        net.refresh([link])
+
+    eng.post_at(flap_at, flap)
+    net.submit([link], 1000, 1e12, 0.0, lambda f: log.append(("a", eng.now)))
+    eng.run()
+    return (log, link.bytes_carried, eng.pending()), net
+
+
+def _script_spliced_rescheduled(network_cls):
+    """A flow whose due time rounds down holds 0.125 B at its due instant.
+    An arrival posted there before it was scheduled runs first in that
+    epoch, halves its rate, and so reschedules it instead of finishing it."""
+    eng = Engine()
+    net = network_cls(eng)
+    link = Link("l", 3e9)
+    log = []
+    nbytes = 1_000_000_000_000_007
+    due = nbytes / 3e9
+    eng.post_at(due, lambda: net.submit(
+        [link], 1000, 1e12, 0.0, lambda f: log.append(("b", eng.now))))
+    net.submit([link], nbytes, 1e12, 0.0, lambda f: log.append(("a", eng.now)))
+    eng.run()
+    return (log, link.bytes_carried, eng.pending()), net
+
+
+def _drained(net):
+    """Nothing left scheduled, and the stale-entry count balanced."""
+    return not net.pending_flows() and not net.queue and net._stale == 0
+
+
+class TestPerClassRescheduling:
+    def test_lone_flow_finished_by_a_refresh_in_its_epoch(self):
+        # The flap runs before the flow's spliced finish; its refresh finds
+        # the lone flow drained and finishes it, withdrawing the splice.
+        got, net = _script_lone_flow_refresh(FairShareNetwork, 1e-6)
+        assert got[0] == [("flap", 1e-6), ("a", 1e-6)] and _drained(net)
+        assert got == _script_lone_flow_refresh(PerFlowNetwork, 1e-6)[0]
+
+    def test_lone_flow_finished_by_a_refresh_just_before_its_due(self):
+        # One float step before the due instant the residual is under the
+        # epsilon: the refresh finishes the flow while it still heads the
+        # finish queue, so its entry goes stale.
+        at = math.nextafter(1e-6, 0.0)
+        got, net = _script_lone_flow_refresh(FairShareNetwork, at)
+        assert got[0] == [("flap", at), ("a", at)] and _drained(net)
+        assert got == _script_lone_flow_refresh(PerFlowNetwork, at)[0]
+
+    def test_spliced_finish_rescheduled_within_its_epoch(self):
+        got, net = _script_spliced_rescheduled(FairShareNetwork)
+        due = 1_000_000_000_000_007 / 3e9
+        assert [name for name, _ in got[0]] == ["a", "b"]
+        assert got[0][0][1] == due + 0.125 / 1.5e9
+        assert got[2] == 0 and _drained(net)
+        assert got == _script_spliced_rescheduled(PerFlowNetwork)[0]
+
+    def test_contended_alltoall_finish_queue_pushes(self, monkeypatch):
+        # Structural, like CI's cancel-churn step: counts, not time. Only
+        # each cohort's earliest finisher enters the finish queue, so the
+        # 32-rank 64 KiB alltoall pushes 1,982 entries where rescheduling
+        # flow by flow pushed 127,712 (one per flow reschedule).
+        from repro.harness.runner import run_collective
+        from repro.machine import for_ranks
+        from repro.network import fairshare
+
+        pushes = [0]
+
+        def heappush(heap, item):
+            if type(item[-1]) is Flow:  # a finish-queue entry
+                pushes[0] += 1
+            heapq.heappush(heap, item)
+
+        monkeypatch.setattr(fairshare, "heapq", SimpleNamespace(
+            heappush=heappush, heappop=heapq.heappop,
+            heapify=heapq.heapify, merge=heapq.merge,
+        ))
+        run_collective(
+            for_ranks("cori", 32), 32, "OMPI-adapt", "alltoall",
+            nbytes=64 << 10, iterations=1,
+        )
+        assert pushes[0] == 1982

@@ -10,6 +10,7 @@ from repro.collectives.base import CollectiveContext
 from repro.config import CollectiveConfig
 from repro.machine import small_test_machine
 from repro.mpi import Communicator, MpiWorld
+from repro.network import Link
 from repro.trees import binary_tree
 
 
@@ -172,6 +173,28 @@ class TestSanitizedWorld:
         world.fabric.start_transfer(0, 1, 4096, lambda f: None,
                                     taginfo=("data", 0, 1, 9))
         with pytest.raises(SanitizerError, match="still active or queued"):
+            world.run()
+
+    def test_cohort_member_lost_at_drain_is_reported(self):
+        # Three flows of one class share a schedule, and only the first to
+        # finish heads the finish queue. With the wake lost and the other
+        # two gone from the active set, only their cohort still holds
+        # them: the drain check must count them as queued all the same.
+        world = make_world(nranks=2)
+        net = world.fabric.network
+        net._armed = 0.0
+        link = Link("wire", 1e9)
+        for tag in (7, 8, 9):
+            net.submit([link], 4096, 1e12, 1e-6, lambda f: None,
+                       taginfo=("data", 0, 1, tag))
+
+        def lose_members():
+            (head,) = [f for _, stamp, f in net.queue if f.stamp == stamp]
+            assert len(net.pending_flows()) == 3
+            net.active.intersection_update({head})
+
+        world.engine.post_at(1e-3, lose_members)
+        with pytest.raises(SanitizerError, match="^3 flow"):
             world.run()
 
     def test_flow_left_at_drain_to_a_failed_rank_is_excused(self):
