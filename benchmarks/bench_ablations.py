@@ -14,6 +14,7 @@ with, and check the reproduction's conclusions are robust:
 """
 
 import dataclasses
+import pathlib
 
 import pytest
 
@@ -29,6 +30,15 @@ from repro.mpi import SUM, Communicator, MpiWorld
 from repro.trees import topology_aware_tree
 
 MSG = 4 << 20
+RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+
+def _record(res: ExperimentResult) -> None:
+    """Print an ablation table and save it under ``benchmarks/results/``."""
+    text = res.table()
+    print("\n" + text)
+    name = "ablation_" + res.title.split(",")[0].replace(" ", "_").replace("/", "-")
+    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
 
 
 def _adapt_time(spec, nranks, config, gpu=False, staging=None, reduce_on_gpu=False,
@@ -48,7 +58,7 @@ def _adapt_time(spec, nranks, config, gpu=False, staging=None, reduce_on_gpu=Fal
     return handle.elapsed()
 
 
-def test_ablation_segment_size(benchmark, record_result):
+def test_ablation_segment_size(benchmark):
     """Pipeline criteria: mid-sized segments beat both extremes."""
     spec = cori(nodes=2)
 
@@ -63,7 +73,7 @@ def test_ablation_segment_size(benchmark, record_result):
         return res
 
     res = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    record_result(res)
+    _record(res)
     times = dict(res.rows)
     best = min(times.values())
     # The sweet spot is an interior segment size (the paper's two criteria).
@@ -71,7 +81,7 @@ def test_ablation_segment_size(benchmark, record_result):
     assert best < times[MSG]
 
 
-def test_ablation_inflight_window(benchmark, record_result):
+def test_ablation_inflight_window(benchmark):
     """N=1 leaves the rendezvous handshake exposed; N>=2 hides it."""
     spec = cori(nodes=2)
 
@@ -86,12 +96,12 @@ def test_ablation_inflight_window(benchmark, record_result):
         return res
 
     res = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    record_result(res)
+    _record(res)
     times = dict(res.rows)
     assert times[2] < times[1]
 
 
-def test_ablation_gpu_staging(benchmark, record_result):
+def test_ablation_gpu_staging(benchmark):
     """Section 4.1: the explicit CPU buffer relieves the leader's PCIe."""
     spec = psg_gpu(nodes=4)
     cfg = CollectiveConfig(segment_size=512 << 10)
@@ -107,12 +117,12 @@ def test_ablation_gpu_staging(benchmark, record_result):
         return res
 
     res = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    record_result(res)
+    _record(res)
     times = dict(res.rows)
     assert times[True] < times[False]
 
 
-def test_ablation_gpu_reduce_offload(benchmark, record_result):
+def test_ablation_gpu_reduce_offload(benchmark):
     """Section 4.2: CUDA-stream reductions overlap with communication."""
     spec = psg_gpu(nodes=4)
     cfg = CollectiveConfig(segment_size=512 << 10)
@@ -129,13 +139,13 @@ def test_ablation_gpu_reduce_offload(benchmark, record_result):
         return res
 
     res = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    record_result(res)
+    _record(res)
     times = dict(res.rows)
     assert times[True] < times[False] / 1.5
 
 
 @pytest.mark.parametrize("factor", [0.5, 2.0])
-def test_ablation_parameter_robustness(benchmark, factor, record_result):
+def test_ablation_parameter_robustness(benchmark, factor):
     """The ADAPT-vs-tuned verdict survives +/-2x bandwidth changes."""
 
     def scaled(spec, f):
@@ -158,6 +168,6 @@ def test_ablation_parameter_robustness(benchmark, factor, record_result):
         return res
 
     res = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    record_result(res)
+    _record(res)
     times = dict(res.rows)
     assert times["OMPI-adapt"] < times["OMPI-default"]

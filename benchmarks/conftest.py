@@ -1,40 +1,18 @@
 """Benchmark-suite fixtures.
 
-Each bench regenerates one table/figure of the paper via the experiment
-drivers, prints the reproduced rows (run pytest with ``-s`` to see them
-live), saves them under ``benchmarks/results/``, and asserts the paper's
-shape claims. Scale comes from ``REPRO_BENCH_SCALE``
-(small | medium | paper; default small).
+``bench_perf.py`` reads its scale from ``REPRO_BENCH_SCALE`` (small |
+medium | paper; default small). The registry loop
+(``bench_experiments.py``) always runs at ``small``, the scale its goldens
+are recorded at.
 """
 
 from __future__ import annotations
-
-import pathlib
 
 import pytest
 
 from repro.harness.experiments.common import default_scale
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
 
 @pytest.fixture(scope="session")
 def scale() -> str:
     return default_scale()
-
-
-@pytest.fixture()
-def record_result():
-    """Print an ExperimentResult and persist it under benchmarks/results/."""
-
-    def _record(result):
-        RESULTS_DIR.mkdir(exist_ok=True)
-        text = result.table()
-        print("\n" + text)
-        name = result.experiment.lower().replace(" ", "_") + (
-            "_" + result.title.split(",")[0].replace(" ", "_").replace("/", "-")
-        )
-        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-        return result
-
-    return _record

@@ -244,12 +244,6 @@ class FaultPlan:
                 f"heartbeat_period must be > 0, got {heartbeat_period}"
             )
 
-    def empty(self) -> bool:
-        return not (
-            self.kills or self.stalls or self.losses or self.flaps
-            or self.corrupts or self.partitions
-        )
-
     @classmethod
     def single_kill(
         cls, rank: int, time: float, detect_delay: float = 1e-3

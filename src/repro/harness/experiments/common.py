@@ -6,7 +6,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.harness.report import format_table
 
@@ -104,6 +104,22 @@ class ExperimentResult:
         if len(rows) != 1:
             raise KeyError(f"{self.experiment}: key {key} matched {len(rows)} rows")
         return rows[0][self.headers.index(value_col)]
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One shape claim of the paper: ``check`` asserts it on the result of
+    its experiment's driver run with ``knobs`` (driver knob values, e.g.
+    ``{"machine": "stampede2"}``; empty for the driver's defaults).
+
+    ``failing`` is non-empty for a claim recorded as not holding at
+    ``small`` scale, and says why; the registry loop expects it to fail.
+    """
+
+    name: str
+    check: Callable[[ExperimentResult], None]
+    knobs: dict[str, str] = field(default_factory=dict)
+    failing: str = ""
 
 
 def fmt_bytes(nbytes: int) -> str:

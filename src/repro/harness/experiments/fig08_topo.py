@@ -6,7 +6,7 @@ family; Shumilin's and Rabenseifner's for reduce) plus OMPI-default-topo —
 the paper's own control that isolates the event-driven framework from the
 topology-aware tree.
 
-Shape claims asserted by the bench: for large messages (>= 1 MB) ADAPT's
+Shape claims (:data:`CLAIMS`): for large messages (>= 1 MB) ADAPT's
 broadcast is the fastest; ADAPT beats OMPI-default-topo by a clear margin
 (~20% in the paper) despite using the identical tree; and on Stampede2
 Shumilin's reduce beats ADAPT's (the vectorization story) while on Cori it
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from repro.harness.experiments.common import (
     SCALES,
+    Claim,
     ExperimentResult,
     fmt_bytes,
     machine_nodes,
@@ -30,6 +31,7 @@ from repro.libraries.presets import (
 from repro.parallel import SimJob
 
 SIZES = [64 << 10, 128 << 10, 256 << 10, 512 << 10, 1 << 20, 2 << 20, 4 << 20]
+LARGE = 4 << 20
 
 
 def jobs(
@@ -97,3 +99,60 @@ def run(
         result.add(name, job.nbytes, fmt_bytes(job.nbytes),
                    round(r.mean_time * 1e3, 3), round(100.0 * peak, 1))
     return result
+
+
+def _at_large(res: ExperimentResult) -> dict[str, float]:
+    return {r[0]: r[3] for r in res.lookup(nbytes=LARGE)}
+
+
+def _adapt_fastest(res: ExperimentResult) -> None:
+    at_large = _at_large(res)
+    # ADAPT's topology-aware broadcast is the fastest at 4 MB.
+    assert at_large["OMPI-adapt"] <= min(at_large.values()) * 1.02, at_large
+
+
+def _adapt_beats_same_tree(res: ExperimentResult) -> None:
+    at_large = _at_large(res)
+    # ADAPT beats the same tree driven by the Waitall framework (paper: ~20%).
+    assert at_large["OMPI-default-topo"] > at_large["OMPI-adapt"] * 1.05, at_large
+
+
+def _adapt_beats_intel_but_shumilin(res: ExperimentResult) -> None:
+    at_large = _at_large(res)
+    adapt = at_large["OMPI-adapt"]
+    others = {
+        k: v for k, v in at_large.items()
+        if k not in ("OMPI-adapt", "Intel-topo-Shumilin", "OMPI-default-topo")
+    }
+    # ADAPT beats every Intel topo reduce except (possibly) Shumilin's
+    # (paper Section 5.1.2).
+    assert adapt <= min(others.values()), (adapt, others)
+
+
+def _shumilin_beats_adapt(res: ExperimentResult) -> None:
+    at_large = _at_large(res)
+    shumilin, adapt = at_large["Intel-topo-Shumilin"], at_large["OMPI-adapt"]
+    # The vectorized Shumilin reduce wins on Omni-Path (paper's crossover).
+    assert shumilin < adapt, (shumilin, adapt)
+
+
+def _claims(machine: str) -> tuple[Claim, ...]:
+    bcast = {"machine": machine, "operation": "bcast"}
+    reduce_ = {"machine": machine, "operation": "reduce"}
+    claims: tuple[Claim, ...] = (
+        Claim(f"fig8 {machine} bcast: ADAPT fastest at 4 MB", _adapt_fastest,
+              bcast),
+        Claim(f"fig8 {machine} bcast: ADAPT over 5% faster than "
+              "OMPI-default-topo's same tree at 4 MB", _adapt_beats_same_tree,
+              bcast),
+        Claim(f"fig8 {machine} reduce: ADAPT beats every Intel topo reduce "
+              "but Shumilin's at 4 MB", _adapt_beats_intel_but_shumilin,
+              reduce_),
+    )
+    if machine == "stampede2":
+        claims += (Claim("fig8 stampede2 reduce: Shumilin's reduce beats ADAPT "
+                         "at 4 MB", _shumilin_beats_adapt, reduce_),)
+    return claims
+
+
+CLAIMS = _claims("cori") + _claims("stampede2")

@@ -5,13 +5,13 @@ Cori, 128 -> 1024 ranks). The paper's claim, from the Hockney chain model
 T = ns x (alpha + beta m): ADAPT's time is nearly independent of the process
 count, and ADAPT scales best of all libraries.
 
-The bench asserts: ADAPT's time grows by far less than the process count
-does (near-flat), and at the largest scale ADAPT is fastest.
+Shape claims (:data:`CLAIMS`): ADAPT's time grows by far less than the
+process count does (near-flat), and at the largest scale ADAPT is fastest.
 """
 
 from __future__ import annotations
 
-from repro.harness.experiments.common import SCALES, ExperimentResult, sweep
+from repro.harness.experiments.common import SCALES, Claim, ExperimentResult, sweep
 from repro.machine import cori
 from repro.parallel import SimJob
 
@@ -61,3 +61,31 @@ def run(
             cori(nodes=job.nodes).total_cores, round(r.mean_time * 1e3, 3),
         )
     return result
+
+
+def _near_flat(res: ExperimentResult) -> None:
+    nodes = sorted({r[2] for r in res.rows})
+    lo, hi = nodes[0], nodes[-1]
+    growth = hi / lo
+    for operation in ("bcast", "reduce"):
+        t_lo = res.value("mean_ms", operation=operation, library="OMPI-adapt", nodes=lo)
+        t_hi = res.value("mean_ms", operation=operation, library="OMPI-adapt", nodes=hi)
+        # Near-flat: far sub-linear in the process count (paper: "does not
+        # increase significantly"); allow fill-time growth but not ~P scaling.
+        assert t_hi < t_lo * (1 + growth / 2), (operation, t_lo, t_hi, growth)
+
+
+def adapt_fastest_at_largest(res: ExperimentResult) -> None:
+    """ADAPT within 2% of the fastest library at the largest node count, for
+    both operations (rows: operation, library, nodes, ranks, mean_ms)."""
+    hi = max(r[2] for r in res.rows)
+    for operation in ("bcast", "reduce"):
+        at_hi = {r[1]: r[4] for r in res.lookup(operation=operation, nodes=hi)}
+        assert at_hi["OMPI-adapt"] <= min(at_hi.values()) * 1.02, (operation, at_hi)
+
+
+CLAIMS = (
+    Claim("fig10: near-flat ADAPT scaling", _near_flat),
+    Claim("fig10: ADAPT fastest at the largest node count",
+          adapt_fastest_at_largest),
+)

@@ -20,9 +20,11 @@ it under *faults*, using the fault-injection layer (``repro.faults``):
   has no recovery path: its survivors block forever and the run reports
   ``hung`` (times are ``inf``).
 
-Shape claims the bench asserts: ADAPT completes every point (ok/degraded,
-never hung); retransmits grow with the drop rate; the killed-rank row is
-``degraded`` for ADAPT and ``hung`` for the Waitall comparator.
+Shape claims (:data:`CLAIMS`): ADAPT completes every point (ok/degraded,
+never hung); retransmits grow with the drop rate; at the highest drop rate
+ADAPT beats (or at worst ties) the Waitall schedule, which resynchronizes
+on the slowest retransmit; the killed-rank row is ``degraded`` for ADAPT
+and ``hung`` for the Waitall comparator.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import math
 from repro.faults import FaultPlan, KillSpec, LossSpec
 from repro.harness.experiments.common import (
     SCALES,
+    Claim,
     ExperimentResult,
     fmt_bytes,
     sweep,
@@ -155,3 +158,93 @@ def run(
             kill_run.transport.get("retransmits", 0), status(kill_run),
         )
     return result
+
+
+def _loss_rows(res: ExperimentResult, operation: str, fault: str) -> dict:
+    return {
+        lib: {
+            col: res.value(col, operation=operation, library=lib, fault=fault)
+            for col in ("mean_ms", "retransmits", "status")
+        }
+        for lib in LIBRARIES
+    }
+
+
+def _kill_label(res: ExperimentResult) -> str:
+    return next(f for f in res.column("fault") if f.startswith("kill"))
+
+
+def _losses_complete(res: ExperimentResult) -> None:
+    for operation in ("bcast", "reduce"):
+        for fault in map(fault_label, DROP_RATES):
+            for lib, r in _loss_rows(res, operation, fault).items():
+                assert r["status"] == "ok", f"{operation}/{lib}/{fault}: {r}"
+                assert math.isfinite(r["mean_ms"]), f"{operation}/{lib}/{fault}: {r}"
+
+
+def _same_drops(res: ExperimentResult) -> None:
+    # Both libraries run over the same seeded fabric: identical transfer
+    # counts, identical drop decisions.
+    for operation in ("bcast", "reduce"):
+        for fault in map(fault_label, DROP_RATES):
+            adapt, waitall = _loss_rows(res, operation, fault).values()
+            assert adapt["retransmits"] == waitall["retransmits"], (
+                f"{operation}/{fault}: {adapt} vs {waitall}"
+            )
+
+
+def _retransmits_grow(res: ExperimentResult) -> None:
+    for operation in ("bcast", "reduce"):
+        prev = -1
+        for fault in map(fault_label, DROP_RATES):
+            retransmits = res.value("retransmits", operation=operation,
+                                    library="OMPI-adapt", fault=fault)
+            if fault != "none":
+                assert retransmits > 0, f"{operation}/{fault}: no recovery"
+            assert retransmits >= prev, (
+                f"{operation}: retransmits not monotone in drop rate"
+            )
+            prev = retransmits
+
+
+def _adapt_beats_waitall_at_worst(res: ExperimentResult) -> None:
+    worst = fault_label(DROP_RATES[-1])
+    for operation in ("bcast", "reduce"):
+        a = res.value("mean_ms", operation=operation,
+                      library="OMPI-adapt", fault=worst)
+        w = res.value("mean_ms", operation=operation,
+                      library="OMPI-default-topo", fault=worst)
+        assert a <= w * 1.25, (
+            f"{operation} @{worst}: ADAPT {a} ms should beat Waitall {w} ms"
+        )
+
+
+def _adapt_degrades_on_kill(res: ExperimentResult) -> None:
+    kill = _kill_label(res)
+    for operation in ("bcast", "reduce"):
+        # Fail-stop: ADAPT routes around the corpse.
+        a_status = res.value("status", operation=operation,
+                             library="OMPI-adapt", fault=kill)
+        assert a_status == "degraded", f"{operation} kill: ADAPT {a_status}"
+        mean = res.value("mean_ms", operation=operation,
+                         library="OMPI-adapt", fault=kill)
+        assert math.isfinite(mean), f"{operation} kill: ADAPT {mean} ms"
+
+
+def _waitall_hangs_on_kill(res: ExperimentResult) -> None:
+    kill = _kill_label(res)
+    for operation in ("bcast", "reduce"):
+        w_status = res.value("status", operation=operation,
+                             library="OMPI-default-topo", fault=kill)
+        assert w_status == "hung", f"{operation} kill: Waitall {w_status}"
+
+
+CLAIMS = (
+    Claim("figx: every loss-sweep point completes ok", _losses_complete),
+    Claim("figx: ADAPT and Waitall see the same drops", _same_drops),
+    Claim("figx: retransmits grow with the drop rate", _retransmits_grow),
+    Claim("figx: ADAPT within 1.25x of Waitall at the highest drop rate",
+          _adapt_beats_waitall_at_worst),
+    Claim("figx: ADAPT degrades around a killed rank", _adapt_degrades_on_kill),
+    Claim("figx: Waitall hangs on a killed rank", _waitall_hangs_on_kill),
+)

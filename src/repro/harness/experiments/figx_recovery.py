@@ -20,9 +20,14 @@ scenarios:
   bit-exact, zero degraded ranks — with the repair cost visible as
   retransmissions.
 
+Shape claims (:data:`CLAIMS`): every ADAPT collective recovers from the
+kill with exactly the victim agreed failed and a positive time-to-repair;
+every corrupt run completes ``ok`` with each NACK answered by a
+retransmission; and the Waitall comparator hangs in the kill scenario.
+
 Determinism: every row derives from seeded fault plans and the RNG-free
 membership protocol, so the emitted JSON is byte-identical across worker
-counts — asserted by the CI recovery job (``--jobs 1`` vs ``--jobs N``).
+counts.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from repro.faults import FaultPlan, KillSpec
 from repro.faults.plan import CorruptSpec
 from repro.harness.experiments.common import (
     SCALES,
+    Claim,
     ExperimentResult,
     fmt_bytes,
     sweep,
@@ -163,3 +169,70 @@ def run(
         if op in COMPARATOR_OPS:
             add_row(op, f"kill rank {victim}", COMPARATOR, next(comp_iter))
     return result
+
+
+def _scenario(res: ExperimentResult, prefix: str) -> str:
+    return next(s for s in res.column("scenario") if s.startswith(prefix))
+
+
+def _adapt_row(res: ExperimentResult, operation: str, scenario: str,
+               cols: tuple[str, ...]) -> dict:
+    return {
+        col: res.value(col, operation=operation, scenario=scenario,
+                       library="OMPI-adapt")
+        for col in cols
+    }
+
+
+def _every_collective_recovers(res: ExperimentResult) -> None:
+    kill = _scenario(res, "kill")
+    victim = kill.split()[-1]
+    for operation in ADAPT_COLLECTIVES:
+        row = _adapt_row(res, operation, kill,
+                         ("status", "failed", "ttr_ms", "mean_ms"))
+        assert row["status"] == "recovered", f"{operation} kill: {row}"
+        assert row["failed"] == victim, f"{operation} kill: {row}"
+        assert row["ttr_ms"] is not None and row["ttr_ms"] > 0, (
+            f"{operation} kill: no time-to-repair: {row}"
+        )
+        assert math.isfinite(row["mean_ms"]), f"{operation} kill: {row}"
+
+
+def _corruption_repaired(res: ExperimentResult) -> None:
+    corrupt = _scenario(res, "corrupt")
+    for operation in ADAPT_COLLECTIVES:
+        crow = _adapt_row(res, operation, corrupt,
+                          ("status", "failed", "retransmits", "nacks", "mean_ms"))
+        assert crow["status"] == "ok", f"{operation} corrupt: {crow}"
+        assert crow["failed"] == "-", f"{operation} corrupt: {crow}"
+        # Every checksum rejection NACKs and every NACK is answered.
+        assert crow["retransmits"] == crow["nacks"], f"{operation}: {crow}"
+        assert math.isfinite(crow["mean_ms"]), f"{operation} corrupt: {crow}"
+
+
+def _corruption_flips_bits(res: ExperimentResult) -> None:
+    corrupt = _scenario(res, "corrupt")
+    nacks = [
+        res.value("nacks", operation=op, scenario=corrupt, library="OMPI-adapt")
+        for op in ADAPT_COLLECTIVES
+    ]
+    assert sum(nacks) > 0, "corruption sweep flipped no bits"
+
+
+def _comparator_hangs(res: ExperimentResult) -> None:
+    kill = _scenario(res, "kill")
+    for operation in COMPARATOR_OPS:
+        status = res.value("status", operation=operation, scenario=kill,
+                           library=COMPARATOR)
+        assert status == "hung", f"{operation} comparator: {status}"
+
+
+CLAIMS = (
+    Claim("figxr: every ADAPT collective recovers from a killed rank",
+          _every_collective_recovers),
+    Claim("figxr: corrupted transfers are repaired, one retransmit per NACK",
+          _corruption_repaired),
+    Claim("figxr: the corruption sweep flips bits", _corruption_flips_bits),
+    Claim("figxr: the Waitall comparator hangs on a killed rank",
+          _comparator_hangs),
+)

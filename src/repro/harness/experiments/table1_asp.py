@@ -10,11 +10,15 @@ We run the same communication/compute pattern (one ~1 MB broadcast with a
 rotating root per iteration, fixed relaxation compute per iteration) at a
 scaled-down iteration count — DESIGN.md documents the scaling; the
 reproduced quantity is the per-library communication share and ordering.
+
+Shape claims (:data:`CLAIMS`): ADAPT has the lowest total runtime and the
+smallest communication share, the tuned module spends most of the runtime
+communicating, and Cray sits between the two.
 """
 
 from __future__ import annotations
 
-from repro.harness.experiments.common import SCALES, ExperimentResult, sweep
+from repro.harness.experiments.common import SCALES, Claim, ExperimentResult, sweep
 from repro.machine import cori
 from repro.parallel import SimJob
 
@@ -60,3 +64,34 @@ def run(
             round(res.communication_fraction, 3),
         )
     return result
+
+
+def _lowest_total(res: ExperimentResult) -> None:
+    total = {r[0]: r[2] for r in res.rows}
+    assert total["OMPI-adapt"] <= min(total.values()) * 1.02, total
+
+
+def _smallest_share(res: ExperimentResult) -> None:
+    frac = {r[0]: r[3] for r in res.rows}
+    assert frac["OMPI-adapt"] <= min(frac.values()) + 1e-9, frac
+
+
+def _tuned_mostly_communicates(res: ExperimentResult) -> None:
+    frac = {r[0]: r[3] for r in res.rows}
+    assert frac["OMPI-default"] > 0.5, frac
+
+
+def _cray_in_between(res: ExperimentResult) -> None:
+    frac = {r[0]: r[3] for r in res.rows}
+    # The paper's ordering.
+    assert frac["OMPI-adapt"] < frac["Cray MPI"] < frac["OMPI-default"], frac
+
+
+CLAIMS = (
+    Claim("table1: ADAPT lowest total runtime", _lowest_total),
+    Claim("table1: ADAPT smallest communication share", _smallest_share),
+    Claim("table1: OMPI-default communicates over half the runtime",
+          _tuned_mostly_communicates),
+    Claim("table1: Cray's communication share between ADAPT's and "
+          "OMPI-default's", _cray_in_between),
+)

@@ -5,7 +5,6 @@ from repro.model.hockney import (
     chain_pipeline_time,
     point_to_point_time,
     predict_adapt_bcast,
-    predict_adapt_reduce,
     tree_pipeline_time,
 )
 
@@ -15,5 +14,4 @@ __all__ = [
     "chain_pipeline_time",
     "tree_pipeline_time",
     "predict_adapt_bcast",
-    "predict_adapt_reduce",
 ]

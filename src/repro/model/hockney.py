@@ -110,16 +110,3 @@ def predict_adapt_bcast(
     return tree_pipeline_time(
         spec, tree, level_of_edge, nbytes, config or CollectiveConfig(), reduce_=False
     )
-
-
-def predict_adapt_reduce(
-    spec: MachineSpec,
-    tree: Tree,
-    level_of_edge,
-    nbytes: int,
-    config: Optional[CollectiveConfig] = None,
-) -> float:
-    """Analytic prediction of ADAPT's pipelined topology-aware reduce."""
-    return tree_pipeline_time(
-        spec, tree, level_of_edge, nbytes, config or CollectiveConfig(), reduce_=True
-    )

@@ -629,12 +629,6 @@ class RankRuntime:
         req.cancel()
         return True
 
-    # -- local compute ------------------------------------------------------------------
-
-    def compute(self, seconds: float, fn: Optional[Callable] = None, *args) -> None:
-        """Charge application compute time to this rank's CPU."""
-        self.cpu.execute(seconds, fn, *args)
-
     def reduce_local(
         self,
         nbytes: int,

@@ -25,9 +25,6 @@ class Tree:
     def size(self) -> int:
         return len(self.parent)
 
-    def is_root(self, rank: int) -> bool:
-        return rank == self.root
-
     def depth_of(self, rank: int) -> int:
         d = 0
         r: Optional[int] = rank

@@ -1,31 +1,23 @@
 """Smoke tests for the per-figure experiment drivers at tiny scale.
 
-The full shape assertions live in ``benchmarks/``; these just verify every
-driver runs end-to-end, produces the expected rows, and that the headline
-orderings hold at the smallest scale where they are stable.
+The shape claims are registered beside each driver (``CLAIMS``) and checked
+by the registry loop, ``benchmarks/bench_experiments.py``; these just verify
+the drivers run end-to-end on reduced grids and produce the expected rows.
 """
 
 import pytest
 
-from repro.harness.experiments import (
-    fig08_topo,
-    fig09_msgsize,
-    fig10_scaling,
-    fig11_gpu,
-    table1_asp,
-)
+from repro.harness.experiments import fig08_topo, fig09_msgsize, fig11_gpu
 from repro.harness.experiments.common import ExperimentResult, default_scale
 
 TINY_SIZES = [256 << 10, 1 << 20]
 
 
 class TestFig8:
-    def test_bcast_rows_and_adapt_wins_large(self):
+    def test_bcast_rows(self):
         res = fig08_topo.run("cori", "small", "bcast", sizes=TINY_SIZES)
         algos = {r[0] for r in res.rows}
         assert "OMPI-adapt" in algos and "Intel-topo-SHM-Knomial" in algos
-        at_large = {r[0]: r[3] for r in res.lookup(nbytes=1 << 20)}
-        assert at_large["OMPI-adapt"] <= min(at_large.values()) * 1.05
 
     def test_reduce_rows(self):
         res = fig08_topo.run("cori", "small", "reduce", sizes=[512 << 10])
@@ -37,8 +29,6 @@ class TestFig9:
     def test_bcast_series(self):
         res = fig09_msgsize.run("cori", "small", "bcast", sizes=TINY_SIZES)
         assert len(res.rows) == len(TINY_SIZES) * 4
-        at_large = {r[0]: r[3] for r in res.lookup(nbytes=1 << 20)}
-        assert at_large["OMPI-adapt"] < at_large["OMPI-default"]
 
     def test_stampede2_uses_mvapich(self):
         res = fig09_msgsize.run("stampede2", "small", "bcast", sizes=[256 << 10])
@@ -46,30 +36,14 @@ class TestFig9:
         assert "MVAPICH" in libs and "Cray MPI" not in libs
 
 
-class TestFig10:
-    def test_adapt_near_flat(self):
-        res = fig10_scaling.run("small", nodes=[1, 2])
-        t1 = res.value("mean_ms", operation="bcast", library="OMPI-adapt", nodes=1)
-        t2 = res.value("mean_ms", operation="bcast", library="OMPI-adapt", nodes=2)
-        assert t2 < t1 * 2.0  # far sub-linear
-
-
 class TestFig11:
     def test_gpu_msgsize_rows(self):
         res = fig11_gpu.run_msgsize("small", sizes=[2 << 20])
-        reduce_ = {r[1]: r[4] for r in res.lookup(operation="reduce", nbytes=2 << 20)}
-        assert reduce_["OMPI-adapt"] < reduce_["MVAPICH"]
+        assert len(res.rows) == 2 * 1 * 3
 
     def test_gpu_scaling_rows(self):
         res = fig11_gpu.run_scaling("small", nodes=[1, 2])
         assert len(res.rows) == 2 * 2 * 3
-
-
-class TestTable1:
-    def test_asp_ordering(self):
-        res = table1_asp.run("small", iterations=8)
-        frac = {r[0]: r[3] for r in res.rows}
-        assert frac["OMPI-adapt"] < frac["OMPI-default"]
 
 
 class TestExperimentResult:

@@ -12,7 +12,7 @@ import pytest
 from repro.collectives import bcast_adapt
 from repro.collectives.base import CollectiveContext
 from repro.config import CollectiveConfig
-from repro.machine import CommLevel, cori
+from repro.machine import CommLevel, cori, psg_gpu
 from repro.model import (
     HockneyParams,
     chain_pipeline_time,
@@ -128,3 +128,27 @@ class TestSimulatorVsModel:
             times[seg] = _simulate_chain_bcast(spec, ranks, 4 << 20, seg)
         assert times[128 << 10] < times[4 << 20]
         assert times[128 << 10] < times[2 << 10]
+
+
+class TestFig11bStep:
+    """Figure 11b's "near-flat ADAPT scaling" claim fails at 1 -> 4 nodes
+    (EXPERIMENTS.md). The model says why: the step is a regime change."""
+
+    @staticmethod
+    def _predict(nodes: int) -> float:
+        spec = psg_gpu(nodes=nodes)
+        world = MpiWorld(spec, spec.total_gpus, gpu_bound=True)
+        tree = topology_aware_tree(world.topology, list(range(spec.total_gpus)), 0)
+        return predict_adapt_bcast(spec, tree, world.topology.level, 8 << 20)
+
+    def test_model_predicts_the_step_where_the_nic_hop_enters(self):
+        t1, t2, t4 = (self._predict(n) for n in (1, 2, 4))
+        # One node: the slowest hop is QPI (12 GB/s); from two nodes on it is
+        # the NIC (5 GB/s), so the drain term steps by about their ratio ...
+        spec = psg_gpu(nodes=2)
+        qpi = HockneyParams.of(spec, CommLevel.INTER_SOCKET).beta
+        nic = HockneyParams.of(spec, CommLevel.INTER_NODE).beta
+        assert t2 / t1 == pytest.approx(nic / qpi, rel=0.05)
+        assert t2 / t1 > 2.0
+        # ... and is flat once the NIC hop is in (the chain model's regime).
+        assert t4 / t2 < 1.05
