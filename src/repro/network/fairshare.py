@@ -33,6 +33,12 @@ _QUEUE_COMPACT_MIN = 512
 
 _NEVER = float("inf")
 
+# A flow keeps its schedule when its new rate is within this relative
+# distance of its old one. A link has room for its flows' caps when their
+# sum, taken as count times largest cap, stays this far under capacity.
+_RATE_TOLERANCE = 1e-9
+_HEADROOM = 1.0 - _RATE_TOLERANCE
+
 # Hot-path sort keys (attrgetter beats an equivalent lambda per element).
 _BY_FID = attrgetter("fid")
 _BY_NAME = attrgetter("name")
@@ -248,11 +254,14 @@ class ComponentIndex:
     flow/link sets merged small-into-large), and component extraction is a
     find plus two set lookups. Union-find cannot split, so after enough
     flow retirements a root's component may be a *superset* of the true
-    connected component — harmless for correctness (disjoint
-    sub-components provably do not affect each other's max-min rates, and
-    the rate-unchanged fast path skips rescheduling for dragged-in
-    bystanders) but not for cost, so a retirement counter triggers a lazy
-    rebuild from the live flow set once stale mass could dominate.
+    connected component. Disjoint sub-components share no link, so the
+    max-min allocation of each is the same mathematically, but progressive
+    filling over the union can round a bystander's rate one ulp away from
+    its own component's solve; the 1e-9 reschedule tolerance keeps its
+    schedule. The superset costs time, so a retirement counter triggers a
+    lazy rebuild from the live flow set once stale mass could dominate. A
+    rebuild can split a finished flow's links over several components
+    (:meth:`parts`).
     """
 
     __slots__ = (
@@ -343,6 +352,24 @@ class ComponentIndex:
         r = self._find(idx)
         return self._flows.get(r, ()), self._links.get(r, ())
 
+    def parts(self, path: Sequence[Link]) -> list[tuple[set, set]]:
+        """The distinct components that hold flows among ``path``'s links,
+        in path order."""
+        out = []
+        seen = set()
+        size = len(self._parent)
+        for link in path:
+            idx = link.index
+            if idx is None or idx >= size:
+                continue
+            r = self._find(idx)
+            if r not in seen:
+                seen.add(r)
+                flows = self._flows.get(r)
+                if flows:
+                    out.append((flows, self._links[r]))
+        return out
+
     def rebuild(self, live_flows) -> None:
         """Re-derive exact components from the live flow set."""
         self._parent = list(range(len(self._parent)))
@@ -357,6 +384,13 @@ class ComponentIndex:
 
 def _first_fid(pair: tuple) -> int:
     return pair[0].fid
+
+
+def _cap_rate(flow: Flow) -> float:
+    """The rate of a flow that shares none of its links: its cap, bounded
+    by its links' capacities."""
+    rate = min((link.capacity for link in flow.path), default=flow.rate_cap)
+    return min(rate, flow.rate_cap)
 
 
 class _Cohort:
@@ -489,14 +523,16 @@ class FairShareNetwork:
         flap (repro.faults) changes ``Link.capacity`` under live flows, so
         each affected connected component must be rebalanced once.
         """
+        comp = self.components
         seen: set[Flow] = set()
         for link in links:
             for flow in list(link.flows):
                 if flow in seen or flow.done:
                     continue
-                comp_flows, _ = self._component(flow)
-                seen.update(comp_flows)
-                self._rebalance(flow)
+                if comp.stale():
+                    comp.rebuild(f for f in self.active if f.path)
+                seen.update(comp.component(flow)[0])
+                self._rebalance(flow, refreshed=True)
 
     # -- internals ----------------------------------------------------------
 
@@ -758,24 +794,6 @@ class FairShareNetwork:
         if had_links:
             self._rebalance(flow)
 
-    def _component(self, seed: Flow) -> tuple[list[Flow], list[Link]]:
-        """Flows/links transitively sharing a link with ``seed``'s path.
-
-        Served by the incrementally maintained union-find (§23): a find
-        plus two set lookups, replacing the per-rebalance BFS over
-        ``link.flows``. The result may be a *superset* of the exact
-        connected component (union-find cannot split after retirements);
-        that is rate-neutral — disjoint sub-components share no links, so
-        progressive filling computes bit-identical per-flow rates over the
-        union — and a lazy rebuild from the live flow set bounds the stale
-        mass (see :meth:`ComponentIndex.stale`).
-        """
-        comp = self.components
-        if comp.stale():
-            comp.rebuild(f for f in self.active if f.path)
-        comp_flows, comp_links = comp.component(seed)
-        return list(comp_flows), list(comp_links)
-
     def _maxmin_cached(
         self, comp_flows: list[Flow], comp_links: list[Link]
     ) -> list[float]:
@@ -817,13 +835,17 @@ class FairShareNetwork:
             cached = cache[key] = [rates[f] for f in comp_flows]
         return cached
 
-    def _rebalance(self, seed: Flow) -> None:
+    def _rebalance(self, seed: Flow, refreshed: bool = False) -> None:
+        """Bring the rates of ``seed``'s component up to date after ``seed``
+        arrived or finished, or, with ``refreshed``, after its links'
+        capacities changed."""
         now = self.engine.now
+        done = seed.finish_time is not None
         # Fast path: the seed shares no link with any other flow, so its
         # max-min rate is simply its cap bounded by its link capacities —
         # the overwhelmingly common case on topology-aware trees, where a
         # link rarely carries more than one in-order data flow at a time.
-        alone = not seed.done and seed in self.active
+        alone = not done and seed in self.active
         if alone:
             for link in seed.path:
                 if len(link.flows) > 1:
@@ -842,11 +864,8 @@ class FairShareNetwork:
             if seed.remaining <= _EPSILON_BYTES:
                 self._finish(seed)
                 return
-            rate = min(
-                (link.capacity for link in seed.path), default=seed.rate_cap
-            )
-            rate = min(rate, seed.rate_cap)
-            if abs(rate - seed.rate) > 1e-9 * max(rate, seed.rate) or not seed.stamp:
+            rate = _cap_rate(seed)
+            if abs(rate - seed.rate) > _RATE_TOLERANCE * max(rate, seed.rate) or not seed.stamp:
                 if seed.stamp:
                     self._withdraw(seed)
                 seed.rate = rate
@@ -854,9 +873,116 @@ class FairShareNetwork:
             if self.sanitizer is not None:
                 self.sanitizer.check_rates((seed,), seed.path)
             return
-        comp_flows, comp_links = self._component(seed)
-        if not comp_flows:
-            return
+        comp = self.components
+        parts = None
+        if comp.stale():
+            comp.rebuild(f for f in self.active if f.path)
+            if done:
+                # A finished flow's links may now lie in several
+                # components, and each one lost a flow.
+                parts = comp.parts(seed.path)
+        if parts is None:
+            parts = [comp.component(seed)]
+        # A component holds every link of the seed's path (after a split,
+        # some of them and no others), so one with as many links as the
+        # path has holds exactly those, each listed once. (A zero-byte flow
+        # never joins its links; no rate moves at its finish either way.)
+        settle = not refreshed and self.sanitizer is None
+        npath = len(seed.path)
+        finished: list[Flow] = []
+        for comp_flows, comp_links in parts:
+            if not comp_flows:
+                continue
+            if not (settle and len(comp_links) == npath
+                    and self._keep_rates(seed, done, comp_flows, finished, now)):
+                self._solve(list(comp_flows), list(comp_links), finished)
+        if len(finished) > 1:
+            finished.sort(key=_BY_FID)
+        for f in finished:
+            self._finish(f)
+
+    def _keep_rates(
+        self, seed: Flow, done: bool, comp_flows: set, finished: list[Flow], now: float
+    ) -> bool:
+        """Settle the rebalance of an uncontended component without a solve,
+        if it is one; return whether it was (DESIGN.md §23).
+
+        It is when each link of the seed's path that carries two or more
+        flows, the seed counted even once it has finished, has room for all
+        their caps, and no flow of the component crosses a link twice. The
+        caller has checked that the component's links are the seed's own,
+        each once. Then every flow but the seed keeps its rate, so only the
+        early-finish sweep of :meth:`_solve` runs: it adds the flows
+        already drained to ``finished``. An arriving seed (``done`` false)
+        gets :func:`_cap_rate` and its schedule.
+        """
+        cap = seed.rate_cap
+        gone = 1 if done else 0
+        crossings = 0
+        for link in seed.path:
+            on = link.flows
+            n = len(on)
+            crossings += n
+            n += gone
+            if n > 1:
+                room = link.capacity * _HEADROOM
+                # The seed's cap first: on a contended link that fails
+                # before the scan for the largest cap.
+                if n * cap > room or n * max(map(_BY_CAP, on)) > room:
+                    return False
+        # Each flow is in the ``flows`` of each of its links once, so the
+        # counts match only if no path lists a link twice.
+        if sum(map(len, map(_PATH, comp_flows))) != crossings:
+            return False
+        cohorts = None
+        for f in comp_flows:
+            c = f.cohort
+            if c is None:
+                # The predicted residual of a loose flow, as in _solve. An
+                # arriving seed has rate 0 and at least one byte left.
+                dt = now - f.last_update
+                rate = f.rate
+                if dt > 0.0 and rate > 0.0:
+                    if f.remaining - rate * dt <= _EPSILON_BYTES:
+                        finished.append(f)
+                elif f.remaining <= _EPSILON_BYTES:
+                    finished.append(f)
+            elif cohorts is None:
+                cohorts = {c}
+            else:
+                cohorts.add(c)
+        if cohorts is not None:
+            for c in cohorts:
+                dt = now - c.last_update
+                moved = c.rate * dt if dt > 0.0 else 0.0
+                low = c.low
+                if (low - moved if low > moved else 0.0) <= _EPSILON_BYTES:
+                    self._sweep(c, moved, finished)
+        if not done:
+            seed.rate = rate = _cap_rate(seed)
+            if rate > 0.0:
+                self._schedule((seed,))
+        return True
+
+    def _sweep(self, c: _Cohort, moved: float, finished: list[Flow]) -> None:
+        """Take out of ``c`` every member left with at most the epsilon once
+        it drains ``moved`` bytes, into ``finished``; refresh ``low``."""
+        flows = c.flows
+        rems = c.rems
+        c.low = low = min(compress(rems, flows))
+        if (low - moved if low > moved else 0.0) <= _EPSILON_BYTES:
+            for i, x in enumerate(rems):
+                if flows[i] is not None and (
+                    x - moved if x > moved else 0.0
+                ) <= _EPSILON_BYTES:
+                    finished.append(self._detach(c, i))  # _finish drains it
+
+    def _solve(
+        self, comp_flows: list[Flow], comp_links: list[Link], finished: list[Flow]
+    ) -> None:
+        """Solve the component's max-min rates and reschedule the flows
+        whose rate moved; the flows already drained go to ``finished``."""
+        now = self.engine.now
         # Links in name order: the solver breaks ties between equal shares
         # by link position. Its rates do not depend on the order of the
         # flows, but the shape cache's key does, so cached components come
@@ -883,7 +1009,6 @@ class FairShareNetwork:
                 loose = ()
         if len(comp_flows) >= _HEAP_THRESHOLD:
             loose = sorted(loose, key=_first_fid)
-        finished: list[Flow] = []
         drains: list = []  # (flows, moved, path), for _carry
         groups: dict = {}  # class key -> [rate, cohort or flow, ...] to reschedule
         for c, new_rate in rate_of.items():
@@ -897,17 +1022,9 @@ class FairShareNetwork:
             rate = c.rate
             dt = now - c.last_update
             moved = rate * dt if dt > 0.0 else 0.0
-            flows = c.flows
-            rems = c.rems
             low = c.low
             if (low - moved if low > moved else 0.0) <= _EPSILON_BYTES:
-                c.low = low = min(compress(rems, flows))
-                if (low - moved if low > moved else 0.0) <= _EPSILON_BYTES:
-                    for i, x in enumerate(rems):
-                        if flows[i] is not None and (
-                            x - moved if x > moved else 0.0
-                        ) <= _EPSILON_BYTES:
-                            finished.append(self._detach(c, i))  # _finish drains it
+                self._sweep(c, moved, finished)
             if not c.n:
                 continue
             # Keep the schedule when the rate is unchanged — the common
@@ -916,9 +1033,11 @@ class FairShareNetwork:
             d = new_rate - rate
             if d < 0.0:
                 d = -d
-            if d <= 1e-9 * (new_rate if new_rate > rate else rate):
+            if d <= _RATE_TOLERANCE * (new_rate if new_rate > rate else rate):
                 continue
             # The rate moved: drain the cohort and dissolve its schedule.
+            flows = c.flows
+            rems = c.rems
             flows[c.order[c.pos]].stamp = 0  # its head's queue entry
             self._stale += 1
             if c.n < len(flows):
@@ -960,7 +1079,7 @@ class FairShareNetwork:
                 d = new_rate - rate
                 if d < 0.0:
                     d = -d
-                if d <= 1e-9 * (new_rate if new_rate > rate else rate):
+                if d <= _RATE_TOLERANCE * (new_rate if new_rate > rate else rate):
                     continue
                 # Withdraw it (``_withdraw``, inlined).
                 if f.token is not None:
@@ -1024,10 +1143,6 @@ class FairShareNetwork:
         if self.sanitizer is not None:
             self._expose(comp_flows)
             self.sanitizer.check_rates(comp_flows, comp_links)
-        if len(finished) > 1:
-            finished.sort(key=_BY_FID)
-        for f in finished:
-            self._finish(f)
 
     @staticmethod
     def _merge(key: tuple, sources: list, now: float) -> Optional[_Cohort]:

@@ -329,8 +329,11 @@ def test_live_alltoall_components_match_reference(monkeypatch):
     """Every component a 16-rank 64 KiB ADAPT alltoall rebalances, also
     solved by the reference: the real class mix, not a synthetic one. The
     shape cache is bypassed (its gate patched to 1 flow) so repeated shapes
-    are solved, and checked, each time."""
+    are solved, and checked, each time. A component settled without a
+    solve (uncontended) is checked too: the reference gives each flow the
+    rate it keeps, and an arriving flow the rate it was given."""
     solved = []
+    settled = []
 
     def checked(flows, links):
         rates = maxmin_rates(flows, links)
@@ -338,15 +341,29 @@ def test_live_alltoall_components_match_reference(monkeypatch):
         solved.append(len(flows))
         return rates
 
+    keep_rates = FairShareNetwork._keep_rates
+
+    def kept(net, seed, *args):
+        if not keep_rates(net, seed, *args):
+            return False
+        flows = sorted(args[1], key=lambda f: f.fid)
+        links = sorted({link for f in flows for link in f.path}, key=lambda l: l.name)
+        want = maxmin_rates_reference(flows, links)
+        assert {f: f.cohort.rate if f.cohort else f.rate for f in flows} == want
+        settled.append(len(flows))
+        return True
+
     monkeypatch.setattr(fairshare, "maxmin_rates", checked)
     monkeypatch.setattr(fairshare, "_HEAP_THRESHOLD", 1)
+    monkeypatch.setattr(FairShareNetwork, "_keep_rates", kept)
     res = run_collective(
         for_ranks("cori", 16), 16, "OMPI-adapt", "alltoall", nbytes=64 << 10,
         iterations=1,
     )
     assert res.mean_time > 0.0
-    # Hundreds of solves, the largest of 16 flows.
-    assert len(solved) > 100 and max(solved) >= 16
+    # Hundreds of components checked, the largest solve of 16 flows.
+    assert len(solved) + len(settled) > 100 and max(solved) >= 16
+    assert settled
 
 
 def test_flow_rate_zero_parks_until_capacity_frees():

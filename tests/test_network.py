@@ -5,12 +5,14 @@ import math
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.machine import CommLevel, Topology, small_test_machine, psg_gpu
 from repro.network import Fabric, FairShareNetwork, Flow, Link, MemSpace
-from repro.network.fairshare import _EPSILON_BYTES, ComponentIndex, maxmin_rates
+from repro.network.fairshare import (
+    _EPSILON_BYTES, _HEADROOM, ComponentIndex, maxmin_rates,
+)
 from repro.sim import Engine
 
 
@@ -392,8 +394,16 @@ class PerFlowNetwork:
     def _component(self, seed):
         if self.components.stale():
             self.components.rebuild(f for f in self.active if f.path)
-        flows, links = self.components.component(seed)
-        return sorted(flows, key=lambda f: f.fid), sorted(links, key=lambda l: l.name)
+        return self.components.component(seed)
+
+    def _parts(self, seed):
+        """The components to rebalance: after a rebuild, each one among a
+        finished flow's links."""
+        if self.components.stale():
+            self.components.rebuild(f for f in self.active if f.path)
+            if seed.done:
+                return self.components.parts(seed.path)
+        return [self.components.component(seed)]
 
     def _rebalance(self, seed):
         now = self.engine.now
@@ -410,9 +420,18 @@ class PerFlowNetwork:
                 seed.rate = rate
                 self._schedule(seed)
             return
-        flows, links = self._component(seed)
-        if not flows:
-            return
+        finished = []
+        for flows, links in self._parts(seed):
+            flows = sorted(flows, key=lambda f: f.fid)
+            links = sorted(links, key=lambda l: l.name)
+            if flows:
+                finished += self._solve(flows, links)
+        for f in sorted(finished, key=lambda f: f.fid):
+            self._finish(f)
+
+    def _solve(self, flows, links):
+        """Rates of one component; returns the flows already drained."""
+        now = self.engine.now
         rates = maxmin_rates(flows, links)
         finished = []
         for f in flows:
@@ -433,29 +452,39 @@ class PerFlowNetwork:
                 self._schedule(f)
             else:
                 self._withdraw(f)
-        for f in finished:
-            self._finish(f)
+        return finished
 
 
 # Link i of a run is named f"l{i}"; paths share links, and one crosses
-# a link twice.
-_CAPACITIES = (1e9, 2.5e9, 1e9 / 3, 7e8)
-_PATHS = ((0,), (0, 1), (1, 2), (2,), (0, 2), (1, 1, 3), (3,))
-_RATE_CAPS = (2e9, 7e8, 3e8)
+# a link twice. l4 is below every cap, so path (4, 0) arrives on a link
+# of its own that bounds it and on l0, which it may share.
+_CAPACITIES = (1e9, 2.5e9, 1e9 / 3, 7e8, 2e8)
+_PATHS = ((0,), (0, 1), (1, 2), (2,), (0, 2), (1, 1, 3), (3,), (1,), (4, 0))
+# Two flows capped at _EDGE fill l0 to its headroom margin exactly; the
+# caps one ulp either side land just outside and just inside it, and two
+# flows at 5e8 fill l0 to its capacity.
+_EDGE = _CAPACITIES[0] * _HEADROOM / 2
+_RATE_CAPS = (
+    2e9, 7e8, 3e8, 5e8, _EDGE, math.nextafter(_EDGE, math.inf), math.nextafter(_EDGE, 0.0),
+)
 
 
-def _drive(network_cls, flows, ncaps, markers, refresh, times):
+def _drive(network_cls, flows, caps, markers, refresh, times, late=()):
     """Run ``flows`` through a fresh network; return the callback log and
     each link's bytes carried."""
     eng = Engine()
     net = network_cls(eng)
     links = [Link(f"l{i}", cap) for i, cap in enumerate(_CAPACITIES)]
     log = []
-    for arrival, p, nbytes, c in flows:
+
+    def submit(arrival, p, nbytes, c):
         net.submit(
-            [links[i] for i in _PATHS[p]], nbytes, _RATE_CAPS[c % ncaps],
+            [links[i] for i in _PATHS[p]], nbytes, _RATE_CAPS[caps[c % len(caps)]],
             arrival, lambda f: log.append((eng.now, "finish", f.fid)),
         )
+
+    for spec in flows:
+        submit(*spec)
 
     def post(k, target):
         if target >= eng.now:
@@ -469,6 +498,12 @@ def _drive(network_cls, flows, ncaps, markers, refresh, times):
             post(k, target)
         else:
             eng.post_at(times[src % len(times)], post, k, target)
+    for at, early, p, nbytes, c in late:
+        # A flow that arrives at a finish instant of the plain run, or one
+        # float step before it, when the flow due then holds a residual
+        # under the epsilon.
+        t = times[at % len(times)]
+        eng.post_at(math.nextafter(t, 0.0) if early else t, submit, 0.0, p, nbytes, c)
     if refresh is not None:
         at, i, factor = refresh
 
@@ -491,6 +526,10 @@ _flow_specs = st.lists(
     ),
     min_size=1, max_size=24,
 )
+# Up to three caps per run (indices into _RATE_CAPS), so classes repeat.
+_cap_specs = st.lists(
+    st.integers(0, len(_RATE_CAPS) - 1), min_size=1, max_size=3, unique=True,
+)
 _marker_specs = st.lists(
     st.tuples(st.none() | st.integers(0, 63), st.integers(0, 63)), max_size=8,
 )
@@ -498,17 +537,41 @@ _refresh_specs = st.none() | st.tuples(
     st.integers(0, 63), st.integers(0, len(_CAPACITIES) - 1),
     st.sampled_from([0.5, 2.0, 0.3, 1.7]),
 )
+_late_specs = st.lists(
+    st.tuples(
+        st.integers(0, 63), st.booleans(), st.integers(0, len(_PATHS) - 1),
+        st.sampled_from([1000, 65536]), st.integers(0, 2),
+    ),
+    max_size=3,
+)
 
 
 @settings(max_examples=250, deadline=None, derandomize=True)
-@given(_flow_specs, st.integers(1, 3), _marker_specs, _refresh_specs)
-def test_property_cohorts_match_per_flow_rescheduling(flows, ncaps, markers, refresh):
-    plain, _ = _drive(PerFlowNetwork, flows, ncaps, (), None, [0.0])
+@given(_flow_specs, _cap_specs, _marker_specs, _refresh_specs, _late_specs)
+# Two flows on l0 at its headroom margin, one ulp outside and inside it,
+# and at its full capacity.
+@example([(0.0, 0, 1000, 0), (0.0, 0, 4096, 0)], [4], [], None, [])
+@example([(0.0, 0, 1000, 0), (0.0, 0, 4096, 0)], [5], [], None, [])
+@example([(0.0, 0, 1000, 0), (0.0, 0, 4096, 0)], [6], [], None, [])
+@example([(0.0, 0, 1000, 0), (0.0, 0, 4096, 0)], [3], [], None, [])
+# An arrival on l0 whose own link l4 bounds it below its cap.
+@example([(0.0, 0, 4096, 0), (1e-6, 8, 1000, 0)], [2], [], None, [])
+# A loose flow and a two-flow cohort, each finished by an arrival one
+# float step before it is due; the cohort forms while l0 is contended
+# and two of its members finish together.
+@example([(0.0, 0, 1000, 0), (0.0, 0, 100_000, 0)], [2], [], None,
+         [(0, True, 0, 1000, 0)])
+@example([(0.0, 0, 1000, 0)] * 2 + [(0.0, 0, 100_000, 0)] * 2, [2], [], None,
+         [(1, True, 0, 1000, 0)])
+# A refresh that doubles l0 under two flows it held below their caps.
+@example([(0.0, 0, 1000, 0)] + [(0.0, 0, 100_000, 0)] * 2, [1], [], (0, 0, 2.0), [])
+def test_property_cohorts_match_per_flow_rescheduling(flows, caps, markers, refresh, late):
+    plain, _ = _drive(PerFlowNetwork, flows, caps, (), None, [0.0])
     times = sorted({t for t, _, _ in plain})
-    want = _drive(PerFlowNetwork, flows, ncaps, markers, refresh, times)
-    got = _drive(FairShareNetwork, flows, ncaps, markers, refresh, times)
+    want = _drive(PerFlowNetwork, flows, caps, markers, refresh, times, late)
+    got = _drive(FairShareNetwork, flows, caps, markers, refresh, times, late)
     assert got == want
-    assert sum(1 for _, kind, _ in got[0] if kind == "finish") == len(flows)
+    assert sum(1 for _, kind, _ in got[0] if kind == "finish") == len(flows) + len(late)
 
 
 def _script_lone_flow_refresh(network_cls, flap_at):
@@ -602,3 +665,121 @@ class TestPerClassRescheduling:
             nbytes=64 << 10, iterations=1,
         )
         assert pushes[0] == 1982
+
+
+def _script_rebuild_at_finish(network_cls, fillers):
+    """Flow X (10 B on links A and B) and flow Y (100 B on B) share B at
+    10 B/s; ``fillers`` one-byte flows on a fast link C retire first. With
+    64 fillers X's finish is the retirement that triggers the component
+    index's rebuild, which leaves X's links in two components."""
+    eng = Engine()
+    net = network_cls(eng)
+    a, b, c = Link("A", 10.0), Link("B", 10.0), Link("C", 1e6)
+    log = []
+    net.submit([a, b], 10, 1e9, 0.0, lambda f: log.append(("X", eng.now)))
+    net.submit([b], 100, 1e9, 0.0, lambda f: log.append(("Y", eng.now)))
+    for _ in range(fillers):
+        net.submit([c], 1, 1e9, 0.0, lambda f: None)
+    eng.run()
+    return log, b.bytes_carried
+
+
+class TestUncontendedSettle:
+    """Rebalances in which no rate can move skip the solve."""
+
+    @pytest.mark.parametrize("fillers", [63, 64, 65])
+    def test_finish_rebalances_every_component_of_its_links(self, fillers):
+        # Y speeds up to all of B when X finishes at 2 s, and so finishes
+        # at 2 + 90 / 10 s, however the rebuild splits X's links.
+        got = _script_rebuild_at_finish(FairShareNetwork, fillers)
+        assert got[0] == [("X", 2.0), ("Y", 11.0)]
+        assert got == _script_rebuild_at_finish(PerFlowNetwork, fillers)
+
+    @pytest.mark.parametrize("cap, settled", [
+        (4, True),    # n * cap at the headroom margin
+        (6, True),    # one ulp inside it
+        (5, False),   # one ulp outside it
+        (3, False),   # n * cap at the link's full capacity
+    ])
+    def test_headroom_margin(self, monkeypatch, cap, settled):
+        # Two flows on l0: the second arrival and the first finish each
+        # settle without a solve only if l0 has room for both caps.
+        solves = []
+        solve = FairShareNetwork._solve
+        monkeypatch.setattr(FairShareNetwork, "_solve",
+                            lambda net, *a: (solves.append(a), solve(net, *a)))
+        _drive(FairShareNetwork, [(0.0, 0, 1000, 0), (0.0, 0, 4096, 0)], [cap],
+               [], None, [0.0])
+        assert len(solves) == (0 if settled else 2)
+
+    def test_path_crossing_a_link_twice_is_solved(self):
+        # Counted by flows, the link has room for both 1e9 caps. Counted by
+        # crossings it carries three, so once b arrives each flow gets
+        # 2.5e9 / 3.
+        def run(network_cls):
+            eng = Engine()
+            net = network_cls(eng)
+            link = Link("l", 2.5e9)
+            log = []
+            net.submit([link, link], 100_000, 1e9, 0.0, lambda f: log.append(("a", eng.now)))
+            net.submit([link], 100_000, 1e9, 1e-6, lambda f: log.append(("b", eng.now)))
+            eng.run()
+            return log, link.bytes_carried
+
+        got = run(FairShareNetwork)
+        assert got == run(PerFlowNetwork)
+        assert got[0][0][1] > 1e-6 + 99_000 / 1e9
+
+    def test_refresh_raising_capacity_lifts_contended_rates(self):
+        # Two flows capped at 7e8 share a 1e9 link at 5e8 each. Doubling
+        # the link 10 us in gives each its cap: the 5,000 B drained so far
+        # leave 95,000 B at 7e8.
+        def run(network_cls):
+            eng = Engine()
+            net = network_cls(eng)
+            link = Link("l", 1e9)
+            log = []
+
+            def flap():
+                link.capacity *= 2.0
+                net.refresh([link])
+
+            eng.post_at(1e-5, flap)
+            for _ in range(2):
+                net.submit([link], 100_000, 7e8, 0.0, lambda f: log.append(eng.now))
+            eng.run()
+            return log, link.bytes_carried
+
+        got = run(FairShareNetwork)
+        assert got == run(PerFlowNetwork)
+        assert got[0] == [pytest.approx(1e-5 + 95_000 / 7e8, rel=1e-12)] * 2
+
+    def test_intra_socket_bcast_needs_no_solve(self, monkeypatch):
+        # Structural, like the finish-queue pin: counts, not time. A 32-rank
+        # 4 MiB cori bcast keeps its intra-socket pipelines uncontended, so
+        # every rebalance that is not of a lone flow settles without a solve
+        # and without a shape-cache lookup (30 solves and 1,876 lookups
+        # before the uncontended settle).
+        from repro.harness.runner import run_collective
+        from repro.machine import for_ranks
+        from repro.network import fairshare
+
+        calls = {"solves": 0, "lookups": 0}
+        solve, lookup = fairshare.maxmin_rates, FairShareNetwork._maxmin_cached
+
+        def counted_solve(flows, links):
+            calls["solves"] += 1
+            return solve(flows, links)
+
+        def counted_lookup(self, flows, links):
+            calls["lookups"] += 1
+            return lookup(self, flows, links)
+
+        monkeypatch.setattr(fairshare, "maxmin_rates", counted_solve)
+        monkeypatch.setattr(FairShareNetwork, "_maxmin_cached", counted_lookup)
+        res = run_collective(
+            for_ranks("cori", 32), 32, "OMPI-adapt", "bcast", nbytes=4 << 20,
+            iterations=1,
+        )
+        assert res.mean_time > 0.0
+        assert calls == {"solves": 0, "lookups": 0}
