@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect
+from collections import Counter
 from itertools import chain, compress
-from operator import attrgetter
-from typing import Callable, Iterable, Optional, Sequence
+from operator import attrgetter, itemgetter, not_
+from typing import Callable, Collection, Optional, Sequence
 
 from repro.network.flows import Flow
 from repro.network.links import Link
@@ -44,44 +45,75 @@ _BY_FID = attrgetter("fid")
 _BY_NAME = attrgetter("name")
 _BY_CAP = attrgetter("rate_cap")
 _COHORT = attrgetter("cohort")
-_CLASS = attrgetter("rate_cap", "path")
+_KEY = attrgetter("key")  # a flow's class: (path, rate_cap)
 _PATH = attrgetter("path")
+_KEY_CAP = itemgetter(1)
 
 
-# Components of at least this many flows skip the shape cache in
-# ``_maxmin_cached``, which bounds the cache's memory.
-# The name predates the class solver (it once picked a heap tier) and
-# stays because perfbench/tracer.py reads it, like the two inert names
-# below, to label ``net.solves.scan/.heap/.vec``.
+# perfbench/tracer.py reads these three to label ``net.solves.scan/.heap/
+# .vec``; nothing here reads them. They go when the tracer drops the split.
 _HEAP_THRESHOLD = 96
-
-# perfbench/tracer.py reads these; they go when it drops net.solves.vec.
 _np = None
 _VEC_THRESHOLD = _NEVER
 
 
-def maxmin_rates(flows: Sequence[Flow], links: Sequence[Link]) -> dict[Flow, float]:
-    """Compute the max-min fair rate of every flow in one component.
+def maxmin_rates(
+    flows: Collection[Flow], links: Sequence[Link], census: Optional[dict] = None
+) -> dict:
+    """Compute the max-min fair rates of one component.
 
-    Pure function (does not mutate flows/links); exposed separately so the
-    property-based tests can check the allocation invariants directly.
-    ``flows`` lists each flow once.
+    Pure function (does not mutate flows/links/census). ``flows`` holds
+    each flow once. With ``census``, the component's class census
+    ``{Flow.key: flow count}``, the rates are per class: ``{Flow.key:
+    rate}`` (the network's entry). Without it they are per flow, ``{Flow:
+    rate}``, through :func:`_flow_rates` (the entry the property tests
+    and ``repro bench`` use). Both run the one class solver,
+    :func:`_class_rates`.
+    """
+    if census is None:
+        return _flow_rates(flows, links)
+    return _class_rates(flows, links, census)
 
-    Progressive filling over flow *classes*: flows with the same path and
-    the same rate cap always fix together at the same rate, so the solver
-    groups them and counts each link's unfixed flows as sums of class
-    sizes. The bottleneck link comes from a lazily invalidated heap of
-    link shares (an entry is live while its link's unfixed count is the
-    one it was pushed with); the smallest unfixed cap comes from the
-    classes in cap order, walked by a monotone pointer.
+
+def _flow_rates(flows: Collection[Flow], links: Sequence[Link]) -> dict[Flow, float]:
+    """Per-flow rates: the class census of ``flows``, solved, then each
+    flow given its class's rate."""
+    rates = _class_rates(flows, links, Counter(map(_KEY, flows)))
+    return dict(zip(flows, map(rates.__getitem__, map(_KEY, flows))))
+
+
+def _class_rates(
+    flows: Collection[Flow], links: Sequence[Link], census: dict
+) -> dict[tuple, float]:
+    """Progressive filling over flow *classes* (DESIGN.md §23).
+
+    Flows with the same path and the same rate cap always fix together at
+    the same rate, so the solver works on the census alone and counts each
+    link's unfixed flows as sums of class sizes. The bottleneck link comes
+    from a lazily invalidated heap of link shares (an entry is live while
+    its link's unfixed count is the one it was pushed with); the smallest
+    unfixed cap comes from the classes in cap order, walked by a monotone
+    pointer. Only a cap round that fixes different caps reads ``flows``.
     Fix order and float arithmetic match :func:`maxmin_rates_reference`
-    exactly (DESIGN.md §23): ties between equal shares go to the earliest
-    link in ``links`` order; a class of k flows fixed at one rate repeats
-    the reference's k clamped subtractions on each link it crosses; a cap
+    exactly: ties between equal shares go to the earliest link in
+    ``links`` order; a class of k flows fixed at one rate repeats the
+    reference's k clamped subtractions on each link it crosses; a cap
     round that fixes different caps subtracts flow by flow in fid order;
     and a link that a one-rate round leaves with no unfixed flow skips its
     subtractions, because its residual is never read again.
     """
+    if len(census) == 1:
+        # One class, the common shape of a large component: one round fixes
+        # it, at its cap or at the smallest of its links' first shares,
+        # the floats the rounds below would compute.
+        ((key, k),) = census.items()
+        path, cap = key
+        inside = set(links)
+        share = min(
+            (link.capacity / (k * path.count(link)) for link in set(path) if link in inside),
+            default=cap,
+        )
+        return {key: cap if cap <= share else share}
     nlinks = len(links)
     # Reverse walk so a link listed twice keeps its first position.
     index = {links[i]: i for i in range(nlinks - 1, -1, -1)}.get
@@ -89,31 +121,20 @@ def maxmin_rates(flows: Sequence[Flow], links: Sequence[Link]) -> dict[Flow, flo
     count = [0] * nlinks
     on: list[list[int]] = [[] for _ in range(nlinks)]  # classes per link
 
-    # Classes in cap order: sort the flows by cap and number each new
-    # (cap, path) pair in order of first appearance. The cap walk reads
-    # only the smallest unfixed cap and the classes at or below the share,
-    # so classes of equal cap may come in any order.
-    by_cap = sorted(flows, key=_BY_CAP)
-    keys = list(map(_CLASS, by_cap))
-    if keys and keys.count(keys[0]) == len(keys):
-        # One class, the common shape of a large component.
-        caps = [keys[0][0]]
-        members: list[list[Flow]] = [by_cap]
-    else:
-        number: dict = {}
-        cls_of = [number.setdefault(k, len(number)) for k in keys]
-        caps = [k[0] for k in number]
-        members = [[] for _ in caps]
-        for f, c in zip(by_cap, cls_of):
-            members[c].append(f)
-    ncls = len(caps)
+    # Classes in cap order. The cap walk reads only the smallest unfixed
+    # cap and the classes at or below the share, so classes of equal cap
+    # may come in any order.
+    keys = sorted(census, key=_KEY_CAP)
+    caps = list(map(_KEY_CAP, keys))
+    sizes = list(map(census.__getitem__, keys))
+    ncls = len(keys)
     cls_links: list[list[int]] = []  # link positions, with multiplicity
     for c in range(ncls):
-        idx = list(map(index, members[c][0].path))
+        idx = list(map(index, keys[c][0]))
         if None in idx:  # a path link outside ``links``
             idx = [i for i in idx if i is not None]
         cls_links.append(idx)
-        k = len(members[c])
+        k = sizes[c]
         for i in idx:
             count[i] += k
             on[i].append(c)
@@ -124,6 +145,7 @@ def maxmin_rates(flows: Sequence[Flow], links: Sequence[Link]) -> dict[Flow, flo
     rate: list[Optional[float]] = [None] * ncls
     n_unfixed = ncls
     ptr = 0
+    fids: Optional[list[list[int]]] = None  # per class, once a round needs them
 
     while n_unfixed:
         # Bottleneck share: pop entries whose link has changed since.
@@ -160,12 +182,19 @@ def maxmin_rates(flows: Sequence[Flow], links: Sequence[Link]) -> dict[Flow, flo
 
         hits: dict[int, int] = {}
         for c in batch:
-            k = len(members[c])
+            k = sizes[c]
             for i in cls_links[c]:
                 hits[i] = hits.get(i, 0) + k
         if value is None:
-            # Several caps: on a shared link the reference's fid order matters.
-            for _, c in sorted((f.fid, c) for c in batch for f in members[c]):
+            # Several caps: on a shared link the reference's fid order
+            # matters, so the round's flows go one by one, by fid. Only
+            # this round reads ``flows``: it groups their fids by class.
+            if fids is None:
+                fids = [[] for _ in range(ncls)]
+                number = dict(zip(keys, range(ncls)))
+                for f in flows:
+                    fids[number[f.key]].append(f.fid)
+            for _, c in sorted([(fid, c) for c in batch for fid in fids[c]]):
                 v = caps[c]
                 for i in cls_links[c]:
                     r = remaining[i] - v
@@ -181,9 +210,7 @@ def maxmin_rates(flows: Sequence[Flow], links: Sequence[Link]) -> dict[Flow, flo
                         r = r if r > 0.0 else 0.0
                     remaining[i] = r
                 heappush(heap, (r / n, i, n))
-    if ncls == 1:
-        return dict.fromkeys(by_cap, rate[0])
-    return dict(zip(by_cap, map(rate.__getitem__, cls_of)))
+    return dict(zip(keys, rate))
 
 
 def maxmin_rates_reference(
@@ -262,10 +289,15 @@ class ComponentIndex:
     lazy rebuild from the live flow set once stale mass could dominate. A
     rebuild can split a finished flow's links over several components
     (:meth:`parts`).
+
+    Each root also keeps its component's class census, ``{Flow.key: flow
+    count}``: the solver's input (:func:`maxmin_rates`). It follows the
+    flow set: a flow's arrival and retirement count it in and out, and a
+    union merges the census with the flows.
     """
 
     __slots__ = (
-        "_parent", "_size", "_flows", "_links", "removals", "nflows",
+        "_parent", "_size", "_flows", "_links", "_census", "removals", "nflows",
     )
 
     #: Rebuild once retirements exceed max(this, live flow count).
@@ -276,6 +308,7 @@ class ComponentIndex:
         self._size: list[int] = []
         self._flows: dict[int, set[Flow]] = {}
         self._links: dict[int, set[Link]] = {}
+        self._census: dict[int, dict[tuple, int]] = {}
         self.removals = 0
         self.nflows = 0
 
@@ -306,6 +339,11 @@ class ComponentIndex:
         moved_links = self._links.pop(rb, None)
         if moved_links:
             self._links.setdefault(ra, set()).update(moved_links)
+        moved_census = self._census.pop(rb, None)
+        if moved_census:
+            census = self._census.setdefault(ra, {})
+            for key, n in moved_census.items():
+                census[key] = census.get(key, 0) + n
         return ra
 
     def add_flow(self, flow: Flow) -> None:
@@ -318,6 +356,11 @@ class ComponentIndex:
         r = self._find(r)
         self._flows.setdefault(r, set()).add(flow)
         self._links.setdefault(r, set()).update(path)
+        census = self._census.get(r)
+        if census is None:
+            census = self._census[r] = {}
+        key = flow.key
+        census[key] = census.get(key, 0) + 1
         self.nflows += 1
 
     def remove_flow(self, flow: Flow) -> None:
@@ -333,6 +376,13 @@ class ComponentIndex:
         if members is None or flow not in members:
             return
         members.remove(flow)
+        census = self._census[r]
+        key = flow.key
+        n = census[key] - 1
+        if n:
+            census[key] = n
+        else:
+            del census[key]
         if self.nflows > 0:
             self.nflows -= 1
         self.removals += 1
@@ -341,20 +391,21 @@ class ComponentIndex:
         return self.removals > max(self._REBUILD_MIN, self.nflows)
 
     def component(self, seed: Flow):
-        """The (possibly superset) component containing ``seed``'s links."""
+        """The (possibly superset) component containing ``seed``'s links,
+        as its flows, its links and its class census."""
         if not seed.path:
-            return (), ()
+            return (), (), {}
         idx = seed.path[0].index
         if idx is None or idx >= len(self._parent):
             # Seed's links were never registered (zero-byte flow finished
             # before activation indexed them): nothing shares them.
-            return (), ()
+            return (), (), {}
         r = self._find(idx)
-        return self._flows.get(r, ()), self._links.get(r, ())
+        return self._flows.get(r, ()), self._links.get(r, ()), self._census.get(r, {})
 
-    def parts(self, path: Sequence[Link]) -> list[tuple[set, set]]:
+    def parts(self, path: Sequence[Link]) -> list[tuple[set, set, dict]]:
         """The distinct components that hold flows among ``path``'s links,
-        in path order."""
+        in path order, each as :meth:`component` gives it."""
         out = []
         seen = set()
         size = len(self._parent)
@@ -367,7 +418,7 @@ class ComponentIndex:
                 seen.add(r)
                 flows = self._flows.get(r)
                 if flows:
-                    out.append((flows, self._links[r]))
+                    out.append((flows, self._links[r], self._census[r]))
         return out
 
     def rebuild(self, live_flows) -> None:
@@ -376,14 +427,11 @@ class ComponentIndex:
         self._size = [1] * len(self._parent)
         self._flows = {}
         self._links = {}
+        self._census = {}
         self.removals = 0
         self.nflows = 0
         for f in live_flows:
             self.add_flow(f)
-
-
-def _first_fid(pair: tuple) -> int:
-    return pair[0].fid
 
 
 def _cap_rate(flow: Flow) -> float:
@@ -414,7 +462,7 @@ class _Cohort:
     )
 
     def __init__(self, key: tuple) -> None:
-        self.key = key  # (path, rate_cap)
+        self.key = key  # the class: its members' Flow.key
 
 
 def _carry(drains: list) -> None:
@@ -477,15 +525,6 @@ class FairShareNetwork:
         self._hook = self._due_now
         self.components = ComponentIndex()
         self._next_link_idx = 0  # assigns Link.index on a link's first flow
-        # Max-min solution cache keyed by canonical component *shape*
-        # (DESIGN.md §23): the allocation depends only on flow caps, the
-        # local link-incidence pattern, and link capacities — never on
-        # residual bytes — and pipelined collectives rebalance a handful of
-        # recurring shapes hundreds of thousands of times. Keys are built
-        # from object identity (path tuples, link objects, capacities), so
-        # a hit costs a few C-speed hashes — cheaper than even the smallest
-        # re-solve; repeated rebalances of the same component hit one entry.
-        self._maxmin_cache: dict = {}
         # Optional invariant checker (repro.analysis.sanitizer); the owning
         # MpiWorld installs it when constructed with sanitize=True.
         self.sanitizer = None
@@ -794,47 +833,6 @@ class FairShareNetwork:
         if had_links:
             self._rebalance(flow)
 
-    def _maxmin_cached(
-        self, comp_flows: list[Flow], comp_links: list[Link]
-    ) -> list[float]:
-        """Shape-cached :func:`maxmin_rates` for components under
-        ``_HEAP_THRESHOLD`` flows.
-
-        Returns rates aligned with ``comp_flows`` (fid order). The key is
-        exactly the allocator's input: per flow its rate cap and its path
-        (the very link objects, so hashing is identity-based and C-speed),
-        plus the links and their capacities in component order. Identical
-        keys replay identical progressive filling, so cached rates are
-        bit-identical to a fresh run. Pipelined collectives cycle through a
-        few dozen recurring shapes per node, so the hit rate is ~100%.
-        Larger components are solved directly, uncached, which bounds the
-        cache's memory; they fall into a few classes, which the solver
-        fixes in a few rounds.
-        """
-        nflows = len(comp_flows)
-        if nflows >= _HEAP_THRESHOLD:
-            rates = maxmin_rates(comp_flows, comp_links)
-            return list(map(rates.__getitem__, comp_flows))
-        shape: list = []
-        for f in comp_flows:
-            shape.append(f.rate_cap)
-            shape.append(f.path)
-        key = (
-            tuple(shape),
-            tuple(comp_links),
-            tuple(link.capacity for link in comp_links),
-        )
-        cache = self._maxmin_cache
-        cached = cache.get(key)
-        if cached is None:
-            rates = maxmin_rates(comp_flows, comp_links)
-            if len(cache) >= 65536:
-                # Unbounded shape churn (randomized fuzz workloads): start
-                # over rather than grow without limit.
-                cache.clear()
-            cached = cache[key] = [rates[f] for f in comp_flows]
-        return cached
-
     def _rebalance(self, seed: Flow, refreshed: bool = False) -> None:
         """Bring the rates of ``seed``'s component up to date after ``seed``
         arrived or finished, or, with ``refreshed``, after its links'
@@ -890,12 +888,12 @@ class FairShareNetwork:
         settle = not refreshed and self.sanitizer is None
         npath = len(seed.path)
         finished: list[Flow] = []
-        for comp_flows, comp_links in parts:
+        for comp_flows, comp_links, census in parts:
             if not comp_flows:
                 continue
             if not (settle and len(comp_links) == npath
                     and self._keep_rates(seed, done, comp_flows, finished, now)):
-                self._solve(list(comp_flows), list(comp_links), finished)
+                self._solve(seed, comp_flows, comp_links, census, finished)
         if len(finished) > 1:
             finished.sort(key=_BY_FID)
         for f in finished:
@@ -978,40 +976,48 @@ class FairShareNetwork:
                     finished.append(self._detach(c, i))  # _finish drains it
 
     def _solve(
-        self, comp_flows: list[Flow], comp_links: list[Link], finished: list[Flow]
+        self, seed: Flow, comp_flows: set, comp_links: Collection[Link],
+        census: dict, finished: list[Flow],
     ) -> None:
-        """Solve the component's max-min rates and reschedule the flows
-        whose rate moved; the flows already drained go to ``finished``."""
+        """Solve the component's max-min rates after ``seed`` arrived or
+        left, and reschedule the flows whose rate moved; the flows already
+        drained go to ``finished``.
+
+        ``comp_flows`` and ``census`` are the component index's own; this
+        reads them and leaves them as they are.
+        """
         now = self.engine.now
         # Links in name order: the solver breaks ties between equal shares
         # by link position. Its rates do not depend on the order of the
-        # flows, but the shape cache's key does, so cached components come
-        # in fid order.
-        comp_links.sort(key=_BY_NAME)
-        if len(comp_flows) < _HEAP_THRESHOLD:
-            comp_flows.sort(key=_BY_FID)
+        # flows.
+        comp_links = sorted(comp_links, key=_BY_NAME)
         if self.sanitizer is not None:
             # The sanitizer audits residuals too; give it a fully drained
             # view (the lazy drain below is invisible to it).
             self._drain_all(comp_flows, now)
-        rates = self._maxmin_cached(comp_flows, comp_links)
+        rates = maxmin_rates(comp_flows, comp_links, census)  # per class
         # Every member of a class gets one rate, so one per cohort is enough.
         # The other flows are loose: new arrivals, parked flows, and flows
-        # scheduled on their own. They go in fid order.
-        rate_of: dict = {}
-        loose: Iterable = zip(comp_flows, rates)
-        if any(map(_COHORT, comp_flows)):
-            rate_of = dict(zip(map(_COHORT, comp_flows), rates))
-            if None in rate_of:
-                del rate_of[None]
-                loose = [(f, r) for f, r in loose if f.cohort is None]
+        # scheduled on their own. They go in fid order. Cohorts go in any
+        # order (DESIGN.md §23, "Per-class rescheduling").
+        cohorts = dict.fromkeys(map(_COHORT, comp_flows))
+        loose: Sequence[Flow] = ()
+        if None in cohorts:
+            del cohorts[None]
+            nloose = len(comp_flows)
+            for c in cohorts:
+                nloose -= c.n
+            if nloose == 1 and seed.cohort is None and seed in comp_flows:
+                loose = (seed,)  # an arrival into cohorts: no second pass
             else:
-                loose = ()
-        if len(comp_flows) >= _HEAP_THRESHOLD:
-            loose = sorted(loose, key=_first_fid)
+                loose = sorted(
+                    compress(comp_flows, map(not_, map(_COHORT, comp_flows))),
+                    key=_BY_FID,
+                )
         drains: list = []  # (flows, moved, path), for _carry
         groups: dict = {}  # class key -> [rate, cohort or flow, ...] to reschedule
-        for c, new_rate in rate_of.items():
+        for c in cohorts:
+            new_rate = rates[c.key]
             # Drain lazily: a cohort that keeps its rate (bystanders dragged
             # in by a shared link) keeps its residuals and schedule until
             # its rate changes or a member finishes. The epsilon test runs
@@ -1062,7 +1068,8 @@ class FairShareNetwork:
                     f.remaining = x
                     f.last_update = now
         singles: list[Flow] = []
-        for f, new_rate in loose:  # in fid order
+        for f in loose:  # in fid order
+            new_rate = rates[f.key]
             rem = f.remaining
             rate = f.rate
             if rate > 0.0:
@@ -1109,10 +1116,9 @@ class FairShareNetwork:
             # with no other flow of its class rescheduled keeps its own.
             # (Flows on distinct paths are of distinct classes.)
             for f in singles:
-                key = (f.path, f.rate_cap)
-                g = groups.get(key)
+                g = groups.get(f.key)
                 if g is None:
-                    groups[key] = [f.rate, f]
+                    groups[f.key] = [f.rate, f]
                 else:
                     g.append(f)
             singles = []
@@ -1174,9 +1180,13 @@ class FairShareNetwork:
         if all(type(src) is Flow for src in others) and len(others) <= 1:
             # At most one flow joins a run (an arrival): insert it by fid.
             for f in others:
-                j = bisect(list(map(_BY_FID, flows)), f.fid)
-                flows.insert(j, f)
-                rems.insert(j, f.remaining)
+                if flows[-1].fid < f.fid:  # the newest flow, as a rule
+                    flows.append(f)
+                    rems.append(f.remaining)
+                else:
+                    j = bisect(list(map(_BY_FID, flows)), f.fid)
+                    flows.insert(j, f)
+                    rems.insert(j, f.remaining)
                 f.cohort = c
             return c
         runs = [(flows, rems)]

@@ -20,6 +20,7 @@ class Flow:
     __slots__ = (
         "fid",
         "path",
+        "key",
         "nbytes",
         "remaining",
         "rate_cap",
@@ -51,6 +52,9 @@ class Flow:
             raise ValueError(f"flow rate cap must be positive, got {rate_cap}")
         self.fid = fid
         self.path = tuple(path)
+        # The flow's class (DESIGN.md §23): flows with one path and one cap
+        # always get one max-min rate.
+        self.key = (self.path, rate_cap)
         self.nbytes = nbytes
         self.remaining = float(nbytes)
         self.rate_cap = rate_cap

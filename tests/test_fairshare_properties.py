@@ -1,7 +1,7 @@
 """Property-based tests on the max-min fair allocator and flow dynamics."""
 
 import random
-from unittest import mock
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -14,32 +14,18 @@ from repro.network.fairshare import maxmin_rates, maxmin_rates_reference
 from repro.sim import Engine
 
 
-def _dispatch(flows, links, gate):
-    """Rates from ``FairShareNetwork._maxmin_cached`` with its shape-cache
-    gate at ``gate`` flows, as a flow -> rate dict. Solved twice, so a
-    cached component also replays its cache hit."""
-    net = FairShareNetwork(Engine())
-    with mock.patch.object(fairshare, "_HEAP_THRESHOLD", gate):
-        first = net._maxmin_cached(flows, links)
-        again = net._maxmin_cached(flows, links)
-    assert again == first
-    return dict(zip(flows, first))
+def _by_census(flows, links):
+    """The network's entry: the flows as a set, with their class census,
+    give one rate per ``(path, rate_cap)`` class, expanded here per flow."""
+    census = Counter((f.path, f.rate_cap) for f in flows)
+    rates = maxmin_rates(set(flows), links, census)
+    assert len(rates) == len(census)
+    return {f: rates[(f.path, f.rate_cap)] for f in flows}
 
 
-def _maxmin_scan(flows, links):
-    """The cached leg (the solves perfbench counts as ``net.solves.scan``),
-    at every component size."""
-    return _dispatch(flows, links, float("inf"))
-
-
-def _maxmin_heap(flows, links):
-    """The uncached leg (``net.solves.heap``), at every component size."""
-    return _dispatch(flows, links, 1)
-
-
-#: Both legs of the production dispatch; each must be bit-for-bit the
-#: reference allocation regardless of where the cache gate sits.
-_VARIANTS = [_maxmin_scan, _maxmin_heap]
+#: Both entries to the class solver: the per-flow one and the network's.
+#: Each must be bit-for-bit the reference allocation.
+_VARIANTS = [maxmin_rates, _by_census]
 
 
 def build_scenario(link_caps, flow_specs):
@@ -221,7 +207,7 @@ def _alltoall_component(nflows, nlinks):
     return flows, links
 
 
-@pytest.mark.parametrize("variant", _VARIANTS + [maxmin_rates])
+@pytest.mark.parametrize("variant", _VARIANTS)
 def test_variants_match_reference_large_component(variant):
     """512+ flow components, and one at the 4K+ size of a 128-rank
     alltoall's components, where thousands of flows fall into a few
@@ -317,7 +303,9 @@ def test_class_heavy_components_match_reference():
     seen = {"mixed_cap_round": 0, "duplicate_link": 0, "zero_capacity": 0}
     for _ in range(400):
         flows, links = _class_component(rng, rng.randint(1, 300))
-        assert maxmin_rates(flows, links) == maxmin_rates_reference(flows, links)
+        want = maxmin_rates_reference(flows, links)
+        assert maxmin_rates(flows, links) == want
+        assert _by_census(flows, links) == want
         seen["mixed_cap_round"] += _mixed_cap_round(flows, links)
         seen["duplicate_link"] += any(len(set(f.path)) < len(f.path) for f in flows)
         seen["zero_capacity"] += any(link.capacity == 0.0 for link in links)
@@ -327,17 +315,19 @@ def test_class_heavy_components_match_reference():
 
 def test_live_alltoall_components_match_reference(monkeypatch):
     """Every component a 16-rank 64 KiB ADAPT alltoall rebalances, also
-    solved by the reference: the real class mix, not a synthetic one. The
-    shape cache is bypassed (its gate patched to 1 flow) so repeated shapes
-    are solved, and checked, each time. A component settled without a
-    solve (uncontended) is checked too: the reference gives each flow the
-    rate it keeps, and an arriving flow the rate it was given."""
+    solved by the reference: the real class mix, not a synthetic one. Each
+    solve's class rates, given to each flow of its class, are the
+    reference's. A component settled without a solve (uncontended) is
+    checked too: the reference gives each flow the rate it keeps, and an
+    arriving flow the rate it was given."""
     solved = []
     settled = []
 
-    def checked(flows, links):
-        rates = maxmin_rates(flows, links)
-        assert rates == maxmin_rates_reference(flows, links)
+    def checked(flows, links, *census):
+        rates = maxmin_rates(flows, links, *census)
+        assert census, "the network solves from the class census"
+        per_flow = {f: rates[(f.path, f.rate_cap)] for f in flows}
+        assert per_flow == maxmin_rates_reference(list(flows), links)
         solved.append(len(flows))
         return rates
 
@@ -354,7 +344,6 @@ def test_live_alltoall_components_match_reference(monkeypatch):
         return True
 
     monkeypatch.setattr(fairshare, "maxmin_rates", checked)
-    monkeypatch.setattr(fairshare, "_HEAP_THRESHOLD", 1)
     monkeypatch.setattr(FairShareNetwork, "_keep_rates", kept)
     res = run_collective(
         for_ranks("cori", 16), 16, "OMPI-adapt", "alltoall", nbytes=64 << 10,

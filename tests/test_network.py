@@ -2,6 +2,7 @@
 
 import heapq
 import math
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.machine import CommLevel, Topology, small_test_machine, psg_gpu
-from repro.network import Fabric, FairShareNetwork, Flow, Link, MemSpace
+from repro.network import Fabric, FairShareNetwork, Flow, Link, MemSpace, fairshare
 from repro.network.fairshare import (
     _EPSILON_BYTES, _HEADROOM, ComponentIndex, maxmin_rates,
 )
@@ -421,7 +422,7 @@ class PerFlowNetwork:
                 self._schedule(seed)
             return
         finished = []
-        for flows, links in self._parts(seed):
+        for flows, links, _ in self._parts(seed):
             flows = sorted(flows, key=lambda f: f.fid)
             links = sorted(links, key=lambda l: l.name)
             if flows:
@@ -546,6 +547,32 @@ _late_specs = st.lists(
 )
 
 
+class _CensusChecked(FairShareNetwork):
+    """``FairShareNetwork`` that checks its component index after every
+    rebalance. Each event that moves a flow into or out of the index, or
+    rebuilds it, ends in a rebalance."""
+
+    def _rebalance(self, seed, refreshed=False):
+        super()._rebalance(seed, refreshed)
+        seen = set()
+        for f in self.active:
+            flows, _, census = self.components.component(f)
+            if f.path and id(flows) not in seen:
+                seen.add(id(flows))
+                # Plain dicts: a class counted down to zero must be gone.
+                assert census == dict(Counter((g.path, g.rate_cap) for g in flows))
+
+
+class _WalkCounted(set):
+    """A component's flows, counting how often the solver walks them."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
 @settings(max_examples=250, deadline=None, derandomize=True)
 @given(_flow_specs, _cap_specs, _marker_specs, _refresh_specs, _late_specs)
 # Two flows on l0 at its headroom margin, one ulp outside and inside it,
@@ -565,13 +592,36 @@ _late_specs = st.lists(
          [(1, True, 0, 1000, 0)])
 # A refresh that doubles l0 under two flows it held below their caps.
 @example([(0.0, 0, 1000, 0)] + [(0.0, 0, 100_000, 0)] * 2, [1], [], (0, 0, 2.0), [])
-def test_property_cohorts_match_per_flow_rescheduling(flows, caps, markers, refresh, late):
+# More retirements than the index's rebuild minimum (64), with flows of
+# two classes left on l0 and l1 once it rebuilds.
+@example([(0.0, 0, 1000, 0)] * 66 + [(0.0, 1, 100_000, 1), (0.0, 0, 100_000, 0)] * 2,
+         [0, 3], [], None, [])
+def _cohorts_match_per_flow(flows, caps, markers, refresh, late):
     plain, _ = _drive(PerFlowNetwork, flows, caps, (), None, [0.0])
     times = sorted({t for t, _, _ in plain})
     want = _drive(PerFlowNetwork, flows, caps, markers, refresh, times, late)
-    got = _drive(FairShareNetwork, flows, caps, markers, refresh, times, late)
+    got = _drive(_CensusChecked, flows, caps, markers, refresh, times, late)
     assert got == want
     assert sum(1 for _, kind, _ in got[0] if kind == "finish") == len(flows) + len(late)
+
+
+def test_property_cohorts_match_per_flow_rescheduling(monkeypatch):
+    """The cohort network matches the per-flow one float for float, and
+    its class census matches its flows after every rebalance."""
+    solve = fairshare.maxmin_rates
+    mixed = [0]
+
+    def counted(flows, links, census):
+        # The solver walks the flows only for a cap round that fixes
+        # different caps: the census cannot give their fid order.
+        flows = _WalkCounted(flows)
+        rates = solve(flows, links, census)
+        mixed[0] += flows.walks > 0
+        return rates
+
+    monkeypatch.setattr(fairshare, "maxmin_rates", counted)
+    _cohorts_match_per_flow()
+    assert mixed[0] >= 20, mixed
 
 
 def _script_lone_flow_refresh(network_cls, flap_at):
@@ -647,7 +697,6 @@ class TestPerClassRescheduling:
         # flow by flow pushed 127,712 (one per flow reschedule).
         from repro.harness.runner import run_collective
         from repro.machine import for_ranks
-        from repro.network import fairshare
 
         pushes = [0]
 
@@ -665,6 +714,33 @@ class TestPerClassRescheduling:
             nbytes=64 << 10, iterations=1,
         )
         assert pushes[0] == 1982
+
+    def test_contended_alltoall_solves_per_class(self, monkeypatch):
+        # Structural: counts, not time. The same alltoall (perfbench's
+        # alltoall-contended cell) solves each contended rebalance from its
+        # component's class census; the per-flow entry, which groups flows
+        # into classes itself, is never called.
+        from repro.harness.runner import run_collective
+        from repro.machine import for_ranks
+
+        calls = {"solves": 0, "per_flow": 0}
+        solve, per_flow = fairshare.maxmin_rates, fairshare._flow_rates
+
+        def counted_solve(*args):
+            calls["solves"] += 1
+            return solve(*args)
+
+        def counted_per_flow(*args):
+            calls["per_flow"] += 1
+            return per_flow(*args)
+
+        monkeypatch.setattr(fairshare, "maxmin_rates", counted_solve)
+        monkeypatch.setattr(fairshare, "_flow_rates", counted_per_flow)
+        run_collective(
+            for_ranks("cori", 32), 32, "OMPI-adapt", "alltoall",
+            nbytes=64 << 10, iterations=1,
+        )
+        assert calls == {"solves": 1080, "per_flow": 0}
 
 
 def _script_rebuild_at_finish(network_cls, fillers):
@@ -758,28 +834,22 @@ class TestUncontendedSettle:
         # Structural, like the finish-queue pin: counts, not time. A 32-rank
         # 4 MiB cori bcast keeps its intra-socket pipelines uncontended, so
         # every rebalance that is not of a lone flow settles without a solve
-        # and without a shape-cache lookup (30 solves and 1,876 lookups
-        # before the uncontended settle).
+        # (30 solves and 1,876 shape-cache lookups before the uncontended
+        # settle).
         from repro.harness.runner import run_collective
         from repro.machine import for_ranks
-        from repro.network import fairshare
 
-        calls = {"solves": 0, "lookups": 0}
-        solve, lookup = fairshare.maxmin_rates, FairShareNetwork._maxmin_cached
+        solves = [0]
+        solve = fairshare.maxmin_rates
 
-        def counted_solve(flows, links):
-            calls["solves"] += 1
-            return solve(flows, links)
-
-        def counted_lookup(self, flows, links):
-            calls["lookups"] += 1
-            return lookup(self, flows, links)
+        def counted_solve(*args):
+            solves[0] += 1
+            return solve(*args)
 
         monkeypatch.setattr(fairshare, "maxmin_rates", counted_solve)
-        monkeypatch.setattr(FairShareNetwork, "_maxmin_cached", counted_lookup)
         res = run_collective(
             for_ranks("cori", 32), 32, "OMPI-adapt", "bcast", nbytes=4 << 20,
             iterations=1,
         )
         assert res.mean_time > 0.0
-        assert calls == {"solves": 0, "lookups": 0}
+        assert solves == [0]

@@ -1,17 +1,12 @@
 """4K-rank scale smoke tests (slow).
 
-Three properties of a world two orders of magnitude past the unit-test
-sizes, where the perf machinery (epoch draining, shape cache, lazy
-drain, the class solver) actually engages:
+Two properties of a world two orders of magnitude past the unit-test
+sizes, where the perf machinery (epoch draining, the uncontended settle,
+lazy drain) actually engages:
 
 * a 4096-rank ADAPT bcast **completes** and fully drains the engine;
 * the simulation is **deterministic**: two identical runs serialize to
-  byte-identical result dicts (the golden-trace property at scale);
-* the shape cache is **transparent**: solving every component afresh
-  (``_HEAP_THRESHOLD``, the cache's size gate, patched to 1 flow, so no
-  component is cached) reproduces the default run's result dict exactly —
-  same floats, same event counts. The gate's name is older than the class
-  solver; there is one solver, so the patch selects no other tier.
+  byte-identical result dicts (the golden-trace property at scale).
 """
 
 from __future__ import annotations
@@ -20,7 +15,6 @@ import pytest
 
 from repro.harness.runner import run_collective
 from repro.machine import for_ranks
-from repro.network import fairshare
 
 pytestmark = pytest.mark.slow
 
@@ -42,14 +36,8 @@ def test_4k_bcast_completes():
     assert stats["pending"] == 0  # nothing live left behind
 
 
-def test_4k_bcast_deterministic_and_heap_bit_identical(monkeypatch):
+def test_4k_bcast_deterministic():
     base = _run(1 << 16).to_dict()
 
     again = _run(1 << 16).to_dict()
     assert again == base
-
-    # Solve every component, even single-flow ones, without the shape
-    # cache.
-    monkeypatch.setattr(fairshare, "_HEAP_THRESHOLD", 1)
-    heap = _run(1 << 16).to_dict()
-    assert heap == base
