@@ -227,7 +227,7 @@ class CollectiveContext:
         """Route failure-detector events to a rank's state machine.
 
         Inert in the default fault-free configuration (no detector ever
-        appears, the buffered subscription is never exercised) — collectives
+        appears; a harness world keeps no subscription at all) — collectives
         then behave exactly as before. Works regardless of launch order: a
         detector created later adopts earlier subscriptions. Notifications
         arrive as *local* ranks of this communicator, dispatch on

@@ -32,7 +32,7 @@ from repro.collectives.base import (
     launch_ranks,
     new_handle,
 )
-from repro.collectives.segmentation import block_ranges, segment_sizes
+from repro.collectives.segmentation import block_ranges
 from repro.trees.regraft import live_descendants, nearest_live_ancestor
 
 
@@ -314,8 +314,12 @@ def allreduce_adapt(
     handle = handle or new_handle(ctx, "allreduce-adapt")
     handle.name = "allreduce-adapt"
 
-    reduce_handle = reduce_adapt(ctx, ranks=ranks)
-    nseg = len(segment_sizes(ctx.nbytes, ctx.config))
+    if ctx.scratch is not None:
+        # A later partial launch (the IMB loop starts ranks one by one)
+        # joins the first launch's reduce, whose hook is already in place.
+        reduce_adapt(ctx, ctx.scratch, ranks)
+        return handle
+    reduce_handle = ctx.scratch = reduce_adapt(ctx, ranks=ranks)
 
     def on_reduce_done(local: int, _time: float) -> None:
         if local != ctx.root:

@@ -70,6 +70,11 @@ class FailureDetector:
         phi_threshold: float = 8.0,
         heartbeat_period: float = 1e-3,
     ):
+        if world._failure_subscribers is None:
+            raise RuntimeError(
+                "world is closed to failure subscriptions: a detector "
+                "attached now would miss every launch made so far"
+            )
         self.world = world
         self.detect_delay = detect_delay
         self.phi_threshold = phi_threshold

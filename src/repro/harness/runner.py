@@ -208,7 +208,8 @@ def _build_world(
     messages implies the reliable transport unless ``runtime_config`` says
     otherwise; a plan with kills or partitions bounds the run at
     ``time_limit`` (default 10 simulated seconds), returned as an absolute
-    ``deadline``.
+    ``deadline``. A world that gets no failure detector here never gets
+    one, so its subscription buffer is closed.
     """
     if runtime_config is None:
         # Corruption needs the reliable transport too: a checksum-rejected
@@ -257,6 +258,10 @@ def _build_world(
             world, noise_percent, frequency_hz=noise_frequency, seed=seed,
             ranks=targets,
         ))
+    if world.failure_detector is None:
+        # Only a fault injector attaches a detector, and they are all built:
+        # a subscription buffered now would only keep its launch alive.
+        world.close_failure_subscriptions()
     deadline = (world.engine.now + time_limit) if time_limit is not None else None
     return world, comm, injectors, deadline
 

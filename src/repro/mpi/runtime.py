@@ -724,9 +724,10 @@ class MpiWorld:
         # fail-stopped ranks accumulate in failed_ranks (see kill_rank).
         # Subscriptions made before a detector exists are buffered and
         # adopted by the detector at construction, so collectives may launch
-        # before or after the fault injector is armed.
+        # before or after the fault injector is armed. A builder that knows
+        # no detector will come closes the buffer (None) instead.
         self.failure_detector = None
-        self._failure_subscribers: list = []
+        self._failure_subscribers: Optional[list] = []
         self.failed_ranks: set[int] = set()
         # Live recovery (repro.recovery): a MembershipService attaches here
         # when ULFM-style agreement/shrink is requested.
@@ -736,14 +737,26 @@ class MpiWorld:
     def subscribe_failures(self, fn, cpu=None, alive_fn=None) -> None:
         """Register a failure callback, detector present or not (yet).
 
+        A world closed by :meth:`close_failure_subscriptions` keeps nothing.
+
         ``alive_fn`` (optional) hears retractions — a suspected or even
         declared-failed rank that produced liveness evidence again. It may
         fire without a preceding ``fn`` call and must be idempotent.
         """
         if self.failure_detector is not None:
             self.failure_detector.subscribe(fn, cpu=cpu, alive_fn=alive_fn)
-        else:
+        elif self._failure_subscribers is not None:
             self._failure_subscribers.append((fn, cpu, alive_fn))
+
+    def close_failure_subscriptions(self) -> None:
+        """Keep no subscription: this world will never get a detector.
+
+        A buffered subscription holds its rank state until the run ends, so
+        a finished launch could not be freed. The harness world builder
+        closes the buffer once its injectors exist and none attached a
+        detector; constructing a ``FailureDetector`` afterwards raises.
+        """
+        self._failure_subscribers = None
 
     def allocate_tags(self, count: int) -> int:
         """Reserve a contiguous tag range (collectives namespace segments)."""
