@@ -17,7 +17,7 @@ import heapq
 from bisect import bisect
 from collections import Counter
 from itertools import chain, compress
-from operator import attrgetter, itemgetter, not_
+from operator import attrgetter, itemgetter
 from typing import Callable, Collection, Optional, Sequence
 
 from repro.network.flows import Flow
@@ -453,7 +453,9 @@ class _Cohort:
     order; only ``order[pos]``, the head, has a finish-queue entry. A
     member that leaves (spliced into its epoch, or finished early) is
     blanked to None in ``flows``; ``n`` counts the members left, and
-    ``low`` is at most the smallest residual among them.
+    ``low`` is at most the smallest residual among them. A cohort whose
+    rate moved in the current instant has no schedule until the settle:
+    ``flows`` and ``rems`` are then its members, drained to now.
     """
 
     __slots__ = (
@@ -499,18 +501,28 @@ def _carry(drains: list) -> None:
         link.bytes_carried = b
 
 
+# The stamp of a loose flow whose fresh finish waits for the settle.
+_PENDING = -1
+
+
 class FairShareNetwork:
     """Owns active flows and keeps their rates max-min fair as they come and go.
 
     Flow completions are data (DESIGN.md §23): a rate change gives each
     flow a due time and an engine position token. Rescheduling works per
     class: the flows of one class drained at one instant form a
-    :class:`_Cohort`, which a rate change drains and reschedules in bulk,
-    and only each cohort's earliest finisher has a ``(due, stamp, flow)``
-    entry on the lazily invalidated finish queue. The engine wakes the
-    network when the queue's head epoch starts, and the flows due then are
-    spliced into that epoch where ``call_at`` at their last reschedule would
-    have put them.
+    :class:`_Cohort`, and only each cohort's earliest finisher has a
+    ``(due, stamp, flow)`` entry on the lazily invalidated finish queue.
+    The engine wakes the network when the queue's head epoch starts, and
+    the flows due then are spliced into that epoch where ``call_at`` at
+    their last reschedule would have put them.
+
+    A rebalance runs in two halves. The *class half* runs at once: it
+    solves the component's class rates, finishes the flows already drained,
+    and moves each cohort or loose flow whose rate left the tolerance to
+    its new rate, drained to now. The *flow half* gives the moved flows
+    their due times, stamps and tokens. It runs once per instant, at the
+    *settle* (:meth:`_settle`), for the last move of each.
     """
 
     def __init__(self, engine: Engine):
@@ -521,10 +533,20 @@ class FairShareNetwork:
         self.queue: list[tuple[float, int, Flow]] = []  # finish heap
         self._stamps = 0  # last stamp issued; orders same-instant finishes
         self._stale = 0  # queue entries whose flow or cohort moved or left
-        self._armed = _NEVER  # the engine wake this network holds
+        self._armed = _NEVER  # the finish-queue wake this network holds
         self._hook = self._due_now
         self.components = ComponentIndex()
         self._next_link_idx = 0  # assigns Link.index on a link's first flow
+        # Each class's holders, {Flow.key: {cohort or loose flow: None}}:
+        # every active flow with links is a loose flow or in one cohort.
+        self._holders: dict[tuple, dict] = {}
+        # The instant's moves, for the settle: each moved cohort or loose
+        # flow with the step of its last move, and each step's position in
+        # the engine's post journal.
+        self._moved: dict = {}
+        self._steps: list[int] = []
+        self._audits: list[tuple] = []  # (flows, links) for the sanitizer
+        self._handoff: Optional[list] = None  # the finish worklist, in a cascade
         # Optional invariant checker (repro.analysis.sanitizer); the owning
         # MpiWorld installs it when constructed with sanitize=True.
         self.sanitizer = None
@@ -600,13 +622,23 @@ class FairShareNetwork:
                 self._next_link_idx += 1
             comp.ensure(link.index)
         comp.add_flow(flow)
+        self._holders.setdefault(flow.key, {})[flow] = None
         self._rebalance(flow)
+
+    def _drop(self, h) -> None:
+        """Unregister a holder: a cohort emptied or merged away, or a loose
+        flow that joined a cohort or finished."""
+        held = self._holders[h.key]
+        del held[h]
+        if not held:
+            del self._holders[h.key]
 
     # -- the finish queue -----------------------------------------------------
 
     def pending_flows(self) -> set[Flow]:
         """Flows whose finish is still scheduled: each flow queued on its
-        own, and every member left in a cohort whose head is queued."""
+        own, every member left in a cohort whose head is queued, and every
+        flow moved in this instant, whose finish the settle gives it."""
         out: set[Flow] = set()
         for _, stamp, flow in self.queue:
             if flow.stamp == stamp:
@@ -614,16 +646,24 @@ class FairShareNetwork:
                     out.add(flow)
                 else:
                     out.update(f for f in flow.cohort.flows if f is not None)
+        for h in self._moved:
+            if type(h) is _Cohort:
+                out.update(h.flows)
+            else:
+                out.add(h)
         return out
 
     def _withdraw(self, flow: Flow) -> None:
-        """Drop a flow's own schedule, queued or already spliced."""
+        """Drop a flow's own schedule: queued, spliced, or awaiting the
+        settle."""
         if flow.token is not None:
             flow.token = None
             self._stale += 1
         elif flow.entry is not None:
             self.engine.discard(flow.entry)
             flow.entry = None
+        elif flow.stamp == _PENDING:
+            del self._moved[flow]
         flow.stamp = 0
 
     def _push_head(self, c: _Cohort) -> None:
@@ -646,23 +686,26 @@ class FairShareNetwork:
             f.stamp = stamp = c.stamps[i]
             heapq.heappush(self.queue, (due, stamp, f))
 
-    def _settle(self, c: _Cohort, i: int) -> Flow:
+    def _release(self, c: _Cohort, i: int) -> Flow:
         """Take member ``i`` out of its cohort, with its rate, residual and
-        ``last_update`` written back to the flow."""
+        ``last_update`` written back to the flow, which goes loose."""
         f = c.flows[i]
         c.flows[i] = None
         c.tokens[i] = None  # drops the bucket reference too
         c.n -= 1
+        if not c.n:
+            self._drop(c)
         f.cohort = None
         f.rate = c.rate
         f.remaining = c.rems[i]
         f.last_update = c.last_update
+        self._holders.setdefault(f.key, {})[f] = None
         return f
 
     def _detach(self, c: _Cohort, i: int) -> Flow:
-        """:meth:`_settle`, and drop the member's schedule: if it heads the
+        """:meth:`_release`, and drop the member's schedule: if it heads the
         queue, its entry goes stale and the next member takes its place."""
-        f = self._settle(c, i)
+        f = self._release(c, i)
         if f.stamp:
             f.stamp = 0
             self._stale += 1
@@ -671,7 +714,7 @@ class FairShareNetwork:
         return f
 
     def _schedule(
-        self, singles: Sequence[Flow], batches: Sequence[_Cohort] = ()
+        self, singles: Sequence[Flow], batches: Sequence[_Cohort], since: Optional[int]
     ) -> None:
         """Give each flow a fresh finish at its rate: each single flow on
         its own, and each cohort in bulk.
@@ -680,8 +723,9 @@ class FairShareNetwork:
         ``rems`` (drained to now) and ``rate`` set. Each flow's ``due = now
         + rem / rate`` is the float op ``call_after`` performed; stamps
         follow fid order (the singles come in fid order); each token
-        records where ``call_after`` would have appended. So each finish
-        fires exactly where the eager event would have.
+        records where ``call_after`` would have appended when the engine's
+        post journal held ``since`` entries. So each finish fires exactly
+        where the eager event would have.
         """
         engine = self.engine
         now = engine.now
@@ -697,10 +741,10 @@ class FairShareNetwork:
                 map(_BY_FID, singles), *[map(_BY_FID, c.flows) for c in batches]
             ))
             rank = dict(zip(fids, range(stamp + 1, stamp + 1 + len(fids))))
-        mark = engine.mark
         queue = self.queue
         push = heapq.heappush
         armed = self._armed
+        mark = engine.mark
         for f in singles:
             due = now + f.remaining / f.rate
             if rank is None:
@@ -708,7 +752,7 @@ class FairShareNetwork:
                 s = stamp
             else:
                 s = rank[f.fid]
-            f.token = mark(due)
+            f.token = mark(due, since)
             f.due = due
             f.stamp = s
             push(queue, (due, s, f))
@@ -725,7 +769,7 @@ class FairShareNetwork:
                 c.stamps = range(stamp + 1, stamp + 1 + len(flows))
             else:
                 c.stamps = list(map(rank.__getitem__, map(_BY_FID, flows)))
-            c.tokens = engine.marks(dues)
+            c.tokens = engine.marks(dues, since)
             # A stable sort: equal dues keep fid order, which is stamp order.
             c.order = order = sorted(range(len(dues)), key=dues.__getitem__)
             c.pos = 0
@@ -748,15 +792,81 @@ class FairShareNetwork:
             heapq.heapify(queue)
             self._stale = 0
 
+    def _step(self) -> int:
+        """Number a step of this instant that moves a rate (or that the
+        sanitizer audits).
+
+        Its moves settle at the instant's end: the first step asks the
+        engine to wake the network at ``now`` once the current bucket has
+        run, and opens the engine's post journal. Outside a run no callback
+        can come between, so :meth:`_rebalance` settles at once.
+        """
+        steps = self._steps
+        engine = self.engine
+        if not steps and engine.running:
+            engine.wake_at(engine.now, self._hook)
+        steps.append(engine.journal())
+        return len(steps) - 1
+
+    def _settle(self) -> None:
+        """The settle: the flow half of the instant's rebalances (§23).
+
+        Each cohort or loose flow moved during the instant gets its finish
+        at the rate it last moved to, in one :meth:`_schedule` call per
+        step, in step order. So the stamps follow (step of the last move,
+        fid), and each token is the one the journal says :meth:`Engine.mark`
+        gave at that step. The holders of one class moved last at one step
+        merge into one cohort, as the eager reschedule merged them.
+        """
+        moved = self._moved
+        steps = self._steps
+        self._moved = {}
+        self._steps = []
+        runs: dict[int, dict] = {}  # step -> class key -> its moved holders
+        for h, s in moved.items():
+            runs.setdefault(s, {}).setdefault(h.key, []).append(h)
+        for s in sorted(runs):
+            singles: list[Flow] = []
+            batches: list[_Cohort] = []
+            for key, held in runs[s].items():
+                if len(held) > 1:
+                    batches.append(self._merge(key, held))
+                elif type(held[0]) is Flow:
+                    singles.append(held[0])
+                else:
+                    batches.append(held[0])
+            if len(singles) > 1:
+                singles.sort(key=_BY_FID)
+            self._schedule(singles, batches, steps[s])
+        self.engine.close_journal()
+        if self._audits:
+            audits = self._audits
+            self._audits = []
+            for flows, links in audits:
+                self._expose(flows)
+                self.sanitizer.check_rates(flows, links)
+
     def _due_now(self, t: float) -> list[tuple[tuple, list]]:
-        """Engine wake hook: hand over the flows that finish at ``t``.
+        """Engine wake hook: settle the instant, then hand over the flows
+        that finish at ``t``.
 
         Each leaves the queue as a cancellable engine entry, paired with
         its position token, in stamp order; a cohort member leaves its
         cohort, and the next member takes its place in the queue. The
         engine splices the entries into ``t``'s epoch. The network then
-        re-arms at the new head.
+        re-arms at the new head. A wake at the end of an instant, for the
+        settle alone, hands over nothing and re-arms at the head.
         """
+        if self._steps:
+            armed = self._armed
+            self._settle()
+            if self._armed != t:
+                # The settle's wake took the place of the one held for the
+                # queue head: take it back, unless the settle queued an
+                # earlier head and woke for it.
+                if self._armed == armed and t < armed < _NEVER:
+                    self.engine.wake_at(armed, self._hook)
+                return []
         queue = self.queue
         heappop = heapq.heappop
         out = []
@@ -776,7 +886,7 @@ class FairShareNetwork:
             else:
                 i = c.order[c.pos]
                 token = c.tokens[i]
-                self._settle(c, i)
+                self._release(c, i)
                 c.pos += 1
                 self._push_head(c)
             entry = [self._fire, (flow, stamp)]
@@ -796,9 +906,29 @@ class FairShareNetwork:
         self._finish(flow)
 
     def _finish(self, flow: Flow) -> None:
+        """Finish ``flow``, then each flow its rebalance finds drained.
+
+        A finish cascade goes depth first, in the order nested calls would
+        take, on a worklist: :meth:`_rebalance` hands its fid-sorted
+        ``finished`` back through ``_handoff`` instead of finishing them.
+        """
+        stack: list = []
+        while True:
+            if not flow.done and self._retire(flow):
+                self._handoff = stack
+                self._rebalance(flow)
+            while stack:
+                flow = next(stack[-1], None)
+                if flow is not None:
+                    break
+                stack.pop()
+            else:
+                return
+
+    def _retire(self, flow: Flow) -> bool:
+        """Drain the flow, take it off its links and run its callback;
+        return whether it had links (and so needs a rebalance)."""
         # The flow holds no cohort place here: callers settle it first.
-        if flow.done:
-            return
         flow.drain(self.engine.now)
         flow.remaining = 0.0
         flow.finish_time = self.engine.now
@@ -810,6 +940,11 @@ class FairShareNetwork:
             for link in flow.path:
                 link.flows.discard(flow)
             self.components.remove_flow(flow)
+            if flow.nbytes > 0:  # a flow with bytes and links is held
+                held = self._holders[flow.key]
+                del held[flow]
+                if not held:
+                    del self._holders[flow.key]
         self.flows_completed += 1
         if self.obs is not None and had_links:
             # Span per link over the flow's wire lifetime (submit -> drain;
@@ -830,13 +965,13 @@ class FairShareNetwork:
                 )
             self.obs.count("net.flows_completed")
         flow.on_complete(flow)
-        if had_links:
-            self._rebalance(flow)
+        return had_links
 
     def _rebalance(self, seed: Flow, refreshed: bool = False) -> None:
-        """Bring the rates of ``seed``'s component up to date after ``seed``
-        arrived or finished, or, with ``refreshed``, after its links'
-        capacities changed."""
+        """The class half: bring the rates of ``seed``'s component up to
+        date after ``seed`` arrived or finished, or, with ``refreshed``,
+        after its links' capacities changed; then finish the flows found
+        drained (:meth:`_conclude`)."""
         now = self.engine.now
         done = seed.finish_time is not None
         # Fast path: the seed shares no link with any other flow, so its
@@ -857,19 +992,21 @@ class FairShareNetwork:
                 # keeps its queue entry, with its token.
                 i = c.order[c.pos]
                 seed.token = c.tokens[i]
-                self._settle(c, i)
+                self._release(c, i)
             seed.drain(now)
             if seed.remaining <= _EPSILON_BYTES:
-                self._finish(seed)
+                self._conclude([seed])
                 return
             rate = _cap_rate(seed)
             if abs(rate - seed.rate) > _RATE_TOLERANCE * max(rate, seed.rate) or not seed.stamp:
                 if seed.stamp:
                     self._withdraw(seed)
                 seed.rate = rate
-                self._schedule((seed,))
+                self._move_seed(seed)
             if self.sanitizer is not None:
-                self.sanitizer.check_rates((seed,), seed.path)
+                self._audit((seed,), seed.path)
+            if self._steps and not self.engine.running:
+                self._settle()  # (no cascade rebalances a live seed)
             return
         comp = self.components
         parts = None
@@ -885,19 +1022,52 @@ class FairShareNetwork:
         # some of them and no others), so one with as many links as the
         # path has holds exactly those, each listed once. (A zero-byte flow
         # never joins its links; no rate moves at its finish either way.)
-        settle = not refreshed and self.sanitizer is None
+        may_keep = not refreshed
         npath = len(seed.path)
         finished: list[Flow] = []
         for comp_flows, comp_links, census in parts:
             if not comp_flows:
                 continue
-            if not (settle and len(comp_links) == npath
+            if not (may_keep and len(comp_links) == npath
                     and self._keep_rates(seed, done, comp_flows, finished, now)):
-                self._solve(seed, comp_flows, comp_links, census, finished)
+                self._solve(comp_flows, comp_links, census, finished)
+            if self.sanitizer is not None:
+                self._audit(comp_flows, comp_links)
         if len(finished) > 1:
             finished.sort(key=_BY_FID)
-        for f in finished:
-            self._finish(f)
+        self._conclude(finished)
+
+    def _move_seed(self, seed: Flow) -> None:
+        """Reschedule a seed that alone moved in its rebalance (the lone
+        fast path, or an arrival into an uncontended component): at once,
+        unless moves of this instant wait for the settle, which must stamp
+        them first."""
+        if self._steps:
+            seed.stamp = _PENDING
+            self._moved[seed] = self._step()
+        else:
+            self._schedule((seed,), (), None)
+
+    def _conclude(self, finished: Sequence[Flow]) -> None:
+        """End a rebalance: outside a run, settle at once; then finish the
+        flows it found drained, in fid order, or hand them to the finish
+        cascade that ran it."""
+        if self._steps and not self.engine.running:
+            self._settle()
+        stack = self._handoff
+        if stack is None:
+            for f in finished:
+                self._finish(f)
+        else:
+            self._handoff = None
+            if finished:
+                stack.append(iter(finished))
+
+    def _audit(self, flows: Collection[Flow], links: Collection[Link]) -> None:
+        """Have the sanitizer check a component's rates at the settle."""
+        self._audits.append((flows, links))
+        if not self._steps:
+            self._step()
 
     def _keep_rates(
         self, seed: Flow, done: bool, comp_flows: set, finished: list[Flow], now: float
@@ -912,7 +1082,7 @@ class FairShareNetwork:
         each once. Then every flow but the seed keeps its rate, so only the
         early-finish sweep of :meth:`_solve` runs: it adds the flows
         already drained to ``finished``. An arriving seed (``done`` false)
-        gets :func:`_cap_rate` and its schedule.
+        moves to :func:`_cap_rate`.
         """
         cap = seed.rate_cap
         gone = 1 if done else 0
@@ -959,7 +1129,7 @@ class FairShareNetwork:
         if not done:
             seed.rate = rate = _cap_rate(seed)
             if rate > 0.0:
-                self._schedule((seed,))
+                self._move_seed(seed)
         return True
 
     def _sweep(self, c: _Cohort, moved: float, finished: list[Flow]) -> None:
@@ -976,189 +1146,143 @@ class FairShareNetwork:
                     finished.append(self._detach(c, i))  # _finish drains it
 
     def _solve(
-        self, seed: Flow, comp_flows: set, comp_links: Collection[Link],
-        census: dict, finished: list[Flow],
+        self, comp_flows: set, comp_links: Collection[Link], census: dict,
+        finished: list[Flow],
     ) -> None:
-        """Solve the component's max-min rates after ``seed`` arrived or
-        left, and reschedule the flows whose rate moved; the flows already
+        """Solve the component's max-min rates and move each of its cohorts
+        and loose flows whose rate left the tolerance; the flows already
         drained go to ``finished``.
 
         ``comp_flows`` and ``census`` are the component index's own; this
-        reads them and leaves them as they are.
+        reads them and leaves them as they are. It walks the component's
+        holders, found by class, not its flows.
         """
         now = self.engine.now
         # Links in name order: the solver breaks ties between equal shares
         # by link position. Its rates do not depend on the order of the
         # flows.
         comp_links = sorted(comp_links, key=_BY_NAME)
-        if self.sanitizer is not None:
-            # The sanitizer audits residuals too; give it a fully drained
-            # view (the lazy drain below is invisible to it).
-            self._drain_all(comp_flows, now)
         rates = maxmin_rates(comp_flows, comp_links, census)  # per class
-        # Every member of a class gets one rate, so one per cohort is enough.
-        # The other flows are loose: new arrivals, parked flows, and flows
-        # scheduled on their own. They go in fid order. Cohorts go in any
-        # order (DESIGN.md §23, "Per-class rescheduling").
-        cohorts = dict.fromkeys(map(_COHORT, comp_flows))
-        loose: Sequence[Flow] = ()
-        if None in cohorts:
-            del cohorts[None]
-            nloose = len(comp_flows)
-            for c in cohorts:
-                nloose -= c.n
-            if nloose == 1 and seed.cohort is None and seed in comp_flows:
-                loose = (seed,)  # an arrival into cohorts: no second pass
-            else:
-                loose = sorted(
-                    compress(comp_flows, map(not_, map(_COHORT, comp_flows))),
-                    key=_BY_FID,
-                )
+        holders = self._holders
+        moved = self._moved
+        step = None  # numbered at the first move
         drains: list = []  # (flows, moved, path), for _carry
-        groups: dict = {}  # class key -> [rate, cohort or flow, ...] to reschedule
-        for c in cohorts:
-            new_rate = rates[c.key]
-            # Drain lazily: a cohort that keeps its rate (bystanders dragged
-            # in by a shared link) keeps its residuals and schedule until
-            # its rate changes or a member finishes. The epsilon test runs
-            # on the *predicted* post-drain residual — the same IEEE-754 ops
-            # a drain performs — so the finish decision is unchanged. Only
-            # the smallest residual can pass it first; ``low`` bounds it
-            # from below and is refreshed when it passes.
-            rate = c.rate
-            dt = now - c.last_update
-            moved = rate * dt if dt > 0.0 else 0.0
-            low = c.low
-            if (low - moved if low > moved else 0.0) <= _EPSILON_BYTES:
-                self._sweep(c, moved, finished)
-            if not c.n:
-                continue
-            # Keep the schedule when the rate is unchanged — the common
-            # case for cohorts dragged into a component by a link they
-            # share with an unaffected neighbour.
-            d = new_rate - rate
-            if d < 0.0:
-                d = -d
-            if d <= _RATE_TOLERANCE * (new_rate if new_rate > rate else rate):
-                continue
-            # The rate moved: drain the cohort and dissolve its schedule.
-            flows = c.flows
-            rems = c.rems
-            flows[c.order[c.pos]].stamp = 0  # its head's queue entry
-            self._stale += 1
-            if c.n < len(flows):
-                rems = list(compress(rems, flows))
-                flows = list(compress(flows, flows))
-            if moved:
-                rems = [x - moved if x > moved else 0.0 for x in rems]
-                drains.append((flows, moved, c.key[0]))
-            if new_rate > 0.0:
-                c.flows = flows  # the live members, drained to now
-                c.rems = rems
-                g = groups.get(c.key)
-                if g is None:
-                    groups[c.key] = [new_rate, c]
-                else:
-                    g.append(c)
-            else:
-                # rate == 0 flows stay parked until a rebalance frees capacity.
-                for f, x in zip(flows, rems):
-                    f.cohort = None
-                    f.rate = 0.0
-                    f.remaining = x
-                    f.last_update = now
-        singles: list[Flow] = []
-        for f in loose:  # in fid order
-            new_rate = rates[f.key]
-            rem = f.remaining
-            rate = f.rate
-            if rate > 0.0:
+        for key in census:
+            new_rate = rates[key]
+            for h in tuple(holders[key]):
+                if type(h) is _Cohort:
+                    c = h
+                    # Drain lazily: a cohort that keeps its rate keeps its
+                    # residuals and schedule until its rate changes or a
+                    # member finishes. The epsilon test runs on the
+                    # *predicted* post-drain residual — the same IEEE-754
+                    # ops a drain performs — so the finish decision is
+                    # unchanged. Only the smallest residual can pass it
+                    # first; ``low`` bounds it from below and is refreshed
+                    # when it passes.
+                    rate = c.rate
+                    dt = now - c.last_update
+                    m = rate * dt if dt > 0.0 else 0.0
+                    low = c.low
+                    if (low - m if low > m else 0.0) <= _EPSILON_BYTES:
+                        self._sweep(c, m, finished)
+                        if not c.n:
+                            continue
+                    d = new_rate - rate
+                    if d < 0.0:
+                        d = -d
+                    if d <= _RATE_TOLERANCE * (new_rate if new_rate > rate else rate):
+                        continue
+                    if c not in moved:
+                        # Its first move this instant: drain it and dissolve
+                        # its schedule. A moved cohort holds no queue entry.
+                        flows = c.flows
+                        rems = c.rems
+                        flows[c.order[c.pos]].stamp = 0  # its head's entry
+                        self._stale += 1
+                        if c.n < len(flows):
+                            rems = list(compress(rems, flows))
+                            flows = list(compress(flows, flows))
+                        if m:
+                            rems = [x - m if x > m else 0.0 for x in rems]
+                            drains.append((flows, m, key[0]))
+                            low = c.low
+                            c.low = low - m if low > m else 0.0
+                        c.flows = flows
+                        c.rems = rems
+                        c.last_update = now
+                    if new_rate > 0.0:
+                        if len(c.flows) == 1:
+                            # A cohort of one goes loose.
+                            (h,) = c.flows
+                            self._drop(c)
+                            h.cohort = None
+                            h.remaining = c.rems[0]
+                            h.last_update = now
+                            h.rate = new_rate
+                            h.stamp = _PENDING
+                            self._holders.setdefault(h.key, {})[h] = None
+                        else:
+                            c.rate = new_rate
+                        if step is None:
+                            step = self._step()
+                        moved[h] = step
+                    else:
+                        # rate == 0 flows stay parked until a rebalance
+                        # frees capacity.
+                        moved.pop(c, None)
+                        self._drop(c)
+                        for f, x in zip(c.flows, c.rems):
+                            f.cohort = None
+                            f.rate = 0.0
+                            f.remaining = x
+                            f.last_update = now
+                            self._holders.setdefault(f.key, {})[f] = None
+                    continue
+                # A loose flow: a new arrival, a parked flow, or a flow
+                # scheduled on its own.
+                f = h
+                rem = f.remaining
+                rate = f.rate
                 dt = now - f.last_update
-                if dt > 0.0:
+                if rate > 0.0 and dt > 0.0:
                     rem = rem - rate * dt
                     if rem < 0.0:
                         rem = 0.0
-            if rem <= _EPSILON_BYTES:
-                finished.append(f)  # _finish drains it
-                continue
-            if f.stamp:
-                # Keep the scheduled finish when the rate is unchanged.
-                d = new_rate - rate
-                if d < 0.0:
-                    d = -d
-                if d <= _RATE_TOLERANCE * (new_rate if new_rate > rate else rate):
+                if rem <= _EPSILON_BYTES:
+                    finished.append(f)  # _finish drains it
                     continue
-                # Withdraw it (``_withdraw``, inlined).
-                if f.token is not None:
-                    f.token = None
-                    self._stale += 1
-                elif f.entry is not None:
-                    self.engine.discard(f.entry)
-                    f.entry = None
-                f.stamp = 0
-            if drains:
-                # Cohorts moved bytes too: _carry merges the adds by fid.
-                if rate > 0.0 and now - f.last_update > 0.0:
-                    drains.append(([f], rate * (now - f.last_update), f.path))
+                if f.stamp:
+                    # Keep the scheduled finish when the rate is unchanged.
+                    d = new_rate - rate
+                    if d < 0.0:
+                        d = -d
+                    if d <= _RATE_TOLERANCE * (new_rate if new_rate > rate else rate):
+                        continue
+                    self._withdraw(f)
+                if rate > 0.0 and dt > 0.0:
+                    drains.append(([f], rate * dt, f.path))
                 f.remaining = rem
                 f.last_update = now
-            else:
-                f.drain(now)
-            f.rate = new_rate
-            if new_rate > 0.0:
-                singles.append(f)
+                f.rate = new_rate
+                if new_rate > 0.0:
+                    f.stamp = _PENDING
+                    if step is None:
+                        step = self._step()
+                    moved[f] = step
+                else:
+                    moved.pop(f, None)
         if drains:
             _carry(drains)
-        if groups or (
-            len(singles) > 1 and len(set(map(_PATH, singles))) < len(singles)
-        ):
-            # Flows of one class rescheduled together share a cohort; a flow
-            # with no other flow of its class rescheduled keeps its own.
-            # (Flows on distinct paths are of distinct classes.)
-            for f in singles:
-                g = groups.get(f.key)
-                if g is None:
-                    groups[f.key] = [f.rate, f]
-                else:
-                    g.append(f)
-            singles = []
-            batches = []
-            for key, g in groups.items():
-                if len(g) == 2:
-                    src = g[1]
-                    if type(src) is Flow:
-                        singles.append(src)
-                        continue
-                    if len(src.flows) > 1:
-                        src.rate = g[0]
-                        batches.append(src)
-                        continue
-                c = self._merge(key, g[1:], now)
-                if c is None:
-                    f = g[1].flows[0]
-                    f.rate = g[0]
-                    singles.append(f)
-                else:
-                    c.rate = g[0]
-                    batches.append(c)
-            if len(singles) > 1:
-                singles.sort(key=_BY_FID)
-            self._schedule(singles, batches)
-        elif singles:
-            self._schedule(singles)
-        if self.sanitizer is not None:
-            self._expose(comp_flows)
-            self.sanitizer.check_rates(comp_flows, comp_links)
 
-    @staticmethod
-    def _merge(key: tuple, sources: list, now: float) -> Optional[_Cohort]:
-        """One class's rescheduled flows as one cohort, for :meth:`_schedule`.
+    def _merge(self, key: tuple, sources: list) -> _Cohort:
+        """One class's holders moved last at one step as one cohort, for
+        :meth:`_schedule`.
 
-        ``sources`` holds dissolved cohorts (``flows`` and ``rems`` set to
-        their live members, drained to now) and single flows. They merge by
-        fid into the largest cohort, or a new one, so only the flows from
-        the other sources are re-pointed. A cohort left with one flow is
-        dissolved instead: the flow goes on its own (None is returned).
+        ``sources`` holds two or more moved cohorts (``flows`` and ``rems``
+        their members, drained to now) and loose flows. They merge by fid
+        into the largest cohort, or a new one, so only the flows from the
+        other sources are re-pointed.
         """
         c = max(
             (src for src in sources if type(src) is _Cohort),
@@ -1168,30 +1292,30 @@ class FairShareNetwork:
             c = _Cohort(key)
             c.flows = []
             c.rems = []
+            c.rate = sources[0].rate
+            self._holders.setdefault(key, {})[c] = None
         flows = c.flows
         rems = c.rems
-        if len(sources) == 1 and len(flows) == 1:
-            (f,) = flows
-            f.cohort = None
-            f.remaining = rems[0]
-            f.last_update = now
-            return None
         others = [src for src in sources if src is not c]
-        if all(type(src) is Flow for src in others) and len(others) <= 1:
-            # At most one flow joins a run (an arrival): insert it by fid.
-            for f in others:
-                if flows[-1].fid < f.fid:  # the newest flow, as a rule
-                    flows.append(f)
-                    rems.append(f.remaining)
-                else:
-                    j = bisect(list(map(_BY_FID, flows)), f.fid)
-                    flows.insert(j, f)
-                    rems.insert(j, f.remaining)
-                f.cohort = c
+        for src in others:
+            self._drop(src)
+        if len(others) == 1 and type(others[0]) is Flow and flows:
+            # One flow joins a run (an arrival, as a rule): insert it by fid.
+            (f,) = others
+            if flows[-1].fid < f.fid:  # the newest flow, as a rule
+                flows.append(f)
+                rems.append(f.remaining)
+            else:
+                j = bisect(list(map(_BY_FID, flows)), f.fid)
+                flows.insert(j, f)
+                rems.insert(j, f.remaining)
+            f.cohort = c
+            f.stamp = 0
             return c
         runs = [(flows, rems)]
         for src in others:
             if type(src) is Flow:
+                src.stamp = 0
                 runs.append(([src], [src.remaining]))
             else:
                 runs.append((src.flows, src.rems))
@@ -1202,32 +1326,6 @@ class FairShareNetwork:
         ))
         _, c.rems, c.flows = map(list, zip(*rows))
         return c
-
-    def _drain_all(self, comp_flows: list[Flow], now: float) -> None:
-        """Drain every flow of a component to ``now``, schedules kept."""
-        drains = []
-        for c in dict.fromkeys(map(_COHORT, comp_flows)):
-            if c is None:
-                continue
-            dt = now - c.last_update
-            if dt > 0.0:
-                moved = c.rate * dt
-                c.rems = [x - moved if x > moved else 0.0 for x in c.rems]
-                low = c.low
-                c.low = low - moved if low > moved else 0.0
-                drains.append((list(compress(c.flows, c.flows)), moved, c.key[0]))
-            c.last_update = now
-        for f in comp_flows:
-            if f.cohort is None:
-                dt = now - f.last_update
-                if dt > 0.0 and f.rate > 0.0:
-                    moved = f.rate * dt
-                    rem = f.remaining - moved
-                    f.remaining = rem if rem > 0.0 else 0.0
-                    drains.append(([f], moved, f.path))
-                f.last_update = now
-        if drains:
-            _carry(drains)
 
     def _expose(self, comp_flows: list[Flow]) -> None:
         """Write each cohort member's rate and residual back to the flow,

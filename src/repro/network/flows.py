@@ -61,11 +61,12 @@ class Flow:
         self.rate = 0.0
         self.last_update = 0.0
         # Finish-queue bookkeeping (FairShareNetwork): the scheduled finish
-        # time and the stamp of its queue entry (0 = none) once the flow is
-        # in the queue; its engine position token while it is queued on its
-        # own; the cohort holding its schedule otherwise; and its spliced
-        # engine entry while its epoch runs. While ``cohort`` is set, the
-        # cohort holds the flow's rate, residual and ``last_update``.
+        # time and the stamp of its queue entry (0 = none, -1 = a fresh
+        # finish waits for the instant's settle) once the flow is in the
+        # queue; its engine position token while it is queued on its own;
+        # the cohort holding its schedule otherwise; and its spliced engine
+        # entry while its epoch runs. While ``cohort`` is set, the cohort
+        # holds the flow's rate, residual and ``last_update``.
         self.due = 0.0
         self.stamp = 0
         self.token: Optional[tuple] = None

@@ -36,11 +36,19 @@ first entry fires, so they fire exactly where an eager ``call_at`` at the
 last reschedule would have put them. For the recorded positions to stay
 valid, buckets only ever grow: compaction drops fully dead buckets but never
 shrinks a partly live one.
+
+A client that takes its tokens late, after callbacks that may have posted
+to the due times, opens the *post journal* (:meth:`Engine.journal`) when
+it defers the tokens. While the journal is open, every post records the
+token :meth:`Engine.mark` would have given its time just before it, and
+``marks(times, since=position)`` returns the tokens as they stood when
+the journal held ``position`` entries.
 """
 
 from __future__ import annotations
 
 import heapq
+from itertools import islice
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 #: Compaction trigger: at least this many cancelled entries *and* more
@@ -116,6 +124,7 @@ class Engine:
         "_cancelled",
         "_hook",
         "_hook_t",
+        "_journal",
     )
 
     def __init__(self) -> None:
@@ -130,11 +139,19 @@ class Engine:
         self._cancelled = 0   # cancelled entries still parked in buckets
         self._hook: Optional[Callable] = None  # the deferred-entry client
         self._hook_t = _NEVER  # its pending wake; tested once per epoch
+        # The post journal while a client defers tokens: per post, its
+        # time and the bucket there and its length just before the post.
+        self._journal: Optional[list] = None
 
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
+
+    @property
+    def running(self) -> bool:
+        """Whether :meth:`run` is draining the schedule."""
+        return self._running
 
     @property
     def events_processed(self) -> int:
@@ -151,6 +168,8 @@ class Engine:
             )
         entry = [fn, args]
         bucket = self._buckets.get(time)
+        if self._journal is not None:
+            self._journal.append((time, bucket, 0 if bucket is None else len(bucket)))
         if bucket is None:
             self._buckets[time] = [entry]
             heapq.heappush(self._times, time)
@@ -177,6 +196,8 @@ class Engine:
             )
         entry = (fn, args) if args else fn
         bucket = self._buckets.get(time)
+        if self._journal is not None:
+            self._journal.append((time, bucket, 0 if bucket is None else len(bucket)))
         if bucket is None:
             self._buckets[time] = [entry]
             heapq.heappush(self._times, time)
@@ -201,6 +222,8 @@ class Engine:
                 f"cannot schedule event at t={time} before now={self._now}"
             )
         bucket = self._buckets.get(time)
+        if self._journal is not None:
+            self._journal.append((time, bucket, 0 if bucket is None else len(bucket)))
         if bucket is None:
             bucket = list(fns)
             self._buckets[time] = bucket
@@ -213,38 +236,73 @@ class Engine:
 
     # -- deferred entries ---------------------------------------------------
 
-    def mark(self, time: float) -> tuple:
+    def mark(self, time: float, since: Optional[int] = None) -> tuple:
         """Position token for an entry deferred to ``time``.
 
         The token ``(bucket, index)`` records where ``call_at(time, ...)``
         would append right now: the bucket at ``time`` (None if there is
         none yet) and its current length. Hand it back from the
-        :meth:`wake_at` hook to have the entry spliced there.
+        :meth:`wake_at` hook to have the entry spliced there. With
+        ``since``, the token is the one :meth:`mark` gave when the open post
+        journal held ``since`` entries (see :meth:`marks`).
         """
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule event at t={time} before now={self._now}"
             )
+        if since is not None and self._journal is not None:
+            for t, b, n in islice(self._journal, since, None):
+                if t == time:
+                    return _UNMARKED if b is None else (b, n)
         bucket = self._buckets.get(time)
         return (bucket, 0 if bucket is None else len(bucket))
 
-    def marks(self, times: Sequence[float]) -> list[tuple]:
+    def marks(
+        self, times: Sequence[float], since: Optional[int] = None
+    ) -> list[tuple]:
         """:meth:`mark` for each of ``times``, in one call.
 
         A time with no bucket gets the ``(None, 0)`` that :meth:`mark`
-        returns for it; only times that hit a bucket build a token.
+        returns for it; only times that hit a bucket build a token. With
+        ``since``, a position in the open post journal, the tokens are
+        those :meth:`mark` gave when the journal held ``since`` entries: a
+        time posted to since then gets the token its first such post
+        recorded.
         """
         if times and min(times) < self._now:
             raise SimulationError(
                 f"cannot schedule event at t={min(times)} before now={self._now}"
             )
         buckets = self._buckets
+        journal = self._journal
+        if since is not None and journal is not None and since < len(journal):
+            first: dict = {}
+            for t, b, n in reversed(journal[since:]):
+                first[t] = (b, n) if b is not None else _UNMARKED
+            if not first.keys().isdisjoint(times):
+                get = buckets.get
+                return [
+                    first[t] if t in first
+                    else _UNMARKED if (b := get(t)) is None else (b, len(b))
+                    for t in times
+                ]
         if buckets.keys().isdisjoint(times):
             return [_UNMARKED] * len(times)
         get = buckets.get
         return [
             _UNMARKED if (b := get(t)) is None else (b, len(b)) for t in times
         ]
+
+    def journal(self) -> int:
+        """Open the post journal if it is closed; return its length, the
+        position to pass to :meth:`marks` as ``since``."""
+        if self._journal is None:
+            self._journal = []
+        return len(self._journal)
+
+    def close_journal(self) -> None:
+        """Close the post journal and drop its records."""
+        self._journal = None
 
     def wake_at(
         self,

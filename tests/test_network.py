@@ -470,18 +470,43 @@ _RATE_CAPS = (
 )
 
 
-def _drive(network_cls, flows, caps, markers, refresh, times, late=()):
+def _drive(network_cls, flows, caps, markers, refresh, times, late=(),
+           echoes=(), spawns=()):
     """Run ``flows`` through a fresh network; return the callback log and
-    each link's bytes carried."""
+    each link's bytes carried.
+
+    ``echoes`` and ``spawns`` act from the finish callback of flow ``k``
+    of ``flows``, which may run inside a finish cascade. An echo ``(k, j)``
+    posts a marker at the ``j``-th finish instant of the plain run still to
+    come: the due instant of a flow that is still live, often one whose
+    rate moved earlier in this instant. A spawn ``(k, nbytes, c)`` submits
+    a zero-latency flow on flow ``k``'s path, into its component.
+    """
     eng = Engine()
     net = network_cls(eng)
     links = [Link(f"l{i}", cap) for i, cap in enumerate(_CAPACITIES)]
     log = []
+    acts = {}  # fid -> what its finish callback does
+    for k, j in echoes:
+        acts.setdefault(k % len(flows) + 1, []).append((None, j, None))
+    for k, nbytes, c in spawns:
+        acts.setdefault(k % len(flows) + 1, []).append((flows[k % len(flows)][1], nbytes, c))
+
+    def finished(f):
+        log.append((eng.now, "finish", f.fid))
+        for p, arg, c in acts.get(f.fid, ()):
+            if p is None:
+                later = [t for t in times if t > eng.now]
+                if later:
+                    eng.post_at(later[arg % len(later)],
+                                lambda k=f.fid: log.append((eng.now, "echo", k)))
+            else:
+                submit(0.0, p, arg, c)
 
     def submit(arrival, p, nbytes, c):
         net.submit(
             [links[i] for i in _PATHS[p]], nbytes, _RATE_CAPS[caps[c % len(caps)]],
-            arrival, lambda f: log.append((eng.now, "finish", f.fid)),
+            arrival, finished,
         )
 
     for spec in flows:
@@ -624,6 +649,78 @@ def test_property_cohorts_match_per_flow_rescheduling(monkeypatch):
     assert mixed[0] >= 20, mixed
 
 
+_echo_specs = st.lists(st.tuples(st.integers(0, 23), st.integers(0, 7)), max_size=8)
+_spawn_specs = st.lists(
+    st.tuples(st.integers(0, 23), st.sampled_from([1000, 4096, 65536]), st.integers(0, 2)),
+    max_size=3,
+)
+# The contended alltoall's shape: 16 flows of one class arrive in one bucket
+# and finish at one instant, beside a longer flow on l0 and l1 whose rate
+# each of them moves.
+_SIXTEEN = [(1e-6, 0, 4096, 0)] * 16 + [(0.0, 1, 100_000, 0)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_flow_specs, _cap_specs, _echo_specs, _spawn_specs, _late_specs)
+# Every one of the sixteen echoes the next finish instant from its
+# callback, inside the cascade, where the long flow's due is.
+@example(_SIXTEEN, [0], [(k, 0) for k in range(16)], [], [])
+# ... and a spawn joins the sixteen's class mid-cascade.
+@example(_SIXTEEN, [0], [(k, j) for k in range(0, 16, 3) for j in (0, 1)],
+         [(4, 4096, 0), (9, 1000, 1)], [])
+# A cap-limited cascade: the long flow reaches its 3e8 cap while the
+# sixteen leave, so its rate stops moving partway through.
+@example(_SIXTEEN[:16] + [(0.0, 1, 100_000, 1)], [0, 2],
+         [(k, 0) for k in range(16)], [(15, 65536, 1)], [])
+# Two short flows finish in one cascade, and each moves the rate of a
+# cohort of sixteen formed earlier; the second echoes the cohort's due
+# instant between its two moves, so the cohort's finishes come after it.
+@example([(0.0, 0, 65536, 0)] * 16 + [(0.0, 1, 4096, 0)] * 2, [0], [(16, 0), (17, 0)],
+         [], [])
+# A cap-limited cascade: three short flows leave a cohort of two at one
+# instant. The first two departures move its rate, the second to its 3e8
+# cap, and the third does not; the third's echo comes after the cohort's
+# last move, so the cohort's finishes come before it.
+@example([(0.0, 0, 65536, 1)] * 2 + [(0.0, 1, 4096, 0)] * 3, [0, 2],
+         [(2, 0), (3, 0), (4, 0)], [], [])
+# An arrival at the sixteen's finish instant, ahead of their finishes,
+# moves the long flow's rate down; the cascade's first departure moves it
+# back to where it was, and the others move it on.
+@example(_SIXTEEN, [0], [(0, 0), (15, 0)], [], [(0, False, 0, 4096, 0)])
+# Flow 2 arrives after flows 1 and 3 and joins their cohort: it goes in
+# by fid, not at the end, or flows 2 and 3 finish in swapped order.
+@example([(0.0, 0, 1000, 0), (1e-6, 0, 1000, 0), (0.0, 0, 1500, 0)], [0], [], [], [])
+def _callbacks_match_per_flow(flows, caps, echoes, spawns, late):
+    plain, _ = _drive(PerFlowNetwork, flows, caps, (), None, [0.0])
+    times = sorted({t for t, _, _ in plain})
+    want = _drive(PerFlowNetwork, flows, caps, (), None, times, late, echoes, spawns)
+    got = _drive(_CensusChecked, flows, caps, (), None, times, late, echoes, spawns)
+    assert got == want
+    finishes = sum(1 for _, kind, _ in got[0] if kind == "finish")
+    assert finishes == len(flows) + len(late) + len(spawns)
+
+
+def test_property_callbacks_in_a_cascade_match_per_flow():
+    """Finish callbacks that post at a live flow's due instant, or submit a
+    flow into its component, between the steps of a finish cascade: the
+    network settles each instant once, and still matches the per-flow one
+    float for float."""
+    _callbacks_match_per_flow()
+
+
+def _script_equal_flows(network_cls, n):
+    """``n`` equal flows on one link, submitted at once: they finish at one
+    instant, in one cascade."""
+    eng = Engine()
+    net = network_cls(eng)
+    link = Link("l", 1e9)
+    log = []
+    for _ in range(n):
+        net.submit([link], 1000, 1e12, 0.0, lambda f: log.append((eng.now, f.fid)))
+    eng.run()
+    return log, link.bytes_carried
+
+
 def _script_lone_flow_refresh(network_cls, flap_at):
     """A lone 1000 B flow due at 1 us; a capacity flap at ``flap_at``,
     posted before the flow is scheduled, refreshes its link."""
@@ -690,11 +787,26 @@ class TestPerClassRescheduling:
         assert got[2] == 0 and _drained(net)
         assert got == _script_spliced_rescheduled(PerFlowNetwork)[0]
 
+    def test_a_thousand_flows_finish_in_one_cascade(self):
+        # Each finish rebalances and finds the rest drained. Nested calls
+        # overflowed the stack after 496 finishes; the worklist finishes
+        # all 1,000, in fid order, at the one instant.
+        log, _ = _script_equal_flows(FairShareNetwork, 1000)
+        assert [fid for _, fid in log] == list(range(1, 1001))
+        assert {t for t, _ in log} == {1e-3}
+
+    def test_cascade_matches_per_flow(self):
+        got = _script_equal_flows(FairShareNetwork, 300)
+        assert len(got[0]) == 300
+        assert got == _script_equal_flows(PerFlowNetwork, 300)
+
     def test_contended_alltoall_finish_queue_pushes(self, monkeypatch):
         # Structural, like CI's cancel-churn step: counts, not time. Only
-        # each cohort's earliest finisher enters the finish queue, so the
-        # 32-rank 64 KiB alltoall pushes 1,982 entries where rescheduling
-        # flow by flow pushed 127,712 (one per flow reschedule).
+        # each cohort's earliest finisher enters the finish queue, and a
+        # rate moved by a rebalance is rescheduled once, at the settle of
+        # its instant, so the 32-rank 64 KiB alltoall pushes 1,054 entries.
+        # It pushed 1,982 while every rebalance rescheduled the rates it
+        # moved, and 127,712 flow by flow (one per flow reschedule).
         from repro.harness.runner import run_collective
         from repro.machine import for_ranks
 
@@ -713,7 +825,31 @@ class TestPerClassRescheduling:
             for_ranks("cori", 32), 32, "OMPI-adapt", "alltoall",
             nbytes=64 << 10, iterations=1,
         )
-        assert pushes[0] == 1982
+        assert pushes[0] == 1054
+
+    def test_contended_alltoall_per_flow_dues(self, monkeypatch):
+        # Structural: counts, not time. The same alltoall computes 8,674
+        # per-flow due times, about nine per flow: each flow is rescheduled
+        # once at the settle of each instant that moved its rate (and two
+        # lone arrivals once more, at once). Rescheduling at every rebalance
+        # computed 127,712, since each of the 16 arrivals or departures of
+        # a group moved the rates of the whole component again.
+        from repro.harness.runner import run_collective
+        from repro.machine import for_ranks
+
+        dues = [0]
+        schedule = FairShareNetwork._schedule
+
+        def counted(net, singles, batches, since):
+            dues[0] += len(singles) + sum(len(c.flows) for c in batches)
+            return schedule(net, singles, batches, since)
+
+        monkeypatch.setattr(FairShareNetwork, "_schedule", counted)
+        run_collective(
+            for_ranks("cori", 32), 32, "OMPI-adapt", "alltoall",
+            nbytes=64 << 10, iterations=1,
+        )
+        assert dues[0] == 8674
 
     def test_contended_alltoall_solves_per_class(self, monkeypatch):
         # Structural: counts, not time. The same alltoall (perfbench's

@@ -92,6 +92,32 @@ class TestEngine:
         assert eng.pending() == 1
 
 
+class TestPostJournal:
+    def test_marks_since_give_the_tokens_as_they_stood(self):
+        eng = Engine()
+        eng.post_at(1.0, lambda: None)
+        at = eng.journal()
+        eng.post_at(1.0, lambda: None)
+        eng.call_at(2.0, lambda: None)  # makes the bucket at 2.0
+        eng.post_batch(1.0, [lambda: None])
+        one, two = eng._buckets[1.0], eng._buckets[2.0]
+        assert eng.marks([1.0, 2.0, 3.0], since=at) == [(one, 1), (None, 0), (None, 0)]
+        assert eng.marks([1.0, 2.0]) == [(one, 3), (two, 1)]
+        assert eng.marks([1.0], since=eng.journal()) == [(one, 3)]
+        eng.close_journal()
+        assert eng.marks([1.0], since=at) == [(one, 3)]  # closed: as they stand
+
+    def test_posts_are_journaled_only_while_open(self):
+        eng = Engine()
+        eng.post_at(1.0, lambda: None)
+        assert eng.journal() == 0
+        eng.post_after(1.0, lambda: None)
+        assert eng.journal() == 1
+        eng.close_journal()
+        eng.post_at(1.0, lambda: None)
+        assert eng.journal() == 0
+
+
 class TestCpu:
     def test_serial_execution(self):
         eng = Engine()
