@@ -302,7 +302,8 @@ class Sanitizer:
                 )
 
     def check_flow_fire(self, flow: Any, stamp: int, now: float) -> None:
-        """A finish spliced from the queue fires at its due time, current."""
+        """A flow finish (posted, or spliced from the queue) fires at its
+        due time, current."""
         self.checks_run += 1
         if flow.stamp != stamp:
             raise SanitizerError(

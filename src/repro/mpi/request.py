@@ -65,9 +65,9 @@ class Request:
         """
         observer = getattr(getattr(self._runtime, "world", None), "observer", None)
         if observer is not None and not getattr(fn, "_depgraph_internal", False):
-            self._runtime.cpu.when_available(observer.run_callback, self, fn)
+            self._runtime.cpu.execute(0.0, observer.run_callback, self, fn)
         else:
-            self._runtime.cpu.when_available(fn, self)
+            self._runtime.cpu.execute(0.0, fn, self)
 
     def _complete(self, now: float, data: Any = None) -> None:
         """Mark complete and dispatch callbacks (runtime-internal)."""

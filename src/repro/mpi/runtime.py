@@ -106,6 +106,9 @@ class RankRuntime:
     def __init__(self, world: "MpiWorld", rank: int):
         self.world = world
         self.rank = rank
+        self.engine: Engine = world.engine
+        # The per-operation CPU overhead (posting, matching, protocol steps).
+        self._o: float = world.spec.cpu_overhead
         self.cpu = Cpu(world.engine)
         if world.obs is not None:
             self.cpu.obs = world.obs
@@ -142,14 +145,6 @@ class RankRuntime:
         self.msgs_lost_dead = 0      # reliable messages that reached a dead rank
 
     # -- helpers ---------------------------------------------------------------
-
-    @property
-    def engine(self) -> Engine:
-        return self.world.engine
-
-    @property
-    def _o(self) -> float:
-        return self.world.spec.cpu_overhead
 
     def _fault(self, name: str, args: Optional[dict] = None) -> None:
         """Record a fault-path event as a zero-length span on this rank.

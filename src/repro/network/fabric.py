@@ -379,8 +379,9 @@ class Fabric:
             return
         route = self.route(src, dst, MemSpace.HOST, MemSpace.HOST)
         delay = route.latency + nbytes / route.rate_cap
+        engine = self.engine
         # Handle-free post: control deliveries are never cancelled.
-        self.engine.post_after(delay, on_complete)
+        engine.post_at(engine.now + delay, on_complete)
 
     def _chain(self, key: tuple, on_complete: Callable[[Flow], None]):
         def done(flow: Flow) -> None:

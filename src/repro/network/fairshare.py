@@ -515,7 +515,9 @@ class FairShareNetwork:
     ``(due, stamp, flow)`` entry on the lazily invalidated finish queue.
     The engine wakes the network when the queue's head epoch starts, and
     the flows due then are spliced into that epoch where ``call_at`` at
-    their last reschedule would have put them.
+    their last reschedule would have put them. A flow rescheduled while no
+    settle is pending (a lone arrival, as a rule) skips the queue: its
+    finish is posted into its epoch at once, as that ``call_at`` would.
 
     A rebalance runs in two halves. The *class half* runs at once: it
     solves the component's class rates, finishes the flows already drained,
@@ -570,9 +572,10 @@ class FairShareNetwork:
         calls ``on_complete(flow)`` when the last byte drains."""
         self._next_fid += 1
         flow = Flow(self._next_fid, path, nbytes, rate_cap, on_complete, taginfo)
-        flow.start_time = self.engine.now
+        now = self.engine.now
+        flow.start_time = now
         if latency > 0.0:
-            self.engine.post_after(latency, self._activate, flow)
+            self.engine.post_at(now + latency, self._activate, flow)
         else:
             self._activate(flow)
         return flow
@@ -637,9 +640,11 @@ class FairShareNetwork:
 
     def pending_flows(self) -> set[Flow]:
         """Flows whose finish is still scheduled: each flow queued on its
-        own, every member left in a cohort whose head is queued, and every
-        flow moved in this instant, whose finish the settle gives it."""
-        out: set[Flow] = set()
+        own, every member left in a cohort whose head is queued, every
+        flow moved in this instant, whose finish the settle gives it, and
+        every flow whose finish is an engine entry (posted, or spliced and
+        not yet fired)."""
+        out: set[Flow] = {f for f in self.active if f.entry is not None}
         for _, stamp, flow in self.queue:
             if flow.stamp == stamp:
                 if flow.cohort is None:
@@ -654,8 +659,8 @@ class FairShareNetwork:
         return out
 
     def _withdraw(self, flow: Flow) -> None:
-        """Drop a flow's own schedule: queued, spliced, or awaiting the
-        settle."""
+        """Drop a flow's own schedule: queued, posted or spliced, or
+        awaiting the settle."""
         if flow.token is not None:
             flow.token = None
             self._stale += 1
@@ -726,6 +731,12 @@ class FairShareNetwork:
         records where ``call_after`` would have appended when the engine's
         post journal held ``since`` entries. So each finish fires exactly
         where the eager event would have.
+
+        With no settle pending (``since`` None) the reschedule is now, and
+        so is the eager event: a single flow's finish is posted at once
+        (:meth:`Engine.post_entry`), with no token, no queue entry and no
+        wake. The flow is then in the state of a spliced one, its ``entry``
+        set, until it fires or :meth:`_withdraw` discards it.
         """
         engine = self.engine
         now = engine.now
@@ -752,9 +763,13 @@ class FairShareNetwork:
                 s = stamp
             else:
                 s = rank[f.fid]
-            f.token = mark(due, since)
             f.due = due
             f.stamp = s
+            if since is None:
+                f.entry = entry = [self._fire, (f, s)]
+                engine.post_entry(due, entry)
+                continue
+            f.token = mark(due, since)
             push(queue, (due, s, f))
             if due < armed:
                 armed = due

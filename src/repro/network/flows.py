@@ -13,8 +13,9 @@ class Flow:
     Life cycle: created -> (after path latency) active on its links ->
     finishes when ``remaining`` drains at the allocated rate. The allocator
     reschedules the flow, with the rest of its cohort, each time its rate
-    changes as competing flows come and go; the flow holds no engine event
-    until the epoch of its finish starts (DESIGN.md §23).
+    changes as competing flows come and go; a flow rescheduled while a
+    settle is pending holds no engine event until the epoch of its finish
+    starts (DESIGN.md §23).
     """
 
     __slots__ = (
@@ -64,9 +65,10 @@ class Flow:
         # time and the stamp of its queue entry (0 = none, -1 = a fresh
         # finish waits for the instant's settle) once the flow is in the
         # queue; its engine position token while it is queued on its own;
-        # the cohort holding its schedule otherwise; and its spliced engine
-        # entry while its epoch runs. While ``cohort`` is set, the cohort
-        # holds the flow's rate, residual and ``last_update``.
+        # the cohort holding its schedule otherwise; and its engine entry
+        # once posted, or spliced when its epoch starts. While ``cohort``
+        # is set, the cohort holds the flow's rate, residual and
+        # ``last_update``.
         self.due = 0.0
         self.stamp = 0
         self.token: Optional[tuple] = None

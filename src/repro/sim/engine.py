@@ -15,8 +15,10 @@ every run — the exact tie-break rule of the earlier ``(time, seq)`` heap.
 
 Three entry kinds share a bucket, distinguished by ``type``:
 
-* ``list``  — ``[fn, args]``, a cancellable event backed by an
-  :class:`EventHandle` (``cancel`` blanks ``fn`` in place);
+* ``list``  — ``[fn, args]``, a cancellable event: an
+  :class:`EventHandle`'s (``cancel`` blanks ``fn`` in place), or one a
+  client keeps itself (:meth:`Engine.post_entry`, or spliced at a wake)
+  and withdraws with :meth:`Engine.discard`;
 * ``tuple`` — ``(fn, args)``, a fire-and-forget post with arguments;
 * anything else is a bare zero-argument callable (the cheapest kind —
   :meth:`Engine.post_batch` extends a bucket with thousands of them in one
@@ -35,7 +37,11 @@ engine splices them into the bucket at their recorded positions before its
 first entry fires, so they fire exactly where an eager ``call_at`` at the
 last reschedule would have put them. For the recorded positions to stay
 valid, buckets only ever grow: compaction drops fully dead buckets but never
-shrinks a partly live one.
+shrinks a partly live one. A due time the client gives when no other
+client work can come between it and the post (the fair-share network's
+reschedule with no settle pending) needs no token: the client posts the
+entry at once with :meth:`Engine.post_entry`, which *is* that eager
+``call_at``, and withdraws it with :meth:`Engine.discard` if it moves.
 
 A client that takes its tokens late, after callbacks that may have posted
 to the due times, opens the *post journal* (:meth:`Engine.journal`) when
@@ -109,15 +115,18 @@ class Engine:
     ``call_at``/``call_after`` return a cancellable :class:`EventHandle`;
     ``post_at``/``post_after``/``post_batch`` are the handle-free fast path
     for events that are never cancelled (completion dispatch, protocol
-    steps), skipping the handle allocation entirely. ``mark``/``wake_at``
-    defer an entry's materialisation to its epoch (see the module
-    docstring).
+    steps), skipping the handle allocation entirely; ``post_entry`` posts
+    a cancellable entry the caller keeps instead of a handle.
+    ``mark``/``wake_at`` defer an entry's materialisation to its epoch (see
+    the module docstring). ``now``, the current simulated time in seconds,
+    is a plain attribute that :meth:`run` advances; only the engine writes
+    it.
     """
 
     __slots__ = (
         "_times",
         "_buckets",
-        "_now",
+        "now",
         "_running",
         "_events_processed",
         "_live",
@@ -132,7 +141,7 @@ class Engine:
         # comparison runs in C) + dict time -> bucket list of entries.
         self._times: list[float] = []
         self._buckets: dict[float, list] = {}
-        self._now = 0.0
+        self.now = 0.0
         self._running = False
         self._events_processed = 0
         self._live = 0        # scheduled, not yet fired or cancelled
@@ -142,11 +151,6 @@ class Engine:
         # The post journal while a client defers tokens: per post, its
         # time and the bucket there and its length just before the post.
         self._journal: Optional[list] = None
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     @property
     def running(self) -> bool:
@@ -162,11 +166,22 @@ class Engine:
 
     def call_at(self, time: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` at absolute simulated ``time``."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule event at t={time} before now={self._now}"
-            )
         entry = [fn, args]
+        self.post_entry(time, entry)
+        return EventHandle(self, entry)
+
+    def post_entry(self, time: float, entry: list) -> None:
+        """Schedule a cancellable ``[fn, args]`` entry at ``time``, with no
+        handle: withdraw it with :meth:`discard`.
+
+        :meth:`call_at` is this plus an :class:`EventHandle`. A client that
+        keeps the entry itself (the fair-share network's flow finishes)
+        posts it here and skips the handle.
+        """
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule event at t={time} before now={self.now}"
+            )
         bucket = self._buckets.get(time)
         if self._journal is not None:
             self._journal.append((time, bucket, 0 if bucket is None else len(bucket)))
@@ -176,13 +191,12 @@ class Engine:
         else:
             bucket.append(entry)
         self._live += 1
-        return EventHandle(self, entry)
 
     def call_after(self, delay: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` after ``delay`` seconds."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        return self.call_at(self._now + delay, fn, *args)
+        return self.call_at(self.now + delay, fn, *args)
 
     def post_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` at ``time`` with no cancellation handle.
@@ -190,9 +204,9 @@ class Engine:
         The hot-path variant of :meth:`call_at`: no :class:`EventHandle` is
         allocated, so the entry is a bare callable (no args) or one tuple.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule event at t={time} before now={self._now}"
+                f"cannot schedule event at t={time} before now={self.now}"
             )
         entry = (fn, args) if args else fn
         bucket = self._buckets.get(time)
@@ -209,7 +223,7 @@ class Engine:
         """Handle-free :meth:`call_after`."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        self.post_at(self._now + delay, fn, *args)
+        self.post_at(self.now + delay, fn, *args)
 
     def post_batch(self, time: float, fns: Iterable[Callable[[], Any]]) -> None:
         """Schedule many zero-argument callables at one instant.
@@ -217,9 +231,9 @@ class Engine:
         One heap touch for the whole batch (the bucket is extended at C
         speed); the callables fire in iteration order within the epoch.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule event at t={time} before now={self._now}"
+                f"cannot schedule event at t={time} before now={self.now}"
             )
         bucket = self._buckets.get(time)
         if self._journal is not None:
@@ -246,9 +260,9 @@ class Engine:
         ``since``, the token is the one :meth:`mark` gave when the open post
         journal held ``since`` entries (see :meth:`marks`).
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule event at t={time} before now={self._now}"
+                f"cannot schedule event at t={time} before now={self.now}"
             )
         if since is not None and self._journal is not None:
             for t, b, n in islice(self._journal, since, None):
@@ -269,9 +283,9 @@ class Engine:
         time posted to since then gets the token its first such post
         recorded.
         """
-        if times and min(times) < self._now:
+        if times and min(times) < self.now:
             raise SimulationError(
-                f"cannot schedule event at t={min(times)} before now={self._now}"
+                f"cannot schedule event at t={min(times)} before now={self.now}"
             )
         buckets = self._buckets
         journal = self._journal
@@ -320,9 +334,9 @@ class Engine:
         whose hook returns nothing fires no event and leaves ``now`` where
         it was.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot wake at t={time} before now={self._now}"
+                f"cannot wake at t={time} before now={self.now}"
             )
         if self._hook is None:
             self._hook = hook
@@ -332,8 +346,9 @@ class Engine:
         heapq.heappush(self._times, time)
 
     def discard(self, entry: list) -> None:
-        """Withdraw a cancellable ``[fn, args]`` entry (a handle's or a
-        spliced one) before it fires. Idempotent."""
+        """Withdraw a cancellable ``[fn, args]`` entry (a handle's, a
+        :meth:`post_entry` one or a spliced one) before it fires.
+        Idempotent."""
         if entry[0] is not None:
             entry[0] = None
             entry[1] = ()
@@ -370,14 +385,15 @@ class Engine:
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued. O(1).
 
-        Deferred entries (:meth:`mark`) count once spliced into their epoch.
+        Entries posted with :meth:`post_entry` count from their post;
+        deferred entries (:meth:`mark`) count once spliced into their epoch.
         """
         return self._live
 
     def stats(self) -> dict[str, float]:
         """Engine-level counters (the observability layer's engine hook)."""
         return {
-            "now": self._now,
+            "now": self.now,
             "events_processed": float(self._events_processed),
             "pending": float(self._live),
             "cancelled_parked": float(self._cancelled),
@@ -430,7 +446,7 @@ class Engine:
             while times:
                 t = times[0]
                 if until is not None and t > until:
-                    self._now = until
+                    self.now = until
                     return until
                 heappop(times)
                 bucket = pop_bucket(t, None)
@@ -438,7 +454,7 @@ class Engine:
                     bucket = self._wake(t, bucket)
                 if bucket is None:
                     continue  # stale heap entry (_compact, replaced wake)
-                self._now = t
+                self.now = t
                 # Epoch drain: everything at this instant in one loop. An
                 # event scheduled *at* now mid-drain lands in a fresh bucket
                 # for the same timestamp and drains immediately after — the
@@ -463,10 +479,10 @@ class Engine:
                     else:
                         e()
                         processed += 1
-            if until is not None and until > self._now:
-                self._now = until
+            if until is not None and until > self.now:
+                self.now = until
         finally:
             self._events_processed += processed
             self._live -= processed
             self._running = False
-        return self._now
+        return self.now

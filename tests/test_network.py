@@ -154,13 +154,17 @@ class TestFairShareNetwork:
         assert order == ["b", "a", "post"]
 
     def test_rescheduled_flows_hold_no_engine_events(self):
+        # The first flow arrives alone and posts its finish at once; each
+        # later arrival moves the rates, so that entry is withdrawn and
+        # every finish waits in the queue for its epoch.
         eng = Engine()
         net = FairShareNetwork(eng)
         link = Link("l", 1e9)
-        for _ in range(20):
-            net.submit([link], 10_000, 1e12, 0.0, lambda f: None)
+        flows = [net.submit([link], 10_000, 1e12, 0.0, lambda f: None)
+                 for _ in range(20)]
         assert eng.pending() == 0
-        assert len(net.queue) >= 20
+        assert all(f.entry is None for f in flows)
+        assert net.pending_flows() == set(flows)
         eng.run()
         assert net.flows_completed == 20
         assert not net.active and eng.pending() == 0
@@ -621,6 +625,18 @@ class _WalkCounted(set):
 # two classes left on l0 and l1 once it rebuilds.
 @example([(0.0, 0, 1000, 0)] * 66 + [(0.0, 1, 100_000, 1), (0.0, 0, 100_000, 0)] * 2,
          [0, 3], [], None, [])
+# A lone flow posts its finish at its arrival (1 us): one marker posted at
+# set-up, before that, and one posted at 3 us, after it, share its finish
+# instant, and it fires between them.
+@example([(1e-6, 0, 4096, 0), (0.0, 3, 1000, 0)], [0], [(None, 1), (0, 1)], None, [])
+# A posted finish that a later arrival contends: its entry is withdrawn
+# and the flow goes through the finish queue.
+@example([(0.0, 0, 4096, 0), (1e-6, 0, 1000, 0)], [0], [], None, [])
+# A posted finish that the early-finish sweep takes first: an arrival one
+# float step before its due finds it drained, in a solve (cap 2e9) and in
+# an uncontended settle (cap 3e8).
+@example([(0.0, 0, 1000, 0)], [0], [], None, [(0, True, 0, 1000, 0)])
+@example([(0.0, 0, 1000, 0)], [2], [], None, [(0, True, 0, 1000, 0)])
 def _cohorts_match_per_flow(flows, caps, markers, refresh, late):
     plain, _ = _drive(PerFlowNetwork, flows, caps, (), None, [0.0])
     times = sorted({t for t, _, _ in plain})
@@ -764,16 +780,16 @@ def _drained(net):
 
 class TestPerClassRescheduling:
     def test_lone_flow_finished_by_a_refresh_in_its_epoch(self):
-        # The flap runs before the flow's spliced finish; its refresh finds
-        # the lone flow drained and finishes it, withdrawing the splice.
+        # The flap runs before the flow's posted finish; its refresh finds
+        # the lone flow drained and finishes it, withdrawing the entry.
         got, net = _script_lone_flow_refresh(FairShareNetwork, 1e-6)
         assert got[0] == [("flap", 1e-6), ("a", 1e-6)] and _drained(net)
         assert got == _script_lone_flow_refresh(PerFlowNetwork, 1e-6)[0]
 
     def test_lone_flow_finished_by_a_refresh_just_before_its_due(self):
         # One float step before the due instant the residual is under the
-        # epsilon: the refresh finishes the flow while it still heads the
-        # finish queue, so its entry goes stale.
+        # epsilon: the refresh finishes the flow before its posted finish
+        # fires, so that entry is withdrawn.
         at = math.nextafter(1e-6, 0.0)
         got, net = _script_lone_flow_refresh(FairShareNetwork, at)
         assert got[0] == [("flap", at), ("a", at)] and _drained(net)
@@ -786,6 +802,33 @@ class TestPerClassRescheduling:
         assert got[0][0][1] == due + 0.125 / 1.5e9
         assert got[2] == 0 and _drained(net)
         assert got == _script_spliced_rescheduled(PerFlowNetwork)[0]
+
+    def test_pending_flows_lists_a_posted_finish(self):
+        # A lone flow posts its finish into the engine at its arrival: it
+        # holds no queue entry, but its finish is pending until it fires.
+        eng = Engine()
+        net = FairShareNetwork(eng)
+        flow = net.submit([Link("l", 1e9)], 1000, 1e12, 0.0, lambda f: None)
+        assert flow.entry is not None and not net.queue and eng.pending() == 1
+        assert net.pending_flows() == {flow} and not _drained(net)
+        eng.run(until=math.nextafter(1e-6, 0.0))
+        assert net.pending_flows() == {flow} and not _drained(net)
+        eng.run()
+        assert flow.done and flow.entry is None and _drained(net)
+
+    def test_pending_flows_lists_a_spliced_finish_before_it_fires(self):
+        # Two contending flows finish through the queue at 2 us; an event
+        # posted there first runs before their spliced entries fire.
+        eng = Engine()
+        net = FairShareNetwork(eng)
+        link = Link("l", 1e9)
+        seen = []
+        eng.post_at(2e-6, lambda: seen.append(
+            (net.pending_flows(), all(f.entry is not None for f in flows))))
+        flows = [net.submit([link], 1000, 1e12, 0.0, lambda f: None) for _ in range(2)]
+        assert all(f.entry is None for f in flows)
+        eng.run()
+        assert seen == [(set(flows), True)] and _drained(net)
 
     def test_a_thousand_flows_finish_in_one_cascade(self):
         # Each finish rebalances and finds the rest drained. Nested calls
@@ -804,9 +847,12 @@ class TestPerClassRescheduling:
         # Structural, like CI's cancel-churn step: counts, not time. Only
         # each cohort's earliest finisher enters the finish queue, and a
         # rate moved by a rebalance is rescheduled once, at the settle of
-        # its instant, so the 32-rank 64 KiB alltoall pushes 1,054 entries.
-        # It pushed 1,982 while every rebalance rescheduled the rates it
-        # moved, and 127,712 flow by flow (one per flow reschedule).
+        # its instant, so the 32-rank 64 KiB alltoall pushes 1,022 entries.
+        # The 32 flows scheduled while no settle was pending post their
+        # finishes straight into the engine; they pushed 32 more (1,054)
+        # through the queue. It pushed 1,982 while every rebalance
+        # rescheduled the rates it moved, and 127,712 flow by flow (one per
+        # flow reschedule).
         from repro.harness.runner import run_collective
         from repro.machine import for_ranks
 
@@ -825,7 +871,7 @@ class TestPerClassRescheduling:
             for_ranks("cori", 32), 32, "OMPI-adapt", "alltoall",
             nbytes=64 << 10, iterations=1,
         )
-        assert pushes[0] == 1054
+        assert pushes[0] == 1022
 
     def test_contended_alltoall_per_flow_dues(self, monkeypatch):
         # Structural: counts, not time. The same alltoall computes 8,674

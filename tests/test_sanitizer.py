@@ -168,10 +168,15 @@ class TestSanitizedWorld:
         world = make_world(nranks=2)
         net = world.fabric.network
         # A lost wake: the network believes the engine will wake it, so the
-        # flow's finish stays in the queue and never fires.
+        # flows' finishes stay in the queue and never fire. The two flows
+        # contend on one link, so the second arrival moves the first one's
+        # rate and both finishes go through the queue (a lone flow posts
+        # its finish into the engine and needs no wake).
         net._armed = 0.0
-        world.fabric.start_transfer(0, 1, 4096, lambda f: None,
-                                    taginfo=("data", 0, 1, 9))
+        link = Link("wire", 1e9)
+        for tag in (8, 9):
+            net.submit([link], 4096, 1e12, 1e-6, lambda f: None,
+                       taginfo=("data", 0, 1, tag))
         with pytest.raises(SanitizerError, match="still active or queued"):
             world.run()
 
@@ -198,12 +203,17 @@ class TestSanitizedWorld:
             world.run()
 
     def test_flow_left_at_drain_to_a_failed_rank_is_excused(self):
+        # Two contending flows, as above, so the lost wake strands both.
         world = make_world(nranks=2)
-        world.fabric.network._armed = 0.0
-        world.fabric.start_transfer(0, 1, 4096, lambda f: None,
-                                    taginfo=("data", 0, 1, 9))
+        net = world.fabric.network
+        net._armed = 0.0
+        link = Link("wire", 1e9)
+        flows = [net.submit([link], 4096, 1e12, 1e-6, lambda f: None,
+                            taginfo=("data", 0, 1, tag))
+                 for tag in (8, 9)]
         world.failed_ranks.add(1)
         world.run()
+        assert net.pending_flows() == set(flows)
 
     def test_flow_finish_off_its_due_time_raises(self):
         s = fake_sanitizer()

@@ -92,6 +92,56 @@ class TestEngine:
         assert eng.pending() == 1
 
 
+class TestPostEntry:
+    def test_posted_entry_fires_in_post_order(self):
+        eng = Engine()
+        order = []
+        eng.post_at(1.0, order.append, "before")
+        eng.post_entry(1.0, [order.append, ("entry",)])
+        eng.post_at(1.0, order.append, "after")
+        eng.run()
+        assert order == ["before", "entry", "after"]
+
+    def test_pending_counts_it_and_discard_withdraws_it(self):
+        eng = Engine()
+        fired = []
+        entry = [fired.append, (1,)]
+        eng.post_entry(1.0, entry)
+        assert eng.pending() == 1
+        eng.discard(entry)
+        eng.discard(entry)  # idempotent
+        assert eng.pending() == 0
+        eng.run()
+        assert fired == [] and eng.events_processed == 0
+
+    def test_open_journal_records_it(self):
+        eng = Engine()
+        eng.post_at(1.0, lambda: None)
+        at = eng.journal()
+        eng.post_entry(1.0, [lambda: None, ()])
+        eng.post_entry(2.0, [lambda: None, ()])
+        one = eng._buckets[1.0]
+        assert eng.journal() == 2
+        assert eng.marks([1.0, 2.0], since=at) == [(one, 1), (None, 0)]
+        eng.close_journal()
+
+    def test_compaction_keeps_a_bucket_with_a_live_posted_entry(self):
+        eng = Engine()
+        fired = []
+        live = [fired.append, ("live",)]
+        dead = [fired.append, ("dead",)]
+        eng.post_entry(1.0, dead)
+        eng.post_entry(1.0, live)
+        handles = [eng.call_at(2.0, fired.append, "x") for _ in range(3)]
+        eng.discard(dead)
+        for h in handles:
+            h.cancel()
+        eng._compact()
+        assert list(eng._buckets) == [1.0] and len(eng._buckets[1.0]) == 2
+        eng.run()
+        assert fired == ["live"]
+
+
 class TestPostJournal:
     def test_marks_since_give_the_tokens_as_they_stood(self):
         eng = Engine()
