@@ -206,15 +206,19 @@ class CollectiveContext:
         dst_space = MemSpace.HOST if dst_local in self.host_staging else None
         return src_space, dst_space
 
+    # The two posts run once per message, so they index the rank maps
+    # directly rather than through ``rt()`` and ``comm.world_rank()``.
     def isend(self, src_local: int, dst_local: int, tag: int, nbytes: int, data=None) -> Request:
         src_space, dst_space = self._spaces(src_local, dst_local)
-        return self.rt(src_local).isend(
-            self.comm.world_rank(dst_local), tag, nbytes, data=data,
+        ranks = self.comm.ranks
+        return self.world.ranks[ranks[src_local]].isend(
+            ranks[dst_local], tag, nbytes, data=data,
             space=src_space, dst_space=dst_space,
         )
 
     def irecv(self, dst_local: int, src_local: int, tag: int, nbytes: int) -> Request:
-        return self.rt(dst_local).irecv(self.comm.world_rank(src_local), tag, nbytes)
+        ranks = self.comm.ranks
+        return self.world.ranks[ranks[dst_local]].irecv(ranks[src_local], tag, nbytes)
 
     # -- fault surface -------------------------------------------------------------
 

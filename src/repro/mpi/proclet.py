@@ -82,6 +82,9 @@ class ProcletDriver:
         on_done: Optional[Callable[["ProcletDriver"], None]] = None,
     ):
         self.runtime = runtime
+        # The hooks (``observer``, ``obs``) are read off the world at event
+        # time: a recorder may attach after the driver is built.
+        self._world = runtime.world
         self.gen = gen
         self.on_done = on_done
         self.done = False
@@ -93,14 +96,10 @@ class ProcletDriver:
         # (observability: the resume closes the span). None when no span
         # recorder is attached or the proclet is not blocked.
         self._wait_begin: Optional[float] = None
+        # Requests of the current WaitAll still to complete.
+        self._remaining = 0
         # Kick off on the CPU (a noisy rank starts its program late).
         runtime.cpu.when_available(self._step, None)
-
-    def _observer(self):
-        return getattr(getattr(self.runtime, "world", None), "observer", None)
-
-    def _obs(self):
-        return getattr(getattr(self.runtime, "world", None), "obs", None)
 
     @staticmethod
     def _internal(fn):
@@ -109,18 +108,16 @@ class ProcletDriver:
         fn._depgraph_internal = True
         return fn
 
-    def _mark_waiting(self) -> None:
-        if self._obs() is not None:
-            self._wait_begin = self.runtime.engine.now
-
     def _dispatch(self, awaited: Any) -> None:
-        obs = self._observer()
+        world = self._world
+        if world.obs is not None and not isinstance(awaited, Compute):
+            self._wait_begin = self.runtime.engine.now
+        obs = world.observer
         if isinstance(awaited, Request):
             self._gate = ("wait", (awaited,))
-            self._mark_waiting()
             if obs is not None:
                 obs.proclet_waiting(self, self.runtime.rank, "wait", (awaited,))
-            awaited.add_callback(self._internal(lambda req: self._step(req)))
+            awaited.add_callback(self._step)
         elif isinstance(awaited, WaitAll):
             self._wait_all(awaited.requests)
         elif isinstance(awaited, WaitAny):
@@ -134,8 +131,7 @@ class ProcletDriver:
             self.runtime.cpu.execute(awaited.seconds, self._step, None)
         elif isinstance(awaited, Sleep):
             self._gate = ("sleep", ())
-            self._mark_waiting()
-            self.runtime.engine.call_after(awaited.seconds, self._step, None)
+            self.runtime.engine.post_after(awaited.seconds, self._step, None)
         elif isinstance(awaited, (list, tuple)):
             self._wait_all(tuple(awaited))
         else:
@@ -143,39 +139,41 @@ class ProcletDriver:
 
     def _wait_all(self, requests: tuple[Request, ...]) -> None:
         self._gate = ("waitall", requests)
-        self._mark_waiting()
         pending = [r for r in requests if not r.completed]
         if not pending:
             # Still resume via the CPU: Waitall is a call the process makes.
             self.runtime.cpu.when_available(self._step, None)
             return
-        obs = self._observer()
+        obs = self._world.observer
         if obs is not None:
             obs.proclet_waiting(self, self.runtime.rank, "waitall", requests)
-        remaining = len(pending)
-
-        def one_done(_req: Request) -> None:
-            nonlocal remaining
-            remaining -= 1
-            if remaining == 0:
-                self._step(None)
-
-        self._internal(one_done)
+        # One countdown per driver is enough: a proclet awaits one thing at
+        # a time, and every callback of this WaitAll fires before it resumes.
+        self._remaining = len(pending)
+        one_done = self._one_done
         for r in pending:
             r.add_callback(one_done)
 
+    def _one_done(self, _req: Request) -> None:
+        self._remaining -= 1
+        if not self._remaining:
+            self._step(None)
+
+    _one_done._depgraph_internal = True  # type: ignore[attr-defined]
+
     def _wait_any(self, requests: tuple[Request, ...]) -> None:
         self._gate = ("waitany", requests)
-        self._mark_waiting()
         for i, r in enumerate(requests):
             if r.completed:
                 self.runtime.cpu.when_available(self._step, (i, r))
                 return
-        obs = self._observer()
+        obs = self._world.observer
         if obs is not None:
             obs.proclet_waiting(self, self.runtime.rank, "waitany", requests)
         fired = False
 
+        # Per-wait closures: the losing callbacks fire after the proclet has
+        # moved on, so they cannot share state with the driver.
         def first_done(i: int, req: Request) -> None:
             nonlocal fired
             if fired:
@@ -188,8 +186,9 @@ class ProcletDriver:
 
     def _step(self, value: Any) -> None:
         """Resume the generator with ``value`` (runs in CPU/event context)."""
+        world = self._world
         if self._wait_begin is not None and self._gate is not None:
-            span_rec = self._obs()
+            span_rec = world.obs
             if span_rec is not None:
                 via = self._gate[0]
                 span_rec.add(
@@ -198,7 +197,7 @@ class ProcletDriver:
                     self._wait_begin, self.runtime.engine.now,
                 )
             self._wait_begin = None
-        obs = self._observer()
+        obs = world.observer
         token = None
         if obs is not None:
             obs.proclet_not_waiting(self)
@@ -222,6 +221,10 @@ class ProcletDriver:
         finally:
             if token is not None:
                 obs.proclet_pop(token)
+
+    # A blocking wait registers the bound ``_step`` itself; a bound method
+    # reads attributes off its function, so the mark covers every driver.
+    _step._depgraph_internal = True  # type: ignore[attr-defined]
 
     def _finish(self, result: Any) -> None:
         self.done = True

@@ -27,6 +27,7 @@ class Request:
         "data",
         "_callbacks",
         "_runtime",
+        "_world",
     )
 
     def __init__(self, runtime, kind: str, rank: int, peer: int, tag: int, nbytes: int):
@@ -42,6 +43,9 @@ class Request:
         self.data: Any = None   # payload, set on recv completion in data mode
         self._callbacks: list[Callable[["Request"], None]] = []
         self._runtime = runtime
+        # Resolved once; its hooks are still read at event time, since a
+        # recorder may attach to the world after the request is posted.
+        self._world = getattr(runtime, "world", None)
 
     def add_callback(self, fn: Callable[["Request"], None]) -> None:
         """Run ``fn(request)`` on the owning rank's CPU at completion.
@@ -63,7 +67,8 @@ class Request:
         ``_depgraph_internal`` and stay on the plain path (the proclet
         driver records its own wait context).
         """
-        observer = getattr(getattr(self._runtime, "world", None), "observer", None)
+        world = self._world
+        observer = world.observer if world is not None else None
         if observer is not None and not getattr(fn, "_depgraph_internal", False):
             self._runtime.cpu.execute(0.0, observer.run_callback, self, fn)
         else:
@@ -77,7 +82,7 @@ class Request:
         self.completion_time = now
         if data is not None:
             self.data = data
-        world = getattr(self._runtime, "world", None)
+        world = self._world
         if world is not None:
             if world.observer is not None:
                 world.observer.op_completed(self)
@@ -107,7 +112,7 @@ class Request:
         self.completed = True
         self.cancelled = True
         self._callbacks = []
-        world = getattr(self._runtime, "world", None)
+        world = self._world
         if world is not None:
             self.completion_time = world.engine.now
             observer = world.observer

@@ -434,11 +434,16 @@ class ComponentIndex:
             self.add_flow(f)
 
 
-def _cap_rate(flow: Flow) -> float:
-    """The rate of a flow that shares none of its links: its cap, bounded
-    by its links' capacities."""
-    rate = min((link.capacity for link in flow.path), default=flow.rate_cap)
-    return min(rate, flow.rate_cap)
+class _LoneRates(dict):
+    """Each class's lone rate, ``{Flow.key: rate}``: the rate of a flow
+    that shares none of its links, its cap bounded by its links'
+    capacities. Filled on first use; a capacity change clears it
+    (:meth:`FairShareNetwork.refresh`)."""
+
+    def __missing__(self, key: tuple) -> float:
+        path, cap = key
+        rate = self[key] = min(min((link.capacity for link in path), default=cap), cap)
+        return rate
 
 
 class _Cohort:
@@ -549,6 +554,7 @@ class FairShareNetwork:
         self._steps: list[int] = []
         self._audits: list[tuple] = []  # (flows, links) for the sanitizer
         self._handoff: Optional[list] = None  # the finish worklist, in a cascade
+        self._lone_rates = _LoneRates()
         # Optional invariant checker (repro.analysis.sanitizer); the owning
         # MpiWorld installs it when constructed with sanitize=True.
         self.sanitizer = None
@@ -586,7 +592,10 @@ class FairShareNetwork:
         Rates normally change only when the flow set changes; a bandwidth
         flap (repro.faults) changes ``Link.capacity`` under live flows, so
         each affected connected component must be rebalanced once.
+        Every ``Link.capacity`` write must be followed by ``refresh()``: it
+        also drops the cached lone rates.
         """
+        self._lone_rates.clear()
         comp = self.components
         seen: set[Flow] = set()
         for link in links:
@@ -1012,7 +1021,7 @@ class FairShareNetwork:
             if seed.remaining <= _EPSILON_BYTES:
                 self._conclude([seed])
                 return
-            rate = _cap_rate(seed)
+            rate = self._lone_rates[seed.key]
             if abs(rate - seed.rate) > _RATE_TOLERANCE * max(rate, seed.rate) or not seed.stamp:
                 if seed.stamp:
                     self._withdraw(seed)
@@ -1097,7 +1106,7 @@ class FairShareNetwork:
         each once. Then every flow but the seed keeps its rate, so only the
         early-finish sweep of :meth:`_solve` runs: it adds the flows
         already drained to ``finished``. An arriving seed (``done`` false)
-        moves to :func:`_cap_rate`.
+        moves to its lone rate (:class:`_LoneRates`).
         """
         cap = seed.rate_cap
         gone = 1 if done else 0
@@ -1142,7 +1151,7 @@ class FairShareNetwork:
                 if (low - moved if low > moved else 0.0) <= _EPSILON_BYTES:
                     self._sweep(c, moved, finished)
         if not done:
-            seed.rate = rate = _cap_rate(seed)
+            seed.rate = rate = self._lone_rates[seed.key]
             if rate > 0.0:
                 self._move_seed(seed)
         return True

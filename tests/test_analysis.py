@@ -136,6 +136,79 @@ class TestBaselineCoupling:
         assert evt.sync_edges == 0
 
 
+# What ``repro lint <schedule> --ranks 8`` reports for each comparator
+# (binary tree, 512 KiB in 64 KiB segments): nodes by kind, data edges,
+# flow-control edges and sync edges by kind. A driver wait the recorder
+# failed to treat as internal would add a callback node per resumption and
+# leave every edge count as it is, so the node census is pinned too.
+_COMPARATOR_CENSUS = {
+    "bcast-blocking": (
+        {"recv": 56, "send": 56, "wait": 112}, 96, 28, {"blocking-order": 52},
+    ),
+    "bcast-nonblocking": (
+        {"recv": 56, "send": 56, "wait": 56, "waitall": 32}, 96, 56,
+        {"waitall-barrier": 14},
+    ),
+    "reduce-blocking": (
+        {"compute": 56, "recv": 56, "send": 56, "wait": 112}, 120, 28,
+        {"blocking-order": 21, "compute-order": 31},
+    ),
+    "reduce-nonblocking": (
+        {"compute": 32, "recv": 56, "send": 56, "wait": 32, "waitall": 56}, 120, 70,
+        {"waitall-barrier": 36},
+    ),
+}
+
+
+class TestComparatorCensus:
+    @pytest.mark.parametrize("schedule", sorted(_COMPARATOR_CENSUS))
+    def test_eight_rank_census(self, schedule):
+        cert = certify(analyze_schedule(schedule, nranks=8))
+        got = (cert.nodes_by_kind, cert.data_edges, cert.flow_edges, cert.sync_by_via)
+        assert got == _COMPARATOR_CENSUS[schedule]
+
+    def test_waits_register_marked_driver_methods(self, monkeypatch):
+        # A blocking wait registers the driver's bound ``_step`` and a
+        # WaitAll its bound ``_one_done``: no function object per wait, and
+        # each carries the class-level internal mark the recorder reads.
+        from repro.analysis.depgraph import record
+        from repro.analysis.schedules import recording_world
+        from repro.mpi import ProcletDriver, Request, WaitAll
+
+        registered = []
+        add_callback = Request.add_callback
+
+        def spy(req, fn):
+            registered.append(fn)
+            add_callback(req, fn)
+
+        monkeypatch.setattr(Request, "add_callback", spy)
+        world = recording_world(2)
+        drivers = []
+
+        def sender(rt):
+            for tag in range(3):
+                yield rt.isend(1, tag, 64)
+
+        def receiver(rt):
+            yield rt.irecv(0, 0, 64)
+            yield WaitAll([rt.irecv(0, 1, 64), rt.irecv(0, 2, 64)])
+
+        def launch():
+            drivers.append(ProcletDriver(world.ranks[0], sender(world.ranks[0])))
+            drivers.append(ProcletDriver(world.ranks[1], receiver(world.ranks[1])))
+
+        graph = record(world, launch)
+        assert all(d.done for d in drivers)
+        assert {fn.__func__ for fn in registered} == {
+            ProcletDriver._step, ProcletDriver._one_done,
+        }
+        for fn in registered:
+            assert fn.__self__ in drivers
+            assert fn._depgraph_internal is True
+        assert "callback" not in {n.kind for n in graph.nodes.values()}
+
+
 class TestGraphStructure:
     @pytest.mark.parametrize("schedule", ["bcast-blocking", "bcast-nonblocking",
                                           "bcast-adapt", "reduce-adapt"])

@@ -773,6 +773,31 @@ def _script_spliced_rescheduled(network_cls):
     return (log, link.bytes_carried, eng.pending()), net
 
 
+def _script_class_after_flap(network_cls):
+    """Two 1000 B flows of one class share a link; a flap halves its
+    capacity while they run. A third flow of the class arrives at 10 us,
+    once they are gone, alone on the link."""
+    eng = Engine()
+    net = network_cls(eng)
+    link = Link("l", 1e9)
+    log = []
+
+    def flap():
+        log.append(("flap", eng.now))
+        link.capacity *= 0.5
+        net.refresh([link])
+
+    def submit(name):
+        net.submit([link], 1000, 1e12, 0.0, lambda f: log.append((name, eng.now)))
+
+    submit("a")  # alone on arrival: its class's lone rate is 1 GB/s
+    submit("b")
+    eng.post_at(0.5e-6, flap)
+    eng.post_at(10e-6, submit, "c")
+    eng.run()
+    return (log, link.bytes_carried, eng.pending()), net
+
+
 def _drained(net):
     """Nothing left scheduled, and the stale-entry count balanced."""
     return not net.pending_flows() and not net.queue and net._stale == 0
@@ -802,6 +827,15 @@ class TestPerClassRescheduling:
         assert got[0][0][1] == due + 0.125 / 1.5e9
         assert got[2] == 0 and _drained(net)
         assert got == _script_spliced_rescheduled(PerFlowNetwork)[0]
+
+    def test_lone_rate_follows_a_capacity_change(self):
+        # The first arrival caches the class's lone rate at the full
+        # capacity. The flap halves the capacity under two contending
+        # flows, so the refresh solves and reads no lone rate; the later
+        # arrival is alone and must get the halved rate, 500 MB/s.
+        got, net = _script_class_after_flap(FairShareNetwork)
+        assert got[0][-1] == ("c", 10e-6 + 1000 / 5e8) and _drained(net)
+        assert got == _script_class_after_flap(PerFlowNetwork)[0]
 
     def test_pending_flows_lists_a_posted_finish(self):
         # A lone flow posts its finish into the engine at its arrival: it
