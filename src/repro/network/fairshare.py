@@ -43,10 +43,8 @@ _HEADROOM = 1.0 - _RATE_TOLERANCE
 # Hot-path sort keys (attrgetter beats an equivalent lambda per element).
 _BY_FID = attrgetter("fid")
 _BY_NAME = attrgetter("name")
-_BY_CAP = attrgetter("rate_cap")
 _COHORT = attrgetter("cohort")
 _KEY = attrgetter("key")  # a flow's class: (path, rate_cap)
-_PATH = attrgetter("path")
 _KEY_CAP = itemgetter(1)
 
 
@@ -350,16 +348,19 @@ class ComponentIndex:
         path = flow.path
         if not path:
             return
-        r = path[0].index
-        for link in path:
-            r = self._union(r, link.index)
-        r = self._find(r)
-        self._flows.setdefault(r, set()).add(flow)
-        self._links.setdefault(r, set()).update(path)
-        census = self._census.get(r)
-        if census is None:
-            census = self._census[r] = {}
         key = flow.key
+        r = self._find(path[0].index)
+        census = self._census.get(r)
+        if census is None or key not in census:
+            # A live flow of the class has unioned the path and listed its
+            # links already; otherwise do it now.
+            for link in path:
+                r = self._union(r, link.index)
+            self._links.setdefault(r, set()).update(path)
+            census = self._census.get(r)
+            if census is None:
+                census = self._census[r] = {}
+        self._flows.setdefault(r, set()).add(flow)
         census[key] = census.get(key, 0) + 1
         self.nflows += 1
 
@@ -1053,7 +1054,7 @@ class FairShareNetwork:
             if not comp_flows:
                 continue
             if not (may_keep and len(comp_links) == npath
-                    and self._keep_rates(seed, done, comp_flows, finished, now)):
+                    and self._keep_rates(seed, done, comp_flows, census, finished, now)):
                 self._solve(comp_flows, comp_links, census, finished)
             if self.sanitizer is not None:
                 self._audit(comp_flows, comp_links)
@@ -1094,38 +1095,32 @@ class FairShareNetwork:
             self._step()
 
     def _keep_rates(
-        self, seed: Flow, done: bool, comp_flows: set, finished: list[Flow], now: float
+        self, seed: Flow, done: bool, comp_flows: set, census: dict,
+        finished: list[Flow], now: float,
     ) -> bool:
         """Settle the rebalance of an uncontended component without a solve,
         if it is one; return whether it was (DESIGN.md §23).
 
-        It is when each link of the seed's path that carries two or more
-        flows, the seed counted even once it has finished, has room for all
-        their caps, and no flow of the component crosses a link twice. The
-        caller has checked that the component's links are the seed's own,
-        each once. Then every flow but the seed keeps its rate, so only the
-        early-finish sweep of :meth:`_solve` runs: it adds the flows
-        already drained to ``finished``. An arriving seed (``done`` false)
-        moves to its lone rate (:class:`_LoneRates`).
+        It is when the component's flows are all of the seed's class and
+        each link of the seed's path has room for all their caps: ``n *
+        cap`` under the headroom, with ``n`` the link's flows, the seed
+        counted even once it has finished. The caller has checked that the
+        component's links are the seed's own, each once. With one class,
+        every flow on these links has the seed's cap and path, so the test
+        reads neither the links' flows nor their paths. Then every flow but
+        the seed keeps its rate, so only the early-finish sweep of
+        :meth:`_solve` runs: it adds the flows already drained to
+        ``finished``. An arriving seed (``done`` false) moves to its lone
+        rate (:class:`_LoneRates`).
         """
+        if len(census) != 1 or seed.key not in census:
+            return False
         cap = seed.rate_cap
         gone = 1 if done else 0
-        crossings = 0
         for link in seed.path:
-            on = link.flows
-            n = len(on)
-            crossings += n
-            n += gone
-            if n > 1:
-                room = link.capacity * _HEADROOM
-                # The seed's cap first: on a contended link that fails
-                # before the scan for the largest cap.
-                if n * cap > room or n * max(map(_BY_CAP, on)) > room:
-                    return False
-        # Each flow is in the ``flows`` of each of its links once, so the
-        # counts match only if no path lists a link twice.
-        if sum(map(len, map(_PATH, comp_flows))) != crossings:
-            return False
+            n = len(link.flows) + gone
+            if n > 1 and n * cap > link.capacity * _HEADROOM:
+                return False
         cohorts = None
         for f in comp_flows:
             c = f.cohort

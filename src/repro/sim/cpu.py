@@ -74,7 +74,12 @@ class Cpu:
     ) -> float:
         """Queue ``duration`` seconds of work; call ``fn(*args)`` when done.
 
-        Returns the absolute completion time.
+        Returns the absolute completion time. The completion is an engine
+        entry this CPU owns, ``[fn, args, cpu]``, posted where ``post_at``
+        would put it; :meth:`halt` withdraws it if it has not fired. (An
+        inline fast path for zero-duration work on an idle CPU was tried
+        and rejected: it reorders same-instant callbacks, which the
+        schedule analysis reads as synchronization edges.)
         """
         if duration < 0:
             raise ValueError(f"negative work duration {duration}")
@@ -101,27 +106,19 @@ class Cpu:
         self._busy_until = end
         self.busy_time += duration
         if fn is not None:
-            # Dispatch through the halt gate: work queued before a fail-stop
-            # whose completion lands after it must not run. Handle-free post:
-            # CPU completions are never cancelled, only halt-gated. (An
-            # inline fast path for zero-duration work on an idle CPU was
-            # tried and rejected: it reorders same-instant callbacks, which
-            # the schedule analysis reads as synchronization edges.)
-            self.engine.post_at(end, self._dispatch, fn, args)
+            self.engine.post_entry(end, [fn, args, self])
         return end
-
-    def _dispatch(self, fn: Callable[..., Any], args: tuple) -> None:
-        if self.halted:
-            return
-        fn(*args)
 
     def halt(self) -> None:
         """Fail-stop this CPU: drop queued work and refuse new work.
 
-        Models a crashed process: events already scheduled on the engine for
-        this CPU are silently discarded when they fire.
+        Models a crashed process: the engine withdraws every completion
+        this CPU queued that has not fired yet, later ones in the epoch
+        being drained included (:meth:`Engine.discard_owned`); they count
+        as cancelled, not processed.
         """
         self.halted = True
+        self.engine.discard_owned(self)
 
     def when_available(self, fn: Callable[..., Any], *args: Any) -> float:
         """Run ``fn`` as soon as the CPU is free (zero-duration work item)."""

@@ -18,7 +18,10 @@ Three entry kinds share a bucket, distinguished by ``type``:
 * ``list``  — ``[fn, args]``, a cancellable event: an
   :class:`EventHandle`'s (``cancel`` blanks ``fn`` in place), or one a
   client keeps itself (:meth:`Engine.post_entry`, or spliced at a wake)
-  and withdraws with :meth:`Engine.discard`;
+  and withdraws with :meth:`Engine.discard`. An *owned* entry,
+  ``[fn, args, owner]``, is one its client never keeps: it withdraws all
+  of them at once with :meth:`Engine.discard_owned` (a CPU's completions
+  at a fail-stop);
 * ``tuple`` — ``(fn, args)``, a fire-and-forget post with arguments;
 * anything else is a bare zero-argument callable (the cheapest kind —
   :meth:`Engine.post_batch` extends a bucket with thousands of them in one
@@ -114,9 +117,10 @@ class Engine:
 
     ``call_at``/``call_after`` return a cancellable :class:`EventHandle`;
     ``post_at``/``post_after``/``post_batch`` are the handle-free fast path
-    for events that are never cancelled (completion dispatch, protocol
-    steps), skipping the handle allocation entirely; ``post_entry`` posts
-    a cancellable entry the caller keeps instead of a handle.
+    for events that are never cancelled (protocol steps), skipping the
+    handle allocation entirely; ``post_entry`` posts a cancellable entry
+    the caller keeps instead of a handle, or an owned one that
+    ``discard_owned`` withdraws with all its owner's others.
     ``mark``/``wake_at`` defer an entry's materialisation to its epoch (see
     the module docstring). ``now``, the current simulated time in seconds,
     is a plain attribute that :meth:`run` advances; only the engine writes
@@ -134,6 +138,7 @@ class Engine:
         "_hook",
         "_hook_t",
         "_journal",
+        "_draining",
     )
 
     def __init__(self) -> None:
@@ -151,6 +156,7 @@ class Engine:
         # The post journal while a client defers tokens: per post, its
         # time and the bucket there and its length just before the post.
         self._journal: Optional[list] = None
+        self._draining: Optional[list] = None  # the bucket run() is draining
 
     @property
     def running(self) -> bool:
@@ -176,7 +182,9 @@ class Engine:
 
         :meth:`call_at` is this plus an :class:`EventHandle`. A client that
         keeps the entry itself (the fair-share network's flow finishes)
-        posts it here and skips the handle.
+        posts it here and skips the handle. So does a client that keeps
+        none: it posts ``[fn, args, owner]`` and withdraws every entry of
+        ``owner`` at once with :meth:`discard_owned` (a CPU's completions).
         """
         if time < self.now:
             raise SimulationError(
@@ -357,6 +365,31 @@ class Engine:
             if self._cancelled > _COMPACT_MIN and self._cancelled > self._live:
                 self._compact()
 
+    def discard_owned(self, owner: Any) -> None:
+        """Withdraw every unfired ``[fn, args, owner]`` entry.
+
+        Scans every pending bucket and the one being drained, whose fired
+        entries are already blanked. O(pending entries), for rare events
+        (a fail-stop), so that owned entries cost nothing until then.
+        """
+        buckets = list(self._buckets.values())
+        if self._draining is not None:
+            buckets.append(self._draining)
+        lst = list
+        n = 0
+        for bucket in buckets:
+            for e in bucket:
+                if type(e) is lst and len(e) == 3 and e[2] is owner and e[0] is not None:
+                    e[0] = None
+                    e[1] = ()
+                    n += 1
+        # Counted after the scan: a compaction rewrites the bucket dict.
+        if n:
+            self._live -= n
+            self._cancelled += n
+            if self._cancelled > _COMPACT_MIN and self._cancelled > self._live:
+                self._compact()
+
     def _wake(self, t: float, bucket: Optional[list]) -> Optional[list]:
         """Run the hook woken at ``t``; return ``bucket`` with its entries
         spliced in (a fresh list if ``bucket`` is None)."""
@@ -455,6 +488,7 @@ class Engine:
                 if bucket is None:
                     continue  # stale heap entry (_compact, replaced wake)
                 self.now = t
+                self._draining = bucket
                 # Epoch drain: everything at this instant in one loop. An
                 # event scheduled *at* now mid-drain lands in a fresh bucket
                 # for the same timestamp and drains immediately after — the
@@ -485,4 +519,5 @@ class Engine:
             self._events_processed += processed
             self._live -= processed
             self._running = False
+            self._draining = None
         return self.now

@@ -456,6 +456,23 @@ class TestFailStop:
         assert killed == [(("rank", victim), 1e-4, 1e-4)]
 
 
+def test_kill_at_the_instant_of_a_queued_completion_withdraws_it():
+    # The kill is armed first, so it fires first in the epoch; the victim's
+    # completion queued for the same instant must not run, a survivor's
+    # must.
+    world = make_world(nranks=4, sanitize=False)
+    kill_at = 2e-6
+    injector = FaultInjector(world, FaultPlan(kills=[KillSpec(rank=1, time=kill_at)]))
+    injector.arm(1e-3)
+    fired = []
+    for rank in (1, 2):
+        end = world.ranks[rank].cpu.execute(kill_at, fired.append, rank)
+        assert end == kill_at
+    world.run()
+    assert injector.kills_done == 1 and 1 in world.failed_ranks
+    assert fired == [2]
+
+
 # -- flaps and stalls ---------------------------------------------------------
 
 

@@ -637,6 +637,12 @@ class _WalkCounted(set):
 # an uncontended settle (cap 3e8).
 @example([(0.0, 0, 1000, 0)], [0], [], None, [(0, True, 0, 1000, 0)])
 @example([(0.0, 0, 1000, 0)], [2], [], None, [(0, True, 0, 1000, 0)])
+# Three flows of one class on l0: the third arrival contends, the first
+# finish still counts three flows, and the second finish settles without
+# a solve one ulp inside the headroom margin (cap 6) but not one ulp
+# outside it (cap 5).
+@example([(0.0, 0, 100_000, 0), (0.0, 0, 65536, 0), (0.0, 0, 4096, 0)], [6], [], None, [])
+@example([(0.0, 0, 100_000, 0), (0.0, 0, 65536, 0), (0.0, 0, 4096, 0)], [5], [], None, [])
 def _cohorts_match_per_flow(flows, caps, markers, refresh, late):
     plain, _ = _drive(PerFlowNetwork, flows, caps, (), None, [0.0])
     times = sorted({t for t, _, _ in plain})
@@ -1003,6 +1009,49 @@ class TestUncontendedSettle:
         _drive(FairShareNetwork, [(0.0, 0, 1000, 0), (0.0, 0, 4096, 0)], [cap],
                [], None, [0.0])
         assert len(solves) == (0 if settled else 2)
+
+    def test_add_flow_of_a_live_class_matches_a_rebuild(self, monkeypatch):
+        # A second flow of an indexed class skips the unions and the link
+        # set update; the partition, the link sets and the census are a
+        # fresh rebuild's.
+        links = [Link(f"l{i}", 1e9) for i in range(4)]
+        for i, link in enumerate(links):
+            link.index = i
+        a, b, c, _ = links
+        flows = [
+            Flow(1, [a, b], 4096, 5e8, None),
+            Flow(2, [c], 4096, 5e8, None),
+            Flow(3, [b, c], 4096, 7e8, None),
+        ]
+        twin = Flow(4, [a, b], 4096, 5e8, None)
+
+        def shape(index):
+            parts = {}
+            for link in links:
+                parts.setdefault(index._find(link.index), set()).add(link.index)
+            return sorted(
+                (sorted(members), sorted(l.name for l in index._links.get(r, ())),
+                 sorted(index._census.get(r, {}).items(), key=repr))
+                for r, members in parts.items()
+            )
+
+        index = ComponentIndex()
+        index.ensure(len(links) - 1)
+        for f in flows:
+            index.add_flow(f)
+        unions = []
+        union = ComponentIndex._union
+        monkeypatch.setattr(ComponentIndex, "_union",
+                            lambda ix, i, j: (unions.append((i, j)), union(ix, i, j))[1])
+        index.add_flow(twin)
+        assert unions == []
+        fresh = ComponentIndex()
+        fresh.ensure(len(links) - 1)
+        fresh.rebuild(flows + [twin])
+        assert shape(index) == shape(fresh)
+        assert index._census[index._find(0)][twin.key] == 2
+        assert index._flows[index._find(0)] == set(flows + [twin])
+        assert index.nflows == 4
 
     def test_path_crossing_a_link_twice_is_solved(self):
         # Counted by flows, the link has room for both 1e9 caps. Counted by

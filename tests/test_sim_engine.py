@@ -212,3 +212,64 @@ class TestCpu:
             cpu.execute(-1.0)
         with pytest.raises(ValueError):
             cpu.inject_noise(-1.0)
+
+
+class TestCpuHalt:
+    """A fail-stop withdraws the CPU's unfired completions from the engine."""
+
+    def test_halt_mid_epoch_skips_the_later_completion_only(self):
+        eng = Engine()
+        a, b = Cpu(eng), Cpu(eng)
+        fired = []
+
+        def first():
+            fired.append("a1")
+            a.halt()
+
+        a.execute(1e-6, first)
+        b.execute(1e-6, fired.append, "b1")
+        a.execute(0.0, fired.append, "a2")  # same instant, after b1
+        eng.run()
+        assert fired == ["a1", "b1"]
+        assert eng.events_processed == 2 and eng.pending() == 0
+
+    def test_pending_drops_by_the_withdrawn_count(self):
+        eng = Engine()
+        a, b = Cpu(eng), Cpu(eng)
+        for d in (1e-6, 2e-6, 3e-6):
+            a.execute(d, lambda: None)
+        b.execute(1e-6, lambda: None)
+        eng.call_at(5e-6, lambda: None)
+        assert eng.pending() == 5
+        a.halt()
+        assert eng.pending() == 2
+        assert eng.stats()["cancelled_parked"] == 3.0
+        eng.run()
+        assert eng.events_processed == 2 and eng.pending() == 0
+
+    def test_halt_outside_run_withdraws_future_completions(self):
+        eng = Engine()
+        cpu = Cpu(eng)
+        fired = []
+        cpu.execute(1e-6, fired.append, 1)
+        cpu.when_available(fired.append, 2)
+        cpu.halt()
+        assert eng.pending() == 0
+        # New work is refused: it posts nothing and time stands still.
+        assert cpu.execute(1e-6, fired.append, 3) == pytest.approx(1e-6)
+        assert eng.pending() == 0
+        eng.run()
+        assert fired == [] and eng.events_processed == 0
+
+    def test_halt_leaves_other_entries_at_the_instant(self):
+        eng = Engine()
+        cpu = Cpu(eng)
+        fired = []
+        cpu.execute(1e-6, fired.append, "cpu")
+        eng.post_at(1e-6, fired.append, "post")
+        h = eng.call_at(1e-6, fired.append, "handle")
+        eng.post_entry(1e-6, [fired.append, ("entry",)])
+        cpu.halt()
+        eng.run()
+        assert fired == ["post", "handle", "entry"]
+        assert h.fn is None and not h.cancelled
