@@ -1,8 +1,8 @@
 """Command-line interface: regenerate any experiment or run ad-hoc measurements.
 
-The experiment subcommands (``fig7`` ... ``figq``) are built from the
-``EXPERIMENTS`` registry in :mod:`repro.harness.experiments`; the other
-subcommands are defined here.
+The experiment subcommands (``fig7`` ... ``figq``, ``metrics`` and
+``ablations``) are built from the ``EXPERIMENTS`` registry in
+:mod:`repro.harness.experiments`; the other subcommands are defined here.
 
 Usage (after installation)::
 
@@ -338,29 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="noise duty-cycle percent on one mid-tree rank")
     ptrace.add_argument("--seed", type=int, default=0)
     _add_parallel(ptrace)
-
-    pmet = sub.add_parser(
-        "metrics",
-        help="sync-wait/link/noise metrics + critical path, with baseline check",
-        description="Distill a small fixed-seed fig7-style noise scenario "
-        "into per-library metrics (sync-wait fraction, noise absorption, "
-        "peak link utilization) and the critical path through each "
-        "schedule's dependency graph. --check diffs the snapshot against "
-        "the checked-in baseline (src/repro/harness/metrics_baseline.json) "
-        "and exits non-zero on drift; --update rewrites the baseline.",
-    )
-    pmet.add_argument("--check", action="store_true",
-                      help="compare against the checked-in baseline; exit 1 "
-                      "on drift")
-    pmet.add_argument("--update", action="store_true",
-                      help="rewrite the checked-in baseline with this "
-                      "snapshot")
-    pmet.add_argument("--baseline", default=None, metavar="PATH",
-                      help="alternate baseline file (default: the "
-                      "checked-in one)")
-    pmet.add_argument("--json", default=None, metavar="PATH",
-                      help="also write the snapshot as JSON")
-    _add_parallel(pmet)
 
     ptree = sub.add_parser("tree", help="print a topology-aware tree")
     ptree.add_argument("--nodes", type=int, default=3)
@@ -748,129 +725,6 @@ def _cmd_trace(args) -> str:
     return "\n".join(lines)
 
 
-#: The fixed ``repro metrics`` scenario: the fig7 noise cell, shrunk.
-_METRICS_LIBS = ("OMPI-adapt", "OMPI-default-topo", "Cray MPI")
-_METRICS_SCHEDULES = ("bcast-adapt", "bcast-nonblocking")
-
-
-def _cmd_metrics(args) -> int:
-    from repro.analysis.schedules import analyze_schedule
-    from repro.harness.experiments.fig07_noise import (
-        DURATION_FACTOR,
-        _steady_mean,
-    )
-    from repro.harness.report import format_table
-    from repro.obs import baseline as bl
-    from repro.obs.critical import critical_path
-    from repro.parallel import SimJob, run_jobs
-
-    machine, nodes = "cori", 2
-    msg, iters, probe_iters, noise = 1 << 20, 24, 6, 5.0
-    nranks = default_nranks(resolve(machine, nodes))
-    noise_ranks = _noise_ranks(nranks, noise)
-    kw = _parallel_kwargs(args)
-
-    # Stage 1: noise-free probes size the noise events (fig7 methodology).
-    probes = run_jobs(
-        [SimJob(machine=machine, nodes=nodes, library=lib, operation="bcast",
-                nbytes=msg, iterations=probe_iters, seed=1)
-         for lib in _METRICS_LIBS],
-        **kw,
-    )
-    # Stage 2: the observed noisy measurements.
-    noisy_jobs = []
-    for lib, probe in zip(_METRICS_LIBS, probes):
-        max_duration = DURATION_FACTOR * _steady_mean(probe)
-        freq = (noise / 100.0) / (max_duration / 2.0)
-        noisy_jobs.append(SimJob(
-            machine=machine, nodes=nodes, library=lib, operation="bcast",
-            nbytes=msg, iterations=iters, noise_percent=noise,
-            noise_ranks=noise_ranks, noise_frequency=freq, seed=6,
-            observe="metrics",
-        ))
-    runs = run_jobs(noisy_jobs, **kw)
-
-    libs_snap: dict = {}
-    rows = []
-    for lib, r in zip(_METRICS_LIBS, runs):
-        m = r.metrics or {}
-        absorb = m.get("noise_absorption_ratio")
-        entry = {
-            "mean_ms": round(r.mean_time * 1e3, 3),
-            "sync_wait_pct": round(100.0 * m.get("sync_wait_fraction", 0.0), 3),
-            "noise_absorption": None if absorb is None else round(absorb, 3),
-            "peak_link_util_pct": round(100.0 * max(
-                (link["busy_fraction"] for link in m.get("links", [])),
-                default=0.0,
-            ), 1),
-        }
-        libs_snap[lib] = entry
-        rows.append([lib, entry["mean_ms"], entry["sync_wait_pct"],
-                     entry["noise_absorption"], entry["peak_link_util_pct"]])
-
-    # Critical path through the dependency graph: the longest chain of
-    # data-dependent operations (sync/flow edges excluded), i.e. the time
-    # the schedule cannot beat on infinitely fast independent resources.
-    crit: dict = {}
-    for sched in _METRICS_SCHEDULES:
-        graph = analyze_schedule(sched, nranks=8, tree="binary",
-                                 nbytes=512 * 1024)
-        length, path = critical_path(graph)
-        crit[sched] = {"length_ms": round(length * 1e3, 4), "hops": len(path)}
-
-    snapshot = {
-        "scenario": {
-            "machine": machine, "nodes": nodes, "nranks": nranks,
-            "operation": "bcast", "nbytes": msg, "iterations": iters,
-            "noise_percent": noise, "noisy_rank": noise_ranks[0], "seed": 6,
-        },
-        "libraries": libs_snap,
-        "critical_path": crit,
-    }
-
-    print(format_table(
-        f"repro metrics: bcast {msg >> 20} MB, {machine} x{nodes} nodes "
-        f"({nranks} ranks), {noise:g}% noise on rank {noise_ranks[0]}",
-        ["library", "mean_ms", "sync_wait%", "noise_absorb", "peak_link_util%"],
-        rows,
-    ))
-    for sched in _METRICS_SCHEDULES:
-        c = crit[sched]
-        print(f"critical path ({sched}): {c['length_ms']} ms over "
-              f"{c['hops']} data-dependent ops (8 ranks, binary tree, 512 KB)")
-    adapt = libs_snap["OMPI-adapt"]["sync_wait_pct"]
-    waitall = libs_snap["OMPI-default-topo"]["sync_wait_pct"]
-    rel = "<" if adapt < waitall else ">="
-    print(f"sync-wait: OMPI-adapt {adapt}% {rel} OMPI-default-topo "
-          f"{waitall}% (the Waitall schedule on the same tree)")
-
-    if args.json:
-        import json
-
-        with open(args.json, "w", encoding="utf-8") as f:
-            json.dump(snapshot, f, indent=2, sort_keys=True)
-            f.write("\n")
-        print(f"wrote {args.json}")
-    if args.update:
-        path = bl.save_baseline(snapshot, args.baseline)
-        print(f"wrote baseline {path}")
-        return 0
-    if args.check:
-        try:
-            base = bl.load_baseline(args.baseline)
-        except FileNotFoundError:
-            print("metrics baseline not found; run `repro metrics --update`")
-            return 1
-        drift = bl.compare_snapshots(snapshot, base)
-        if drift:
-            print("metric drift vs baseline:")
-            for line in drift:
-                print(f"  {line}")
-            return 1
-        print("baseline check: OK (no metric drift)")
-    return 0
-
-
 def _cmd_lint(args) -> int:
     from repro.analysis.lint import lint
     from repro.analysis.schedules import analyze_schedule
@@ -1173,8 +1027,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(_cmd_chaos(args))
     elif args.command == "trace":
         print(_cmd_trace(args))
-    elif args.command == "metrics":
-        return _cmd_metrics(args)
     elif args.command == "lint":
         return _cmd_lint(args)
     elif args.command == "verify":

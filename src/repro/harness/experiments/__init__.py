@@ -28,6 +28,7 @@ from typing import Callable
 
 from repro.harness.experiments.common import SCALES, Claim, ExperimentResult
 from repro.harness.experiments import (
+    ablations,
     fig07_noise,
     fig08_topo,
     fig09_msgsize,
@@ -95,12 +96,21 @@ EXPERIMENTS: dict[str, Experiment] = {
     "figxp": Experiment(
         "Figure X-P (ours): partition tolerance, heal time vs completion "
         "and false kills",
-        figxp_partition.run, ("json",),
+        figxp_partition.run, ("json",), figxp_partition.CLAIMS,
     ),
     "figq": Experiment(
         "Figure Q (ours): SGD staleness frontier — accuracy vs latency for "
         "the relaxed quorum collectives",
-        figq_staleness.run, ("json",),
+        figq_staleness.run, ("json",), figq_staleness.CLAIMS,
+    ),
+    "metrics": Experiment(
+        "sync-wait/link/noise metrics of a noisy bcast, and critical paths",
+        fig07_noise.run_metrics, ("json",), fig07_noise.METRICS_CLAIMS,
+    ),
+    "ablations": Experiment(
+        "Ablations (ours): segment size, send window, GPU staging and "
+        "offload, bandwidth robustness",
+        ablations.run, claims=ablations.CLAIMS,
     ),
 }
 
@@ -111,6 +121,7 @@ __all__ = [
     "Experiment",
     "ExperimentResult",
     "SCALES",
+    "ablations",
     "fig07_noise",
     "fig08_topo",
     "fig09_msgsize",

@@ -21,6 +21,13 @@ many noise periods.
 Shape claims (:data:`CLAIMS`): OMPI-adapt's slowdown is the smallest at
 both noise levels, and blocking/ring-based libraries amplify noise by a
 large factor over ADAPT.
+
+:func:`run_metrics` (``repro metrics``) is one observed fig7 cell, shrunk:
+it distills a 1 MB noisy bcast into the paper's quantities (sync-wait
+fraction, noise absorption, peak link utilization) and adds the critical
+path through two schedules' dependency graphs (:data:`METRICS_CLAIMS`:
+ADAPT waits less on synchronization than the Waitall schedule on the same
+tree).
 """
 
 from __future__ import annotations
@@ -196,3 +203,95 @@ def _claims(machine: str) -> tuple[Claim, ...]:
 
 
 CLAIMS = _claims("cori") + _claims("stampede2")
+
+
+#: The ``repro metrics`` cell: a 1 MB bcast at 5% noise on one mid-tree
+#: rank, sized by a noise-free probe as in :func:`run`.
+METRICS_MSG = 1 << 20
+METRICS_NOISE = 5.0
+METRICS_ITERS = 24
+METRICS_PROBE_ITERS = 6
+METRICS_LIBS = ("OMPI-adapt", "OMPI-default-topo", "Cray MPI")
+#: Schedules whose critical path is reported (8 ranks, binary tree, 512 KB).
+METRICS_SCHEDULES = ("bcast-adapt", "bcast-nonblocking")
+
+
+def run_metrics(
+    scale: str = "small", *, n_jobs: int | None = None, cache=None,
+) -> ExperimentResult:
+    """Per-library metrics of one observed noisy bcast on Cori, and the
+    critical path of ADAPT's and the Waitall bcast schedule.
+
+    The critical path is the longest chain of data-dependent operations
+    (sync and flow edges excluded): the time a schedule cannot beat on
+    infinitely fast independent resources.
+    """
+    from repro.analysis.schedules import analyze_schedule
+    from repro.obs.critical import critical_path
+
+    machine = "cori"
+    nodes = machine_nodes(machine, scale)
+    nranks = machine_spec(machine, scale).total_cores
+    noisy_rank = nranks // 3
+    result = ExperimentResult(
+        experiment="Metrics",
+        title=f"bcast {METRICS_MSG >> 20} MB, {machine} x{nodes} nodes "
+        f"({nranks} ranks), {METRICS_NOISE:g}% noise on rank {noisy_rank}",
+        headers=["row", "name", "mean_ms", "sync_wait%", "noise_absorb",
+                 "peak_link_util%", "path_ms", "hops"],
+        notes=[
+            f"noisy bcast rows: mean of {METRICS_ITERS} chained iterations, "
+            f"noise events {DURATION_FACTOR}x a {METRICS_PROBE_ITERS}-iteration "
+            "noise-free probe",
+            "critical path rows: the longest data-dependent chain (sync and "
+            "flow edges excluded), 8 ranks, binary tree, 512 KB",
+        ],
+    )
+
+    probes = sweep(
+        [SimJob(machine=machine, nodes=nodes, library=lib, operation="bcast",
+                nbytes=METRICS_MSG, iterations=METRICS_PROBE_ITERS, seed=1)
+         for lib in METRICS_LIBS],
+        n_jobs=n_jobs, cache=cache,
+    )
+    noisy_jobs = []
+    for lib, probe in zip(METRICS_LIBS, probes):
+        max_duration = DURATION_FACTOR * _steady_mean(probe)
+        noisy_jobs.append(SimJob(
+            machine=machine, nodes=nodes, library=lib, operation="bcast",
+            nbytes=METRICS_MSG, iterations=METRICS_ITERS,
+            noise_percent=METRICS_NOISE, noise_ranks=(noisy_rank,),
+            noise_frequency=(METRICS_NOISE / 100.0) / (max_duration / 2.0),
+            seed=6, observe="metrics",
+        ))
+    for lib, r in zip(METRICS_LIBS, sweep(noisy_jobs, n_jobs=n_jobs, cache=cache)):
+        m = r.metrics or {}
+        absorb = m.get("noise_absorption_ratio")
+        peak = max((link["busy_fraction"] for link in m.get("links", [])),
+                   default=0.0)
+        result.add("noisy bcast", lib, round(r.mean_time * 1e3, 3),
+                   round(100.0 * m.get("sync_wait_fraction", 0.0), 3),
+                   "-" if absorb is None else round(absorb, 3),
+                   round(100.0 * peak, 1), "-", "-")
+    for sched in METRICS_SCHEDULES:
+        graph = analyze_schedule(sched, nranks=8, tree="binary",
+                                 nbytes=512 * 1024)
+        length, path = critical_path(graph)
+        result.add("critical path", sched, "-", "-", "-", "-",
+                   round(length * 1e3, 4), len(path))
+    return result
+
+
+def _adapt_waits_less(res: ExperimentResult) -> None:
+    adapt = res.value("sync_wait%", name="OMPI-adapt")
+    waitall = res.value("sync_wait%", name="OMPI-default-topo")
+    assert adapt < waitall, (
+        f"OMPI-adapt sync-wait {adapt}% not below OMPI-default-topo "
+        f"{waitall}% (the Waitall schedule on the same tree)"
+    )
+
+
+METRICS_CLAIMS = (
+    Claim("metrics: OMPI-adapt sync-wait < OMPI-default-topo",
+          _adapt_waits_less),
+)

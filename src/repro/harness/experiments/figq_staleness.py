@@ -21,6 +21,10 @@ optimization's distance from the synchronous optimum), plus the full
 contribution accounting (``on_time``/``late``/``disc``) certifying that
 no gradient was silently lost (the sanitizer's conservation rule).
 
+Shape claims (:data:`CLAIMS`): under a stall, quorum SGD at 0.75 is over
+2x faster than exact SGD, which waits the stall out; under a fail-stop,
+every quorum row completes degraded where exact SGD hangs.
+
 Determinism: seeded plans and the event-count-free engine make the
 emitted JSON byte-identical across worker counts (CI asserts ``--jobs 1``
 vs ``--jobs 2``).
@@ -31,7 +35,7 @@ from __future__ import annotations
 import math
 
 from repro.faults import FaultPlan
-from repro.harness.experiments.common import ExperimentResult, fmt_bytes, sweep
+from repro.harness.experiments.common import Claim, ExperimentResult, fmt_bytes, sweep
 from repro.parallel import SimJob
 from repro.relaxed import QuorumPolicy
 
@@ -162,3 +166,26 @@ def run(
             r.late_merged, r.discarded, status,
         )
     return result
+
+
+def _quorum_dodges_stall(res: ExperimentResult) -> None:
+    exact = res.value("runtime_ms", scenario="stall", variant="exact")
+    for row in res.lookup(scenario="stall", variant="quorum", quorum=0.75):
+        runtime = row[res.headers.index("runtime_ms")]
+        assert runtime < exact / 2, (
+            f"stall: quorum 0.75 took {runtime} ms, exact {exact} ms")
+
+
+def _quorum_survives_fail_stop(res: ExperimentResult) -> None:
+    assert res.value("status", scenario="fail-stop", variant="exact") == "hung"
+    statuses = [row[res.headers.index("status")] for row in
+                res.lookup(scenario="fail-stop", variant="quorum")]
+    assert statuses and set(statuses) == {"degraded"}, statuses
+
+
+CLAIMS = (
+    Claim("figq: under a stall quorum SGD at 0.75 is over 2x faster than "
+          "exact SGD", _quorum_dodges_stall),
+    Claim("figq: under a fail-stop quorum SGD completes degraded where exact "
+          "SGD hangs", _quorum_survives_fail_stop),
+)

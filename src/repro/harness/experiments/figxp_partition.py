@@ -25,6 +25,10 @@ deadline by the degraded completion. A partition that never heals would
 hang Waitall forever (``status=hung``); the sweep keeps heals finite so
 the cost shows up as latency, the honest axis.
 
+Shape claims (:data:`CLAIMS`): past the deadline ADAPT completes before
+the heal, at one time whatever the heal; Waitall completes only after the
+heal, later the later it comes.
+
 Determinism: seeded plans, the RNG-free membership protocol, and the
 event-count-free detector make the emitted JSON byte-identical across
 worker counts (CI asserts ``--jobs 1`` vs ``--jobs 2``).
@@ -38,6 +42,7 @@ from repro.collectives.models import ADAPT_COLLECTIVES
 from repro.faults import FaultPlan, PartitionSpec
 from repro.harness.experiments.common import (
     SCALES,
+    Claim,
     ExperimentResult,
     fmt_bytes,
     sweep,
@@ -191,3 +196,37 @@ def run(
         for factor in HEAL_FACTORS:
             add_row(op, factor, probe, COMPARATOR, next(comp_it))
     return result
+
+
+def _by_heal(res: ExperimentResult, library: str) -> dict[str, list[tuple]]:
+    """operation -> its (heal_ms, mean_ms) pairs, in heal order."""
+    out: dict[str, list[tuple]] = {}
+    for row in res.lookup(library=library):
+        cells = dict(zip(res.headers, row))
+        out.setdefault(cells["operation"], []).append(
+            (cells["heal_ms"], cells["mean_ms"]))
+    return {op: sorted(pairs) for op, pairs in out.items()}
+
+
+def _adapt_capped(res: ExperimentResult) -> None:
+    deadline_ms = detection_deadline() * 1e3
+    for op, pairs in _by_heal(res, "OMPI-adapt").items():
+        late = [(heal, mean) for heal, mean in pairs if heal > deadline_ms]
+        assert late, f"{op}: no heal past the {deadline_ms:.1f} ms deadline"
+        assert all(mean < heal for heal, mean in late), (op, late)
+        assert len({mean for _, mean in late}) == 1, (op, late)
+
+
+def _waitall_tracks_partition(res: ExperimentResult) -> None:
+    for op, pairs in _by_heal(res, COMPARATOR).items():
+        assert all(mean > heal for heal, mean in pairs), (op, pairs)
+        means = [mean for _, mean in pairs]
+        assert means == sorted(set(means)), (op, pairs)
+
+
+CLAIMS = (
+    Claim("figxp: past the detection deadline ADAPT completes before the "
+          "heal, at one time", _adapt_capped),
+    Claim("figxp: the Waitall comparator completes after the heal, later "
+          "for a later heal", _waitall_tracks_partition),
+)

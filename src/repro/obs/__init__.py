@@ -20,12 +20,6 @@ On top of the recorder:
   one track per rank plus link tracks (``repro trace --chrome out.json``).
 """
 
-from repro.obs.baseline import (
-    BASELINE_PATH,
-    compare_snapshots,
-    load_baseline,
-    save_baseline,
-)
 from repro.obs.chrome import (
     chrome_trace_events,
     export_chrome_trace,
@@ -49,7 +43,6 @@ from repro.obs.spans import (
 )
 
 __all__ = [
-    "BASELINE_PATH",
     "CAT_COLLECTIVE",
     "CAT_CPU",
     "CAT_FAULT",
@@ -63,12 +56,9 @@ __all__ = [
     "ObsRecorder",
     "Span",
     "chrome_trace_events",
-    "compare_snapshots",
     "compute_metrics",
     "critical_path",
     "export_chrome_trace",
-    "load_baseline",
     "render_chrome_json",
-    "save_baseline",
     "validate_chrome_trace",
 ]

@@ -83,8 +83,8 @@ class TestCli:
                                   "--jobs", "2", "--no-cache"])
         assert args.command == "trace" and args.chrome == "t.json"
         assert args.jobs == 2 and args.no_cache
-        args = parser.parse_args(["metrics", "--check", "--no-cache"])
-        assert args.command == "metrics" and args.check and not args.update
+        args = parser.parse_args(["metrics", "--scale", "small", "--json", "m.json"])
+        assert args.command == "metrics" and args.json == "m.json"
 
     def test_trace_writes_valid_json(self, tmp_path, capsys):
         out = tmp_path / "t.json"

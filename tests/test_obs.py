@@ -1,6 +1,6 @@
 """Tests for the observability layer (repro.obs): the span recorder and its
 wire format, metric distillation, critical-path analysis, the Chrome
-trace-event exporter, truncation surfacing, and the metric-drift baseline.
+trace-event exporter, and truncation surfacing.
 
 The load-bearing property throughout: recording is retrospective, so an
 observed run reports the exact times an unobserved one does.
@@ -20,7 +20,6 @@ from repro.obs import (
     ObsRecorder,
     Span,
     chrome_trace_events,
-    compare_snapshots,
     compute_metrics,
     critical_path,
     export_chrome_trace,
@@ -308,43 +307,6 @@ class TestTruncationSurfacing:
         from repro.parallel import result_from_dict
 
         assert result_from_dict(d).trace_truncated is False
-
-
-class TestBaselineCompare:
-    SNAP = {"libraries": {"A": {"sync_wait_pct": 1.0, "mean_ms": 2.0}},
-            "critical_path": {"s": {"hops": 6}}}
-
-    def test_identical_is_clean(self):
-        assert compare_snapshots(self.SNAP, json.loads(json.dumps(self.SNAP))) == []
-
-    def test_within_tolerance_is_clean(self):
-        cur = json.loads(json.dumps(self.SNAP))
-        cur["libraries"]["A"]["mean_ms"] = 2.04  # 2% off, tol 5%
-        assert compare_snapshots(cur, self.SNAP) == []
-
-    def test_drift_detected(self):
-        cur = json.loads(json.dumps(self.SNAP))
-        cur["libraries"]["A"]["sync_wait_pct"] = 2.0
-        drift = compare_snapshots(cur, self.SNAP)
-        assert drift and "sync_wait_pct" in drift[0]
-
-    def test_missing_and_extra_keys_are_drift(self):
-        cur = json.loads(json.dumps(self.SNAP))
-        del cur["critical_path"]
-        cur["libraries"]["B"] = {}
-        drift = compare_snapshots(cur, self.SNAP)
-        assert any("missing" in d for d in drift)
-        assert any("unexpected" in d for d in drift)
-
-    def test_checked_in_baseline_is_wellformed(self):
-        from repro.obs import BASELINE_PATH, load_baseline
-
-        base = load_baseline(BASELINE_PATH)
-        assert set(base) == {"scenario", "libraries", "critical_path"}
-        adapt = base["libraries"]["OMPI-adapt"]
-        waitall = base["libraries"]["OMPI-default-topo"]
-        # The acceptance ordering is baked into the checked-in snapshot.
-        assert adapt["sync_wait_pct"] < waitall["sync_wait_pct"]
 
 
 class TestCollectiveCounters:

@@ -300,8 +300,9 @@ class TestResultWireFormat:
         assert res.total_runtime == pytest.approx(d["total_runtime"])
 
 
-#: A reduced grid per registered experiment, keeping the suite fast; figq
-#: has no knob that shrinks its grid, so it runs in full.
+#: A reduced grid per registered experiment, keeping the suite fast; figq,
+#: metrics and ablations have no knob that shrinks their grid, so they run
+#: in full (ablations runs in process at any worker count).
 _REDUCED_GRIDS = {
     "fig7": dict(msg=256 << 10, max_iters=12, probe_iters=4),
     "fig8": dict(sizes=[256 << 10]),
@@ -314,6 +315,8 @@ _REDUCED_GRIDS = {
     "figxr": dict(operations=("bcast",)),
     "figxp": dict(operations=("bcast",)),
     "figq": {},
+    "metrics": {},
+    "ablations": {},
 }
 
 
