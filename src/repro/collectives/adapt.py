@@ -54,11 +54,8 @@ from repro.collectives.base import (
     launch_ranks,
     new_handle,
 )
-from repro.collectives.segmentation import (
-    assemble_payload,
-    segment_sizes,
-    slice_payload,
-)
+from repro.collectives.segmentation import segment_sizes
+from repro.mpi.payload import assemble_payload, slice_payload
 from repro.network.fabric import MemSpace
 from repro.trees.regraft import live_descendants, nearest_live_ancestor
 

@@ -11,11 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
-import numpy as np
-
 from repro.config import DEFAULT_COLLECTIVE, CollectiveConfig
 from repro.mpi.communicator import Communicator
 from repro.mpi.ops import ReduceOp
+from repro.mpi.payload import combine_payloads
 from repro.mpi.request import Request
 from repro.mpi.runtime import RankRuntime
 from repro.network.fabric import MemSpace
@@ -273,9 +272,7 @@ class CollectiveContext:
     def combine(self, acc: Any, operand: Any) -> Any:
         """Numerically combine two payloads (data mode only)."""
         assert self.op is not None
-        if acc is None or operand is None:
-            return None
-        return self.op(np.asarray(acc), np.asarray(operand))
+        return combine_payloads(self.op, acc, operand)
 
     def charge_reduce(
         self,

@@ -17,15 +17,17 @@ libraries as algorithm families):
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from repro.collectives.base import CollectiveContext, CollectiveHandle, new_handle
 from repro.collectives.nonblocking import reduce_nonblocking
 from repro.collectives.segmentation import block_ranges
+from repro.mpi.payload import assemble_payload, byte_view
 from repro.mpi.proclet import Compute, ProcletDriver, WaitAll
 from repro.trees.builders import binomial_tree
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def bcast_scatter_allgather(
@@ -50,11 +52,7 @@ def bcast_scatter_allgather(
         ctx.scratch = ctx.world.allocate_tags(P + P * P)
     base_tag = ctx.scratch
     btree = binomial_tree(P)  # over vranks; vrank 0 == root
-    payload = (
-        np.asarray(ctx.data).reshape(-1).view(np.uint8)
-        if (ctx.carry() and ctx.data is not None)
-        else None
-    )
+    payload = byte_view(ctx.data) if ctx.carry() else None
 
     def vrank(local: int) -> int:
         return (local - ctx.root) % P
@@ -87,8 +85,8 @@ def bcast_scatter_allgather(
             nb = range_bytes(vr, span)
             req = ctx.irecv(local, local_of(parent_vr), base_tag + vr, nb)
             yield req
-            if ctx.carry() and req.data is not None:
-                flat = np.asarray(req.data).reshape(-1).view(np.uint8)
+            flat = byte_view(req.data) if ctx.carry() else None
+            if flat is not None:
                 off = 0
                 for b in range(vr, vr + span):
                     ln = blocks[b][1]
@@ -100,13 +98,11 @@ def bcast_scatter_allgather(
         for child_vr in btree.children[vr]:
             cspan = subtree_span(child_vr)
             nb = range_bytes(child_vr, cspan)
-            data = None
-            if ctx.carry() and all(
-                have.get(b) is not None for b in range(child_vr, child_vr + cspan)
-            ):
-                data = np.concatenate(
-                    [have[b] for b in range(child_vr, child_vr + cspan)]
-                )
+            data = (
+                assemble_payload([have.get(b) for b in range(child_vr, child_vr + cspan)])
+                if ctx.carry()
+                else None
+            )
             yield ctx.isend(local, local_of(child_vr), base_tag + child_vr, nb, data)
 
         # -- ring allgather phase: P-1 steps around the vrank ring.
@@ -126,9 +122,7 @@ def bcast_scatter_allgather(
                 obs.count("classic.sag.ring_steps")
             have[recv_b] = rreq.data
 
-        out = None
-        if ctx.carry() and all(have.get(b) is not None for b in range(P)):
-            out = np.concatenate([np.asarray(have[b], dtype=np.uint8) for b in range(P)])
+        out = assemble_payload([have.get(b) for b in range(P)]) if ctx.carry() else None
         handle.mark_done(local, ctx.world.engine.now, out)
 
     for local in ranks if ranks is not None else range(P):
@@ -172,11 +166,7 @@ def reduce_rabenseifner(
     def program(local: int):
         vr = vrank(local)
         own = ctx.data.get(local) if (ctx.carry() and ctx.data) else None
-        vec = (
-            np.asarray(own).reshape(-1).view(np.uint8).copy()
-            if own is not None
-            else None
-        )
+        vec = byte_view(own, copy=True)
 
         # Pre-phase: the last `rem` vranks fold into partners vr - P2.
         if vr >= P2:
@@ -190,7 +180,7 @@ def reduce_rabenseifner(
             yield req
             yield Compute(nbytes / bw)
             if ctx.carry() and vec is not None and req.data is not None:
-                vec = np.asarray(ctx.op(vec, np.asarray(req.data)))
+                vec = ctx.combine(vec, req.data)
 
         # Reduce-scatter over the P2 group by recursive halving.
         lo, ln = 0, nbytes
@@ -209,10 +199,9 @@ def reduce_rabenseifner(
             yield WaitAll([sreq, rreq])
             yield Compute(keep_ln / bw)
             if ctx.carry() and vec is not None and rreq.data is not None:
-                seg = ctx.op(
-                    vec[keep_off : keep_off + keep_ln], np.asarray(rreq.data)
+                vec[keep_off : keep_off + keep_ln] = ctx.combine(
+                    vec[keep_off : keep_off + keep_ln], rreq.data
                 )
-                vec[keep_off : keep_off + keep_ln] = seg
             lo, ln = keep_off, keep_ln
             mask >>= 1
             step += 1
@@ -245,7 +234,7 @@ def reduce_rabenseifner(
                 req = ctx.irecv(local, local_of(partner), base_tag + 3 * P + partner, pln)
                 yield req
                 if vec is not None and req.data is not None:
-                    vec[plo : plo + pln] = np.asarray(req.data).reshape(-1).view(np.uint8)
+                    vec[plo : plo + pln] = byte_view(req.data)
                 total_ln += pln
                 total_lo = min(total_lo, plo)
             mask <<= 1

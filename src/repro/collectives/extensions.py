@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-import numpy as np
-
 from repro.collectives.adapt import bcast_adapt, reduce_adapt
 from repro.collectives.base import (
     CollectiveContext,
@@ -33,6 +31,7 @@ from repro.collectives.base import (
     new_handle,
 )
 from repro.collectives.segmentation import block_ranges
+from repro.mpi.payload import assemble_payload, byte_view
 from repro.trees.regraft import live_descendants, nearest_live_ancestor
 
 
@@ -96,20 +95,16 @@ class _AdaptScatterRank:
             if m in wanted:
                 chunks.append(self.buf[off : off + ln])
             off += ln
-        return np.concatenate(chunks) if chunks else None
+        return assemble_payload(chunks)
 
     # -- data flow ------------------------------------------------------------
 
     def _start(self) -> None:
         ctx = self.ctx
         if self.parent is None:
-            payload = (
-                np.asarray(ctx.data).reshape(-1).view(np.uint8)
-                if (ctx.carry() and ctx.data is not None)
-                else None
-            )
+            payload = byte_view(ctx.data) if ctx.carry() else None
             if payload is not None:
-                self.buf = np.concatenate([
+                self.buf = assemble_payload([
                     payload[self.blocks[m][0] : self.blocks[m][0] + self.blocks[m][1]]
                     for m in sorted(_subtree(self.tree, self.local))
                 ])
@@ -130,11 +125,7 @@ class _AdaptScatterRank:
         self._recv_req = None
         if self.received:
             return  # a recovery replay of a range the dead parent delivered
-        self.buf = (
-            np.asarray(r.data).reshape(-1).view(np.uint8)
-            if (self.ctx.carry() and r.data is not None)
-            else None
-        )
+        self.buf = byte_view(r.data) if self.ctx.carry() else None
         self.received = True
         self._flush_sends()
         self._maybe_finish()
@@ -256,16 +247,13 @@ def gather_adapt(
         children = tree.children[local]
         parent = tree.parent[local]
         own = ctx.data.get(local) if (ctx.carry() and ctx.data) else None
-        pieces: dict[int, Any] = {
-            local: np.asarray(own).reshape(-1).view(np.uint8) if own is not None else None
-        }
+        pieces: dict[int, Any] = {local: byte_view(own)}
         pending = {"children": len(children)}
 
         def assembled() -> Any:
-            members = sorted(_subtree(tree, local))
-            if not ctx.carry() or any(pieces.get(m) is None for m in members):
+            if not ctx.carry():
                 return None
-            return np.concatenate([pieces[m] for m in members])
+            return assemble_payload([pieces.get(m) for m in sorted(_subtree(tree, local))])
 
         def finish_or_forward() -> None:
             if pending["children"] > 0:
@@ -284,8 +272,8 @@ def gather_adapt(
             req = ctx.irecv(local, child, base_tag + child, subtree_bytes(child))
 
             def on_recv(r, child=child) -> None:
-                if ctx.carry() and r.data is not None:
-                    buf = np.asarray(r.data).reshape(-1).view(np.uint8)
+                buf = byte_view(r.data) if ctx.carry() else None
+                if buf is not None:
                     off = 0
                     for m in sorted(_subtree(tree, child)):
                         ln = blocks[m][1]

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-import numpy as np
-
 from repro.collectives.base import CollectiveContext, CollectiveHandle, new_handle
 from repro.collectives.segmentation import block_ranges
+from repro.mpi.payload import assemble_payload, byte_view, zero_bytes
 
 
 def allgather_adapt(
@@ -50,14 +49,13 @@ def allgather_adapt(
 
     def own_block(local: int) -> Any:
         own = ctx.data.get(local) if (ctx.carry() and ctx.data) else None
-        return np.asarray(own).reshape(-1).view(np.uint8) if own is not None else None
+        return byte_view(own)
 
     def assemble(have: dict[int, Any]) -> Any:
         if not ctx.carry() or any(have.get(m) is None for m in ring):
             return None
-        return np.concatenate([
-            have[b] if b in have else np.zeros(blocks[b][1], dtype=np.uint8)
-            for b in range(P)
+        return assemble_payload([
+            have[b] if b in have else zero_bytes(blocks[b][1]) for b in range(P)
         ])
 
     if K == 1:
@@ -93,11 +91,7 @@ def allgather_adapt(
             req = ctx.irecv(local, left, base_tag + P * left + b, blocks[b][1])
 
             def on_recv(r, b=b) -> None:
-                have[b] = (
-                    np.asarray(r.data).reshape(-1).view(np.uint8)
-                    if (ctx.carry() and r.data is not None)
-                    else None
-                )
+                have[b] = byte_view(r.data) if ctx.carry() else None
                 state["collected"] += 1
                 # Forward it onward unless the right neighbour originated it
                 # (it already has it; it never travels the full ring).
@@ -151,11 +145,7 @@ def reduce_scatter_adapt(
 
     def own_vec(local: int) -> Any:
         own = ctx.data.get(local) if (ctx.carry() and ctx.data) else None
-        return (
-            np.asarray(own).reshape(-1).view(np.uint8).copy()
-            if own is not None
-            else None
-        )
+        return byte_view(own, copy=True)
 
     if K == 1:
         local = ring[0]
@@ -218,9 +208,7 @@ def reduce_scatter_adapt(
                 # the arithmetic before the next step fires.
                 if ctx.carry() and vec is not None and r.data is not None:
                     off, ln = blocks[recv_b]
-                    vec[off : off + ln] = np.asarray(
-                        ctx.op(vec[off : off + ln], np.asarray(r.data))
-                    )
+                    vec[off : off + ln] = ctx.combine(vec[off : off + ln], r.data)
                 state["step"] += 1
                 ctx.charge_reduce(local, blocks[recv_b][1], do_step)
 

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-import numpy as np
-
 from repro.collectives.base import (
     CollectiveContext,
     CollectiveHandle,
@@ -30,6 +28,7 @@ from repro.collectives.base import (
     new_handle,
 )
 from repro.collectives.segmentation import block_ranges
+from repro.mpi.payload import assemble_payload, byte_view, zero_bytes
 
 
 class _AdaptAlltoallRank:
@@ -45,9 +44,7 @@ class _AdaptAlltoallRank:
         self.P = P
         self.blocks = block_ranges(ctx.nbytes, P)
         own = ctx.data.get(local) if (ctx.carry() and ctx.data) else None
-        self.vec = (
-            np.asarray(own).reshape(-1).view(np.uint8) if own is not None else None
-        )
+        self.vec = byte_view(own)
         # got[s] = block `local` received from source s (None until arrival);
         # the own block is in hand from the start.
         self.got: dict[int, Any] = {local: self._own_block()}
@@ -87,11 +84,7 @@ class _AdaptAlltoallRank:
         if src not in self.want:
             return  # a post-mortem delivery from an excused peer: absorbed
         self.want.discard(src)
-        self.got[src] = (
-            np.asarray(data).reshape(-1).view(np.uint8)
-            if (self.ctx.carry() and data is not None)
-            else None
-        )
+        self.got[src] = byte_view(data) if self.ctx.carry() else None
         self._maybe_finish()
 
     def _on_send_done(self, dst: int) -> None:
@@ -124,13 +117,10 @@ class _AdaptAlltoallRank:
         out = None
         if self.ctx.carry() and self.vec is not None:
             ln = self.blocks[self.local][1]
-            parts = []
-            for s in range(self.P):
-                blk = self.got.get(s)
-                parts.append(
-                    blk if blk is not None else np.zeros(ln, dtype=np.uint8)
-                )
-            out = np.concatenate(parts) if parts else None
+            out = assemble_payload([
+                self.got[s] if self.got.get(s) is not None else zero_bytes(ln)
+                for s in range(self.P)
+            ])
         self.handle.mark_done(self.local, self.ctx.world.engine.now, out)
 
 
@@ -149,7 +139,7 @@ def alltoall_adapt(
 
     if P == 1:
         own = ctx.data.get(0) if (ctx.carry() and ctx.data) else None
-        out = np.asarray(own).reshape(-1).view(np.uint8) if own is not None else None
+        out = byte_view(own)
         if not handle.done_time:
             handle.mark_done(0, ctx.world.engine.now, out)
         return handle

@@ -13,11 +13,8 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from repro.collectives.base import CollectiveContext, CollectiveHandle, new_handle
-from repro.collectives.segmentation import (
-    assemble_payload,
-    segment_sizes,
-    slice_payload,
-)
+from repro.collectives.segmentation import segment_sizes
+from repro.mpi.payload import assemble_payload, slice_payload
 from repro.mpi.proclet import Compute, ProcletDriver, WaitAll
 
 _PREPOST = 2  # Figure 3: non-root posts two Irecvs before waiting the first.

@@ -41,11 +41,8 @@ from repro.collectives.base import (
     CollectiveHandle,
     new_handle,
 )
-from repro.collectives.segmentation import (
-    assemble_payload,
-    segment_sizes,
-    slice_payload,
-)
+from repro.collectives.segmentation import segment_sizes
+from repro.mpi.payload import assemble_payload, slice_payload
 from repro.relaxed.frontier import (
     DISCARDED,
     LATE,

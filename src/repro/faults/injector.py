@@ -15,9 +15,8 @@ workloads give byte-identical timelines.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
-
-import numpy as np
 
 from repro.faults.detector import FailureDetector
 from repro.faults.plan import FaultPlan
@@ -123,6 +122,10 @@ class FaultInjector:
     def __init__(self, world: MpiWorld, plan: FaultPlan):
         self.world = world
         self.plan = plan
+        # The draws come from numpy's generator; importing it here keeps
+        # numpy out of runs that build no injector.
+        import numpy as np
+
         self.rng = np.random.default_rng(plan.seed)
         self.timeline: list[tuple[float, str, str]] = []
         # Counters (conservation checked by the sanitizer, DESIGN.md S17).
@@ -227,7 +230,7 @@ class FaultInjector:
         for i, spec in enumerate(self.plan.flaps):
             end = eng.now + horizon
             start = max(eng.now, self._flap_armed_until[i])
-            k = max(0, int(np.ceil((start - self._flap_phase[i]) / spec.period)))
+            k = max(0, math.ceil((start - self._flap_phase[i]) / spec.period))
             t = self._flap_phase[i] + k * spec.period
             while t < end:
                 eng.call_at(t, self._do_flap, i, True)

@@ -19,6 +19,10 @@ bcast/allreduce simulations at 1K/4K/16K ranks — engine events/sec over the
 wall clock plus allocator rounds/sec on a world-sized component — so the
 scaling story is recorded per rank count, not just on microbenchmarks.
 
+A fifth, opt-in leg (``repro bench --section cold``) times the cold start
+of a timing-only run in fresh interpreters — importing the runner plus one
+small bcast — and records its peak RSS and whether numpy was loaded.
+
 ``run_core_bench`` returns a plain dict; ``repro bench --json`` writes it
 as ``BENCH_core.json`` (the CI perf-smoke artifact), keeping the sections
 of an existing file that the run did not measure.
@@ -32,21 +36,25 @@ import json
 import os
 import platform
 import random
+import statistics
+import subprocess
+import sys
 import time
 from typing import Any, Callable, Optional
 
-from repro import __version__
+import repro
 from repro.network.fairshare import maxmin_rates, maxmin_rates_reference
 from repro.network.flows import Flow
 from repro.network.links import Link
 from repro.sim.engine import Engine
 
 #: Benchmark sizing per scale (events for the engine workload, timed
-#: allocator calls, repeated timing passes).
+#: allocator calls, repeated timing passes, fresh interpreters for the cold
+#: start).
 _SIZES = {
-    "small": {"events": 200_000, "alloc_calls": 30, "repeats": 3},
-    "medium": {"events": 1_000_000, "alloc_calls": 100, "repeats": 5},
-    "paper": {"events": 4_000_000, "alloc_calls": 300, "repeats": 5},
+    "small": {"events": 200_000, "alloc_calls": 30, "repeats": 3, "cold_starts": 5},
+    "medium": {"events": 1_000_000, "alloc_calls": 100, "repeats": 5, "cold_starts": 9},
+    "paper": {"events": 4_000_000, "alloc_calls": 300, "repeats": 5, "cold_starts": 9},
 }
 
 #: The allocator scenario: enough flows with distinct caps that every call
@@ -357,6 +365,67 @@ def bench_fig09(scale: str, n_jobs: Optional[int] = None) -> dict:
     return out
 
 
+# -- cold start ------------------------------------------------------------
+
+#: One cold start, run by a fresh interpreter: the runner's imports plus one
+#: no-payload bcast, timed from the first import. Prints one JSON line.
+_COLD_START = r"""
+import time
+t0 = time.perf_counter()
+from repro.harness.runner import run_collective
+from repro.machine import for_ranks
+run_collective(for_ranks("cori", 16), 16, "OMPI-adapt", "bcast",
+               nbytes=4 << 20, iterations=1)
+seconds = time.perf_counter() - t0
+import json, re, resource, sys
+try:
+    # Linux keeps the spawning process's peak in ru_maxrss across exec;
+    # VmHWM is this interpreter's own.
+    with open("/proc/self/status") as fh:
+        rss_kb = int(re.search(r"VmHWM:\s+(\d+)", fh.read()).group(1))
+except OSError:
+    rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({
+    "seconds": seconds,
+    "peak_rss_mb": rss_kb / 1024.0,
+    "numpy_loaded": "numpy" in sys.modules,
+}))
+"""
+
+
+def bench_cold(scale: str) -> dict:
+    """Cold start of a timing-only run, each in a fresh interpreter.
+
+    ``ref_loops`` is the median cold start over the mean of the reference
+    runs either side of it, so host-speed drift moves both alike; the raw
+    median ``seconds`` is kept beside it. ``peak_rss_mb`` is the median
+    child's peak resident set.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    runs, ratios = [], []
+    ref = _reference_seconds()
+    for _ in range(_SIZES[scale]["cold_starts"]):
+        proc = subprocess.run(
+            [sys.executable, "-c", _COLD_START], env=env,
+            capture_output=True, text=True, check=True, timeout=300,
+        )
+        runs.append(json.loads(proc.stdout.splitlines()[-1]))
+        after = _reference_seconds()
+        ratios.append(runs[-1]["seconds"] / ((ref + after) / 2))
+        ref = after
+    return {
+        "workload": "import the runner, then one no-payload 16-rank 4 MiB "
+        "OMPI-adapt bcast (cori)",
+        "starts": len(runs),
+        "seconds": round(statistics.median(r["seconds"] for r in runs), 4),
+        "ref_loops": round(statistics.median(ratios), 3),
+        "peak_rss_mb": round(statistics.median(r["peak_rss_mb"] for r in runs), 1),
+        "numpy_loaded": any(r["numpy_loaded"] for r in runs),
+    }
+
+
 # -- driver ----------------------------------------------------------------
 
 
@@ -373,7 +442,8 @@ def run_core_bench(
     Include ``"scale"`` in ``sections`` (CLI: ``repro bench --scale``) to
     append the rank-count scaling leg at ``scale_ranks`` world sizes on
     ``scale_preset`` — a flat preset or a compiled topology family
-    (``fattree``/``dragonfly``/``railpod``; CLI: ``--machine``).
+    (``fattree``/``dragonfly``/``railpod``; CLI: ``--machine``), and
+    ``"cold"`` for the cold-start leg.
     """
     if scale is None:
         from repro.harness.experiments.common import default_scale
@@ -385,7 +455,7 @@ def run_core_bench(
         )
     out: dict[str, Any] = {
         "benchmark": "BENCH_core",
-        "repro_version": __version__,
+        "repro_version": repro.__version__,
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "scale": scale,
@@ -398,6 +468,8 @@ def run_core_bench(
         out["fig09"] = bench_fig09(scale, n_jobs)
     if "scale" in sections:
         out["scale_ranks"] = bench_scale(scale_ranks, preset=scale_preset)
+    if "cold" in sections:
+        out["cold"] = bench_cold(scale)
     return out
 
 
@@ -446,6 +518,15 @@ def render(result: dict) -> str:
                 f"{alloc['rounds_per_sec']:>10,.2f} rounds/sec   "
                 f"({alloc['flows']:,} flows over {alloc['links']} links)"
             )
+    cold = result.get("cold")
+    if cold:
+        lines.append(
+            f"cold        {cold['seconds']:>12.4f} s/start       "
+            f"({cold['ref_loops']:.3f} reference loops; peak RSS "
+            f"{cold['peak_rss_mb']:.1f} MB; numpy "
+            f"{'loaded' if cold['numpy_loaded'] else 'not loaded'}; "
+            f"median of {cold['starts']})"
+        )
     fig = result.get("fig09")
     if fig:
         lines.append(

@@ -29,8 +29,6 @@ import gc
 from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, ParamSpec, Sequence, TypeVar, Union
 
-import numpy as np
-
 from repro.config import DEFAULT_COLLECTIVE, CollectiveConfig, RuntimeConfig
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
@@ -103,15 +101,19 @@ class RunResult:
 
     @property
     def mean_time(self) -> float:
+        # np.mean sums pairwise, which can differ from sum/len in the last
+        # digit of a golden; numpy is imported here, not by timing runs.
+        import numpy as np
+
         return float(np.mean(self.times))
 
     @property
     def min_time(self) -> float:
-        return float(np.min(self.times))
+        return float(min(self.times))  # exact on a float list, like np.min
 
     @property
     def max_time(self) -> float:
-        return float(np.max(self.times))
+        return float(max(self.times))
 
     def __str__(self) -> str:
         line = (

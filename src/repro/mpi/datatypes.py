@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -13,7 +16,14 @@ class DataType:
 
     name: str
     size: int          # bytes per element
-    np_dtype: np.dtype
+    dtype_name: str    # numpy dtype, resolved by ``np_dtype`` on first use
+
+    @cached_property
+    def np_dtype(self) -> np.dtype:
+        """The numpy dtype (imports numpy: data mode only)."""
+        import numpy as np
+
+        return np.dtype(self.dtype_name)
 
     def count_for(self, nbytes: int) -> int:
         """Element count in a buffer of ``nbytes`` (must divide evenly)."""
@@ -22,8 +32,8 @@ class DataType:
         return nbytes // self.size
 
 
-BYTE = DataType("byte", 1, np.dtype(np.uint8))
-INT32 = DataType("int32", 4, np.dtype(np.int32))
-INT64 = DataType("int64", 8, np.dtype(np.int64))
-FLOAT32 = DataType("float32", 4, np.dtype(np.float32))
-FLOAT64 = DataType("float64", 8, np.dtype(np.float64))
+BYTE = DataType("byte", 1, "uint8")
+INT32 = DataType("int32", 4, "int32")
+INT64 = DataType("int64", 8, "int64")
+FLOAT32 = DataType("float32", 4, "float32")
+FLOAT64 = DataType("float64", 8, "float64")

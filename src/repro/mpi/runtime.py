@@ -34,45 +34,17 @@ reduction work runs on simulated CUDA streams instead of the host CPU.
 
 from __future__ import annotations
 
-import zlib
 from typing import Any, Callable, Optional
-
-import numpy as np
 
 from repro.config import DEFAULT_RUNTIME, RuntimeConfig
 from repro.machine.spec import MachineSpec
 from repro.machine.topology import Topology
 from repro.mpi.matching import InboundMessage, Matcher
+from repro.mpi.payload import copy_payload, flip_bit, payload_crc
 from repro.mpi.request import Request
 from repro.network.fabric import Fabric, MemSpace
 from repro.sim.cpu import Cpu
 from repro.sim.engine import Engine
-
-
-def _copy_payload(data: Any) -> Any:
-    """Buffer a payload at send time (value semantics, like MPI)."""
-    if isinstance(data, np.ndarray):
-        return data.copy()
-    return data
-
-
-def _payload_crc(data: Any) -> Optional[int]:
-    """Sender-side segment checksum (end-to-end integrity, DESIGN.md S20)."""
-    if isinstance(data, np.ndarray):
-        return zlib.crc32(np.ascontiguousarray(data).tobytes())
-    return None
-
-
-def _flip_bit(data: Any, bit: int) -> Any:
-    """A copy of ``data`` with one bit flipped (in-flight corruption)."""
-    if not isinstance(data, np.ndarray):
-        return data
-    out = np.ascontiguousarray(data).copy()
-    view = out.reshape(-1).view(np.uint8)
-    if view.size:
-        i = (bit // 8) % view.size
-        view[i] ^= np.uint8(1 << (bit % 8))
-    return out
 
 
 class _Send:
@@ -197,7 +169,7 @@ class RankRuntime:
             self.world.sanitizer.on_post(req)
         self.sends_posted += 1
         self.bytes_sent += nbytes
-        payload = _copy_payload(data) if self.world.carry_data else None
+        payload = copy_payload(data) if self.world.carry_data else None
         src_space = space if space is not None else self.space
         to_space = dst_space if dst_space is not None else self.world.ranks[dst].space
         eager = nbytes <= self.world.config.eager_threshold
@@ -291,11 +263,11 @@ class RankRuntime:
                 # corruption. Rolled here on the sender's CPU, so the rng
                 # consumption order — the determinism contract — depends
                 # only on the sender-side schedule.
-                crc = _payload_crc(payload)
+                crc = payload_crc(payload)
                 bit = faults.corrupt_roll(req.rank, req.peer, req.nbytes, req.tag)
             corrupt = bit is not None
             if bit is not None:
-                payload = _flip_bit(payload, bit)
+                payload = flip_bit(payload, bit)
             if kind == "eager":
 
                 def on_wire(flow) -> None:
@@ -583,7 +555,7 @@ class RankRuntime:
         delivered at most once.
         """
         if corrupt or (
-            crc is not None and payload is not None and _payload_crc(payload) != crc
+            crc is not None and payload is not None and payload_crc(payload) != crc
         ):
             self.checksum_rejects += 1
             if self.world.obs is not None:

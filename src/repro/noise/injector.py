@@ -15,9 +15,8 @@ generator is seeded — identical seeds give identical noise timelines.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
-
-import numpy as np
 
 from repro.mpi.runtime import MpiWorld
 
@@ -54,6 +53,10 @@ class NoiseInjector:
                 raise ValueError(
                     f"noise rank {r} outside [0, {world.nranks})"
                 )
+        # The draws come from numpy's generator; importing it here keeps
+        # numpy out of runs that build no injector.
+        import numpy as np
+
         self.rng = np.random.default_rng(seed)
         # Independent phase per rank, fixed for the injector's lifetime.
         self._phase = {
@@ -78,7 +81,7 @@ class NoiseInjector:
         for r in self.ranks:
             start = max(eng.now, self._armed_until[r])
             # First tick at or after `start` respecting the rank's phase.
-            k = max(0, int(np.ceil((start - self._phase[r]) / period)))
+            k = max(0, math.ceil((start - self._phase[r]) / period))
             t = self._phase[r] + k * period
             while t < end:
                 duration = float(self.rng.uniform(0.0, self.max_duration))

@@ -133,6 +133,15 @@ class TestCli:
         assert data["allocator"]["rounds_per_sec"] > 0
         assert data["allocator"]["reference_rounds_per_sec"] > 0
 
+    def test_bench_cold_json(self, tmp_path, capsys):
+        out_path = tmp_path / "BENCH_core.json"
+        assert main(["bench", "--section", "cold", "--scale", "small",
+                     "--json", str(out_path)]) == 0
+        assert "numpy not loaded" in capsys.readouterr().out
+        cold = json.loads(out_path.read_text())["cold"]
+        assert cold["starts"] == 5 and cold["ref_loops"] > 0
+        assert cold["peak_rss_mb"] > 0 and cold["numpy_loaded"] is False
+
     def test_bench_json_keeps_unmeasured_sections(self, tmp_path, capsys):
         import json
 

@@ -1,0 +1,74 @@
+"""numpy loads only for runs that carry payload arrays (DESIGN.md §4).
+
+Timing mode passes ``None`` payloads; every array operation sits behind
+:mod:`repro.mpi.payload`, which imports numpy past its ``None`` checks. So a
+timing-only run, a sweep and the CLI never load numpy, while a data-mode
+run and a built noise injector (numpy's seeded generator) do. Each case
+runs in a fresh interpreter: this process has numpy loaded already.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import repro
+
+_TIMING_BCAST = """
+from repro.harness.runner import run_collective
+from repro.machine import for_ranks
+run_collective(for_ranks("cori", 16), 16, "OMPI-adapt", "bcast",
+               nbytes=4 << 20, iterations=1)
+"""
+
+_FIG09_JOB = """
+from repro.harness.experiments import fig09_msgsize
+from repro.parallel import run_jobs
+run_jobs(fig09_msgsize.jobs("cori", "small", "bcast")[:1], n_jobs=1, cache=None)
+"""
+
+_CLI_IMPORT = """
+import repro.cli, repro.harness.experiments
+"""
+
+_DATA_BCAST = """
+from repro.collectives import bcast_adapt
+from repro.collectives.base import CollectiveContext
+from repro.machine import small_test_machine
+from repro.mpi import Communicator, MpiWorld
+from repro.trees import binomial_tree
+world = MpiWorld(small_test_machine(), 4, carry_data=True)
+data = bytes(range(256)) * 4
+ctx = CollectiveContext(Communicator(world), 0, len(data), tree=binomial_tree(4),
+                        data=bytearray(data))
+handle = bcast_adapt(ctx)
+world.run()
+assert sorted(handle.output) == [0, 1, 2, 3]
+assert all(bytes(out) == data for out in handle.output.values())
+"""
+
+_NOISE_INJECTOR = """
+from repro.machine import small_test_machine
+from repro.mpi import MpiWorld
+from repro.noise.injector import NoiseInjector
+NoiseInjector(MpiWorld(small_test_machine(), 4), percent=5.0)
+"""
+
+
+@pytest.mark.parametrize("code, loads_numpy", [
+    pytest.param(_TIMING_BCAST, False, id="timing-bcast"),
+    pytest.param(_FIG09_JOB, False, id="fig09-job"),
+    pytest.param(_CLI_IMPORT, False, id="cli-import"),
+    pytest.param(_DATA_BCAST, True, id="data-bcast"),
+    pytest.param(_NOISE_INJECTOR, True, id="noise-injector"),
+])
+def test_numpy_loads_only_for_payloads_and_injectors(code, loads_numpy):
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys\nprint('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-1] == str(loads_numpy)

@@ -5,13 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.collectives.segmentation import (
-    assemble_payload,
-    segment_offsets,
-    segment_sizes,
-    slice_payload,
-)
+from repro.collectives.segmentation import segment_offsets, segment_sizes
 from repro.config import CollectiveConfig, RuntimeConfig
+from repro.mpi.payload import assemble_payload, slice_payload
 
 
 class TestSegmentSizes:
