@@ -488,9 +488,9 @@ def _parse_partition(text: str, nranks: int) -> tuple[tuple[int, ...], ...]:
     """Parse ``'0-15|16-23'`` into disjoint rank groups covering the world.
 
     Each side is a comma-separated list of single ranks or ``a-b`` ranges
-    (inclusive). Validation of disjointness/coverage is delegated to
-    :class:`PartitionSpec`; here we only reject malformed tokens early with
-    a CLI-flavoured error.
+    (inclusive). Malformed tokens, ranks outside ``[0, nranks)`` and
+    ranks no group lists exit here with a CLI-flavoured error;
+    disjointness is :class:`PartitionSpec`'s check.
     """
     def side(tokens: str) -> tuple[int, ...]:
         ranks: list[int] = []
@@ -517,7 +517,14 @@ def _parse_partition(text: str, nranks: int) -> tuple[tuple[int, ...], ...]:
             "chaos: --partition needs at least two non-empty '|'-separated "
             "rank groups, e.g. '0-15|16-23'"
         )
-    missing = set(range(nranks)) - {r for s in sides for r in s}
+    listed = {r for s in sides for r in s}
+    outside = sorted(r for r in listed if not 0 <= r < nranks)
+    if outside:
+        raise SystemExit(
+            f"chaos: --partition ranks must lie in [0, {nranks}); "
+            f"got {outside}"
+        )
+    missing = set(range(nranks)) - listed
     if missing:
         raise SystemExit(
             f"chaos: --partition groups must cover every rank; "

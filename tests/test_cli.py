@@ -121,6 +121,22 @@ class TestCli:
         assert outs[0] == outs[1] == outs[2]  # the last run is all hits
         assert len(list((tmp_path / "c2").glob("*/*.json"))) == 3
 
+    @pytest.mark.parametrize("partition, reason", [
+        ("0-3|x", "bad --partition token 'x'"),
+        ("0-7", "at least two non-empty"),
+        ("0-3|4-6", "missing [7] of 8"),
+        ("0-3|4-9", "must lie in [0, 8); got [8, 9]"),
+        ("0-4|4-7", "disjoint; rank(s) [4] appear twice"),  # PartitionSpec's
+    ])
+    def test_chaos_rejects_a_bad_partition(self, partition, reason):
+        argv = ["chaos", "bcast", "--nodes", "1", "--nranks", "8",
+                "--nbytes", "4096", "--iterations", "1",
+                "--partition", partition]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        message = str(exc.value)
+        assert message.startswith("chaos: ") and reason in message
+
     def test_bench_allocator_json(self, tmp_path, capsys):
         out_path = tmp_path / "BENCH_core.json"
         assert main(["bench", "--section", "allocator",
