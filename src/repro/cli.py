@@ -1022,6 +1022,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"profile --experiment {args.experiment}: --machine must be "
             f"{' or '.join(machines)}, not {args.machine!r}"
         )
+    if getattr(args, "seed", 0) < 0:  # run, chaos and trace
+        raise SystemExit(
+            f"{args.command}: --seed must be a non-negative integer, got {args.seed}"
+        )
     if args.command in EXPERIMENTS:
         print(_cmd_experiment(args))
     elif args.command == "run":

@@ -22,6 +22,7 @@ from repro.faults.detector import FailureDetector
 from repro.faults.plan import FaultPlan
 from repro.mpi.runtime import MpiWorld
 from repro.network.flows import Flow
+from repro.sim.rng import Generator
 
 
 class FabricFaults:
@@ -57,11 +58,11 @@ class FabricFaults:
             return on_complete, None
         dup_cb: Optional[Callable[[Flow], None]] = None
         if spec.duplicate > 0.0 and self.dedup_safe:
-            if float(inj.rng.random()) < spec.duplicate:
+            if inj.rng.random() < spec.duplicate:
                 inj.duplicated += 1
                 inj.record("dup", f"{src}->{dst} tag={taginfo} {nbytes}B")
                 dup_cb = on_complete
-        if spec.drop > 0.0 and float(inj.rng.random()) < spec.drop:
+        if spec.drop > 0.0 and inj.rng.random() < spec.drop:
             inj.dropped += 1
             inj.record("drop", f"{src}->{dst} tag={taginfo} {nbytes}B")
 
@@ -108,9 +109,9 @@ class FabricFaults:
         spec = inj.match_corrupt(src, dst)
         if spec is None or spec.rate <= 0.0:
             return None
-        if float(inj.rng.random()) >= spec.rate:
+        if inj.rng.random() >= spec.rate:
             return None
-        bit = int(inj.rng.integers(max(1, nbytes * 8)))
+        bit = inj.rng.integers(max(1, nbytes * 8))
         inj.corrupted += 1
         inj.record("corrupt", f"{src}->{dst} tag={taginfo} {nbytes}B bit={bit}")
         return bit
@@ -122,11 +123,7 @@ class FaultInjector:
     def __init__(self, world: MpiWorld, plan: FaultPlan):
         self.world = world
         self.plan = plan
-        # The draws come from numpy's generator; importing it here keeps
-        # numpy out of runs that build no injector.
-        import numpy as np
-
-        self.rng = np.random.default_rng(plan.seed)
+        self.rng = Generator(plan.seed)
         self.timeline: list[tuple[float, str, str]] = []
         # Counters (conservation checked by the sanitizer, DESIGN.md S17).
         self.dropped = 0
@@ -144,7 +141,7 @@ class FaultInjector:
         # Independent phase per flap spec, fixed for the injector's lifetime
         # (same draw discipline as NoiseInjector rank phases).
         self._flap_phase = [
-            float(self.rng.uniform(0.0, spec.period)) for spec in plan.flaps
+            self.rng.uniform(0.0, spec.period) for spec in plan.flaps
         ]
         self._flap_armed_until = [0.0] * len(plan.flaps)
         self._flap_base: dict[str, float] = {}  # link name -> base capacity

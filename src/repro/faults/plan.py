@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.sim.rng import check_seed
+
 
 @dataclass(frozen=True)
 class KillSpec:
@@ -228,7 +230,7 @@ class FaultPlan:
         object.__setattr__(self, "flaps", tuple(flaps))
         object.__setattr__(self, "corrupts", tuple(corrupts))
         object.__setattr__(self, "partitions", tuple(partitions))
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "seed", check_seed(seed))
         object.__setattr__(self, "detect_delay", detect_delay)
         object.__setattr__(self, "phi_threshold", float(phi_threshold))
         object.__setattr__(self, "heartbeat_period", float(heartbeat_period))

@@ -21,7 +21,8 @@ scaling story is recorded per rank count, not just on microbenchmarks.
 
 A fifth, opt-in leg (``repro bench --section cold``) times the cold start
 of a timing-only run in fresh interpreters — importing the runner plus one
-small bcast — and records its peak RSS and whether numpy was loaded.
+small bcast, plain and under seeded noise and loss — and records its peak
+RSS and whether numpy was loaded.
 
 ``run_core_bench`` returns a plain dict; ``repro bench --json`` writes it
 as ``BENCH_core.json`` (the CI perf-smoke artifact), keeping the sections
@@ -368,16 +369,22 @@ def bench_fig09(scale: str, n_jobs: Optional[int] = None) -> dict:
 # -- cold start ------------------------------------------------------------
 
 #: One cold start, run by a fresh interpreter: the runner's imports plus one
-#: no-payload bcast, timed from the first import. Prints one JSON line.
+#: no-payload bcast, timed from the first import; with the argument
+#: ``faulted``, the bcast runs under 5% noise and 1% loss. Prints one JSON
+#: line.
 _COLD_START = r"""
-import time
+import sys, time
 t0 = time.perf_counter()
 from repro.harness.runner import run_collective
 from repro.machine import for_ranks
+kwargs = {}
+if sys.argv[1:] == ["faulted"]:
+    from repro.faults.plan import FaultPlan, LossSpec
+    kwargs = dict(noise_percent=5.0, fault_plan=FaultPlan(losses=[LossSpec(drop=0.01)]))
 run_collective(for_ranks("cori", 16), 16, "OMPI-adapt", "bcast",
-               nbytes=4 << 20, iterations=1)
+               nbytes=4 << 20, iterations=1, **kwargs)
 seconds = time.perf_counter() - t0
-import json, re, resource, sys
+import json, re, resource
 try:
     # Linux keeps the spawning process's peak in ru_maxrss across exec;
     # VmHWM is this interpreter's own.
@@ -393,8 +400,8 @@ print(json.dumps({
 """
 
 
-def bench_cold(scale: str) -> dict:
-    """Cold start of a timing-only run, each in a fresh interpreter.
+def _cold_starts(scale: str, *args: str) -> dict:
+    """Median of ``_COLD_START`` runs, each in a fresh interpreter.
 
     ``ref_loops`` is the median cold start over the mean of the reference
     runs either side of it, so host-speed drift moves both alike; the raw
@@ -408,7 +415,7 @@ def bench_cold(scale: str) -> dict:
     ref = _reference_seconds()
     for _ in range(_SIZES[scale]["cold_starts"]):
         proc = subprocess.run(
-            [sys.executable, "-c", _COLD_START], env=env,
+            [sys.executable, "-c", _COLD_START, *args], env=env,
             capture_output=True, text=True, check=True, timeout=300,
         )
         runs.append(json.loads(proc.stdout.splitlines()[-1]))
@@ -416,13 +423,27 @@ def bench_cold(scale: str) -> dict:
         ratios.append(runs[-1]["seconds"] / ((ref + after) / 2))
         ref = after
     return {
-        "workload": "import the runner, then one no-payload 16-rank 4 MiB "
-        "OMPI-adapt bcast (cori)",
         "starts": len(runs),
         "seconds": round(statistics.median(r["seconds"] for r in runs), 4),
         "ref_loops": round(statistics.median(ratios), 3),
         "peak_rss_mb": round(statistics.median(r["peak_rss_mb"] for r in runs), 1),
         "numpy_loaded": any(r["numpy_loaded"] for r in runs),
+    }
+
+
+def bench_cold(scale: str) -> dict:
+    """Cold start of a timing-only run, plain and under seeded noise and
+    loss (``"faulted"``): both must leave numpy unloaded."""
+    plain = _cold_starts(scale)
+    faulted = _cold_starts(scale, "faulted")
+    return {
+        "workload": "import the runner, then one no-payload 16-rank 4 MiB "
+        "OMPI-adapt bcast (cori)",
+        **plain,
+        "faulted": {
+            "workload": "the same bcast under 5% noise and 1% loss",
+            **faulted,
+        },
     }
 
 
@@ -520,13 +541,14 @@ def render(result: dict) -> str:
             )
     cold = result.get("cold")
     if cold:
-        lines.append(
-            f"cold        {cold['seconds']:>12.4f} s/start       "
-            f"({cold['ref_loops']:.3f} reference loops; peak RSS "
-            f"{cold['peak_rss_mb']:.1f} MB; numpy "
-            f"{'loaded' if cold['numpy_loaded'] else 'not loaded'}; "
-            f"median of {cold['starts']})"
-        )
+        for label, start in (("cold", cold), ("  faulted", cold["faulted"])):
+            lines.append(
+                f"{label:<12}{start['seconds']:>12.4f} s/start       "
+                f"({start['ref_loops']:.3f} reference loops; peak RSS "
+                f"{start['peak_rss_mb']:.1f} MB; numpy "
+                f"{'loaded' if start['numpy_loaded'] else 'not loaded'}; "
+                f"median of {start['starts']})"
+            )
     fig = result.get("fig09")
     if fig:
         lines.append(

@@ -46,6 +46,30 @@ from repro.noise.injector import NoiseInjector
 from repro.relaxed.policy import QuorumPolicy
 
 
+def _pairwise_sum(values: Sequence[float], lo: int, n: int) -> float:
+    """Sum of ``values[lo:lo + n]`` in numpy's float64 summation order: a
+    plain loop under 8 items, 8 running sums up to 128, else halves split
+    at a multiple of 8."""
+    if n < 8:
+        res = 0.0
+        for i in range(lo, lo + n):
+            res += values[i]
+        return res
+    if n <= 128:
+        r = list(values[lo:lo + 8])
+        end = lo + n - n % 8
+        for i in range(lo + 8, end, 8):
+            for j in range(8):
+                r[j] += values[i + j]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(end, lo + n):
+            res += values[i]
+        return res
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values, lo, half) + _pairwise_sum(values, lo + half, n - half)
+
+
 @dataclass
 class RunResult:
     """Timings of one measurement."""
@@ -101,11 +125,11 @@ class RunResult:
 
     @property
     def mean_time(self) -> float:
-        # np.mean sums pairwise, which can differ from sum/len in the last
-        # digit of a golden; numpy is imported here, not by timing runs.
-        import numpy as np
-
-        return float(np.mean(self.times))
+        # np.mean's pairwise sum, which can differ from sum/len in the last
+        # digit of a golden.
+        if not self.times:
+            return float("nan")
+        return _pairwise_sum(self.times, 0, len(self.times)) / len(self.times)
 
     @property
     def min_time(self) -> float:

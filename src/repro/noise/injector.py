@@ -19,6 +19,7 @@ import math
 from typing import Optional, Sequence
 
 from repro.mpi.runtime import MpiWorld
+from repro.sim.rng import Generator
 
 
 def noise_profile(percent: float, frequency_hz: float = 10.0) -> float:
@@ -28,6 +29,8 @@ def noise_profile(percent: float, frequency_hz: float = 10.0) -> float:
     """
     if percent < 0:
         raise ValueError(f"negative noise percentage {percent}")
+    if not frequency_hz > 0:
+        raise ValueError(f"noise frequency must be > 0 Hz, got {frequency_hz}")
     mean = (percent / 100.0) / frequency_hz
     return 2.0 * mean
 
@@ -53,14 +56,10 @@ class NoiseInjector:
                 raise ValueError(
                     f"noise rank {r} outside [0, {world.nranks})"
                 )
-        # The draws come from numpy's generator; importing it here keeps
-        # numpy out of runs that build no injector.
-        import numpy as np
-
-        self.rng = np.random.default_rng(seed)
+        self.rng = Generator(seed)
         # Independent phase per rank, fixed for the injector's lifetime.
         self._phase = {
-            r: float(self.rng.uniform(0.0, 1.0 / frequency_hz)) for r in self.ranks
+            r: self.rng.uniform(0.0, 1.0 / frequency_hz) for r in self.ranks
         }
         self._armed_until = {r: 0.0 for r in self.ranks}
         self.events_injected = 0
@@ -84,7 +83,7 @@ class NoiseInjector:
             k = max(0, math.ceil((start - self._phase[r]) / period))
             t = self._phase[r] + k * period
             while t < end:
-                duration = float(self.rng.uniform(0.0, self.max_duration))
+                duration = self.rng.uniform(0.0, self.max_duration)
                 eng.call_at(t, self.world.inject_noise, r, duration)
                 self.events_injected += 1
                 self.total_injected_time += duration

@@ -137,6 +137,19 @@ class TestCli:
         message = str(exc.value)
         assert message.startswith("chaos: ") and reason in message
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--nodes", "1", "--nbytes", "4096", "--iterations", "1"],
+        ["chaos", "bcast", "--drop", "0.01"],
+        ["trace", "--machine", "testbox", "--nbytes", "4096", "--chrome", "{tmp}"],
+    ], ids=["run", "chaos", "trace"])
+    def test_negative_seed_exits_with_one_line(self, argv, tmp_path):
+        argv = [a.format(tmp=tmp_path / "t.json") for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "-1"])
+        assert str(exc.value) == (
+            f"{argv[0]}: --seed must be a non-negative integer, got -1"
+        )
+
     def test_bench_allocator_json(self, tmp_path, capsys):
         out_path = tmp_path / "BENCH_core.json"
         assert main(["bench", "--section", "allocator",
@@ -153,10 +166,12 @@ class TestCli:
         out_path = tmp_path / "BENCH_core.json"
         assert main(["bench", "--section", "cold", "--scale", "small",
                      "--json", str(out_path)]) == 0
-        assert "numpy not loaded" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert out.count("numpy not loaded") == 2 and "faulted" in out
         cold = json.loads(out_path.read_text())["cold"]
-        assert cold["starts"] == 5 and cold["ref_loops"] > 0
-        assert cold["peak_rss_mb"] > 0 and cold["numpy_loaded"] is False
+        for start in (cold, cold["faulted"]):
+            assert start["starts"] == 5 and start["ref_loops"] > 0
+            assert start["peak_rss_mb"] > 0 and start["numpy_loaded"] is False
 
     def test_bench_json_keeps_unmeasured_sections(self, tmp_path, capsys):
         import json

@@ -1,10 +1,12 @@
 """numpy loads only for runs that carry payload arrays (DESIGN.md §4).
 
 Timing mode passes ``None`` payloads; every array operation sits behind
-:mod:`repro.mpi.payload`, which imports numpy past its ``None`` checks. So a
-timing-only run, a sweep and the CLI never load numpy, while a data-mode
-run and a built noise injector (numpy's seeded generator) do. Each case
-runs in a fresh interpreter: this process has numpy loaded already.
+:mod:`repro.mpi.payload`, which imports numpy past its ``None`` checks. The
+noise and fault injectors draw from :mod:`repro.sim.rng`, and
+``RunResult.mean_time`` sums in plain Python. So a timing-only run, a
+sweep, the CLI, a noisy or lossy run and its mean never load numpy, while a
+data-mode run does. Each case runs in a fresh interpreter: this process has
+numpy loaded already.
 """
 
 import os
@@ -55,15 +57,34 @@ from repro.noise.injector import NoiseInjector
 NoiseInjector(MpiWorld(small_test_machine(), 4), percent=5.0)
 """
 
+_FAULT_PLAN = """
+from repro.faults.plan import CorruptSpec, FaultPlan, LossSpec
+from repro.harness.runner import run_collective
+from repro.machine import for_ranks
+plan = FaultPlan(losses=[LossSpec(drop=0.05)], corrupts=[CorruptSpec(rate=0.05)], seed=3)
+result = run_collective(for_ranks("cori", 16), 16, "OMPI-adapt", "bcast",
+                        nbytes=65536, iterations=2, fault_plan=plan, noise_percent=5.0)
+assert result.transport["dropped"] > 0 and result.transport["checksum_rejects"] > 0
+assert result.mean_time > 0
+"""
+
+_MEAN_TIME = """
+from repro.harness.runner import RunResult
+result = RunResult("L", "bcast", "m", 4, 1024, 0.0, times=[0.1] * 300)
+assert abs(result.mean_time - 0.1) < 1e-12
+"""
+
 
 @pytest.mark.parametrize("code, loads_numpy", [
     pytest.param(_TIMING_BCAST, False, id="timing-bcast"),
     pytest.param(_FIG09_JOB, False, id="fig09-job"),
     pytest.param(_CLI_IMPORT, False, id="cli-import"),
     pytest.param(_DATA_BCAST, True, id="data-bcast"),
-    pytest.param(_NOISE_INJECTOR, True, id="noise-injector"),
+    pytest.param(_NOISE_INJECTOR, False, id="noise-injector"),
+    pytest.param(_FAULT_PLAN, False, id="fault-plan"),
+    pytest.param(_MEAN_TIME, False, id="mean-time"),
 ])
-def test_numpy_loads_only_for_payloads_and_injectors(code, loads_numpy):
+def test_numpy_loads_only_for_payloads(code, loads_numpy):
     src = os.path.dirname(os.path.dirname(repro.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
