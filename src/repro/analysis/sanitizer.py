@@ -289,9 +289,10 @@ class Sanitizer:
         for link in links:
             # A fully drained flow awaiting its _finish callback still sits
             # in link.flows with its last rate, but carries no further
-            # bytes — its stale rate is not a capacity claim.
+            # bytes — its stale rate is not a capacity claim. A flow whose
+            # path crosses the link twice claims its rate twice.
             total = sum(
-                f.rate for f in link.flows
+                f.rate * f.path.count(link) for f in link.flows
                 if not f.done and f.remaining > _DRAINED_BYTES
             )
             if total > link.capacity * (1 + _RATE_TOL):

@@ -8,7 +8,9 @@ corresponding flows' rates, subtract them from the links they cross, repeat.
 Rates only change when the set of active flows changes, and only within the
 connected component of links/flows reachable from the changed flow's path;
 disjoint components provably do not affect each other's max-min allocation,
-so recomputation is local and large simulations stay fast.
+so recomputation is local and large simulations stay fast. The network finds
+a component exactly, at the time it needs it, by walking from a link to the
+flow classes live on it and from a class to the links of its path.
 """
 
 from __future__ import annotations
@@ -271,179 +273,17 @@ def maxmin_rates_reference(
     return rates
 
 
-class ComponentIndex:
-    """Incrementally maintained union-find over link membership (§23).
-
-    Replaces the per-``_rebalance`` BFS: components merge as flows arrive
-    (near-O(1) amortized via path-halving + union-by-size, with payload
-    flow/link sets merged small-into-large), and component extraction is a
-    find plus two set lookups. Union-find cannot split, so after enough
-    flow retirements a root's component may be a *superset* of the true
-    connected component. Disjoint sub-components share no link, so the
-    max-min allocation of each is the same mathematically, but progressive
-    filling over the union can round a bystander's rate one ulp away from
-    its own component's solve; the 1e-9 reschedule tolerance keeps its
-    schedule. The superset costs time, so a retirement counter triggers a
-    lazy rebuild from the live flow set once stale mass could dominate. A
-    rebuild can split a finished flow's links over several components
-    (:meth:`parts`).
-
-    Each root also keeps its component's class census, ``{Flow.key: flow
-    count}``: the solver's input (:func:`maxmin_rates`). It follows the
-    flow set: a flow's arrival and retirement count it in and out, and a
-    union merges the census with the flows.
-    """
-
-    __slots__ = (
-        "_parent", "_size", "_flows", "_links", "_census", "removals", "nflows",
-    )
-
-    #: Rebuild once retirements exceed max(this, live flow count).
-    _REBUILD_MIN = 64
-
-    def __init__(self) -> None:
-        self._parent: list[int] = []
-        self._size: list[int] = []
-        self._flows: dict[int, set[Flow]] = {}
-        self._links: dict[int, set[Link]] = {}
-        self._census: dict[int, dict[tuple, int]] = {}
-        self.removals = 0
-        self.nflows = 0
-
-    def ensure(self, idx: int) -> None:
-        parent = self._parent
-        while len(parent) <= idx:
-            parent.append(len(parent))
-            self._size.append(1)
-
-    def _find(self, i: int) -> int:
-        parent = self._parent
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]  # path halving
-            i = parent[i]
-        return i
-
-    def _union(self, a: int, b: int) -> int:
-        ra, rb = self._find(a), self._find(b)
-        if ra == rb:
-            return ra
-        if self._size[ra] < self._size[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        self._size[ra] += self._size[rb]
-        moved = self._flows.pop(rb, None)
-        if moved:
-            self._flows.setdefault(ra, set()).update(moved)
-        moved_links = self._links.pop(rb, None)
-        if moved_links:
-            self._links.setdefault(ra, set()).update(moved_links)
-        moved_census = self._census.pop(rb, None)
-        if moved_census:
-            census = self._census.setdefault(ra, {})
-            for key, n in moved_census.items():
-                census[key] = census.get(key, 0) + n
-        return ra
-
-    def add_flow(self, flow: Flow) -> None:
-        path = flow.path
-        if not path:
-            return
-        key = flow.key
-        r = self._find(path[0].index)
-        census = self._census.get(r)
-        if census is None or key not in census:
-            # A live flow of the class has unioned the path and listed its
-            # links already; otherwise do it now.
-            for link in path:
-                r = self._union(r, link.index)
-            self._links.setdefault(r, set()).update(path)
-            census = self._census.get(r)
-            if census is None:
-                census = self._census[r] = {}
-        self._flows.setdefault(r, set()).add(flow)
-        census[key] = census.get(key, 0) + 1
-        self.nflows += 1
-
-    def remove_flow(self, flow: Flow) -> None:
-        if not flow.path:
-            return
-        idx = flow.path[0].index
-        if idx is None or idx >= len(self._parent):
-            # Never registered (e.g. a zero-byte flow finished before
-            # activation ever indexed its links).
-            return
-        r = self._find(idx)
-        members = self._flows.get(r)
-        if members is None or flow not in members:
-            return
-        members.remove(flow)
-        census = self._census[r]
-        key = flow.key
-        n = census[key] - 1
-        if n:
-            census[key] = n
-        else:
-            del census[key]
-        if self.nflows > 0:
-            self.nflows -= 1
-        self.removals += 1
-
-    def stale(self) -> bool:
-        return self.removals > max(self._REBUILD_MIN, self.nflows)
-
-    def component(self, seed: Flow):
-        """The (possibly superset) component containing ``seed``'s links,
-        as its flows, its links and its class census."""
-        if not seed.path:
-            return (), (), {}
-        idx = seed.path[0].index
-        if idx is None or idx >= len(self._parent):
-            # Seed's links were never registered (zero-byte flow finished
-            # before activation indexed them): nothing shares them.
-            return (), (), {}
-        r = self._find(idx)
-        return self._flows.get(r, ()), self._links.get(r, ()), self._census.get(r, {})
-
-    def parts(self, path: Sequence[Link]) -> list[tuple[set, set, dict]]:
-        """The distinct components that hold flows among ``path``'s links,
-        in path order, each as :meth:`component` gives it."""
-        out = []
-        seen = set()
-        size = len(self._parent)
-        for link in path:
-            idx = link.index
-            if idx is None or idx >= size:
-                continue
-            r = self._find(idx)
-            if r not in seen:
-                seen.add(r)
-                flows = self._flows.get(r)
-                if flows:
-                    out.append((flows, self._links[r], self._census[r]))
-        return out
-
-    def rebuild(self, live_flows) -> None:
-        """Re-derive exact components from the live flow set."""
-        self._parent = list(range(len(self._parent)))
-        self._size = [1] * len(self._parent)
-        self._flows = {}
-        self._links = {}
-        self._census = {}
-        self.removals = 0
-        self.nflows = 0
-        for f in live_flows:
-            self.add_flow(f)
-
-
 class _LoneRates(dict):
     """Each class's lone rate, ``{Flow.key: rate}``: the rate of a flow
-    that shares none of its links, its cap bounded by its links'
-    capacities. Filled on first use; a capacity change clears it
-    (:meth:`FairShareNetwork.refresh`)."""
+    that shares none of its links, its cap bounded by each link's capacity
+    over the times the path crosses it. Filled on first use; a capacity
+    change clears it (:meth:`FairShareNetwork.refresh`)."""
 
     def __missing__(self, key: tuple) -> float:
         path, cap = key
-        rate = self[key] = min(min((link.capacity for link in path), default=cap), cap)
+        rate = self[key] = min(
+            min((link.capacity / path.count(link) for link in path), default=cap), cap
+        )
         return rate
 
 
@@ -543,8 +383,9 @@ class FairShareNetwork:
         self._stale = 0  # queue entries whose flow or cohort moved or left
         self._armed = _NEVER  # the finish-queue wake this network holds
         self._hook = self._due_now
-        self.components = ComponentIndex()
-        self._next_link_idx = 0  # assigns Link.index on a link's first flow
+        # Each class's live flow count, {Flow.key: n}; each link lists the
+        # classes live on it in ``Link.classes``.
+        self._census: dict[tuple, int] = {}
         # Each class's holders, {Flow.key: {cohort or loose flow: None}}:
         # every active flow with links is a loose flow or in one cohort.
         self._holders: dict[tuple, dict] = {}
@@ -597,16 +438,15 @@ class FairShareNetwork:
         also drops the cached lone rates.
         """
         self._lone_rates.clear()
-        comp = self.components
         seen: set[Flow] = set()
         for link in links:
             for flow in list(link.flows):
                 if flow in seen or flow.done:
                     continue
-                if comp.stale():
-                    comp.rebuild(f for f in self.active if f.path)
-                seen.update(comp.component(flow)[0])
-                self._rebalance(flow, refreshed=True)
+                # A live flow's class is on each of its links: one component.
+                parts = self._components(flow.path)
+                seen.update(parts[0][0])
+                self._rebalance(flow, parts)
 
     # -- internals ----------------------------------------------------------
 
@@ -627,15 +467,14 @@ class FairShareNetwork:
             self._finish(flow)
             return
         self.active.add(flow)
-        comp = self.components
+        key = flow.key
+        n = self._census.get(key, 0)
+        self._census[key] = n + 1
         for link in flow.path:
             link.flows.add(flow)
-            if link.index is None:
-                link.index = self._next_link_idx
-                self._next_link_idx += 1
-            comp.ensure(link.index)
-        comp.add_flow(flow)
-        self._holders.setdefault(flow.key, {})[flow] = None
+            if not n:  # the class appears on its links
+                link.classes[key] = None
+        self._holders.setdefault(key, {})[flow] = None
         self._rebalance(flow)
 
     def _drop(self, h) -> None:
@@ -964,12 +803,19 @@ class FairShareNetwork:
         if had_links:
             for link in flow.path:
                 link.flows.discard(flow)
-            self.components.remove_flow(flow)
-            if flow.nbytes > 0:  # a flow with bytes and links is held
-                held = self._holders[flow.key]
+            if flow.nbytes > 0:  # a flow with bytes and links is counted and held
+                key = flow.key
+                held = self._holders[key]
                 del held[flow]
                 if not held:
-                    del self._holders[flow.key]
+                    del self._holders[key]
+                n = self._census[key] - 1
+                if n:
+                    self._census[key] = n
+                else:  # the class leaves its links
+                    del self._census[key]
+                    for link in flow.path:
+                        link.classes.pop(key, None)  # a path may cross a link twice
         self.flows_completed += 1
         if self.obs is not None and had_links:
             # Span per link over the flow's wire lifetime (submit -> drain;
@@ -992,79 +838,65 @@ class FairShareNetwork:
         flow.on_complete(flow)
         return had_links
 
-    def _rebalance(self, seed: Flow, refreshed: bool = False) -> None:
+    def _rebalance(self, seed: Flow, parts: Optional[list] = None) -> None:
         """The class half: bring the rates of ``seed``'s component up to
-        date after ``seed`` arrived or finished, or, with ``refreshed``,
-        after its links' capacities changed; then finish the flows found
-        drained (:meth:`_conclude`)."""
-        now = self.engine.now
-        done = seed.finish_time is not None
-        # Fast path: the seed shares no link with any other flow, so its
-        # max-min rate is simply its cap bounded by its link capacities —
-        # the overwhelmingly common case on topology-aware trees, where a
-        # link rarely carries more than one in-order data flow at a time.
-        alone = not done and seed in self.active
-        if alone:
-            for link in seed.path:
-                if len(link.flows) > 1:
-                    alone = False
-                    break
-        if alone:
-            c = seed.cohort
-            if c is not None:
-                # The last member of its cohort (only ``refresh`` rebalances
-                # a lone flow that has a schedule): it goes on its own and
-                # keeps its queue entry, with its token.
-                i = c.order[c.pos]
-                seed.token = c.tokens[i]
-                self._release(c, i)
-            seed.drain(now)
-            if seed.remaining <= _EPSILON_BYTES:
-                self._conclude([seed])
-                return
-            rate = self._lone_rates[seed.key]
-            if abs(rate - seed.rate) > _RATE_TOLERANCE * max(rate, seed.rate) or not seed.stamp:
-                if seed.stamp:
-                    self._withdraw(seed)
-                seed.rate = rate
-                self._move_seed(seed)
-            if self.sanitizer is not None:
-                self._audit((seed,), seed.path)
-            if self._steps and not self.engine.running:
-                self._settle()  # (no cascade rebalances a live seed)
-            return
-        comp = self.components
-        parts = None
-        if comp.stale():
-            comp.rebuild(f for f in self.active if f.path)
-            if done:
-                # A finished flow's links may now lie in several
-                # components, and each one lost a flow.
-                parts = comp.parts(seed.path)
-        if parts is None:
-            parts = [comp.component(seed)]
-        # A component holds every link of the seed's path (after a split,
-        # some of them and no others), so one with as many links as the
-        # path has holds exactly those, each listed once. (A zero-byte flow
-        # never joins its links; no rate moves at its finish either way.)
-        may_keep = not refreshed
-        npath = len(seed.path)
+        date after ``seed`` arrived or finished, or, given ``parts``, the
+        components :meth:`refresh` found, after its links' capacities
+        changed; then finish the flows found drained (:meth:`_conclude`)."""
         finished: list[Flow] = []
+        if parts is None:
+            if self._keep_rates(seed, finished, self.engine.now):
+                parts = ()
+                kept = seed.path[0].flows  # the seed's class, if it is live
+                if self.sanitizer is not None and kept:
+                    self._audit(kept, seed.path)
+            else:
+                parts = self._components(seed.path)
         for comp_flows, comp_links, census in parts:
-            if not comp_flows:
-                continue
-            if not (may_keep and len(comp_links) == npath
-                    and self._keep_rates(seed, done, comp_flows, census, finished, now)):
-                self._solve(comp_flows, comp_links, census, finished)
+            self._solve(comp_flows, comp_links, census, finished)
             if self.sanitizer is not None:
                 self._audit(comp_flows, comp_links)
         if len(finished) > 1:
             finished.sort(key=_BY_FID)
         self._conclude(finished)
 
+    def _components(self, path: Sequence[Link]) -> list[tuple]:
+        """The exact components that hold flows on ``path``'s links, in path
+        order, each as ``(flows, links, census)`` (DESIGN.md §23).
+
+        The walk goes from a link to the classes live on it, and from a
+        class to the links of its path: a class's flows share that path, so
+        it visits classes, never flows. A component of one class has its
+        first link's own flow set as ``flows``, since each of its flows
+        crosses that link; a larger one has the union of its links' sets.
+        """
+        census = self._census
+        out = []
+        seen: set[Link] = set()
+        for start in path:
+            if start in seen or not start.classes:
+                continue
+            seen.add(start)
+            links = [start]
+            comp: dict[tuple, int] = {}
+            for link in links:  # the list grows as the walk reaches links
+                for key in link.classes:
+                    if key not in comp:
+                        comp[key] = census[key]
+                        for other in key[0]:
+                            if other not in seen:
+                                seen.add(other)
+                                links.append(other)
+            if len(comp) == 1:
+                flows = start.flows
+            else:
+                flows = set().union(*[link.flows for link in links])
+            out.append((flows, links, comp))
+        return out
+
     def _move_seed(self, seed: Flow) -> None:
-        """Reschedule a seed that alone moved in its rebalance (the lone
-        fast path, or an arrival into an uncontended component): at once,
+        """Reschedule a seed that alone moved in its rebalance (an arrival
+        into an uncontended component, a lone one among them): at once,
         unless moves of this instant wait for the settle, which must stamp
         them first."""
         if self._steps:
@@ -1094,59 +926,51 @@ class FairShareNetwork:
         if not self._steps:
             self._step()
 
-    def _keep_rates(
-        self, seed: Flow, done: bool, comp_flows: set, census: dict,
-        finished: list[Flow], now: float,
-    ) -> bool:
+    def _keep_rates(self, seed: Flow, finished: list[Flow], now: float) -> bool:
         """Settle the rebalance of an uncontended component without a solve,
         if it is one; return whether it was (DESIGN.md §23).
 
-        It is when the component's flows are all of the seed's class and
-        each link of the seed's path has room for all their caps: ``n *
-        cap`` under the headroom, with ``n`` the link's flows, the seed
-        counted even once it has finished. The caller has checked that the
-        component's links are the seed's own, each once. With one class,
-        every flow on these links has the seed's cap and path, so the test
-        reads neither the links' flows nor their paths. Then every flow but
-        the seed keeps its rate, so only the early-finish sweep of
-        :meth:`_solve` runs: it adds the flows already drained to
-        ``finished``. An arriving seed (``done`` false) moves to its lone
-        rate (:class:`_LoneRates`).
+        It is when each link of the seed's path carries only the seed's
+        class, ``k`` flows, and has room for all their caps: ``n * cap``
+        under the headroom, with ``n`` the class's flows, the seed counted
+        even once it has finished. One flow (``n`` of 1) needs no room. A
+        path that crosses a link twice puts more than ``n`` crossings on
+        it, so only one flow keeps there. Then every flow but the seed
+        keeps its rate, so only the early-finish sweep of :meth:`_solve`
+        runs, over the class's holders: it adds the flows already drained
+        to ``finished``. An arriving seed moves to its lone rate
+        (:class:`_LoneRates`).
         """
-        if len(census) != 1 or seed.key not in census:
-            return False
-        cap = seed.rate_cap
-        gone = 1 if done else 0
-        for link in seed.path:
-            n = len(link.flows) + gone
-            if n > 1 and n * cap > link.capacity * _HEADROOM:
+        done = seed.finish_time is not None
+        key = seed.key
+        k = self._census.get(key, 0)
+        n = k + done
+        path = seed.path
+        need = 0.0  # the room the class's caps take on each link
+        if n > 1:
+            if len(set(path)) < len(path):
                 return False
-        cohorts = None
-        for f in comp_flows:
-            c = f.cohort
-            if c is None:
-                # The predicted residual of a loose flow, as in _solve. An
-                # arriving seed has rate 0 and at least one byte left.
-                dt = now - f.last_update
-                rate = f.rate
-                if dt > 0.0 and rate > 0.0:
-                    if f.remaining - rate * dt <= _EPSILON_BYTES:
-                        finished.append(f)
-                elif f.remaining <= _EPSILON_BYTES:
-                    finished.append(f)
-            elif cohorts is None:
-                cohorts = {c}
-            else:
-                cohorts.add(c)
-        if cohorts is not None:
-            for c in cohorts:
-                dt = now - c.last_update
-                moved = c.rate * dt if dt > 0.0 else 0.0
-                low = c.low
+            need = n * seed.rate_cap
+        for link in path:
+            if len(link.flows) != k or need > link.capacity * _HEADROOM:
+                return False
+        for h in tuple(self._holders.get(key, ())):  # _sweep edits them
+            dt = now - h.last_update
+            rate = h.rate
+            if type(h) is _Cohort:
+                moved = rate * dt if dt > 0.0 else 0.0
+                low = h.low
                 if (low - moved if low > moved else 0.0) <= _EPSILON_BYTES:
-                    self._sweep(c, moved, finished)
+                    self._sweep(h, moved, finished)
+            # The predicted residual of a loose flow, as in _solve. An
+            # arriving seed has rate 0 and at least one byte left.
+            elif dt > 0.0 and rate > 0.0:
+                if h.remaining - rate * dt <= _EPSILON_BYTES:
+                    finished.append(h)
+            elif h.remaining <= _EPSILON_BYTES:
+                finished.append(h)
         if not done:
-            seed.rate = rate = self._lone_rates[seed.key]
+            seed.rate = rate = self._lone_rates[key]
             if rate > 0.0:
                 self._move_seed(seed)
         return True
@@ -1172,7 +996,7 @@ class FairShareNetwork:
         and loose flows whose rate left the tolerance; the flows already
         drained go to ``finished``.
 
-        ``comp_flows`` and ``census`` are the component index's own; this
+        ``comp_flows`` and ``census`` are :meth:`_components`' own; this
         reads them and leaves them as they are. It walks the component's
         holders, found by class, not its flows.
         """

@@ -15,9 +15,16 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Link:
-    """One shared bandwidth resource."""
+    """One shared bandwidth resource.
 
-    __slots__ = ("name", "capacity", "flows", "bytes_carried", "index")
+    ``flows`` holds the flows live on the link. ``classes`` lists, in
+    arrival order, the flow classes (``Flow.key``) live on it: the owning
+    network adds a class when its first flow arrives and drops it when its
+    last flow finishes, and walks ``classes`` to find a component
+    (DESIGN.md §23).
+    """
+
+    __slots__ = ("name", "capacity", "flows", "classes", "bytes_carried")
 
     def __init__(self, name: str, capacity: float):
         if capacity <= 0:
@@ -25,11 +32,8 @@ class Link:
         self.name = name
         self.capacity = capacity
         self.flows: set["Flow"] = set()
+        self.classes: dict[tuple, None] = {}
         self.bytes_carried = 0.0  # lifetime accounting, for utilization reports
-        # Dense id in the owning network's union-find component index
-        # (DESIGN.md §23); assigned when the link carries its first flow,
-        # None for standalone links.
-        self.index: int | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Link {self.name} cap={self.capacity / 1e9:.1f}GB/s n={len(self.flows)}>"

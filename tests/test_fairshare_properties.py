@@ -336,7 +336,9 @@ def test_live_alltoall_components_match_reference(monkeypatch):
     def kept(net, seed, *args):
         if not keep_rates(net, seed, *args):
             return False
-        flows = sorted(args[1], key=lambda f: f.fid)
+        # The kept component: the seed's class, whose flows all cross the
+        # first link of its path.
+        flows = sorted(seed.path[0].flows, key=lambda f: f.fid)
         links = sorted({link for f in flows for link in f.path}, key=lambda l: l.name)
         want = maxmin_rates_reference(flows, links)
         assert {f: f.cohort.rate if f.cohort else f.rate for f in flows} == want

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro.machine import CommLevel, Topology, small_test_machine, psg_gpu
 from repro.network import Fabric, FairShareNetwork, Flow, Link, MemSpace, fairshare
 from repro.network.fairshare import (
-    _EPSILON_BYTES, _HEADROOM, ComponentIndex, maxmin_rates,
+    _EPSILON_BYTES, _HEADROOM, maxmin_rates, maxmin_rates_reference,
 )
 from repro.sim import Engine
 
@@ -328,16 +328,16 @@ class PerFlowNetwork:
     for its finish, one flow at a time in fid order; a flow that keeps its
     rate keeps its event and drains later. ``FairShareNetwork`` must match
     it float for float: the same finish instants, the same callback order
-    within each epoch, and the same per-link byte counts.
+    within each epoch, and the same per-link byte counts. It finds each
+    component with its own walk over flows, independent of the network's
+    walk over classes.
     """
 
     def __init__(self, engine):
         self.engine = engine
-        self.components = ComponentIndex()
         self.active = set()
         self.handles = {}
         self._next_fid = 0
-        self._next_link_idx = 0
 
     def submit(self, path, nbytes, rate_cap, latency, on_complete):
         self._next_fid += 1
@@ -355,7 +355,7 @@ class PerFlowNetwork:
             for flow in list(link.flows):
                 if flow in seen or flow.done:
                     continue
-                seen.update(self._component(flow)[0])
+                seen.update(self._components(flow.path)[0][0])
                 self._rebalance(flow)
 
     def _activate(self, flow):
@@ -363,11 +363,6 @@ class PerFlowNetwork:
         self.active.add(flow)
         for link in flow.path:
             link.flows.add(flow)
-            if link.index is None:
-                link.index = self._next_link_idx
-                self._next_link_idx += 1
-            self.components.ensure(link.index)
-        self.components.add_flow(flow)
         self._rebalance(flow)
 
     def _schedule(self, flow):
@@ -391,23 +386,29 @@ class PerFlowNetwork:
         self.active.discard(flow)
         for link in flow.path:
             link.flows.discard(flow)
-        self.components.remove_flow(flow)
         flow.on_complete(flow)
         self._rebalance(flow)
 
-    def _component(self, seed):
-        if self.components.stale():
-            self.components.rebuild(f for f in self.active if f.path)
-        return self.components.component(seed)
-
-    def _parts(self, seed):
-        """The components to rebalance: after a rebuild, each one among a
-        finished flow's links."""
-        if self.components.stale():
-            self.components.rebuild(f for f in self.active if f.path)
-            if seed.done:
-                return self.components.parts(seed.path)
-        return [self.components.component(seed)]
+    @staticmethod
+    def _components(path):
+        """The connected components of flows and links among ``path``'s
+        links, found flow by flow, each as ``(flows, links)``."""
+        out = []
+        seen = set()
+        for start in path:
+            if start in seen or not start.flows:
+                continue
+            seen.add(start)
+            flows, links = set(), [start]
+            for link in links:
+                for f in link.flows - flows:
+                    flows.add(f)
+                    for other in f.path:
+                        if other not in seen:
+                            seen.add(other)
+                            links.append(other)
+            out.append((flows, links))
+        return out
 
     def _rebalance(self, seed):
         now = self.engine.now
@@ -418,18 +419,21 @@ class PerFlowNetwork:
             if seed.remaining <= _EPSILON_BYTES:
                 self._finish(seed)
                 return
-            rate = min(min(link.capacity for link in seed.path), seed.rate_cap)
+            # Each crossing of a link takes its share of the capacity.
+            rate = min(
+                min(link.capacity / seed.path.count(link) for link in seed.path),
+                seed.rate_cap,
+            )
             if (abs(rate - seed.rate) > 1e-9 * max(rate, seed.rate)
                     or seed not in self.handles):
                 seed.rate = rate
                 self._schedule(seed)
             return
         finished = []
-        for flows, links, _ in self._parts(seed):
+        for flows, links in self._components(seed.path):
             flows = sorted(flows, key=lambda f: f.fid)
             links = sorted(links, key=lambda l: l.name)
-            if flows:
-                finished += self._solve(flows, links)
+            finished += self._solve(flows, links)
         for f in sorted(finished, key=lambda f: f.fid):
             self._finish(f)
 
@@ -576,19 +580,44 @@ _late_specs = st.lists(
 
 
 class _CensusChecked(FairShareNetwork):
-    """``FairShareNetwork`` that checks its component index after every
-    rebalance. Each event that moves a flow into or out of the index, or
-    rebuilds it, ends in a rebalance."""
+    """``FairShareNetwork`` that checks its class census and each link's
+    classes against the live flows after every rebalance. Each event that
+    adds or removes a live flow ends in a rebalance."""
 
-    def _rebalance(self, seed, refreshed=False):
-        super()._rebalance(seed, refreshed)
-        seen = set()
-        for f in self.active:
-            flows, _, census = self.components.component(f)
-            if f.path and id(flows) not in seen:
-                seen.add(id(flows))
-                # Plain dicts: a class counted down to zero must be gone.
-                assert census == dict(Counter((g.path, g.rate_cap) for g in flows))
+    def __init__(self, engine):
+        super().__init__(engine)
+        self.touched = set()  # every link a rebalanced flow crossed
+
+    def _rebalance(self, seed, parts=None):
+        super()._rebalance(seed, parts)
+        live = [f for f in self.active if f.path]
+        # Plain dicts: a class counted down to zero must be gone.
+        assert self._census == dict(Counter((f.path, f.rate_cap) for f in live))
+        self.touched.update(seed.path)
+        for link in self.touched:
+            assert link.classes.keys() == {f.key for f in link.flows}
+
+
+def _one_component(flows, links, census):
+    """Whether a solve's input is one whole connected component: its
+    flows connected through the links they share, its links theirs and
+    holding no other flow, and its census theirs."""
+    flows = set(flows)
+    if set(links) != {link for f in flows for link in f.path}:
+        return False
+    if any(link.flows - flows for link in links):
+        return False
+    if census != Counter(f.key for f in flows):
+        return False
+    reached = set(list(flows)[:1])
+    todo = list(reached)
+    while todo:
+        links = set(todo.pop().path)
+        for g in flows - reached:
+            if links.intersection(g.path):
+                reached.add(g)
+                todo.append(g)
+    return reached == flows
 
 
 class _WalkCounted(set):
@@ -620,8 +649,8 @@ class _WalkCounted(set):
          [(1, True, 0, 1000, 0)])
 # A refresh that doubles l0 under two flows it held below their caps.
 @example([(0.0, 0, 1000, 0)] + [(0.0, 0, 100_000, 0)] * 2, [1], [], (0, 0, 2.0), [])
-# More retirements than the index's rebuild minimum (64), with flows of
-# two classes left on l0 and l1 once it rebuilds.
+# 66 retirements, with flows of two classes left on l0 and l1 (past the
+# 64 after which a union-find component index used to rebuild).
 @example([(0.0, 0, 1000, 0)] * 66 + [(0.0, 1, 100_000, 1), (0.0, 0, 100_000, 0)] * 2,
          [0, 3], [], None, [])
 # A lone flow posts its finish at its arrival (1 us): one marker posted at
@@ -652,12 +681,15 @@ def _cohorts_match_per_flow(flows, caps, markers, refresh, late):
 
 
 def test_property_cohorts_match_per_flow_rescheduling(monkeypatch):
-    """The cohort network matches the per-flow one float for float, and
-    its class census matches its flows after every rebalance."""
+    """The cohort network matches the per-flow one float for float, its
+    class census and link classes match its flows after every rebalance,
+    and it solves one component at a time."""
     solve = fairshare.maxmin_rates
     mixed = [0]
 
     def counted(flows, links, census):
+        # Each solve is of one connected component, never of two apart.
+        assert _one_component(flows, links, census)
         # The solver walks the flows only for a cap round that fixes
         # different caps: the census cannot give their fid order.
         flows = _WalkCounted(flows)
@@ -925,9 +957,10 @@ class TestPerClassRescheduling:
 
 def _script_rebuild_at_finish(network_cls, fillers):
     """Flow X (10 B on links A and B) and flow Y (100 B on B) share B at
-    10 B/s; ``fillers`` one-byte flows on a fast link C retire first. With
-    64 fillers X's finish is the retirement that triggers the component
-    index's rebuild, which leaves X's links in two components."""
+    10 B/s; ``fillers`` one-byte flows on a fast link C retire first. X's
+    finish leaves its links in two components: A, empty, and B, with Y.
+    (A union-find index of components, rebuilt after 64 retirements, once
+    split them at exactly this finish.)"""
     eng = Engine()
     net = network_cls(eng)
     a, b, c = Link("A", 10.0), Link("B", 10.0), Link("C", 1e6)
@@ -946,7 +979,7 @@ class TestUncontendedSettle:
     @pytest.mark.parametrize("fillers", [63, 64, 65])
     def test_finish_rebalances_every_component_of_its_links(self, fillers):
         # Y speeds up to all of B when X finishes at 2 s, and so finishes
-        # at 2 + 90 / 10 s, however the rebuild splits X's links.
+        # at 2 + 90 / 10 s, however many flows retired before.
         got = _script_rebuild_at_finish(FairShareNetwork, fillers)
         assert got[0] == [("X", 2.0), ("Y", 11.0)]
         assert got == _script_rebuild_at_finish(PerFlowNetwork, fillers)
@@ -968,49 +1001,6 @@ class TestUncontendedSettle:
                [], None, [0.0])
         assert len(solves) == (0 if settled else 2)
 
-    def test_add_flow_of_a_live_class_matches_a_rebuild(self, monkeypatch):
-        # A second flow of an indexed class skips the unions and the link
-        # set update; the partition, the link sets and the census are a
-        # fresh rebuild's.
-        links = [Link(f"l{i}", 1e9) for i in range(4)]
-        for i, link in enumerate(links):
-            link.index = i
-        a, b, c, _ = links
-        flows = [
-            Flow(1, [a, b], 4096, 5e8, None),
-            Flow(2, [c], 4096, 5e8, None),
-            Flow(3, [b, c], 4096, 7e8, None),
-        ]
-        twin = Flow(4, [a, b], 4096, 5e8, None)
-
-        def shape(index):
-            parts = {}
-            for link in links:
-                parts.setdefault(index._find(link.index), set()).add(link.index)
-            return sorted(
-                (sorted(members), sorted(l.name for l in index._links.get(r, ())),
-                 sorted(index._census.get(r, {}).items(), key=repr))
-                for r, members in parts.items()
-            )
-
-        index = ComponentIndex()
-        index.ensure(len(links) - 1)
-        for f in flows:
-            index.add_flow(f)
-        unions = []
-        union = ComponentIndex._union
-        monkeypatch.setattr(ComponentIndex, "_union",
-                            lambda ix, i, j: (unions.append((i, j)), union(ix, i, j))[1])
-        index.add_flow(twin)
-        assert unions == []
-        fresh = ComponentIndex()
-        fresh.ensure(len(links) - 1)
-        fresh.rebuild(flows + [twin])
-        assert shape(index) == shape(fresh)
-        assert index._census[index._find(0)][twin.key] == 2
-        assert index._flows[index._find(0)] == set(flows + [twin])
-        assert index.nflows == 4
-
     def test_path_crossing_a_link_twice_is_solved(self):
         # Counted by flows, the link has room for both 1e9 caps. Counted by
         # crossings it carries three, so once b arrives each flow gets
@@ -1028,6 +1018,74 @@ class TestUncontendedSettle:
         got = run(FairShareNetwork)
         assert got == run(PerFlowNetwork)
         assert got[0][0][1] > 1e-6 + 99_000 / 1e9
+
+    def test_lone_flow_crossing_a_link_twice_gets_half_of_it(self):
+        # Alone on the link, the flow crosses it twice, so each crossing
+        # takes half of its capacity: it finishes when the reference's rate
+        # says, not at the link's full capacity.
+        link = Link("l", 1e9)
+        rate = maxmin_rates_reference([Flow(1, [link, link], 1000, 1e12, None)], [link])
+        assert list(rate.values()) == [5e8]
+
+        def run(network_cls):
+            eng = Engine()
+            net = network_cls(eng)
+            log = []
+            net.submit([link, link], 1000, 1e12, 0.0, lambda f: log.append(eng.now))
+            eng.run()
+            return log
+
+        assert run(FairShareNetwork) == [1000 / 5e8]
+        assert run(PerFlowNetwork) == [1000 / 5e8]
+
+    def test_finish_beside_a_flow_crossing_a_link_twice_is_solved(self):
+        # Two flows of one class cross the link twice each, at 2.5e9 / 4.
+        # Counted by flows the link has room for both 1e9 caps; counted by
+        # crossings it has not, so the first finish must lift the second to
+        # its cap.
+        def run(network_cls):
+            eng = Engine()
+            net = network_cls(eng)
+            link = Link("l", 2.5e9)
+            log = []
+            for nbytes in (1000, 100_000):
+                net.submit([link, link], nbytes, 1e9, 0.0, lambda f: log.append(eng.now))
+            eng.run()
+            return log, link.bytes_carried
+
+        got = run(FairShareNetwork)
+        assert got == run(PerFlowNetwork)
+        assert got[0] == [1000 / 6.25e8, pytest.approx(1000 / 6.25e8 + 99_000 / 1e9)]
+
+    def test_every_solve_is_one_component(self, monkeypatch):
+        # X crosses A, B and C; W shares A with it and Z shares C. X's
+        # finish leaves W and Z in two components, each solved on its own.
+        solved = []
+        solve = fairshare.maxmin_rates
+
+        def checked(flows, links, census):
+            assert _one_component(flows, links, census)
+            solved.append(sorted(f.fid for f in flows))
+            return solve(flows, links, census)
+
+        monkeypatch.setattr(fairshare, "maxmin_rates", checked)
+
+        def run(network_cls):
+            eng = Engine()
+            net = network_cls(eng)
+            a, b, c = Link("A", 1e9), Link("B", 1e9), Link("C", 1e9)
+            log = []
+            for name, path, nbytes in (("W", [a], 100_000), ("X", [a, b, c], 1000),
+                                       ("Z", [c], 100_000)):
+                net.submit(path, nbytes, 1e12, 0.0,
+                           lambda f, name=name: log.append((name, eng.now)))
+            eng.run()
+            return log
+
+        got = run(FairShareNetwork)
+        assert solved == [[1, 2], [1, 2, 3], [1], [3]]
+        assert got == run(PerFlowNetwork)
+        assert got == [("X", 2e-6), ("W", 2e-6 + 99e-6), ("Z", 2e-6 + 99e-6)]
 
     def test_refresh_raising_capacity_lifts_contended_rates(self):
         # Two flows capped at 7e8 share a 1e9 link at 5e8 each. Doubling

@@ -10,7 +10,7 @@ from repro.collectives.base import CollectiveContext
 from repro.config import CollectiveConfig
 from repro.machine import small_test_machine
 from repro.mpi import Communicator, MpiWorld
-from repro.network import Link
+from repro.network import Flow, Link
 from repro.trees import binary_tree
 
 
@@ -44,12 +44,17 @@ class TestRateChecks:
     @staticmethod
     def flow(fid, rate, cap, done=False, remaining=100.0):
         return SimpleNamespace(
-            fid=fid, rate=rate, rate_cap=cap, done=done, remaining=remaining
+            fid=fid, rate=rate, rate_cap=cap, done=done, remaining=remaining,
+            path=[],
         )
 
     @staticmethod
     def link(name, capacity, flows):
-        return SimpleNamespace(name=name, capacity=capacity, flows=flows)
+        """A link carrying ``flows``: each crosses it once."""
+        link = SimpleNamespace(name=name, capacity=capacity, flows=flows)
+        for f in flows:
+            f.path.append(link)
+        return link
 
     def test_conserving_allocation_passes(self):
         f1, f2 = self.flow(1, 4.0, 10.0), self.flow(2, 6.0, 10.0)
@@ -79,6 +84,14 @@ class TestRateChecks:
         fake_sanitizer().check_rates(
             [drained, live], [self.link("l", 10.0, [drained, live])]
         )
+
+    def test_flow_crossing_a_link_twice_claims_its_rate_twice(self):
+        link = Link("l", 1e9)
+        f = Flow(1, [link, link], 1000, 1e9, None)
+        f.rate = 0.75e9
+        link.flows.add(f)
+        with pytest.raises(SanitizerError, match="exceeds\\s+capacity"):
+            fake_sanitizer().check_rates([f], [link])
 
     def test_done_flows_ignored(self):
         stale = self.flow(1, 999.0, 10.0, done=True)
