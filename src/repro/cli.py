@@ -122,7 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write results as JSON (default PATH: "
                         "BENCH_core.json)")
     pbench.add_argument("--section", action="append", default=None,
-                        choices=["engine", "allocator", "fig09", "scale", "cold"],
+                        choices=["engine", "allocator", "fig09", "scale", "cold",
+                                 "contended"],
                         help="run only these sections (repeatable)")
     pbench.add_argument("--machine", default="cori",
                         choices=_MACHINE_CHOICES,

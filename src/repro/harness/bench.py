@@ -24,6 +24,11 @@ of a timing-only run in fresh interpreters — importing the runner plus one
 small bcast, plain and under seeded noise and loss — and records its peak
 RSS and whether numpy was loaded.
 
+A sixth, opt-in leg (``repro bench --section contended``) runs the 64 KiB
+ADAPT alltoall at 32 and 128 ranks, where every flow shares a NIC or a
+memory link, and records its wall time, events, simulated time and route
+builds.
+
 ``run_core_bench`` returns a plain dict; ``repro bench --json`` writes it
 as ``BENCH_core.json`` (the CI perf-smoke artifact), keeping the sections
 of an existing file that the run did not measure.
@@ -447,6 +452,55 @@ def bench_cold(scale: str) -> dict:
     }
 
 
+# -- contended alltoall ----------------------------------------------------
+
+#: World sizes of the contended leg: the perfbench cell, and four nodes.
+CONTENDED_RANKS = (32, 128)
+
+
+def bench_contended(ranks: tuple[int, ...] = CONTENDED_RANKS) -> dict:
+    """The 64 KiB ADAPT alltoall on cori, one iteration per world size.
+
+    ``route_builds`` counts :meth:`Fabric._route_uncached` calls: one per
+    endpoint signature, not one per rank pair. Single-shot walls, like the
+    scaling leg: the 128-rank run takes seconds.
+    """
+    from repro.harness.runner import run_collective
+    from repro.machine import for_ranks
+    from repro.network.fabric import Fabric
+
+    builds = [0]
+    build = Fabric._route_uncached
+
+    def counted(*args):
+        builds[0] += 1
+        return build(*args)
+
+    entries = []
+    Fabric._route_uncached = counted
+    try:
+        for nranks in ranks:
+            builds[0] = 0
+            gc.collect()
+            t0 = time.perf_counter()
+            res = run_collective(for_ranks("cori", nranks), nranks, "OMPI-adapt",
+                                 "alltoall", nbytes=64 << 10, iterations=1)
+            wall = time.perf_counter() - t0
+            entries.append({
+                "ranks": nranks,
+                "wall_seconds": round(wall, 3),
+                "events": int(res.engine_stats["events_processed"]),
+                "sim_time_ms": round(res.mean_time * 1e3, 6),
+                "route_builds": builds[0],
+            })
+    finally:
+        Fabric._route_uncached = build
+    return {
+        "workload": "64 KiB OMPI-adapt alltoall (cori), 1 iteration",
+        "entries": entries,
+    }
+
+
 # -- driver ----------------------------------------------------------------
 
 
@@ -464,7 +518,8 @@ def run_core_bench(
     append the rank-count scaling leg at ``scale_ranks`` world sizes on
     ``scale_preset`` — a flat preset or a compiled topology family
     (``fattree``/``dragonfly``/``railpod``; CLI: ``--machine``), and
-    ``"cold"`` for the cold-start leg.
+    ``"cold"`` for the cold-start leg, ``"contended"`` for the contended
+    alltoall leg.
     """
     if scale is None:
         from repro.harness.experiments.common import default_scale
@@ -491,6 +546,8 @@ def run_core_bench(
         out["scale_ranks"] = bench_scale(scale_ranks, preset=scale_preset)
     if "cold" in sections:
         out["cold"] = bench_cold(scale)
+    if "contended" in sections:
+        out["contended"] = bench_contended()
     return out
 
 
@@ -548,6 +605,15 @@ def render(result: dict) -> str:
                 f"{start['peak_rss_mb']:.1f} MB; numpy "
                 f"{'loaded' if start['numpy_loaded'] else 'not loaded'}; "
                 f"median of {start['starts']})"
+            )
+    contended = result.get("contended")
+    if contended:
+        for entry in contended["entries"]:
+            lines.append(
+                f"alltoall {entry['ranks']:>4} ranks "
+                f"{entry['wall_seconds']:>9.3f} s   ({entry['events']:,} "
+                f"events, sim {entry['sim_time_ms']:.3f}ms, "
+                f"{entry['route_builds']:,} route builds; contended 64 KiB)"
             )
     fig = result.get("fig09")
     if fig:

@@ -10,7 +10,6 @@ block-wise over sockets the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.machine.spec import CommLevel, MachineSpec
 
@@ -50,42 +49,35 @@ class Topology:
         if gpu_bound:
             if spec.node.gpu is None:
                 raise ValueError(f"machine {spec.name!r} has no GPUs")
-            per_node = spec.node.gpus
+            per_node, per_socket = spec.node.gpus, spec.node.gpu.gpus_per_socket
         else:
-            per_node = spec.node.cores
+            per_node, per_socket = spec.node.cores, spec.node.cores_per_socket
         if nranks > per_node * spec.nodes:
             raise ValueError(
                 f"{nranks} ranks do not fit on {spec.nodes} nodes "
                 f"x {per_node} slots ({spec.name})"
             )
-        self._per_node = per_node
-        if gpu_bound:
-            assert spec.node.gpu is not None
-            self._per_socket = spec.node.gpu.gpus_per_socket
-        else:
-            self._per_socket = spec.node.cores_per_socket
+        # One placement per rank, owned by this topology: it dies with its
+        # world, and every query reads it instead of rebuilding a Placement.
+        placements = []
+        for rank in range(nranks):
+            node, within = divmod(rank, per_node)
+            socket, slot = divmod(within, per_socket)
+            placements.append(Placement(rank, node, socket, core=slot,
+                                        gpu=slot if gpu_bound else None))
+        self._placements = tuple(placements)
 
     def placement(self, rank: int) -> Placement:
         """Location of ``rank``."""
         if not (0 <= rank < self.nranks):
             raise ValueError(f"rank {rank} out of range [0, {self.nranks})")
-        node = rank // self._per_node
-        within = rank % self._per_node
-        socket = within // self._per_socket
-        slot = within % self._per_socket
-        if self.gpu_bound:
-            return Placement(rank, node, socket, core=slot, gpu=slot)
-        return Placement(rank, node, socket, core=slot, gpu=None)
-
-    @lru_cache(maxsize=None)
-    def _placement_cached(self, rank: int) -> Placement:
-        return self.placement(rank)
+        return self._placements[rank]
 
     def level(self, a: int, b: int) -> CommLevel:
         """Outermost boundary ranks ``a`` and ``b`` straddle."""
         if a == b:
             return CommLevel.SELF
-        pa, pb = self._placement_cached(a), self._placement_cached(b)
+        pa, pb = self.placement(a), self.placement(b)
         if pa.node != pb.node:
             return CommLevel.INTER_NODE
         if pa.socket != pb.socket:
@@ -93,10 +85,10 @@ class Topology:
         return CommLevel.INTRA_SOCKET
 
     def node_of(self, rank: int) -> int:
-        return self._placement_cached(rank).node
+        return self.placement(rank).node
 
     def socket_of(self, rank: int) -> tuple[int, int]:
-        p = self._placement_cached(rank)
+        p = self.placement(rank)
         return (p.node, p.socket)
 
     def ranks_on_node(self, node: int) -> list[int]:
@@ -111,7 +103,7 @@ class Topology:
         Two ranks are in the same group iff they can communicate at a level
         *at or below* ``level``. Used by the topology-aware tree builder.
         """
-        p = self._placement_cached(rank)
+        p = self.placement(rank)
         if level == CommLevel.INTRA_SOCKET:
             return (p.node, p.socket)
         if level == CommLevel.INTER_SOCKET:

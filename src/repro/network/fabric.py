@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.machine.spec import CommLevel, MachineSpec
-from repro.machine.topology import Topology
+from repro.machine.topology import Placement, Topology
 from repro.network.fairshare import FairShareNetwork
 from repro.network.flows import Flow
 from repro.network.links import Link
@@ -72,7 +72,9 @@ class Fabric:
         self.network = FairShareNetwork(engine)
         self.gpudirect = gpudirect
         self._links: dict[str, Link] = {}
+        # Routes per rank pair, and per endpoint signature (see route()).
         self._route_cache: dict[tuple, Route] = {}
+        self._signature_routes: dict[tuple, Route] = {}
         # In-order data channels: one data transfer at a time per
         # (src, dst, spaces) connection, like an MPI BTL queue pair. Control
         # messages (RTS/CTS) bypass, so handshakes overlap data — the overlap
@@ -180,14 +182,37 @@ class Fabric:
         src_space: MemSpace = MemSpace.HOST,
         dst_space: MemSpace = MemSpace.HOST,
     ) -> Route:
-        """Resolve the link path between two ranks' buffers."""
+        """Resolve the link path between two ranks' buffers.
+
+        A route is fixed by where its endpoints sit, not by their rank
+        numbers, so a pair seen for the first time looks up its endpoint
+        signature: :meth:`endpoint` of each placement, whether the two ranks
+        are one, and the two memory spaces. Only a new signature is built;
+        every pair that shares one gets the same :class:`Route`.
+        """
         key = (src, dst, src_space, dst_space)
         cached = self._route_cache.get(key)
         if cached is not None:
             return cached
-        route = self._route_uncached(src, dst, src_space, dst_space)
+        topo = self.topology
+        signature = (
+            self.endpoint(topo.placement(src)),
+            self.endpoint(topo.placement(dst)),
+            src == dst,
+            src_space,
+            dst_space,
+        )
+        route = self._signature_routes.get(signature)
+        if route is None:
+            route = self._route_uncached(src, dst, src_space, dst_space)
+            self._signature_routes[signature] = route
         self._route_cache[key] = route
         return route
+
+    def endpoint(self, p: Placement) -> tuple:
+        """Every field of a placement that :meth:`_route_uncached` reads:
+        the node, socket and GPU. The core never picks a flat link."""
+        return (p.node, p.socket, p.gpu)
 
     def _route_uncached(
         self, src: int, dst: int, src_space: MemSpace, dst_space: MemSpace

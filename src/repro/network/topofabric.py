@@ -48,6 +48,11 @@ class TopoFabric(Fabric):
 
     # -- routing overrides ---------------------------------------------------
 
+    def endpoint(self, p) -> tuple:
+        # The slot picks compiled inter-node paths and rail-pod NVLink
+        # peers; on a GPU machine with cores bound it comes from the core.
+        return (p.node, p.socket, p.gpu, self._slot(p))
+
     def _inter_node_leg(self, ps, pd) -> tuple[list[Link], float, float]:
         path = self.compiled.node_path(
             ps.node, pd.node, self._slot(ps), self._slot(pd)

@@ -21,7 +21,6 @@ the cache for the next run.
 from __future__ import annotations
 
 import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Callable, Optional, Sequence
 
 from repro.parallel.cache import ResultCache
@@ -80,6 +79,9 @@ def run_jobs(
         for i in pending:
             _record(i, execute_job(jobs[i]))
     elif pending:
+        # Deferred: an in-process run never loads multiprocessing.
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
         workers = min(n_jobs, len(pending))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             backlog = workers * _BACKLOG_PER_WORKER

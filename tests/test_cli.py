@@ -173,6 +173,21 @@ class TestCli:
             assert start["starts"] == 5 and start["ref_loops"] > 0
             assert start["peak_rss_mb"] > 0 and start["numpy_loaded"] is False
 
+    def test_bench_contended_counts_route_builds(self):
+        from repro.harness import bench
+        from repro.network.fabric import Fabric
+
+        build = Fabric._route_uncached
+        result = bench.bench_contended((32,))
+        assert Fabric._route_uncached is build  # the counter is removed
+        [entry] = result["entries"]
+        # Two sockets: four endpoint signatures for 992 rank pairs.
+        assert (entry["events"], entry["route_builds"]) == (6046, 4)
+        assert entry["sim_time_ms"] == 0.069591
+        header = {"repro_version": "v", "python": "3", "cpu_count": 1,
+                  "scale": "small"}
+        assert "4 route builds" in bench.render({**header, "contended": result})
+
     def test_bench_json_keeps_unmeasured_sections(self, tmp_path, capsys):
         import json
 

@@ -2,11 +2,11 @@
 
 ADAPT moves a message only through completion callbacks (paper §2.2), so
 the simulator's host cost per send is a count before it is a time: engine
-events, flow finishes scheduled, max-min solves, finish-queue wakes,
-Python calls. This module pins those counts for every seed-0 cell of the
-collective perfbench workloads (``perfbench/workloads.py``, imported, not
-copied) and for the four 1 MiB cells of the Figure 9a sweep, against
-``tests/golden/counters.json``.
+events, flow finishes scheduled, max-min solves, finish-queue wakes, route
+builds, Python calls. This module pins those counts for every seed-0 cell
+of the collective perfbench workloads (``perfbench/workloads.py``,
+imported, not copied) and for the four 1 MiB cells of the Figure 9a sweep,
+against ``tests/golden/counters.json``.
 
 Each count comes from a counter the simulator already keeps where one
 exists (``RunResult.engine_stats``, ``gc.get_stats()``); the rest are
@@ -48,6 +48,7 @@ from repro.harness.bench import _collections
 from repro.harness.runner import run_collective
 from repro.mpi.runtime import RankRuntime
 from repro.network import fairshare
+from repro.network.fabric import Fabric
 from repro.network.fairshare import FairShareNetwork, Flow
 from repro.parallel import run_jobs
 from repro.sim.engine import Engine, EventHandle
@@ -119,6 +120,8 @@ def _counted_run(run) -> dict:
             (EventHandle, "cancel", "engine.cancelled",
              lambda handle: handle.fn is not None),
             (fairshare, "maxmin_rates", "net.solves", None),
+            # Every counted cell runs on the flat fabric.
+            (Fabric, "_route_uncached", "net.routes", None),
             (fairshare, "_flow_rates", "net.per_flow_solves", None),
             (FairShareNetwork, "_schedule", "net.dues",
              lambda net, singles, batches, since:
@@ -228,6 +231,9 @@ def test_golden_keeps_the_design_rules(golden):
         # Every solve starts from the class census, never flow by flow.
         assert row["net.per_flow_solves"] == 0, cell
     census = cells[CENSUS_CELL]
+    # Routes are built per endpoint signature, not per rank pair: the
+    # 32-rank alltoall's 992 pairs sit on 2 sockets and share 4 routes.
+    assert cells["alltoall-contended/alltoall-64KiB-32r"]["net.routes"] == 4
     # Flows that never contend post their finishes with no queue wake.
     assert cells["bcast-large/bcast-4MiB-256r"]["engine.wakes"] == 0
     assert census["engine.wakes"] == 0

@@ -121,3 +121,29 @@ class TestPlacementSocketGlobal:
         for rank in range(spec.total_cores):
             p = topo.placement(rank)
             assert p.socket_global == topo.socket_of(rank)
+
+
+class TestTopologyLifetime:
+    """Regression: a topology's placements belong to it, so a finished
+    world's topology is freed with the world. A cache keyed on the
+    topology itself once kept every topology ever built alive."""
+
+    def test_finished_world_frees_its_topology(self):
+        import gc
+        import weakref
+
+        from repro.collectives import bcast_adapt
+        from repro.collectives.base import CollectiveContext
+        from repro.mpi import Communicator, MpiWorld
+        from repro.trees import binomial_tree
+
+        world = MpiWorld(small_test_machine(), 16)
+        ctx = CollectiveContext(Communicator(world), 0, 1 << 16,
+                                tree=binomial_tree(16))
+        handle = bcast_adapt(ctx)
+        world.run()
+        assert sorted(handle.done_time) == list(range(16))
+        topology = weakref.ref(world.topology)
+        del world, ctx, handle
+        gc.collect()
+        assert topology() is None

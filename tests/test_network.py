@@ -318,6 +318,78 @@ class TestTopology:
         topo = Topology(spec, 24)
         assert topo.ranks_on_socket(1, 0) == [8, 9, 10, 11]
 
+    def test_placement_rejects_out_of_range_ranks(self):
+        topo = Topology(small_test_machine(), 24)
+        for rank in (-1, 24):
+            with pytest.raises(ValueError, match="out of range"):
+                topo.placement(rank)
+        with pytest.raises(ValueError, match="out of range"):
+            topo.level(0, -1)
+
+
+# -- route equivalence: one build per endpoint signature ----------------------
+
+def _route_worlds():
+    """A (fabric factory, nranks) param for every preset and compiled family
+    at 8, 40 and 64 ranks, bound to cores and, on GPU machines, to GPUs."""
+    from repro.machine import for_ranks
+    from repro.machine.presets import PRESETS, TOPO_FAMILY_NAMES
+    from repro.network.topofabric import TopoFabric
+
+    worlds = []
+    for name in (*PRESETS, *TOPO_FAMILY_NAMES):
+        for nranks in (8, 40, 64):
+            spec = for_ranks(name, nranks)
+            for gpu_bound in (False, True) if spec.node.gpu else (False,):
+                def build(spec=spec, nranks=nranks, gpu_bound=gpu_bound):
+                    topo = Topology(spec, nranks, gpu_bound=gpu_bound)
+                    if spec.compiled is None:
+                        return Fabric(Engine(), spec, topo)
+                    return TopoFabric(Engine(), spec, topo, spec.compiled)
+                worlds.append(pytest.param(
+                    build, nranks, id=f"{name}-{nranks}r-gpu_bound={gpu_bound}"))
+    return worlds
+
+
+@pytest.mark.parametrize("build, nranks", _route_worlds())
+def test_routes_match_uncached_and_share_per_signature(build, nranks):
+    """``route`` returns what a fresh ``_route_uncached`` builds for every
+    pair and space, and pairs with one endpoint signature share a Route.
+    Links are created in the order a fabric that builds every pair would
+    create them, so ``utilization_report`` breaks ties alike."""
+    fab, ref = build(), build()
+    topo = fab.topology
+    spaces = ((MemSpace.HOST, MemSpace.HOST),)
+    if fab.spec.node.gpu is not None:
+        spaces = tuple((a, b) for a in MemSpace for b in MemSpace)
+    by_signature = {}
+    checked = 0
+    for src in range(nranks):
+        for dst in range(nranks):
+            for src_space, dst_space in spaces:
+                # A pair the machine cannot route (a GPU space on a core-bound
+                # rank, two cores behind one rail-pod GPU) must raise alike.
+                try:
+                    ref._route_uncached(src, dst, src_space, dst_space)
+                except (AssertionError, KeyError, ValueError) as exc:
+                    with pytest.raises(type(exc)):
+                        fab.route(src, dst, src_space, dst_space)
+                    continue
+                got = fab.route(src, dst, src_space, dst_space)
+                want = fab._route_uncached(src, dst, src_space, dst_space)
+                where = (src, dst, src_space, dst_space)
+                assert len(got.links) == len(want.links), where
+                assert all(a is b for a, b in zip(got.links, want.links)), where
+                assert got.latency == want.latency, where
+                assert got.rate_cap == want.rate_cap, where
+                signature = (fab.endpoint(topo.placement(src)),
+                             fab.endpoint(topo.placement(dst)),
+                             src == dst, src_space, dst_space)
+                assert by_signature.setdefault(signature, got) is got, where
+                checked += 1
+    assert checked
+    assert list(fab.links()) == list(ref.links())
+
 
 # -- per-class rescheduling against a per-flow oracle -------------------------
 

@@ -6,7 +6,8 @@ noise and fault injectors draw from :mod:`repro.sim.rng`, and
 ``RunResult.mean_time`` sums in plain Python. So a timing-only run, a
 sweep, the CLI, a noisy or lossy run and its mean never load numpy, while a
 data-mode run does. Each case runs in a fresh interpreter: this process has
-numpy loaded already.
+numpy loaded already. The same fresh interpreters check that an in-process
+run leaves the process pool unloaded.
 """
 
 import os
@@ -85,11 +86,26 @@ assert abs(result.mean_time - 0.1) < 1e-12
     pytest.param(_MEAN_TIME, False, id="mean-time"),
 ])
 def test_numpy_loads_only_for_payloads(code, loads_numpy):
+    assert _loaded_after(code, "numpy") == loads_numpy
+
+
+@pytest.mark.parametrize("code", [
+    pytest.param(_TIMING_BCAST, id="timing-bcast"),
+    pytest.param(_FIG09_JOB, id="fig09-job"),
+])
+def test_in_process_runs_skip_the_process_pool(code):
+    """``run_jobs(n_jobs=1)`` imports no ``concurrent.futures`` pool, and so
+    no ``multiprocessing``."""
+    assert not _loaded_after(code, "concurrent.futures.process")
+
+
+def _loaded_after(code: str, module: str) -> bool:
+    """Whether a fresh interpreter has ``module`` loaded after ``code``."""
     src = os.path.dirname(os.path.dirname(repro.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-c", code + "\nimport sys\nprint('numpy' in sys.modules)"],
+        [sys.executable, "-c", code + f"\nimport sys\nprint({module!r} in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split()[-1] == str(loads_numpy)
+    return proc.stdout.split()[-1] == "True"
