@@ -54,7 +54,6 @@ class Sanitizer:
         self._pending: dict[Any, float] = {}  # request -> post time
         self._last_time: dict[int, float] = {}  # rank -> last request event
         self.checks_run = 0
-        self.cancellations = 0
 
     # -- request lifecycle -------------------------------------------------------
 
@@ -92,7 +91,6 @@ class Sanitizer:
         """The fault layer abandoned a request; it is accounted for."""
         self.checks_run += 1
         self._tick(req)
-        self.cancellations += 1
         self._pending.pop(req, None)
 
     def check_drained(self) -> None:

@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.config import DEFAULT_COLLECTIVE, CollectiveConfig
 from repro.faults.plan import FaultPlan
-from repro.harness.runner import _build_world, _chain, _collector_paused
+from repro.harness.runner import _build_world, _chain, _collector_paused, iteration_end
 from repro.libraries.presets import library_by_name, prepare_operation
 from repro.machine.spec import MachineSpec
 from repro.relaxed.policy import QuorumPolicy
@@ -160,12 +160,11 @@ def run_sgd(
         staleness_window=policy.staleness_window,
         noise_percent=noise_percent, seed=seed, epoch_times=epoch_times,
     )
-    result.completed = handles[-1] is not None and handles[-1].done
     # Completion is measured from the handles, not ``engine.now`` — the
     # drive loop runs in coarse horizons and the world keeps draining
     # detector timers long after the last epoch seals.
-    ends = [max(h.done_time.values()) for h in handles
-            if h is not None and h.done and h.done_time]
+    ends = [iteration_end(h) for h in handles]
+    result.completed = max(ends) < float("inf")
     result.total_runtime = (
         max(ends) if result.completed else world.engine.now
     ) - start

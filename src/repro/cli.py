@@ -534,6 +534,15 @@ def _parse_partition(text: str, nranks: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sides)
 
 
+#: ``repro chaos``'s verdict line per run outcome (DESIGN.md S17).
+_VERDICTS = {
+    "hung": "HUNG: the schedule cannot recover from the failure (reported inf)",
+    "unrecoverable": "UNRECOVERABLE: the failure took the result with it; "
+                     "survivors were released (reported inf)",
+    "degraded": "completed DEGRADED: survivors re-routed around the dead rank",
+}
+
+
 def _cmd_chaos(args) -> str:
     from repro.collectives.models import COLLECTIVES
     from repro.faults import FaultPlan, KillSpec, LossSpec, PartitionSpec
@@ -674,23 +683,15 @@ def _cmd_chaos(args) -> str:
                 f"merged forward, {discarded} discarded with accounting "
                 f"(conservation-checked: none lost silently)"
             )
-        if not r.completed:
-            lines.append(
-                "            -> HUNG: the schedule cannot recover from the "
-                "failure (reported inf)"
-            )
-        elif recover and r.failed_ranks:
+        verdict = _VERDICTS.get(r.outcome)
+        if r.completed and recover and r.failed_ranks:
             ttr = r.time_to_repair
-            ttr_txt = f"{ttr * 1e3:.3f} ms" if ttr is not None else "n/a"
-            lines.append(
-                "            -> RECOVERED: survivors completed; agreed "
-                f"failed={r.failed_ranks}, time-to-repair={ttr_txt}"
+            verdict = (
+                f"RECOVERED: survivors completed; agreed failed={r.failed_ranks}, "
+                f"time-to-repair={f'{ttr * 1e3:.3f} ms' if ttr is not None else 'n/a'}"
             )
-        elif r.degraded:
-            lines.append(
-                "            -> completed DEGRADED: survivors re-routed "
-                "around the dead rank"
-            )
+        if verdict:
+            lines.append(f"            -> {verdict}")
         nacks = r.transport.get("nacks_sent", 0)
         if nacks:
             lines.append(

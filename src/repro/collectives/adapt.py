@@ -33,7 +33,9 @@ so routing around a dead rank means editing a child list and replaying a
   through consecutive dead ranks) and replays every segment it holds to
   them; each orphan cancels its receives from the dead parent and re-posts
   the full segment range from its nearest live ancestor, its ``have`` set
-  suppressing re-forwarding of segments that arrived twice.
+  suppressing re-forwarding of segments that arrived twice. An orphan
+  with no live ancestor that still misses segments lost them with the
+  root: it abandons the launch (the handle's report is unrecoverable).
 * **reduce**: the dead rank's parent drops it from the contribution count
   (partial contributions already folded stay); the dead rank's children
   abandon their upward sends and complete locally — that subtree's
@@ -269,14 +271,13 @@ class _AdaptBcastRank:
             self.ctx.tree, self.local, self.ctx.failed_locals()
         )
         if ancestor is None:
-            # The root chain is dead: the data source is gone. Nothing can
-            # complete this rank's receive set; excuse it and say so.
             self.parent = None
-            self.handle.report.note(
-                f"rank {self.local}: no live ancestor, broadcast data lost"
-            )
-            if not self.finished:
-                self.handle.excuse(self.local)
+            if len(self.have) < self.nseg:
+                # The root chain is dead and the data source with it, for
+                # this rank and every rank still waiting below it.
+                self.handle.abandon(
+                    f"root {self.ctx.root} died; broadcast data lost"
+                )
             return
         self.parent = ancestor
         # Re-post the full range: the adopter replays all segments (it

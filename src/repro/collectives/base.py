@@ -59,27 +59,12 @@ class CompletionReport:
     contributed_ranks: set[int] = field(default_factory=set)
     staleness_epoch: int = 0
     late_merges: list[tuple[int, int, int]] = field(default_factory=list)
+    # Set by CollectiveHandle.abandon: the failure took the result with it.
+    unrecoverable: bool = False
 
     def note(self, text: str) -> None:
         if text not in self.notes:
             self.notes.append(text)
-
-    def summary(self) -> str:
-        if not self.degraded:
-            return "clean"
-        parts = [f"degraded: failed={sorted(self.failed_ranks)}"]
-        if self.epoch:
-            parts.append(
-                f"epoch={self.epoch} agreed={sorted(self.agreed_failed)}"
-            )
-        if self.adoptions:
-            parts.append(f"adoptions={self.adoptions}")
-        if self.lost_subtrees:
-            parts.append(f"lost_subtrees={sorted(set(self.lost_subtrees))}")
-        if self.retractions:
-            parts.append(f"retracted={sorted(self.retractions)}")
-        parts.extend(self.notes)
-        return "; ".join(parts)
 
 
 @dataclass
@@ -97,6 +82,9 @@ class CollectiveHandle:
     # Degraded-mode outcome: dead ranks are excused from completion and the
     # report records what the survivors did about them.
     excused: set[int] = field(default_factory=set)
+    # Fired as each rank is first excused — how a composed collective
+    # (allreduce_adapt) hears the failures its inner launches handled.
+    on_excuse: list[Callable[[int], None]] = field(default_factory=list)
     report: CompletionReport = field(default_factory=CompletionReport)
 
     def mark_done(self, local: int, time: float, output: Any = None) -> None:
@@ -110,7 +98,23 @@ class CollectiveHandle:
 
     def excuse(self, local: int) -> None:
         """Release a (dead) rank from the completion set. Idempotent."""
+        if local in self.excused:
+            return
         self.excused.add(local)
+        for cb in list(self.on_excuse):
+            cb(local)
+
+    def abandon(self, why: str) -> None:
+        """The failure took the result with it: excuse every unfinished rank
+        and mark the report unrecoverable (DESIGN.md S17). A no-op once every
+        rank finished: that result was delivered before the failure."""
+        if len(self.done_time) == self.size:
+            return
+        self.report.unrecoverable = True
+        self.report.note(why)
+        for local in range(self.size):
+            if local not in self.done_time:
+                self.excuse(local)
 
     def mark_late(self, local: int, time: float) -> None:
         """A quorum-excused straggler finished after the operation sealed.
@@ -308,6 +312,17 @@ def new_handle(ctx: CollectiveContext, name: str) -> CollectiveHandle:
             )
 
         handle.on_rank_done.append(record_span)
+    return handle
+
+
+def open_launch(ctx: CollectiveContext, handle: Optional[CollectiveHandle],
+                name: str, ntags: int) -> CollectiveHandle:
+    """The first call of a launch (``handle`` None) makes its handle and
+    reserves its ``ntags`` tags in ``ctx.scratch``; a later partial launch
+    (the IMB loop starts ranks one by one) passes the handle back."""
+    if handle is None:
+        handle = new_handle(ctx, name)
+        ctx.scratch = ctx.world.allocate_tags(ntags)
     return handle
 
 

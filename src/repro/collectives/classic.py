@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.collectives.base import CollectiveContext, CollectiveHandle, new_handle
+from repro.collectives.base import CollectiveContext, CollectiveHandle, open_launch
 from repro.collectives.nonblocking import reduce_nonblocking
 from repro.collectives.segmentation import block_ranges
 from repro.mpi.payload import assemble_payload, byte_view
@@ -40,16 +40,12 @@ def bcast_scatter_allgather(
     Bandwidth-optimal (2x the bytes of a chain per non-root rank) but with a
     strict phase boundary and P-1 synchronous ring steps.
     """
-    comm = ctx.comm
-    P = comm.size
-    first_call = handle is None
-    handle = handle or new_handle(ctx, "bcast-scatter-allgather")
+    P = ctx.comm.size
+    handle = open_launch(ctx, handle, "bcast-scatter-allgather", P + P * P)
     if P == 1:
         handle.mark_done(0, ctx.world.engine.now, ctx.data if ctx.carry() else None)
         return handle
     blocks = block_ranges(ctx.nbytes, P)
-    if first_call:
-        ctx.scratch = ctx.world.allocate_tags(P + P * P)
     base_tag = ctx.scratch
     btree = binomial_tree(P)  # over vranks; vrank 0 == root
     payload = byte_view(ctx.data) if ctx.carry() else None
@@ -141,10 +137,9 @@ def reduce_rabenseifner(
     remainder ranks fold their whole vector into a partner first (the
     standard non-power-of-two pre-phase).
     """
-    comm = ctx.comm
-    P = comm.size
-    first_call = handle is None
-    handle = handle or new_handle(ctx, "reduce-rabenseifner")
+    P = ctx.comm.size
+    handle = open_launch(ctx, handle, "reduce-rabenseifner",
+                         4 * P + 4 * P.bit_length())
     if P == 1:
         out = ctx.data.get(0) if (ctx.carry() and ctx.data) else None
         handle.mark_done(0, ctx.world.engine.now, out)
@@ -152,8 +147,6 @@ def reduce_rabenseifner(
     P2 = 1 << (P.bit_length() - 1)
     rem = P - P2
     nbytes = ctx.nbytes
-    if first_call:
-        ctx.scratch = ctx.world.allocate_tags(4 * P + 4 * P.bit_length())
     base_tag = ctx.scratch
     bw = ctx.world.spec.cpu_reduce_bandwidth
 

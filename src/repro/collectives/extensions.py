@@ -17,6 +17,10 @@ the same trees and runtime.
   that segment is fully reduced (segment-level overlap the two-phase
   composition of Section 3.1 could not achieve).
 * **barrier** — a zero-byte gather-release over the tree.
+
+All reach their ranks through :func:`~repro.collectives.base.launch_ranks`,
+so every rank hears a failure (DESIGN.md S17): scatter and barrier repair in
+place, gather abandons the launch, allreduce hears through its two phases.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from repro.collectives.base import (
     CollectiveHandle,
     launch_ranks,
     new_handle,
+    open_launch,
 )
 from repro.collectives.segmentation import block_ranges
 from repro.mpi.payload import assemble_payload, byte_view
@@ -39,16 +44,9 @@ def _subtree(tree, rank: int) -> list[int]:
     return [rank] + list(tree.descendants(rank))
 
 
-class _AdaptScatterRank:
-    """Per-rank state machine for the event-driven scatter.
-
-    Degraded mode (DESIGN.md S20): a dead child's live descendants are
-    adopted — their subtree ranges re-sliced out of this rank's buffer and
-    re-sent; an orphan cancels its receive from the dead parent and re-posts
-    the full range from its nearest live ancestor. Ranges are computed on
-    the *original* tree on both sides, so adopter and orphan always agree on
-    sizes regardless of when each learns of a death.
-    """
+class _TreeBlockRank:
+    """A rank of scatter or gather: rank r owns block r of the P-way
+    layout, and a tree edge carries its subtree's range."""
 
     def __init__(self, ctx: CollectiveContext, handle: CollectiveHandle,
                  local: int, base_tag: int, blocks: list):
@@ -60,8 +58,35 @@ class _AdaptScatterRank:
         tree = ctx.tree
         assert tree is not None
         self.tree = tree
-        self.children = list(tree.children[local])
         self.parent = tree.parent[local]
+
+    def _subtree_bytes(self, r: int) -> int:
+        return sum(self.blocks[m][1] for m in _subtree(self.tree, r))
+
+
+def _launch_blocks(ctx: CollectiveContext, handle: Optional[CollectiveHandle],
+                   ranks, name: str, state_cls) -> CollectiveHandle:
+    assert ctx.tree is not None and ctx.tree.root == ctx.root
+    P = ctx.comm.size
+    handle = open_launch(ctx, handle, name, P)
+    return launch_ranks(ctx, handle, ranks, state_cls, ctx.scratch,
+                        block_ranges(ctx.nbytes, P))
+
+
+class _AdaptScatterRank(_TreeBlockRank):
+    """Per-rank state machine for the event-driven scatter.
+
+    Degraded mode (DESIGN.md S20): a dead child's live descendants are
+    adopted — their subtree ranges re-sliced out of this rank's buffer and
+    re-sent; an orphan cancels its receive from the dead parent and re-posts
+    the full range from its nearest live ancestor. Ranges are computed on
+    the *original* tree on both sides, so adopter and orphan always agree on
+    sizes regardless of when each learns of a death.
+    """
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.children = list(self.tree.children[self.local])
         self.received = self.parent is None
         self.buf: Any = None
         self.sent_to: set[int] = set()
@@ -70,9 +95,6 @@ class _AdaptScatterRank:
         self.finished = False
 
     # -- range helpers --------------------------------------------------------
-
-    def _subtree_bytes(self, r: int) -> int:
-        return sum(self.blocks[m][1] for m in _subtree(self.tree, r))
 
     def _own_block(self) -> Any:
         if self.buf is None:
@@ -165,11 +187,6 @@ class _AdaptScatterRank:
             self._flush_sends()
         if self.parent is not None and dead == self.parent:
             self._reparent(failed)
-        if self.tree.root in failed and not self.received and not self.finished:
-            # The distribution source is gone: nothing upstream can ever
-            # deliver this subtree's range.
-            report.note(f"rank {self.local}: root dead, scatter range lost")
-            self.handle.excuse(self.local)
         self._maybe_finish()
 
     def _reparent(self, failed: set[int]) -> None:
@@ -179,11 +196,12 @@ class _AdaptScatterRank:
         ancestor = nearest_live_ancestor(self.tree, self.local, failed)
         if ancestor is None:
             self.parent = None
-            self.handle.report.note(
-                f"rank {self.local}: no live ancestor, scatter range lost"
-            )
-            if not self.finished:
-                self.handle.excuse(self.local)
+            if not self.received:
+                # The root chain is dead and the distribution source with
+                # it: nothing can deliver this subtree's range.
+                self.handle.abandon(
+                    f"root {self.tree.root} died; scatter range lost"
+                )
             return
         self.parent = ancestor
         # Post the replay receive even if the range already arrived — the
@@ -209,17 +227,62 @@ def scatter_adapt(
     """Event-driven tree scatter: ``ctx.nbytes`` is the total payload; rank r
     ends up with block r (communicator order). ``ctx.data`` (data mode) is
     the root's full buffer."""
-    tree = ctx.tree
-    assert tree is not None and tree.root == ctx.root
-    comm = ctx.comm
-    P = comm.size
-    first_call = handle is None
-    handle = handle or new_handle(ctx, "scatter-adapt")
-    blocks = block_ranges(ctx.nbytes, P)
-    if first_call:
-        ctx.scratch = ctx.world.allocate_tags(P)
-    return launch_ranks(ctx, handle, ranks, _AdaptScatterRank, ctx.scratch,
-                        blocks)
+    return _launch_blocks(ctx, handle, ranks, "scatter-adapt",
+                          _AdaptScatterRank)
+
+
+class _AdaptGatherRank(_TreeBlockRank):
+    """Per-rank state machine for the event-driven gather: a rank forwards
+    its subtree's assembled range upward once every child's is in. A death
+    cannot be routed around in place (an adopter that already forwarded its
+    range cannot splice an orphan's block in), so ``repair`` abandons."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        ctx, local = self.ctx, self.local
+        self.pending = len(self.tree.children[local])
+        own = ctx.data.get(local) if (ctx.carry() and ctx.data) else None
+        self.pieces: dict[int, Any] = {local: byte_view(own)}
+
+    def _start(self) -> None:
+        for child in self.tree.children[self.local]:
+            req = self.ctx.irecv(self.local, child, self.base_tag + child,
+                                 self._subtree_bytes(child))
+            req.add_callback(lambda r, child=child: self._on_recv(child, r))
+        self._finish_or_forward()
+
+    def _on_recv(self, child: int, r) -> None:
+        buf = byte_view(r.data) if self.ctx.carry() else None
+        if buf is not None:
+            off = 0
+            for m in sorted(_subtree(self.tree, child)):
+                ln = self.blocks[m][1]
+                self.pieces[m] = buf[off : off + ln]
+                off += ln
+        self.pending -= 1
+        self._finish_or_forward()
+
+    def _finish_or_forward(self) -> None:
+        if self.pending > 0:
+            return
+        ctx, local = self.ctx, self.local
+        out = None
+        if ctx.carry():
+            out = assemble_payload([self.pieces.get(m) for m in
+                                    sorted(_subtree(self.tree, local))])
+        if self.parent is None:
+            self.handle.mark_done(local, ctx.world.engine.now, out)
+            return
+        req = ctx.isend(local, self.parent, self.base_tag + local,
+                        self._subtree_bytes(local), out)
+        req.add_callback(
+            lambda r: self.handle.mark_done(local, ctx.world.engine.now, None)
+        )
+
+    def repair(self, dead: int) -> None:
+        # A relaunch's re-grafted tree leaves the dead detached.
+        if dead == self.tree.root or self.tree.parent[dead] is not None:
+            self.handle.abandon(f"rank {dead} died; gather cannot route around it")
 
 
 def gather_adapt(
@@ -229,65 +292,17 @@ def gather_adapt(
 ) -> CollectiveHandle:
     """Event-driven tree gather: rank r contributes ``ctx.data[r]`` (data
     mode); the root assembles blocks in communicator order."""
-    tree = ctx.tree
-    assert tree is not None and tree.root == ctx.root
-    comm = ctx.comm
-    P = comm.size
-    first_call = handle is None
-    handle = handle or new_handle(ctx, "gather-adapt")
-    blocks = block_ranges(ctx.nbytes, P)
-    if first_call:
-        ctx.scratch = ctx.world.allocate_tags(P)
-    base_tag = ctx.scratch
+    return _launch_blocks(ctx, handle, ranks, "gather-adapt", _AdaptGatherRank)
 
-    def subtree_bytes(r: int) -> int:
-        return sum(blocks[m][1] for m in _subtree(tree, r))
 
-    def start_rank(local: int) -> None:
-        children = tree.children[local]
-        parent = tree.parent[local]
-        own = ctx.data.get(local) if (ctx.carry() and ctx.data) else None
-        pieces: dict[int, Any] = {local: byte_view(own)}
-        pending = {"children": len(children)}
-
-        def assembled() -> Any:
-            if not ctx.carry():
-                return None
-            return assemble_payload([pieces.get(m) for m in sorted(_subtree(tree, local))])
-
-        def finish_or_forward() -> None:
-            if pending["children"] > 0:
-                return
-            if parent is None:
-                handle.mark_done(local, ctx.world.engine.now, assembled())
-                return
-            req = ctx.isend(
-                local, parent, base_tag + local, subtree_bytes(local), assembled()
-            )
-            req.add_callback(
-                lambda r: handle.mark_done(local, ctx.world.engine.now, None)
-            )
-
-        for child in children:
-            req = ctx.irecv(local, child, base_tag + child, subtree_bytes(child))
-
-            def on_recv(r, child=child) -> None:
-                buf = byte_view(r.data) if ctx.carry() else None
-                if buf is not None:
-                    off = 0
-                    for m in sorted(_subtree(tree, child)):
-                        ln = blocks[m][1]
-                        pieces[m] = buf[off : off + ln]
-                        off += ln
-                pending["children"] -= 1
-                finish_or_forward()
-
-            req.add_callback(on_recv)
-        finish_or_forward()
-
-    for local in ranks if ranks is not None else range(P):
-        ctx.rt(local).cpu.when_available(start_rank, local)
-    return handle
+def _phase(ctx: CollectiveContext, outer: CollectiveHandle, name: str,
+           on_excuse) -> CollectiveHandle:
+    """One phase of a composed collective: it shares ``outer``'s report,
+    and hands each rank it excuses to ``on_excuse``."""
+    inner = new_handle(ctx, name)
+    inner.report = outer.report
+    inner.on_excuse.append(on_excuse)
+    return inner
 
 
 def allreduce_adapt(
@@ -296,39 +311,50 @@ def allreduce_adapt(
     ranks=None,
 ) -> CollectiveHandle:
     """Event-driven allreduce: pipelined reduce to the root chained into a
-    pipelined broadcast, overlapping at segment granularity."""
+    pipelined broadcast, overlapping at segment granularity.
+
+    The phases share the allreduce's report, and a rank either excuses is
+    excused here too; a root lost before the broadcast launches took the
+    reduction with it, and the allreduce is abandoned (DESIGN.md S17).
+    """
     tree = ctx.tree
     assert tree is not None and tree.root == ctx.root
     handle = handle or new_handle(ctx, "allreduce-adapt")
-    handle.name = "allreduce-adapt"
 
     if ctx.scratch is not None:
         # A later partial launch (the IMB loop starts ranks one by one)
-        # joins the first launch's reduce, whose hook is already in place.
+        # joins the first launch's reduce, whose hooks are already in place.
         reduce_adapt(ctx, ctx.scratch, ranks)
         return handle
-    reduce_handle = ctx.scratch = reduce_adapt(ctx, ranks=ranks)
+    root = ctx.root
+
+    def on_reduce_excused(local: int) -> None:
+        if local == root and root not in reduce_handle.done_time:
+            handle.abandon(f"root {root} died before the broadcast")
+        else:
+            handle.excuse(local)
+
+    reduce_handle = ctx.scratch = _phase(ctx, handle, "reduce-adapt",
+                                         on_reduce_excused)
 
     def on_reduce_done(local: int, _time: float) -> None:
-        if local != ctx.root:
+        if local != root:
             return
         # Root holds the full reduction: broadcast it back down the same
         # tree. A fresh context keeps tags distinct.
         bctx = CollectiveContext(
-            ctx.comm, ctx.root, ctx.nbytes, ctx.config, tree=tree,
-            data=reduce_handle.output.get(ctx.root),
+            ctx.comm, root, ctx.nbytes, ctx.config, tree=tree,
+            data=reduce_handle.output.get(root),
             host_staging=ctx.host_staging,
         )
-        bhandle = bcast_adapt(bctx)
+        bhandle = _phase(bctx, handle, "bcast-adapt", handle.excuse)
         bhandle.on_rank_done.append(
             lambda l, t: handle.mark_done(l, t, bhandle.output.get(l))
         )
-        for l, t in list(bhandle.done_time.items()):
-            handle.mark_done(l, t, bhandle.output.get(l))
+        bcast_adapt(bctx, bhandle)
 
     reduce_handle.on_rank_done.append(on_reduce_done)
-    for l, t in list(reduce_handle.done_time.items()):
-        on_reduce_done(l, t)
+    reduce_adapt(ctx, reduce_handle, ranks)
     return handle
 
 
@@ -475,10 +501,5 @@ def barrier_adapt(
     """Tree barrier: zero-byte gather up, zero-byte release down."""
     tree = ctx.tree
     assert tree is not None and tree.root == ctx.root
-    comm = ctx.comm
-    P = comm.size
-    first_call = handle is None
-    handle = handle or new_handle(ctx, "barrier-adapt")
-    if first_call:
-        ctx.scratch = ctx.world.allocate_tags(2 * P)
+    handle = open_launch(ctx, handle, "barrier-adapt", 2 * ctx.comm.size)
     return launch_ranks(ctx, handle, ranks, _AdaptBarrierRank, ctx.scratch)

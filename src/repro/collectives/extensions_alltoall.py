@@ -25,7 +25,7 @@ from repro.collectives.base import (
     CollectiveContext,
     CollectiveHandle,
     launch_ranks,
-    new_handle,
+    open_launch,
 )
 from repro.collectives.segmentation import block_ranges
 from repro.mpi.payload import assemble_payload, byte_view, zero_bytes
@@ -130,18 +130,5 @@ def alltoall_adapt(
     ranks=None,
 ) -> CollectiveHandle:
     """Event-driven alltoall: P*(P-1) independent edges, zero rounds."""
-    comm = ctx.comm
-    P = comm.size
-    first_call = handle is None
-    handle = handle or new_handle(ctx, "alltoall-adapt")
-    if first_call:
-        ctx.scratch = ctx.world.allocate_tags(P)
-
-    if P == 1:
-        own = ctx.data.get(0) if (ctx.carry() and ctx.data) else None
-        out = byte_view(own)
-        if not handle.done_time:
-            handle.mark_done(0, ctx.world.engine.now, out)
-        return handle
-
+    handle = open_launch(ctx, handle, "alltoall-adapt", ctx.comm.size)
     return launch_ranks(ctx, handle, ranks, _AdaptAlltoallRank, ctx.scratch)

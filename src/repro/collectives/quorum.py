@@ -158,17 +158,13 @@ class _QuorumDriver:
         conservation rule holds even for an unrecoverable operation.
         """
         self.closed = True
-        rep = self.handle.report
-        rep.note(f"{self.name}: {why}")
         ledger = self.frontier.ledger
         for local in sorted(self.launched):
             w = self._wrank(local)
             if ledger.entries.get((self.epoch, w)) == OPEN and local not in self.failed:
                 ledger.close(self.epoch, w, DISCARDED)
-                rep.late_merges.append((local, self.epoch, -1))
-        for local in range(self.P):
-            if local not in self.handle.done_time:
-                self.handle.excuse(local)
+                self.handle.report.late_merges.append((local, self.epoch, -1))
+        self.handle.abandon(f"{self.name}: {why}")
         self.frontier.close_epoch(
             self.epoch, name=self.name,
             contributed=len(self.contributed),

@@ -86,9 +86,7 @@ def run(
     )
 
     def status(r) -> str:
-        if not r.completed:
-            return "hung"
-        return "degraded" if r.degraded else "ok"
+        return "ok" if r.outcome == "complete" else r.outcome
 
     pairs = [(op, lib) for op in operations for lib in LIBRARIES]
 

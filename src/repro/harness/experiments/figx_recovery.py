@@ -58,10 +58,22 @@ COMPARATOR = "OMPI-default-topo"
 COMPARATOR_OPS = ("bcast", "reduce")
 
 
+def probe_sweep(operations, nodes: int, n_jobs, cache) -> list:
+    """Stage 1: one fault-free single-shot OMPI-adapt run per operation,
+    whose mean time places the fault in stage 2."""
+    return sweep([
+        SimJob(
+            machine="cori", nodes=nodes, library="OMPI-adapt", operation=op,
+            nbytes=MSG, iterations=1, mode="sequential", seed=1,
+        )
+        for op in operations
+    ], n_jobs=n_jobs, cache=cache)
+
+
 def status_of(r) -> str:
-    if not r.completed:
-        return "hung"
-    return "recovered" if r.degraded else "ok"
+    """The status column: the run's outcome (DESIGN.md S17), ``ok`` for
+    complete and ``recovered`` for degraded."""
+    return {"complete": "ok", "degraded": "recovered"}.get(r.outcome, r.outcome)
 
 
 def run(
@@ -95,25 +107,19 @@ def run(
         ],
     )
 
-    probe_jobs = [
-        SimJob(
-            machine="cori", nodes=nodes, library="OMPI-adapt", operation=op,
-            nbytes=MSG, iterations=1, mode="sequential", seed=1,
+    probes = probe_sweep(operations, nodes, n_jobs, cache)
+
+    def kill_plan(probe) -> FaultPlan:
+        return FaultPlan(
+            kills=[KillSpec(rank=victim, time=KILL_FRACTION * probe.mean_time)],
+            seed=3,
         )
-        for op in operations
-    ]
-    probes = sweep(probe_jobs, n_jobs=n_jobs, cache=cache)
 
     kill_jobs = [
         SimJob(
             machine="cori", nodes=nodes, library="OMPI-adapt", operation=op,
             nbytes=MSG, iterations=ITERS, mode="sequential", seed=1,
-            recover=True,
-            fault_plan=FaultPlan(
-                kills=[KillSpec(rank=victim,
-                                time=KILL_FRACTION * probe.mean_time)],
-                seed=3,
-            ),
+            recover=True, fault_plan=kill_plan(probe),
         )
         for op, probe in zip(operations, probes)
     ]
@@ -132,11 +138,7 @@ def run(
         SimJob(
             machine="cori", nodes=nodes, library=COMPARATOR, operation=op,
             nbytes=MSG, iterations=ITERS, mode="sequential", seed=1,
-            fault_plan=FaultPlan(
-                kills=[KillSpec(rank=victim,
-                                time=KILL_FRACTION * probe.mean_time)],
-                seed=3,
-            ),
+            fault_plan=kill_plan(probe),
         )
         for op, probe in zip(operations, probes)
         if op in COMPARATOR_OPS

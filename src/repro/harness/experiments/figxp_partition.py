@@ -47,19 +47,22 @@ from repro.harness.experiments.common import (
     fmt_bytes,
     sweep,
 )
+from repro.harness.experiments.figx_recovery import (
+    COMPARATOR,
+    COMPARATOR_OPS,
+    ITERS,
+    MSG,
+    probe_sweep,
+    status_of,
+)
 from repro.machine import cori
 from repro.parallel import SimJob
 
-MSG = 256 << 10
-ITERS = 1
 #: Fraction of the fault-free single-shot time at which the cut lands.
 PART_FRACTION = 0.3
 #: Heal times as multiples of the detection deadline: two cells safely
 #: inside the retraction window, two safely past it.
 HEAL_FACTORS = (0.25, 0.5, 2.0, 4.0)
-#: Waitall-style comparator, for the operations the baselines implement.
-COMPARATOR = "OMPI-default-topo"
-COMPARATOR_OPS = ("bcast", "reduce")
 
 
 def detection_deadline(plan_defaults: FaultPlan | None = None) -> float:
@@ -69,12 +72,6 @@ def detection_deadline(plan_defaults: FaultPlan | None = None) -> float:
         p.phi_threshold * p.heartbeat_period * math.log(10.0)
         + p.detect_delay
     )
-
-
-def status_of(r) -> str:
-    if not r.completed:
-        return "hung"
-    return "recovered" if r.degraded else "ok"
 
 
 def _partition_groups(nranks: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -125,14 +122,7 @@ def run(
         ],
     )
 
-    probe_jobs = [
-        SimJob(
-            machine="cori", nodes=nodes, library="OMPI-adapt", operation=op,
-            nbytes=MSG, iterations=1, mode="sequential", seed=1,
-        )
-        for op in operations
-    ]
-    probes = sweep(probe_jobs, n_jobs=n_jobs, cache=cache)
+    probes = probe_sweep(operations, nodes, n_jobs, cache)
 
     def plan_for(probe, factor: float) -> FaultPlan:
         start = PART_FRACTION * probe.mean_time

@@ -70,6 +70,15 @@ def _pairwise_sum(values: Sequence[float], lo: int, n: int) -> float:
     return _pairwise_sum(values, lo, half) + _pairwise_sum(values, lo + half, n - half)
 
 
+def outcome_of(completed: bool, degraded: bool) -> str:
+    """What a run delivered (DESIGN.md S17): ``complete`` or ``degraded``
+    when every iteration time is finite, else ``unrecoverable`` when a
+    failure was heard or ``hung`` when none was (a Waitall hang)."""
+    if completed:
+        return "degraded" if degraded else "complete"
+    return "unrecoverable" if degraded else "hung"
+
+
 @dataclass
 class RunResult:
     """Timings of one measurement."""
@@ -139,6 +148,10 @@ class RunResult:
     def max_time(self) -> float:
         return float(max(self.times))
 
+    @property
+    def outcome(self) -> str:
+        return outcome_of(self.completed, self.degraded)
+
     def __str__(self) -> str:
         line = (
             f"{self.library:<20} {self.operation:<8} P={self.nranks:<5} "
@@ -188,6 +201,17 @@ def _collector_paused(run: Callable[_P, _R]) -> Callable[_P, _R]:
         return result
 
     return paused
+
+
+def iteration_end(handle) -> float:
+    """When an iteration delivered its result, the one rule every runner's
+    times come from (DESIGN.md S17): its last finished rank's completion
+    time, or ``inf`` if it was never launched, was not done by the deadline
+    (hung), no rank finished, or a failure abandoned it (unrecoverable)."""
+    if (handle is None or not handle.done or not handle.done_time
+            or handle.report.unrecoverable):
+        return float("inf")
+    return max(handle.done_time.values())
 
 
 def _drive(world: MpiWorld, injectors: list, done, deadline: Optional[float] = None) -> None:
@@ -364,12 +388,10 @@ def _chain(
     times: list[float] = []
     prev = start
     for h in handles:
-        if h is not None and h.done and h.done_time:
-            e = max(h.done_time.values())
-            times.append(max(e - prev, 0.0))
+        e = iteration_end(h)
+        times.append(max(e - prev, 0.0))
+        if e < float("inf"):
             prev = max(prev, e)
-        else:
-            times.append(float("inf"))
     world.run()
     return handles, times
 
@@ -465,12 +487,9 @@ def run_collective(
             handle = prep.launch()
             handles.append(handle)
             _drive(world, injectors, lambda: handle.done, deadline)
-            if handle.done and handle.done_time:
-                result.times.append(max(handle.done_time.values()) - start)
-            else:
-                result.times.append(float("inf"))
-            if not handle.done:
-                break  # a hung iteration will not unhang
+            result.times.append(iteration_end(handle) - start)
+            if result.times[-1] == float("inf"):
+                break  # neither a hang nor the failure behind an abandon ends
         world.run()
     else:
         handles, result.times = _chain(
@@ -496,9 +515,7 @@ def run_collective(
             )
     live = [h for h in handles if h is not None]
     result.degraded = any(h.report.degraded for h in live)
-    result.completed = bool(live) and all(h.done for h in live) and (
-        len(live) == len(handles)
-    )
+    result.completed = bool(result.times) and float("inf") not in result.times
     detector = world.failure_detector
     if detector is not None:
         result.false_kills = detector.false_kills

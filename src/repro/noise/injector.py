@@ -63,7 +63,6 @@ class NoiseInjector:
         }
         self._armed_until = {r: 0.0 for r in self.ranks}
         self.events_injected = 0
-        self.total_injected_time = 0.0
 
     def arm(self, horizon: float) -> int:
         """Schedule injections from now until ``now + horizon``.
@@ -86,7 +85,6 @@ class NoiseInjector:
                 duration = self.rng.uniform(0.0, self.max_duration)
                 eng.call_at(t, self.world.inject_noise, r, duration)
                 self.events_injected += 1
-                self.total_injected_time += duration
                 scheduled += 1
                 t += period
             self._armed_until[r] = end

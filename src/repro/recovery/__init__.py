@@ -33,7 +33,7 @@ from repro.recovery.membership import (
     merge_suspicions,
     ring_walk,
 )
-from repro.recovery.restart import EpochRestart
+from repro.recovery.restart import EpochRestart, book_view
 
 __all__ = [
     "MembershipService",
@@ -68,21 +68,6 @@ def launch_recover(name: str, ctx: CollectiveContext) -> CollectiveHandle:
         ).handle
     ms = ensure_membership(ctx.world)
     handle = op.launch(ctx)
-    comm = ctx.comm
-
-    def on_view(view: SurvivorView) -> None:
-        failed_locals = {
-            comm.local_rank(w) for w in view.failed if w in comm
-        }
-        rep = handle.report
-        if failed_locals:
-            rep.degraded = True
-            rep.failed_ranks |= failed_locals
-        rep.agreed_failed = set(failed_locals)
-        rep.epoch = view.epoch
-        for dead in sorted(failed_locals):
-            handle.excuse(dead)
-
-    ms.subscribe(on_view)
+    ms.subscribe(lambda view: book_view(handle, ctx.comm, view))
     return handle
 

@@ -28,6 +28,9 @@ Ring collectives (allgather, reduce-scatter) have no tree to re-graft;
 a restart reruns the same ring over the survivor members, keeping the
 original P-way block layout (dead-origin blocks zero-filled / dropped from
 the fold).
+
+A tree collective whose root dies has nothing to restart from: the driver
+abandons its handle, and the iteration is *unrecoverable* (DESIGN.md S17).
 """
 
 from __future__ import annotations
@@ -43,6 +46,21 @@ from repro.recovery.membership import SurvivorView, ensure_membership
 from repro.trees.regraft import regraft_tree
 
 
+def book_view(handle: CollectiveHandle, comm, view: SurvivorView) -> set[int]:
+    """Record a committed survivor view on ``handle``: its agreed dead
+    (returned as local ranks) are failed and excused."""
+    failed = {comm.local_rank(w) for w in view.failed if w in comm}
+    rep = handle.report
+    if failed:
+        rep.degraded = True
+        rep.failed_ranks |= failed
+    rep.agreed_failed = set(failed)
+    rep.epoch = view.epoch
+    for dead in sorted(failed):
+        handle.excuse(dead)
+    return failed
+
+
 class EpochRestart:
     """Drives shrink-and-retry recovery for one collective launch.
 
@@ -51,9 +69,8 @@ class EpochRestart:
     survivor ``members`` (sorted local ranks) on a fresh context whose tree,
     if any, is the original re-grafted around the agreed-dead ranks.
     ``root_required`` collectives (the tree ones — results funnel through
-    ``ctx.root``) are unrecoverable if the root itself dies:
-    the driver notes it and excuses the incomplete survivors instead of
-    restarting.
+    ``ctx.root``) are unrecoverable if the root itself dies: the driver
+    abandons the handle instead of restarting.
     """
 
     def __init__(
@@ -71,9 +88,7 @@ class EpochRestart:
         #: Epoch whose attempt's completions currently feed the outer handle.
         self.epoch = 0
         self._seen_epoch = 0
-        self.attempts = 1
         ms = ensure_membership(ctx.world)
-        self.membership = ms
         self._wire(launch0(ctx), 0)
         ms.subscribe(self._on_view)
 
@@ -110,37 +125,20 @@ class EpochRestart:
         if view.epoch <= self._seen_epoch:
             return
         self._seen_epoch = view.epoch
-        ctx = self.ctx
-        comm = ctx.comm
-        failed_locals = {
-            comm.local_rank(w) for w in view.failed if w in comm
-        }
-        h = self.handle
-        rep = h.report
-        rep.degraded = True
-        rep.failed_ranks |= failed_locals
-        rep.agreed_failed = set(failed_locals)
-        rep.epoch = view.epoch
-        for dead in sorted(failed_locals):
-            h.excuse(dead)
+        ctx, h = self.ctx, self.handle
+        failed_locals = book_view(h, ctx.comm, view)
         if self.root_required and ctx.root in failed_locals:
-            rep.note(
-                f"root {ctx.root} failed: result unrecoverable, no restart"
-            )
-            for local in range(comm.size):
-                if local not in h.done_time:
-                    h.excuse(local)
+            h.abandon(f"root {ctx.root} failed: result unrecoverable, no restart")
             self.epoch = view.epoch
             return
-        members = sorted(set(range(comm.size)) - failed_locals)
+        members = sorted(set(range(ctx.comm.size)) - failed_locals)
         if not members:
             self.epoch = view.epoch
             return
-        rep.note(
+        h.report.note(
             f"epoch {view.epoch}: restarting among {len(members)} survivors"
         )
         self.epoch = view.epoch
-        self.attempts += 1
         self._wire(self.relaunch(self._make_ctx(failed_locals), members),
                    view.epoch)
 

@@ -111,7 +111,6 @@ class StalenessFrontier:
         self._opened_at: dict[int, float] = {}
         self._pending: list[_Pending] = []
         # Aggregate accounting surfaced by ``repro chaos --quorum``.
-        self.epochs_closed = 0
         self.late_merged = 0
         self.late_discarded = 0
 
@@ -138,7 +137,6 @@ class StalenessFrontier:
         """Seal an epoch: no further on-time merges; record its obs span."""
         self._sinks.pop(epoch, None)
         opened = self._opened_at.pop(epoch, None)
-        self.epochs_closed += 1
         obs = getattr(self.world, "obs", None)
         if obs is not None and opened is not None:
             obs.add(

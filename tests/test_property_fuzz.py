@@ -465,11 +465,14 @@ def test_stall_fuzz_zero_false_kills(fuzz_seed, idx):
 #: family, gather) re-launch and the stale epoch's states never see it.
 _RETRACTION_RECORDERS = {"bcast", "scatter", "barrier", "alltoall"}
 
-#: The per-rank ADAPT state machines that repair in place without the
-#: recovery stack (degraded mode): launched directly, every one of them
-#: must record the retraction -- reduce included, whose recovery mode
-#: restarts and so never reaches its states' retraction hook above.
-_DEGRADED_REPAIRERS = ("bcast", "reduce", "scatter", "barrier", "alltoall")
+#: Launched directly (degraded mode, no recovery stack), every collective
+#: hears the failure through ``launch_ranks`` -- allreduce through its
+#: reduce and broadcast phases -- and must record the retraction: the ones
+#: that repair in place, and the ones whose repair abandons the launch
+#: (gather, the rings), whose recovery mode restarts and so never reaches
+#: their states' retraction hook above.
+_DEGRADED_REPAIRERS = ("bcast", "reduce", "scatter", "barrier", "alltoall",
+                       "gather", "allreduce", "allgather", "reduce_scatter")
 
 
 @pytest.mark.parametrize("name,recover", [

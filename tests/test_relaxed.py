@@ -453,10 +453,10 @@ class TestFigQ:
         q = res.value("runtime_ms", scenario="stall", variant="quorum",
                       quorum=0.75, window=1)
         assert q < exact
-        # Exact SGD hangs on the fail-stop; every quorum cell degrades
-        # through it instead.
+        # Exact SGD's allreduce repairs around the fail-stop in place;
+        # every quorum cell degrades through it too.
         assert res.value(
-            "status", scenario="fail-stop", variant="exact") == "hung"
+            "status", scenario="fail-stop", variant="exact") == "degraded"
         for quorum in (0.75, 0.9):
             for window in (1, 2):
                 assert res.value(
