@@ -1,8 +1,9 @@
 """Command-line interface: regenerate any experiment or run ad-hoc measurements.
 
-The experiment subcommands (``fig7`` ... ``figq``, ``metrics`` and
-``ablations``) are built from the ``EXPERIMENTS`` registry in
-:mod:`repro.harness.experiments`; the other subcommands are defined here.
+The experiment subcommands (``fig7`` ... ``figq``, ``metrics``,
+``ablations`` and ``chaos``) are built from the ``EXPERIMENTS`` registry
+in :mod:`repro.harness.experiments`; the other subcommands are defined
+here. ``chaos`` adds its fault flags to its registry subparser.
 
 Usage (after installation)::
 
@@ -24,7 +25,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from repro.harness.experiments import DRIVER_KNOBS, EXPERIMENTS
+from repro.harness.experiments import DRIVER_KNOBS, EXPERIMENTS, chaos
 from repro.machine import Topology, small_test_machine
 from repro.machine.presets import PRESETS, TOPO_FAMILY_NAMES, default_nranks, resolve
 
@@ -83,6 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
             pexp.add_argument(f"--{knob}", **_KNOB_ARGS[knob])
         _add_scale(pexp)
         _add_parallel(pexp)
+    chaos.add_arguments(sub.choices["chaos"])
 
     prun = sub.add_parser("run", help="one ad-hoc collective measurement")
     prun.add_argument("--library", default="OMPI-adapt")
@@ -151,75 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     pprof.add_argument("--iterations", type=int, default=5)
     pprof.add_argument("--top", type=int, default=0, metavar="N",
                        help="also list the N hottest functions")
-
-    pchaos = sub.add_parser(
-        "chaos",
-        help="fault-injection demo: lossy fabric, fail-stop, degraded mode",
-        description="Run one collective over a faulty fabric (DESIGN.md "
-        "S17): seeded per-link message drops/duplicates with the reliable "
-        "ack/retransmit transport, and/or a mid-collective fail-stop of one "
-        "rank. By default the same fault plan is also applied to the "
-        "Waitall-style comparator, showing ADAPT completing (degraded) "
-        "where the blocking schedule hangs. With --recover the live "
-        "recovery stack (DESIGN.md S20) is armed instead: membership "
-        "agreement plus tree re-grafting/epoch restart complete every "
-        "ADAPT collective among the survivors, and --corrupt exercises "
-        "the end-to-end checksum/NACK repair path.",
-    )
-    from repro.collectives.models import COLLECTIVES
-
-    pchaos.add_argument("operation", choices=list(COLLECTIVES))
-    pchaos.add_argument("--library", default="OMPI-adapt")
-    pchaos.add_argument("--compare", default="OMPI-default-topo",
-                        help="second library run under the same plan "
-                        "(empty string to skip)")
-    pchaos.add_argument("--machine", default="cori", choices=_MACHINE_CHOICES)
-    pchaos.add_argument("--nodes", type=int, default=None)
-    pchaos.add_argument("--nranks", type=int, default=None)
-    pchaos.add_argument("--nbytes", type=int, default=512 << 10)
-    pchaos.add_argument("--iterations", type=int, default=4)
-    pchaos.add_argument("--drop", type=float, default=0.0,
-                        help="per-message drop probability on every link")
-    pchaos.add_argument("--duplicate", type=float, default=0.0,
-                        help="per-message duplication probability")
-    pchaos.add_argument("--corrupt", type=float, default=0.0,
-                        help="per-message bit-corruption probability "
-                        "(caught by checksums, repaired via NACK)")
-    pchaos.add_argument("--recover", action="store_true",
-                        help="arm live recovery: membership agreement + "
-                        "tree re-graft/epoch restart (DESIGN.md S20)")
-    pchaos.add_argument("--stall", action="append", default=[],
-                        metavar="RANK:TIME:DURATION",
-                        help="freeze RANK's CPU for DURATION seconds "
-                        "starting at TIME (seconds; repeatable) — the "
-                        "straggler injection the *_quorum operations "
-                        "complete around")
-    pchaos.add_argument("--quorum", type=float, default=None,
-                        help="completion quorum for the *_quorum "
-                        "operations: a fraction in (0,1] or a rank count")
-    pchaos.add_argument("--min-quorum", type=int, default=1,
-                        help="floor below which a shrinking quorum "
-                        "degrades instead of completing")
-    pchaos.add_argument("--staleness-window", type=int, default=1,
-                        help="epochs a straggler contribution may merge "
-                        "forward before being discarded")
-    pchaos.add_argument("--kill-rank", type=int, default=None,
-                        help="fail-stop this rank mid-collective")
-    pchaos.add_argument("--kill-at", type=float, default=None,
-                        help="kill time in seconds (default: 30%% of the "
-                        "fault-free run)")
-    pchaos.add_argument("--partition", default=None, metavar="A|B",
-                        help="sever the fabric between rank groups, e.g. "
-                        "'0-15|16-23' or '0,1|2-23' (groups must cover "
-                        "every rank)")
-    pchaos.add_argument("--partition-at", type=float, default=None,
-                        help="cut time in seconds (default: 30%% of the "
-                        "fault-free run)")
-    pchaos.add_argument("--heal", type=float, default=None,
-                        help="heal time in seconds (default: cut + 4x the "
-                        "detection deadline — past the kill-path "
-                        "fall-through)")
-    pchaos.add_argument("--seed", type=int, default=0)
 
     plint = sub.add_parser(
         "lint",
@@ -308,9 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     pverify.add_argument("--chrome", default=None, metavar="PATH",
                          help="render the (first or replayed) violation as "
                          "a Chrome trace-event file")
-    pverify.add_argument("--no-cache", action="store_true",
-                         help="bypass the explored-state fingerprint cache "
-                         "($REPRO_CACHE_DIR or .repro-cache/)")
 
     ptrace = sub.add_parser(
         "trace",
@@ -378,8 +308,16 @@ def _driver_knobs(entry, args) -> dict:
 
 def _cmd_experiment(args) -> str:
     entry = EXPERIMENTS[args.command]
-    res = entry.run(scale=args.scale, **_parallel_kwargs(args),
-                    **_driver_knobs(entry, args))
+    if args.command == "chaos" and args.operation is not None:
+        # One cell, named by the flags, through the grid's own driver.
+        res = chaos.run_cells([(args.operation, "", args)], **_parallel_kwargs(args))
+    elif args.command == "chaos" and any(
+            getattr(args, k) != v for k, v in vars(chaos.parse("")).items()):
+        raise SystemExit("chaos: fault flags describe one cell; name its "
+                         "operation, e.g. 'repro chaos bcast --kill-rank 5'")
+    else:
+        res = entry.run(scale=args.scale, **_parallel_kwargs(args),
+                        **_driver_knobs(entry, args))
     out = res.table()
     if getattr(args, "chart", False):
         from repro.harness.charts import experiment_line_chart
@@ -485,231 +423,6 @@ def _cmd_profile(args) -> str:
     return profiling.render(stats, top=args.top, title=title)
 
 
-def _parse_partition(text: str, nranks: int) -> tuple[tuple[int, ...], ...]:
-    """Parse ``'0-15|16-23'`` into disjoint rank groups covering the world.
-
-    Each side is a comma-separated list of single ranks or ``a-b`` ranges
-    (inclusive). Malformed tokens, ranks outside ``[0, nranks)`` and
-    ranks no group lists exit here with a CLI-flavoured error;
-    disjointness is :class:`PartitionSpec`'s check.
-    """
-    def side(tokens: str) -> tuple[int, ...]:
-        ranks: list[int] = []
-        for tok in tokens.split(","):
-            tok = tok.strip()
-            if not tok:
-                continue
-            try:
-                if "-" in tok:
-                    lo, hi = tok.split("-", 1)
-                    ranks.extend(range(int(lo), int(hi) + 1))
-                else:
-                    ranks.append(int(tok))
-            except ValueError:
-                raise SystemExit(
-                    f"chaos: bad --partition token {tok!r}; expected a rank "
-                    f"or an inclusive range like '16-23'"
-                ) from None
-        return tuple(ranks)
-
-    sides = [side(s) for s in text.split("|")]
-    if len(sides) < 2 or any(not s for s in sides):
-        raise SystemExit(
-            "chaos: --partition needs at least two non-empty '|'-separated "
-            "rank groups, e.g. '0-15|16-23'"
-        )
-    listed = {r for s in sides for r in s}
-    outside = sorted(r for r in listed if not 0 <= r < nranks)
-    if outside:
-        raise SystemExit(
-            f"chaos: --partition ranks must lie in [0, {nranks}); "
-            f"got {outside}"
-        )
-    missing = set(range(nranks)) - listed
-    if missing:
-        raise SystemExit(
-            f"chaos: --partition groups must cover every rank; "
-            f"missing {sorted(missing)} of {nranks}"
-        )
-    return tuple(sides)
-
-
-#: ``repro chaos``'s verdict line per run outcome (DESIGN.md S17).
-_VERDICTS = {
-    "hung": "HUNG: the schedule cannot recover from the failure (reported inf)",
-    "unrecoverable": "UNRECOVERABLE: the failure took the result with it; "
-                     "survivors were released (reported inf)",
-    "degraded": "completed DEGRADED: survivors re-routed around the dead rank",
-}
-
-
-def _cmd_chaos(args) -> str:
-    from repro.collectives.models import COLLECTIVES
-    from repro.faults import FaultPlan, KillSpec, LossSpec, PartitionSpec
-    from repro.faults.plan import CorruptSpec, StallSpec
-    from repro.parallel import SimJob, run_jobs
-    from repro.relaxed import QuorumPolicy
-
-    nranks = default_nranks(resolve(args.machine, args.nodes), args.nranks)
-    relaxed = COLLECTIVES[args.operation].relaxed
-    if not relaxed and (args.quorum is not None or args.min_quorum != 1
-                        or args.staleness_window != 1):
-        raise SystemExit("chaos: --quorum, --min-quorum and "
-                         "--staleness-window need a *_quorum operation")
-    if relaxed and args.recover:
-        raise SystemExit("chaos: --recover and *_quorum operations are "
-                         "mutually exclusive (quorum completion already "
-                         "is a degraded-completion strategy)")
-    stalls = []
-    for spec_str in args.stall:
-        try:
-            rank_s, time_s, dur_s = spec_str.split(":")
-            stalls.append(StallSpec(rank=int(rank_s), time=float(time_s),
-                                    duration=float(dur_s)))
-        except ValueError:
-            raise SystemExit(
-                f"chaos: bad --stall {spec_str!r}; expected RANK:TIME:DURATION"
-            ) from None
-    policy = None
-    if relaxed:
-        q = args.quorum if args.quorum is not None else 1.0
-        # A count if it is an integral value above 1, else a fraction.
-        q = int(q) if q > 1 and float(q).is_integer() else q
-        try:
-            policy = QuorumPolicy(quorum=q, min_quorum=args.min_quorum,
-                                  staleness_window=args.staleness_window)
-        except ValueError as exc:
-            raise SystemExit(f"chaos: {exc}") from None
-    lossy = args.drop > 0 or args.duplicate > 0
-    if (not lossy and args.corrupt <= 0 and args.kill_rank is None
-            and args.partition is None and not stalls):
-        raise SystemExit("chaos: nothing to inject; pass --drop, --duplicate, "
-                         "--corrupt, --kill-rank, --stall and/or --partition")
-    if args.partition is None and (args.partition_at is not None
-                                   or args.heal is not None):
-        raise SystemExit("chaos: --partition-at/--heal need --partition")
-    kw = _parallel_kwargs(args)
-    world = dict(machine=args.machine, nodes=args.nodes, nranks=nranks,
-                 nbytes=args.nbytes, iterations=args.iterations, seed=args.seed)
-    [base] = run_jobs([SimJob(library=args.library, operation=args.operation,
-                              quorum=policy, **world)], **kw)
-    lines = [f"fault-free  {base}"]
-    kill_at = None
-    if args.kill_rank is not None:
-        kill_at = args.kill_at if args.kill_at is not None else (
-            0.3 * base.mean_time * args.iterations
-        )
-    losses = [LossSpec(drop=args.drop, duplicate=args.duplicate)] if lossy else []
-    corrupts = [CorruptSpec(rate=args.corrupt)] if args.corrupt > 0 else []
-    kills = (
-        [KillSpec(rank=args.kill_rank, time=kill_at)]
-        if args.kill_rank is not None else []
-    )
-    partitions = []
-    if args.partition is not None:
-        from repro.harness.experiments.figxp_partition import detection_deadline
-
-        groups = _parse_partition(args.partition, nranks)
-        cut_at = args.partition_at if args.partition_at is not None else (
-            0.3 * base.mean_time * args.iterations
-        )
-        deadline = detection_deadline()
-        heal_at = args.heal if args.heal is not None else (
-            cut_at + 4.0 * deadline
-        )
-        try:
-            partitions = [PartitionSpec(groups=groups, start=cut_at,
-                                        heal=heal_at)]
-        except ValueError as exc:
-            raise SystemExit(f"chaos: {exc}") from None
-    plan = FaultPlan(losses=losses, kills=kills, corrupts=corrupts,
-                     partitions=partitions, stalls=stalls, seed=args.seed)
-    desc = []
-    if stalls:
-        desc.append("; ".join(
-            f"stall rank {s.rank} at t={s.time * 1e3:.3f} ms for "
-            f"{s.duration * 1e3:.3f} ms" for s in stalls
-        ))
-    if policy is not None:
-        desc.append(
-            f"quorum={policy.quorum:g} min={policy.min_quorum} "
-            f"window={policy.staleness_window}"
-        )
-    if lossy:
-        desc.append(f"drop={args.drop:g} duplicate={args.duplicate:g} per message")
-    if corrupts:
-        desc.append(f"corrupt={args.corrupt:g} per message")
-    if kills:
-        desc.append(f"kill rank {args.kill_rank} at t={kill_at * 1e3:.3f} ms")
-    if partitions:
-        sides = " | ".join(
-            f"{len(g)} rank(s)" for g in partitions[0].groups
-        )
-        rel = "before" if heal_at - cut_at < deadline else "after"
-        desc.append(
-            f"partition [{sides}] at t={cut_at * 1e3:.3f} ms, heal at "
-            f"t={heal_at * 1e3:.3f} ms ({rel} the "
-            f"{deadline * 1e3:.1f} ms detection deadline)"
-        )
-    if args.recover:
-        desc.append("recovery armed")
-    lines.append(f"fault plan: {'; '.join(desc)} (seed={args.seed})")
-
-    # A hung schedule legitimately leaves wreckage.
-    faulty = dict(world, fault_plan=plan, sanitize=not kills and not partitions)
-    jobs = [SimJob(library=args.library, operation=args.operation,
-                   recover=args.recover, quorum=policy, **faulty)]
-    if args.compare and args.compare != args.library:
-        # The comparator shows what the same plan does *without* recovery
-        # (and, for the relaxed family, without the quorum: the exact op).
-        jobs.append(SimJob(library=args.compare,
-                           operation=args.operation.replace("_quorum", ""),
-                           **faulty))
-    for primary, r in zip((True, False), run_jobs(jobs, **kw)):
-        recover = args.recover and primary
-        lines.append(f"faulty      {r}")
-        if relaxed and primary and r.staleness_epoch:
-            excluded = sorted(set(range(nranks)) - set(r.contributed_ranks))
-            merged = sum(1 for m in r.late_merges if m[2] >= 0)
-            discarded = sum(1 for m in r.late_merges if m[2] < 0)
-            lines.append(
-                f"            -> quorum: contributed "
-                f"{len(r.contributed_ranks)}/{nranks} rank(s) across "
-                f"{r.staleness_epoch} epoch(s); excluded="
-                f"{','.join(map(str, excluded)) or '-'}"
-            )
-            lines.append(
-                f"            -> staleness: {merged} late contribution(s) "
-                f"merged forward, {discarded} discarded with accounting "
-                f"(conservation-checked: none lost silently)"
-            )
-        verdict = _VERDICTS.get(r.outcome)
-        if r.completed and recover and r.failed_ranks:
-            ttr = r.time_to_repair
-            verdict = (
-                f"RECOVERED: survivors completed; agreed failed={r.failed_ranks}, "
-                f"time-to-repair={f'{ttr * 1e3:.3f} ms' if ttr is not None else 'n/a'}"
-            )
-        if verdict:
-            lines.append(f"            -> {verdict}")
-        nacks = r.transport.get("nacks_sent", 0)
-        if nacks:
-            lines.append(
-                f"            -> integrity: {r.transport.get('checksum_rejects', 0)} "
-                f"checksum rejections repaired via {nacks} NACK retransmits"
-            )
-        if partitions:
-            severed = r.transport.get("severed", 0)
-            severed_ctl = r.transport.get("severed_control", 0)
-            parked = r.transport.get("sends_parked", 0)
-            lines.append(
-                f"            -> partition: {severed} data / {severed_ctl} "
-                f"control launches severed, {parked} send(s) parked, "
-                f"false_kills={r.false_kills}, quorum_parks={r.quorum_parks}"
-            )
-    return "\n".join(lines)
-
-
 def _cmd_trace(args) -> str:
     from repro.obs import export_chrome_trace
     from repro.parallel import SimJob, run_jobs
@@ -798,16 +511,13 @@ def _cmd_verify(args) -> int:
 
     from repro.collectives.models import ADAPT_COLLECTIVES, VERIFY_MODELS
     from repro.verify import (
-        VerifyKey,
         build_model,
         chrome_counterexample_trace,
         counterexample_dict,
         explore,
-        exploration_to_summary,
         fault_sweep,
         first_violation,
         save_counterexample,
-        summary_to_exploration,
     )
 
     if args.replay:
@@ -818,7 +528,6 @@ def _cmd_verify(args) -> int:
         schedules = sorted(VERIFY_MODELS)
     else:
         schedules = [c.schedule for c in ADAPT_COLLECTIVES.values()]
-    cache = _parallel_kwargs(args)["cache"]
     mode = "naive" if args.naive else "auto"
     report: dict = {"config": {
         "ranks": args.ranks, "tree": args.tree, "nbytes": args.nbytes,
@@ -836,21 +545,10 @@ def _cmd_verify(args) -> int:
         )
         max_states = min(args.max_states, args.naive_cap) if args.naive \
             else args.max_states
-        key = VerifyKey(model.fingerprint(), mode, max_states)
-        exploration = None
-        cached = False
-        if cache is not None:
-            summary = cache.get(key)
-            if summary is not None:
-                exploration = summary_to_exploration(model, summary)
-                cached = exploration is not None
-        if exploration is None:
-            exploration = explore(
-                model, mode=mode, max_states=max_states,
-                budget_seconds=args.budget_seconds, keep_states=False,
-            )
-            if cache is not None and exploration.complete:
-                cache.put(key, exploration_to_summary(exploration))
+        exploration = explore(
+            model, mode=mode, max_states=max_states,
+            budget_seconds=args.budget_seconds, keep_states=False,
+        )
         # The DPOR-vs-naive census: how much the reduction buys on this
         # model (naive leg capped; a capped count is a lower bound).
         naive_note = ""
@@ -876,8 +574,7 @@ def _cmd_verify(args) -> int:
             ok = exploration.ok
             verdict = exploration.verdict()
         status = "ok " if ok else "FAIL"
-        warm = " [cached]" if cached else ""
-        print(f"{status} {schedule}: {verdict}{warm}")
+        print(f"{status} {schedule}: {verdict}")
         print(f"     mode={exploration.mode} states={exploration.states_explored} "
               f"transitions={exploration.transitions_fired} "
               f"maximal={exploration.maximal_states}{naive_note} "
@@ -888,7 +585,6 @@ def _cmd_verify(args) -> int:
             "states_explored": exploration.states_explored,
             "transitions_fired": exploration.transitions_fired,
             "complete": exploration.complete,
-            "cached": cached,
             "violations": found_kinds,
             "expected": expected,
         }
@@ -1036,8 +732,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(_cmd_bench(args))
     elif args.command == "profile":
         print(_cmd_profile(args))
-    elif args.command == "chaos":
-        print(_cmd_chaos(args))
     elif args.command == "trace":
         print(_cmd_trace(args))
     elif args.command == "lint":

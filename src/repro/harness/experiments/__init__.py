@@ -29,6 +29,7 @@ from typing import Callable
 from repro.harness.experiments.common import SCALES, Claim, ExperimentResult
 from repro.harness.experiments import (
     ablations,
+    chaos,
     fig07_noise,
     fig08_topo,
     fig09_msgsize,
@@ -112,6 +113,11 @@ EXPERIMENTS: dict[str, Experiment] = {
         "offload, bandwidth robustness",
         ablations.run, claims=ablations.CLAIMS,
     ),
+    "chaos": Experiment(
+        "Chaos (ours): collectives on a faulty fabric — loss, kill, "
+        "corruption, partition, stalls; or one cell: chaos OPERATION [flags]",
+        chaos.run, claims=chaos.CLAIMS,
+    ),
 }
 
 __all__ = [
@@ -122,6 +128,7 @@ __all__ = [
     "ExperimentResult",
     "SCALES",
     "ablations",
+    "chaos",
     "fig07_noise",
     "fig08_topo",
     "fig09_msgsize",

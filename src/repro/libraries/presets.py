@@ -320,7 +320,9 @@ def prepare_operation(
     bcast/reduce without recovery go through the library model (the paper's
     comparison surface); every other operation — and any operation with
     ``recover=True`` — runs its table launcher, on the topology-aware tree
-    when the row says so. With ``recover``, the launch goes through
+    when the row says so. The table launchers are ADAPT's, so any other
+    library raises ``ValueError`` there rather than run ADAPT under its
+    name. With ``recover``, the launch goes through
     :func:`repro.recovery.launch_recover`, which arms ULFM-style membership
     agreement and epoch-restart/in-place repair; recovery launches every
     rank up front, so per-rank iteration chaining degrades to a single
@@ -352,6 +354,9 @@ def prepare_operation(
             return library.bcast
         if operation == "reduce":
             return library.reduce
+    if library.name != "OMPI-adapt":
+        raise ValueError(f"{library.name} implements only bcast and reduce without "
+                         f"recovery; {operation!r} runs only under OMPI-adapt")
     launch_kw = {"policy": policy or QuorumPolicy()} if entry.relaxed else {}
 
     def prepare(comm, root, nbytes, config, data=None, op: ReduceOp = SUM, **kw):

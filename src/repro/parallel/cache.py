@@ -1,7 +1,7 @@
 """Content-addressed on-disk result cache.
 
-Key = sha256 of the job's canonical config (:meth:`SimJob.cache_key`, or
-any object with a ``cache_key()``) + a hash of the ``repro`` package's
+Key = sha256 of the job's canonical config (:meth:`SimJob.cache_key`)
++ a hash of the ``repro`` package's
 source, so a re-run of unchanged code is near-free while any config change
 or any edit to a ``.py`` file misses cleanly — nothing is bumped by hand.
 Values are the worker's JSON result dicts, stored one file per key under

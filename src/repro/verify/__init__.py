@@ -10,14 +10,9 @@ orders with dynamic partial-order reduction
 partition repair paths at every explored state
 (:mod:`repro.verify.recovery_check`), and every violation ships as a replayable, Chrome-traceable counterexample
 (:mod:`repro.verify.counterexample`). ``repro verify`` is the CLI front
-door; :mod:`repro.verify.cache` keys warm re-runs by model fingerprint.
+door.
 """
 
-from repro.verify.cache import (
-    VerifyKey,
-    exploration_to_summary,
-    summary_to_exploration,
-)
 from repro.verify.checker import (
     DEADLOCK,
     RACE,
@@ -60,19 +55,16 @@ __all__ = [
     "ReplayResult",
     "ScheduleModel",
     "SweepResult",
-    "VerifyKey",
     "Violation",
     "build_model",
     "chrome_counterexample_trace",
     "counterexample_dict",
     "explore",
     "fault_sweep",
-    "exploration_to_summary",
     "first_violation",
     "load_counterexample",
     "model_from_graph",
     "model_from_trace",
     "replay",
     "save_counterexample",
-    "summary_to_exploration",
 ]

@@ -133,8 +133,8 @@ class ScheduleModel:
         """Content hash of the transition system (ops, guards, config).
 
         Two recordings of the same schedule at the same parameters produce
-        the same fingerprint; any structural change misses. This is the key
-        the explored-state cache is addressed by.
+        the same fingerprint; any structural change gives a new one. A saved
+        counterexample carries it, so a replay checks its embedded model.
         """
         payload = {
             "eager_threshold": self.eager_threshold,

@@ -177,19 +177,17 @@ class TestResultCache:
         assert ResultCache().root == tmp_path / "envcache"
 
 
-#: Prints the cache paths of a fixed SimJob and a fixed VerifyKey, after
-#: checking that importing the package did not hash its source.
+#: Prints the cache path of a fixed SimJob, after checking that importing
+#: the package did not hash its source.
 _KEY_SCRIPT = """
 import repro
 from repro.parallel import ResultCache, SimJob
 from repro.parallel.cache import source_digest
-from repro.verify import VerifyKey
 
 assert source_digest.cache_info().currsize == 0, "source hashed at import"
 cache = ResultCache("store")
 print(repro.__file__)
 print(cache.path_for(SimJob(machine="testbox", nbytes=4096)))
-print(cache.path_for(VerifyKey("f" * 64, "auto", 1000)))
 """
 
 
@@ -214,8 +212,8 @@ class TestSourceDerivedKey:
         with open(pkg / "repro" / "sim" / "engine.py", "ab") as fh:
             fh.write(b"#")  # a one-byte comment
         after = self._paths(pkg)
-        assert len(after) == 2
-        assert all(a != b for a, b in zip(after, before))
+        assert len(after) == 1
+        assert after != before
 
     def test_uncached_runs_never_hash_the_source(self, monkeypatch):
         from repro.parallel import cache as cache_mod
@@ -317,6 +315,8 @@ _REDUCED_GRIDS = {
     "figq": {},
     "metrics": {},
     "ablations": {},
+    # A hung comparator (inf), an unrecoverable primary and a quorum run.
+    "chaos": dict(cells=("lossy-kill", "kill-gather", "quorum-bcast")),
 }
 
 
@@ -334,7 +334,7 @@ class TestExperimentsByteIdentical:
         par = entry.run(scale="small", n_jobs=2, **grid)
         assert seq.to_json() == par.to_json()
         assert seq.table() == par.table()
-        if name == "figx":
+        if name in ("figx", "chaos"):
             # The hung comparator's inf survived both paths identically.
             assert any(math.isinf(c) for row in par.rows for c in row
                        if isinstance(c, float))

@@ -477,11 +477,19 @@ class TestChaosQuorumCli:
             "--stall", "9:0.0001:0.006", "--stall", "14:0.0001:0.006",
             "--quorum", "0.75",
         ]) == 0
-        out = capsys.readouterr().out
-        assert "-> quorum: contributed" in out
-        assert "excluded=" in out
-        assert "-> staleness:" in out
-        assert "merged forward" in out
+        lines = capsys.readouterr().out.splitlines()
+        headers = [h.strip() for h in lines[2].split(" | ")]
+        runs = {row["run"]: row for row in (
+            dict(zip(headers, (c.strip() for c in line.split(" | "))))
+            for line in lines[4:] if not line.startswith("note: "))}
+        # The exact allreduce is ADAPT's, so there is no comparator row.
+        assert sorted(runs) == ["fault-free", "faulty"]
+        faulty = runs["faulty"]
+        assert faulty["outcome"] == "complete"
+        assert (faulty["contributed"], faulty["epochs"], faulty["excluded"]) \
+            == ("13", "3", "13-15")
+        assert (faulty["merged"], faulty["discarded"]) == ("8", "4")
+        assert "no OMPI-default-topo row" in lines[-1]
 
     def test_quorum_flag_needs_relaxed_operation(self):
         from repro.cli import main
@@ -526,15 +534,24 @@ class TestTableRejections:
     """Every operation/recover/policy error is raised by the table lookup in
     ``prepare_operation``, before ``run_collective`` builds a world."""
 
-    def run(self, monkeypatch, operation: str, **kw):
+    def run(self, monkeypatch, operation: str, library="OMPI-adapt", **kw):
         monkeypatch.setattr(runner, "_build_world", _no_world)
-        run_collective(small_test_machine(), 6, "OMPI-adapt", operation,
+        run_collective(small_test_machine(), 6, library, operation,
                        4096, **kw)
 
     @pytest.mark.parametrize("op", QUORUM_OPS)
     def test_recover_rejected_for_quorum_ops(self, monkeypatch, op):
         with pytest.raises(ValueError, match="cannot combine with recover"):
             self.run(monkeypatch, op, recover=True)
+
+    @pytest.mark.parametrize("op, recover", [("allreduce", False),
+                                             ("bcast", True)])
+    def test_baseline_runs_only_its_own_schedules(self, monkeypatch, op,
+                                                  recover):
+        # The table launchers are ADAPT's; a baseline never borrows one.
+        with pytest.raises(ValueError, match="implements only bcast and reduce"):
+            self.run(monkeypatch, op, library="OMPI-default-topo",
+                     recover=recover)
 
     def test_unknown_operation_rejected(self, monkeypatch):
         with pytest.raises(ValueError, match="unknown operation 'scan'"):

@@ -24,23 +24,19 @@ from repro.analysis.depgraph import record
 from repro.analysis.schedules import SCHEDULES, recording_world
 from repro.collectives.models import ADAPT_COLLECTIVES, VERIFY_MODELS
 from repro.mpi.proclet import ProcletDriver
-from repro.parallel import ResultCache
 from repro.verify import (
     DEADLOCK,
     RACE,
-    VerifyKey,
     build_model,
     chrome_counterexample_trace,
     counterexample_dict,
     explore,
-    exploration_to_summary,
     fault_sweep,
     first_violation,
     load_counterexample,
     model_from_graph,
     replay,
     save_counterexample,
-    summary_to_exploration,
 )
 
 NRANKS = 6
@@ -313,36 +309,6 @@ class TestPartitionSweep:
         assert sorted(handle.done_time) == [0, 1, 2, 3]
 
 
-class TestCache:
-    def test_warm_hit_rehydrates(self, tmp_path):
-        m = _model("bcast-adapt")
-        e = explore(m, keep_states=False)
-        cache = ResultCache(tmp_path / "cache")
-        key = VerifyKey(m.fingerprint(), e.mode, 200_000)
-        assert cache.get(key) is None
-        cache.put(key, exploration_to_summary(e))
-        warm = summary_to_exploration(m, cache.get(key))
-        assert warm is not None
-        assert warm.ok
-        assert warm.states_explored == e.states_explored
-
-    def test_stale_fingerprint_misses(self):
-        m = _model("bcast-adapt")
-        summary = exploration_to_summary(explore(m, keep_states=False))
-        other = _model("reduce-adapt")
-        assert summary_to_exploration(other, summary) is None
-
-    def test_key_varies_by_mode_and_budget(self):
-        m = _model("bcast-adapt")
-        fp = m.fingerprint()
-        keys = {
-            VerifyKey(fp, "dpor", 100).cache_key(),
-            VerifyKey(fp, "naive", 100).cache_key(),
-            VerifyKey(fp, "dpor", 200).cache_key(),
-        }
-        assert len(keys) == 3
-
-
 class TestVerifyCli:
     def test_verify_adapt_exits_zero(self, capsys, tmp_path, monkeypatch):
         from repro.cli import main
@@ -350,7 +316,7 @@ class TestVerifyCli:
         monkeypatch.chdir(tmp_path)
         code = main([
             "verify", "--collective", "bcast-adapt", "--ranks", "4",
-            "--no-cache", "--json", str(tmp_path / "report.json"),
+            "--json", str(tmp_path / "report.json"),
         ])
         out = capsys.readouterr().out
         assert code == 0
@@ -366,7 +332,7 @@ class TestVerifyCli:
         monkeypatch.chdir(tmp_path)
         ce = tmp_path / "ce.json"
         code = main([
-            "verify", "--collective", "deadlock-demo", "--no-cache",
+            "verify", "--collective", "deadlock-demo",
             "--counterexample", str(ce),
         ])
         out = capsys.readouterr().out
@@ -387,7 +353,7 @@ class TestVerifyCli:
         monkeypatch.chdir(tmp_path)
         code = main([
             "verify", "--collective", "allreduce-adapt", "--ranks", "6",
-            "--max-states", "3", "--no-cache",
+            "--max-states", "3",
         ])
         assert code == 2
         assert "UNKNOWN" in capsys.readouterr().out
@@ -398,7 +364,7 @@ class TestVerifyCli:
         monkeypatch.chdir(tmp_path)
         code = main([
             "verify", "--collective", "bcast-adapt", "--ranks", "4",
-            "--kill-sweep", "--no-cache",
+            "--kill-sweep",
         ])
         out = capsys.readouterr().out
         assert code == 0
@@ -410,7 +376,7 @@ class TestVerifyCli:
         monkeypatch.chdir(tmp_path)
         code = main([
             "verify", "--collective", "bcast-adapt", "--ranks", "4",
-            "--kill-sweep", "--partition-sweep", "--no-cache",
+            "--kill-sweep", "--partition-sweep",
             "--json", str(tmp_path / "report.json"),
         ])
         out = capsys.readouterr().out
@@ -439,7 +405,7 @@ class TestVerifyCli:
         monkeypatch.chdir(tmp_path)
         code = main([
             "verify", "--collective", "bcast-adapt", "--ranks", "4",
-            "--partition-sweep", "--no-cache",
+            "--partition-sweep",
         ])
         out = capsys.readouterr().out
         assert code == 2
@@ -461,26 +427,12 @@ class TestVerifyCli:
         monkeypatch.chdir(tmp_path)
         code = main([
             "verify", "--collective", "bcast-adapt", "--ranks", "4",
-            "--kill-sweep", "--no-cache",
+            "--kill-sweep",
         ])
         out = capsys.readouterr().out
         assert code == 2
         assert "kill-sweep: UNKNOWN (budget exhausted)" in out
         assert "BASE NOT SAFE" not in out
-
-    def test_verify_warm_cache_hit(self, capsys, tmp_path, monkeypatch):
-        from repro.cli import main
-
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-        args = ["verify", "--collective", "barrier-adapt", "--ranks", "4"]
-        assert main(args) == 0
-        cold = capsys.readouterr().out
-        assert "[cached]" not in cold
-        assert main(args) == 0
-        warm = capsys.readouterr().out
-        assert "[cached]" in warm
 
 
 def _random_schedule(seed):
