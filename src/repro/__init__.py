@@ -37,7 +37,32 @@ Quickstart::
     print(handle.elapsed())
 """
 
+import sys
+from importlib import import_module
+from typing import Any, Callable
+
 __version__ = "1.0.0"
+
+
+def on_first_use(package: str, names: dict[str, str]) -> Callable[[str], Any]:
+    """A module ``__getattr__`` for ``package`` that serves each public name
+    in ``names`` (name -> submodule) by importing its submodule on the first
+    read, then keeps it in the package namespace.
+
+    A package ``__init__`` imports only what every run executes and serves
+    the rest through this (DESIGN.md §18, "What a run loads"): each name
+    stays importable from the package root, and a run loads only the code
+    it executes.
+    """
+
+    def __getattr__(name: str) -> Any:
+        if name not in names:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(import_module(f"{package}.{names[name]}"), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    return __getattr__
 
 __all__ = [
     "apps",

@@ -21,28 +21,8 @@ and the bounded-staleness quorum collectives
 (:mod:`repro.collectives.quorum`).
 """
 
+from repro import on_first_use
 from repro.collectives.base import CollectiveHandle, CollectiveContext
-from repro.collectives.blocking import bcast_blocking, reduce_blocking
-from repro.collectives.nonblocking import bcast_nonblocking, reduce_nonblocking
-from repro.collectives.adapt import bcast_adapt, reduce_adapt
-from repro.collectives.classic import (
-    bcast_scatter_allgather,
-    reduce_rabenseifner,
-    reduce_shumilin,
-)
-from repro.collectives.hierarchical import bcast_hierarchical, reduce_hierarchical
-from repro.collectives.tuned import bcast_tuned, reduce_tuned
-from repro.collectives.extensions import (
-    allreduce_adapt,
-    barrier_adapt,
-    gather_adapt,
-    scatter_adapt,
-)
-from repro.collectives.extensions_allgather import (
-    allgather_adapt,
-    reduce_scatter_adapt,
-)
-from repro.collectives.extensions_alltoall import alltoall_adapt
 from repro.collectives.models import (
     ADAPT_COLLECTIVES,
     COLLECTIVES,
@@ -70,6 +50,8 @@ __all__ = [
     "reduce_shumilin",
     "bcast_hierarchical",
     "reduce_hierarchical",
+    "HierarchicalBcast",
+    "HierarchicalReduce",
     "bcast_tuned",
     "reduce_tuned",
     "scatter_adapt",
@@ -79,4 +61,36 @@ __all__ = [
     "allgather_adapt",
     "reduce_scatter_adapt",
     "alltoall_adapt",
+    "bcast_quorum",
+    "reduce_quorum",
+    "allreduce_quorum",
 ]
+
+#: Served on first use: a run loads only the algorithms it launches.
+__getattr__ = on_first_use(__name__, {
+    "bcast_blocking": "blocking",
+    "reduce_blocking": "blocking",
+    "bcast_nonblocking": "nonblocking",
+    "reduce_nonblocking": "nonblocking",
+    "bcast_adapt": "adapt",
+    "reduce_adapt": "adapt",
+    "bcast_scatter_allgather": "classic",
+    "reduce_rabenseifner": "classic",
+    "reduce_shumilin": "classic",
+    "bcast_hierarchical": "hierarchical",
+    "reduce_hierarchical": "hierarchical",
+    "HierarchicalBcast": "hierarchical",
+    "HierarchicalReduce": "hierarchical",
+    "bcast_tuned": "tuned",
+    "reduce_tuned": "tuned",
+    "scatter_adapt": "extensions",
+    "gather_adapt": "extensions",
+    "allreduce_adapt": "extensions",
+    "barrier_adapt": "extensions",
+    "allgather_adapt": "extensions_allgather",
+    "reduce_scatter_adapt": "extensions_allgather",
+    "alltoall_adapt": "extensions_alltoall",
+    "bcast_quorum": "quorum",
+    "reduce_quorum": "quorum",
+    "allreduce_quorum": "quorum",
+})

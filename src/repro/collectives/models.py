@@ -20,26 +20,23 @@ and its family; the ADAPT rows come from the table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
-from repro.collectives.adapt import bcast_adapt, reduce_adapt
 from repro.collectives.base import CollectiveContext, CollectiveHandle
-from repro.collectives.extensions import (
-    allreduce_adapt,
-    barrier_adapt,
-    gather_adapt,
-    scatter_adapt,
-)
-from repro.collectives.extensions_allgather import (
-    allgather_adapt,
-    reduce_scatter_adapt,
-)
-from repro.collectives.extensions_alltoall import alltoall_adapt
-from repro.collectives.quorum import (
-    allreduce_quorum,
-    bcast_quorum,
-    reduce_quorum,
-)
+
+
+def _launcher(name: str) -> Callable[..., CollectiveHandle]:
+    """The :mod:`repro.collectives` launcher ``name``, imported on its first
+    launch: a run loads only the collectives it launches (DESIGN.md §18,
+    "What a run loads")."""
+
+    def launch(*args: Any, **kwargs: Any) -> CollectiveHandle:
+        from repro import collectives
+
+        return getattr(collectives, name)(*args, **kwargs)
+
+    launch.__name__ = launch.__qualname__ = name
+    return launch
 
 
 @dataclass(frozen=True)
@@ -95,19 +92,19 @@ COLLECTIVES: dict[str, AdaptCollective] = {
     c.name: c
     for c in (
         #               name, launch, tree, folds, recovery
-        AdaptCollective("bcast", bcast_adapt, True, False, "in-place"),
-        AdaptCollective("reduce", reduce_adapt, True, True, "restart"),
-        AdaptCollective("scatter", scatter_adapt, True, False, "in-place"),
-        AdaptCollective("gather", gather_adapt, True, False, "restart"),
-        AdaptCollective("allreduce", allreduce_adapt, True, True, "restart"),
-        AdaptCollective("allgather", allgather_adapt, False, False, "restart"),
-        AdaptCollective("reduce_scatter", reduce_scatter_adapt, False, True,
+        AdaptCollective("bcast", _launcher("bcast_adapt"), True, False, "in-place"),
+        AdaptCollective("reduce", _launcher("reduce_adapt"), True, True, "restart"),
+        AdaptCollective("scatter", _launcher("scatter_adapt"), True, False, "in-place"),
+        AdaptCollective("gather", _launcher("gather_adapt"), True, False, "restart"),
+        AdaptCollective("allreduce", _launcher("allreduce_adapt"), True, True, "restart"),
+        AdaptCollective("allgather", _launcher("allgather_adapt"), False, False, "restart"),
+        AdaptCollective("reduce_scatter", _launcher("reduce_scatter_adapt"), False, True,
                         "restart"),
-        AdaptCollective("alltoall", alltoall_adapt, False, False, "in-place"),
-        AdaptCollective("barrier", barrier_adapt, True, False, "in-place"),
-        AdaptCollective("bcast_quorum", bcast_quorum, True, False, "quorum"),
-        AdaptCollective("reduce_quorum", reduce_quorum, False, True, "quorum"),
-        AdaptCollective("allreduce_quorum", allreduce_quorum, False, True,
+        AdaptCollective("alltoall", _launcher("alltoall_adapt"), False, False, "in-place"),
+        AdaptCollective("barrier", _launcher("barrier_adapt"), True, False, "in-place"),
+        AdaptCollective("bcast_quorum", _launcher("bcast_quorum"), True, False, "quorum"),
+        AdaptCollective("reduce_quorum", _launcher("reduce_quorum"), False, True, "quorum"),
+        AdaptCollective("allreduce_quorum", _launcher("allreduce_quorum"), False, True,
                         "quorum"),
     )
 }

@@ -8,8 +8,7 @@ declarative plan, an injector armed over an explicit horizon, and a seeded
 generator so identical seeds give byte-identical fault timelines.
 """
 
-from repro.faults.detector import FailureDetector
-from repro.faults.injector import FabricFaults, FaultInjector
+from repro import on_first_use
 from repro.faults.plan import (
     FaultPlan,
     FlapSpec,
@@ -30,3 +29,11 @@ __all__ = [
     "PartitionSpec",
     "StallSpec",
 ]
+
+#: Served on first use: only a faulted run builds an injector, and only
+#: kills, partitions and adaptive plans build a detector.
+__getattr__ = on_first_use(__name__, {
+    "FabricFaults": "injector",
+    "FaultInjector": "injector",
+    "FailureDetector": "detector",
+})

@@ -16,13 +16,15 @@ workloads give byte-identical timelines.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.faults.detector import FailureDetector
 from repro.faults.plan import FaultPlan
 from repro.mpi.runtime import MpiWorld
 from repro.network.flows import Flow
 from repro.sim.rng import Generator
+
+if TYPE_CHECKING:
+    from repro.faults.detector import FailureDetector
 
 
 class FabricFaults:
@@ -154,6 +156,8 @@ class FaultInjector:
         if plan.losses or plan.corrupts or plan.partitions:
             world.fabric.faults = self.fabric_faults
         if plan.kills or plan.partitions or plan.adaptive:
+            from repro.faults.detector import FailureDetector
+
             self.detector = world.failure_detector or FailureDetector(
                 world,
                 plan.detect_delay,

@@ -8,6 +8,7 @@ events and fabric hooks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -245,6 +246,14 @@ class FaultPlan:
             raise ValueError(
                 f"heartbeat_period must be > 0, got {heartbeat_period}"
             )
+
+    @property
+    def detection_deadline(self) -> float:
+        """Silence that confirms a failure: phi crossing + confirm delay."""
+        return (
+            self.phi_threshold * self.heartbeat_period * math.log(10.0)
+            + self.detect_delay
+        )
 
     @classmethod
     def single_kill(

@@ -22,7 +22,7 @@ scaling story is recorded per rank count, not just on microbenchmarks.
 A fifth, opt-in leg (``repro bench --section cold``) times the cold start
 of a timing-only run in fresh interpreters — importing the runner plus one
 small bcast, plain and under seeded noise and loss — and records its peak
-RSS and whether numpy was loaded.
+RSS, how many ``repro`` modules it loaded and whether numpy was loaded.
 
 A sixth, opt-in leg (``repro bench --section contended``) runs the 64 KiB
 ADAPT alltoall at 32 and 128 ranks, where every flow shares a NIC or a
@@ -376,7 +376,8 @@ def bench_fig09(scale: str, n_jobs: Optional[int] = None) -> dict:
 #: One cold start, run by a fresh interpreter: the runner's imports plus one
 #: no-payload bcast, timed from the first import; with the argument
 #: ``faulted``, the bcast runs under 5% noise and 1% loss. Prints one JSON
-#: line.
+#: line. ``repro_modules`` counts the package's loaded modules: the
+#: structural, noise-free half of the cold start.
 _COLD_START = r"""
 import sys, time
 t0 = time.perf_counter()
@@ -400,6 +401,7 @@ except OSError:
 print(json.dumps({
     "seconds": seconds,
     "peak_rss_mb": rss_kb / 1024.0,
+    "repro_modules": sum(m.split(".")[0] == "repro" for m in sys.modules),
     "numpy_loaded": "numpy" in sys.modules,
 }))
 """
@@ -411,7 +413,7 @@ def _cold_starts(scale: str, *args: str) -> dict:
     ``ref_loops`` is the median cold start over the mean of the reference
     runs either side of it, so host-speed drift moves both alike; the raw
     median ``seconds`` is kept beside it. ``peak_rss_mb`` is the median
-    child's peak resident set.
+    child's peak resident set; ``repro_modules`` is the same in every child.
     """
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     path = os.environ.get("PYTHONPATH")
@@ -432,6 +434,7 @@ def _cold_starts(scale: str, *args: str) -> dict:
         "seconds": round(statistics.median(r["seconds"] for r in runs), 4),
         "ref_loops": round(statistics.median(ratios), 3),
         "peak_rss_mb": round(statistics.median(r["peak_rss_mb"] for r in runs), 1),
+        "repro_modules": max(r["repro_modules"] for r in runs),
         "numpy_loaded": any(r["numpy_loaded"] for r in runs),
     }
 
@@ -602,7 +605,8 @@ def render(result: dict) -> str:
             lines.append(
                 f"{label:<12}{start['seconds']:>12.4f} s/start       "
                 f"({start['ref_loops']:.3f} reference loops; peak RSS "
-                f"{start['peak_rss_mb']:.1f} MB; numpy "
+                f"{start['peak_rss_mb']:.1f} MB; {start['repro_modules']} repro "
+                f"modules; numpy "
                 f"{'loaded' if start['numpy_loaded'] else 'not loaded'}; "
                 f"median of {start['starts']})"
             )

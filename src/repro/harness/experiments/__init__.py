@@ -12,7 +12,9 @@ cross-worker determinism test and the registry loop
 (``benchmarks/bench_experiments.py``) all iterate it. The loop runs each
 entry once per knob set its claims name, checks every claim on the result,
 and compares the printed table (and ``--json`` file) byte for byte against
-a committed golden under ``benchmarks/goldens/``.
+a committed golden under ``benchmarks/goldens/``. An entry carries its
+help string and knobs and names its driver module, which loads on the
+first read of the entry's ``run`` or ``claims`` (DESIGN.md §18).
 
 Scales (process counts chosen so a laptop regenerates every figure):
 
@@ -24,27 +26,45 @@ Scales (process counts chosen so a laptop regenerates every figure):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from importlib import import_module
+from typing import Any
 
 from repro.harness.experiments.common import SCALES, Claim, ExperimentResult
-from repro.harness.experiments import (
-    ablations,
-    chaos,
-    fig07_noise,
-    fig08_topo,
-    fig09_msgsize,
-    fig10_scaling,
-    fig11_gpu,
-    figq_staleness,
-    figx_faults,
-    figx_recovery,
-    figxp_partition,
-    table1_asp,
-)
 
 #: Knobs passed through to the driver; an entry's other knobs (``chart``,
 #: ``json``) only shape the CLI's output.
 DRIVER_KNOBS = ("machine", "operation")
+
+
+class _DriverAttr:
+    """An :class:`Experiment` field that may name its value as
+    ``"<driver module>:<attribute>"`` instead of holding it.
+
+    The first read imports that driver and keeps the object, so building the
+    CLI or importing one driver loads no other driver. A value that is not
+    a string (the run callable, the claim tuple) is kept as given.
+    """
+
+    def __init__(self, default: Any = None):
+        self.default = default
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj: Any, owner: type | None = None) -> Any:
+        if obj is None:
+            if self.default is None:
+                raise AttributeError(self.name)  # a required field
+            return self.default
+        value = obj.__dict__[self.name]
+        if isinstance(value, str):
+            module, attr = value.split(":")
+            value = getattr(import_module(f"{__name__}.{module}"), attr)
+            obj.__dict__[self.name] = value
+        return value
+
+    def __set__(self, obj: Any, value: Any) -> None:
+        obj.__dict__[self.name] = value
 
 
 @dataclass(frozen=True)
@@ -54,13 +74,17 @@ class Experiment:
 
     ``knobs`` are drawn from ``machine`` (cori/stampede2), ``operation``
     (bcast/reduce), ``chart`` and ``json``, in subcommand flag order.
-    ``claims`` are the shape claims checked on the result.
+    ``claims`` are the shape claims checked on the result. ``run`` and
+    ``claims`` may each be ``"<driver module>:<attribute>"``, resolved on
+    first use.
     """
 
     help: str
-    run: Callable[..., ExperimentResult]
+    #: ``Callable[..., ExperimentResult]``
+    run: _DriverAttr = _DriverAttr()
     knobs: tuple[str, ...] = ()
-    claims: tuple[Claim, ...] = ()
+    #: ``tuple[Claim, ...]``
+    claims: _DriverAttr = _DriverAttr(default=())
 
     def knob_sets(self) -> list[dict[str, str]]:
         """The driver knob sets the registry loop runs: each distinct set a
@@ -72,51 +96,53 @@ class Experiment:
         return sets or [{}]
 
 
+def _entry(help: str, driver: str, knobs: tuple[str, ...] = (),
+           run: str = "run", claims: str = "CLAIMS") -> Experiment:
+    """An entry whose run and claims are attributes of module ``driver``."""
+    return Experiment(help, f"{driver}:{run}", knobs, f"{driver}:{claims}")
+
+
 EXPERIMENTS: dict[str, Experiment] = {
-    "fig7": Experiment("Figure 7: noise impact", fig07_noise.run,
-                       ("machine",), fig07_noise.CLAIMS),
-    "fig8": Experiment("Figure 8: topology-aware algorithms", fig08_topo.run,
-                       ("machine", "operation"), fig08_topo.CLAIMS),
-    "fig9": Experiment("Figure 9: end-to-end vs message size",
-                       fig09_msgsize.run, ("machine", "operation", "chart"),
-                       fig09_msgsize.CLAIMS),
-    "fig10": Experiment("Figure 10: strong scaling", fig10_scaling.run,
-                        claims=fig10_scaling.CLAIMS),
-    "fig11a": Experiment("Figure 11a: GPU vs message size",
-                         fig11_gpu.run_msgsize, claims=fig11_gpu.MSGSIZE_CLAIMS),
-    "fig11b": Experiment("Figure 11b: GPU strong scaling",
-                         fig11_gpu.run_scaling, claims=fig11_gpu.SCALING_CLAIMS),
-    "table1": Experiment("Table 1: ASP application", table1_asp.run,
-                         claims=table1_asp.CLAIMS),
-    "figx": Experiment("Figure X (ours): collectives on a faulty fabric",
-                       figx_faults.run, claims=figx_faults.CLAIMS),
-    "figxr": Experiment(
+    "fig7": _entry("Figure 7: noise impact", "fig07_noise", ("machine",)),
+    "fig8": _entry("Figure 8: topology-aware algorithms", "fig08_topo",
+                   ("machine", "operation")),
+    "fig9": _entry("Figure 9: end-to-end vs message size", "fig09_msgsize",
+                   ("machine", "operation", "chart")),
+    "fig10": _entry("Figure 10: strong scaling", "fig10_scaling"),
+    "fig11a": _entry("Figure 11a: GPU vs message size", "fig11_gpu",
+                     run="run_msgsize", claims="MSGSIZE_CLAIMS"),
+    "fig11b": _entry("Figure 11b: GPU strong scaling", "fig11_gpu",
+                     run="run_scaling", claims="SCALING_CLAIMS"),
+    "table1": _entry("Table 1: ASP application", "table1_asp"),
+    "figx": _entry("Figure X (ours): collectives on a faulty fabric",
+                   "figx_faults"),
+    "figxr": _entry(
         "Figure X-R (ours): live recovery across every ADAPT collective",
-        figx_recovery.run, ("json",), figx_recovery.CLAIMS,
+        "figx_recovery", ("json",),
     ),
-    "figxp": Experiment(
+    "figxp": _entry(
         "Figure X-P (ours): partition tolerance, heal time vs completion "
         "and false kills",
-        figxp_partition.run, ("json",), figxp_partition.CLAIMS,
+        "figxp_partition", ("json",),
     ),
-    "figq": Experiment(
+    "figq": _entry(
         "Figure Q (ours): SGD staleness frontier — accuracy vs latency for "
         "the relaxed quorum collectives",
-        figq_staleness.run, ("json",), figq_staleness.CLAIMS,
+        "figq_staleness", ("json",),
     ),
-    "metrics": Experiment(
+    "metrics": _entry(
         "sync-wait/link/noise metrics of a noisy bcast, and critical paths",
-        fig07_noise.run_metrics, ("json",), fig07_noise.METRICS_CLAIMS,
+        "fig07_noise", ("json",), run="run_metrics", claims="METRICS_CLAIMS",
     ),
-    "ablations": Experiment(
+    "ablations": _entry(
         "Ablations (ours): segment size, send window, GPU staging and "
         "offload, bandwidth robustness",
-        ablations.run, claims=ablations.CLAIMS,
+        "ablations",
     ),
-    "chaos": Experiment(
+    "chaos": _entry(
         "Chaos (ours): collectives on a faulty fabric — loss, kill, "
         "corruption, partition, stalls; or one cell: chaos OPERATION [flags]",
-        chaos.run, claims=chaos.CLAIMS,
+        "chaos",
     ),
 }
 
@@ -127,16 +153,4 @@ __all__ = [
     "Experiment",
     "ExperimentResult",
     "SCALES",
-    "ablations",
-    "chaos",
-    "fig07_noise",
-    "fig08_topo",
-    "fig09_msgsize",
-    "fig10_scaling",
-    "fig11_gpu",
-    "figq_staleness",
-    "figx_faults",
-    "figx_recovery",
-    "figxp_partition",
-    "table1_asp",
 ]

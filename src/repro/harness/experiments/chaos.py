@@ -17,9 +17,12 @@ import math
 from repro.collectives.models import ADAPT_COLLECTIVES, COLLECTIVES
 from repro.faults import FaultPlan, KillSpec, LossSpec, PartitionSpec
 from repro.faults.plan import CorruptSpec, StallSpec
-from repro.harness.experiments.common import Claim, ExperimentResult, sweep
-from repro.harness.experiments.figx_recovery import COMPARATOR_OPS
-from repro.harness.experiments.figxp_partition import detection_deadline
+from repro.harness.experiments.common import (
+    COMPARATOR_OPS,
+    Claim,
+    ExperimentResult,
+    sweep,
+)
 from repro.libraries.presets import library_by_name, prepare_operation
 from repro.machine.presets import PRESETS, TOPO_FAMILY_NAMES, default_nranks, resolve
 from repro.parallel import SimJob
@@ -213,7 +216,7 @@ def _plan(args, base, policy, stalls, groups) -> tuple[FaultPlan, str]:
     partitions = []
     if groups is not None:
         cut = default_at if args.partition_at is None else args.partition_at
-        deadline = detection_deadline()
+        deadline = FaultPlan().detection_deadline
         heal = cut + 4.0 * deadline if args.heal is None else args.heal
         try:
             partitions.append(PartitionSpec(groups=groups, start=cut, heal=heal))

@@ -10,6 +10,10 @@ from typing import Any, Callable, Optional, Sequence
 
 from repro.harness.report import format_table
 
+#: The operations the baseline libraries implement: the only ones a
+#: Waitall-style comparator row can run.
+COMPARATOR_OPS = ("bcast", "reduce")
+
 #: Scale presets: (cori nodes, stampede2 nodes, psg nodes, iterations).
 SCALES = {
     "small": {"cori_nodes": 2, "stampede2_nodes": 2, "psg_nodes": 4, "iters": 8},
@@ -128,3 +132,12 @@ def fmt_bytes(nbytes: int) -> str:
     if nbytes >= 1 << 10:
         return f"{nbytes >> 10}K"
     return str(nbytes)
+
+
+def adapt_fastest_at_largest(res: ExperimentResult) -> None:
+    """ADAPT within 2% of the fastest library at the largest node count, for
+    both operations (rows: operation, library, nodes, ranks, mean_ms)."""
+    hi = max(r[2] for r in res.rows)
+    for operation in ("bcast", "reduce"):
+        at_hi = {r[1]: r[4] for r in res.lookup(operation=operation, nodes=hi)}
+        assert at_hi["OMPI-adapt"] <= min(at_hi.values()) * 1.02, (operation, at_hi)

@@ -11,7 +11,13 @@ process count does (near-flat), and at the largest scale ADAPT is fastest.
 
 from __future__ import annotations
 
-from repro.harness.experiments.common import SCALES, Claim, ExperimentResult, sweep
+from repro.harness.experiments.common import (
+    SCALES,
+    Claim,
+    ExperimentResult,
+    adapt_fastest_at_largest,
+    sweep,
+)
 from repro.machine import cori
 from repro.parallel import SimJob
 
@@ -73,15 +79,6 @@ def _near_flat(res: ExperimentResult) -> None:
         # Near-flat: far sub-linear in the process count (paper: "does not
         # increase significantly"); allow fill-time growth but not ~P scaling.
         assert t_hi < t_lo * (1 + growth / 2), (operation, t_lo, t_hi, growth)
-
-
-def adapt_fastest_at_largest(res: ExperimentResult) -> None:
-    """ADAPT within 2% of the fastest library at the largest node count, for
-    both operations (rows: operation, library, nodes, ranks, mean_ms)."""
-    hi = max(r[2] for r in res.rows)
-    for operation in ("bcast", "reduce"):
-        at_hi = {r[1]: r[4] for r in res.lookup(operation=operation, nodes=hi)}
-        assert at_hi["OMPI-adapt"] <= min(at_hi.values()) * 1.02, (operation, at_hi)
 
 
 CLAIMS = (

@@ -17,10 +17,10 @@ from repro.harness.experiments.common import (
     SCALES,
     Claim,
     ExperimentResult,
+    adapt_fastest_at_largest,
     fmt_bytes,
     sweep,
 )
-from repro.harness.experiments.fig10_scaling import adapt_fastest_at_largest
 from repro.machine import psg_gpu
 from repro.parallel import SimJob
 

@@ -38,6 +38,7 @@ from repro.collectives.models import ADAPT_COLLECTIVES
 from repro.faults import FaultPlan, KillSpec
 from repro.faults.plan import CorruptSpec
 from repro.harness.experiments.common import (
+    COMPARATOR_OPS,
     SCALES,
     Claim,
     ExperimentResult,
@@ -53,9 +54,8 @@ CORRUPT_RATE = 0.02
 #: Fraction of the fault-free single-shot time at which the victim is killed.
 KILL_FRACTION = 0.3
 #: Waitall-style comparator (same topology-aware tree, nonblocking +
-#: Waitall) — only for the operations the baseline libraries implement.
+#: Waitall) — only for :data:`~repro.harness.experiments.common.COMPARATOR_OPS`.
 COMPARATOR = "OMPI-default-topo"
-COMPARATOR_OPS = ("bcast", "reduce")
 
 
 def probe_sweep(operations, nodes: int, n_jobs, cache) -> list:

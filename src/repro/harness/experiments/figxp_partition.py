@@ -41,6 +41,7 @@ import math
 from repro.collectives.models import ADAPT_COLLECTIVES
 from repro.faults import FaultPlan, PartitionSpec
 from repro.harness.experiments.common import (
+    COMPARATOR_OPS,
     SCALES,
     Claim,
     ExperimentResult,
@@ -49,7 +50,6 @@ from repro.harness.experiments.common import (
 )
 from repro.harness.experiments.figx_recovery import (
     COMPARATOR,
-    COMPARATOR_OPS,
     ITERS,
     MSG,
     probe_sweep,
@@ -63,15 +63,6 @@ PART_FRACTION = 0.3
 #: Heal times as multiples of the detection deadline: two cells safely
 #: inside the retraction window, two safely past it.
 HEAL_FACTORS = (0.25, 0.5, 2.0, 4.0)
-
-
-def detection_deadline(plan_defaults: FaultPlan | None = None) -> float:
-    """Silence that confirms a failure: phi crossing + confirm delay."""
-    p = plan_defaults or FaultPlan()
-    return (
-        p.phi_threshold * p.heartbeat_period * math.log(10.0)
-        + p.detect_delay
-    )
 
 
 def _partition_groups(nranks: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -95,7 +86,7 @@ def run(
     nodes = cfg["cori_nodes"]
     groups = _partition_groups(nranks)
     minority = groups[1]
-    deadline = detection_deadline()
+    deadline = FaultPlan().detection_deadline
     result = ExperimentResult(
         experiment="Figure X-P",
         title=(
@@ -199,7 +190,7 @@ def _by_heal(res: ExperimentResult, library: str) -> dict[str, list[tuple]]:
 
 
 def _adapt_capped(res: ExperimentResult) -> None:
-    deadline_ms = detection_deadline() * 1e3
+    deadline_ms = FaultPlan().detection_deadline * 1e3
     for op, pairs in _by_heal(res, "OMPI-adapt").items():
         late = [(heal, mean) for heal, mean in pairs if heal > deadline_ms]
         assert late, f"{op}: no heal past the {deadline_ms:.1f} ms deadline"

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, ParamSpec, Sequence, TypeVar, Union
 
 from repro.config import DEFAULT_COLLECTIVE, CollectiveConfig, RuntimeConfig
-from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.libraries.presets import (
     LibraryModel,
@@ -42,7 +41,6 @@ from repro.machine.spec import MachineSpec
 from repro.mpi.communicator import Communicator
 from repro.mpi.ops import SUM, ReduceOp
 from repro.mpi.runtime import MpiWorld
-from repro.noise.injector import NoiseInjector
 from repro.relaxed.policy import QuorumPolicy
 
 
@@ -290,8 +288,12 @@ def _build_world(
     comm = Communicator(world)
     injectors: list = []
     if fault_plan is not None:
+        from repro.faults.injector import FaultInjector
+
         injectors.append(FaultInjector(world, fault_plan))
     if noise_percent > 0:
+        from repro.noise.injector import NoiseInjector
+
         if noise_ranks == "per-node":
             # Kernel-level noise daemons steal one core per node (the
             # Beckman et al. [2] methodology the paper follows): the rank

@@ -28,21 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.collectives import (
-    bcast_adapt,
-    bcast_blocking,
-    bcast_nonblocking,
-    bcast_scatter_allgather,
-    bcast_tuned,
-    reduce_adapt,
-    reduce_blocking,
-    reduce_nonblocking,
-    reduce_rabenseifner,
-    reduce_shumilin,
-    reduce_tuned,
-)
+from repro import collectives
 from repro.collectives.base import CollectiveContext, CollectiveHandle
-from repro.collectives.hierarchical import HierarchicalBcast, HierarchicalReduce
 from repro.collectives.models import COLLECTIVES
 from repro.machine.spec import CommLevel
 from repro.mpi.communicator import Communicator
@@ -118,7 +105,7 @@ def _adapt_bcast(comm, root, nbytes, config, data=None, **kw):
         staging = _staging_ranks(comm, tree, root)
     ctx = CollectiveContext(comm, root, nbytes, config, tree=tree, data=data,
                             host_staging=staging)
-    return _prepared(bcast_adapt, ctx)
+    return _prepared(collectives.bcast_adapt, ctx)
 
 
 def _adapt_reduce(comm, root, nbytes, config, data=None, op: ReduceOp = SUM, **kw):
@@ -127,7 +114,7 @@ def _adapt_reduce(comm, root, nbytes, config, data=None, op: ReduceOp = SUM, **k
         comm, root, nbytes, config, tree=tree, data=data, op=op,
         reduce_on_gpu=comm.world.gpu_bound,
     )
-    return _prepared(reduce_adapt, ctx)
+    return _prepared(collectives.reduce_adapt, ctx)
 
 
 def ompi_adapt() -> LibraryModel:
@@ -138,12 +125,12 @@ def ompi_adapt() -> LibraryModel:
 
 
 def _tuned_bcast(comm, root, nbytes, config, data=None, **kw):
-    return _prepared(bcast_tuned,
+    return _prepared(collectives.bcast_tuned,
                      CollectiveContext(comm, root, nbytes, config, data=data))
 
 
 def _tuned_reduce(comm, root, nbytes, config, data=None, op: ReduceOp = SUM, **kw):
-    return _prepared(reduce_tuned,
+    return _prepared(collectives.reduce_tuned,
                      CollectiveContext(comm, root, nbytes, config, data=data, op=op))
 
 
@@ -157,14 +144,14 @@ def ompi_default() -> LibraryModel:
 def _default_topo_bcast(comm, root, nbytes, config, data=None, **kw):
     ctx = CollectiveContext(comm, root, nbytes, config,
                             tree=_topo_tree(comm, root), data=data)
-    return _prepared(bcast_nonblocking, ctx)
+    return _prepared(collectives.bcast_nonblocking, ctx)
 
 
 def _default_topo_reduce(comm, root, nbytes, config, data=None, op: ReduceOp = SUM, **kw):
     ctx = CollectiveContext(
         comm, root, nbytes, config, tree=_topo_tree(comm, root), data=data, op=op
     )
-    return _prepared(reduce_nonblocking, ctx)
+    return _prepared(collectives.reduce_nonblocking, ctx)
 
 
 def ompi_default_topo() -> LibraryModel:
@@ -176,8 +163,8 @@ def ompi_default_topo() -> LibraryModel:
 
 def _intel_bcast(comm, root, nbytes, config, data=None, **kw):
     ctx = CollectiveContext(comm, root, nbytes, config, data=data)
-    hb = HierarchicalBcast(ctx, outer="binomial", inner="knomial4",
-                           name="Intel-SHM-knomial")
+    hb = collectives.HierarchicalBcast(ctx, outer="binomial", inner="knomial4",
+                                       name="Intel-SHM-knomial")
     return PreparedCollective(lambda handle, ranks: hb.launch(ranks),
                               chain_ranks=hb.chain_ranks)
 
@@ -189,9 +176,9 @@ def _intel_reduce(comm, root, nbytes, config, data=None, op: ReduceOp = SUM, **k
     # ADAPT's reduce on Stampede2, Section 5.1.2); elsewhere the SHM-based
     # hierarchical reduce.
     if comm.world.spec.name == "stampede2":
-        return _prepared(reduce_shumilin, ctx)
-    hr = HierarchicalReduce(ctx, outer="binomial", inner="knomial4",
-                            name="Intel-SHM-knomial")
+        return _prepared(collectives.reduce_shumilin, ctx)
+    hr = collectives.HierarchicalReduce(ctx, outer="binomial", inner="knomial4",
+                                        name="Intel-SHM-knomial")
     return PreparedCollective(lambda handle, ranks: hr.launch(ranks),
                               chain_ranks=hr.chain_ranks)
 
@@ -206,13 +193,13 @@ def intel_mpi() -> LibraryModel:
 def _cray_bcast(comm, root, nbytes, config, data=None, **kw):
     tree = binomial_tree(comm.size).reroot_relabelled(root)
     ctx = CollectiveContext(comm, root, nbytes, config, tree=tree, data=data)
-    return _prepared(bcast_blocking, ctx)
+    return _prepared(collectives.bcast_blocking, ctx)
 
 
 def _cray_reduce(comm, root, nbytes, config, data=None, op: ReduceOp = SUM, **kw):
     tree = binomial_tree(comm.size).reroot_relabelled(root)
     ctx = CollectiveContext(comm, root, nbytes, config, tree=tree, data=data, op=op)
-    return _prepared(reduce_blocking, ctx)
+    return _prepared(collectives.reduce_blocking, ctx)
 
 
 def cray_mpi() -> LibraryModel:
@@ -225,16 +212,16 @@ def cray_mpi() -> LibraryModel:
 def _mvapich_bcast(comm, root, nbytes, config, data=None, **kw):
     if nbytes > 64 * 1024 and comm.size > 2:
         ctx = CollectiveContext(comm, root, nbytes, config, data=data)
-        return _prepared(bcast_scatter_allgather, ctx)
+        return _prepared(collectives.bcast_scatter_allgather, ctx)
     tree = binomial_tree(comm.size).reroot_relabelled(root)
     ctx = CollectiveContext(comm, root, nbytes, config, tree=tree, data=data)
-    return _prepared(bcast_blocking, ctx)
+    return _prepared(collectives.bcast_blocking, ctx)
 
 
 def _mvapich_reduce(comm, root, nbytes, config, data=None, op: ReduceOp = SUM, **kw):
     tree = binomial_tree(comm.size).reroot_relabelled(root)
     ctx = CollectiveContext(comm, root, nbytes, config, tree=tree, data=data, op=op)
-    return _prepared(reduce_blocking, ctx)
+    return _prepared(collectives.reduce_blocking, ctx)
 
 
 def mvapich() -> LibraryModel:
@@ -250,7 +237,7 @@ def intel_topo_bcast_variants() -> dict[str, Callable[..., CollectiveHandle]]:
     def hier(outer: str, inner: str, label: str):
         def run(comm, root, nbytes, config, data=None, **kw):
             ctx = CollectiveContext(comm, root, nbytes, config, data=data)
-            hb = HierarchicalBcast(ctx, outer=outer, inner=inner, name=label)
+            hb = collectives.HierarchicalBcast(ctx, outer=outer, inner=inner, name=label)
             return PreparedCollective(lambda handle, ranks: hb.launch(ranks),
                                       chain_ranks=hb.chain_ranks)
 
@@ -261,7 +248,7 @@ def intel_topo_bcast_variants() -> dict[str, Callable[..., CollectiveHandle]]:
         tree = binomial_tree(comm.size).reroot_relabelled(root)
         cfg = config.with_(segment_size=max(nbytes, 1))
         ctx = CollectiveContext(comm, root, nbytes, cfg, tree=tree, data=data)
-        return _prepared(bcast_nonblocking, ctx)
+        return _prepared(collectives.bcast_nonblocking, ctx)
 
     return {
         "Intel-topo-binomial": hier("binomial", "binomial", "topo-binomial"),
@@ -279,7 +266,7 @@ def intel_topo_reduce_variants() -> dict[str, Callable[..., CollectiveHandle]]:
     def hier(outer: str, inner: str, label: str):
         def run(comm, root, nbytes, config, data=None, op: ReduceOp = SUM, **kw):
             ctx = CollectiveContext(comm, root, nbytes, config, data=data, op=op)
-            hr = HierarchicalReduce(ctx, outer=outer, inner=inner, name=label)
+            hr = collectives.HierarchicalReduce(ctx, outer=outer, inner=inner, name=label)
             return PreparedCollective(lambda handle, ranks: hr.launch(ranks),
                                       chain_ranks=hr.chain_ranks)
 
@@ -287,11 +274,11 @@ def intel_topo_reduce_variants() -> dict[str, Callable[..., CollectiveHandle]]:
 
     def shumilin(comm, root, nbytes, config, data=None, op: ReduceOp = SUM, **kw):
         ctx = CollectiveContext(comm, root, nbytes, config, data=data, op=op)
-        return _prepared(reduce_shumilin, ctx)
+        return _prepared(collectives.reduce_shumilin, ctx)
 
     def rabenseifner(comm, root, nbytes, config, data=None, op: ReduceOp = SUM, **kw):
         ctx = CollectiveContext(comm, root, nbytes, config, data=data, op=op)
-        return _prepared(reduce_rabenseifner, ctx)
+        return _prepared(collectives.reduce_rabenseifner, ctx)
 
     return {
         "Intel-topo-Shumilin": shumilin,

@@ -9,7 +9,7 @@ content-addressed on-disk cache keyed by config + a hash of the package
 source, so a cached result never outlives the code that produced it.
 """
 
-from repro.parallel.cache import ResultCache
+from repro import on_first_use
 from repro.parallel.executor import run_jobs
 from repro.parallel.jobs import SimJob
 from repro.parallel.worker import execute_job, result_from_dict
@@ -21,3 +21,7 @@ __all__ = [
     "result_from_dict",
     "run_jobs",
 ]
+
+#: Served on first use: tests, benchmarks and every uncached sweep build no
+#: result cache.
+__getattr__ = on_first_use(__name__, {"ResultCache": "cache"})

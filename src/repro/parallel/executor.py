@@ -21,11 +21,13 @@ the cache for the next run.
 from __future__ import annotations
 
 import os
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from repro.parallel.cache import ResultCache
 from repro.parallel.jobs import SimJob
 from repro.parallel.worker import execute_job, result_from_dict
+
+if TYPE_CHECKING:
+    from repro.parallel.cache import ResultCache
 
 #: Cap on queued-but-unsubmitted futures per worker; bounds memory on huge
 #: sweeps without idling the pool.

@@ -8,15 +8,7 @@ beside the other collectives, in :mod:`repro.collectives.quorum`; nothing
 here imports :mod:`repro.collectives`.
 """
 
-from repro.relaxed.frontier import (
-    DISCARDED,
-    LATE,
-    ON_TIME,
-    OPEN,
-    ContributionLedger,
-    StalenessFrontier,
-    ensure_frontier,
-)
+from repro import on_first_use
 from repro.relaxed.policy import QuorumPolicy
 
 __all__ = [
@@ -29,3 +21,10 @@ __all__ = [
     "StalenessFrontier",
     "ensure_frontier",
 ]
+
+#: Served on first use: only a quorum collective builds a frontier.
+__getattr__ = on_first_use(__name__, dict.fromkeys(
+    ("DISCARDED", "LATE", "ON_TIME", "OPEN", "ContributionLedger",
+     "StalenessFrontier", "ensure_frontier"),
+    "frontier",
+))

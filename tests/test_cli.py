@@ -184,6 +184,7 @@ class TestCli:
         for start in (cold, cold["faulted"]):
             assert start["starts"] == 5 and start["ref_loops"] > 0
             assert start["peak_rss_mb"] > 0 and start["numpy_loaded"] is False
+            assert start["repro_modules"] > 0
 
     def test_bench_contended_counts_route_builds(self):
         from repro.harness import bench

@@ -7,9 +7,11 @@ noise and fault injectors draw from :mod:`repro.sim.rng`, and
 sweep, the CLI, a noisy or lossy run and its mean never load numpy, while a
 data-mode run does. Each case runs in a fresh interpreter: this process has
 numpy loaded already. The same fresh interpreters check that an in-process
-run leaves the process pool unloaded.
+run leaves the process pool unloaded, and that a run loads only the
+package code it executes (DESIGN.md §18, "What a run loads").
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -99,13 +101,102 @@ def test_in_process_runs_skip_the_process_pool(code):
     assert not _loaded_after(code, "concurrent.futures.process")
 
 
-def _loaded_after(code: str, module: str) -> bool:
-    """Whether a fresh interpreter has ``module`` loaded after ``code``."""
+_KILL_PLAN = """
+from repro.faults.plan import FaultPlan, KillSpec
+from repro.harness.runner import run_collective
+from repro.machine import for_ranks
+plan = FaultPlan(kills=[KillSpec(rank=5, time=1e-5)])
+run_collective(for_ranks("cori", 16), 16, "OMPI-adapt", "bcast",
+               nbytes=65536, iterations=1, fault_plan=plan)
+"""
+
+_QUORUM_BCAST = """
+from repro.harness.runner import run_collective
+from repro.machine import for_ranks
+run_collective(for_ranks("cori", 16), 16, "OMPI-adapt", "bcast_quorum",
+               nbytes=65536, iterations=1)
+"""
+
+_CLI_PARSER = _CLI_IMPORT + """
+repro.cli.build_parser()
+"""
+
+#: Code a run loads only when it executes it: fault, quorum, recovery,
+#: microscope and cache code, and each collective algorithm.
+_ON_FIRST_USE = {
+    "repro.collectives.adapt",
+    "repro.collectives.blocking",
+    "repro.collectives.classic",
+    "repro.collectives.extensions",
+    "repro.collectives.extensions_allgather",
+    "repro.collectives.extensions_alltoall",
+    "repro.collectives.hierarchical",
+    "repro.collectives.nonblocking",
+    "repro.collectives.quorum",
+    "repro.collectives.tuned",
+    "repro.faults.detector",
+    "repro.faults.injector",
+    "repro.noise.injector",
+    "repro.noise.microscope",
+    "repro.parallel.cache",
+    "repro.recovery",
+    "repro.relaxed.frontier",
+}
+
+
+def _drivers(modules: set[str]) -> set[str]:
+    """The experiment drivers among ``modules``."""
+    prefix = "repro.harness.experiments."
+    return {m[len(prefix):] for m in modules if m.startswith(prefix)} - {"common"}
+
+
+@pytest.mark.parametrize("code, drivers, executed", [
+    pytest.param(_TIMING_BCAST, set(), {"repro.collectives.adapt"}, id="timing-bcast"),
+    # The grid's first cell: Cray MPI's blocking bcast.
+    pytest.param(_FIG09_JOB, {"fig09_msgsize"}, {"repro.collectives.blocking"},
+                 id="fig09-job"),
+    pytest.param(_FAULT_PLAN, set(), {"repro.collectives.adapt", "repro.faults.injector",
+                                      "repro.noise.injector"}, id="fault-plan"),
+])
+def test_plain_runs_load_only_what_they_execute(code, drivers, executed):
+    """No sibling driver, and of the code loaded on first use only what the
+    run executes: loss, corruption and noise build no detector."""
+    loaded = _modules_after(code)
+    assert _drivers(loaded) == drivers
+    assert loaded & _ON_FIRST_USE == executed
+
+
+@pytest.mark.parametrize("code", [
+    pytest.param(_CLI_IMPORT, id="cli-import"),
+    pytest.param(_CLI_PARSER, id="cli-parser"),
+])
+def test_cli_loads_no_driver_but_chaos(code):
+    """``chaos`` adds its flags to its subparser; every other driver loads
+    when its subcommand runs."""
+    assert _drivers(_modules_after(code)) == {"chaos"}
+
+
+@pytest.mark.parametrize("code, module", [
+    pytest.param(_KILL_PLAN, "repro.faults.detector", id="kill-plan"),
+    pytest.param(_QUORUM_BCAST, "repro.collectives.quorum", id="quorum-bcast"),
+])
+def test_first_use_loads_the_module(code, module):
+    assert _loaded_after(code, module)
+
+
+def _modules_after(code: str) -> set[str]:
+    """The modules a fresh interpreter has loaded after ``code``."""
     src = os.path.dirname(os.path.dirname(repro.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-c", code + f"\nimport sys\nprint({module!r} in sys.modules)"],
+        [sys.executable, "-c",
+         code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split()[-1] == "True"
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def _loaded_after(code: str, module: str) -> bool:
+    """Whether a fresh interpreter has ``module`` loaded after ``code``."""
+    return module in _modules_after(code)
