@@ -264,10 +264,9 @@ class _QuorumIngest(_QuorumDriver):
             self.launched.add(local)
             w = self._wrank(local)
             self.frontier.ledger.open(self.epoch, w)
-            if self.closed and local not in self.failed:
-                # Joined after the epoch was sealed (or abandoned): the
-                # contribution can only be late from the start.
-                pass  # routed when (if) it completes; abandonment discards
+            # A rank joining a sealed epoch is late from the start: its
+            # contribution is routed when (if) it completes. One joining an
+            # abandoned epoch can never merge, so it is discarded now.
             if self.root_lost and local not in self.failed:
                 self.frontier.ledger.close(self.epoch, w, DISCARDED)
                 self.handle.report.late_merges.append((local, self.epoch, -1))

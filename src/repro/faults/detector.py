@@ -200,14 +200,12 @@ class FailureDetector:
         )
 
     def retract(self, rank: int) -> None:
-        """Un-suspect (or un-fail) ``rank``: evidence says it is alive."""
+        """Un-suspect (or un-fail) ``rank``, which is suspected or failed:
+        evidence says it is alive."""
         timer = self._confirm_timers.pop(rank, None)
         if timer is not None:
             timer.cancel()
         was_failed = rank in self.failed
-        was_suspected = rank in self.suspected
-        if not (was_failed or was_suspected):
-            return
         self.suspected.discard(rank)
         self.failed.discard(rank)
         if was_failed:
@@ -232,10 +230,12 @@ class FailureDetector:
             self._dispatch(fn, cpu, rank)
 
     def _confirm(self, rank: int) -> None:
-        """The retraction window closed with no contrary evidence."""
+        """The retraction window closed with no contrary evidence.
+
+        The rank is still suspected: a retraction or a report ends the
+        suspicion and cancels this timer with it.
+        """
         self._confirm_timers.pop(rank, None)
-        if rank not in self.suspected:
-            return
         self.report_failure(rank)
 
     # ------------------------------------------------------------------
@@ -247,10 +247,7 @@ class FailureDetector:
         last = self._last_seen.get(rank)
         if last is None:
             return 0.0
-        mean = self._mean_interval(rank)
-        if mean <= 0.0:
-            return 0.0
-        return (self.world.engine.now - last) / (mean * _LN10)
+        return (self.world.engine.now - last) / (self._mean_interval(rank) * _LN10)
 
     def _mean_interval(self, rank: int) -> float:
         window = self._intervals.get(rank)
@@ -279,9 +276,9 @@ class FailureDetector:
         )
 
     def _phi_fire(self, rank: int) -> None:
+        # A phi timer lives only while its rank is neither suspected nor
+        # failed: suspect() and report_failure() cancel it.
         self._phi_timers.pop(rank, None)
-        if rank in self.suspected or rank in self.failed:
-            return
         now = self.world.engine.now
         last = self._last_seen.get(rank, now)
         delta = self._crossing_delta(rank)
@@ -343,12 +340,9 @@ class FailureDetector:
         self.world.engine.call_after(self.heartbeat_period, self._hb_tick, rank)
 
     def _hb_emit(self, rank: int) -> None:
-        """Runs on ``rank``'s CPU: the beat leaves only if the rank is live."""
-        if rank in self.world.failed_ranks:
-            return
+        """Runs on ``rank``'s CPU, so the rank is live: a fail-stop halts
+        the CPU and drops the queued beat."""
         observer = self._observer()
-        if observer is None:
-            return
         if observer == rank:
             self.observe_alive(rank, heartbeat=True)
             return
@@ -360,12 +354,11 @@ class FailureDetector:
             taginfo=("hb", rank, observer),
         )
 
-    def _observer(self) -> Optional[int]:
-        """Lowest ground-truth-live rank: the monitoring vantage point."""
-        for rank in range(self.world.nranks):
-            if rank not in self.world.failed_ranks:
-                return rank
-        return None
+    def _observer(self) -> int:
+        """Lowest ground-truth-live rank: the monitoring vantage point.
+        Called only from a live rank's beat, so one exists."""
+        failed = self.world.failed_ranks
+        return next(r for r in range(self.world.nranks) if r not in failed)
 
     def _dispatch(
         self, fn: Callable[[int], None], cpu: Optional[Cpu], rank: int

@@ -262,13 +262,12 @@ class FaultInjector:
         self.record("partition", f"[{groups}] until {spec.heal:.6f}s")
 
     def _do_heal(self, spec) -> None:
-        if spec not in self.active_partitions:
-            return
+        # A heal fires after its own partition started (heal > start).
         self.heals_done += 1
         self.active_partitions.remove(spec)
         self.record("heal", f"severed {self.severed} data msgs")
-        # The membership layer may be parked awaiting quorum or holding view
-        # dispatches it could not deliver across the cut; let it reconcile.
+        # The membership layer may be parked awaiting quorum or hold ranks
+        # it wrote off that are alive; let it evict and re-round.
         svc = getattr(self.world, "membership", None)
         if svc is not None:
             svc.on_heal()

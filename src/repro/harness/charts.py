@@ -2,14 +2,14 @@
 
 Dependency-free ASCII rendering so the CLI and examples can show the
 paper's figures as pictures, not just tables: grouped bars (Figure 7's
-noise groups, Table 1's stacks) and multi-series lines over a log-x axis
+noise groups, Table 1's stacks) and multi-series lines over log-log axes
 (Figures 8/9's message-size sweeps, Figures 10/11's scaling curves).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 _BLOCKS = " ▏▎▍▌▋▊▉█"
 
@@ -70,17 +70,15 @@ def grouped_bar_chart(
     return "\n".join(lines)
 
 
+#: The line chart's plot area, in rows and columns.
+_LINE_HEIGHT = 14
+_LINE_WIDTH = 64
+
+
 def line_chart(
-    title: str,
-    x: Sequence[float],
-    series: Mapping[str, Sequence[float]],
-    height: int = 14,
-    width: int = 64,
-    logx: bool = True,
-    logy: bool = True,
-    y_unit: str = "ms",
+    title: str, x: Sequence[float], series: Mapping[str, Sequence[float]],
 ) -> str:
-    """Multi-series scatter/line over an optionally log-scaled plane.
+    """Multi-series scatter/line over a log-log plane, in milliseconds.
 
     Each series gets a distinct marker; collisions show the later series'
     marker. Axis extremes are annotated.
@@ -91,27 +89,21 @@ def line_chart(
     for name, ys in series.items():
         if len(ys) != len(x):
             raise ValueError(f"series {name!r} length != x length")
-
-    def tx(v: float) -> float:
-        return math.log10(v) if logx else v
-
-    def ty(v: float) -> float:
-        return math.log10(v) if logy else v
-
-    xmin, xmax = tx(min(x)), tx(max(x))
-    all_y = [v for ys in series.values() for v in ys if v > 0 or not logy]
-    ymin, ymax = ty(min(all_y)), ty(max(all_y))
+    height, width, log10 = _LINE_HEIGHT, _LINE_WIDTH, math.log10
+    xmin, xmax = log10(min(x)), log10(max(x))
+    all_y = [v for ys in series.values() for v in ys if v > 0]
+    ymin, ymax = log10(min(all_y)), log10(max(all_y))
     xspan = (xmax - xmin) or 1.0
     yspan = (ymax - ymin) or 1.0
     grid = [[" "] * width for _ in range(height)]
     for (name, ys), marker in zip(series.items(), markers):
         for xv, yv in zip(x, ys):
-            col = int((tx(xv) - xmin) / xspan * (width - 1))
-            row = height - 1 - int((ty(yv) - ymin) / yspan * (height - 1))
+            col = int((log10(xv) - xmin) / xspan * (width - 1))
+            row = height - 1 - int((log10(yv) - ymin) / yspan * (height - 1))
             grid[row][col] = marker
     lines = [title, "=" * len(title)]
-    top_label = f"{10 ** ymax if logy else ymax:.3g} {y_unit}"
-    bot_label = f"{10 ** ymin if logy else ymin:.3g} {y_unit}"
+    top_label = f"{10 ** ymax:.3g} ms"
+    bot_label = f"{10 ** ymin:.3g} ms"
     for i, row in enumerate(grid):
         prefix = top_label if i == 0 else (bot_label if i == height - 1 else "")
         lines.append(f"{prefix:>12} |{''.join(row)}")
@@ -127,18 +119,13 @@ def line_chart(
     return "\n".join(lines)
 
 
-def experiment_line_chart(
-    result,
-    value_col: str = "mean_ms",
-    series_col: str = "library",
-    x_col: str = "nbytes",
-    filters: Optional[dict] = None,
-) -> str:
-    """Render an :class:`ExperimentResult` sweep (Figures 8/9 style)."""
-    rows = result.lookup(**filters) if filters else result.rows
-    si = result.headers.index(series_col)
-    xi = result.headers.index(x_col)
-    vi = result.headers.index(value_col)
+def experiment_line_chart(result) -> str:
+    """Render an :class:`ExperimentResult` sweep (Figures 8/9 style): one
+    series per ``library``, ``mean_ms`` over ``nbytes``."""
+    rows = result.rows
+    si = result.headers.index("library")
+    xi = result.headers.index("nbytes")
+    vi = result.headers.index("mean_ms")
     xs = sorted({r[xi] for r in rows})
     series: dict[str, list[float]] = {}
     for name in sorted({r[si] for r in rows}):

@@ -345,8 +345,8 @@ class RankRuntime:
         return base * (cfg.retry_backoff ** exponent)
 
     def _on_ack_timeout(self, state: _Send) -> None:
-        if state.seq not in self._reliable_pending:
-            return  # acked while the timer was in flight
+        # The send is still pending: an ack, an abandonment or a fail-stop
+        # cancels its one live timer.
         if state.attempt >= self.world.config.retry_limit:
             peer = state.req.peer
             detector = self.world.failure_detector

@@ -999,6 +999,11 @@ class FairShareNetwork:
         ``comp_flows`` and ``census`` are :meth:`_components`' own; this
         reads them and leaves them as they are. It walks the component's
         holders, found by class, not its flows.
+
+        Every class rate is positive: capacities and caps are, and each
+        round of the solver fixes a share of at most ``remaining / count``
+        on every link it crosses, so a link keeps some residual while it
+        still carries an unfixed flow.
         """
         now = self.engine.now
         # Links in name order: the solver breaks ties between equal shares
@@ -1054,36 +1059,23 @@ class FairShareNetwork:
                         c.flows = flows
                         c.rems = rems
                         c.last_update = now
-                    if new_rate > 0.0:
-                        if len(c.flows) == 1:
-                            # A cohort of one goes loose.
-                            (h,) = c.flows
-                            self._drop(c)
-                            h.cohort = None
-                            h.remaining = c.rems[0]
-                            h.last_update = now
-                            h.rate = new_rate
-                            h.stamp = _PENDING
-                            self._holders.setdefault(h.key, {})[h] = None
-                        else:
-                            c.rate = new_rate
-                        if step is None:
-                            step = self._step()
-                        moved[h] = step
-                    else:
-                        # rate == 0 flows stay parked until a rebalance
-                        # frees capacity.
-                        moved.pop(c, None)
+                    if len(c.flows) == 1:
+                        # A cohort of one goes loose.
+                        (h,) = c.flows
                         self._drop(c)
-                        for f, x in zip(c.flows, c.rems):
-                            f.cohort = None
-                            f.rate = 0.0
-                            f.remaining = x
-                            f.last_update = now
-                            self._holders.setdefault(f.key, {})[f] = None
+                        h.cohort = None
+                        h.remaining = c.rems[0]
+                        h.last_update = now
+                        h.rate = new_rate
+                        h.stamp = _PENDING
+                        self._holders.setdefault(h.key, {})[h] = None
+                    else:
+                        c.rate = new_rate
+                    if step is None:
+                        step = self._step()
+                    moved[h] = step
                     continue
-                # A loose flow: a new arrival, a parked flow, or a flow
-                # scheduled on its own.
+                # A loose flow: a new arrival or a flow scheduled on its own.
                 f = h
                 rem = f.remaining
                 rate = f.rate
@@ -1108,13 +1100,10 @@ class FairShareNetwork:
                 f.remaining = rem
                 f.last_update = now
                 f.rate = new_rate
-                if new_rate > 0.0:
-                    f.stamp = _PENDING
-                    if step is None:
-                        step = self._step()
-                    moved[f] = step
-                else:
-                    moved.pop(f, None)
+                f.stamp = _PENDING
+                if step is None:
+                    step = self._step()
+                moved[f] = step
         if drains:
             _carry(drains)
 

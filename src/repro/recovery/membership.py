@@ -5,8 +5,8 @@ survivors must converge on *one* failed set before repair can be consistent
 — ULFM's ``MPI_Comm_agree`` + ``MPI_Comm_shrink`` pair. This module models
 that protocol as engine events:
 
-1. **coalesce** — suspicions raised within a ``grace`` window fold into one
-   agreement round (a failure seldom travels alone);
+1. **coalesce** — suspicions raised within a :data:`GRACE` window fold into
+   one agreement round (a failure seldom travels alone);
 2. **collect** — the leader (lowest-ranked survivor) circulates a token
    around the survivor ring; every hop merges locally-known suspicions, and
    a hop that goes unacknowledged *adds the silent rank to the failed set*
@@ -20,9 +20,8 @@ which is what the CI determinism check asserts across worker counts.
 
 Simplifications (documented in DESIGN.md S20): the walk survives a leader
 death (the token logic is engine-driven, not hosted on the leader's CPU),
-with an engine-level watchdog as the safety net for a stalled round; and
-per-rank commit *observation* is dispatched at global commit time on each
-survivor's own CPU, so a dead rank still never observes a view.
+and every subscriber hears a commit through a zero-delay engine event at
+commit time, not as work on a rank's CPU.
 """
 
 from __future__ import annotations
@@ -31,6 +30,12 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from repro.mpi.runtime import MpiWorld
+
+#: Coalescing window: a suspicion starts a round this long after it, so the
+#: suspicions raised meanwhile join the same round.
+GRACE = 5e-4
+#: How long one token hop waits for its rank before declaring it failed.
+HOP_TIMEOUT = 2e-3
 
 
 @dataclass(frozen=True)
@@ -135,22 +140,19 @@ def reconcile_views(a: SurvivorView, b: SurvivorView) -> SurvivorView:
 class MembershipService:
     """Drives agreement rounds over a world's ranks.
 
-    Subscribers receive each committed :class:`SurvivorView`. A subscriber
-    registered with a ``rank`` observes commits as work on that rank's CPU
-    (a dead rank never observes; a noisy one observes late); a global
-    subscriber (``rank=None``) observes via a zero-delay engine event at
-    commit time.
+    Subscribers are the recovering launches; each hears every committed
+    :class:`SurvivorView` through a zero-delay engine event at commit time.
+
+    A round always ends: each hop of the token ends within
+    :data:`HOP_TIMEOUT` (the rank processes it, or the hop's own timer
+    declares the rank failed), and a round over ``|live|`` proposed
+    survivors makes at most ``2·|live| − 2`` hops (``|live| − 1`` per
+    pass), so it commits or parks within ``(2·|live| − 2)·HOP_TIMEOUT`` of
+    its start.
     """
 
-    def __init__(
-        self,
-        world: MpiWorld,
-        grace: float = 5e-4,
-        hop_timeout: float = 2e-3,
-    ):
+    def __init__(self, world: MpiWorld):
         self.world = world
-        self.grace = grace
-        self.hop_timeout = hop_timeout
         self.view = SurvivorView(0, frozenset(), tuple(range(world.nranks)))
         #: Determinism contract: ``(time, kind, detail)`` like the injector's.
         self.timeline: list[tuple[float, str, str]] = []
@@ -165,51 +167,20 @@ class MembershipService:
         self._pending: set[int] = set()
         self._round_active = False
         self._round_timer = None
-        self._watchdog = None
         self._first_suspect_t: Optional[float] = None
-        self._subs: list[tuple[Callable[[SurvivorView], None], Optional[int]]] = []
-        #: View dispatches that could not cross an active partition; flushed
-        #: (latest epoch only) at heal time.
-        self._deferred: list[
-            tuple[Callable[[SurvivorView], None], Optional[int], SurvivorView]
-        ] = []
+        self._subs: list[Callable[[SurvivorView], None]] = []
         world.membership = self
         world.subscribe_failures(self._on_suspect, alive_fn=self._on_retract)
 
     # -- subscription ---------------------------------------------------------
 
-    def subscribe(
-        self, fn: Callable[[SurvivorView], None], rank: Optional[int] = None
-    ) -> None:
-        self._subs.append((fn, rank))
+    def subscribe(self, fn: Callable[[SurvivorView], None]) -> None:
+        self._subs.append(fn)
         if self.view.epoch > 0:
             # Late subscriber: replay the current view (same reasoning as the
             # failure detector's replay — a collective launched after a
             # shrink must still learn of it).
-            self._dispatch_one(fn, rank, self.view)
-
-    def _dispatch_one(
-        self, fn: Callable[[SurvivorView], None], rank: Optional[int],
-        view: SurvivorView,
-    ) -> None:
-        if rank is not None and self._severed_from_leader(view, rank):
-            # The commit cannot reach this rank across an active partition;
-            # it adopts the (latest) committed epoch at heal time instead.
-            self._deferred.append((fn, rank, view))
-            return
-        if rank is None:
-            self.world.engine.call_after(0.0, fn, view)
-        else:
-            self.world.ranks[rank].cpu.when_available(fn, view)
-
-    def _severed_from_leader(self, view: SurvivorView, rank: int) -> bool:
-        faults = getattr(self.world.fabric, "faults", None)
-        if faults is None or not view.members:
-            return False
-        leader = view.members[0]
-        if leader == rank:
-            return False
-        return faults.severed(leader, rank)
+            self.world.engine.call_after(0.0, fn, self.view)
 
     # -- suspicion intake -----------------------------------------------------
 
@@ -223,7 +194,7 @@ class MembershipService:
         self.timeline.append((now, "suspect", f"rank {rank}"))
         if not self._round_active and self._round_timer is None:
             self._round_timer = self.world.engine.call_after(
-                self.grace, self._start_round
+                GRACE, self._start_round
             )
 
     def _on_retract(self, rank: int) -> None:
@@ -254,15 +225,7 @@ class MembershipService:
             )
 
     def on_heal(self) -> None:
-        """A partition healed: reconcile parked state across the old cut.
-
-        Deferred view dispatches flush — each parked subscriber adopts only
-        the *latest* committed epoch it missed (epoch precedence; earlier
-        parked epochs are superseded and their in-flight completions die on
-        the epoch guards). If suspicions are still pending (e.g. a round
-        parked awaiting quorum), a fresh round is scheduled one heartbeat
-        period past the grace window: post-heal beats retract the false
-        suspicions first, and only the rest re-propose.
+        """A partition healed: evict the written-off ranks, then re-round.
 
         Ranks a committed epoch declared failed that turn out to be
         ground-truth alive are *evicted* (the heal-after-deadline fall
@@ -271,6 +234,11 @@ class MembershipService:
         does to a process the agreement wrote off. Each eviction is a false
         kill the adaptive detector could not prevent (the partition outlived
         the failure deadline), counted as such.
+
+        If suspicions are still pending (e.g. a round parked awaiting
+        quorum), a fresh round is scheduled one heartbeat period past the
+        grace window: post-heal beats retract the false suspicions first,
+        and only the rest re-propose.
         """
         now = self.world.engine.now
         evicted = [
@@ -287,28 +255,13 @@ class MembershipService:
             detector = self.world.failure_detector
             if detector is not None:
                 detector.false_kills += 1
-        deferred, self._deferred = self._deferred, []
-        if deferred:
-            best: dict[tuple[int, Optional[int]],
-                       tuple[Callable[[SurvivorView], None], Optional[int],
-                             SurvivorView]] = {}
-            for fn, rank, view in deferred:
-                key = (id(fn), rank)
-                if key not in best or view.epoch > best[key][2].epoch:
-                    best[key] = (fn, rank, view)
-            for fn, rank, view in best.values():
-                self.timeline.append(
-                    (now, "reconcile",
-                     f"rank {rank} adopts epoch {view.epoch}")
-                )
-                self._dispatch_one(fn, rank, view)
         if self._pending and self._round_timer is None \
                 and not self._round_active:
             # Every healed rank's first beat lands within one heartbeat
             # period (beats are phased by rank); proposing sooner writes
             # off live ranks whose retraction is still on its way.
             detector = self.world.failure_detector
-            wait = self.grace
+            wait = GRACE
             if detector is not None:
                 wait += detector.heartbeat_period
             self._round_timer = self.world.engine.call_after(
@@ -319,7 +272,7 @@ class MembershipService:
 
     def _start_round(self) -> None:
         self._round_timer = None
-        if self._round_active or not self._pending:
+        if not self._pending:
             return
         self._round_active = True
         self.rounds_run += 1
@@ -330,20 +283,14 @@ class MembershipService:
             (self.world.engine.now, "round",
              f"#{self.rounds_run} proposing {sorted(proposed)}")
         )
-        if not live:
-            # No survivors to agree among; commit the ground truth directly.
-            self._commit(token)
-            return
-        budget = self.hop_timeout * (2 * len(live) + 4)
-        self._watchdog = self.world.engine.call_after(
-            budget, self._watchdog_fired
-        )
         self._walk(live, 1, token, "collect")
 
     def _walk(self, ring: list, idx: int, token: dict, phase: str) -> None:
-        """Deliver the token to ``ring[idx]``; a silent hop marks it failed."""
-        if not self._round_active:
-            return  # the watchdog abandoned this round
+        """Deliver the token to ``ring[idx]``; a silent hop marks it failed.
+
+        A ring with no hop left ends its pass, so a proposal that leaves no
+        survivor (or one) goes straight to :meth:`_commit`.
+        """
         if idx >= len(ring):
             if phase == "collect":
                 live = [r for r in ring if r not in token["failed"]]
@@ -356,13 +303,14 @@ class MembershipService:
             self._walk(ring, idx + 1, token, phase)
             return
         src = ring[idx - 1]
+        # One hop, settled once: the timeout can beat a delayed ``process``
+        # (which then changes nothing), and ``process`` cancels the timeout.
         settled = {"done": False}
         world = self.world
 
         def process() -> None:
-            if settled["done"] or not self._round_active:
+            if settled["done"]:
                 return
-            settled["done"] = True
             timer.cancel()
             if phase == "collect":
                 # Merge this rank's local suspicions into the token.
@@ -378,8 +326,6 @@ class MembershipService:
             rt.cpu.execute(rt._o, process)
 
         def on_timeout() -> None:
-            if settled["done"] or not self._round_active:
-                return
             settled["done"] = True
             token["failed"].add(dst)
             self.timeline.append(
@@ -391,24 +337,9 @@ class MembershipService:
         world.fabric.start_control(
             src, dst, world.config.control_bytes, on_arrive
         )
-        timer = world.engine.call_after(self.hop_timeout, on_timeout)
-
-    def _watchdog_fired(self) -> None:
-        if not self._round_active:
-            return
-        self._watchdog = None
-        self._round_active = False
-        self.timeline.append(
-            (self.world.engine.now, "watchdog", "round stalled; restarting")
-        )
-        self._round_timer = self.world.engine.call_after(
-            self.grace, self._start_round
-        )
+        timer = world.engine.call_after(HOP_TIMEOUT, on_timeout)
 
     def _commit(self, token: dict) -> None:
-        if self._watchdog is not None:
-            self._watchdog.cancel()
-            self._watchdog = None
         failed = frozenset(token["failed"])
         now_t = self.world.engine.now
         maybe_view = quorum_commit(self.view, failed, self.world.nranks)
@@ -451,14 +382,12 @@ class MembershipService:
         self._first_suspect_t = None
         self._round_active = False
         self._pending -= set(failed)
-        for fn, rank in list(self._subs):
-            if rank is not None and rank in failed:
-                continue  # dead subscribers never observe the shrink
-            self._dispatch_one(fn, rank, view)
+        for fn in self._subs:
+            self.world.engine.call_after(0.0, fn, view)
         if self._pending and self._round_timer is None:
             # Suspicions raised after the collect pass sampled them.
             self._round_timer = self.world.engine.call_after(
-                self.grace, self._start_round
+                GRACE, self._start_round
             )
 
     # -- metrics surface ------------------------------------------------------
@@ -470,9 +399,9 @@ class MembershipService:
         return max(t1 - t0 for t0, t1 in self.repair_times)
 
 
-def ensure_membership(world: MpiWorld, **kwargs) -> MembershipService:
+def ensure_membership(world: MpiWorld) -> MembershipService:
     """The world's membership service, creating one on first use."""
     existing = getattr(world, "membership", None)
     if existing is not None:
         return existing
-    return MembershipService(world, **kwargs)
+    return MembershipService(world)

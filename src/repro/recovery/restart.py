@@ -87,7 +87,6 @@ class EpochRestart:
         self.root_required = root_required
         #: Epoch whose attempt's completions currently feed the outer handle.
         self.epoch = 0
-        self._seen_epoch = 0
         ms = ensure_membership(ctx.world)
         self._wire(launch0(ctx), 0)
         ms.subscribe(self._on_view)
@@ -95,12 +94,12 @@ class EpochRestart:
     # -- attempt plumbing -----------------------------------------------------
 
     def _wire(self, inner: CollectiveHandle, epoch: int) -> None:
+        # A launch queues each rank's start on its CPU, so ``inner`` has no
+        # completion yet: forwarding the ones to come is enough.
         def forward(local: int, t: float) -> None:
             self._attempt_done(epoch, local, t, inner)
 
         inner.on_rank_done.append(forward)
-        for local, t in list(inner.done_time.items()):
-            forward(local, t)
 
     def _attempt_done(
         self, epoch: int, local: int, t: float, inner: CollectiveHandle
@@ -122,9 +121,7 @@ class EpochRestart:
     # -- view handling --------------------------------------------------------
 
     def _on_view(self, view: SurvivorView) -> None:
-        if view.epoch <= self._seen_epoch:
-            return
-        self._seen_epoch = view.epoch
+        # Each committed epoch arrives once, in commit order.
         ctx, h = self.ctx, self.handle
         failed_locals = book_view(h, ctx.comm, view)
         if self.root_required and ctx.root in failed_locals:

@@ -24,6 +24,7 @@ from repro.analysis import (
     lint,
     tag_mismatch_demo,
 )
+from repro.analysis.depgraph import BlockedWait, DepEdge, DepGraph, OpNode
 from repro.cli import main
 from repro.collectives import bcast_adapt, reduce_adapt
 from repro.collectives.base import CollectiveContext
@@ -252,6 +253,51 @@ class TestLinter:
         assert "tag-mismatch" in rules
         f = report.by_rule("tag-mismatch")[0]
         assert (f.rank, f.peer, f.tag) == (0, 1, 7)
+
+    @staticmethod
+    def _graph(*nodes, blocked=(), edges=()):
+        """A hand-built graph: ``nodes`` are ``(kind, rank, peer, tag)``,
+        numbered from 0; sends and recvs are left unmatched."""
+        graph = DepGraph()
+        for nid, (kind, rank, peer, tag) in enumerate(nodes):
+            graph.nodes[nid] = OpNode(nid, kind, rank, peer=peer, tag=tag)
+            if kind == "send":
+                graph.unmatched_sends.append(nid)
+            elif kind == "recv":
+                graph.unmatched_recvs.append(nid)
+        graph.blocked = list(blocked)
+        graph.dep_edges = [DepEdge(a, b, SYNC, "blocking-order") for a, b in edges]
+        return graph
+
+    def test_peer_mismatch_detected(self):
+        # Rank 1 expects tag 5 from rank 2, but rank 0 sent it.
+        report = lint(self._graph(("send", 0, 1, 5), ("recv", 1, 2, 5)))
+        (f,) = report.errors
+        assert f.rule == "peer-mismatch"
+        assert (f.rank, f.peer, f.tag) == (0, 1, 5)
+        assert "rank 1 expects the message from rank 2" in f.message
+        assert f.path == ("send[0->1 tag=5 0B]", "recv[1<-2 tag=5 0B]")
+
+    def test_blocked_recv_is_unmatched_and_lone_recv_leaked(self):
+        # Both recvs never match; only the one a waiter blocks on is an
+        # unmatched-recv, the other is a request nobody waits for.
+        graph = self._graph(
+            ("recv", 1, 0, 3), ("recv", 2, 0, 4),
+            blocked=[BlockedWait(1, "wait", (0,), (0,))],
+        )
+        report = lint(graph)
+        assert sorted((f.rule, f.rank, f.peer, f.tag) for f in report.errors) == [
+            ("leaked-request", 2, 0, 4), ("unmatched-recv", 1, 0, 3),
+        ]
+        assert not report.ok
+
+    def test_graph_cycle_detected(self):
+        graph = self._graph(("compute", 0, None, None),
+                            ("compute", 0, None, None),
+                            edges=[(0, 1), (1, 0)])
+        (f,) = lint(graph).by_rule("graph-cycle")
+        assert f.severity == "error"
+        assert f.path == ("compute[rank 0]",) * 3
 
     def test_m_not_greater_than_n_flags_risk(self):
         cfg = CollectiveConfig(segment_size=4 * 1024, posted_recvs=1, inflight_sends=3)

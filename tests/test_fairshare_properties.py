@@ -62,9 +62,10 @@ def test_property_maxmin_invariants(link_caps, data):
     links, flows = build_scenario(link_caps, flow_specs)
     rates = maxmin_rates(flows, links)
 
-    # 1. Every flow got a rate, non-negative, never above its cap.
+    # 1. Every flow got a rate, positive, never above its cap: the network
+    # moves every flow it solves (it has no zero-rate parking).
     for f in flows:
-        assert rates[f] >= 0
+        assert rates[f] > 0
         assert rates[f] <= f.rate_cap * (1 + 1e-9)
 
     # 2. No link is over capacity.
@@ -232,9 +233,10 @@ def test_variants_single_flow_component(variant):
 
 @pytest.mark.parametrize("variant", _VARIANTS)
 def test_variants_zero_capacity_link(variant):
-    """The Link constructor rejects non-positive capacities, but fault
-    handling can zero one in place (a dead link mid-heal); flows crossing it
-    must get rate 0, others keep their fair share."""
+    """The Link constructor rejects non-positive capacities and no fault
+    zeroes one (a flap keeps a factor in (0, 1]), so the network never
+    solves such a link; the pure solver still gives the flows crossing it
+    rate 0 and the others their fair share."""
     links, flows = build_scenario(
         [1e9, 1e9],
         [([0], 1e8), ([0, 1], 1e9), ([1], 5e8), ([1], 2e8)],

@@ -40,6 +40,7 @@ from repro.faults import (
     PartitionSpec,
     StallSpec,
 )
+from repro.faults.plan import CorruptSpec
 from repro.machine import small_test_machine
 from repro.mpi import SUM, Communicator, MpiWorld
 from repro.noise import NoiseInjector
@@ -128,6 +129,18 @@ class TestPlanValidation:
     def test_kill_time_nonnegative(self):
         with pytest.raises(ValueError):
             KillSpec(rank=1, time=-1.0)
+
+    def test_stall_time_and_duration(self):
+        with pytest.raises(ValueError, match="stall time"):
+            StallSpec(rank=1, time=-1.0, duration=1e-3)
+        with pytest.raises(ValueError, match="stall duration"):
+            StallSpec(rank=1, time=0.0, duration=0.0)
+
+    def test_flap_period_and_duty(self):
+        with pytest.raises(ValueError, match="flap period"):
+            FlapSpec(link="nic", factor=0.5, period=0.0)
+        with pytest.raises(ValueError, match="flap duty"):
+            FlapSpec(link="nic", factor=0.5, period=1e-3, duty=1.0)
 
     def test_flap_factor_range(self):
         with pytest.raises(ValueError):
@@ -544,6 +557,8 @@ class TestPartitionPlanValidation:
             FaultInjector(world, FaultPlan(partitions=[spec]))
 
     def test_phi_parameters_validated(self):
+        with pytest.raises(ValueError, match="detect_delay"):
+            FaultPlan(detect_delay=-1e-3)
         with pytest.raises(ValueError):
             FaultPlan(phi_threshold=0.0)
         with pytest.raises(ValueError):
@@ -565,6 +580,11 @@ class TestPartitionPlanValidation:
         assert rebuilt == plan
         assert rebuilt.partitions[0].severs(0, 20)
         assert not rebuilt.partitions[0].severs(16, 23)
+
+    def test_unlisted_rank_is_on_no_side(self):
+        spec = PartitionSpec(groups=((0, 1), (2, 3)), start=0.0, heal=1e-3)
+        assert (spec.side_of(1), spec.side_of(2), spec.side_of(7)) == (0, 1, None)
+        assert not spec.severs(0, 7) and not spec.severs(7, 3)
 
 
 # -- adaptive detector: suspect / confirm / retract ---------------------------
@@ -642,11 +662,85 @@ class TestAdaptiveDetector:
     def test_phi_grows_with_silence(self):
         world, det = self._world_and_detector()
         det._hb_until = 1.0
+        assert det.suspect_level(3) == 0.0  # no heartbeat history yet
         det.observe_alive(3, heartbeat=True)
         assert det.suspect_level(3) == 0.0
         world.engine.call_after(5e-3, lambda: None)
         world.run()
         assert det.suspect_level(3) > 1.0
+
+    def test_suspicion_cancels_the_phi_timer(self):
+        # A beat arms a phi timer 18.4 ms out; the monitoring window ends
+        # at 1 ms, after which heartbeats no longer overrule an ack-timeout
+        # suspicion. The suspicion takes over, and the phi timer is gone.
+        world, det = self._world_and_detector()
+        det._hb_until = 1e-3
+        det.observe_alive(3, heartbeat=True)
+        assert 3 in det._phi_timers
+        world.engine.call_at(2e-3, det.suspect, 3, "ack-timeout")
+        world.run()
+        assert 3 not in det._phi_timers
+        assert [(t, r) for t, r, _ in det.suspicions] == [(2e-3, 3)]
+        assert 3 in det.failed
+
+    @pytest.mark.parametrize("suspect_first", [True, False])
+    def test_kill_and_confirmed_suspicion_fan_out_once(self, suspect_first):
+        # The rank is both suspected (confirm after 1 ms) and killed (its
+        # report after 1 ms too), 0.5 ms apart: whichever lands second
+        # finds it failed — a late report returns, an early one cancels
+        # the pending confirm — and subscribers hear one failure.
+        world, det = self._world_and_detector()
+        seen = []
+        det.subscribe(seen.append)
+        first, second = ((det.suspect, det.observe_kill) if suspect_first
+                         else (det.observe_kill, det.suspect))
+        first(3)
+        world.engine.call_at(5e-4, second, 3)
+        world.run()
+        assert seen == [3]
+        assert det.failed == {3} and not det._confirm_timers
+        assert len(det.suspicions) == 1
+
+
+# -- injector actions ---------------------------------------------------------
+
+
+class TestInjectorActions:
+    def test_second_kill_of_a_rank_is_a_no_op(self):
+        world = make_world(8)
+        injector = FaultInjector(world, FaultPlan(
+            kills=[KillSpec(rank=3, time=1e-4), KillSpec(rank=3, time=2e-4)],
+        ))
+        injector.arm(1e-3)
+        world.run()
+        assert injector.kills_done == 1
+        assert [e for e in injector.timeline if e[1] == "kill"] == [
+            (1e-4, "kill", "rank 3"),
+        ]
+        assert world.failed_ranks == {3}
+
+    def test_stalling_a_dead_rank_is_a_no_op(self):
+        world = make_world(8)
+        injector = FaultInjector(world, FaultPlan(
+            kills=[KillSpec(rank=3, time=1e-4)],
+            stalls=[StallSpec(rank=3, time=2e-4, duration=1e-3)],
+        ))
+        injector.arm(1e-3)
+        world.run()
+        assert injector.stalls_done == 0
+        assert "stall" not in {kind for _, kind, _ in injector.timeline}
+
+    def test_flap_before_any_traffic_touches_nothing(self):
+        # Links are built lazily by traffic: with none yet, a flap toggle
+        # finds no link to degrade and records nothing.
+        world = make_world(8)
+        injector = FaultInjector(world, FaultPlan(
+            flaps=[FlapSpec(link="nic", factor=0.5, period=1e-3)],
+        ))
+        assert injector.arm(2e-3) == 4  # two degrade/restore pairs
+        world.run()
+        assert world.fabric.links() == {}
+        assert injector.flap_toggles == 0 and injector.timeline == []
 
 
 # -- partitions end-to-end ----------------------------------------------------
@@ -809,7 +903,8 @@ class TestSendParking:
         # flow never acks. Three attempts spend the budget (~14 ms); the
         # detector confirms only 50 ms after the suspicion it then raises.
         world = make_world(
-            nranks=2, config=RuntimeConfig(reliable=True, retry_limit=3)
+            nranks=2, config=RuntimeConfig(reliable=True, retry_limit=3),
+            observe=True,
         )
         detector = FailureDetector(world, detect_delay=0.05)
         injector = FaultInjector(
@@ -824,6 +919,13 @@ class TestSendParking:
         assert list(sender._parked) == [1]
         assert detector.suspected == {1} and detector.failed == set()
         assert not send.completed
+        # Attempts 2 and 3 are retransmits; the third timeout parks the
+        # send once, and a parked send keeps probing.
+        records = _fault_records(world)
+        assert records[:3] == [
+            ("retransmit", 0), ("retransmit", 0), ("send-park", 0),
+        ]
+        assert set(records[3:]) == {("retransmit", 0)}
         return world, detector, injector, sender, send, recv, data
 
     def test_retraction_resumes_parked_send(self):
@@ -838,6 +940,7 @@ class TestSendParking:
         assert sender._parked == {} and sender._reliable_pending == {}
         assert sender.sends_abandoned == 0
         assert detector.failed == set() and detector.retractions
+        assert "send-abandon" not in {name for name, _ in _fault_records(world)}
 
     def test_confirmation_abandons_parked_send(self):
         world, detector, _, sender, send, recv, _ = self._parked_send()
@@ -847,6 +950,101 @@ class TestSendParking:
         assert sender.sends_abandoned == 1
         assert sender._parked == {} and sender._reliable_pending == {}
         assert not recv.completed
+        (abandon,) = [s for s in world.obs.by_category(CAT_FAULT)
+                      if s.name == "send-abandon"]
+        assert abandon.track == ("rank", 0)
+        assert abandon.args["peer"] == 1 and abandon.args["tag"] == 7
+
+
+def _fault_records(world):
+    """``(name, rank)`` of every fault span the observed world recorded."""
+    return [(s.name, s.track[1]) for s in world.obs.by_category(CAT_FAULT)]
+
+
+class TestTransportFaultRecords:
+    """The reliable transport's rarer returns, each in an observed run:
+    duplicates, NACKs that find nothing to resend, and a delivery to a
+    receive cancelled while its rendezvous data was on the wire."""
+
+    DATA = np.arange(4096, dtype=np.uint8)
+
+    def _pair(self, plan):
+        """One reliable 4 KiB eager send from rank 0 to rank 1 under
+        ``plan``, observed."""
+        world = make_world(nranks=2, reliable=True, observe=True,
+                           sanitize=False)
+        injector = FaultInjector(world, plan)
+        send = world.ranks[0].isend(1, 7, 4096, data=self.DATA)
+        recv = world.ranks[1].irecv(0, 7, 4096)
+        injector.arm(1.0)
+        return world, injector, send, recv
+
+    def test_duplicate_delivered_once_and_acked_twice(self):
+        world, _, send, recv = self._pair(
+            FaultPlan(losses=[LossSpec(duplicate=1.0)])
+        )
+        world.run()
+        np.testing.assert_array_equal(recv.data, self.DATA)
+        stats = world.transport_stats()
+        assert (stats["fresh_deliveries"], stats["duplicates_suppressed"],
+                stats["acks_sent"]) == (1, 1, 2)
+        assert stats["transmissions"] == 1  # the second ack resends nothing
+        assert _fault_records(world) == [("dup-suppressed", 1)]
+
+    # Rank 1's CPU is stolen for 3 ms, past the sender's first retry (2 ms
+    # after the send) and before its second (6 ms): attempts 1 and 2 both
+    # wait out the stall, in order.
+    STALL = StallSpec(rank=1, time=0.0, duration=3e-3)
+
+    def test_nack_after_the_ack_resends_nothing(self):
+        # Attempt 1 goes out clean; corruption is switched on before the
+        # retry, so attempt 2 is corrupt. Rank 1 acks attempt 1, then NACKs
+        # attempt 2; the NACK finds the send acked and is dropped.
+        world, injector, send, recv = self._pair(
+            FaultPlan(stalls=[self.STALL], corrupts=[CorruptSpec(rate=0.0)])
+        )
+        world.run(until=1e-3)
+        injector.plan = FaultPlan(stalls=[self.STALL],
+                                  corrupts=[CorruptSpec(rate=1.0)])
+        world.run()
+        np.testing.assert_array_equal(recv.data, self.DATA)
+        stats = world.transport_stats()
+        assert (stats["transmissions"], stats["acks_sent"],
+                stats["nacks_sent"]) == (2, 1, 1)
+        assert world.ranks[0]._reliable_pending == {}
+        assert _fault_records(world) == [("retransmit", 0), ("crc-reject", 1)]
+
+    def test_nack_to_a_dead_sender_is_dropped(self):
+        # Attempt 1 is corrupt; its sender dies (1 ms) before the stalled
+        # receiver NACKs it (3 ms), so nothing is ever resent.
+        world, _, send, recv = self._pair(FaultPlan(
+            stalls=[self.STALL], corrupts=[CorruptSpec(rate=1.0)],
+            kills=[KillSpec(rank=0, time=1e-3)],
+        ))
+        world.run()
+        stats = world.transport_stats()
+        assert (stats["transmissions"], stats["retransmits"],
+                stats["nacks_sent"]) == (1, 0, 1)
+        assert not recv.completed
+        assert _fault_records(world) == [("killed", 0), ("crc-reject", 1)]
+
+    def test_cancelled_rendezvous_recv_drops_late_data(self):
+        # Raw transport, 256 KiB: the receive is withdrawn halfway through
+        # the data flow, so the arriving payload has no receive to fill.
+        nbytes = 256 << 10
+        data = np.arange(nbytes, dtype=np.uint8)
+        world = make_world(nranks=2, observe=True, sanitize=False)
+        send = world.ranks[0].isend(1, 7, nbytes, data=data)
+        recv = world.ranks[1].irecv(0, 7, nbytes)
+        world.run(until=1e-5)  # the data flow ends near 19 us
+        assert not recv.completed
+        assert world.ranks[1].cancel_recv(recv)
+        world.run()
+        assert send.completed
+        assert recv.cancelled and recv.data is None
+        (stale,) = world.obs.by_category(CAT_FAULT)
+        assert (stale.name, stale.track) == ("stale-deliver", ("rank", 1))
+        assert stale.args == {"peer": 0, "tag": 7}
 
 
 class TestQuorumFunctions:

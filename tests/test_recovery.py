@@ -143,6 +143,128 @@ class TestMembership:
                 np.asarray(handle.output[r]).view(np.uint8), data
             )
 
+    # Rank 5's suspicion (4e-4) opens a round one grace window later
+    # (9e-4); the token then takes about 0.8 us a hop. Each scenario adds a
+    # fault the detector does not report before the token gets there (a
+    # kill is suspected 2e-4 after it): ``(kills, stalls, timeline)``, the
+    # timeline without times.
+    ROUND_FAULTS = {
+        # Rank 11 dies before the token reaches it; its hop times out.
+        "kill-in-collect": ([(11, 9.02e-4)], [], [
+            ("suspect", "rank 11"),
+            ("silent", "rank 11 unresponsive during collect"),
+            ("commit", "epoch=1 failed=[5, 11] members=10"),
+        ]),
+        "kill-in-distribute": ([(11, 9.1e-4)], [], [
+            ("suspect", "rank 11"),
+            ("silent", "rank 11 unresponsive during distribute"),
+            ("commit", "epoch=1 failed=[5, 11] members=10"),
+        ]),
+        # While the hop to dead rank 3 waits out its timeout, rank 9 is
+        # suspected; rank 4's hop merges it, so the token skips rank 9.
+        "merged-mid-collect": ([(3, 9.01e-4), (9, 9.01e-4)], [], [
+            ("suspect", "rank 3"), ("suspect", "rank 9"),
+            ("silent", "rank 3 unresponsive during collect"),
+            ("commit", "epoch=1 failed=[3, 5, 9] members=9"),
+        ]),
+        # Rank 8 is suspected after the collect pass sampled suspicions:
+        # the commit leaves it pending, and a second round takes it.
+        "after-collect": ([(11, 9.1e-4), (8, 1e-3)], [], [
+            ("suspect", "rank 11"), ("suspect", "rank 8"),
+            ("silent", "rank 11 unresponsive during distribute"),
+            ("commit", "epoch=1 failed=[5, 11] members=10"),
+            ("round", "#2 proposing [5, 8, 11]"),
+            ("commit", "epoch=2 failed=[5, 8, 11] members=9"),
+        ]),
+        # Rank 7 is alive but stalled for 5 ms: the timeout beats its late
+        # processing of the token, which then changes nothing.
+        "stalled-hop": ([], [(7, 9e-4, 5e-3)], [
+            ("silent", "rank 7 unresponsive during collect"),
+            ("commit", "epoch=1 failed=[5, 7] members=10"),
+        ]),
+    }
+
+    @pytest.mark.parametrize("scenario", sorted(ROUND_FAULTS))
+    def test_fault_during_agreement_round(self, scenario):
+        from repro.faults.plan import StallSpec
+        from repro.recovery.membership import HOP_TIMEOUT
+
+        kills, stalls, expected = self.ROUND_FAULTS[scenario]
+        world = make_world(12)
+        data = np.arange(NBYTES, dtype=np.uint8) % 251
+        handle = launch_recover("bcast", recover_ctx(world, "bcast", data=data))
+        plan = FaultPlan(
+            kills=[KillSpec(rank=5, time=2e-4)]
+            + [KillSpec(rank=r, time=t) for r, t in kills],
+            stalls=[StallSpec(rank=r, time=t, duration=d) for r, t, d in stalls],
+            detect_delay=2e-4,
+        )
+        FaultInjector(world, plan).arm(1.0)
+        world.run()
+        ms = world.membership
+        assert [(kind, detail) for _, kind, detail in ms.timeline] == [
+            ("suspect", "rank 5"), ("round", "#1 proposing [5]"),
+        ] + expected
+        # The silent hop waited out its full timeout, and the round ended
+        # within its bound: 2·|live| − 2 hops of HOP_TIMEOUT, |live| = 11.
+        t_round = ms.timeline[1][0]
+        (t_silent,) = [t for t, kind, _ in ms.timeline if kind == "silent"]
+        t_commit = next(t for t, kind, _ in ms.timeline if kind == "commit")
+        assert HOP_TIMEOUT <= t_silent - t_round
+        assert t_commit - t_round <= 20 * HOP_TIMEOUT
+        assert world.failed_ranks == {5} | {r for r, _ in kills}
+        assert handle.done
+
+    def test_excluded_rank_failing_again_starts_no_round(self):
+        # Rank 3 stalls past the phi crossing twice (adaptive detector).
+        # The first confirmation commits epoch 1 without it; it comes back
+        # (stale-alive: committed epochs are permanent). The second
+        # confirmation names a rank the view already excludes, so the
+        # membership service ignores it.
+        from repro.faults.plan import StallSpec
+
+        world = make_world(8)
+        data = np.zeros(NBYTES, dtype=np.uint8)
+        handle = launch_recover("bcast", recover_ctx(world, "bcast", data=data))
+        plan = FaultPlan(stalls=[StallSpec(rank=3, time=1e-5, duration=0.03),
+                                 StallSpec(rank=3, time=0.06, duration=0.3)],
+                         adaptive=True)
+        FaultInjector(world, plan).arm(0.5)
+        world.run()
+        det, ms = world.failure_detector, world.membership
+        assert [r for _, r, _ in det.suspicions] == [3, 3]
+        assert det.false_kills == 2
+        assert [kind for _, kind, _ in ms.timeline] == [
+            "suspect", "round", "commit", "stale-alive", "stale-alive",
+        ]
+        assert ms.view.epoch == 1 and ms.rounds_run == 1
+        assert handle.done
+
+    def test_ring_walk_declares_silent_hops(self):
+        from repro.recovery.membership import ring_walk
+
+        # Rank 1 was proposed; rank 4 never answers the token.
+        assert ring_walk(range(6), frozenset({1}), [0, 2, 3, 5]) == {1, 4}
+
+    def test_epoch_that_empties_the_communicator_restarts_nothing(self):
+        # A two-rank communicator inside an 8-rank world loses both ranks:
+        # the world keeps a majority and commits, but the restart collective
+        # has no survivor to relaunch among, so it ends with both excused.
+        world = make_world(8)
+        comm = Communicator(world, ranks=[6, 7])
+        data = {r: np.full(NBYTES, r + 1, dtype=np.uint8) for r in range(2)}
+        ctx = CollectiveContext(comm, 0, NBYTES, SMALL_CONFIG, data=data, op=SUM)
+        handle = launch_recover("allgather", ctx)
+        plan = FaultPlan(kills=[KillSpec(rank=6, time=1e-6),
+                                KillSpec(rank=7, time=1e-6)],
+                         detect_delay=1e-4)
+        FaultInjector(world, plan).arm(1.0)
+        world.run()
+        assert world.membership.view.describe() == "epoch=1 failed=[6, 7] members=6"
+        assert handle.done and handle.done_time == {}
+        assert handle.excused == {0, 1}
+        assert handle.report.epoch == 1 and handle.report.notes == []
+
     def test_timeline_byte_identical_per_seed(self):
         def timeline():
             world, _ = run_kill(

@@ -48,10 +48,10 @@ def fold(data: dict, ranks) -> np.ndarray:
 
 
 def quorum_world(nranks: int, plan: FaultPlan | None = None, *,
-                 sanitize: bool = True):
+                 sanitize: bool = True, observe: bool = False):
     world = MpiWorld(
         small_test_machine(), nranks, config=RuntimeConfig(),
-        carry_data=True, sanitize=sanitize,
+        carry_data=True, sanitize=sanitize, observe=observe,
     )
     injectors = [FaultInjector(world, plan)] if plan is not None else []
     return world, Communicator(world), injectors
@@ -210,6 +210,31 @@ class TestPartialQuorum:
         led = world.staleness_frontier.ledger
         assert led.opened == led.on_time + led.late + led.discarded
 
+    def test_epoch_is_a_span_on_the_chrome_staleness_track(self):
+        from repro.obs import validate_chrome_trace
+        from repro.obs.chrome import chrome_trace_events, render_chrome_json
+
+        plan = FaultPlan(stalls=[StallSpec(rank=3, time=1e-5, duration=5e-3)])
+        world, comm, injectors = quorum_world(self.NRANKS, plan, observe=True)
+        h = launch_quorum(
+            comm, "allreduce_quorum", self.NBYTES,
+            QuorumPolicy(quorum=0.5), payload(self.NRANKS, self.NBYTES, 7),
+        )
+        _drive(world, injectors, lambda: h.done, None)
+        world.run()
+        (span,) = world.obs.by_category("staleness")
+        assert span.name == "allreduce-quorum epoch 1"
+        assert span.track == ("staleness", "frontier")
+        assert span.args == {"epoch": 1, "contributed": 3, "excluded": 3}
+        assert 0.0 < span.duration <= max(h.done_time.values())
+        events = chrome_trace_events(world.obs)
+        assert validate_chrome_trace(render_chrome_json(events)) == []
+        # The staleness track is its own process (pid 4), one thread.
+        assert {"name": "process_name", "ph": "M", "pid": 4, "tid": 0,
+                "args": {"name": "staleness"}} in events
+        (x,) = [e for e in events if e["ph"] == "X" and e["pid"] == 4]
+        assert (x["name"], x["tid"], x["args"]) == (span.name, 0, span.args)
+
     def test_quorum_completes_strictly_earlier_under_stalls(self):
         """The acceptance property: a seeded stall plan, quorum 0.75 —
         allreduce_quorum seals strictly earlier than exact ADAPT, with
@@ -253,7 +278,7 @@ class TestLateMerge:
         plan = FaultPlan(
             stalls=[StallSpec(rank=5, time=1e-5, duration=stall_duration)]
         )
-        world, comm, injectors = quorum_world(self.NRANKS, plan)
+        world, comm, injectors = quorum_world(self.NRANKS, plan, observe=True)
         d1 = payload(self.NRANKS, self.NBYTES, 31)
         d2 = payload(self.NRANKS, self.NBYTES, 32)
         policy = QuorumPolicy(quorum=0.75, staleness_window=window)
@@ -292,6 +317,7 @@ class TestLateMerge:
         led = world.staleness_frontier.ledger
         assert led.late >= 1
         assert led.opened == led.on_time + led.late + led.discarded
+        assert world.obs.counters["quorum.late_merges"] == 1
 
     def test_contribution_parked_between_epochs_still_merges(self):
         """A straggler arriving after epoch 1 sealed but *before* epoch 2
@@ -308,10 +334,57 @@ class TestLateMerge:
         led = world.staleness_frontier.ledger
         assert led.opened == led.on_time + led.late + led.discarded
 
+    def _park_sixth(self):
+        """Epoch 1 of a quorum-5-of-6 reduce, run alone: the sixth
+        contribution (rank 5's) folds after the close and before any later
+        epoch exists, so it parks — no open epoch can take it, and one
+        still may. No sanitizer: its drain check would flush the parked
+        contribution as a discard when the run quiesces."""
+        world, comm, _ = quorum_world(self.NRANKS, sanitize=False)
+        d1 = payload(self.NRANKS, self.NBYTES, 31)
+        policy = QuorumPolicy(quorum=0.75, staleness_window=1)
+        h1 = launch_quorum(comm, "reduce_quorum", self.NBYTES, policy, dict(d1))
+        world.run()
+        frontier = world.staleness_frontier
+        assert h1.report.contributed_ranks == {0, 1, 2, 3, 4}
+        assert [(p.local, p.from_epoch) for p in frontier._pending] == [(5, 1)]
+        assert h1.report.late_merges == []
+        return world, comm, h1, d1, policy
+
+    def test_straggler_parked_until_the_next_root_starts(self):
+        # Epoch 2's sink opens before its root starts; the root's start
+        # drains the parked contribution into its fold.
+        world, comm, h1, d1, policy = self._park_sixth()
+        d2 = payload(self.NRANKS, self.NBYTES, 32)
+        h2 = launch_quorum(comm, "reduce_quorum", self.NBYTES, policy, dict(d2))
+        world.run()
+        assert h1.report.late_merges == [(5, 1, 2)]
+        assert h2.report.contributed_ranks == {0, 1, 2, 3, 4}
+        expect = (fold(d2, range(5)).astype(np.uint16) + d1[5]).astype(np.uint8)
+        assert np.array_equal(h2.output[0], expect)
+        # Epoch 2's own sixth contribution now waits for epoch 3.
+        frontier = world.staleness_frontier
+        assert [(p.local, p.from_epoch) for p in frontier._pending] == [(5, 2)]
+
+    def test_parked_straggler_expires_with_its_window(self):
+        # Epoch 2 is a broadcast, which takes no late contribution: once it
+        # opens, no epoch within the window of 1 can absorb rank 5's, so the
+        # drain discards it.
+        world, comm, h1, _, policy = self._park_sixth()
+        launch_quorum(comm, "bcast_quorum", self.NBYTES, policy,
+                      payload(1, self.NBYTES, 33)[0])
+        frontier = world.staleness_frontier
+        assert frontier._pending == []
+        assert h1.report.late_merges == [(5, 1, -1)]
+        assert frontier.late_discarded == 1
+        assert frontier.ledger.entries[(1, 5)] == "discarded"
+
     def test_window_zero_always_discards(self):
         world, h1, h2, d1, d2 = self._chain_two_epochs(8e-3, window=0)
         assert not [m for m in h1.report.late_merges if m[2] >= 0]
         assert world.staleness_frontier.late_discarded >= 1
+        assert world.obs.counters["quorum.discarded"] == \
+            world.staleness_frontier.late_discarded
         # Epoch 2's fold contains only its own contributors.
         expect = fold(d2, sorted(h2.report.contributed_ranks))
         assert np.array_equal(h2.output[0], expect)
@@ -369,6 +442,77 @@ class TestFailStopShrink:
         )
         assert r.completed
         assert r.degraded
+
+
+    def test_below_min_quorum_degrades_to_all_live(self):
+        # Ranks 2 and 3 die before the broadcast reaches them: two live
+        # ranks is below the floor of three, so the op stops trading
+        # completeness for latency and closes on every live delivery.
+        from repro.faults.plan import KillSpec
+
+        plan = FaultPlan(kills=[KillSpec(rank=2, time=1e-6),
+                                KillSpec(rank=3, time=1e-6)],
+                         detect_delay=1e-4)
+        world, comm, injectors = quorum_world(4, plan, sanitize=False)
+        data = payload(4, 4096, 7)[0]
+        h = launch_quorum(comm, "bcast_quorum", 4096,
+                          QuorumPolicy(quorum=1.0, min_quorum=3), data)
+        _drive(world, injectors, lambda: h.done, None)
+        world.run()
+        rep = h.report
+        assert rep.degraded and rep.failed_ranks == {2, 3}
+        assert rep.notes[0] == ("bcast-quorum: 2 live rank(s) below "
+                                "min_quorum 3; degraded to all-live completion")
+        assert rep.contributed_ranks == {0, 1}
+        assert sorted(h.done_time) == [0, 1]
+        for r in (0, 1):
+            assert np.array_equal(h.output[r], data)
+
+    def test_retracted_failure_restores_the_target(self):
+        # Rank 3's 30 ms stall outlasts the phi crossing (~18.4 ms) plus the
+        # confirm delay: the quorum hears it fail and shrinks its target.
+        # The stall ends, beats resume, the failure is retracted — and the
+        # full target is back, so the op waits for rank 3's contribution.
+        plan = FaultPlan(stalls=[StallSpec(rank=3, time=1e-5, duration=0.03)],
+                         adaptive=True)
+        world, comm, injectors = quorum_world(6, plan)
+        data = payload(6, 4096, 7)
+        h = launch_quorum(comm, "allreduce_quorum", 4096,
+                          QuorumPolicy(quorum=1.0), dict(data))
+        _drive(world, injectors, lambda: h.done, None)
+        world.run()
+        rep = h.report
+        assert rep.failed_ranks == {3} and rep.retractions == {3}
+        assert world.failure_detector.retractions
+        assert rep.contributed_ranks == set(range(6))
+        assert not world.ranks[3].cpu.halted  # never killed
+        expect = fold(data, range(6))
+        for r in h.done_time:
+            assert np.array_equal(h.output[r], expect), r
+
+    def test_rank_launched_after_root_loss_is_discarded(self):
+        # The IMB chain launches each rank's part when that rank is ready.
+        # Rank 5 joins after the root died and the epoch was abandoned: its
+        # contribution can never merge, so it is discarded on entry.
+        plan = FaultPlan.single_kill(0, 1e-5, detect_delay=5e-5)
+        world, comm, injectors = quorum_world(6, plan, sanitize=False)
+        prep = prepare_operation(
+            ADAPT, "reduce_quorum", policy=QuorumPolicy(quorum=1.0)
+        )(comm, 0, 4096, DEFAULT_COLLECTIVE, data=payload(6, 4096, 7))
+        h = prep.launch(ranks=range(5))
+        for inj in injectors:
+            inj.arm(1.0)
+        world.run(until=1e-3)
+        assert h.done and h.report.failed_ranks == {0}
+        assert h.report.late_merges == []
+        assert prep.launch(ranks=[5]) is h
+        epoch = h.report.staleness_epoch
+        led = world.staleness_frontier.ledger
+        assert led.entries[(epoch, 5)] == "discarded"
+        assert h.report.late_merges == [(5, epoch, -1)]
+        world.run()
+        assert led.open_entries() == []
+        assert led.opened == led.on_time + led.late + led.discarded
 
 
 class TestStallSweepPlan:

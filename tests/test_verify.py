@@ -198,6 +198,39 @@ class TestCounterexamples:
         names = {ev.get("name", "") for ev in loaded["traceEvents"]}
         assert any(name.startswith("STUCK") for name in names)
 
+    def test_chrome_trace_steps_through_the_matches(self, tmp_path):
+        # Rank 1 posts two recvs, rank 0 sends one: one match fires, then
+        # the tag-9 recv deadlocks. The trace's x-axis is match order.
+        from repro.obs import validate_chrome_trace
+
+        world = recording_world(2)
+
+        def launch():
+            world.ranks[1].irecv(0, tag=5, nbytes=1024)
+            world.ranks[1].irecv(0, tag=9, nbytes=1024)
+            world.ranks[0].isend(1, tag=5, nbytes=1024)
+
+        model = model_from_graph(record(
+            world, launch, meta={"schedule": "one-match", "nranks": 2},
+        ))
+        e = explore(model)
+        data = counterexample_dict(model, e.first(DEADLOCK), e.mode)
+        assert len(data["events"]) == 1
+        out = tmp_path / "ce.trace.json"
+        chrome_counterexample_trace(data, str(out))
+        doc = json.loads(out.read_text())
+        assert validate_chrome_trace(doc) == []
+        spans = {(ev["cat"], ev["name"]): ev["ts"]
+                 for ev in doc["traceEvents"] if ev["ph"] == "X"}
+        step = 1e6  # one match per unit step, in microseconds
+        assert spans == {
+            ("verify", "send[0->1 tag=5 1024B]"): 0.0,  # eager: done on post
+            ("verify", "recv[1<-0 tag=5 1024B]"): step,
+            ("match", "match send[0->1 tag=5 1024B]"): step,
+            ("stuck", "STUCK recv[1<-0 tag=9 1024B]"): 2 * step,
+            ("violation", f"deadlock: {data['detail']}"): 0.0,
+        }
+
 
 def _sweep(schedule, nranks=4, **kw):
     """The one result of a single-kind fault sweep."""
@@ -345,6 +378,28 @@ class TestVerifyCli:
         assert replay_code == 0
         assert "CONFIRMED" in out
         assert (tmp_path / "ce.trace.json").exists()
+
+    def test_verify_chrome_exports_the_violation(self, capsys, tmp_path,
+                                                 monkeypatch):
+        from repro.cli import main
+        from repro.obs import validate_chrome_trace
+
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "race.trace.json"
+        code = main(["verify", "--collective", "race-demo",
+                     "--chrome", str(path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert f"violation rendered as Chrome trace: {path}" in out
+        doc = json.loads(path.read_text())
+        assert validate_chrome_trace(doc) == []
+        events = doc["traceEvents"]
+        verdict = [ev for ev in events if ev.get("cat") == "violation"]
+        assert len(verdict) == 1
+        assert verdict[0]["name"].startswith("race:")
+        # The race shows at the initial state: both recvs are drawn stuck.
+        stuck = [ev["name"] for ev in events if ev.get("cat") == "stuck"]
+        assert stuck == ["STUCK recv[1<-0 tag=5 4096B]"] * 2
 
     def test_verify_budget_exhaustion_exits_two(self, capsys, tmp_path,
                                                 monkeypatch):
