@@ -127,9 +127,6 @@ class DepGraph:
 
     # -- views ----------------------------------------------------------------
 
-    def ops(self, kind: Optional[str] = None) -> list[OpNode]:
-        return [n for n in self.nodes.values() if kind is None or n.kind == kind]
-
     def edges(self, kind: str) -> list[DepEdge]:
         return [e for e in self.dep_edges if e.kind == kind]
 
@@ -267,10 +264,7 @@ class GraphRecorder:
         if holder is not None:
             self.order_edges.append(DepEdge(holder, b.nid, ORDER, "program"))
         for g in gates:
-            gnode = self.nodes.get(g)
-            if gnode is None:
-                continue
-            kind, subvia = self._classify(gnode, b, via)
+            kind, subvia = self._classify(self.nodes[g], b, via)
             self._add_dep(g, b.nid, kind, subvia)
 
     def _gate_ids(self, items: Sequence[Any]) -> tuple[int, ...]:
@@ -371,19 +365,9 @@ class GraphRecorder:
 
     # -- proclet-facing hooks ----------------------------------------------------
 
-    def compute_posted(
-        self, rank: int, gate: Optional[tuple[str, tuple[Any, ...]]]
-    ) -> int:
+    def compute_posted(self, rank: int) -> int:
         """A proclet yielded Compute; returns the compute node id."""
-        node = self._new_node("compute", rank)
-        if gate is not None:
-            via, items = gate
-            for g in self._gate_ids(items):
-                gnode = self.nodes.get(g)
-                if gnode is not None:
-                    kind, subvia = self._classify(gnode, node, via)
-                    self._add_dep(g, node.nid, kind, subvia)
-        return node.nid
+        return self._new_node("compute", rank).nid
 
     def proclet_waiting(
         self, driver: Any, rank: int, via: str, requests: Sequence[Request]
@@ -405,8 +389,8 @@ class GraphRecorder:
             self._ctx.append((node.nid, via, gates))
         elif via == "compute":
             for g in gates:
-                gnode = self.nodes.get(g)
-                if gnode is not None and gnode.completed_at is None:
+                gnode = self.nodes[g]
+                if gnode.completed_at is None:
                     gnode.completed_at = self.world.engine.now
             holder = gates[0] if gates else None
             self._ctx.append((holder, "compute", gates))

@@ -165,10 +165,7 @@ class Sanitizer:
         (no ``taginfo``) never are.
         """
         self.checks_run += 1
-        fabric = getattr(self.world, "fabric", None)
-        if fabric is None:
-            return
-        network = fabric.network
+        network = self.world.fabric.network
         queued = network.pending_flows()
         stuck: list[Any] = []
         for flow in sorted(queued | network.active, key=lambda f: f.fid):

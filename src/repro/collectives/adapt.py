@@ -244,9 +244,9 @@ class _AdaptBcastRank:
         self.inflight.pop(dead, None)
         self.sent_done.pop(dead, None)
         failed = self.ctx.failed_locals()
+        # No orphan is a child already: children only ever give way to their
+        # own live descendants, so no child lies below another.
         for orphan in live_descendants(self.ctx.tree, dead, failed):
-            if orphan in self.children:
-                continue
             self.children.append(orphan)
             # Replay everything held so far; segments received later are
             # forwarded by the normal path, so the orphan's quota is nseg.

@@ -149,9 +149,6 @@ class CollectiveHandle:
             raise RuntimeError(f"collective {self.name!r}: no rank completed")
         return max(self.done_time.values()) - self.start_time
 
-    def rank_elapsed(self, local: int) -> float:
-        return self.done_time[local] - self.start_time
-
 
 class CollectiveContext:
     """Everything one collective launch needs, bundled.

@@ -99,12 +99,10 @@ class _AdaptScatterRank(_TreeBlockRank):
     def _own_block(self) -> Any:
         if self.buf is None:
             return None
-        off = 0
-        for m in sorted(_subtree(self.tree, self.local)):
-            if m == self.local:
-                return self.buf[off : off + self.blocks[m][1]]
-            off += self.blocks[m][1]
-        raise AssertionError  # pragma: no cover
+        # The buffer holds the subtree's blocks in member order.
+        off = sum(self.blocks[m][1] for m in _subtree(self.tree, self.local)
+                  if m < self.local)
+        return self.buf[off : off + self.blocks[self.local][1]]
 
     def _range_of(self, target: int) -> Any:
         """Slice ``target``'s subtree range out of my (member-ordered) buffer."""
@@ -179,9 +177,8 @@ class _AdaptScatterRank(_TreeBlockRank):
         if dead in self.children:
             self.children.remove(dead)
             self.sends_open.discard(dead)
+            # No orphan was ever a child (see _AdaptBcastRank._adopt_orphans_of).
             for orphan in live_descendants(self.tree, dead, failed):
-                if orphan in self.children or orphan in self.sent_to:
-                    continue
                 self.children.append(orphan)
                 report.adoptions.append((self.local, orphan))
             self._flush_sends()
@@ -215,7 +212,7 @@ class _AdaptScatterRank(_TreeBlockRank):
         if self.finished or not self.received or self.sends_open:
             return
         self.finished = True
-        out = self._own_block() if self.ctx.carry() else None
+        out = self._own_block()
         self.handle.mark_done(self.local, self.ctx.world.engine.now, out)
 
 
@@ -446,8 +443,6 @@ class _AdaptBarrierRank:
             if req is not None and not req.completed:
                 self.ctx.rt(self.local).cancel_recv(req)
             for orphan in live_descendants(self.tree, dead, failed):
-                if orphan in self.children:
-                    continue
                 self.children.append(orphan)
                 report.adoptions.append((self.local, orphan))
                 if not self.released:

@@ -155,8 +155,6 @@ class HierarchicalBcast:
             )
 
         inner_handle.on_rank_done.append(inner_rank_done)
-        for inner_local, t in list(inner_handle.done_time.items()):
-            inner_rank_done(inner_local, t)
 
 
 class HierarchicalReduce:

@@ -141,7 +141,7 @@ class _QuorumDriver:
         if dead == self.root:
             self._on_root_death()
             return
-        self._on_quorum_shrunk()
+        self._check_close()
 
     def _on_alive(self, back: int) -> None:
         """Retraction: restore the quorum target; repair stays in force."""
@@ -176,7 +176,8 @@ class _QuorumDriver:
     def _on_root_death(self) -> None:  # pragma: no cover - overridden
         raise NotImplementedError
 
-    def _on_quorum_shrunk(self) -> None:  # pragma: no cover - overridden
+    def _check_close(self) -> None:  # pragma: no cover - overridden
+        """Close if the contributions reach the (possibly shrunk) target."""
         raise NotImplementedError
 
 
@@ -364,9 +365,6 @@ class _QuorumIngest(_QuorumDriver):
         self._seal()
         self._emit()
 
-    def _on_quorum_shrunk(self) -> None:
-        self._check_close()
-
     def _on_root_death(self) -> None:
         self.root_lost = True
         self._abandon(f"root {self.root} died; quorum completion point lost")
@@ -435,34 +433,22 @@ class _QuorumAllreduce(_QuorumIngest):
         inner.on_rank_done.append(self._on_delivery)
         self._inner = inner
         bcast_adapt(bctx, handle=inner)
-        for local, t in list(inner.done_time.items()):
-            self._on_delivery(local, t)
 
     def _on_delivery(self, local: int, t: float) -> None:
+        """One rank's delivery, reported by the inner handle as it marks
+        the rank done, so once per rank."""
         assert self._inner is not None
         if self.down_closed:
             self.handle.mark_late(local, t)
             return
-        if local in self.handle.done_time:
-            return
         self.handle.mark_done(local, t, self._inner.output.get(local))
         self.delivered += 1
-        self._check_down_close()
-
-    def _check_down_close(self) -> None:
-        if self.down_closed or self._inner is None:
-            return
         if self.delivered < self._target():
             return
         self.down_closed = True
-        for local in range(self.P):
-            if local not in self.handle.done_time:
-                self.handle.excuse(local)
-
-    def _on_quorum_shrunk(self) -> None:
-        self._check_close()
-        if self.closed:
-            self._check_down_close()
+        for other in range(self.P):
+            if other not in self.handle.done_time:
+                self.handle.excuse(other)
 
 
 class _QuorumBcast(_QuorumDriver):
@@ -514,15 +500,10 @@ class _QuorumBcast(_QuorumDriver):
         self._check_close()
 
     def _check_close(self) -> None:
-        if self.closed:
-            return
         if len(self.contributed) < self._target():
             return
         self.closed = True
         self._seal()
-
-    def _on_quorum_shrunk(self) -> None:
-        self._check_close()
 
     def _on_root_death(self) -> None:
         # The inner broadcast's repair already excused the unreachable

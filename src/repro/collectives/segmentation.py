@@ -7,8 +7,6 @@ themselves is :mod:`repro.mpi.payload`'s job.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.config import CollectiveConfig
 
 
@@ -27,11 +25,3 @@ def block_ranges(nbytes: int, nparts: int) -> list[tuple[int, int]]:
         out.append((off, ln))
         off += ln
     return out
-
-
-def segment_offsets(sizes: Sequence[int]) -> list[int]:
-    """Byte offset of each segment."""
-    offs = [0]
-    for s in sizes[:-1]:
-        offs.append(offs[-1] + s)
-    return offs

@@ -136,6 +136,8 @@ def run(
         for op, probe in zip(operations, probes)
         for factor in HEAL_FACTORS
     ]
+    compared = [(op, probe) for op, probe in zip(operations, probes)
+                if op in COMPARATOR_OPS]
     comparator_jobs = [
         SimJob(
             machine="cori", nodes=nodes, library=COMPARATOR, operation=op,
@@ -145,9 +147,8 @@ def run(
             # 4x cell); the limit only guards against a real hang.
             time_limit=0.5,
         )
-        for op, probe in zip(operations, probes)
+        for op, probe in compared
         for factor in HEAL_FACTORS
-        if op in COMPARATOR_OPS
     ]
     stage2 = sweep(adapt_jobs + comparator_jobs, n_jobs=n_jobs, cache=cache)
     adapts = stage2[: len(adapt_jobs)]
@@ -171,9 +172,7 @@ def run(
         for factor in HEAL_FACTORS:
             add_row(op, factor, probe, "OMPI-adapt", next(it))
     comp_it = iter(comparators)
-    for op, probe in zip(operations, probes):
-        if op not in COMPARATOR_OPS:
-            continue
+    for op, probe in compared:
         for factor in HEAL_FACTORS:
             add_row(op, factor, probe, COMPARATOR, next(comp_it))
     return result

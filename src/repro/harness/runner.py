@@ -139,14 +139,6 @@ class RunResult:
         return _pairwise_sum(self.times, 0, len(self.times)) / len(self.times)
 
     @property
-    def min_time(self) -> float:
-        return float(min(self.times))  # exact on a float list, like np.min
-
-    @property
-    def max_time(self) -> float:
-        return float(max(self.times))
-
-    @property
     def outcome(self) -> str:
         return outcome_of(self.completed, self.degraded)
 
@@ -215,22 +207,20 @@ def iteration_end(handle) -> float:
 def _drive(world: MpiWorld, injectors: list, done, deadline: Optional[float] = None) -> None:
     """Run the world until ``done()``, keeping noise/fault injectors armed.
 
-    Stops early at ``deadline`` (simulated seconds) or when the world
-    quiesces with nothing armed — the fate of a blocking schedule whose
-    peer fail-stopped.
+    Stops early at ``deadline`` (simulated seconds): a blocking schedule
+    whose peer fail-stopped never finishes, and a plan with kills or
+    partitions always brings a deadline (:func:`_build_world`).
     """
     if not injectors and deadline is None:
         world.run()
         return
     horizon = 0.05
     while not done():
-        scheduled = sum(inj.arm(horizon) for inj in injectors)
-        before = world.engine.now
-        world.run(until=before + horizon)
+        for inj in injectors:
+            inj.arm(horizon)
+        world.run(until=world.engine.now + horizon)
         if deadline is not None and world.engine.now >= deadline:
             break
-        if world.engine.now == before and scheduled == 0:
-            break  # quiesced: nothing is left that could make progress
         horizon = min(horizon * 2, 5.0)
 
 
@@ -302,8 +292,6 @@ def _build_world(
                 {min(world.topology.ranks_on_node(n)) for n in range(spec.nodes)
                  if world.topology.ranks_on_node(n)}
             )
-        elif noise_ranks == "all":
-            targets = list(range(nranks))
         else:
             targets = list(noise_ranks)  # type: ignore[arg-type]
         injectors.append(NoiseInjector(

@@ -38,10 +38,6 @@ class LinkParams:
     alpha: float
     bandwidth: float
 
-    def transfer_time(self, nbytes: int) -> float:
-        """Uncontended α + m/B time for a message of ``nbytes``."""
-        return self.alpha + nbytes / self.bandwidth
-
 
 @dataclass(frozen=True)
 class GpuSpec:

@@ -24,17 +24,6 @@ class Placement:
     core: int          # index within the socket
     gpu: int | None    # index within the socket, when GPU-bound
 
-    @property
-    def socket_global(self) -> tuple[int, int]:
-        """Socket key unique across the whole machine (for link naming).
-
-        A collision-free ``(node, socket)`` tuple. The previous encoding
-        (``node * 1_000_000 + socket``) silently collided for pathological
-        specs — e.g. ``(node=0, socket=1_000_000)`` aliased
-        ``(node=1, socket=0)`` — so the key is structural, not arithmetic.
-        """
-        return (self.node, self.socket)
-
 
 class Topology:
     """Placement of ``nranks`` ranks on a :class:`MachineSpec`.
@@ -87,15 +76,8 @@ class Topology:
     def node_of(self, rank: int) -> int:
         return self.placement(rank).node
 
-    def socket_of(self, rank: int) -> tuple[int, int]:
-        p = self.placement(rank)
-        return (p.node, p.socket)
-
     def ranks_on_node(self, node: int) -> list[int]:
         return [r for r in range(self.nranks) if self.node_of(r) == node]
-
-    def ranks_on_socket(self, node: int, socket: int) -> list[int]:
-        return [r for r in range(self.nranks) if self.socket_of(r) == (node, socket)]
 
     def group_key(self, rank: int, level: CommLevel) -> tuple:
         """Identifier of the ``level``-group containing ``rank``.

@@ -1,17 +1,15 @@
 """Communicators: ordered rank groups over an :class:`~repro.mpi.runtime.MpiWorld`.
 
 A communicator maps local ranks (0..size-1) to world ranks. The hierarchical
-multi-communicator collectives of Section 3.1 (the approach ADAPT's single
-topology-aware tree replaces) split the world communicator into per-node /
-per-socket sub-communicators plus a leader communicator, exactly as
-MVAPICH-style implementations do.
+multi-communicator collectives of Section 3.1 build their per-node groups and
+leader set from the topology themselves
+(:func:`repro.collectives.hierarchical._node_groups`).
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.machine.spec import CommLevel
 from repro.mpi.runtime import MpiWorld, RankRuntime
 
 
@@ -42,23 +40,3 @@ class Communicator:
 
     def runtime(self, local: int) -> RankRuntime:
         return self.world.ranks[self.ranks[local]]
-
-    # -- topology-driven splits (Section 3.1 baseline) -------------------------
-
-    def split_by_level(self, level: CommLevel) -> dict[tuple, "Communicator"]:
-        """Partition into sub-communicators of ranks sharing a ``level`` group."""
-        groups: dict[tuple, list[int]] = {}
-        topo = self.world.topology
-        for w in self.ranks:
-            groups.setdefault(topo.group_key(w, level), []).append(w)
-        return {key: Communicator(self.world, ranks) for key, ranks in groups.items()}
-
-    def leaders_comm(self, level: CommLevel) -> "Communicator":
-        """Communicator of the first rank of each ``level`` group."""
-        seen: dict[tuple, int] = {}
-        topo = self.world.topology
-        for w in self.ranks:
-            key = topo.group_key(w, level)
-            if key not in seen:
-                seen[key] = w
-        return Communicator(self.world, sorted(seen.values()))

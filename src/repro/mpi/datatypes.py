@@ -25,12 +25,6 @@ class DataType:
 
         return np.dtype(self.dtype_name)
 
-    def count_for(self, nbytes: int) -> int:
-        """Element count in a buffer of ``nbytes`` (must divide evenly)."""
-        if nbytes % self.size:
-            raise ValueError(f"{nbytes} bytes is not a whole number of {self.name}")
-        return nbytes // self.size
-
 
 BYTE = DataType("byte", 1, "uint8")
 INT32 = DataType("int32", 4, "int32")

@@ -124,7 +124,7 @@ class ProcletDriver:
             self._wait_any(awaited.requests)
         elif isinstance(awaited, Compute):
             if obs is not None:
-                nid = obs.compute_posted(self.runtime.rank, self._gate)
+                nid = obs.compute_posted(self.runtime.rank)
                 self._gate = ("compute", (nid,))
             else:
                 self._gate = None

@@ -140,7 +140,11 @@ class RankRuntime:
         if self.world.obs is not None:
             self._fault("killed")
         self.alive = False
-        self.cpu.halt()
+        for fn, args in self.cpu.halt():
+            # A reliable arrival queued on this CPU but not yet matched is
+            # withdrawn with the queue: it too was lost at a dead rank.
+            if fn in (self._match_arrival, self._data_arrived) and args[0].seq is not None:
+                self.msgs_lost_dead += 1
         for send in self._reliable_pending.values():
             if send.timer is not None:
                 send.timer.cancel()
@@ -405,15 +409,12 @@ class RankRuntime:
         )
 
     def _on_peer_failed(self, peer: int) -> None:
-        if not self.alive:
-            return
+        # A dead rank holds no parked send: fail_stop cleared them.
         for state in self._parked.pop(peer, []):
             self._abandon(state)
 
     def _on_peer_alive(self, peer: int) -> None:
         """A suspected/failed peer acked again: resume parked sends now."""
-        if not self.alive:
-            return
         for state in self._parked.pop(peer, []):
             if state.seq not in self._reliable_pending:
                 continue
@@ -641,7 +642,6 @@ class MpiWorld:
         config: RuntimeConfig = DEFAULT_RUNTIME,
         gpu_bound: bool = False,
         carry_data: bool = False,
-        gpudirect: bool = True,
         sanitize: bool = False,
         observe: bool = False,
     ):
@@ -661,11 +661,9 @@ class MpiWorld:
         if compiled is not None:
             from repro.network.topofabric import TopoFabric  # deferred: avoids cycle
 
-            self.fabric: Fabric = TopoFabric(
-                self.engine, spec, self.topology, compiled, gpudirect=gpudirect
-            )
+            self.fabric: Fabric = TopoFabric(self.engine, spec, self.topology, compiled)
         else:
-            self.fabric = Fabric(self.engine, spec, self.topology, gpudirect=gpudirect)
+            self.fabric = Fabric(self.engine, spec, self.topology)
         # Analysis hooks: a dependency-graph recorder may attach as observer
         # (repro.analysis.depgraph); sanitize=True arms runtime invariant
         # checks (repro.analysis.sanitizer). Both default off and cost one

@@ -64,13 +64,11 @@ class Fabric:
         engine: Engine,
         spec: MachineSpec,
         topology: Topology,
-        gpudirect: bool = True,
     ):
         self.engine = engine
         self.spec = spec
         self.topology = topology
         self.network = FairShareNetwork(engine)
-        self.gpudirect = gpudirect
         self._links: dict[str, Link] = {}
         # Routes per rank pair, and per endpoint signature (see route()).
         self._route_cache: dict[tuple, Route] = {}
@@ -152,26 +150,6 @@ class Fabric:
     def links(self) -> dict[str, Link]:
         """All links instantiated so far (lazily created on first route)."""
         return dict(self._links)
-
-    def utilization_report(self, elapsed: float) -> list[tuple[str, float, float]]:
-        """Per-link traffic over ``elapsed`` seconds.
-
-        Returns ``(link name, bytes carried, mean utilization fraction)``
-        sorted by utilization — how the tests and examples show which level
-        is the bottleneck (e.g. the NIC under a topology-aware chain).
-        """
-        if elapsed <= 0:
-            raise ValueError(f"elapsed must be positive, got {elapsed}")
-        rows = [
-            (
-                link.name,
-                link.bytes_carried,
-                link.bytes_carried / (link.capacity * elapsed),
-            )
-            for link in self._links.values()
-        ]
-        rows.sort(key=lambda r: -r[2])
-        return rows
 
     # -- routing --------------------------------------------------------------
 
@@ -281,20 +259,10 @@ class Fabric:
                 add_d2h()
                 add_cpu_leg()
                 add_h2d()
-            else:  # INTER_NODE
-                if self.gpudirect:
-                    add_d2h()
-                    add_cpu_leg()
-                    add_h2d()
-                else:
-                    # Staged through implicit host buffers on both ends; same
-                    # bus path, plus the extra copies' latency charged here
-                    # (bandwidth effect is modelled via the memcpy rate cap).
-                    add_d2h()
-                    add_cpu_leg()
-                    add_h2d()
-                    latency += 2 * spec.shm.alpha
-                    rate_cap = min(rate_cap, spec.memcpy_bandwidth)
+            else:  # INTER_NODE: GPUDirect RDMA, NIC straight to the GPUs
+                add_d2h()
+                add_cpu_leg()
+                add_h2d()
         elif src_space == MemSpace.GPU:  # GPU -> HOST
             add_d2h()
             if level not in (CommLevel.SELF,) and (ps.node, ps.socket) != (

@@ -604,9 +604,10 @@ class FairShareNetwork:
         queue = self.queue
         push = heapq.heappush
         armed = self._armed
-        mark = engine.mark
-        for f in singles:
-            due = now + f.remaining / f.rate
+        dues = [now + f.remaining / f.rate for f in singles]
+        tokens = engine.marks(dues, since) if since is not None and dues else ()
+        for j, f in enumerate(singles):
+            due = dues[j]
             if rank is None:
                 stamp += 1
                 s = stamp
@@ -618,7 +619,7 @@ class FairShareNetwork:
                 f.entry = entry = [self._fire, (f, s)]
                 engine.post_entry(due, entry)
                 continue
-            f.token = mark(due, since)
+            f.token = tokens[j]
             push(queue, (due, s, f))
             if due < armed:
                 armed = due
@@ -678,7 +679,7 @@ class FairShareNetwork:
         Each cohort or loose flow moved during the instant gets its finish
         at the rate it last moved to, in one :meth:`_schedule` call per
         step, in step order. So the stamps follow (step of the last move,
-        fid), and each token is the one the journal says :meth:`Engine.mark`
+        fid), and each token is the one the journal says :meth:`Engine.marks`
         gave at that step. The holders of one class moved last at one step
         merge into one cohort, as the eager reschedule merged them.
         """
@@ -962,12 +963,10 @@ class FairShareNetwork:
                 low = h.low
                 if (low - moved if low > moved else 0.0) <= _EPSILON_BYTES:
                     self._sweep(h, moved, finished)
-            # The predicted residual of a loose flow, as in _solve. An
-            # arriving seed has rate 0 and at least one byte left.
-            elif dt > 0.0 and rate > 0.0:
-                if h.remaining - rate * dt <= _EPSILON_BYTES:
-                    finished.append(h)
-            elif h.remaining <= _EPSILON_BYTES:
+            # The predicted residual of a loose flow, as in _solve (rate * dt
+            # is 0.0 when either is). An arriving seed has rate 0 and at
+            # least one byte left.
+            elif h.remaining - rate * dt <= _EPSILON_BYTES:
                 finished.append(h)
         if not done:
             seed.rate = rate = self._lone_rates[key]

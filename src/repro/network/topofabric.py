@@ -30,9 +30,8 @@ class TopoFabric(Fabric):
         spec: MachineSpec,
         topology: Topology,
         compiled,
-        gpudirect: bool = True,
     ):
-        super().__init__(engine, spec, topology, gpudirect=gpudirect)
+        super().__init__(engine, spec, topology)
         self.compiled = compiled
 
     # -- slot resolution -----------------------------------------------------

@@ -109,12 +109,6 @@ class MetricsReport:
             "time_to_repair": self.time_to_repair,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetricsReport":
-        d = dict(d)
-        d["links"] = [LinkMetrics(**lm) for lm in d.get("links", [])]
-        return cls(**d)
-
 
 def compute_metrics(world: Any, elapsed: Optional[float] = None) -> MetricsReport:
     """Distill a world's recorded spans into a :class:`MetricsReport`.

@@ -109,16 +109,16 @@ class Cpu:
             self.engine.post_entry(end, [fn, args, self])
         return end
 
-    def halt(self) -> None:
+    def halt(self) -> list[tuple[Callable[..., Any], tuple]]:
         """Fail-stop this CPU: drop queued work and refuse new work.
 
         Models a crashed process: the engine withdraws every completion
         this CPU queued that has not fired yet, later ones in the epoch
         being drained included (:meth:`Engine.discard_owned`); they count
-        as cancelled, not processed.
+        as cancelled, not processed. Returns their ``(fn, args)``.
         """
         self.halted = True
-        self.engine.discard_owned(self)
+        return self.engine.discard_owned(self)
 
     def when_available(self, fn: Callable[..., Any], *args: Any) -> float:
         """Run ``fn`` as soon as the CPU is free (zero-duration work item)."""

@@ -32,9 +32,8 @@ cancelled once cancelled entries outnumber live ones.
 
 Deferred entries (DESIGN.md §23, "Flow completions as data"): a client that
 reschedules an event many times before it fires keeps its due time as data
-instead. Each reschedule takes a position token (:meth:`Engine.mark`, or
-:meth:`Engine.marks` for many) — the bucket at the due time and its length
-at that moment — and a wake hook
+instead. Each reschedule takes a position token (:meth:`Engine.marks`) —
+the bucket at the due time and its length at that moment — and a wake hook
 (:meth:`Engine.wake_at`) hands the entries back when the epoch starts. The
 engine splices them into the bucket at their recorded positions before its
 first entry fires, so they fire exactly where an eager ``call_at`` at the
@@ -49,7 +48,7 @@ entry at once with :meth:`Engine.post_entry`, which *is* that eager
 A client that takes its tokens late, after callbacks that may have posted
 to the due times, opens the *post journal* (:meth:`Engine.journal`) when
 it defers the tokens. While the journal is open, every post records the
-token :meth:`Engine.mark` would have given its time just before it, and
+token :meth:`Engine.marks` would have given its time just before it, and
 ``marks(times, since=position)`` returns the tokens as they stood when
 the journal held ``position`` entries.
 """
@@ -57,7 +56,6 @@ the journal held ``position`` entries.
 from __future__ import annotations
 
 import heapq
-from itertools import islice
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 #: Compaction trigger: at least this many cancelled entries *and* more
@@ -66,7 +64,7 @@ _COMPACT_MIN = 512
 
 _NEVER = float("inf")
 
-#: The token :meth:`Engine.mark` gives a time with no bucket yet.
+#: The token :meth:`Engine.marks` gives a time with no bucket yet.
 _UNMARKED = (None, 0)
 
 
@@ -121,7 +119,7 @@ class Engine:
     handle allocation entirely; ``post_entry`` posts a cancellable entry
     the caller keeps instead of a handle, or an owned one that
     ``discard_owned`` withdraws with all its owner's others.
-    ``mark``/``wake_at`` defer an entry's materialisation to its epoch (see
+    ``marks``/``wake_at`` defer an entry's materialisation to its epoch (see
     the module docstring). ``now``, the current simulated time in seconds,
     is a plain attribute that :meth:`run` advances; only the engine writes
     it.
@@ -258,38 +256,18 @@ class Engine:
 
     # -- deferred entries ---------------------------------------------------
 
-    def mark(self, time: float, since: Optional[int] = None) -> tuple:
-        """Position token for an entry deferred to ``time``.
-
-        The token ``(bucket, index)`` records where ``call_at(time, ...)``
-        would append right now: the bucket at ``time`` (None if there is
-        none yet) and its current length. Hand it back from the
-        :meth:`wake_at` hook to have the entry spliced there. With
-        ``since``, the token is the one :meth:`mark` gave when the open post
-        journal held ``since`` entries (see :meth:`marks`).
-        """
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule event at t={time} before now={self.now}"
-            )
-        if since is not None and self._journal is not None:
-            for t, b, n in islice(self._journal, since, None):
-                if t == time:
-                    return _UNMARKED if b is None else (b, n)
-        bucket = self._buckets.get(time)
-        return (bucket, 0 if bucket is None else len(bucket))
-
     def marks(
         self, times: Sequence[float], since: Optional[int] = None
     ) -> list[tuple]:
-        """:meth:`mark` for each of ``times``, in one call.
+        """Position tokens for entries deferred to each of ``times``.
 
-        A time with no bucket gets the ``(None, 0)`` that :meth:`mark`
-        returns for it; only times that hit a bucket build a token. With
-        ``since``, a position in the open post journal, the tokens are
-        those :meth:`mark` gave when the journal held ``since`` entries: a
-        time posted to since then gets the token its first such post
-        recorded.
+        A token ``(bucket, index)`` records where ``call_at(time, ...)``
+        would append right now: the bucket at ``time`` and its current
+        length, or ``(None, 0)`` when no bucket stands there yet. Hand it
+        back from the :meth:`wake_at` hook to have the entry spliced there.
+        With ``since``, a position in the open post journal, the tokens are
+        those the times had when the journal held ``since`` entries: a time
+        posted to since then gets the token its first such post recorded.
         """
         if times and min(times) < self.now:
             raise SimulationError(
@@ -365,8 +343,9 @@ class Engine:
             if self._cancelled > _COMPACT_MIN and self._cancelled > self._live:
                 self._compact()
 
-    def discard_owned(self, owner: Any) -> None:
-        """Withdraw every unfired ``[fn, args, owner]`` entry.
+    def discard_owned(self, owner: Any) -> list[tuple[Callable[..., Any], tuple]]:
+        """Withdraw every unfired ``[fn, args, owner]`` entry; return their
+        ``(fn, args)``.
 
         Scans every pending bucket and the one being drained, whose fired
         entries are already blanked. O(pending entries), for rare events
@@ -376,19 +355,21 @@ class Engine:
         if self._draining is not None:
             buckets.append(self._draining)
         lst = list
-        n = 0
+        withdrawn = []
         for bucket in buckets:
             for e in bucket:
                 if type(e) is lst and len(e) == 3 and e[2] is owner and e[0] is not None:
+                    withdrawn.append((e[0], e[1]))
                     e[0] = None
                     e[1] = ()
-                    n += 1
+        n = len(withdrawn)
         # Counted after the scan: a compaction rewrites the bucket dict.
         if n:
             self._live -= n
             self._cancelled += n
             if self._cancelled > _COMPACT_MIN and self._cancelled > self._live:
                 self._compact()
+        return withdrawn
 
     def _wake(self, t: float, bucket: Optional[list]) -> Optional[list]:
         """Run the hook woken at ``t``; return ``bucket`` with its entries
@@ -419,7 +400,7 @@ class Engine:
         """Number of live (non-cancelled) events still queued. O(1).
 
         Entries posted with :meth:`post_entry` count from their post;
-        deferred entries (:meth:`mark`) count once spliced into their epoch.
+        deferred entries (:meth:`marks`) count once spliced into their epoch.
         """
         return self._live
 
@@ -438,7 +419,7 @@ class Engine:
         """Drop buckets holding only cancelled entries; rebuild the heap.
 
         A partly live bucket is left as it is: its length is what a
-        :meth:`mark` token recorded, so shrinking it would move deferred
+        :meth:`marks` token recorded, so shrinking it would move deferred
         entries. Mutates the existing containers in place (``run`` holds
         local references to them).
         """

@@ -16,7 +16,7 @@ byte-identical across worker counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from repro.trees.base import Tree
 
@@ -138,14 +138,3 @@ def regraft_tree(tree: Tree, failed: Iterable[int]) -> Regraft:
     surv = Tree(root=tree.root, parent=parent, children=children,
                 name=f"{tree.name}-regraft")
     return Regraft(survivor=surv, adoptions=adoptions, lost=lost)
-
-
-def live_ring(members: Sequence[int], failed: Iterable[int]) -> list[int]:
-    """The survivor ring: ``members`` in order with failed ranks removed.
-
-    Ring collectives (allgather, reduce_scatter) restart on this ring after
-    a membership shrink; keeping the original order keeps block placement
-    deterministic.
-    """
-    dead = set(failed)
-    return [m for m in members if m not in dead]

@@ -144,10 +144,10 @@ def _closure(
         remaining[oid] = rem
         if rem == 0:
             post(oid)
+    # Each op's guard count reaches zero once, so each is posted, and
+    # pushed, at most once.
     while stack:
         done_oid = stack.pop()
-        if done_oid in completed:
-            continue
         completed.add(done_oid)
         for dep in dependents.get(done_oid, ()):
             remaining[dep] -= 1
@@ -254,9 +254,10 @@ def explore(
         ):
             out.complete = False
             break
+        # No state is popped twice: the frontier holds unvisited children of
+        # the states on the current path, all distinct, and a child's
+        # subtree never reaches its siblings (states only grow).
         state, path = frontier.pop()
-        if state in visited:
-            continue
         visited.add(state)
         if keep_states:
             out.states.append(state)

@@ -521,10 +521,7 @@ def _witness_partition(rep: PointReport, sw: _Sweep) -> None:
     horizon = 0.05
     while world.engine.now < 0.3:
         injector.arm(horizon)
-        t = world.engine.now + horizon
-        world.run(until=t)
-        if world.engine.now < t:
-            break  # quiesced early
+        world.run(until=world.engine.now + horizon)
         horizon = min(horizon * 2, 0.2)
     world.run()
 

@@ -232,6 +232,94 @@ class TestGraphStructure:
         assert graph.stats.nranks == 6
 
 
+@pytest.mark.parametrize("name, kw, message", [
+    ("no-such", {}, "unknown schedule 'no-such'"),
+    ("bcast-adapt", {"tree": "no-such"}, "unknown tree 'no-such'"),
+])
+def test_unknown_schedule_and_tree_are_rejected(name, kw, message):
+    from repro.analysis.schedules import analyze_demo
+
+    with pytest.raises(ValueError, match=message):
+        analyze_schedule(name, nranks=4, **kw)
+    with pytest.raises(ValueError, match="unknown demo schedule 'no-such'"):
+        analyze_demo("no-such")
+
+
+class TestRecorderCorners:
+    def test_requests_posted_before_recording_stay_out_of_the_graph(self):
+        from repro.analysis.depgraph import record
+        from repro.analysis.schedules import recording_world
+
+        world = recording_world(2)
+        early = world.ranks[1].irecv(0, 7, 64)  # posted before record attaches
+        doomed = world.ranks[1].irecv(0, 8, 64)
+
+        def launch():
+            world.ranks[1].cancel_recv(doomed)
+            world.ranks[0].isend(1, 7, 64)
+
+        graph = record(world, launch)
+        assert early.completed and doomed.cancelled
+        (send,) = graph.nodes.values()
+        # The recv that took the send was never recorded: nothing to pair.
+        assert send.kind == "send" and not graph.dep_edges
+        assert graph.unmatched_sends == [send.nid]
+
+    def test_an_abandoned_send_leaves_the_match_queue(self):
+        from repro.analysis.depgraph import record
+        from repro.analysis.schedules import recording_world
+        from repro.config import RuntimeConfig
+
+        world = recording_world(2, config=RuntimeConfig(reliable=True, retry_limit=1))
+        sends = []
+
+        def launch():
+            world.kill_rank(1)
+            # Rendezvous-sized: only an ack completes it, and none comes.
+            sends.append(world.ranks[0].isend(1, 5, 1 << 20))
+
+        graph = record(world, launch)
+        (node,) = graph.nodes.values()
+        assert sends[0].cancelled and node.cancelled
+        assert graph.unmatched_sends == [] and lint(graph).ok
+
+    def test_waitany_gates_on_its_winner_and_sleep_on_nothing(self):
+        from repro.analysis.depgraph import record
+        from repro.analysis.schedules import recording_world
+        from repro.mpi import ProcletDriver, Sleep, WaitAny
+
+        world = recording_world(2)
+        won = []
+
+        def rank0(rt):
+            first = rt.irecv(1, 1, 64)
+            second = rt.irecv(1, 2, 64)
+            i, _ = yield WaitAny([first, second])
+            won.append(i)
+            yield Sleep(1e-6)
+            yield rt.isend(1, 3, 64)
+
+        def rank1(rt):
+            yield rt.isend(0, 2, 64)
+            yield rt.irecv(0, 3, 64)
+            yield rt.isend(0, 1, 64)
+
+        def launch():
+            for rank, program in ((0, rank0), (1, rank1)):
+                ProcletDriver(world.ranks[rank], program(world.ranks[rank]))
+
+        graph = record(world, launch)
+        assert won == [1]
+        nodes = {n.describe(): n.nid for n in graph.nodes.values()}
+        waitany = nodes["waitany[rank 0]"]
+        assert [(e.src, e.via) for e in graph.order_edges if e.dst == waitany] == [
+            (nodes["recv[0<-1 tag=2 64B]"], "waitany")]
+        # The send after the sleep carries no dependency from before it.
+        after = nodes["send[0->1 tag=3 64B]"]
+        assert not [e for e in graph.dep_edges + graph.order_edges
+                    if e.dst == after]
+
+
 class TestLinter:
     def test_deadlock_cycle_detected(self):
         graph = deadlock_demo(nranks=4)
@@ -290,6 +378,21 @@ class TestLinter:
             ("leaked-request", 2, 0, 4), ("unmatched-recv", 1, 0, 3),
         ]
         assert not report.ok
+
+    def test_wait_on_a_peerless_op_is_no_deadlock_cycle(self):
+        # Rank 0 is left waiting on a compute: no rank to wait for.
+        graph = self._graph(("compute", 0, None, None),
+                            blocked=[BlockedWait(0, "compute", (0,), (0,))])
+        assert not lint(graph).by_rule("deadlock-cycle")
+
+    def test_only_survivor_to_survivor_ops_strand_after_a_failure(self):
+        # Rank 3 died: the send to it is repair debris, and so is the
+        # zero-byte survivor send; the receive between survivors strands.
+        graph = self._graph(("send", 0, 3, 1), ("send", 1, 2, 2), ("recv", 1, 2, 4))
+        graph.meta["failed_ranks"] = [3]
+        (f,) = lint(graph).by_rule("stranded-survivor")
+        assert (f.rank, f.peer, f.tag) == (1, 2, 4)
+        assert f.message.endswith("(failed ranks: [3])")
 
     def test_graph_cycle_detected(self):
         graph = self._graph(("compute", 0, None, None),

@@ -20,6 +20,10 @@ class TestBarChart:
         assert bar_b.count("█") > bar_a.count("█")
         assert "2.000 ms" in lines[3]
 
+    def test_fractional_bar_ends_in_a_partial_block(self):
+        out = bar_chart("T", {"a": 1.0, "b": 2.0}, width=5)
+        assert out.splitlines()[2].split("|")[1] == "██▌  "
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             bar_chart("T", {})

@@ -95,6 +95,25 @@ class TestCli:
 
         assert validate_chrome_trace(out.read_text()) == []
 
+    def test_trace_warns_when_the_span_cap_drops_the_tail(self, tmp_path,
+                                                           monkeypatch, capsys):
+        from repro.mpi.runtime import MpiWorld
+
+        class TinyObsWorld(MpiWorld):
+            def __init__(self, *a, **kw):
+                super().__init__(*a, **kw)
+                if self.obs is not None:
+                    self.obs.max_spans = 8
+
+        monkeypatch.setattr("repro.harness.runner.MpiWorld", TinyObsWorld)
+        out = tmp_path / "t.json"
+        with pytest.warns(RuntimeWarning, match="cap hit"):
+            assert main(["trace", "--machine", "testbox", "--nbytes", "65536",
+                         "--iterations", "1", "--chrome", str(out), "--no-cache"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "warning: span buffer cap hit; the trace tail was dropped"
+        assert lines[2].startswith(f"wrote {out}: ") and " from 8 spans;" in lines[2]
+
     def test_run_uses_cache(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         argv = ["run", "--machine", "cori", "--nodes", "2",
@@ -142,6 +161,33 @@ class TestCli:
             main(argv)
         message = str(exc.value)
         assert message.startswith("chaos: ") and reason in message
+
+    @pytest.mark.parametrize("text, reason", [
+        ("bcast", "nothing to inject"),
+        ("bcast --drop 0.1 --heal 0.01", "--partition-at/--heal need --partition"),
+        ("bcast --drop 0.1 --library OMPI-default --recover",
+         "OMPI-default implements only bcast and reduce without recovery"),
+    ])
+    def test_chaos_cell_is_checked_before_it_runs(self, text, reason):
+        from repro.harness.experiments import chaos
+
+        with pytest.raises(SystemExit) as exc:
+            chaos._check(chaos.parse(text))
+        assert str(exc.value.code).startswith("chaos: ") and reason in str(exc.value.code)
+
+    def test_chaos_cell_describes_its_plan(self):
+        from types import SimpleNamespace
+
+        from repro.harness.experiments import chaos
+
+        args = chaos.parse("bcast --nranks 8 --corrupt 0.01 --partition '0-3|4-7' --recover")
+        _, policy, stalls, groups = chaos._check(args)
+        plan, desc = chaos._plan(args, SimpleNamespace(mean_time=1e-3), policy, stalls, groups)
+        assert desc == (
+            "corrupt=0.01 per message; partition [4 rank(s) | 4 rank(s)] at "
+            "t=1.200 ms, heal at t=78.883 ms (after the 19.4 ms detection "
+            "deadline); recovery armed (seed=0)")
+        assert plan.corrupts[0].rate == 0.01 and plan.partitions[0].groups == groups
 
     def test_chaos_flags_without_an_operation_exit(self):
         # Without an operation chaos runs its registered grid, which the
@@ -218,6 +264,23 @@ class TestCli:
             # One young collection frees each run's world, and nothing else.
             assert cell["gc_collections"] == [1, 0, 0]
 
+    @pytest.mark.parametrize("argv, sizing, sections", [
+        (["--scale"], None, ("engine", "allocator", "fig09", "scale")),
+        (["--scale", "--section", "scale"], None, ("scale",)),
+        (["--scale", "medium", "--section", "engine"], "medium", ("engine",)),
+    ])
+    def test_bench_scale_flag_adds_the_scaling_leg(self, argv, sizing, sections,
+                                                   monkeypatch, capsys):
+        from repro.harness import bench
+
+        seen = []
+        monkeypatch.setattr(bench, "run_core_bench",
+                            lambda s, jobs, sections, **kw: seen.append((s, sections)) or {})
+        monkeypatch.setattr(bench, "render", lambda result: "rendered")
+        assert main(["bench", *argv]) == 0
+        assert seen == [(sizing, sections)]
+        assert capsys.readouterr().out.strip() == "rendered"
+
     @pytest.mark.parametrize("scale", ["0", "0,16", "-4", "x,16"])
     def test_bench_rejects_bad_rank_list(self, scale):
         with pytest.raises(SystemExit) as exc:
@@ -244,6 +307,20 @@ class TestCli:
             main(["profile", "--experiment", experiment, "--machine", "fattree"])
         assert exc.value.code == 2
         assert "cori or stampede2" in capsys.readouterr().err
+
+    def test_chart_flag_appends_the_line_chart(self, monkeypatch, capsys):
+        def canned(**kw):
+            res = ExperimentResult("Figure C", "canned", ["library", "nbytes", "mean_ms"])
+            for nb in (1 << 16, 1 << 20):
+                res.add("A", nb, nb / 1e6)
+            return res
+
+        monkeypatch.setitem(EXPERIMENTS, "fig9",
+                            dataclasses.replace(EXPERIMENTS["fig9"], run=canned))
+        assert main(["fig9", "--chart", "--no-cache"]) == 0
+        table, chart = capsys.readouterr().out.split("\n\n", 1)
+        assert table.startswith("Figure C") and chart.startswith("Figure C")
+        assert "o=A" in chart
 
     @pytest.mark.parametrize("experiment", _WITH_JSON)
     def test_json_writes_null_for_inf(self, experiment, tmp_path,

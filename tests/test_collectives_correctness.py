@@ -153,6 +153,20 @@ class TestBcastCorrectness:
                 err_msg=f"rank {r}",
             )
 
+    def test_scatter_allgather_one_rank_and_ring_step_count(self):
+        world = make_world(nranks=1)
+        data = bcast_payload(4096)
+        ctx = CollectiveContext(Communicator(world), 0, 4096, SMALL_CONFIG, data=data)
+        handle = bcast_scatter_allgather(ctx)
+        assert handle.done_time == {0: 0.0}  # done at launch
+        np.testing.assert_array_equal(handle.output[0], data)
+        # Observed: every rank counts its P - 1 ring steps.
+        world = make_world(nranks=4, observe=True)
+        ctx = CollectiveContext(Communicator(world), 0, 4096, SMALL_CONFIG, data=data)
+        handle = bcast_scatter_allgather(ctx)
+        world.run()
+        assert handle.done and world.obs.counters["classic.sag.ring_steps"] == 4 * 3
+
     def test_scatter_allgather_nonzero_root(self):
         world = make_world()
         comm = Communicator(world)
@@ -255,6 +269,14 @@ class TestReduceCorrectness:
             np.asarray(handle.output[0]).view(np.uint8), expect,
             err_msg=f"nranks={nranks}",
         )
+
+    def test_rabenseifner_one_rank_completes_at_launch(self):
+        world = make_world(nranks=1)
+        data = reduce_payloads(1, 4096)
+        ctx = CollectiveContext(Communicator(world), 0, 4096, SMALL_CONFIG, data=data, op=SUM)
+        handle = reduce_rabenseifner(ctx)
+        assert handle.done_time == {0: 0.0}
+        np.testing.assert_array_equal(handle.output[0], data[0])
 
     def test_rabenseifner_nonzero_root(self):
         world = make_world(nranks=16)

@@ -1,8 +1,10 @@
-"""Unit tests for communicators and topology-driven splits."""
+"""Unit tests for communicators and the hierarchical collectives' node split."""
 
 import pytest
 
-from repro.machine import CommLevel, small_test_machine
+from repro.collectives.base import CollectiveContext
+from repro.collectives.hierarchical import _node_groups
+from repro.machine import small_test_machine
 from repro.mpi import Communicator, MpiWorld
 
 
@@ -36,30 +38,28 @@ class TestCommunicator:
         comm = Communicator(w, [4, 8])
         assert comm.runtime(1) is w.ranks[8]
 
-    def test_split_by_socket(self):
-        w = make_world()
-        comm = Communicator(w)
-        groups = comm.split_by_level(CommLevel.INTRA_SOCKET)
-        assert len(groups) == 6  # 3 nodes x 2 sockets
-        assert groups[(0, 0)].ranks == (0, 1, 2, 3)
-        assert groups[(2, 1)].ranks == (20, 21, 22, 23)
+    # -- the hierarchical collectives' per-node split and leader choice ------
+
+    @staticmethod
+    def node_groups(ranks=None, root=0):
+        comm = Communicator(make_world(), ranks)
+        return _node_groups(CollectiveContext(comm, root, 1024))
 
     def test_split_by_node(self):
-        w = make_world()
-        comm = Communicator(w)
-        groups = comm.split_by_level(CommLevel.INTER_SOCKET)
-        assert len(groups) == 3
-        assert groups[(1,)].ranks == tuple(range(8, 16))
+        groups, _ = self.node_groups()
+        assert groups == [list(range(0, 8)), list(range(8, 16)), list(range(16, 24))]
 
     def test_leaders_comm(self):
-        w = make_world()
-        comm = Communicator(w)
-        leaders = comm.leaders_comm(CommLevel.INTER_SOCKET)
-        assert leaders.ranks == (0, 8, 16)
+        _, leaders = self.node_groups()
+        assert leaders == [0, 8, 16]
+
+    def test_root_leads_its_node(self):
+        groups, leaders = self.node_groups(root=11)
+        assert len(groups) == 3
+        assert leaders == [0, 11, 16]
 
     def test_split_of_subset(self):
-        w = make_world()
-        comm = Communicator(w, list(range(0, 24, 3)))  # 0,3,6,...,21
-        groups = comm.split_by_level(CommLevel.INTER_SOCKET)
-        all_ranks = sorted(r for g in groups.values() for r in g.ranks)
-        assert all_ranks == list(range(0, 24, 3))
+        # Local ranks of the subset 0,3,...,21: nodes hold world 0-7, 8-15, 16-23.
+        groups, leaders = self.node_groups(ranks=list(range(0, 24, 3)))
+        assert groups == [[0, 1, 2], [3, 4, 5], [6, 7]]
+        assert leaders == [0, 3, 6]

@@ -60,13 +60,27 @@ class TestHandle:
             h.elapsed()
         h.mark_done(1, 2.0)
         assert h.elapsed() == pytest.approx(2.0)
-        assert h.rank_elapsed(0) == pytest.approx(1.0)
 
     def test_double_mark_rejected(self):
         h = CollectiveHandle("x", start_time=0.0, size=1)
         h.mark_done(0, 1.0)
         with pytest.raises(RuntimeError):
             h.mark_done(0, 2.0)
+
+    def test_elapsed_needs_one_finished_rank(self):
+        h = CollectiveHandle("x", start_time=0.0, size=2)
+        h.excuse(0)
+        h.excuse(1)
+        assert h.done
+        with pytest.raises(RuntimeError, match="no rank completed"):
+            h.elapsed()
+
+    def test_failed_locals_without_a_detector_is_empty(self):
+        ctx, world = make_ctx()
+        world.kill_rank(3)
+        world.kill_rank(3)  # a dead rank stays dead: nothing more happens
+        assert world.failed_ranks == {3} and not world.ranks[3].alive
+        assert world.failure_detector is None and ctx.failed_locals() == set()
 
     def test_rank_done_hook_order(self):
         h = CollectiveHandle("x", start_time=0.0, size=3)
@@ -82,3 +96,10 @@ class TestHandle:
         world.run()
         h = new_handle(ctx, "late")
         assert h.start_time == pytest.approx(1e-3)
+
+
+def test_a_lazily_loaded_package_refuses_an_unknown_name():
+    import repro.parallel
+
+    with pytest.raises(AttributeError, match="'repro.parallel' has no attribute 'nope'"):
+        repro.parallel.nope  # noqa: B018

@@ -101,7 +101,7 @@ class _Client:
 
     Eager: every (re)schedule is a ``call_at`` and the previous handle is
     cancelled — the order oracle. Deferred: a (re)schedule only takes a
-    ``mark`` token; a ``wake_at`` hook hands the due entries back when
+    ``marks`` token; a ``wake_at`` hook hands the due entries back when
     their epoch starts, the way the fair-share network defers flow
     finishes.
     """
@@ -119,7 +119,7 @@ class _Client:
         self.drop(key)
         if self.deferred:
             self.seq += 1
-            self.queued[key] = (t, self.seq, self.eng.mark(t))
+            self.queued[key] = (t, self.seq, self.eng.marks([t])[0])
             self.rearm()
         else:
             self.handles[key] = self.eng.call_at(t, self.fired.append, ("key", key))

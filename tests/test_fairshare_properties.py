@@ -232,6 +232,18 @@ def test_variants_single_flow_component(variant):
 
 
 @pytest.mark.parametrize("variant", _VARIANTS)
+def test_variants_no_constrained_link(variant):
+    """``links`` holds none of the flows' path links, so no link bounds any
+    class: every flow gets its cap, and both solvers say so bit for bit.
+    Two caps make two classes, past the one-class shortcut."""
+    links, flows = build_scenario([1e9, 2e9], [([0], 3e8), ([0, 1], 7e8), ([1], 3e8)])
+    outside = [Link("elsewhere", 1e9)]
+    want = {flows[0]: 3e8, flows[1]: 7e8, flows[2]: 3e8}
+    assert maxmin_rates_reference(flows, outside) == want
+    assert variant(flows, outside) == want
+
+
+@pytest.mark.parametrize("variant", _VARIANTS)
 def test_variants_zero_capacity_link(variant):
     """The Link constructor rejects non-positive capacities and no fault
     zeroes one (a flap keeps a factor in (0, 1]), so the network never

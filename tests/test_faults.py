@@ -893,6 +893,86 @@ class TestPartitionSeverance:
 # -- send parking: retry budget spent, peer only suspected --------------------
 
 
+class TestRepairRaces:
+    """A repair that runs while a receive from the dead rank has completed
+    but its callback still waits on the rank's CPU: the repair leaves that
+    request alone and the queued callback delivers it. Each run drains
+    clean under the sanitizer (no request leaked or cancelled twice)."""
+
+    def _run(self, name, victim, kill_at, detect, nbytes, recover=False,
+             reliable=False, stall=None, data=None):
+        from repro.collectives.models import ADAPT_COLLECTIVES
+        from repro.recovery import launch_recover
+
+        world = make_world(nranks=12, reliable=reliable)
+        comm = Communicator(world)
+        kw = {}
+        if ADAPT_COLLECTIVES[name].tree:
+            kw["tree"] = topology_aware_tree(world.topology, list(comm.ranks), 0)
+        ctx = CollectiveContext(comm, 0, nbytes, SMALL_CONFIG, data=data, op=SUM, **kw)
+        handle = (launch_recover(name, ctx) if recover
+                  else ADAPT_COLLECTIVES[name].launch(ctx))
+        plan = FaultPlan(kills=[KillSpec(rank=victim, time=kill_at)],
+                         stalls=[stall] if stall else [], detect_delay=detect)
+        FaultInjector(world, plan).arm(1.0)
+        world.run()
+        assert handle.done and handle.excused == {victim}
+        return handle
+
+    def test_bcast_reparent_keeps_a_completed_receive(self):
+        data = np.random.default_rng(3).integers(0, 256, 1 << 20, dtype=np.uint8)
+        handle = self._run("bcast", victim=8, kill_at=1e-4, detect=0.0,
+                           nbytes=1 << 20, recover=True, reliable=True, data=data)
+        assert (0, 9) in handle.report.adoptions
+        for r in set(range(12)) - {8}:
+            np.testing.assert_array_equal(
+                np.asarray(handle.output[r]).view(np.uint8), data)
+
+    def test_allreduce_drop_child_keeps_a_completed_receive(self):
+        rng = np.random.default_rng(4)
+        data = {r: rng.integers(0, 256, 1 << 20, dtype=np.uint8) for r in range(12)}
+        handle = self._run("allreduce", victim=4, kill_at=5e-5, detect=0.0,
+                           nbytes=1 << 20, reliable=True, data=data,
+                           stall=StallSpec(rank=1, time=0.0, duration=5e-4))
+        assert "rank 0: dead child 4's remaining contribution skipped" in handle.report.notes
+        outs = [np.asarray(handle.output[r]).view(np.uint8) for r in set(range(12)) - {4}]
+        for out in outs[1:]:
+            np.testing.assert_array_equal(out, outs[0])
+
+    def test_reduce_reposts_nothing_for_a_dropped_child(self):
+        rng = np.random.default_rng(6)
+        data = {r: rng.integers(0, 256, 65536, dtype=np.uint8) for r in range(12)}
+        handle = self._run("reduce", victim=8, kill_at=5e-5, detect=1e-5,
+                           nbytes=65536, data=data,
+                           stall=StallSpec(rank=2, time=1.75e-4, duration=5e-4))
+        assert "rank 0: dead child 8's remaining contribution skipped" in handle.report.notes
+        # Rank 8 heads the second node's ranks 8-11. A segment it passed up
+        # before dying stays folded with them; a later one has ranks 0-7.
+        out = np.asarray(handle.output[0]).view(np.uint8).reshape(-1, 4096)
+        full = (sum(data[r].astype(np.int64) for r in range(12)) % 256).reshape(-1, 4096)
+        part = (sum(data[r].astype(np.int64) for r in range(8)) % 256).reshape(-1, 4096)
+        kept = [bool((seg == f).all()) for seg, f in zip(out, full)]
+        assert any(kept) and not all(kept)
+        for seg, f, p, k in zip(out, full, part, kept):
+            np.testing.assert_array_equal(seg, f if k else p)
+
+    def test_alltoall_absorbs_a_block_from_an_excused_peer(self):
+        from repro.collectives.segmentation import block_ranges
+
+        n, nbytes = 12, 65536
+        rng = np.random.default_rng(5)
+        data = {r: rng.integers(0, 256, nbytes, dtype=np.uint8) for r in range(n)}
+        handle = self._run("alltoall", victim=7, kill_at=1e-5, detect=2e-4,
+                           nbytes=nbytes, recover=True, data=data,
+                           stall=StallSpec(rank=9, time=0.0, duration=2e-3))
+        assert "rank 9: block from dead peer 7 zero-filled" in handle.report.notes
+        off, ln = block_ranges(nbytes, n)[9]
+        out = np.asarray(handle.output[9]).view(np.uint8).reshape(n, ln)
+        for src in range(n):
+            want = 0 if src == 7 else data[src][off:off + ln]
+            np.testing.assert_array_equal(out[src], want)
+
+
 class TestSendParking:
     """A reliable send that exhausts its retries against a peer the detector
     has not confirmed parks and keeps probing; a retraction resumes it, a
@@ -954,6 +1034,64 @@ class TestSendParking:
                       if s.name == "send-abandon"]
         assert abandon.track == ("rank", 0)
         assert abandon.args["peer"] == 1 and abandon.args["tag"] == 7
+
+    def test_a_probe_that_lands_completes_the_parked_send(self):
+        world, detector, injector, sender, send, recv, data = self._parked_send()
+        injector.plan = FaultPlan()  # the lossy link heals; no retraction yet
+        world.run()
+        assert send.completed and not send.cancelled
+        np.testing.assert_array_equal(recv.data, data)
+        # The probe's ack retracted the suspicion; the resume it triggered
+        # found the send already acked and sent nothing more.
+        assert detector.failed == set() and detector.retractions
+        (retracted_at, _), = detector.retractions
+        assert send.completion_time == retracted_at
+        assert sender._parked == {} and sender._reliable_pending == {}
+        assert sender.sends_abandoned == 0
+        assert "send-abandon" not in {name for name, _ in _fault_records(world)}
+
+    def test_a_rank_watches_its_peers_once(self):
+        # Rank 0's sends to ranks 1 and 2 both park; the second park finds
+        # the failure subscription already in place.
+        world = make_world(
+            nranks=3, config=RuntimeConfig(reliable=True, retry_limit=3),
+        )
+        detector = FailureDetector(world, detect_delay=0.05)
+        FaultInjector(world, FaultPlan(losses=[LossSpec(drop=1.0, src=0)]))
+        subscribed = len(detector._subscribers)
+        sends = [world.ranks[0].isend(dst, 7, NBYTES) for dst in (1, 2)]
+        for dst in (1, 2):
+            world.ranks[dst].irecv(0, 7, NBYTES)
+        world.run(until=0.03)
+        sender = world.ranks[0]
+        assert sender.sends_parked == 2 and sorted(sender._parked) == [1, 2]
+        assert len(detector._subscribers) == subscribed + 1
+        world.run()
+        assert detector.failed == {1, 2}
+        assert all(s.cancelled for s in sends) and sender.sends_abandoned == 2
+
+    def test_abandoning_a_send_twice_counts_it_once(self):
+        world, _, _, sender, send, _, _ = self._parked_send()
+        (state,) = sender._parked[1]
+        sender._abandon(state)
+        sender._abandon(state)  # no longer pending: nothing left to do
+        assert send.cancelled and sender.sends_abandoned == 1
+        assert sender._reliable_pending == {}
+
+
+def test_an_arrival_queued_on_a_dying_cpu_is_lost_at_the_dead_rank():
+    """A reliable message that reached rank 1 while its CPU was busy, and
+    was withdrawn with the CPU's queue when rank 1 died, is booked as lost
+    at a dead rank: the sanitizer's conservation check balances."""
+    world = make_world(nranks=2, config=RuntimeConfig(reliable=True, retry_limit=2))
+    world.inject_noise(1, 1e-3)  # rank 1's CPU is busy when the message lands
+    world.ranks[1].irecv(0, 7, 4096)
+    send = world.ranks[0].isend(1, 7, 4096, data=np.zeros(4096, np.uint8))
+    world.engine.call_at(5e-4, world.kill_rank, 1)
+    world.run()  # the sanitizer checks conservation at drain
+    stats = world.transport_stats()
+    assert stats["fresh_deliveries"] == 0 and send.completed
+    assert stats["msgs_lost_dead"] == stats["transmissions"] == 2
 
 
 def _fault_records(world):

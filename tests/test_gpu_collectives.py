@@ -101,21 +101,6 @@ class TestGpuPerformanceMechanisms:
         t_staged, _ = self._bcast_time(True)
         assert t_staged < t_plain
 
-    def test_gpudirect_off_is_slower(self):
-        def run(gpudirect):
-            spec = psg_gpu(nodes=2)
-            world = MpiWorld(
-                spec, spec.total_gpus, gpu_bound=True, gpudirect=gpudirect
-            )
-            comm = Communicator(world)
-            tree = topology_aware_tree(world.topology, list(comm.ranks), 0)
-            ctx = CollectiveContext(comm, 0, 8 << 20, CFG, tree=tree)
-            handle = bcast_adapt(ctx)
-            world.run()
-            return handle.elapsed()
-
-        assert run(False) > run(True)
-
     def test_offload_overlaps_reduction(self):
         def run(offload):
             world, comm = make_gpu_world(nodes=4, carry=False)

@@ -202,5 +202,29 @@ class TestReport:
     def test_run_result_stats(self):
         r = RunResult("L", "bcast", "m", 4, 1024, 0.0, times=[1.0, 3.0])
         assert r.mean_time == pytest.approx(2.0)
-        assert r.min_time == 1.0 and r.max_time == 3.0
         assert "L" in str(r)
+
+    def test_run_result_line_flags_a_faulted_run(self):
+        r = RunResult("L", "bcast", "m", 4, 1024, 0.0, times=[1.0, float("inf")],
+                      transport={"dropped": 3, "retransmits": 5},
+                      degraded=True, completed=False)
+        assert str(r).endswith(" [drops=3 retransmits=5 degraded INCOMPLETE]")
+
+    def test_byte_labels_and_profile_buckets(self):
+        from repro.harness.experiments.common import fmt_bytes
+        from repro.harness.profiling import _subsystem
+
+        assert [fmt_bytes(n) for n in (512, 64 << 10, 4 << 20)] == ["512", "64K", "4M"]
+        assert _subsystem("/src/repro/network/fairshare.py") == "repro.network"
+        assert _subsystem("/src/repro/cli.py") == "repro.cli"
+        assert _subsystem("/usr/lib/python3/json/decoder.py") == "stdlib/other"
+        # A file named ``repro`` (a launcher script) has no package module.
+        assert _subsystem("/usr/local/bin/repro") == "stdlib/other"
+        assert _subsystem("<built-in>") == "builtins"
+
+    def test_fig10_small_grid(self):
+        from repro.harness.experiments import fig10_scaling
+
+        cells = fig10_scaling.jobs("small")
+        assert len(cells) == 2 * 3 * len(fig10_scaling.LIBRARIES)
+        assert sorted({c.nodes for c in cells}) == [1, 2, 4]

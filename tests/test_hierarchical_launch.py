@@ -59,6 +59,28 @@ class TestHierarchicalBcastLaunch:
         w.run()
         assert hb.handle.done
 
+    def test_a_lone_rank_node_is_its_own_group(self):
+        # Nine ranks: the second node holds rank 8 alone, which its leader
+        # phase delivers to directly.
+        w, comm = make_world(nranks=9)
+        data = np.arange(64 << 10, dtype=np.uint8) % 251
+        hb = HierarchicalBcast(CollectiveContext(comm, 0, 64 << 10, CFG, data=data))
+        assert hb.groups[1] == [8]
+        hb.launch()
+        w.run()
+        assert hb.handle.done and len(hb.handle.done_time) == 9
+        for r in range(9):
+            np.testing.assert_array_equal(
+                np.asarray(hb.handle.output[r]).view(np.uint8), data)
+
+    def test_relaunch_on_one_node_runs_its_group_once(self):
+        w, comm = make_world(nranks=8)
+        hb = HierarchicalBcast(CollectiveContext(comm, 0, 64 << 10, CFG))
+        hb.launch()
+        hb.launch()  # one leader, already launched: nothing more starts
+        w.run()
+        assert hb.handle.done and len(hb.handle.done_time) == 8
+
 
 class TestHierarchicalReduceLaunch:
     def test_all_ranks_chain(self):
@@ -86,6 +108,27 @@ class TestHierarchicalReduceLaunch:
         got = np.asarray(hr.handle.output[0]).view(np.uint8)
         np.testing.assert_array_equal(got, expected)
 
+    def test_a_lone_rank_node_enters_the_leader_level_directly(self):
+        w, comm = make_world(nranks=9)
+        nbytes = 32 << 10
+        rng = np.random.default_rng(4)
+        data = {r: rng.integers(0, 9, nbytes, dtype=np.uint8) for r in range(9)}
+        hr = HierarchicalReduce(CollectiveContext(comm, 0, nbytes, CFG, data=data, op=SUM))
+        assert hr.groups[1] == [8] and hr._inner[1] is None
+        hr.launch()
+        hr.launch(ranks=[8])  # a second entry of the lone rank is ignored
+        w.run()
+        assert hr.handle.done
+        expected = sum(data[r].astype(np.uint64) for r in range(9)).astype(np.uint8)
+        np.testing.assert_array_equal(np.asarray(hr.handle.output[0]).view(np.uint8), expected)
+
+    def test_single_rank_world(self):
+        w, comm = make_world(nranks=1)
+        data = {0: np.arange(1024, dtype=np.uint8)}
+        hr = HierarchicalReduce(CollectiveContext(comm, 0, 1024, CFG, data=data, op=SUM))
+        assert hr.launch() is hr.handle and hr.handle.done  # done at launch
+        np.testing.assert_array_equal(hr.handle.output[0], data[0])
+
 
 class TestPreparedChaining:
     def test_prepared_launch_joins_same_operation(self):
@@ -99,6 +142,27 @@ class TestPreparedChaining:
         assert h2 is h1
         w.run()
         assert h1.done
+
+    def test_recovering_launch_starts_every_rank_once(self):
+        from repro.config import DEFAULT_COLLECTIVE
+        from repro.libraries.presets import prepare_operation
+
+        w, comm = make_world(nranks=8, carry=False)
+        prep = prepare_operation(library_by_name("OMPI-adapt"), "bcast", recover=True)
+        pc = prep(comm, 0, 64 << 10, DEFAULT_COLLECTIVE)
+        handle = pc.launch(ranks=[0])  # the first call launches all ranks
+        assert pc.launch(ranks=[1]) is handle
+        w.run()
+        assert handle.done and len(handle.done_time) == 8
+
+    @pytest.mark.parametrize("op", ["bcast", "reduce"])
+    def test_iterations_chain_past_a_launch_that_completes_at_once(self, op):
+        # On one rank the hierarchical launch marks the rank done before
+        # the runner hooks the handle; the hook still chains every iteration.
+        from repro.harness.runner import run_collective
+
+        r = run_collective(small_test_machine(), 1, "Intel MPI", op, 4096, iterations=3)
+        assert r.completed and r.times == [0.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("lib", ["OMPI-adapt", "Cray MPI", "MVAPICH", "Intel MPI", "OMPI-default", "OMPI-default-topo"])
     def test_all_models_expose_prepared_api(self, lib):

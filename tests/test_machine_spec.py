@@ -5,25 +5,15 @@ import pytest
 from repro.machine import (
     CommLevel,
     GpuSpec,
-    LinkParams,
     MachineSpec,
     NodeSpec,
     cori,
+    for_ranks,
     psg_gpu,
     small_test_machine,
     stampede2,
 )
 from repro.machine.presets import default_nranks
-
-
-class TestLinkParams:
-    def test_transfer_time(self):
-        lp = LinkParams(alpha=1e-6, bandwidth=1e9)
-        assert lp.transfer_time(1000) == pytest.approx(2e-6)
-
-    def test_zero_bytes_is_latency_only(self):
-        lp = LinkParams(alpha=5e-6, bandwidth=1e9)
-        assert lp.transfer_time(0) == pytest.approx(5e-6)
 
 
 class TestSpecs:
@@ -96,31 +86,33 @@ class TestSpecs:
             spec.nodes = 99
 
 
-class TestPlacementSocketGlobal:
-    """Regression: the machine-wide socket key must never collide.
+class TestPresetResolution:
+    def test_for_ranks_rejects_a_bad_size_or_name(self):
+        with pytest.raises(ValueError, match="world_size must be >= 1"):
+            for_ranks("cori", 0)
+        with pytest.raises(ValueError, match="unknown preset 'nope'"):
+            for_ranks("nope", 4)
 
-    The old arithmetic encoding (``node * 1_000_000 + socket``) aliased
-    ``Placement(node=0, socket=1_000_000)`` with ``(node=1, socket=0)``;
-    the structural tuple cannot.
-    """
+    def test_resolve_compiles_a_family_at_the_node_count(self):
+        from repro.machine.presets import resolve
 
-    def test_tuple_key_is_collision_free(self):
-        from repro.machine.topology import Placement
+        spec = resolve("fattree", nodes=4)
+        assert spec.nodes == 4 and spec.compiled is not None
+        assert default_nranks(spec) == spec.compiled.ranks == 128
+        with pytest.raises(ValueError, match="unknown machine preset 'nope'"):
+            resolve("nope")
 
-        a = Placement(rank=0, node=0, socket=1_000_000, core=0, gpu=None)
-        b = Placement(rank=1, node=1, socket=0, core=0, gpu=None)
-        assert a.socket_global != b.socket_global
-        assert a.socket_global == (0, 1_000_000)
-        assert b.socket_global == (1, 0)
+    def test_machine_from_topo_is_the_topo_lowering(self):
+        from repro import machine, topo
 
-    def test_matches_topology_socket_of(self):
+        spec = topo.FatTreeSpec()
+        assert machine.from_topo(spec) == topo.from_topo(spec)
+
+    def test_group_key_names_only_the_three_levels(self):
         from repro.machine.topology import Topology
 
-        spec = cori(nodes=2)
-        topo = Topology(spec, spec.total_cores)
-        for rank in range(spec.total_cores):
-            p = topo.placement(rank)
-            assert p.socket_global == topo.socket_of(rank)
+        with pytest.raises(ValueError, match="no grouping at level 'socket'"):
+            Topology(small_test_machine(), 24).group_key(1, "socket")
 
 
 class TestTopologyLifetime:

@@ -1,6 +1,7 @@
 """Unit tests for message matching and the M>N unexpected-message story."""
 
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,14 @@ def req(rank=1, peer=0, tag=0, nbytes=10, kind="recv"):
 
 def msg(src=0, tag=0, nbytes=10, eager=True):
     return InboundMessage(src=src, tag=tag, nbytes=nbytes, eager=eager)
+
+
+def test_match_key_pairs_a_send_with_its_recv():
+    from repro.mpi.matching import match_key
+
+    assert match_key("send", 0, 1, 7) == match_key("recv", 1, 0, 7) == (0, 1, 7)
+    with pytest.raises(ValueError, match="not 'reduce'"):
+        match_key("reduce", 0, 1, 7)
 
 
 class TestMatcher:

@@ -113,28 +113,23 @@ class TestUtilizationReport:
     def test_bottleneck_is_the_fabric(self):
         from repro.collectives.base import CollectiveContext
         from repro.mpi import Communicator, MpiWorld
+        from repro.obs import compute_metrics
 
         spec = cori(nodes=2)
-        world = MpiWorld(spec, 64)
+        world = MpiWorld(spec, 64, observe=True)
         comm = Communicator(world)
         tree = topology_aware_tree(world.topology, list(comm.ranks), 0)
         ctx = CollectiveContext(comm, 0, 4 << 20, CFG, tree=tree)
         handle = bcast_adapt(ctx)
         world.run()
-        report = world.fabric.utilization_report(handle.elapsed())
-        by_name = {name: util for name, nbytes, util in report}
+        report = compute_metrics(world, handle.elapsed())
         # The inter-node NIC moved a full message copy and is the most
         # utilized link class.
-        top_name = report[0][0]
-        assert top_name.startswith("nic")
-        assert 0 < by_name["nic-out:n0"] <= 1.01
+        top = max(report.links, key=lambda lm: lm.utilization)
+        assert top.name.startswith("nic")
+        nic = report.link("nic-out:n0")
+        assert 0 < nic.utilization <= 1.01
         # Byte accounting: the NIC carried exactly one message copy.
-        carried = dict((n, b) for n, b, _ in report)
-        assert carried["nic-out:n0"] == pytest.approx(4 << 20, rel=1e-3)
-
-    def test_elapsed_must_be_positive(self):
-        from repro.mpi import MpiWorld
-
-        world = MpiWorld(small_test_machine(), 4)
-        with pytest.raises(ValueError):
-            world.fabric.utilization_report(0.0)
+        assert nic.nbytes == pytest.approx(4 << 20, rel=1e-3)
+        with pytest.raises(KeyError):
+            report.link("no-such-link")

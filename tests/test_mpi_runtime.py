@@ -247,6 +247,22 @@ class TestRuntimeValidation:
         with pytest.raises(ValueError):
             w.ranks[0].irecv(src=0, tag=0, nbytes=10)
 
+    def test_a_request_completes_once(self):
+        w = make_world()
+        req = w.ranks[1].irecv(src=0, tag=0, nbytes=EAGER)
+        w.ranks[0].isend(dst=1, tag=0, nbytes=EAGER)
+        w.run()
+        with pytest.raises(RuntimeError, match="request completed twice"):
+            req._complete(w.engine.now)
+
+    def test_cancel_recv_of_a_completed_request_is_refused(self):
+        w = make_world()
+        req = w.ranks[1].irecv(src=0, tag=0, nbytes=EAGER)
+        w.ranks[0].isend(dst=1, tag=0, nbytes=EAGER)
+        w.run()
+        assert not w.ranks[1].cancel_recv(req)
+        assert req.completed and not req.cancelled
+
     def test_timing_mode_drops_payloads(self):
         w = make_world(carry_data=False)
         rreq = w.ranks[1].irecv(src=0, tag=0, nbytes=EAGER)

@@ -76,6 +76,20 @@ class TestObsRecorder:
         assert back.counters == rec.counters
         assert back.to_dict() == d
 
+    def test_staging_copy_is_a_copy_span_on_its_link(self):
+        from repro.machine import psg_gpu
+        from repro.mpi.runtime import MpiWorld
+        from repro.network import MemSpace
+
+        world = MpiWorld(psg_gpu(nodes=1), 2, gpu_bound=True, observe=True)
+        done = []
+        world.fabric.start_transfer(0, 0, 4096, done.append, MemSpace.GPU, MemSpace.HOST)
+        world.run()
+        (span,) = world.obs.by_category("flow")
+        assert (span.name, span.track, span.args) == (
+            "copy", ("link", "pcie-out:n0.s0.g0"), {"nbytes": 4096})
+        assert span.end == done[0].finish_time > span.begin == 0.0
+
     def test_cap_drops_and_truncates(self):
         rec = ObsRecorder(max_spans=2)
         for i in range(5):
@@ -87,6 +101,7 @@ class TestObsRecorder:
     def test_span_roundtrip(self):
         s = Span("wait", "waitall", ("rank", 3), 1.0, 2.5, {"n": 2})
         assert Span.from_list(s.to_list()).to_list() == s.to_list()
+        assert repr(s) == "<Span wait:waitall rank=3 [1.000000000, 2.500000000)>"
 
 
 class TestTimelineNeutrality:
@@ -154,6 +169,18 @@ class TestMetrics:
         assert m["noise_seconds"] == 0.0
         assert m["noise_absorption_ratio"] is None
 
+    def test_empty_window_reports_no_rates(self):
+        from repro.mpi.runtime import MpiWorld
+
+        world = MpiWorld(SPEC, 4, observe=True)
+        world.ranks[0].isend(1, 0, 4096)
+        world.ranks[1].irecv(0, 0, 4096)
+        world.run()
+        report = compute_metrics(world, 0.0)
+        assert report.elapsed == 0.0 and report.links == []
+        assert report.sync_wait_fraction == 0.0
+        assert compute_metrics(world).links  # the run's own window has them
+
     def test_compute_metrics_requires_recorder(self):
         from repro.mpi.runtime import MpiWorld
 
@@ -194,6 +221,20 @@ class TestCriticalPath:
         assert path == [0] and length == pytest.approx(5.0)
         length2, path2 = critical_path(g, kinds=("sync",))
         assert path2 == [0, 1] and length2 == pytest.approx(6.0)
+
+    def test_empty_and_unfinished_graphs(self):
+        assert critical_path(DepGraph()) == (0.0, [])
+        # An op that never completed weighs nothing: the chain through it
+        # ties its head, and the tie goes to the lower node.
+        g = self.graph([(0, 1, "data")], {0: (0, 2), 1: (2, None)})
+        assert critical_path(g) == (2.0, [0])
+
+    def test_equal_chains_break_ties_to_the_lower_node(self):
+        g = self.graph(
+            [(1, 3, "data"), (2, 3, "data")],
+            {1: (0, 1), 2: (0, 1), 3: (1, 2)},
+        )
+        assert critical_path(g) == (2.0, [1, 3])
 
     def test_cycle_raises(self):
         g = self.graph(
@@ -275,6 +316,24 @@ class TestChromeExport:
                 e["ts"] = -1.0
                 break
         assert validate_chrome_trace(json.dumps(negative)) != []
+
+    def test_validator_names_each_broken_event(self):
+        assert validate_chrome_trace({"traceEvents": {}}) == ["traceEvents is not an array"]
+        x = {"ph": "X", "name": "n", "cat": "c", "pid": 1, "tid": 0, "ts": 5.0, "dur": 1.0}
+        events = [
+            5,
+            {"ph": "C", "name": "c"},
+            {"ph": "B"},
+            dict(x, dur=-1.0),
+            dict(x, ts=4.0),
+        ]
+        assert validate_chrome_trace({"traceEvents": events}) == [
+            "event 0: missing phase (ph)",
+            "event 1: counter missing ts/args",
+            "event 2: unexpected phase 'B'",
+            "event 3: negative duration -1.0",
+            "event 4: ts 4.0 goes backwards on track (1, 0) (previous 5.0)",
+        ]
 
 
 class TestTruncationSurfacing:

@@ -46,11 +46,6 @@ class TestDataTypes:
         assert INT32.size == 4 and INT64.size == 8
         assert FLOAT32.size == 4 and FLOAT64.size == 8
 
-    def test_count_for(self):
-        assert FLOAT64.count_for(80) == 10
-        with pytest.raises(ValueError):
-            FLOAT64.count_for(81)
-
     def test_np_dtype_mapping(self):
         assert np.zeros(1, FLOAT32.np_dtype).dtype == np.float32
 

@@ -172,6 +172,48 @@ class TestResultCache:
         assert cache.clear() == 3
         assert len(cache) == 0
 
+    def test_an_empty_cache_has_no_directory_yet(self, tmp_path):
+        cache = ResultCache(tmp_path / "never-written")
+        assert len(cache) == 0 and cache.clear() == 0
+        assert not (tmp_path / "never-written").exists()
+
+    def test_a_write_whose_temporary_file_vanished_raises_its_own_error(
+            self, tmp_path, monkeypatch):
+        cache = ResultCache(tmp_path)
+        job = SimJob(machine="testbox")
+
+        def replace_fails(src, dst):
+            os.unlink(src)  # e.g. the cache directory was wiped meanwhile
+            raise PermissionError("replace refused")
+
+        monkeypatch.setattr(os, "replace", replace_fails)
+        with pytest.raises(PermissionError, match="replace refused"):
+            cache.put(job, {"kind": "collective"})
+        assert cache.get(job) is None
+
+    def test_clear_skips_an_entry_another_process_removed(self, tmp_path, monkeypatch):
+        cache = ResultCache(tmp_path)
+        for job in _tiny_jobs():
+            cache.put(job, {"kind": "collective"})
+        gone = cache.path_for(_tiny_jobs()[1])
+        unlink = Path.unlink
+
+        def racing_unlink(path, *args, **kw):
+            if path == gone:
+                unlink(path)  # the other process got there first
+            unlink(path, *args, **kw)
+
+        monkeypatch.setattr(Path, "unlink", racing_unlink)
+        assert cache.clear() == 2 and len(cache) == 0
+
+    def test_a_failed_write_leaves_no_temporary_file(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        job = SimJob(machine="testbox")
+        with pytest.raises(TypeError):
+            cache.put(job, {"kind": object()})  # not JSON-serializable
+        assert list(tmp_path.rglob("*")) == [cache.path_for(job).parent]
+        assert cache.get(job) is None
+
     def test_cache_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envcache"))
         assert ResultCache().root == tmp_path / "envcache"
@@ -245,6 +287,14 @@ class TestRunJobs:
         seen = []
         run_jobs(_tiny_jobs(), n_jobs=1, progress=lambda d, t: seen.append((d, t)))
         assert seen == [(1, 3), (2, 3), (3, 3)]
+
+    def test_progress_counts_cache_hits_too(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        run_jobs(_tiny_jobs()[:2], n_jobs=1, cache=cache)
+        seen = []
+        run_jobs(_tiny_jobs(), n_jobs=1, cache=cache,
+                 progress=lambda d, t: seen.append((d, t)))
+        assert seen == [(1, 3), (2, 3), (3, 3)] and cache.hits == 2
 
     def test_cache_hit_skips_execution(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -29,11 +29,7 @@ from repro.machine import small_test_machine
 from repro.mpi import SUM, Communicator, MpiWorld
 from repro.recovery import launch_recover
 from repro.trees import binary_tree, chain_tree, topology_aware_tree
-from repro.trees.regraft import (
-    live_ring,
-    nearest_live_ancestor,
-    regraft_tree,
-)
+from repro.trees.regraft import nearest_live_ancestor, regraft_tree
 
 SMALL_CONFIG = CollectiveConfig(segment_size=4 * 1024, inflight_sends=2,
                                 posted_recvs=3)
@@ -105,9 +101,6 @@ class TestRegraft:
         t = chain_tree(4)
         assert nearest_live_ancestor(t, 3, {0, 1, 2}) is None
         assert nearest_live_ancestor(t, 3, {1, 2}) == 0
-
-    def test_live_ring_preserves_order(self):
-        assert live_ring([3, 1, 4, 1, 5], {1}) == [3, 4, 5]
 
 
 class TestMembership:
@@ -337,6 +330,21 @@ class TestIntegrity:
         assert stats["checksum_rejects"] == inj.corrupted
         assert stats["nacks_sent"] == stats["checksum_rejects"]
         assert stats["retransmits"] >= stats["nacks_sent"]
+
+    def test_an_object_payload_is_resent_until_a_copy_lands_clean(self):
+        # A payload that is not an array carries no checksum and no bit can
+        # be flipped in it; the corruption roll alone rejects the arrival.
+        world = make_world(2, reliable=True, sanitize=True)
+        note = {"step": 3, "tags": ["a", "b"]}
+        recv = world.ranks[1].irecv(0, 7, 64)
+        world.ranks[0].isend(1, 7, 64, data=note)
+        inj = FaultInjector(world, FaultPlan(corrupts=[CorruptSpec(rate=0.5)], seed=2))
+        inj.arm(1.0)
+        world.run()
+        assert recv.data == note
+        stats = world.transport_stats()
+        assert inj.corrupted > 0 and stats["checksum_rejects"] == inj.corrupted
+        assert stats["fresh_deliveries"] == 1
 
     def test_corruption_timeline_deterministic(self):
         def corrupted_count():

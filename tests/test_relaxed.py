@@ -235,6 +235,42 @@ class TestPartialQuorum:
         (x,) = [e for e in events if e["ph"] == "X" and e["pid"] == 4]
         assert (x["name"], x["tid"], x["args"]) == (span.name, 0, span.args)
 
+    @pytest.mark.parametrize("op", QUORUM_OPS)
+    def test_a_rank_launched_twice_joins_once(self, op):
+        world, comm, _ = quorum_world(self.NRANKS)
+        data = payload(self.NRANKS, self.NBYTES, 5)
+        prep = prepare_operation(ADAPT, op, policy=QuorumPolicy(quorum=1.0))
+        d = data[0] if op == "bcast_quorum" else dict(data)
+        ctx = prep(comm, 0, self.NBYTES, DEFAULT_COLLECTIVE, data=d)
+        h = ctx.launch()
+        assert ctx.launch(ranks=[0, 2]) is h  # already launched: no-op
+        world.run()
+        led = world.staleness_frontier.ledger
+        assert led.opened == led.on_time == self.NRANKS
+        assert sorted(h.report.contributed_ranks) == list(range(self.NRANKS))
+        if op == "bcast_quorum":
+            expect = {r: data[0] for r in range(self.NRANKS)}
+        elif op == "reduce_quorum":
+            expect = {0: fold(data, range(self.NRANKS))}
+        else:
+            expect = {r: fold(data, range(self.NRANKS)) for r in range(self.NRANKS)}
+        for r, want in expect.items():
+            assert np.array_equal(h.output[r], want), r
+
+    def test_bcast_straggler_delivery_is_counted_late(self):
+        plan = FaultPlan(stalls=[StallSpec(rank=3, time=1e-5, duration=5e-3)])
+        world, comm, injectors = quorum_world(self.NRANKS, plan, observe=True)
+        data = payload(self.NRANKS, self.NBYTES, 7)
+        h = launch_quorum(comm, "bcast_quorum", self.NBYTES,
+                          QuorumPolicy(quorum=0.5), data[0])
+        _drive(world, injectors, lambda: h.done, None)
+        world.run()
+        # The stalled rank still got the data, after the close: a late merge.
+        assert 3 not in h.report.contributed_ranks
+        assert (3, 1, 1) in h.report.late_merges
+        assert world.obs.counters["quorum.late_merges"] == len(h.report.late_merges)
+        assert world.staleness_frontier.late_merged == len(h.report.late_merges)
+
     def test_quorum_completes_strictly_earlier_under_stalls(self):
         """The acceptance property: a seeded stall plan, quorum 0.75 —
         allreduce_quorum seals strictly earlier than exact ADAPT, with
@@ -574,6 +610,22 @@ class TestSgdFrontier:
         assert relaxed.on_time_fraction < 1.0
         # Accounting: every non-on-time gradient merged late or discarded.
         assert relaxed.late_merged + relaxed.discarded > 0
+
+    def test_epochs_after_a_root_loss_never_launch(self):
+        from repro.apps.sgd import run_sgd
+        from repro.faults.plan import KillSpec
+
+        kw = dict(epochs=3, grad_bytes=2048, time_limit=0.05)
+        clean = run_sgd(small_test_machine(), 4, **kw)
+        # Rank 0, the allreduce root, dies during epoch 1: that epoch is
+        # unrecoverable, so no rank enters epoch 2 and it adds no gradient.
+        lost = run_sgd(small_test_machine(), 4, **kw,
+                       fault_plan=FaultPlan(kills=[KillSpec(rank=0, time=1.5e-3)]))
+        assert clean.completed and not lost.completed and lost.degraded
+        assert lost.epoch_times[0] == clean.epoch_times[0]
+        assert lost.epoch_times[1:] == [float("inf")] * 2
+        assert lost.on_time_fraction == 1 / 3  # epoch 0's four gradients of 12
+        assert lost.excess_loss > clean.excess_loss
 
     def test_sgd_result_round_trips(self):
         from repro.apps.sgd import SgdResult, run_sgd

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.collectives.segmentation import segment_offsets, segment_sizes
 from repro.config import CollectiveConfig, RuntimeConfig
 from repro.mpi.payload import assemble_payload, slice_payload
 
@@ -35,9 +34,6 @@ class TestSegmentSizes:
         sizes = cfg.segments_for(1000)
         assert len(sizes) <= 8
         assert sum(sizes) == 1000
-
-    def test_offsets(self):
-        assert segment_offsets([3, 4, 5]) == [0, 3, 7]
 
 
 @given(

@@ -91,6 +91,76 @@ class TestEngine:
         h1.cancel()
         assert eng.pending() == 1
 
+    def test_every_entry_point_rejects_the_past(self):
+        eng = Engine()
+        eng.call_at(1.0, lambda: None)
+        eng.run()
+        for post in (
+            lambda: eng.post_at(0.5, lambda: None),
+            lambda: eng.post_after(-1.0, lambda: None),
+            lambda: eng.post_entry(0.5, [lambda: None, ()]),
+            lambda: eng.post_batch(0.5, [lambda: None]),
+            lambda: eng.marks([2.0, 0.5]),
+            lambda: eng.wake_at(0.5, lambda t: ()),
+        ):
+            with pytest.raises(SimulationError, match="before now=1.0|negative delay"):
+                post()
+        assert eng.pending() == 0
+
+    def test_post_batch_opens_a_new_instant(self):
+        eng = Engine()
+        order = []
+        eng.post_batch(1.0, [lambda: order.append("a"), lambda: order.append("b")])
+        eng.post_batch(1.0, [lambda: order.append("c")])
+        assert eng.pending() == 3
+        eng.run()
+        assert order == ["a", "b", "c"] and eng.now == 1.0
+
+    def test_run_is_not_reentrant(self):
+        eng = Engine()
+        caught = []
+
+        def nested():
+            with pytest.raises(SimulationError, match="reentrant"):
+                eng.run()
+            caught.append(eng.running)
+
+        eng.call_at(1.0, nested)
+        eng.run()
+        assert caught == [True] and not eng.running
+
+    def test_one_wake_hook_per_engine(self):
+        eng = Engine()
+        hook = lambda t: ()
+        eng.wake_at(1.0, hook)
+        eng.wake_at(2.0, hook)  # the same hook: the later wake replaces it
+        with pytest.raises(SimulationError, match="another wake hook"):
+            eng.wake_at(1.0, lambda t: ())
+        assert eng.run() == 0.0  # a wake that splices nothing fires no event
+
+    def test_discard_owned_compacts_once_cancelled_outnumber_live(self):
+        eng = Engine()
+        owner = object()
+        for i in range(600):
+            eng.post_entry(1.0 + i, [lambda i: None, (i,), owner])
+        eng.call_at(1e3, lambda: None)
+        withdrawn = eng.discard_owned(owner)
+        assert [args for _, args in withdrawn] == [(i,) for i in range(600)]
+        # Every owned bucket was all cancelled: the compaction dropped them.
+        assert eng.pending() == 1 and list(eng._buckets) == [1e3]
+        assert eng.stats()["cancelled_parked"] == 0.0
+        eng.run()
+        assert eng.events_processed == 1
+
+    def test_handle_repr_names_its_state(self):
+        eng = Engine()
+        fired, cancelled = eng.call_at(1.0, lambda: None), eng.call_at(1.0, lambda: None)
+        assert repr(fired) == "<EventHandle pending>"
+        cancelled.cancel()
+        eng.run()
+        assert repr(fired) == "<EventHandle fired>"
+        assert repr(cancelled) == "<EventHandle cancelled>"
+
 
 class TestPostEntry:
     def test_posted_entry_fires_in_post_order(self):

@@ -328,6 +328,33 @@ def test_for_ranks_fits_world(family_spec, fuzz_seed):
         )
 
 
+def test_dragonfly_resize_keeps_the_global_port_count_even():
+    # Three groups of three routers with one global port each would leave
+    # nine global ports, an odd count that cannot pair up: the resize
+    # gives each router a second port.
+    spec = DragonflySpec(groups=2, routers_per_group=3, global_per_router=1)
+    resized = spec.for_ranks(224)
+    assert (resized.groups, resized.routers_per_group, resized.global_per_router) == (3, 3, 2)
+    topo = compile_topo(resized)
+    assert topo.ranks >= 224 and topo.link_census()["global"] == 18
+
+
+def test_entry_points_reject_unknown_families_and_double_sizes():
+    from repro.topo import build_family, small_family_machine
+    from repro.topo.fattree import equal_cost_paths
+
+    with pytest.raises(ValueError, match="unknown topology family 'torus'"):
+        build_family("torus")
+    with pytest.raises(ValueError, match="unknown topology family 'torus'"):
+        small_family_machine("torus")
+    with pytest.raises(ValueError, match="pass nodes or ranks, not both"):
+        build_family("fattree", nodes=2, ranks=64)
+    topo = compile_topo(FatTreeSpec())
+    with pytest.raises(ValueError, match="distinct nodes"):
+        equal_cost_paths(topo, 1, 1)
+    assert topo.gpu_peer_path(0, 0, 1) is None  # no GPU islands in a fat tree
+
+
 def test_fattree_spec_validation():
     with pytest.raises(ValueError, match="oversubscription"):
         FatTreeSpec(oversubscription=0.0)

@@ -135,6 +135,20 @@ def test_property_reroot_valid_for_any_root(n, root):
     assert t.root == root
 
 
+class TestTreeValidation:
+    @pytest.mark.parametrize("tree, problem", [
+        (Tree(0, [None, 0], [[1]]), "parent/children length mismatch"),
+        (Tree(2, [None, 0], [[1], []]), "root 2 out of range"),
+        (Tree(0, [1, 0], [[1], []]), "root must have parent None"),
+        (Tree(0, [None, None], [[1], []]), "child link 0->1 not mirrored"),
+        (Tree(0, [None, 0], [[1, 1], []]), "rank 1 reached twice"),
+        (Tree(0, [None, 0, None], [[1], [], []]), r"missing ranks \[2\]"),
+    ])
+    def test_validate_names_the_malformation(self, tree, problem):
+        with pytest.raises(ValueError, match=problem):
+            tree.validate()
+
+
 class TestTopologyAwareTree:
     def setup_method(self):
         # Figure 5's machine: 4 cores/socket, 2 sockets/node, 3 nodes.
@@ -192,6 +206,20 @@ class TestTopologyAwareTree:
         t.validate()
         # Flat socket group: 1,2,3 all hang directly off 0.
         assert t.parent[1] == t.parent[2] == t.parent[3] == 0
+
+    def test_fanout_shapes_per_level(self):
+        # A 4-ary socket group and a 4-nomial node level: every socket's
+        # three members hang off its leader, and the three node leaders
+        # hang off the root's node leader.
+        shapes = {CommLevel.INTRA_SOCKET: "kary4", CommLevel.INTER_NODE: "knomial4"}
+        t = topology_aware_tree(self.topo, list(range(24)), root=0, shapes=shapes)
+        t.validate()
+        assert t.children[0][:3] == [1, 2, 3] and t.parent[13] == 12
+        assert t.parent[8] == 0 and t.parent[16] == 0
+
+    def test_root_out_of_range_is_rejected(self):
+        with pytest.raises(ValueError, match="root 24 out of range for 24 ranks"):
+            topology_aware_tree(self.topo, list(range(24)), root=24)
 
     def test_subset_communicator(self):
         # Tree over a strided subset of ranks still spans and validates.

@@ -27,6 +27,7 @@ from repro.mpi.proclet import ProcletDriver
 from repro.verify import (
     DEADLOCK,
     RACE,
+    UNMATCHED_SEND,
     build_model,
     chrome_counterexample_trace,
     counterexample_dict,
@@ -232,6 +233,142 @@ class TestCounterexamples:
         }
 
 
+def _handmade_model(programs, nranks=2):
+    """Model of hand-written per-rank programs of ``(kind, peer, tag,
+    nbytes)`` ops, each waited on before the next."""
+    world = recording_world(nranks)
+
+    def program(rank):
+        rt = world.ranks[rank]
+        for kind, peer, tag, nbytes in programs[rank]:
+            post = rt.isend if kind == "send" else rt.irecv
+            yield post(peer, tag=tag, nbytes=nbytes)
+
+    def launch():
+        for rank in programs:
+            ProcletDriver(world.ranks[rank], program(rank))
+
+    return model_from_graph(record(
+        world, launch,
+        meta={"schedule": "handmade", "nranks": nranks,
+              "eager_threshold": world.config.eager_threshold},
+    ))
+
+
+#: Rank 0 sends one eager message that no rank ever receives.
+STRANDED = {0: [("send", 1, 5, 2048)]}
+
+
+def test_model_leaves_out_a_cancelled_receive():
+    world = recording_world(2)
+
+    def sender():
+        yield world.ranks[0].isend(1, tag=1, nbytes=2048)
+
+    def receiver():
+        rt = world.ranks[1]
+        spare = rt.irecv(0, tag=9, nbytes=2048)
+        assert rt.cancel_recv(spare)
+        yield rt.irecv(0, tag=1, nbytes=2048)
+
+    def launch():
+        ProcletDriver(world.ranks[0], sender())
+        ProcletDriver(world.ranks[1], receiver())
+
+    graph = record(world, launch, meta={
+        "schedule": "cancel", "nranks": 2,
+        "eager_threshold": world.config.eager_threshold})
+    assert any(n.cancelled for n in graph.nodes.values())
+    model = model_from_graph(graph)
+    assert sorted(op.label for op in model.ops.values()) == [
+        "recv[1<-0 tag=1 2048B]", "send[0->1 tag=1 2048B]"]
+    assert explore(model).deadlock_free
+
+
+def test_a_race_is_reported_once_across_states():
+    # Rank 0's two tag-5 sends race for rank 1's two receives in every
+    # state before the first of them matches, whichever way the unrelated
+    # 2->3 message goes; the checker reports the key once.
+    m = _handmade_model({
+        0: [("send", 1, 5, 2048), ("send", 1, 5, 2048)],
+        1: [("recv", 0, 5, 2048), ("recv", 0, 5, 2048)],
+        2: [("send", 3, 2, 2048)], 3: [("recv", 2, 2, 2048)],
+    }, nranks=4)
+    e = explore(m)
+    assert e.mode == "naive" and e.complete
+    (v,) = e.violations
+    assert v.kind == RACE and "(src=0, dst=1, tag=5)" in v.detail
+    assert e.states_explored == 8
+
+
+def test_a_send_behind_a_stuck_recv_is_reported_never_posted():
+    # Both ranks receive before they send, so each send waits on a receive
+    # only the other's send could complete. A recording never posts such a
+    # send, so the model is written out by hand.
+    from repro.verify.model import ModelOp, ScheduleModel
+
+    def op(oid, kind, rank, peer, tag, guards=()):
+        arrow = "->" if kind == "send" else "<-"
+        return ModelOp(oid, kind, rank, peer, tag, 2048, False, frozenset(guards),
+                       f"{kind}[{rank}{arrow}{peer} tag={tag} 2048B]")
+
+    m = ScheduleModel(ops={1: op(1, "recv", 0, 1, 1), 2: op(2, "send", 0, 1, 0, {1}),
+                           3: op(3, "recv", 1, 0, 0), 4: op(4, "send", 1, 0, 1, {3})})
+    (v,) = explore(m).violations
+    assert v.kind == DEADLOCK and v.trace == ()
+    assert v.pending == (
+        "recv[0<-1 tag=1 2048B] posted but no matching send ever in flight",
+        "send[0->1 tag=0 2048B] never posted: waiting on recv[0<-1 tag=1 2048B]",
+        "recv[1<-0 tag=0 2048B] posted but no matching send ever in flight",
+        "send[1->0 tag=1 2048B] never posted: waiting on recv[1<-0 tag=0 2048B]",
+    )
+
+
+class TestReplayVerdicts:
+    """Replay confirms a trace only when its final state shows the claimed
+    violation, and says why otherwise."""
+
+    @staticmethod
+    def _trace(model, kind=None):
+        e = explore(model)
+        data = counterexample_dict(model, first_violation(e), e.mode)
+        if kind is not None:
+            data["kind"] = kind
+        return data
+
+    def test_stranded_eager_send_is_confirmed(self):
+        m = _handmade_model(STRANDED)
+        e = explore(m)
+        (v,) = e.violations
+        assert e.verdict() == "VIOLATED: unmatched-send"
+        assert v.kind == UNMATCHED_SEND and v.pending == ("send[0->1 tag=5 2048B]",)
+        result = replay(counterexample_dict(m, v, e.mode))
+        assert result.ok and result.message == "confirmed: 1 eager send(s) never consumed"
+
+    @pytest.mark.parametrize("model, kind, message", [
+        ("deadlock-demo", RACE, "final state has no key with two sends in flight"),
+        ("deadlock-demo", UNMATCHED_SEND, "final state has no stranded eager send"),
+        ("deadlock-demo", "bogus", "unknown violation kind 'bogus'"),
+        ("race-demo", DEADLOCK, "final state is not maximal: matches still enabled"),
+        ("stranded", DEADLOCK, "final state completed every op: no deadlock"),
+    ])
+    def test_a_claim_the_final_state_refutes_fails(self, model, kind, message):
+        m = (_handmade_model(STRANDED) if model == "stranded"
+             else build_model(model, nranks=4))
+        result = replay(self._trace(m, kind))
+        assert not result.ok and result.kind == kind
+        assert result.message == message
+
+    def test_unknown_schema_is_rejected(self, tmp_path):
+        m = build_model("deadlock-demo", nranks=4)
+        data = self._trace(m)
+        data["schema"] = "v0"
+        path = tmp_path / "ce.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="schema 'v0'"):
+            load_counterexample(str(path))
+
+
 def _sweep(schedule, nranks=4, **kw):
     """The one result of a single-kind fault sweep."""
     [result] = fault_sweep(
@@ -263,6 +400,49 @@ class TestKillSweep:
         r = _sweep("gather-adapt", kills=True, witness=False)
         assert r.ok
         assert r.triples > 0
+
+
+class TestSweepVerdicts:
+    """How a sweep that finds an unsafe point reads: its verdict names the
+    point, and ``repro verify`` prints each point's issues under it."""
+
+    @staticmethod
+    def _failed(kind, base_schedule="bcast-adapt"):
+        from repro.verify.recovery_check import PointReport, SweepResult
+
+        point = PointReport(kind=kind, side_a=(0, 1), side_b=(2,),
+                            issues=["survivor(s) [1] never completed or excused"])
+        base = explore(build_model(base_schedule, nranks=2))
+        return SweepResult(kind=kind, schedule="bcast-adapt", collective="bcast",
+                           mode="in-place", nranks=3, tree="binary", root=0,
+                           base=base, points=[point])
+
+    @pytest.mark.parametrize("kind, label, verdict", [
+        ("kill", "victim 2", "RECOVERY UNSAFE for victim(s) [2]"),
+        ("cut", "cut (0, 1)|(2,)", "PARTITION UNSAFE for cut(s) ['[0, 1]|[2]']"),
+    ])
+    def test_an_unsafe_point_is_named(self, kind, label, verdict):
+        sweep = self._failed(kind)
+        assert not sweep.ok and sweep.verdict() == verdict
+        assert sweep.points[0].label == label
+        unsafe_base = self._failed(kind, base_schedule="deadlock-demo")
+        assert unsafe_base.verdict() == "BASE NOT SAFE: VIOLATED: deadlock"
+
+    def test_cli_prints_the_issues_and_fails(self, monkeypatch, capsys, tmp_path):
+        import repro.verify
+        from repro.cli import main
+
+        sweep = self._failed("kill")
+        monkeypatch.setattr(repro.verify, "fault_sweep", lambda *a, **kw: [sweep])
+        code = main(["verify", "--collective", "bcast-adapt", "--ranks", "3",
+                     "--kill-sweep", "--json", str(tmp_path / "r.json")])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 1
+        i = out.index("FAIL bcast-adapt kill-sweep: RECOVERY UNSAFE for victim(s) [2] "
+                      f"({sweep.elapsed:.2f}s)")
+        assert out[i + 1] == "     victim 2: survivor(s) [1] never completed or excused"
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["schedules"]["bcast-adapt"]["ok"] is False
 
 
 def _live_partition(collective, nranks, side_a, side_b, heal=0.2):
@@ -378,6 +558,33 @@ class TestVerifyCli:
         assert replay_code == 0
         assert "CONFIRMED" in out
         assert (tmp_path / "ce.trace.json").exists()
+
+    @pytest.mark.parametrize("flags, expect", [
+        ([], ADAPT_SCHEDULES),
+        (["--all"], sorted(VERIFY_MODELS)),
+    ])
+    def test_verify_picks_its_schedules(self, flags, expect, tmp_path,
+                                        monkeypatch, capsys):
+        import repro.verify
+        from repro.cli import main
+
+        tiny = build_model("bcast-adapt", nranks=2)
+        monkeypatch.setattr(repro.verify, "build_model", lambda name, **kw: tiny)
+        main(["verify", *flags, "--json", str(tmp_path / "r.json")])
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert sorted(report["schedules"]) == sorted(expect)
+
+    def test_violation_prints_its_interleaving(self, capsys):
+        from repro.cli import _print_violation
+
+        model = model_from_graph(_random_schedule(21))
+        (v,) = explore(model).violations
+        _print_violation(model, v)
+        assert capsys.readouterr().out.splitlines()[1:4] == [
+            "  interleaving (2 match(es)):",
+            "      0. send[1->0 tag=3 2048B]  ->  recv[0<-1 tag=3 2048B]",
+            "      1. send[0->1 tag=2 2048B]  ->  recv[1<-0 tag=2 2048B]",
+        ]
 
     def test_verify_chrome_exports_the_violation(self, capsys, tmp_path,
                                                  monkeypatch):
